@@ -44,3 +44,7 @@ class GimbalLockError(DegenerateGeometryError):
 
 class SingularProblemError(NumericalError):
     """Normal equations or an information matrix are numerically singular."""
+
+
+class CampaignFailedError(NumericalError):
+    """Every trial of a Monte Carlo campaign failed numerically."""

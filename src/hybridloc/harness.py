@@ -25,7 +25,12 @@ from .crlb import (
     position_trace,
     velocity_trace,
 )
-from .errors import DimensionMismatchError, HybridlocError, ScenarioError
+from .errors import (
+    CampaignFailedError,
+    DimensionMismatchError,
+    HybridlocError,
+    ScenarioError,
+)
 from .geometry import scatterer_measurement, ue_measurement
 from .noise import (
     build_q,
@@ -197,7 +202,9 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False):
                 }
             )
     if not estimates:
-        raise ScenarioError("every trial failed; scenario is unusable")
+        raise CampaignFailedError(
+            f"every trial failed numerically; trial 0: {outcomes[0][1]}"
+        )
 
     estimates = np.array(estimates)
     if not velocity_ok:
@@ -253,7 +260,9 @@ def run_scatterer_campaign(sc: Scenario) -> MetricReport:
     estimates = [o[1] for o in outcomes if o[0] == "ok"]
     failures = len(outcomes) - len(estimates)
     if not estimates:
-        raise ScenarioError("every trial failed; scenario is unusable")
+        raise CampaignFailedError(
+            f"every trial failed numerically; trial 0: {outcomes[0][1]}"
+        )
     truths = np.tile(sc.scatterer_true, (len(estimates), 1))
     crlb = crlb_scatterer(
         sc.scatterer_true, sc.rrhs[sc.scatterer_rrh], sc.ue_true, build_qs(sc.noise)
@@ -272,16 +281,20 @@ def _sr_trial(args):
     try:
         result = select_los(paths, sc.rrhs, n_a=sc.n_a)
     except HybridlocError:
-        return False
+        return None
     return result.all_selected_are_los()
 
 
 def run_sr_campaign(sc: Scenario) -> MetricReport:
-    """Fraction of trials whose selected paths are all true direct paths."""
+    """Fraction of trials whose selected paths are all true direct paths.
+
+    A trial whose selection raises counts as a miss and in ``failure_rate``.
+    """
     start = time.perf_counter()
-    hits = _map_trials(_sr_trial, [(sc, t) for t in range(sc.trials)])
+    outcomes = _map_trials(_sr_trial, [(sc, t) for t in range(sc.trials)])
     return MetricReport(
-        success_rate=float(np.mean(hits)),
+        success_rate=float(np.mean([bool(hit) for hit in outcomes])),
+        failure_rate=sum(hit is None for hit in outcomes) / sc.trials,
         trials=sc.trials,
         runtime=time.perf_counter() - start,
     )

@@ -18,6 +18,15 @@ iteratively trimmed least squares from several deterministic starting
 points, and the winner is the candidate whose induced selection is most
 self-consistent -- its members' rays nearly meet at one point and their
 measured ranges agree with that point up to a single common offset.
+
+The fits run in two stages of two: from the cluster center and the median
+fix, then from the two best-scoring seeds among the ray-pair midpoints and
+the first two fits.  Rays are held as stacked ``(n, 3)`` origins and unit
+directions; a ray's miss is ``d - (d.a) a`` and each reweighted normal
+matrix is ``sum(w) I - sum(w a a^T)``, so the fits of one stage share one
+batched 3x3 solve per step.  Candidates that induce the same member set
+are scored once, for the first candidate that reached it, so rounding in
+the order of summation cannot pick between them.
 """
 
 from __future__ import annotations
@@ -129,24 +138,53 @@ def kmeans2(points, max_iters: int = 100):
     return centers[los_k], centers[1 - los_k], labels
 
 
-def _pair_midpoints(origins: np.ndarray, dirs: np.ndarray) -> list:
-    """Closest-approach midpoints between all forward ray pairs."""
-    mids = []
-    n = origins.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = dirs[i], dirs[j]
-            ab = float(a @ b)
-            den = 1.0 - ab * ab
-            if den < 1e-9:  # near-parallel rays have no stable midpoint
-                continue
-            w = origins[j] - origins[i]
-            t1 = (w @ a - ab * (w @ b)) / den
-            t2 = (ab * (w @ a) - (w @ b)) / den
-            if t1 <= 0.0 or t2 <= 0.0:
-                continue
-            mids.append(0.5 * (origins[i] + t1 * a + origins[j] + t2 * b))
-    return mids
+def _perp(diff, dirs):
+    """Parts of ``diff`` perpendicular to ``dirs``: ``d - (d.a) a``, broadcast."""
+    return diff - np.einsum("...i,...i->...", diff, dirs)[..., None] * dirs
+
+
+def _norm(v):
+    """Euclidean norms along the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+
+def _solve_3x3(normal, rhs):
+    """Solve a ``(K, 3, 3)`` stack of systems; returns ``(x, ok)``.
+
+    Rows whose system is singular or whose solution is not finite are
+    flagged in ``ok`` and must not be used.  A singular member makes the
+    batched LAPACK call raise, so that step is then solved row by row.
+    """
+    try:
+        x = np.linalg.solve(normal, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(rhs.shape, np.nan)
+        for k in range(rhs.shape[0]):
+            try:
+                x[k] = np.linalg.solve(normal[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+    return x, np.isfinite(x).all(axis=1)
+
+
+def _pair_midpoints(origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Closest-approach midpoints between all forward ray pairs, ``(M, 3)``.
+
+    Pairs come in ``(i, j)``, ``i < j`` row-major order.
+    """
+    i, j = np.triu_indices(origins.shape[0], 1)
+    a, b = dirs[i], dirs[j]
+    ab = np.sum(a * b, axis=1)
+    den = 1.0 - ab * ab
+    stable = den >= 1e-9  # near-parallel rays have no stable midpoint
+    w = origins[j] - origins[i]
+    wa, wb = np.sum(w * a, axis=1), np.sum(w * b, axis=1)
+    den = np.where(stable, den, 1.0)
+    t1 = (wa - ab * wb) / den
+    t2 = (ab * wa - wb) / den
+    fwd = stable & (t1 > 0.0) & (t2 > 0.0)
+    t1, t2 = t1[fwd, None], t2[fwd, None]
+    return 0.5 * (origins[i[fwd]] + t1 * a[fwd] + origins[j[fwd]] + t2 * b[fwd])
 
 
 def _seed_scores(seeds, origins, dirs, ranges, k: int) -> np.ndarray:
@@ -171,90 +209,93 @@ def _seed_scores(seeds, origins, dirs, ranges, k: int) -> np.ndarray:
     return np.sort(combined, axis=1)[:, kk - 1]
 
 
-def _ray_point(origins, projectors, idx, c0, iters: int = 8, floor: float = 1.0):
-    """Reweighted least-squares point nearest the indexed rays."""
-    c = np.array(c0, dtype=float)
-    for _ in range(iters):
-        normal = np.zeros((3, 3))
-        rhs = np.zeros(3)
-        for i in idx:
-            w = 1.0 / max(float(np.linalg.norm(projectors[i] @ (c - origins[i]))), floor)
-            normal += w * projectors[i]
-            rhs += w * (projectors[i] @ origins[i])
-        try:
-            c_new = np.linalg.solve(normal, rhs)
-        except np.linalg.LinAlgError:
-            return c
-        if not np.all(np.isfinite(c_new)):
-            return c
-        if np.linalg.norm(c_new - c) < 1e-9:
-            return c_new
-        c = c_new
-    return c
+def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
+    """Reweighted least-squares points nearest each row's kept rays.
 
-
-def _trimmed_ray_point(origins, projectors, c0, keep: int, rounds: int = 4):
-    """Alternate between keeping the closest rays and refitting the point."""
-    c = np.asarray(c0, dtype=float)
-    for _ in range(rounds):
-        dray = np.array(
-            [np.linalg.norm(p @ (c - o)) for o, p in zip(origins, projectors)]
-        )
-        kept = np.argsort(dray, kind="stable")[: max(keep, 3)]
-        c = _ray_point(origins, projectors, kept, c)
-    return c
-
-
-def _subset_score(idx, origins, projectors, ranges) -> float:
-    """Self-consistency of a candidate selection (lower is better).
-
-    Fits the single point nearest the subset's rays, then scores the worst
-    perpendicular miss plus the spread of (measured range - distance to the
-    point), which a shared clock offset cannot inflate.
+    ``kept`` is ``(K, m)`` ray indices and ``c0`` the ``(K, 3)`` starts; the
+    K fits are independent.  Each step solves the weighted normal equations
+    ``(sum(w) I - sum(w a a^T)) c = sum(w P o)`` with ``w = 1/max(miss,
+    floor)`` for all K at once.  A fit is frozen when its step is below
+    1e-9 m (keeping the new point) or its solve fails (keeping the last).
     """
-    normal = np.zeros((3, 3))
-    rhs = np.zeros(3)
-    for i in idx:
-        normal += projectors[i]
-        rhs += projectors[i] @ origins[i]
-    try:
-        point = np.linalg.solve(normal, rhs)
-    except np.linalg.LinAlgError:
-        return np.inf
-    if not np.all(np.isfinite(point)):
-        return np.inf
-    miss = [float(np.linalg.norm(projectors[i] @ (point - origins[i]))) for i in idx]
-    offsets = [float(ranges[i] - np.linalg.norm(point - origins[i])) for i in idx]
-    return max(miss) + (max(offsets) - min(offsets))
+    o, a = origins[kept], dirs[kept]
+    po = _perp(o, a)
+    k, m = kept.shape
+    aat = (a[..., :, None] * a[..., None, :]).reshape(k, m, 9)
+    eye = np.eye(3)
+    c = np.array(c0, dtype=float)
+    active = np.ones(k, dtype=bool)
+    for _ in range(iters):
+        w = 1.0 / np.maximum(_norm(_perp(c[:, None, :] - o, a)), floor)
+        wr = w[:, None, :]
+        normal = w.sum(axis=1)[:, None, None] * eye - (wr @ aat).reshape(k, 3, 3)
+        c_new, ok = _solve_3x3(normal, (wr @ po)[:, 0])
+        moved = active & ok
+        converged = _norm(c_new - c) < 1e-9
+        np.copyto(c, c_new, where=moved[:, None])
+        active = moved & ~converged
+        if not active.any():
+            break
+    return c
+
+
+def _trimmed_ray_points(origins, dirs, c0, keep: int, rounds: int = 4):
+    """Alternate between keeping each start's closest rays and refitting it."""
+    c = np.array(c0, dtype=float)
+    for _ in range(rounds):
+        dray = _norm(_perp(c[:, None, :] - origins, dirs))
+        kept = np.argsort(dray, axis=1, kind="stable")[:, : max(keep, 3)]
+        c = _ray_points(origins, dirs, kept, c)
+    return c
+
+
+def _subset_scores(subsets, origins, dirs, ranges) -> np.ndarray:
+    """Self-consistency of candidate selections (lower is better).
+
+    For each row of ``subsets`` (receiver indices), fits the single point
+    nearest the subset's rays, then scores the worst perpendicular miss
+    plus the spread of (measured range - distance to the point), which a
+    shared clock offset cannot inflate.  An unsolvable fit scores inf.
+    """
+    o, a = origins[subsets], dirs[subsets]
+    normal = subsets.shape[1] * np.eye(3) - np.einsum("kmi,kmj->kij", a, a)
+    point, ok = _solve_3x3(normal, _perp(o, a).sum(axis=1))
+    diff = point[:, None, :] - o
+    miss = _norm(_perp(diff, a))
+    offsets = ranges[subsets] - _norm(diff)
+    scores = miss.max(axis=1) + (offsets.max(axis=1) - offsets.min(axis=1))
+    return np.where(ok, scores, np.inf)
 
 
 def _refine_center(fixes, origins, dirs, ranges, c_cluster, subset_size: int):
-    """Pick the ranking center whose induced selection is most consistent."""
-    projectors = [np.eye(3) - np.outer(a, a) for a in dirs]
-    keep = max(3, origins.shape[0] // 2)
-    centers = [
-        _trimmed_ray_point(origins, projectors, c_cluster, keep),
-        _trimmed_ray_point(origins, projectors, np.median(fixes, axis=0), keep),
-    ]
-    seeds = _pair_midpoints(origins, dirs) + [np.array(c) for c in centers]
-    scores = _seed_scores(np.array(seeds), origins, dirs, ranges, k=6)
-    for i in np.argsort(scores, kind="stable")[:2]:
-        centers.append(_trimmed_ray_point(origins, projectors, seeds[i], keep))
+    """Pick the ranking center whose induced selection is most consistent.
 
-    best_center = None
-    best_score = np.inf
-    seen = set()
-    for c in centers:
-        d = np.linalg.norm(fixes - c, axis=1)
-        subset = tuple(np.argsort(d, kind="stable")[:subset_size])
-        if subset in seen:
-            continue
-        seen.add(subset)
-        score = _subset_score(subset, origins, projectors, ranges)
-        if score < best_score:
-            best_score = score
-            best_center = c
-    return best_center
+    Trimmed ray fits start from the cluster center and the median fix, then
+    from the two best-scoring seeds among the pair midpoints and those two
+    fits.  Each fit induces a selection (its ``subset_size`` nearest fixes);
+    the first fit to reach each member set stands for it, and the fit whose
+    set scores lowest wins, the earlier one on a tie.
+    """
+    keep = max(3, origins.shape[0] // 2)
+    starts = np.array([c_cluster, np.median(fixes, axis=0)])
+    centers = _trimmed_ray_points(origins, dirs, starts, keep)
+    seeds = np.vstack([_pair_midpoints(origins, dirs), centers])
+    scores = _seed_scores(seeds, origins, dirs, ranges, k=6)
+    best_seeds = seeds[np.argsort(scores, kind="stable")[:2]]
+    centers = np.vstack(
+        [centers, _trimmed_ray_points(origins, dirs, best_seeds, keep)]
+    )
+
+    d = np.linalg.norm(fixes[None, :, :] - centers[:, None, :], axis=2)
+    subsets = np.argsort(d, axis=1, kind="stable")[:, :subset_size]
+    firsts, seen = [], set()
+    for k, subset in enumerate(subsets):
+        key = tuple(sorted(subset.tolist()))
+        if key not in seen:
+            seen.add(key)
+            firsts.append(k)
+    scores = _subset_scores(subsets[firsts], origins, dirs, ranges)
+    return centers[firsts[int(np.argmin(scores))]]
 
 
 def select_los(

@@ -1,0 +1,149 @@
+"""Per-ray loop versions of the selection kernels, kept as the test oracle.
+
+These are the scalar forms of the stacked kernels in
+``hybridloc.selection``: one 3x3 projector ``I - a a^T`` per ray and one
+``np.linalg.solve`` per fit step.  ``refine_center`` keys its duplicate
+check on the member set, as the package does.
+
+Both arithmetic orders round differently, so a decision between two values
+that are equal up to rounding (a ray at the edge of a trimmed set, a
+receiver at the edge of a selection, two equal scores) may fall either
+way.  Pair midpoints make such ties common: a midpoint is equidistant from
+its two rays, so they may sit either side of the edge of a trimmed set or
+of a seed's six nearest rays.  ``trimmed_ray_point`` and ``refine_center`` therefore append
+the relative gap at each such decision to ``gaps`` when given a list.
+"""
+
+import numpy as np
+
+
+def projectors(dirs):
+    return [np.eye(3) - np.outer(a, a) for a in dirs]
+
+
+def pair_midpoints(origins, dirs) -> list:
+    mids = []
+    n = origins.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = dirs[i], dirs[j]
+            ab = float(a @ b)
+            den = 1.0 - ab * ab
+            if den < 1e-9:
+                continue
+            w = origins[j] - origins[i]
+            t1 = (w @ a - ab * (w @ b)) / den
+            t2 = (ab * (w @ a) - (w @ b)) / den
+            if t1 <= 0.0 or t2 <= 0.0:
+                continue
+            mids.append(0.5 * (origins[i] + t1 * a + origins[j] + t2 * b))
+    return mids
+
+
+def ray_point(origins, projs, idx, c0, iters: int = 8, floor: float = 1.0):
+    c = np.array(c0, dtype=float)
+    for _ in range(iters):
+        normal = np.zeros((3, 3))
+        rhs = np.zeros(3)
+        for i in idx:
+            w = 1.0 / max(float(np.linalg.norm(projs[i] @ (c - origins[i]))), floor)
+            normal += w * projs[i]
+            rhs += w * (projs[i] @ origins[i])
+        try:
+            c_new = np.linalg.solve(normal, rhs)
+        except np.linalg.LinAlgError:
+            return c
+        if not np.all(np.isfinite(c_new)):
+            return c
+        if np.linalg.norm(c_new - c) < 1e-9:
+            return c_new
+        c = c_new
+    return c
+
+
+def relative_gap(values, rank: int) -> float:
+    """Gap between the ``rank``-th smallest value and the next, relative."""
+    v = np.sort(np.asarray(values, dtype=float))
+    if rank >= v.size or not np.isfinite(v[rank]):
+        return np.inf
+    return (v[rank] - v[rank - 1]) / max(abs(v[rank]), 1.0)
+
+
+def trimmed_ray_point(origins, projs, c0, keep: int, rounds: int = 4, gaps=None):
+    c = np.asarray(c0, dtype=float)
+    for _ in range(rounds):
+        dray = np.array([np.linalg.norm(p @ (c - o)) for o, p in zip(origins, projs)])
+        kept = np.argsort(dray, kind="stable")[: max(keep, 3)]
+        if gaps is not None:
+            gaps.append(relative_gap(dray, max(keep, 3)))
+        c = ray_point(origins, projs, kept, c)
+    return c
+
+
+def subset_score(idx, origins, projs, ranges) -> float:
+    normal = np.zeros((3, 3))
+    rhs = np.zeros(3)
+    for i in idx:
+        normal += projs[i]
+        rhs += projs[i] @ origins[i]
+    try:
+        point = np.linalg.solve(normal, rhs)
+    except np.linalg.LinAlgError:
+        return np.inf
+    if not np.all(np.isfinite(point)):
+        return np.inf
+    miss = [float(np.linalg.norm(projs[i] @ (point - origins[i]))) for i in idx]
+    offsets = [float(ranges[i] - np.linalg.norm(point - origins[i])) for i in idx]
+    return max(miss) + (max(offsets) - min(offsets))
+
+
+def refine_center(
+    fixes,
+    origins,
+    dirs,
+    ranges,
+    c_cluster,
+    subset_size: int,
+    seed_scores,
+    midpoints=pair_midpoints,
+    gaps=None,
+):
+    """Loop form of ``_refine_center``; ``seed_scores`` is the package's scorer.
+
+    ``midpoints`` may be the package's ``_pair_midpoints``, so that both
+    forms score bitwise-equal seeds.
+    """
+    projs = projectors(dirs)
+    keep = max(3, origins.shape[0] // 2)
+    centers = [
+        trimmed_ray_point(origins, projs, c_cluster, keep, gaps=gaps),
+        trimmed_ray_point(origins, projs, np.median(fixes, axis=0), keep, gaps=gaps),
+    ]
+    seeds = list(midpoints(origins, dirs)) + [np.array(c) for c in centers]
+    scores = seed_scores(np.array(seeds), origins, dirs, ranges, k=6)
+    for i in np.argsort(scores, kind="stable")[:2]:
+        centers.append(trimmed_ray_point(origins, projs, seeds[i], keep, gaps=gaps))
+    if gaps is not None:
+        gaps.append(relative_gap(scores, 2))
+
+    best_center = None
+    best_score = np.inf
+    seen = set()
+    scored = []
+    for c in centers:
+        d = np.linalg.norm(fixes - c, axis=1)
+        subset = tuple(np.argsort(d, kind="stable")[:subset_size])
+        if gaps is not None:
+            gaps.append(relative_gap(d, subset_size))
+        key = tuple(sorted(subset))
+        if key in seen:
+            continue
+        seen.add(key)
+        score = subset_score(subset, origins, projs, ranges)
+        scored.append(score)
+        if score < best_score:
+            best_score = score
+            best_center = c
+    if gaps is not None:
+        gaps.append(relative_gap(scored, 1))
+    return best_center

@@ -5,12 +5,16 @@ checked directly; every invocation uses small trial counts to stay fast.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hybridloc import cli
 from hybridloc.errors import EXIT_DIMENSION, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def run_cli(*argv):
@@ -100,6 +104,17 @@ class TestSimulate:
         scenario = write_scenario(tmp_path / "bad.yaml", "velocity_box: 3")
         assert run_cli("simulate", "--scenario", scenario) == EXIT_PARSE
         assert "velocity_box" in capsys.readouterr().err
+
+    def test_every_trial_failing_exits_numerical(self, tmp_path, capsys):
+        # At rho 10, seed 25, the only scatterer trial hits a singular solve.
+        code = run_cli(
+            "simulate",
+            "--scenario", str(SCENARIOS / "crlb-attainment.yaml"),
+            "--rho", "10", "--seed", "25", "--trials", "1",
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == EXIT_NUMERICAL
+        assert "every trial failed" in capsys.readouterr().err
 
 
 class TestCrlb:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from hybridloc import harness, nn
-from hybridloc.errors import DimensionMismatchError, ScenarioError
+from hybridloc.errors import (
+    DimensionMismatchError,
+    NumericalError,
+    ScenarioError,
+    SingularProblemError,
+)
 from hybridloc.noise import NoiseConfig
 from hybridloc.scenario import Scenario
 
@@ -146,6 +151,22 @@ class TestScattererCampaign:
         assert a.rmse_position == b.rmse_position
 
 
+def _singular(*args, **kwargs):
+    raise SingularProblemError("normal equations are singular")
+
+
+class TestEveryTrialFailed:
+    def test_wls_campaign_raises_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(harness, "wls_solve", _singular)
+        with pytest.raises(NumericalError, match="every trial failed"):
+            harness.run_wls_campaign(Scenario(trials=3, seed=1))
+
+    def test_scatterer_campaign_raises_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(harness, "scatterer_wls_solve", _singular)
+        with pytest.raises(NumericalError, match="every trial failed"):
+            harness.run_scatterer_campaign(Scenario(trials=3, seed=1))
+
+
 class TestSrCampaign:
     def test_all_los_tiny_noise_perfect(self):
         sc = Scenario(
@@ -163,6 +184,25 @@ class TestSrCampaign:
         a = harness.run_sr_campaign(sc)
         b = harness.run_sr_campaign(sc)
         assert a.success_rate == b.success_rate
+        assert a.failure_rate == 0.0
+
+    def test_raising_selection_counts_as_failed_miss(self, monkeypatch):
+        sc = Scenario(
+            noise=NoiseConfig(delta_d=1e-9, delta_a=1e-9), p_d=1.0, trials=8, seed=21
+        )
+        real = harness.select_los
+        calls = []
+
+        def every_other_raises(*args, **kwargs):
+            calls.append(None)
+            if len(calls) % 2:
+                raise SingularProblemError("no solvable ray fit")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "select_los", every_other_raises)
+        report = harness.run_sr_campaign(sc)
+        assert report.failure_rate == 0.5
+        assert report.success_rate == 0.5
 
 
 class TestNnCampaign:

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import selection_oracle as oracle
+from hybridloc import selection
 from hybridloc.errors import ScenarioError
 from hybridloc.geometry import SPEED_OF_LIGHT, aoa_los, los_range
 from hybridloc.noise import NoiseConfig
@@ -221,3 +225,186 @@ class TestSimulatePaths:
             rates[bias] = wins / trials
         assert rates[0.0] > 0.78
         assert rates[100.0] > 0.78
+
+
+# ---------------------------------------------------------------------------
+# Stacked ray kernels against the per-ray loop oracle
+
+
+def ray_bundle(seed, n, near_parallel, behind, coincident):
+    """Receivers around the default array, rays aimed near a common point.
+
+    The flags add the awkward cases a selection meets: a near-parallel
+    pair, rays pointing away from the common point, and two receivers at
+    one site (as rows 6 and 12 of ``DEFAULT_RRHS``).
+    """
+    rng = np.random.default_rng(seed)
+    origins = RRHS[rng.integers(0, len(RRHS), n)] + rng.normal(0.0, 30.0, (n, 3))
+    target = U + rng.normal(0.0, 50.0, 3)
+    dirs = target - origins + rng.normal(0.0, 20.0, (n, 3))
+    if near_parallel:
+        origins[1] = origins[0] + rng.normal(0.0, 1.0, 3)
+        dirs[1] = dirs[0] / np.linalg.norm(dirs[0]) + rng.normal(0.0, 1e-6, 3)
+    if behind:
+        dirs[-1] = -dirs[-1]
+    if coincident:
+        origins[n // 2] = origins[0]
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    ranges = np.linalg.norm(target - origins, axis=1) + rng.normal(0.0, 5.0, n)
+    return origins, dirs, ranges, rng
+
+
+bundles = st.builds(
+    ray_bundle,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 18),
+    near_parallel=st.booleans(),
+    behind=st.booleans(),
+    coincident=st.booleans(),
+)
+
+
+def assert_close(new, old, scale):
+    np.testing.assert_allclose(new, old, rtol=1e-9, atol=1e-9 * scale)
+
+
+class TestStackedKernelsMatchLoops:
+    @given(bundles)
+    @settings(max_examples=150, deadline=None)
+    def test_pair_midpoints(self, bundle):
+        origins, dirs, _, _ = bundle
+        new = selection._pair_midpoints(origins, dirs)
+        old = np.array(oracle.pair_midpoints(origins, dirs)).reshape(-1, 3)
+        assert new.shape == old.shape
+        assert_close(new, old, 1e3)
+
+    @given(bundles, st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_ray_points(self, bundle, k):
+        origins, dirs, _, rng = bundle
+        m = min(origins.shape[0], 3 + int(rng.integers(0, 4)))
+        kept = np.array([rng.permutation(origins.shape[0])[:m] for _ in range(k)])
+        starts = U + rng.normal(0.0, 100.0, (k, 3))
+        new = selection._ray_points(origins, dirs, kept, starts)
+        projs = oracle.projectors(dirs)
+        for row in range(k):
+            old = oracle.ray_point(origins, projs, kept[row], starts[row])
+            assert_close(new[row], old, 1e3)
+
+    @given(bundles, st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_trimmed_ray_points(self, bundle, k):
+        origins, dirs, _, rng = bundle
+        keep = max(3, origins.shape[0] // 2)
+        starts = U + rng.normal(0.0, 100.0, (k, 3))
+        new = selection._trimmed_ray_points(origins, dirs, starts, keep)
+        projs = oracle.projectors(dirs)
+        for row in range(k):
+            gaps = []
+            old = oracle.trimmed_ray_point(origins, projs, starts[row], keep, gaps=gaps)
+            if min(gaps) > 1e-9:
+                assert_close(new[row], old, 1e3)
+
+    @given(bundles, st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_subset_scores(self, bundle, k):
+        origins, dirs, ranges, rng = bundle
+        size = int(rng.integers(2, origins.shape[0] + 1))
+        subsets = np.array([rng.permutation(origins.shape[0])[:size] for _ in range(k)])
+        new = selection._subset_scores(subsets, origins, dirs, ranges)
+        projs = oracle.projectors(dirs)
+        for row, subset in enumerate(subsets):
+            # A subset of only the near-parallel pair has no well-posed point.
+            if np.linalg.cond(sum(projs[i] for i in subset)) < 1e6:
+                old = oracle.subset_score(subset, origins, projs, ranges)
+                assert_close(new[row], old, 1e3)
+
+    @given(bundles, st.integers(2, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_refine_center(self, bundle, subset_size):
+        origins, dirs, ranges, _ = bundle
+        fixes = origins + ranges[:, None] * dirs
+        c_cluster = fixes[: max(2, origins.shape[0] // 2)].mean(axis=0)
+        size = min(subset_size, origins.shape[0])
+        args = (fixes, origins, dirs, ranges, c_cluster, size)
+        gaps = []
+        old = oracle.refine_center(
+            *args,
+            seed_scores=selection._seed_scores,
+            midpoints=selection._pair_midpoints,
+            gaps=gaps,
+        )
+        # A decision between values equal up to rounding may go either way.
+        assume(min(gaps) > 1e-9)
+        assert_close(selection._refine_center(*args), old, 1e3)
+
+    def test_singular_fit_keeps_last_estimate(self):
+        # Three copies of one ray: every normal matrix is singular, so the
+        # fit must stop at its start, as the per-ray loop does.
+        origins = np.zeros((3, 3))
+        dirs = np.tile([1.0, 0.0, 0.0], (3, 1))
+        kept = np.array([[0, 1, 2], [0, 1, 2]])
+        starts = np.array([[5.0, 1.0, 2.0], [7.0, -3.0, 0.5]])
+        new = selection._ray_points(origins, dirs, kept, starts)
+        projs = oracle.projectors(dirs)
+        for row in range(2):
+            assert_close(new[row], oracle.ray_point(origins, projs, kept[row], starts[row]), 1.0)
+        scores = selection._subset_scores(kept, origins, dirs, np.ones(3))
+        assert np.all(np.isinf(scores))
+
+
+class TestRefineCenterDeduplication:
+    def test_first_center_reaching_a_member_set_wins(self, monkeypatch):
+        # Centers 0 and 1 reach the members {0, 1, 2, 3} in different
+        # orders, centers 2 and 3 the members {2, 3, 4, 5}.  Only the first
+        # center of each set may be scored; the scorer below prefers later
+        # rows, so scoring a repeat would hand it the win.
+        fixes = np.array(
+            [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0], [50.0, 0, 0], [60.0, 0, 0]]
+        )
+        fits = iter(
+            [
+                np.array([[0.0, 0, 0], [1.1, 0, 0]]),
+                np.array([[55.0, 0, 0], [58.0, 0, 0]]),
+            ]
+        )
+        monkeypatch.setattr(selection, "_trimmed_ray_points", lambda *a: next(fits))
+        scored = []
+
+        def later_scores_lower(subsets, *rest):
+            scored.extend(tuple(s.tolist()) for s in subsets)
+            return -np.arange(len(subsets), dtype=float)
+
+        monkeypatch.setattr(selection, "_subset_scores", later_scores_lower)
+        origins = np.zeros((6, 3))
+        dirs = np.tile([1.0, 0.0, 0.0], (6, 1))
+        center = selection._refine_center(
+            fixes, origins, dirs, np.ones(6), fixes[0], subset_size=4
+        )
+        assert scored == [(0, 1, 2, 3), (4, 5, 3, 2)]
+        assert np.array_equal(center, [55.0, 0.0, 0.0])
+
+
+def test_selection_corpus_matches_loop_oracle(monkeypatch):
+    """2000 simulated selections: same ordered receivers, same center."""
+    stacked = selection._refine_center
+
+    def loop_refine(*args):
+        return oracle.refine_center(*args, seed_scores=selection._seed_scores)
+
+    compared = 0
+    for bias in (0.0, 100.0):
+        sc = Scenario(
+            noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=0.5, clock_bias_m=bias
+        )
+        for t in range(500):
+            paths = simulate_paths(sc, np.random.default_rng([31, t]))
+            for n_a in (4, 6):
+                monkeypatch.setattr(selection, "_refine_center", stacked)
+                new = select_los(paths, sc.rrhs, n_a=n_a)
+                monkeypatch.setattr(selection, "_refine_center", loop_refine)
+                old = select_los(paths, sc.rrhs, n_a=n_a)
+                assert new.selected_indices == old.selected_indices, (bias, t, n_a)
+                assert np.linalg.norm(new.c_los - old.c_los) <= 1e-6, (bias, t, n_a)
+                compared += 1
+    assert compared == 2000
