@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ScenarioError
-from .nn import MlpConfig, load_model, nn_wls_estimate, save_model, train
+from .nn import MlpConfig, _train_stack, _weighted_solve, load_model, save_model
 from .ue_wls import build_system, solve_linear
 
 _COND_LIMIT = 1e12
@@ -43,8 +43,13 @@ class EnsembleConfig:
 
 
 def train_ensemble(base: MlpConfig, ens: EnsembleConfig, train_set, val_set):
-    """Train P members differing only in their initialization seed."""
-    return [train(base.replace(seed=s), train_set, val_set) for s in ens.seeds]
+    """Train P members differing only in their initialization seed.
+
+    The members train in lockstep; each is bit for bit the network
+    ``nn.train`` would return for its seed.
+    """
+    configs = [base.replace(seed=s) for s in ens.seeds]
+    return _train_stack(configs, train_set.m, train_set.e, val_set.m, val_set.e)
 
 
 def density_measure(preds, p: int, r_a: float) -> float:
@@ -73,8 +78,14 @@ def subtractive_pick(preds, r_a: float) -> np.ndarray:
 
 
 def member_states(nets, m, rrhs, eps: float = 0.1) -> np.ndarray:
-    """Stack of per-member NN-WLS state estimates, one row per net."""
-    return np.array([nn_wls_estimate(net, m, rrhs, eps) for net in nets])
+    """Stack of per-member NN-WLS state estimates, one row per net.
+
+    Row i equals ``nn.nn_wls_estimate(nets[i], m, rrhs, eps)``; the
+    pseudo-linear system is built once for all members.
+    """
+    m = np.asarray(m, dtype=float)
+    h, g = build_system(m, np.asarray(rrhs, dtype=float))
+    return np.array([_weighted_solve(net.predict(m), h, g, eps) for net in nets])
 
 
 def enn_a_wls(nets, m, rrhs, eps: float = 0.1, r_a: float = 0.1) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericalError
+from .errors import DimensionMismatchError, NumericalError, ScenarioError
 from .geometry import measurement_dim, scatterer_measurement, ue_measurement
 from .noise import (
     build_q,
@@ -127,21 +127,78 @@ class Dataset:
         return Dataset(self.m[sl], self.e[sl], self.x[sl], dict(self.metadata))
 
 
+def _activations(weights, biases, z, sigmoid: bool) -> list:
+    """Layer activations in normalized units, input first.
+
+    Serves one network (weights (fan_out, fan_in), biases (fan_out,), ``z``
+    (batch, fan_in)) and a stack of K networks alike (weights
+    (K, fan_out, fan_in), biases (K, fan_out), ``z`` (K, batch, fan_in) or
+    a (batch, fan_in) batch shared by every member).
+    """
+    acts = [z]
+    h = z
+    last = len(weights) - 1
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        pre = h @ w.swapaxes(-1, -2) + b[..., None, :]
+        if k < last:
+            h = np.maximum(pre, 0.0)
+        elif sigmoid:
+            h = 1.0 / (1.0 + np.exp(-pre))
+        else:
+            h = pre
+        acts.append(h)
+    return acts
+
+
+def _backprop(weights, acts, t, loss_weights, sigmoid: bool, grads_w, grads_b):
+    """(Optionally component-weighted) MSE of ``acts[-1]`` against ``t``.
+
+    Writes the gradients into ``grads_w`` / ``grads_b`` (arrays shaped like
+    the weights and biases) and returns the loss of each network: a scalar
+    for one network, shape (K,) for a stack.  Each network's loss and
+    gradients are those of its own (batch, out) slice.
+    """
+    out = acts[-1]
+    diff = out - t
+    size = diff.shape[-2] * diff.shape[-1]
+    if loss_weights is None:
+        loss = np.mean(diff**2, axis=(-2, -1))
+        grad = 2.0 * diff / size
+    else:
+        loss = np.mean(loss_weights * diff**2, axis=(-2, -1))
+        grad = 2.0 * loss_weights * diff / size
+    if sigmoid:
+        grad = grad * out * (1.0 - out)
+    for k in range(len(weights) - 1, -1, -1):
+        np.matmul(grad.swapaxes(-1, -2), acts[k], out=grads_w[k])
+        grad.sum(axis=-2, out=grads_b[k])
+        if k > 0:
+            grad = (grad @ weights[k]) * (acts[k] > 0.0)
+    return loss
+
+
 class Mlp:
     """Fully-connected network with ReLU hidden layers.
 
     ``weights[k]`` has shape (fan_out, fan_in); forward maps rows of a
     (batch, fan_in) matrix.  Normalizers for inputs and targets travel with
-    the model so callers deal only in physical units.
+    the model so callers deal only in physical units.  A trained model also
+    carries ``val_curve``, its validation loss before training and after
+    each epoch, and ``best_epoch``, the number of epochs behind the kept
+    snapshot (so ``val_curve[best_epoch]`` is the curve's first minimum);
+    both are ``None`` for an untrained model.
     """
 
     def __init__(self, config: MlpConfig, weights, biases,
-                 in_norm: Normalizer, out_norm: Normalizer):
+                 in_norm: Normalizer, out_norm: Normalizer,
+                 val_curve=None, best_epoch=None):
         self.config = config
         self.weights = [np.asarray(w, dtype=float) for w in weights]
         self.biases = [np.asarray(b, dtype=float) for b in biases]
         self.in_norm = in_norm
         self.out_norm = out_norm
+        self.val_curve = None if val_curve is None else np.asarray(val_curve, dtype=float)
+        self.best_epoch = None if best_epoch is None else int(best_epoch)
 
     @classmethod
     def initialize(cls, config: MlpConfig, in_norm: Normalizer,
@@ -157,19 +214,8 @@ class Mlp:
 
     def _forward(self, z: np.ndarray):
         """Forward pass in normalized units, caching layer activations."""
-        acts = [z]
-        h = z
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = h @ w.T + b
-            if k < last:
-                h = np.maximum(pre, 0.0)
-            elif self.config.output_activation == "sigmoid":
-                h = 1.0 / (1.0 + np.exp(-pre))
-            else:
-                h = pre
-            acts.append(h)
-        return acts
+        return _activations(self.weights, self.biases, z,
+                            self.config.output_activation == "sigmoid")
 
     def loss_and_gradients(self, z: np.ndarray, t: np.ndarray, weights=None):
         """(Optionally component-weighted) MSE and gradients on a batch.
@@ -177,26 +223,12 @@ class Mlp:
         ``weights`` is a per-output-component vector; ``None`` means the
         plain unweighted mean of squares.
         """
-        acts = self._forward(z)
-        out = acts[-1]
-        diff = out - t
-        if weights is None:
-            loss = float(np.mean(diff**2))
-            grad = 2.0 * diff / diff.size
-        else:
-            loss = float(np.mean(weights * diff**2))
-            grad = 2.0 * weights * diff / diff.size
-        if self.config.output_activation == "sigmoid":
-            grad = grad * out * (1.0 - out)
-        grads_w, grads_b = [], []
-        for k in range(len(self.weights) - 1, -1, -1):
-            grads_w.append(grad.T @ acts[k])
-            grads_b.append(grad.sum(axis=0))
-            if k > 0:
-                grad = (grad @ self.weights[k]) * (acts[k] > 0.0)
-        grads_w.reverse()
-        grads_b.reverse()
-        return loss, grads_w, grads_b
+        grads_w = [np.empty(w.shape) for w in self.weights]
+        grads_b = [np.empty(b.shape) for b in self.biases]
+        sigmoid = self.config.output_activation == "sigmoid"
+        loss = _backprop(self.weights, _activations(self.weights, self.biases, z, sigmoid),
+                         t, weights, sigmoid, grads_w, grads_b)
+        return float(loss), grads_w, grads_b
 
     def predict(self, m: np.ndarray) -> np.ndarray:
         """Physical-unit prediction for one vector or a batch."""
@@ -207,91 +239,131 @@ class Mlp:
         pred = self.out_norm.inverse(out)
         return pred[0] if single else pred
 
-    def copy_weights(self):
-        return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
+
+def _layer_views(flat: np.ndarray, widths) -> tuple:
+    """Per-layer (K, fan_out, fan_in) weight and (K, fan_out) bias views of
+    a (K, n_params) array holding one network per row."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        weights.append(flat[:, at:at + fan_out * fan_in].reshape(-1, fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[:, at:at + fan_out])
+        at += fan_out
+    return weights, biases
 
 
-class _Adam:
-    def __init__(self, shapes, lr, beta1, beta2, eps):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-        self.t = 0
+def _train_stack(configs, m_tr, y_tr, m_va, y_va) -> list:
+    """Minibatch-ADAM training of one network per config, in lockstep.
 
-    def step(self, params, grads):
-        self.t += 1
-        b1t = 1.0 - self.b1**self.t
-        b2t = 1.0 - self.b2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-
-
-def _train_on(config: MlpConfig, m_tr, y_tr, m_va, y_va) -> Mlp:
-    """Shared minibatch-ADAM loop; inputs/targets in physical units."""
+    The configs may differ in ``seed`` only.  Member i is bit for bit the
+    network ``configs[i]`` would train alone: its own initialization, its
+    own minibatch order, its own best-validation snapshot.  All members'
+    parameters live in one (K, n_params) array, so one ADAM update covers
+    the whole stack.  Inputs and targets are in physical units.
+    """
+    config = configs[0]
+    if any(c.replace(seed=config.seed) != config for c in configs):
+        raise ScenarioError("networks trained together may differ only in seed")
     m_tr = np.asarray(m_tr, dtype=float)
     y_tr = np.asarray(y_tr, dtype=float)
-    if config.layer_widths[0] != m_tr.shape[1]:
+    widths = config.layer_widths
+    if widths[0] != m_tr.shape[1]:
         raise DimensionMismatchError(
-            f"input width {config.layer_widths[0]} does not match data "
+            f"input width {widths[0]} does not match data "
             f"dimension {m_tr.shape[1]}"
         )
-    if config.layer_widths[-1] != y_tr.shape[1]:
+    if widths[-1] != y_tr.shape[1]:
         raise DimensionMismatchError(
-            f"output width {config.layer_widths[-1]} does not match label "
+            f"output width {widths[-1]} does not match label "
             f"dimension {y_tr.shape[1]}"
         )
     in_norm = Normalizer.fit(m_tr)
     out_norm = Normalizer.fit(y_tr)
-    net = Mlp.initialize(config, in_norm, out_norm)
     z_tr = in_norm.transform(m_tr)
     t_tr = out_norm.transform(y_tr)
     z_va = in_norm.transform(m_va)
     t_va = out_norm.transform(y_va)
-    params = net.weights + net.biases
-    adam = _Adam([p.shape for p in params], config.lr, config.beta1,
-                 config.beta2, config.eps_adam)
-    rng = np.random.default_rng([config.seed, 0x5E5])
+    sigmoid = config.output_activation == "sigmoid"
 
-    weights = None
+    n_params = sum(fo * (fi + 1) for fi, fo in zip(widths[:-1], widths[1:]))
+    params = np.empty((len(configs), n_params))
+    weights, biases = _layer_views(params, widths)
+    for i, cfg in enumerate(configs):
+        net = Mlp.initialize(cfg, in_norm, out_norm)
+        for w, b, w_i, b_i in zip(weights, biases, net.weights, net.biases):
+            w[i] = w_i
+            b[i] = b_i
+    grads = np.empty_like(params)
+    grads_w, grads_b = _layer_views(grads, widths)
+    mom = np.zeros_like(params)
+    vel = np.zeros_like(params)
+    step = 0
+    lr = config.lr
+    rngs = [np.random.default_rng([cfg.seed, 0x5E5]) for cfg in configs]
+
+    loss_weights = None
     if config.loss_weighting == "raw":
-        weights = out_norm.span**2
-        weights = weights / weights.mean()
+        loss_weights = out_norm.span**2
+        loss_weights = loss_weights / loss_weights.mean()
 
-    def val_loss():
-        # Snapshot selection always uses the plain normalized MSE.
-        return float(np.mean((net._forward(z_va)[-1] - t_va) ** 2))
+    def val_losses():
+        # Snapshot selection always uses the plain normalized MSE, reduced
+        # over each member's own (n_val, out) slice.
+        sq = (_activations(weights, biases, z_va, sigmoid)[-1] - t_va) ** 2
+        return [float(np.mean(s)) for s in sq]
 
-    best = (val_loss(), *net.copy_weights())
+    curve = [val_losses()]
+    best_loss = list(curve[0])
+    best_epoch = [0] * len(configs)
+    best = params.copy()
     n = z_tr.shape[0]
     for epoch in range(config.epochs):
         if config.lr_schedule == "cosine":
             floor = 1e-2 * config.lr
-            adam.lr = floor + 0.5 * (config.lr - floor) * (
+            lr = floor + 0.5 * (config.lr - floor) * (
                 1.0 + np.cos(np.pi * epoch / config.epochs)
             )
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            loss, gw, gb = net.loss_and_gradients(z_tr[idx], t_tr[idx], weights)
-            if not np.isfinite(loss):
+            idx = order[:, start:start + config.batch_size]
+            acts = _activations(weights, biases, z_tr[idx], sigmoid)
+            loss = _backprop(weights, acts, t_tr[idx], loss_weights, sigmoid,
+                             grads_w, grads_b)
+            finite = np.isfinite(loss)
+            if not finite.all():
                 raise NumericalError(
-                    f"training diverged at epoch {epoch}: loss={loss}"
+                    f"training diverged at epoch {epoch}: "
+                    f"loss={loss[np.argmin(finite)]}"
                 )
-            adam.step(params, gw + gb)
-        current = val_loss()
-        if current < best[0]:
-            best = (current, *net.copy_weights())
-    net.weights, net.biases = best[1], best[2]
-    return net
+            step += 1
+            mom *= config.beta1
+            mom += (1.0 - config.beta1) * grads
+            vel *= config.beta2
+            vel += (1.0 - config.beta2) * grads * grads
+            params -= lr * (mom / (1.0 - config.beta1**step)) / (
+                np.sqrt(vel / (1.0 - config.beta2**step)) + config.eps_adam
+            )
+        curve.append(val_losses())
+        for i, current in enumerate(curve[-1]):
+            if current < best_loss[i]:
+                best_loss[i] = current
+                best_epoch[i] = epoch + 1
+                best[i] = params[i]
+
+    curve = np.array(curve)
+    best_w, best_b = _layer_views(best, widths)
+    return [
+        Mlp(cfg, [w[i].copy() for w in best_w], [b[i].copy() for b in best_b],
+            Normalizer.fit(m_tr), Normalizer.fit(y_tr),
+            val_curve=curve[:, i].copy(), best_epoch=best_epoch[i])
+        for i, cfg in enumerate(configs)
+    ]
 
 
 def train(config: MlpConfig, train_set: Dataset, val_set: Dataset) -> Mlp:
     """Train a residual network, returning the best-validation snapshot."""
-    return _train_on(config, train_set.m, train_set.e, val_set.m, val_set.e)
+    return _train_stack([config], train_set.m, train_set.e, val_set.m, val_set.e)[0]
 
 
 def train_blackbox(config: MlpConfig, train_set: Dataset, val_set: Dataset) -> Mlp:
@@ -300,7 +372,7 @@ def train_blackbox(config: MlpConfig, train_set: Dataset, val_set: Dataset) -> M
         layer_widths=tuple(config.layer_widths[:-1]) + (train_set.x.shape[1],),
         output_activation="linear",
     )
-    return _train_on(cfg, train_set.m, train_set.x, val_set.m, val_set.x)
+    return _train_stack([cfg], train_set.m, train_set.x, val_set.m, val_set.x)[0]
 
 
 def make_dataset(sc: Scenario, n_samples: int, rng, dominant_bias=None) -> Dataset:
@@ -409,8 +481,12 @@ def nn_wls_estimate(net: Mlp, m, rrhs, eps: float = 0.1):
     m = np.asarray(m, dtype=float)
     e_hat = net.predict(m)
     h, g = build_system(m, np.asarray(rrhs, dtype=float))
-    w = residual_weight(e_hat, eps)
-    x, _ = solve_linear(h, g, w)
+    return _weighted_solve(e_hat, h, g, eps)
+
+
+def _weighted_solve(e_hat, h, g, eps: float):
+    """Solve the system (h, g) weighted by the predicted residual ``e_hat``."""
+    x, _ = solve_linear(h, g, residual_weight(e_hat, eps))
     return x
 
 
@@ -433,13 +509,15 @@ def nn_wls_scatterer(net_s: Mlp, ms, b_n, b_1, ue, eps: float = 0.1):
     ms = np.asarray(ms, dtype=float)
     e_hat = net_s.predict(ms)
     h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
-    w = residual_weight(e_hat, eps)
-    xs, _ = solve_linear(h, g @ t, w)
-    return xs
+    return _weighted_solve(e_hat, h, g @ t, eps)
 
 
 def save_model(net: Mlp, path) -> None:
-    """Persist a model as a flat .npz archive (weights + normalizers)."""
+    """Persist a model as a flat .npz archive (weights + normalizers).
+
+    A trained model's validation curve and best epoch ride along as the
+    optional keys ``val_curve`` and ``best_epoch``.
+    """
     payload = {
         "format_version": np.array(_MODEL_FORMAT_VERSION),
         "layer_widths": np.array(net.config.layer_widths),
@@ -453,6 +531,10 @@ def save_model(net: Mlp, path) -> None:
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         payload[f"w{k}"] = w
         payload[f"b{k}"] = b
+    if net.val_curve is not None:
+        payload["val_curve"] = net.val_curve
+    if net.best_epoch is not None:
+        payload["best_epoch"] = np.array(net.best_epoch)
     np.savez(path, **payload)
 
 
@@ -472,7 +554,10 @@ def load_model(path) -> Mlp:
         biases = [data[f"b{k}"] for k in range(n_layers)]
         in_norm = Normalizer(data["in_lo"], data["in_lo"] + data["in_span"])
         out_norm = Normalizer(data["out_lo"], data["out_lo"] + data["out_span"])
-    return Mlp(config, weights, biases, in_norm, out_norm)
+        # Files written before training history was recorded lack these.
+        val_curve = data["val_curve"] if "val_curve" in data.files else None
+        best_epoch = data["best_epoch"] if "best_epoch" in data.files else None
+    return Mlp(config, weights, biases, in_norm, out_norm, val_curve, best_epoch)
 
 
 def save_dataset(ds: Dataset, path) -> None:

@@ -116,6 +116,21 @@ class TestDegenerateEnsemble:
         assert np.linalg.norm(b[:3] - single[:3]) < 0.05
 
 
+class TestMemberStates:
+    def test_rows_equal_single_member_estimates(self):
+        sc, ds = measurement_fixture(n=60)
+        rrhs = sc.selected_rrhs()
+        cfg = nn.MlpConfig(layer_widths=(22, 8, 22), epochs=2)
+        nets = ensemble.train_ensemble(
+            cfg, ensemble.EnsembleConfig(p=3), ds.subset(slice(0, 50)),
+            ds.subset(slice(50, 55)),
+        )
+        for m in ds.m[55:]:
+            states = ensemble.member_states(nets, m, rrhs, eps=0.1)
+            for net, row in zip(nets, states):
+                assert np.array_equal(row, nn.nn_wls_estimate(net, m, rrhs, 0.1))
+
+
 class TestAveragedWeighting:
     def test_average_outer_hand_case(self):
         e = np.array([[1.0, 0.0], [0.0, 2.0]])

@@ -287,6 +287,38 @@ class TestPersistence:
         assert np.array_equal(net.in_norm.lo, loaded.in_norm.lo)
         assert np.allclose(net.predict(ds.m[0]), loaded.predict(ds.m[0]))
 
+    def test_round_trip_keeps_training_history(self, tmp_path):
+        net, _ = self._trained()
+        assert net.val_curve.shape == (net.config.epochs + 1,)
+        assert net.best_epoch == int(np.argmin(net.val_curve))
+        path = tmp_path / "model.npz"
+        nn.save_model(net, path)
+        loaded = nn.load_model(path)
+        assert np.array_equal(loaded.val_curve, net.val_curve)
+        assert loaded.best_epoch == net.best_epoch
+
+    def test_model_without_history_loads(self, tmp_path):
+        net, ds = self._trained()
+        path = tmp_path / "model.npz"
+        nn.save_model(net, path)
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files
+                       if k not in ("val_curve", "best_epoch")}
+        np.savez(path, **payload)
+        loaded = nn.load_model(path)
+        assert loaded.val_curve is None and loaded.best_epoch is None
+        assert np.array_equal(loaded.predict(ds.m[0]), net.predict(ds.m[0]))
+
+    def test_untrained_model_saves_without_history(self, tmp_path):
+        _, ds = small_dataset(n=20)
+        cfg = nn.MlpConfig(layer_widths=(22, 4, 22))
+        net = nn.Mlp.initialize(cfg, nn.Normalizer.fit(ds.m), nn.Normalizer.fit(ds.e))
+        path = tmp_path / "model.npz"
+        nn.save_model(net, path)
+        with np.load(path) as data:
+            assert "val_curve" not in data.files and "best_epoch" not in data.files
+        assert nn.load_model(path).val_curve is None
+
     def test_save_is_byte_stable(self, tmp_path):
         net, _ = self._trained()
         a, b = tmp_path / "a.npz", tmp_path / "b.npz"
