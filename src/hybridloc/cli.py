@@ -39,18 +39,17 @@ from .errors import (
     DimensionMismatchError,
     HybridlocError,
     ScenarioError,
+    SingularProblemError,
 )
 from .harness import (
-    compute_metrics,
+    estimator,
+    evaluate,
     run_scatterer_campaign,
     run_sr_campaign,
     run_wls_campaign,
 )
 from .noise import build_q
 from .scenario import Scenario, load_scenario, scenario_to_dict
-from .ue_wls import wls_solve
-
-_MIN_VELOCITY_RECEIVERS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +195,12 @@ def cmd_crlb(args) -> int:
         for rho in rhos:
             noise = sc.noise.scaled(rho)
             q = build_q(na, noise)
-            velocity_ok = na >= _MIN_VELOCITY_RECEIVERS
-            if velocity_ok:
+            # Velocity is observable exactly when the joint bound exists, the
+            # rule wls_solve applies when it falls back to position only.
+            try:
                 cov = crlb_ue(sc.ue_true, sc_n.selected_rrhs(), q)
                 pos, vel = position_trace(cov), velocity_trace(cov)
-            else:
+            except SingularProblemError:
                 pos = float(np.trace(
                     crlb_ue_position(sc.ue_true, sc_n.selected_rrhs(), q)
                 ))
@@ -213,7 +213,7 @@ def cmd_crlb(args) -> int:
                     "crlb_trace_velocity": vel,
                     "crlb_rms_position": np.sqrt(pos),
                     "crlb_rms_velocity": None if vel is None else np.sqrt(vel),
-                    "velocity_observable": velocity_ok,
+                    "velocity_observable": vel is not None,
                 }
             )
     prov = _provenance("crlb", sc, _overrides(args, ("seed", "rho", "na")))
@@ -315,35 +315,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _single_estimator(pipeline, net, sc, eps):
-    rrhs = sc.selected_rrhs()
-    if pipeline == "wls":
-        q = build_q(sc.n_a, sc.noise)
-        return lambda m: wls_solve(m, rrhs, q, iters=sc.wls_iters).x
-    if pipeline == "blackbox":
-        return lambda m: nn_mod.blackbox_estimate(net, m)
-    if pipeline == "nn_ls":
-        return lambda m: nn_mod.nn_ls_estimate(net, m, rrhs)
-    return lambda m: nn_mod.nn_wls_estimate(net, m, rrhs, eps)
-
-
-def _evaluate(estimator, test_set):
-    estimates, truths = [], []
-    failures = 0
-    for m, x in zip(test_set.m, test_set.x):
-        try:
-            estimates.append(estimator(m))
-            truths.append(x)
-        except HybridlocError:
-            failures += 1
-    if not estimates:
-        raise ScenarioError("every test sample failed; nothing to report")
-    report = compute_metrics(np.array(estimates), np.array(truths))
-    report.failure_rate = failures / len(test_set.m)
-    report.trials = len(test_set.m)
-    return report
-
-
 def _metric_row(label, report) -> dict:
     return {
         "pipeline": label,
@@ -369,7 +340,7 @@ def cmd_eval(args) -> int:
                 f"model expects {net.config.layer_widths[0]}-dimensional input "
                 f"but the dataset has dimension {te.m.shape[1]}"
             )
-    report = _evaluate(_single_estimator(args.pipeline, net, sc, args.eps), te)
+    report = evaluate(estimator(args.pipeline, sc, net, args.eps), te)
     rows = [_metric_row(args.pipeline, report)]
     prov = _provenance("eval", sc, _overrides(args, ("seed", "pipeline")))
     _emit(_render(list(rows[0].keys()), rows, prov, args.format), args.out)
@@ -384,17 +355,15 @@ def cmd_ensemble_eval(args) -> int:
     base = _mlp_config(args, tr, blackbox=False)
     ens_cfg = ens_mod.EnsembleConfig(p=args.members, r_a=args.r_a)
     nets = ens_mod.train_ensemble(base, ens_cfg, tr, va)
-    rrhs = sc.selected_rrhs()
-    eps = args.eps
-    estimators = {
-        "nn_wls": lambda m: nn_mod.nn_wls_estimate(nets[0], m, rrhs, eps),
-        "enn_a_wls": lambda m: ens_mod.enn_a_wls(nets, m, rrhs, eps, ens_cfg.r_a),
-        "enn_m_wls": lambda m: ens_mod.enn_m_wls(nets, m, rrhs, eps),
-        "enn_b_wls": lambda m: ens_mod.enn_b_wls(nets, m, rrhs),
-    }
-    rows = [
-        _metric_row(label, _evaluate(fn, te)) for label, fn in estimators.items()
-    ]
+    rows = []
+    for label, pipeline, model in (
+        ("nn_wls", "nn_wls", nets[0]),
+        ("enn_a_wls", "enn_a", nets),
+        ("enn_m_wls", "enn_m", nets),
+        ("enn_b_wls", "enn_b", nets),
+    ):
+        estimate = estimator(pipeline, sc, model, args.eps, ens_cfg.r_a)
+        rows.append(_metric_row(label, evaluate(estimate, te)))
     prov = _provenance(
         "ensemble-eval", sc, _overrides(args, ("seed", "members", "r_a"))
     )

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, GimbalLockError, SingularProblemError
 from .geometry import angle_rates, angular_vectors, aoa_los
+from .ue_wls import _COND_LIMIT, _position_row_mask
 
-_COND_LIMIT = 1e12
 _MIN_COS_THETA = 1e-12
 
 
@@ -76,12 +76,15 @@ def crlb_ue(x, rrhs, q) -> np.ndarray:
 
 
 def crlb_ue_position(x, rrhs, q) -> np.ndarray:
-    """3x3 position bound with velocity treated as known.
+    """3x3 position bound of the TDOA and AOA rows.
 
     Below four receivers the joint 6-D information matrix is singular
-    (velocity is unidentifiable); this restricted bound remains defined.
+    (velocity is unidentifiable) and ``wls_solve`` falls back to these rows,
+    which carry no velocity; this is the bound that fallback can attain.
     """
-    jac = jacobian_ue(x, rrhs)[:, :3]
+    rows = _position_row_mask(np.asarray(rrhs).shape[0])
+    jac = jacobian_ue(x, rrhs)[np.ix_(rows, [0, 1, 2])]
+    q = np.asarray(q, dtype=float)[np.ix_(rows, rows)]
     fisher = jac.T @ np.linalg.solve(q, jac)
     return _invert_information(fisher)
 

@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ScenarioError
 from .nn import MlpConfig, _train_stack, _weighted_solve, load_model, save_model
-from .ue_wls import build_system, solve_linear
-
-_COND_LIMIT = 1e12
+from .ue_wls import _COND_LIMIT, build_system, solve_linear
 
 
 @dataclass

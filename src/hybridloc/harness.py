@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ensemble, nn
 from .crlb import (
     crlb_scatterer,
     crlb_ue,
@@ -238,9 +239,7 @@ def _scatterer_trial(args):
     else:
         ms = sample_gaussian(ms_true, build_qs(sc.noise), rng)
     try:
-        result = scatterer_wls_solve(
-            ms, b_n, b_1, sc.ue_true, build_qs(sc.noise), iters=sc.wls_iters
-        )
+        result = scatterer_wls_solve(ms, b_n, b_1, sc.ue_true, build_qs(sc.noise))
     except HybridlocError as exc:
         return ("fail", str(exc))
     return ("ok", result.x)
@@ -300,7 +299,51 @@ def run_sr_campaign(sc: Scenario) -> MetricReport:
     )
 
 
-_NN_PIPELINES = ("wls", "blackbox", "nn_wls", "nn_ls", "enn_a", "enn_b", "enn_m")
+def estimator(pipeline: str, sc: Scenario, model=None, eps: float = 0.1, r_a: float = 0.1):
+    """The ``m -> x`` map of a learning pipeline on the scenario's receivers.
+
+    ``model`` is the trained net, or the list of member nets for the ENN
+    pipelines; "wls" needs none.
+    """
+    rrhs = sc.selected_rrhs()
+    if pipeline == "wls":
+        q = build_q(sc.n_a, sc.noise)
+        return lambda m: wls_solve(m, rrhs, q, iters=sc.wls_iters).x
+    if pipeline == "blackbox":
+        return lambda m: nn.blackbox_estimate(model, m)
+    if pipeline == "nn_wls":
+        return lambda m: nn.nn_wls_estimate(model, m, rrhs, eps)
+    if pipeline == "nn_ls":
+        return lambda m: nn.nn_ls_estimate(model, m, rrhs)
+    if pipeline == "enn_a":
+        return lambda m: ensemble.enn_a_wls(model, m, rrhs, eps, r_a)
+    if pipeline == "enn_b":
+        return lambda m: ensemble.enn_b_wls(model, m, rrhs)
+    if pipeline == "enn_m":
+        return lambda m: ensemble.enn_m_wls(model, m, rrhs, eps)
+    raise ScenarioError(f"unknown pipeline {pipeline!r}")
+
+
+def evaluate(estimate, test_set) -> MetricReport:
+    """Metrics of ``estimate`` over a test set's (m, x) pairs.
+
+    Samples whose estimate raises a ``HybridlocError`` count in
+    ``failure_rate``; if every sample fails, ``CampaignFailedError`` carries
+    the first sample's reason.
+    """
+    estimates, truths, reasons = [], [], []
+    for m, x in zip(test_set.m, test_set.x):
+        try:
+            estimates.append(estimate(m))
+            truths.append(x)
+        except HybridlocError as exc:
+            reasons.append(str(exc))
+    if not estimates:
+        raise CampaignFailedError(f"every test sample failed; sample 0: {reasons[0]}")
+    report = compute_metrics(np.array(estimates), np.array(truths))
+    report.failure_rate = len(reasons) / len(test_set.m)
+    report.trials = len(test_set.m)
+    return report
 
 
 def run_nn_campaign(
@@ -315,60 +358,28 @@ def run_nn_campaign(
 
     ``datasets`` maps "train"/"val"/"test" to Dataset objects; generating
     the test set under a different noise configuration than the training
-    set gives the mismatched-noise robustness variant.
+    set gives the mismatched-noise robustness variant.  ``runtime``
+    includes training.
     """
-    from . import ensemble as ens_mod
-    from .nn import MlpConfig, blackbox_estimate, nn_ls_estimate, nn_wls_estimate, train, train_blackbox
-
-    if pipeline not in _NN_PIPELINES:
-        raise ScenarioError(f"unknown pipeline {pipeline!r}")
+    estimator(pipeline, sc)  # rejects an unknown pipeline before any training
     for key in ("train", "val", "test"):
         if key not in datasets:
             raise ScenarioError(f"datasets must include {key!r}")
     start = time.perf_counter()
     tr, va, te = datasets["train"], datasets["val"], datasets["test"]
-    rrhs = sc.selected_rrhs()
     dim = tr.m.shape[1]
     if mlp_config is None:
-        mlp_config = MlpConfig(layer_widths=(dim, 32, 32, dim), seed=sc.seed)
+        mlp_config = nn.MlpConfig(layer_widths=(dim, 32, 32, dim), seed=sc.seed)
+    if ensemble_config is None:
+        ensemble_config = ensemble.EnsembleConfig()
 
-    if pipeline == "wls":
-        q = build_q(sc.n_a, sc.noise)
-        estimator = lambda m: wls_solve(m, rrhs, q, iters=sc.wls_iters).x
-    elif pipeline == "blackbox":
-        net = train_blackbox(mlp_config, tr, va)
-        estimator = lambda m: blackbox_estimate(net, m)
+    model = None
+    if pipeline == "blackbox":
+        model = nn.train_blackbox(mlp_config, tr, va)
     elif pipeline in ("nn_wls", "nn_ls"):
-        net = train(mlp_config, tr, va)
-        if pipeline == "nn_wls":
-            estimator = lambda m: nn_wls_estimate(net, m, rrhs, eps)
-        else:
-            estimator = lambda m: nn_ls_estimate(net, m, rrhs)
-    else:
-        if ensemble_config is None:
-            ensemble_config = ens_mod.EnsembleConfig()
-        nets = ens_mod.train_ensemble(mlp_config, ensemble_config, tr, va)
-        if pipeline == "enn_a":
-            estimator = lambda m: ens_mod.enn_a_wls(
-                nets, m, rrhs, eps, ensemble_config.r_a
-            )
-        elif pipeline == "enn_b":
-            estimator = lambda m: ens_mod.enn_b_wls(nets, m, rrhs)
-        else:
-            estimator = lambda m: ens_mod.enn_m_wls(nets, m, rrhs, eps)
-
-    estimates, truths = [], []
-    failures = 0
-    for m, x in zip(te.m, te.x):
-        try:
-            estimates.append(estimator(m))
-            truths.append(x)
-        except HybridlocError:
-            failures += 1
-    if not estimates:
-        raise ScenarioError("every test sample failed; pipeline is unusable")
-    report = compute_metrics(np.array(estimates), np.array(truths))
-    report.failure_rate = failures / len(te.m)
-    report.trials = len(te.m)
+        model = nn.train(mlp_config, tr, va)
+    elif pipeline != "wls":
+        model = ensemble.train_ensemble(mlp_config, ensemble_config, tr, va)
+    report = evaluate(estimator(pipeline, sc, model, eps, ensemble_config.r_a), te)
     report.runtime = time.perf_counter() - start
     return report

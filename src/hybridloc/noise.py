@@ -36,7 +36,6 @@ class NoiseConfig:
     fdoa_factor: float = 0.1
     mode: str = "gaussian"
     ratio: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.delta_d <= 0 or self.delta_a <= 0:
@@ -54,7 +53,6 @@ class NoiseConfig:
             fdoa_factor=self.fdoa_factor,
             mode=self.mode,
             ratio=self.ratio,
-            seed=self.seed,
         )
 
 

@@ -25,7 +25,6 @@ class ScattererResult:
 
     x: np.ndarray
     cov: np.ndarray
-    iterations: int
 
     @property
     def position(self) -> np.ndarray:
@@ -133,26 +132,19 @@ def build_bs(xs, b_n, ue) -> np.ndarray:
     return b
 
 
-def scatterer_wls_solve(ms, b_n, b_1, ue, qs, iters: int = 2) -> ScattererResult:
-    """Iterated WLS estimate of [scatterer position, signed speed].
+def scatterer_wls_solve(ms, b_n, b_1, ue, qs) -> ScattererResult:
+    """WLS estimate of [scatterer position, signed speed] and its covariance.
 
-    The system being square, iterating the weighting refines only the
-    covariance; the estimate is fixed by the first solve.
+    The system is square, so the weighting cannot move the estimate: one
+    solve with ``W = inv(Qs)`` gives it, and the first-order covariance is
+    ``inv(G' W G)`` with ``W = inv(Bs Qs Bs')`` at that estimate.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.shape != (4, 4):
         raise DimensionMismatchError("path covariance must be 4x4")
     h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
     gt = g @ t
-
-    w = np.linalg.inv(qs)
-    xs = None
-    for it in range(iters):
-        if it > 0:
-            bs = build_bs(xs, b_n, ue)
-            w = np.linalg.inv(bs @ qs @ bs.T)
-        xs, _ = solve_linear(h, gt, w)
+    xs, _ = solve_linear(h, gt, np.linalg.inv(qs))
     bs = build_bs(xs, b_n, ue)
-    w = np.linalg.inv(bs @ qs @ bs.T)
-    _, cov = solve_linear(h, gt, w)
-    return ScattererResult(x=xs, cov=cov, iterations=iters)
+    _, cov = solve_linear(h, gt, np.linalg.inv(bs @ qs @ bs.T))
+    return ScattererResult(x=xs, cov=cov)

@@ -36,6 +36,8 @@ from .errors import (
 )
 from .geometry import angle_rates, angular_vectors, aoa_los, measurement_dim
 
+# Condition number beyond which a normal or information matrix counts as
+# singular (SingularProblemError) or, for ENN-B's weighting, gets a ridge.
 _COND_LIMIT = 1e12
 
 
@@ -201,14 +203,12 @@ def _solve_position_only(h, g, q, rrhs, iters):
     return WlsResult(x=x, cov=cov, velocity_valid=False, iterations=iters)
 
 
-def wls_solve(m, rrhs, q, iters: int = 2, tol: float | None = None) -> WlsResult:
+def wls_solve(m, rrhs, q, iters: int = 2) -> WlsResult:
     """Iterated WLS estimate of the 6-D user state.
 
     ``iters`` solves are performed (default 2), the first with ``W =
     inv(Q)`` and subsequent ones with ``W = inv(B Q B')`` rebuilt at the
-    current state.  If ``tol`` is given the loop stops early once the
-    relative step falls below it.  The returned covariance is evaluated at
-    the final state.
+    current state.  The returned covariance is evaluated at the final state.
     """
     rrhs = np.asarray(rrhs, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -219,18 +219,11 @@ def wls_solve(m, rrhs, q, iters: int = 2, tol: float | None = None) -> WlsResult
     try:
         w = np.linalg.inv(q)
         x = None
-        performed = 0
         for it in range(iters):
             if it > 0:
                 b = build_b(x, rrhs)
                 w = np.linalg.inv(b @ q @ b.T)
-            x_new, _ = solve_linear(h, g, w)
-            performed += 1
-            if tol is not None and x is not None:
-                if np.linalg.norm(x_new - x) <= tol * max(np.linalg.norm(x_new), 1.0):
-                    x = x_new
-                    break
-            x = x_new
+            x, _ = solve_linear(h, g, w)
         b = build_b(x, rrhs)
         w = np.linalg.inv(b @ q @ b.T)
         _, cov = solve_linear(h, g, w)
@@ -238,4 +231,4 @@ def wls_solve(m, rrhs, q, iters: int = 2, tol: float | None = None) -> WlsResult
         # Velocity unidentifiable (fewer than four receivers in general
         # position): fall back to the position-only system.
         return _solve_position_only(h, g, q, rrhs, iters)
-    return WlsResult(x=x, cov=cov, velocity_valid=True, iterations=performed)
+    return WlsResult(x=x, cov=cov, velocity_valid=True, iterations=iters)

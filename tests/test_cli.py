@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridloc import cli
+from hybridloc import cli, harness, nn
 from hybridloc.errors import EXIT_DIMENSION, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE
+from hybridloc.scenario import load_scenario
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -266,6 +267,48 @@ class TestPipelineRoundTrip:
         )
         assert code == EXIT_DIMENSION
         assert "dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pipeline", ["wls", "nn_wls", "nn_ls", "blackbox"])
+    def test_eval_row_equals_harness_evaluate(self, pipeline_dir, tmp_path, pipeline):
+        paths = pipeline_dir["a"]
+        model = paths["model"]
+        if pipeline == "blackbox":
+            model = tmp_path / "bb.npz"
+            assert run_cli(
+                "train", "--train", str(paths["train"]), "--val", str(paths["val"]),
+                "--pipeline", "blackbox", "--config", str(pipeline_dir["config"]),
+                "--out", str(model),
+            ) == EXIT_OK
+        out = tmp_path / "r.csv"
+        argv = ["eval", "--scenario", str(pipeline_dir["scenario"]),
+                "--data", str(paths["test"]), "--pipeline", pipeline, "--out", str(out)]
+        if pipeline != "wls":
+            argv += ["--model", str(model)]
+        assert run_cli(*argv) == EXIT_OK
+
+        sc = load_scenario(pipeline_dir["scenario"])
+        net = None if pipeline == "wls" else nn.load_model(model)
+        report = harness.evaluate(
+            harness.estimator(pipeline, sc, net), nn.load_dataset(paths["test"])
+        )
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        expected = cli._metric_row(pipeline, report)
+        assert row == {key: cli._fmt(value) for key, value in expected.items()}
+
+    def test_eval_every_sample_failing_exits_numerical(self, pipeline_dir, tmp_path, capsys):
+        net = nn.load_model(pipeline_dir["a"]["model"])
+        net.weights[0][:] = np.nan
+        broken = tmp_path / "nan.npz"
+        nn.save_model(net, broken)
+        code = run_cli(
+            "eval", "--scenario", str(pipeline_dir["scenario"]),
+            "--data", str(pipeline_dir["a"]["test"]), "--model", str(broken),
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "every test sample failed" in err and "non-finite" in err
 
     def test_eval_without_model_rejected(self, pipeline_dir, tmp_path):
         assert run_cli(

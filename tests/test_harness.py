@@ -239,6 +239,10 @@ class TestNnCampaign:
         with pytest.raises(ScenarioError):
             harness.run_nn_campaign(sc, "wls", {"train": None, "val": None})
 
+    def test_unknown_estimator_rejected(self):
+        with pytest.raises(ScenarioError):
+            harness.estimator("magic", Scenario())
+
 
 class TestWorkers:
     def test_worker_count_parses_env(self, monkeypatch):

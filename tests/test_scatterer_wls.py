@@ -122,7 +122,7 @@ class TestBuildBs:
 
 class TestSolver:
     def test_zero_noise_exact_recovery(self):
-        result = scatterer_wls_solve(MS_TRUE, B_OBS, B_REF, UE, QS, iters=2)
+        result = scatterer_wls_solve(MS_TRUE, B_OBS, B_REF, UE, QS)
         assert isinstance(result, ScattererResult)
         np.testing.assert_allclose(result.position, XS_TRUE[:3], atol=1e-6)
         assert result.speed == pytest.approx(XS_TRUE[3], abs=1e-6)
@@ -130,20 +130,22 @@ class TestSolver:
     def test_negative_speed_recovered(self):
         xs = np.array([260.0, 700.0, 10.0, -4.0])
         ms = scatterer_measurement(xs, UE, B_OBS, B_REF)
-        result = scatterer_wls_solve(ms, B_OBS, B_REF, UE, QS, iters=2)
+        result = scatterer_wls_solve(ms, B_OBS, B_REF, UE, QS)
         assert result.speed == pytest.approx(-4.0, abs=1e-6)
 
-    def test_estimate_independent_of_weighting(self):
-        # The system is square, so iterating the weighting matrix must not
-        # move the estimate.
+    def test_estimate_solves_square_system(self):
+        # The system is square, so the estimate is its exact solution
+        # whatever the weighting.
         rng = default_rng(83)
-        ms = sample_gaussian(MS_TRUE, QS, rng)
-        one = scatterer_wls_solve(ms, B_OBS, B_REF, UE, QS, iters=1)
-        two = scatterer_wls_solve(ms, B_OBS, B_REF, UE, QS, iters=3)
-        np.testing.assert_allclose(one.x, two.x, rtol=1e-9)
+        for _ in range(20):
+            ms = sample_gaussian(MS_TRUE, QS, rng)
+            h, g, t = build_scatterer_system(ms, B_OBS, B_REF, UE)
+            exact = np.linalg.solve(g @ t, h)
+            result = scatterer_wls_solve(ms, B_OBS, B_REF, UE, QS)
+            np.testing.assert_allclose(result.x, exact, rtol=1e-9)
 
     def test_covariance_matches_lower_bound_at_truth(self):
-        result = scatterer_wls_solve(MS_TRUE, B_OBS, B_REF, UE, QS, iters=2)
+        result = scatterer_wls_solve(MS_TRUE, B_OBS, B_REF, UE, QS)
         bound = crlb_scatterer(XS_TRUE, B_OBS, UE, QS)
         gap = np.linalg.norm(result.cov - bound) / np.linalg.norm(bound)
         assert gap < 1e-6
@@ -152,15 +154,15 @@ class TestSolver:
         # Perturbing the user estimate must shift the output boundedly, not
         # blow it up; the pinned factor is generous versus the measured one.
         rng = default_rng(97)
-        base = scatterer_wls_solve(MS_TRUE, B_OBS, B_REF, UE, QS, iters=2)
+        base = scatterer_wls_solve(MS_TRUE, B_OBS, B_REF, UE, QS)
         for _ in range(10):
             delta = rng.standard_normal(6)
             delta[:3] *= 1.0 / np.linalg.norm(delta[:3])
             delta[3:] *= 0.1 / np.linalg.norm(delta[3:])
-            shifted = scatterer_wls_solve(MS_TRUE, B_OBS, B_REF, UE + delta, QS, iters=2)
+            shifted = scatterer_wls_solve(MS_TRUE, B_OBS, B_REF, UE + delta, QS)
             assert np.all(np.isfinite(shifted.x))
             assert np.linalg.norm(shifted.x - base.x) <= 50.0
 
     def test_bad_covariance_shape_raises(self):
         with pytest.raises(DimensionMismatchError):
-            scatterer_wls_solve(MS_TRUE, B_OBS, B_REF, UE, np.eye(3), iters=2)
+            scatterer_wls_solve(MS_TRUE, B_OBS, B_REF, UE, np.eye(3))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from hybridloc.crlb import crlb_ue
+from hybridloc.crlb import crlb_ue, crlb_ue_position
 from hybridloc.errors import DimensionMismatchError, SingularProblemError
 from hybridloc.geometry import ue_measurement
 from hybridloc.noise import NoiseConfig, build_q, sample_gaussian
@@ -138,10 +138,6 @@ class TestSolver:
         gap = np.linalg.norm(result.cov - bound) / np.linalg.norm(bound)
         assert gap < 1e-6
 
-    def test_tolerance_stops_early(self):
-        result = wls_solve(M_TRUE, RRHS6, Q6, iters=10, tol=1e-9)
-        assert result.iterations < 10
-
     def test_small_noise_estimates_stay_close(self):
         cfg = NoiseConfig(delta_d=0.022, delta_a=0.00175)
         q = build_q(6, cfg)
@@ -167,6 +163,17 @@ class TestSolver:
         result = wls_solve(m, rrhs, build_q(3, NoiseConfig()), iters=2)
         assert not result.velocity_valid
         np.testing.assert_allclose(result.position, X_TRUE[:3], atol=1e-6)
+
+    def test_position_only_covariance_matches_its_bound(self):
+        # The fallback solves with the TDOA and AOA rows only; at a
+        # noise-free measurement its covariance is the bound of those rows.
+        for n_a in (2, 3):
+            rrhs = DEFAULT_RRHS[:n_a]
+            q = build_q(n_a, NoiseConfig())
+            result = wls_solve(ue_measurement(X_TRUE, rrhs), rrhs, q)
+            np.testing.assert_allclose(
+                result.cov[:3, :3], crlb_ue_position(X_TRUE, rrhs, q), rtol=1e-6
+            )
 
     def test_four_receivers_identify_velocity(self):
         rrhs = DEFAULT_RRHS[:4]
