@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, GimbalLockError, SingularProblemError
-from .geometry import angle_rates, angular_vectors, aoa_los
+from .geometry import MIN_COS_ELEVATION, angle_rates, angular_vectors, aoa_los
 from .ue_wls import _COND_LIMIT, _position_row_mask
-
-_MIN_COS_THETA = 1e-12
 
 
 def _invert_information(fisher: np.ndarray) -> np.ndarray:
@@ -60,7 +58,7 @@ def jacobian_ue(x, rrhs) -> np.ndarray:
     for j in range(n):
         phi, theta = aoa_los(u, rrhs[j])
         cos_theta = np.cos(theta)
-        if abs(cos_theta) < _MIN_COS_THETA:
+        if abs(cos_theta) < MIN_COS_ELEVATION:
             raise GimbalLockError(f"receiver {j} sees the state at zenith")
         _, c_vec, d_vec = angular_vectors(phi, theta)
         jac[2 * n - 2 + 2 * j, :3] = c_vec / (r[j] * cos_theta)
@@ -119,7 +117,7 @@ def jacobian_scatterer(xs, b_n, ue) -> np.ndarray:
 
     phi_s, theta_s = aoa_los(s, b_n)
     cos_theta = np.cos(theta_s)
-    if abs(cos_theta) < _MIN_COS_THETA:
+    if abs(cos_theta) < MIN_COS_ELEVATION:
         raise GimbalLockError("receiver sees the scatterer at zenith")
     _, c_s, d_s = angular_vectors(phi_s, theta_s)
 

@@ -30,6 +30,10 @@ from .errors import DegenerateGeometryError, GimbalLockError
 #: Signal propagation speed in meters/second.
 SPEED_OF_LIGHT = 299792458.0
 
+# Below this |cos(elevation)| a ray counts as vertical: its azimuth rate
+# (and the azimuth row of an angle Jacobian) is undefined.
+MIN_COS_ELEVATION = 1e-12
+
 
 def los_range(u, b) -> float:
     """Euclidean distance between a point ``u`` and a receiver at ``b``."""
@@ -97,14 +101,38 @@ def angular_vectors(phi: float, theta: float):
     Returns ``(a, c, d)`` where ``a`` is the unit ray direction,
     ``c = da/dphi / cos(theta)`` spans the azimuth direction and
     ``d = da/dtheta`` spans the elevation direction.  The three vectors are
-    mutually orthonormal.
+    mutually orthonormal.  Arrays of angles (of one shape) give stacked
+    frames, each vector on a last axis of length 3.
     """
     cp, sp = np.cos(phi), np.sin(phi)
     ct, st = np.cos(theta), np.sin(theta)
-    a = np.array([ct * cp, ct * sp, st])
-    c = np.array([-sp, cp, 0.0])
-    d = np.array([-st * cp, -st * sp, ct])
+    if np.ndim(cp) == 0 and np.ndim(ct) == 0:
+        a = np.array([ct * cp, ct * sp, st])
+        c = np.array([-sp, cp, 0.0])
+        d = np.array([-st * cp, -st * sp, ct])
+        return a, c, d
+    a, c, d = np.zeros((3,) + np.shape(cp) + (3,))
+    a[..., 0], a[..., 1], a[..., 2] = ct * cp, ct * sp, st
+    c[..., 0], c[..., 1] = -sp, cp
+    d[..., 0], d[..., 1], d[..., 2] = -st * cp, -st * sp, ct
     return a, c, d
+
+
+def look_angles(diffs):
+    """Range, azimuth and elevation of stacked rays, by :func:`aoa_los`'s rules.
+
+    ``diffs`` holds point-minus-receiver vectors on a last axis of length
+    3.  Each value is bit-identical to :func:`los_range` and
+    :func:`aoa_los` on one ray.  A zero vector gives a zero range and a NaN
+    elevation; callers reject zero ranges themselves.
+    """
+    diffs = np.asarray(diffs, dtype=float)
+    r = np.sqrt(np.vecdot(diffs, diffs))
+    dx, dy = diffs[..., 0], diffs[..., 1]
+    phi = np.where((dx == 0.0) & (dy == 0.0), 0.0, np.arctan2(dy, dx))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        theta = np.arcsin(np.clip(diffs[..., 2] / r, -1.0, 1.0))
+    return r, phi, theta
 
 
 def angle_rates(u, udot, b) -> tuple[float, float]:
@@ -122,7 +150,7 @@ def angle_rates(u, udot, b) -> tuple[float, float]:
     phi, theta = aoa_los(u, b)
     _, c, d = angular_vectors(phi, theta)
     ct = np.cos(theta)
-    if abs(ct) < 1e-12:
+    if abs(ct) < MIN_COS_ELEVATION:
         raise GimbalLockError("azimuth rate undefined at +/-90 degrees elevation")
     phidot = float(c @ udot / (r * ct))
     thetadot = float(d @ udot / r)

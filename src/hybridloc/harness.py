@@ -5,7 +5,8 @@ so results are reproducible and independent of execution order or worker
 count.  Campaigns tolerate per-trial solver failures: failed trials are
 excluded from the error statistics and surface as a failure rate instead.
 
-Set the ``HYBRIDLOC_WORKERS`` environment variable to run Monte Carlo
+The WLS and scatterer campaigns solve their trials in stacked blocks.  Set
+the ``HYBRIDLOC_WORKERS`` environment variable to run the LOS-selection
 trials in a process pool; aggregation always happens in trial order.
 """
 
@@ -31,6 +32,7 @@ from .errors import (
     DimensionMismatchError,
     HybridlocError,
     ScenarioError,
+    SingularProblemError,
 )
 from .geometry import scatterer_measurement, ue_measurement
 from .noise import (
@@ -42,16 +44,20 @@ from .noise import (
     sample_structured,
     sample_structured_scatterer,
 )
-from .scatterer_wls import scatterer_wls_solve
+from .scatterer_wls import scatterer_wls_solve_batch
 from .scenario import Scenario
 from .selection import select_los, simulate_paths
-from .ue_wls import wls_solve
+from .ue_wls import wls_solve, wls_solve_batch
 
 WORKER_ENV = "HYBRIDLOC_WORKERS"
 
 # Stream tags keep the campaign-level draws (e.g. the dataset's dominant
 # bias) out of the per-trial streams.
 _DOMINANT_STREAM = 0xD0
+
+# Trials a campaign solves together: memory stays bounded whatever the
+# trial count.
+_BLOCK = 64
 
 
 def worker_count() -> int:
@@ -149,125 +155,123 @@ def _map_trials(fn, args_list):
         return list(pool.map(fn, args_list, chunksize=chunk))
 
 
-def _ue_noise_draw(m_true, sc: Scenario, dominant, rng):
-    if sc.noise.mode == "structured":
-        return sample_structured(m_true, sc.noise, dominant, rng)
-    return sample_gaussian(m_true, build_q(sc.n_a, sc.noise), rng)
+def _solve_in_blocks(sc: Scenario, draw, solve):
+    """Draw every trial from its own stream and solve them ``_BLOCK`` at a time.
+
+    ``draw(rng)`` returns one trial's measurement; ``solve(ms)`` a batch
+    result for a stack of them.  Returns the batches in trial order.
+    """
+    batches = []
+    for lo in range(0, sc.trials, _BLOCK):
+        ms = np.array([
+            draw(np.random.default_rng([sc.seed, t]))
+            for t in range(lo, min(lo + _BLOCK, sc.trials))
+        ])
+        batches.append(solve(ms))
+    return batches
 
 
-def _wls_trial(args):
-    sc, trial, dominant = args
-    rng = np.random.default_rng([sc.seed, trial])
-    rrhs = sc.selected_rrhs()
-    m_true = ue_measurement(sc.ue_true, rrhs)
-    m = _ue_noise_draw(m_true, sc, dominant, rng)
-    try:
-        result = wls_solve(m, rrhs, build_q(sc.n_a, sc.noise), iters=sc.wls_iters)
-    except HybridlocError as exc:
-        return ("fail", str(exc))
-    return ("ok", result.x, result.velocity_valid)
+def _campaign_failed(failures) -> CampaignFailedError:
+    return CampaignFailedError(f"every trial failed numerically; trial 0: {failures[0]}")
 
 
 def run_wls_campaign(sc: Scenario, collect_trials: bool = False):
-    """Monte Carlo of the iterated WLS estimator at the true user state."""
+    """Monte Carlo of the iterated WLS estimator at the true user state.
+
+    Position metrics cover every successful trial, velocity metrics the
+    ones whose velocity is valid (not solved position-only).  The bound is
+    the joint one when velocity is observable at the true state, else the
+    position bound of the TDOA and AOA rows.
+    """
     start = time.perf_counter()
-    dominant = None
+    rrhs = sc.selected_rrhs()
+    q = build_q(sc.n_a, sc.noise)
+    m_true = ue_measurement(sc.ue_true, rrhs)
     if sc.noise.mode == "structured":
         dominant = draw_dominant_bias(
             sc.n_a, sc.noise, np.random.default_rng([sc.seed, _DOMINANT_STREAM])
         )
-    outcomes = _map_trials(_wls_trial, [(sc, t, dominant) for t in range(sc.trials)])
+        draw = lambda rng: sample_structured(m_true, sc.noise, dominant, rng)
+    else:
+        draw = lambda rng: sample_gaussian(m_true, q, rng)
+    batches = _solve_in_blocks(
+        sc, draw, lambda ms: wls_solve_batch(ms, rrhs, q, iters=sc.wls_iters)
+    )
+    x = np.concatenate([b.x for b in batches])
+    valid = np.concatenate([b.velocity_valid for b in batches])
+    failures = np.concatenate([b.failures for b in batches])
+    ok = np.equal(failures, None)
+    if not ok.any():
+        raise _campaign_failed(failures)
 
-    estimates, rows = [], []
-    velocity_ok = True
-    failures = 0
-    for t, outcome in enumerate(outcomes):
-        if outcome[0] == "fail":
-            failures += 1
-            if collect_trials:
-                rows.append({"trial": t, "status": "fail", "detail": outcome[1]})
-            continue
-        estimates.append(outcome[1])
-        velocity_ok = velocity_ok and outcome[2]
-        if collect_trials:
-            rows.append(
-                {
+    rows = []
+    if collect_trials:
+        for t in range(sc.trials):
+            if ok[t]:
+                rows.append({
                     "trial": t,
                     "status": "ok",
-                    "error_position": float(
-                        np.linalg.norm(outcome[1][:3] - sc.ue_true[:3])
-                    ),
-                    "error_velocity": float(
-                        np.linalg.norm(outcome[1][3:] - sc.ue_true[3:])
-                    ),
-                }
-            )
-    if not estimates:
-        raise CampaignFailedError(
-            f"every trial failed numerically; trial 0: {outcomes[0][1]}"
-        )
+                    "error_position": float(np.linalg.norm(x[t, :3] - sc.ue_true[:3])),
+                    "error_velocity": float(np.linalg.norm(x[t, 3:] - sc.ue_true[3:])),
+                })
+            else:
+                rows.append({"trial": t, "status": "fail", "detail": str(failures[t])})
 
-    estimates = np.array(estimates)
-    if not velocity_ok:
-        estimates = estimates[:, :3]
-        truths = np.tile(sc.ue_true[:3], (estimates.shape[0], 1))
+    estimates = x[ok]
+    if valid[ok].all():
+        report = compute_metrics(estimates, np.tile(sc.ue_true, (len(estimates), 1)))
     else:
-        truths = np.tile(sc.ue_true, (estimates.shape[0], 1))
-    q = build_q(sc.n_a, sc.noise)
-    report = compute_metrics(estimates, truths, crlb=None)
-    if velocity_ok:
-        crlb = crlb_ue(sc.ue_true, sc.selected_rrhs(), q)
+        report = compute_metrics(
+            estimates[:, :3], np.tile(sc.ue_true[:3], (len(estimates), 1))
+        )
+        if valid.any():
+            with_velocity = x[valid]
+            velocity = compute_metrics(
+                with_velocity, np.tile(sc.ue_true, (len(with_velocity), 1))
+            )
+            report.rmse_velocity = velocity.rmse_velocity
+            report.mae_velocity = velocity.mae_velocity
+    # Velocity is observable exactly when the joint bound exists (the rule
+    # cmd_crlb applies).
+    try:
+        crlb = crlb_ue(sc.ue_true, rrhs, q)
         report.crlb_trace_position = position_trace(crlb)
         report.crlb_trace_velocity = velocity_trace(crlb)
-    else:
-        crlb = crlb_ue_position(sc.ue_true, sc.selected_rrhs(), q)
-        report.crlb_trace_position = float(np.trace(crlb))
-    report.failure_rate = failures / sc.trials
+    except SingularProblemError:
+        report.crlb_trace_position = float(np.trace(crlb_ue_position(sc.ue_true, rrhs, q)))
+    report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
     report.trials = sc.trials
     report.runtime = time.perf_counter() - start
     return (report, rows) if collect_trials else report
 
 
-def _scatterer_trial(args):
-    sc, trial, dominant = args
-    rng = np.random.default_rng([sc.seed, trial])
-    b_n = sc.rrhs[sc.scatterer_rrh]
-    b_1 = sc.rrhs[0]
-    ms_true = scatterer_measurement(sc.scatterer_true, sc.ue_true, b_n, b_1)
-    if sc.noise.mode == "structured":
-        ms = sample_structured_scatterer(ms_true, sc.noise, dominant, rng)
-    else:
-        ms = sample_gaussian(ms_true, build_qs(sc.noise), rng)
-    try:
-        result = scatterer_wls_solve(ms, b_n, b_1, sc.ue_true, build_qs(sc.noise))
-    except HybridlocError as exc:
-        return ("fail", str(exc))
-    return ("ok", result.x)
-
-
 def run_scatterer_campaign(sc: Scenario) -> MetricReport:
     """Monte Carlo of the single-receiver scatterer estimator."""
     start = time.perf_counter()
-    dominant = None
+    b_n = sc.rrhs[sc.scatterer_rrh]
+    b_1 = sc.rrhs[0]
+    qs = build_qs(sc.noise)
+    ms_true = scatterer_measurement(sc.scatterer_true, sc.ue_true, b_n, b_1)
     if sc.noise.mode == "structured":
         dominant = draw_dominant_bias_scatterer(
             sc.noise, np.random.default_rng([sc.seed, _DOMINANT_STREAM])
         )
-    outcomes = _map_trials(
-        _scatterer_trial, [(sc, t, dominant) for t in range(sc.trials)]
+        draw = lambda rng: sample_structured_scatterer(ms_true, sc.noise, dominant, rng)
+    else:
+        draw = lambda rng: sample_gaussian(ms_true, qs, rng)
+    batches = _solve_in_blocks(
+        sc, draw, lambda ms: scatterer_wls_solve_batch(ms, b_n, b_1, sc.ue_true, qs)
     )
-    estimates = [o[1] for o in outcomes if o[0] == "ok"]
-    failures = len(outcomes) - len(estimates)
-    if not estimates:
-        raise CampaignFailedError(
-            f"every trial failed numerically; trial 0: {outcomes[0][1]}"
-        )
+    x = np.concatenate([b.x for b in batches])
+    failures = np.concatenate([b.failures for b in batches])
+    ok = np.equal(failures, None)
+    if not ok.any():
+        raise _campaign_failed(failures)
+    estimates = x[ok]
     truths = np.tile(sc.scatterer_true, (len(estimates), 1))
-    crlb = crlb_scatterer(
-        sc.scatterer_true, sc.rrhs[sc.scatterer_rrh], sc.ue_true, build_qs(sc.noise)
-    )
-    report = compute_metrics(np.array(estimates), truths, crlb=crlb)
-    report.failure_rate = failures / sc.trials
+    crlb = crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qs)
+    report = compute_metrics(estimates, truths, crlb=crlb)
+    report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
     report.trials = sc.trials
     report.runtime = time.perf_counter() - start
     return report

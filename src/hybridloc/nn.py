@@ -500,8 +500,15 @@ def nn_ls_estimate(net: Mlp, m, rrhs):
 
 
 def blackbox_estimate(net_bb: Mlp, m):
-    """Direct state regression; no geometric model involved."""
-    return net_bb.predict(np.asarray(m, dtype=float))
+    """Direct state regression; no geometric model involved.
+
+    A non-finite output (e.g. from non-finite weights) raises
+    ``NumericalError``, as the geometric estimators' solves do.
+    """
+    x = net_bb.predict(np.asarray(m, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise NumericalError("black-box estimate contains non-finite entries")
+    return x
 
 
 def nn_wls_scatterer(net_s: Mlp, ms, b_n, b_1, ue, eps: float = 0.1):

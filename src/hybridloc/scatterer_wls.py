@@ -6,6 +6,9 @@ is four-dimensional: position plus a signed speed along the user's velocity
 direction.  With the user state taken from the preceding estimation step,
 the pseudo-linear system is square; the weighting matrix therefore affects
 only the reported covariance, not the estimate itself.
+
+``scatterer_wls_solve_batch`` solves a stack of paths at once, each trial
+failing alone; ``scatterer_wls_solve`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -14,9 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DimensionMismatchError
-from .geometry import angle_rates, angular_vectors, aoa_los, los_range, range_rate
-from .ue_wls import solve_linear
+from .errors import DegenerateGeometryError, DimensionMismatchError, GimbalLockError
+from .geometry import (
+    MIN_COS_ELEVATION,
+    angular_vectors,
+    look_angles,
+    los_range,
+    range_rate,
+)
+from .ue_wls import _fail, _invert, _square, solve_linear
 
 
 @dataclass
@@ -35,6 +44,20 @@ class ScattererResult:
         return float(self.x[3])
 
 
+@dataclass
+class ScattererBatch:
+    """Estimates of a stack of paths, one row per trial.
+
+    ``x`` (T, 4) and ``cov`` (T, 4, 4) as in :class:`ScattererResult`;
+    ``failures`` (an object array) holds the ``HybridlocError`` each failed
+    trial raised, or None, and a failed trial's rows are NaN.
+    """
+
+    x: np.ndarray
+    cov: np.ndarray
+    failures: np.ndarray
+
+
 def _unit_velocity(ue: np.ndarray) -> np.ndarray:
     udot = ue[3:]
     speed = np.linalg.norm(udot)
@@ -46,15 +69,17 @@ def _unit_velocity(ue: np.ndarray) -> np.ndarray:
 
 
 def build_scatterer_system(ms, b_n, b_1, ue):
-    """Assemble (h, G, T) for one reflected path.
+    """Assemble (h, G, T) for reflected paths.
 
-    ``ms`` is the 4-entry path measurement; ``b_n`` the observing receiver;
-    ``b_1`` the reference receiver (whose direct-path range/rate, recomputed
-    from the user state ``ue``, undoes the differencing); ``T`` maps the
-    reduced state [s, speed] to [s, speed * n_v].
+    ``ms`` is the 4-entry path measurement, or a stack of them on leading
+    batch axes (``h`` and ``G`` then carry the same axes); ``b_n`` the
+    observing receiver; ``b_1`` the reference receiver (whose direct-path
+    range/rate, recomputed from the user state ``ue``, undoes the
+    differencing); ``T`` maps the reduced state [s, speed] to [s, speed *
+    n_v].
     """
     ms = np.asarray(ms, dtype=float)
-    if ms.shape != (4,):
+    if ms.shape[-1:] != (4,):
         raise DimensionMismatchError("path measurement must have 4 entries")
     b_n = np.asarray(b_n, dtype=float)
     b_1 = np.asarray(b_1, dtype=float)
@@ -64,24 +89,27 @@ def build_scatterer_system(ms, b_n, b_1, ue):
 
     r_1 = los_range(u, b_1)
     rdot_1 = range_rate(u, udot, b_1)
-    r_s = ms[0] + r_1
-    rdot_s = ms[1] + rdot_1
-    a_s, c_s, d_s = angular_vectors(ms[2], ms[3])
+    r_s = ms[..., 0] + r_1
+    rdot_s = ms[..., 1] + rdot_1
+    a_s, c_s, d_s = angular_vectors(ms[..., 2], ms[..., 3])
+    as_bn = np.vecdot(a_s, b_n)
 
-    h = np.array(
+    h = np.stack(
         [
-            r_s**2 + 2.0 * r_s * (a_s @ b_n) - u @ u + b_n @ b_n,
-            r_s * rdot_s + rdot_s * (a_s @ b_n) - udot @ u,
-            c_s @ b_n,
-            d_s @ b_n,
-        ]
+            _square(r_s) + 2.0 * r_s * as_bn - u @ u + b_n @ b_n,
+            r_s * rdot_s + rdot_s * as_bn - udot @ u,
+            np.vecdot(c_s, b_n),
+            np.vecdot(d_s, b_n),
+        ],
+        axis=-1,
     )
-    g = np.zeros((4, 6))
-    g[0, :3] = 2.0 * (b_n - u + r_s * a_s)
-    g[1, :3] = rdot_s * a_s - udot
-    g[1, 3:] = r_s * a_s + b_n - u
-    g[2, :3] = c_s
-    g[3, :3] = d_s
+    g = np.zeros(ms.shape[:-1] + (4, 6))
+    r_s, rdot_s = r_s[..., None], rdot_s[..., None]
+    g[..., 0, :3] = 2.0 * (b_n - u + r_s * a_s)
+    g[..., 1, :3] = rdot_s * a_s - udot
+    g[..., 1, 3:] = r_s * a_s + b_n - u
+    g[..., 2, :3] = c_s
+    g[..., 3, :3] = d_s
 
     t = np.zeros((6, 4))
     t[:3, :3] = np.eye(3)
@@ -95,41 +123,76 @@ def scatterer_residual(ms, b_n, b_1, ue, xs) -> np.ndarray:
     return h - (g @ t) @ np.asarray(xs, dtype=float)
 
 
-def build_bs(xs, b_n, ue) -> np.ndarray:
+def build_bs(xs, b_n, ue, errors=None) -> np.ndarray:
     """First-order map from path-measurement noise to the residual.
 
     Rows follow the measurement order (delay, rate, azimuth, elevation);
     the rate row couples into the two angle columns through the scatterer's
     apparent angular rates seen from the receiver.
+
+    ``xs`` may carry leading batch axes.  A scatterer on the receiver or
+    the user, or straight above the receiver, raises; with ``errors`` (an
+    object array over the batch axes) it is recorded there instead.
     """
     xs = np.asarray(xs, dtype=float)
     b_n = np.asarray(b_n, dtype=float)
     ue = np.asarray(ue, dtype=float)
-    s, speed = xs[:3], xs[3]
+    s, speed = xs[..., :3], xs[..., 3:]
     u, udot = ue[:3], ue[3:]
-    n_v = _unit_velocity(ue)
-    sdot_vec = speed * n_v
+    sdot_vec = speed * _unit_velocity(ue)
 
-    d1 = los_range(s, b_n)
-    d2 = los_range(u, s)
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise DegenerateGeometryError("scatterer coincides with receiver or user")
-    r_s = d1 + d2
-    ddot2 = (udot - sdot_vec) @ (u - s) / d2
-
-    phi_s, theta_s = aoa_los(s, b_n)
+    d1, phi_s, theta_s = look_angles(s - b_n)
+    d2 = np.sqrt(np.vecdot(u - s, u - s))
+    coincident = (d1 <= 0.0) | (d2 <= 0.0)
+    _fail(errors, coincident, DegenerateGeometryError,
+          "scatterer coincides with receiver or user")
     cos_t = np.cos(theta_s)
-    phidot_s, thetadot_s = angle_rates(s, sdot_vec, b_n)
+    _fail(
+        errors,
+        ~coincident & (np.abs(cos_t) < MIN_COS_ELEVATION),
+        GimbalLockError,
+        "azimuth rate undefined at +/-90 degrees elevation",
+    )
+    r_s = d1 + d2
+    _, c_s, d_s = angular_vectors(phi_s, theta_s)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ddot2 = np.vecdot(udot - sdot_vec, u - s) / d2
+        phidot_s = np.vecdot(c_s, sdot_vec) / (d1 * cos_t)
+        thetadot_s = np.vecdot(d_s, sdot_vec) / d1
 
-    b = np.zeros((4, 4))
-    b[0, 0] = 2.0 * d2
-    b[1, 0] = ddot2
-    b[1, 1] = d2
-    b[1, 2] = -r_s * d1 * phidot_s * cos_t**2
-    b[1, 3] = -r_s * d1 * thetadot_s
-    b[2, 2] = d1 * cos_t
-    b[3, 3] = d1
+    b = np.zeros(xs.shape[:-1] + (4, 4))
+    b[..., 0, 0] = 2.0 * d2
+    b[..., 1, 0] = ddot2
+    b[..., 1, 1] = d2
+    b[..., 1, 2] = -r_s * d1 * phidot_s * _square(cos_t)
+    b[..., 1, 3] = -r_s * d1 * thetadot_s
+    b[..., 2, 2] = d1 * cos_t
+    b[..., 3, 3] = d1
     return b
+
+
+def scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs) -> ScattererBatch:
+    """WLS estimates of a stack of path measurements ``ms`` (T, 4).
+
+    Each trial runs as :func:`scatterer_wls_solve` would run it alone, and
+    fails alone.
+    """
+    qs = np.asarray(qs, dtype=float)
+    if qs.shape != (4, 4):
+        raise DimensionMismatchError("path covariance must be 4x4")
+    ms = np.asarray(ms, dtype=float)
+    if ms.ndim != 2:
+        raise DimensionMismatchError("path measurements must be stacked as (trials, 4)")
+    h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
+    gt = g @ t
+    errors = np.full(len(ms), None, dtype=object)
+    xs, _ = solve_linear(h, gt, _invert(qs), errors)
+    bs = build_bs(xs, b_n, ue, errors)
+    _, cov = solve_linear(h, gt, _invert(bs @ qs @ np.swapaxes(bs, -1, -2), errors), errors)
+    failed = ~np.equal(errors, None)
+    xs[failed] = np.nan
+    cov[failed] = np.nan
+    return ScattererBatch(x=xs, cov=cov, failures=errors)
 
 
 def scatterer_wls_solve(ms, b_n, b_1, ue, qs) -> ScattererResult:
@@ -137,14 +200,11 @@ def scatterer_wls_solve(ms, b_n, b_1, ue, qs) -> ScattererResult:
 
     The system is square, so the weighting cannot move the estimate: one
     solve with ``W = inv(Qs)`` gives it, and the first-order covariance is
-    ``inv(G' W G)`` with ``W = inv(Bs Qs Bs')`` at that estimate.
+    ``inv(G' W G)`` with ``W = inv(Bs Qs Bs')`` at that estimate.  This is
+    :func:`scatterer_wls_solve_batch` on a batch of one; its failure is
+    raised.
     """
-    qs = np.asarray(qs, dtype=float)
-    if qs.shape != (4, 4):
-        raise DimensionMismatchError("path covariance must be 4x4")
-    h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
-    gt = g @ t
-    xs, _ = solve_linear(h, gt, np.linalg.inv(qs))
-    bs = build_bs(xs, b_n, ue)
-    _, cov = solve_linear(h, gt, np.linalg.inv(bs @ qs @ bs.T))
-    return ScattererResult(x=xs, cov=cov)
+    batch = scatterer_wls_solve_batch(np.asarray(ms, dtype=float)[None], b_n, b_1, ue, qs)
+    if batch.failures[0] is not None:
+        raise batch.failures[0]
+    return ScattererResult(x=batch.x[0], cov=batch.cov[0])

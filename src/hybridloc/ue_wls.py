@@ -20,6 +20,11 @@ first-order one, which coincides with the Gaussian lower bound.
 Below four receivers the velocity is unidentifiable; the solver then falls
 back to a position-only system (TDOA and AOA rows only) and flags the
 velocity entries as invalid (NaN).
+
+The core works on stacks of trials: ``build_system``, ``build_b`` and
+``solve_linear`` accept leading batch axes, and ``wls_solve_batch`` solves
+a stack of measurements at once, each trial failing alone.  ``wls_solve``
+is its batch of one.
 """
 
 from __future__ import annotations
@@ -31,10 +36,11 @@ import numpy as np
 from .errors import (
     DegenerateGeometryError,
     DimensionMismatchError,
+    GimbalLockError,
     NumericalError,
     SingularProblemError,
 )
-from .geometry import angle_rates, angular_vectors, aoa_los, measurement_dim
+from .geometry import MIN_COS_ELEVATION, angular_vectors, look_angles, measurement_dim
 
 # Condition number beyond which a normal or information matrix counts as
 # singular (SingularProblemError) or, for ENN-B's weighting, gets a ridge.
@@ -64,45 +70,118 @@ class WlsResult:
         return self.x[3:]
 
 
+@dataclass
+class WlsBatch:
+    """Solutions of a stack of estimations, one row per trial.
+
+    ``x`` (T, 6), ``cov`` (T, 6, 6) and ``velocity_valid`` (T,) follow
+    :class:`WlsResult`'s conventions.  ``failures`` (an object array) holds
+    the ``HybridlocError`` each failed trial raised, or None; a failed
+    trial's rows of ``x`` and ``cov`` are NaN.
+    """
+
+    x: np.ndarray
+    cov: np.ndarray
+    velocity_valid: np.ndarray
+    failures: np.ndarray
+
+
+def _square(a):
+    """``a ** 2`` rounded as one float64 squares: the stacked systems stay
+    bit-identical to solving each trial alone (``array ** 2`` is ``a * a``,
+    which differs from ``pow`` in the last bit of about 0.1 % of values)."""
+    return np.float_power(a, 2)
+
+
+def _fail(errors, mask, exc_type, message: str) -> None:
+    """Give the members flagged in ``mask`` the error ``exc_type(message)``.
+
+    With ``errors`` None the error is raised; otherwise each flagged member
+    that holds no error yet gets its own instance.
+    """
+    if not mask.any():
+        return
+    if errors is None:
+        raise exc_type(message)
+    for i in np.flatnonzero(mask):
+        if errors.flat[i] is None:
+            errors.flat[i] = exc_type(message)
+
+
+def _on_live(fn, a, live, item_shape):
+    """``fn`` over the live members of the stack ``a``, NaN for the others."""
+    if live.all():
+        return fn(a)
+    out = np.full(live.shape + item_shape, np.nan)
+    if live.any():
+        out[live] = fn(a[live])
+    return out
+
+
+def _invert(a, errors=None):
+    """Inverse of every live matrix of a stack; a singular one fails alone.
+
+    Without ``errors`` a singular matrix raises ``SingularProblemError``.
+    """
+    live = np.ones(a.shape[:-2], dtype=bool) if errors is None else np.equal(errors, None)
+    try:
+        return _on_live(np.linalg.inv, a, live, a.shape[-2:])
+    except np.linalg.LinAlgError:
+        if errors is None:
+            raise SingularProblemError("weighting matrix is singular") from None
+    out = np.full(a.shape, np.nan)
+    for i in np.flatnonzero(live):
+        try:
+            out[i] = np.linalg.inv(a[i])
+        except np.linalg.LinAlgError:
+            errors[i] = SingularProblemError("weighting matrix is singular")
+    return out
+
+
 def unpack_measurement(m, n_receivers: int):
-    """Split a measurement vector into (r_n1, rdot_n1, phi, theta) arrays."""
+    """Split measurement vectors into (r_n1, rdot_n1, phi, theta) arrays.
+
+    ``m`` may carry leading batch axes; the split is along the last one.
+    """
     m = np.asarray(m, dtype=float)
-    if m.shape != (measurement_dim(n_receivers),):
+    if m.shape[-1:] != (measurement_dim(n_receivers),):
         raise DimensionMismatchError(
-            f"measurement length {m.size} does not match {n_receivers} receivers"
+            f"measurement length {m.shape[-1] if m.ndim else m.size} does not "
+            f"match {n_receivers} receivers"
         )
     k = 2 * n_receivers - 2
-    return m[0:k:2], m[1:k:2], m[k::2], m[k + 1 :: 2]
+    return m[..., 0:k:2], m[..., 1:k:2], m[..., k::2], m[..., k + 1 :: 2]
 
 
 def build_system(m, rrhs):
-    """Assemble the pseudo-linear pair (h, G) from a noisy measurement vector."""
+    """Assemble the pseudo-linear pair (h, G) from noisy measurement vectors.
+
+    ``m`` may carry leading batch axes: ``h`` then has the shape of ``m``
+    and ``G`` one more axis of length 6.
+    """
     rrhs = np.asarray(rrhs, dtype=float)
     n = rrhs.shape[0]
     r_n1, rdot_n1, phi, theta = unpack_measurement(m, n)
+    a, c, d = angular_vectors(phi, theta)
+    a_1, b_1, b_n = a[..., :1, :], rrhs[0], rrhs[1:]
+    a1_b1 = np.vecdot(a_1, b_1)
+    # Row i of lever is (b_1 - b_i) - r_i1 a_1, shared by the TDOA and FDOA rows.
+    lever = (b_1 - b_n) - r_n1[..., None] * a_1
 
-    b_1 = rrhs[0]
-    a_1, _, _ = angular_vectors(phi[0], theta[0])
-
-    dim = measurement_dim(n)
-    h = np.empty(dim)
-    g = np.zeros((dim, 6))
-    for i in range(1, n):
-        b_n = rrhs[i]
-        t_row = 2 * (i - 1)
-        h[t_row] = r_n1[i - 1] ** 2 - 2.0 * r_n1[i - 1] * (a_1 @ b_1) - b_n @ b_n + b_1 @ b_1
-        g[t_row, :3] = 2.0 * ((b_1 - b_n) - r_n1[i - 1] * a_1)
-        f_row = t_row + 1
-        h[f_row] = rdot_n1[i - 1] * r_n1[i - 1] - rdot_n1[i - 1] * (a_1 @ b_1)
-        g[f_row, :3] = -rdot_n1[i - 1] * a_1
-        g[f_row, 3:] = (b_1 - b_n) - r_n1[i - 1] * a_1
-    base = 2 * n - 2
-    for j in range(n):
-        _, c_j, d_j = angular_vectors(phi[j], theta[j])
-        h[base + 2 * j] = c_j @ rrhs[j]
-        g[base + 2 * j, :3] = c_j
-        h[base + 2 * j + 1] = d_j @ rrhs[j]
-        g[base + 2 * j + 1, :3] = d_j
+    k = 2 * n - 2
+    h = np.empty(r_n1.shape[:-1] + (measurement_dim(n),))
+    g = np.zeros(h.shape + (6,))
+    h[..., 0:k:2] = (
+        _square(r_n1) - 2.0 * r_n1 * a1_b1 - np.vecdot(b_n, b_n) + b_1 @ b_1
+    )
+    g[..., 0:k:2, :3] = 2.0 * lever
+    h[..., 1:k:2] = rdot_n1 * r_n1 - rdot_n1 * a1_b1
+    g[..., 1:k:2, :3] = -rdot_n1[..., None] * a_1
+    g[..., 1:k:2, 3:] = lever
+    h[..., k::2] = np.vecdot(c, rrhs)
+    g[..., k::2, :3] = c
+    h[..., k + 1 :: 2] = np.vecdot(d, rrhs)
+    g[..., k + 1 :: 2, :3] = d
     return h, g
 
 
@@ -112,7 +191,7 @@ def residual_vector(m, rrhs, x) -> np.ndarray:
     return h - g @ np.asarray(x, dtype=float)
 
 
-def build_b(x, rrhs) -> np.ndarray:
+def build_b(x, rrhs, errors=None) -> np.ndarray:
     """First-order map from measurement noise to the residual, at state x.
 
     Layout (matching the measurement vector): one 2x2 lower-triangular block
@@ -120,56 +199,81 @@ def build_b(x, rrhs) -> np.ndarray:
     rows into the reference receiver's two angle columns, and a diagonal over
     the AOA rows.  Invertible whenever ranges are positive and no receiver
     sees the user at zenith.
+
+    ``x`` may carry leading batch axes.  A state on a receiver, or straight
+    above the reference receiver, raises; with ``errors`` (an object array
+    over the batch axes) it is recorded there instead.
     """
     x = np.asarray(x, dtype=float)
     rrhs = np.asarray(rrhs, dtype=float)
-    u, udot = x[:3], x[3:]
     n = rrhs.shape[0]
-
-    diffs = u - rrhs
-    r = np.linalg.norm(diffs, axis=1)
-    if np.any(r <= 0.0):
-        raise DegenerateGeometryError("state coincides with a receiver")
-    rdot = diffs @ udot / r
-
-    phi1, theta1 = aoa_los(u, rrhs[0])
-    phidot1, thetadot1 = angle_rates(u, udot, rrhs[0])
-    cos_t1 = np.cos(theta1)
+    udot = x[..., 3:]
+    diffs = x[..., None, :3] - rrhs
+    r = np.sqrt(np.sum(diffs * diffs, axis=-1))
+    coincident = np.any(r <= 0.0, axis=-1)
+    _fail(errors, coincident, DegenerateGeometryError, "state coincides with a receiver")
+    # The angles (and the reference receiver's range in its angle rates)
+    # use the per-ray norm of aoa_los, as the scalar form did.
+    r_ray, phi, theta = look_angles(diffs)
+    cos_t = np.cos(theta)
+    _fail(
+        errors,
+        ~coincident & (np.abs(cos_t[..., 0]) < MIN_COS_ELEVATION),
+        GimbalLockError,
+        "azimuth rate undefined at +/-90 degrees elevation",
+    )
+    _, c_1, d_1 = angular_vectors(phi[..., 0], theta[..., 0])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rdot = (diffs @ udot[..., None])[..., 0] / r
+        phidot1 = np.vecdot(c_1, udot) / (r_ray[..., 0] * cos_t[..., 0])
+        thetadot1 = np.vecdot(d_1, udot) / r_ray[..., 0]
 
     dim = measurement_dim(n)
-    b = np.zeros((dim, dim))
     base = 2 * n - 2
-    for i in range(1, n):
-        t_row = 2 * (i - 1)
-        f_row = t_row + 1
-        b[t_row, t_row] = 2.0 * r[i]
-        b[f_row, t_row] = rdot[i]
-        b[f_row, f_row] = r[i]
-        r_i1 = r[i] - r[0]
-        b[f_row, base] = r[0] * r_i1 * phidot1 * cos_t1**2
-        b[f_row, base + 1] = r[0] * r_i1 * thetadot1
-    for j in range(n):
-        phi_j, theta_j = aoa_los(u, rrhs[j])
-        b[base + 2 * j, base + 2 * j] = r[j] * np.cos(theta_j)
-        b[base + 2 * j + 1, base + 2 * j + 1] = r[j]
+    t_rows = np.arange(0, base, 2)
+    f_rows = t_rows + 1
+    a_rows = np.arange(base, dim, 2)
+    r_0, r_i = r[..., :1], r[..., 1:]
+    r_i1 = r_i - r_0
+    b = np.zeros(x.shape[:-1] + (dim, dim))
+    b[..., t_rows, t_rows] = 2.0 * r_i
+    b[..., f_rows, t_rows] = rdot[..., 1:]
+    b[..., f_rows, f_rows] = r_i
+    b[..., f_rows, base] = r_0 * r_i1 * phidot1[..., None] * _square(cos_t[..., :1])
+    b[..., f_rows, base + 1] = r_0 * r_i1 * thetadot1[..., None]
+    b[..., a_rows, a_rows] = r * cos_t
+    b[..., a_rows + 1, a_rows + 1] = r
     return b
 
 
-def solve_linear(h, g, w):
+def solve_linear(h, g, w, errors=None):
     """One weighted solve of h = G x; returns (x, covariance-shaped inverse).
 
     The second return value is ``inv(G' W G)``, which is the estimator
     covariance only when ``W`` is the inverse covariance of ``h``'s error.
+
+    ``h``, ``g`` and ``w`` may carry leading batch axes (one ``w`` may serve
+    the whole stack).  A failing member raises; with ``errors`` (an object
+    array over the batch axes) its error is recorded there instead, members
+    that already hold one are skipped, and both results are NaN for every
+    skipped or failing member.
     """
-    normal = g.T @ w @ g
-    if not np.all(np.isfinite(normal)):
-        raise NumericalError("normal equations contain non-finite entries")
-    if np.linalg.cond(normal) > _COND_LIMIT:
-        raise SingularProblemError("normal equations are singular or near-singular")
-    inv_normal = np.linalg.inv(normal)
-    x = inv_normal @ (g.T @ w @ h)
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("solution contains non-finite entries")
+    gtw = np.swapaxes(g, -1, -2) @ w
+    normal = gtw @ g
+    live = np.isfinite(normal).all(axis=(-2, -1))
+    _fail(errors, ~live, NumericalError, "normal equations contain non-finite entries")
+    if errors is not None:
+        live = live & np.equal(errors, None)
+    singular = live & (_on_live(np.linalg.cond, normal, live, ()) > _COND_LIMIT)
+    _fail(errors, singular, SingularProblemError, "normal equations are singular or near-singular")
+    live = live & ~singular
+    inv_normal = _on_live(np.linalg.inv, normal, live, normal.shape[-2:])
+    x = (inv_normal @ (gtw @ h[..., None]))[..., 0]
+    blown = live & ~np.isfinite(x).all(axis=-1)
+    _fail(errors, blown, NumericalError, "solution contains non-finite entries")
+    if blown.any():
+        x[blown] = np.nan
+        inv_normal[blown] = np.nan
     return x, inv_normal
 
 
@@ -181,26 +285,81 @@ def _position_row_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _solve_position_only(h, g, q, rrhs, iters):
-    n = rrhs.shape[0]
-    rows = _position_row_mask(n)
-    h_p = h[rows]
-    g_p = g[np.ix_(rows, [0, 1, 2])]
-    q_p = q[np.ix_(rows, rows)]
-    w = np.linalg.inv(q_p)
-    pos = None
-    for it in range(iters):
+def _iterated_solve(h, g, q, build, iters: int, covariance_at_estimate: bool, errors):
+    """Iterated weighted solves of a stack; failures go to ``errors``.
+
+    The first solve uses ``W = inv(Q)``, each further one ``W = inv(B Q
+    B')`` with ``B = build(x, errors)`` at the current estimates.  The
+    covariance is the last solve's, after one more solve at the final
+    estimates when ``covariance_at_estimate`` is set.
+    """
+    w = _invert(q)
+    x = cov = None
+    for it in range(iters + covariance_at_estimate):
         if it > 0:
-            # Restricted rows of B touch only their own columns, so the
-            # sub-block is the full first-order map for this system.
-            x_full = np.concatenate([pos, np.zeros(3)])
-            b_sub = build_b(x_full, rrhs)[np.ix_(rows, rows)]
-            w = np.linalg.inv(b_sub @ q_p @ b_sub.T)
-        pos, cov_pos = solve_linear(h_p, g_p, w)
-    x = np.concatenate([pos, np.full(3, np.nan)])
-    cov = np.full((6, 6), np.nan)
-    cov[:3, :3] = cov_pos
-    return WlsResult(x=x, cov=cov, velocity_valid=False, iterations=iters)
+            b = build(x, errors)
+            w = _invert(b @ q @ np.swapaxes(b, -1, -2), errors)
+        x_it, cov = solve_linear(h, g, w, errors)
+        if it < iters:
+            x = x_it
+    return x, cov
+
+
+def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
+    """Iterated WLS estimates of a stack of measurements ``ms`` (T, dim).
+
+    Each trial runs as :func:`wls_solve` would run it alone, and fails
+    alone.  Trials whose joint normal matrix is singular are solved again
+    together on the position-only rows.
+    """
+    rrhs = np.asarray(rrhs, dtype=float)
+    q = np.asarray(q, dtype=float)
+    ms = np.asarray(ms, dtype=float)
+    if ms.ndim != 2:
+        raise DimensionMismatchError("measurements must be stacked as (trials, length)")
+    h, g = build_system(ms, rrhs)
+    if q.shape != (h.shape[-1], h.shape[-1]):
+        raise DimensionMismatchError("covariance does not match measurement size")
+
+    errors = np.full(len(ms), None, dtype=object)
+    x, cov = _iterated_solve(
+        h, g, q, lambda x, e: build_b(x, rrhs, e), iters, True, errors
+    )
+    valid = np.equal(errors, None)
+    if not valid.all():
+        # Velocity unidentifiable (fewer than four receivers in general
+        # position): solve these trials on the position-only rows.
+        fallback = np.flatnonzero(
+            [isinstance(e, SingularProblemError) for e in errors]
+        )
+        if fallback.size:
+            rows = np.flatnonzero(_position_row_mask(rrhs.shape[0]))
+            pos_errors = np.full(fallback.size, None, dtype=object)
+
+            def build_sub(pos, e):
+                # Restricted rows of B touch only their own columns, so the
+                # sub-block is the full first-order map for this system.
+                full = np.concatenate([pos, np.zeros_like(pos)], axis=-1)
+                return build_b(full, rrhs, e)[:, rows[:, None], rows]
+
+            pos, cov_pos = _iterated_solve(
+                h[fallback][:, rows],
+                g[fallback][:, rows, :3],
+                q[np.ix_(rows, rows)],
+                build_sub,
+                iters,
+                False,
+                pos_errors,
+            )
+            errors[fallback] = pos_errors
+            x[fallback] = np.nan
+            x[fallback, :3] = pos
+            cov[fallback] = np.nan
+            cov[fallback, :3, :3] = cov_pos
+        failed = ~np.equal(errors, None)
+        x[failed] = np.nan
+        cov[failed] = np.nan
+    return WlsBatch(x=x, cov=cov, velocity_valid=valid, failures=errors)
 
 
 def wls_solve(m, rrhs, q, iters: int = 2) -> WlsResult:
@@ -209,26 +368,14 @@ def wls_solve(m, rrhs, q, iters: int = 2) -> WlsResult:
     ``iters`` solves are performed (default 2), the first with ``W =
     inv(Q)`` and subsequent ones with ``W = inv(B Q B')`` rebuilt at the
     current state.  The returned covariance is evaluated at the final state.
+    This is :func:`wls_solve_batch` on a batch of one; its failure is raised.
     """
-    rrhs = np.asarray(rrhs, dtype=float)
-    q = np.asarray(q, dtype=float)
-    h, g = build_system(m, rrhs)
-    if q.shape != (h.size, h.size):
-        raise DimensionMismatchError("covariance does not match measurement size")
-
-    try:
-        w = np.linalg.inv(q)
-        x = None
-        for it in range(iters):
-            if it > 0:
-                b = build_b(x, rrhs)
-                w = np.linalg.inv(b @ q @ b.T)
-            x, _ = solve_linear(h, g, w)
-        b = build_b(x, rrhs)
-        w = np.linalg.inv(b @ q @ b.T)
-        _, cov = solve_linear(h, g, w)
-    except SingularProblemError:
-        # Velocity unidentifiable (fewer than four receivers in general
-        # position): fall back to the position-only system.
-        return _solve_position_only(h, g, q, rrhs, iters)
-    return WlsResult(x=x, cov=cov, velocity_valid=True, iterations=iters)
+    batch = wls_solve_batch(np.asarray(m, dtype=float)[None], rrhs, q, iters)
+    if batch.failures[0] is not None:
+        raise batch.failures[0]
+    return WlsResult(
+        x=batch.x[0],
+        cov=batch.cov[0],
+        velocity_valid=bool(batch.velocity_valid[0]),
+        iterations=iters,
+    )

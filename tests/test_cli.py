@@ -310,6 +310,29 @@ class TestPipelineRoundTrip:
         err = capsys.readouterr().err
         assert "every test sample failed" in err and "non-finite" in err
 
+    def test_eval_blackbox_non_finite_weights_exits_numerical(
+        self, pipeline_dir, tmp_path, capsys
+    ):
+        paths = pipeline_dir["a"]
+        model = tmp_path / "bb.npz"
+        assert run_cli(
+            "train", "--train", str(paths["train"]), "--val", str(paths["val"]),
+            "--pipeline", "blackbox", "--config", str(pipeline_dir["config"]),
+            "--out", str(model),
+        ) == EXIT_OK
+        net = nn.load_model(model)
+        net.weights[0][:] = np.nan
+        nn.save_model(net, model)
+        code = run_cli(
+            "eval", "--scenario", str(pipeline_dir["scenario"]),
+            "--data", str(paths["test"]), "--model", str(model),
+            "--pipeline", "blackbox", "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "every test sample failed" in err and "black-box" in err
+        assert "non-finite" in err
+
     def test_eval_without_model_rejected(self, pipeline_dir, tmp_path):
         assert run_cli(
             "eval", "--scenario", str(pipeline_dir["scenario"]),

@@ -1,17 +1,22 @@
 """Tests for the Monte Carlo harness and metric computation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hybridloc import harness, nn
+from hybridloc.crlb import crlb_ue, position_trace, velocity_trace
 from hybridloc.errors import (
     DimensionMismatchError,
     NumericalError,
     ScenarioError,
     SingularProblemError,
 )
-from hybridloc.noise import NoiseConfig
-from hybridloc.scenario import Scenario
+from hybridloc.noise import NoiseConfig, build_q
+from hybridloc.scenario import Scenario, load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestComputeMetrics:
@@ -135,6 +140,26 @@ class TestWlsCampaign:
         assert report.rmse_position > 0.0
 
 
+class TestVelocityMetricsWithFallbacks:
+    def test_velocity_reported_over_trials_that_kept_it(self):
+        # At n_a = 4 and rho = 30 a few trials fall back to position only.
+        sc = load_scenario(SCENARIOS / "crlb-attainment.yaml").replace(n_a=4)
+        sc = sc.replace(noise=sc.noise.scaled(30.0))
+        report, rows = harness.run_wls_campaign(sc, collect_trials=True)
+        ok = [r for r in rows if r["status"] == "ok"]
+        velocity = np.array([r["error_velocity"] for r in ok])
+        kept = velocity[np.isfinite(velocity)]
+        assert 0 < len(kept) < len(ok)
+
+        position = np.array([r["error_position"] for r in ok])
+        assert report.rmse_position == pytest.approx(np.sqrt(np.mean(position**2)), rel=1e-12)
+        assert report.rmse_velocity == pytest.approx(np.sqrt(np.mean(kept**2)), rel=1e-12)
+        assert report.mae_velocity == pytest.approx(np.mean(kept), rel=1e-12)
+        bound = crlb_ue(sc.ue_true, sc.selected_rrhs(), build_q(4, sc.noise))
+        assert report.crlb_trace_position == position_trace(bound)
+        assert report.crlb_trace_velocity == velocity_trace(bound)
+
+
 class TestScattererCampaign:
     def test_tiny_noise_near_exact(self):
         sc = Scenario(
@@ -151,19 +176,33 @@ class TestScattererCampaign:
         assert a.rmse_position == b.rmse_position
 
 
-def _singular(*args, **kwargs):
-    raise SingularProblemError("normal equations are singular")
+def _every_trial_singular(solve):
+    """A batch solver that runs ``solve`` and then fails every trial."""
+
+    def solve_and_fail(*args, **kwargs):
+        batch = solve(*args, **kwargs)
+        for t in range(len(batch.failures)):
+            batch.failures[t] = SingularProblemError(f"normal equations are singular ({t})")
+        return batch
+
+    return solve_and_fail
 
 
 class TestEveryTrialFailed:
     def test_wls_campaign_raises_numerical_error(self, monkeypatch):
-        monkeypatch.setattr(harness, "wls_solve", _singular)
-        with pytest.raises(NumericalError, match="every trial failed"):
+        monkeypatch.setattr(
+            harness, "wls_solve_batch", _every_trial_singular(harness.wls_solve_batch)
+        )
+        with pytest.raises(NumericalError, match=r"every trial failed.*singular \(0\)"):
             harness.run_wls_campaign(Scenario(trials=3, seed=1))
 
     def test_scatterer_campaign_raises_numerical_error(self, monkeypatch):
-        monkeypatch.setattr(harness, "scatterer_wls_solve", _singular)
-        with pytest.raises(NumericalError, match="every trial failed"):
+        monkeypatch.setattr(
+            harness,
+            "scatterer_wls_solve_batch",
+            _every_trial_singular(harness.scatterer_wls_solve_batch),
+        )
+        with pytest.raises(NumericalError, match=r"every trial failed.*singular \(0\)"):
             harness.run_scatterer_campaign(Scenario(trials=3, seed=1))
 
 
@@ -257,12 +296,11 @@ class TestWorkers:
             harness.worker_count()
 
     def test_results_identical_across_worker_counts(self, monkeypatch):
-        sc = Scenario(trials=16, seed=17)
+        # Only LOS selection still runs its trials in the pool.
+        sc = Scenario(trials=8, seed=17, n_a=4)
         monkeypatch.setenv(harness.WORKER_ENV, "1")
-        serial = harness.run_wls_campaign(sc)
+        serial = harness.run_sr_campaign(sc)
         monkeypatch.setenv(harness.WORKER_ENV, "2")
-        parallel = harness.run_wls_campaign(sc)
-        assert serial.rmse_position == parallel.rmse_position
-        assert np.array_equal(
-            serial.bias_per_component, parallel.bias_per_component
-        )
+        parallel = harness.run_sr_campaign(sc)
+        assert serial.success_rate == parallel.success_rate
+        assert serial.failure_rate == parallel.failure_rate

@@ -1,11 +1,17 @@
 """Tests for the reflected-path system, its linearization, and the solver."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
 from hybridloc.crlb import crlb_scatterer
-from hybridloc.errors import DegenerateGeometryError, DimensionMismatchError
+from hybridloc.errors import (
+    DegenerateGeometryError,
+    DimensionMismatchError,
+    SingularProblemError,
+)
 from hybridloc.geometry import scatterer_measurement
 from hybridloc.noise import NoiseConfig, build_qs, sample_gaussian
 from hybridloc.scatterer_wls import (
@@ -20,6 +26,7 @@ from hybridloc.scenario import (
     DEFAULT_SCATTERER_STATE,
     DEFAULT_UE_STATE,
     Scenario,
+    load_scenario,
     sample_scatterer_state,
 )
 
@@ -29,6 +36,7 @@ UE = DEFAULT_UE_STATE
 XS_TRUE = DEFAULT_SCATTERER_STATE
 MS_TRUE = scatterer_measurement(XS_TRUE, UE, B_OBS, B_REF)
 QS = build_qs(NoiseConfig())
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def fd_error_jacobian(ms0, xs, step=1e-7):
@@ -166,3 +174,14 @@ class TestSolver:
     def test_bad_covariance_shape_raises(self):
         with pytest.raises(DimensionMismatchError):
             scatterer_wls_solve(MS_TRUE, B_OBS, B_REF, UE, np.eye(3))
+
+    def test_pinned_singular_trial_still_raises(self):
+        # Trial 0 of crlb-attainment.yaml at seed 25 and rho 10: the square
+        # system solves, but the covariance's normal matrix is singular.
+        sc = load_scenario(SCENARIOS / "crlb-attainment.yaml")
+        cfg = sc.noise.scaled(10.0)
+        b_n, b_1 = sc.rrhs[sc.scatterer_rrh], sc.rrhs[0]
+        ms_true = scatterer_measurement(sc.scatterer_true, sc.ue_true, b_n, b_1)
+        ms = sample_gaussian(ms_true, build_qs(cfg), np.random.default_rng([25, 0]))
+        with pytest.raises(SingularProblemError, match="singular"):
+            scatterer_wls_solve(ms, b_n, b_1, sc.ue_true, build_qs(cfg))

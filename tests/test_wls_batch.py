@@ -1,0 +1,240 @@
+"""The stacked UE and scatterer solvers against the per-trial loop oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wls_oracle as oracle
+from hybridloc.errors import HybridlocError, NumericalError, SingularProblemError
+from hybridloc.geometry import scatterer_measurement, ue_measurement
+from hybridloc.noise import NoiseConfig, build_q, build_qs, sample_gaussian
+from hybridloc.scatterer_wls import scatterer_wls_solve_batch
+from hybridloc.scenario import (
+    DEFAULT_RRHS,
+    Scenario,
+    sample_scatterer_state,
+    sample_ue_state,
+)
+from hybridloc.ue_wls import (
+    _invert,
+    build_b,
+    build_system,
+    solve_linear,
+    wls_solve,
+    wls_solve_batch,
+)
+
+RTOL = 1e-9
+
+
+def _ue_state(kind: str, rrhs, rng) -> np.ndarray:
+    """A random state, or one near (or straight above) a receiver's zenith."""
+    if kind == "random":
+        return sample_ue_state(Scenario(), rng)
+    j = int(rng.integers(rrhs.shape[0]))
+    offset = 0.0 if kind == "zenith" else rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-9, 0)
+    position = np.array([*(rrhs[j, :2] + offset), rrhs[j, 2] + rng.uniform(5.0, 80.0)])
+    return np.concatenate([position, rng.uniform(-5.0, 5.0, 3)])
+
+
+def _oracle(solve, *args):
+    """The oracle's result, or the error it raised."""
+    try:
+        return solve(*args)
+    except (HybridlocError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def _assert_trial_matches(expected, failure):
+    """One stacked trial's failure against the oracle's outcome."""
+    if isinstance(expected, np.linalg.LinAlgError):
+        # inv of an exactly singular weighting: the stack names it.
+        assert isinstance(failure, HybridlocError)
+        return False
+    if isinstance(expected, HybridlocError):
+        assert type(failure) is type(expected)
+        assert str(failure) == str(expected)
+        return False
+    assert failure is None
+    return True
+
+
+def _assert_close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=0.0)
+
+
+class TestUeBatchMatchesOracle:
+    @given(
+        st.integers(2, 9),
+        st.sampled_from([0.1, 0.3, 1.0, 3.0, 10.0, 30.0]),
+        st.integers(1, 3),
+        st.lists(st.sampled_from(["random", "random", "near_zenith", "zenith"]),
+                 min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_trial_matches(self, n_a, rho, iters, kinds, seed):
+        rng = np.random.default_rng(seed)
+        rrhs = DEFAULT_RRHS[:n_a]
+        q = build_q(n_a, NoiseConfig().scaled(rho))
+        ms = np.array([
+            sample_gaussian(ue_measurement(_ue_state(kind, rrhs, rng), rrhs), q, rng)
+            for kind in kinds
+        ])
+        batch = wls_solve_batch(ms, rrhs, q, iters)
+        for t, m in enumerate(ms):
+            expected = _oracle(oracle.wls_solve, m, rrhs, q, iters)
+            if not _assert_trial_matches(expected, batch.failures[t]):
+                assert np.all(np.isnan(batch.x[t]))
+                continue
+            x, cov, velocity_valid = expected
+            assert batch.velocity_valid[t] == velocity_valid
+            _assert_close(batch.x[t], x)
+            _assert_close(batch.cov[t], cov)
+
+    @given(st.integers(2, 9), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_system_and_b_match_on_stacks(self, n_a, size, seed):
+        rng = np.random.default_rng(seed)
+        rrhs = DEFAULT_RRHS[:n_a]
+        xs = np.array([sample_ue_state(Scenario(), rng) for _ in range(size)])
+        ms = np.array([ue_measurement(x, rrhs) for x in xs])
+        h, g = build_system(ms, rrhs)
+        b = build_b(xs, rrhs)
+        w = np.linalg.inv(b @ build_q(n_a, NoiseConfig()) @ np.swapaxes(b, 1, 2))
+        errors = np.full(size, None, dtype=object)
+        x, cov = solve_linear(h, g, w, errors)
+        for t in range(size):
+            h_o, g_o = oracle.build_system(ms[t], rrhs)
+            _assert_close(h[t], h_o)
+            _assert_close(g[t], g_o)
+            _assert_close(b[t], oracle.build_b(xs[t], rrhs))
+            expected = _oracle(oracle.solve_linear, h_o, g_o, w[t])
+            if _assert_trial_matches(expected, errors[t]):
+                _assert_close(x[t], expected[0])
+                _assert_close(cov[t], expected[1])
+
+
+class TestScattererBatchMatchesOracle:
+    @given(
+        st.sampled_from([0.1, 0.3, 1.0, 3.0, 10.0, 30.0]),
+        st.integers(0, DEFAULT_RRHS.shape[0] - 1),
+        st.lists(st.sampled_from(["random", "random", "zenith"]), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_trial_matches(self, rho, obs, kinds, seed):
+        rng = np.random.default_rng(seed)
+        sc = Scenario()
+        b_n, b_1 = DEFAULT_RRHS[obs], DEFAULT_RRHS[0]
+        ue = sample_ue_state(sc, rng)
+        qs = build_qs(NoiseConfig().scaled(rho))
+        ms = []
+        for kind in kinds:
+            xs = sample_scatterer_state(sc, rng)
+            if kind == "zenith":
+                xs[:3] = [b_n[0], b_n[1], b_n[2] + rng.uniform(5.0, 80.0)]
+            ms.append(sample_gaussian(scatterer_measurement(xs, ue, b_n, b_1), qs, rng))
+        ms = np.array(ms)
+        batch = scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs)
+        for t, m in enumerate(ms):
+            expected = _oracle(oracle.scatterer_wls_solve, m, b_n, b_1, ue, qs)
+            if not _assert_trial_matches(expected, batch.failures[t]):
+                assert np.all(np.isnan(batch.x[t]))
+                continue
+            _assert_close(batch.x[t], expected[0])
+            _assert_close(batch.cov[t], expected[1])
+
+
+def _ue_stack(n_a=6, trials=5, seed=3):
+    rng = np.random.default_rng(seed)
+    rrhs = DEFAULT_RRHS[:n_a]
+    q = build_q(n_a, NoiseConfig())
+    states = np.array([sample_ue_state(Scenario(), rng) for _ in range(trials)])
+    ms = np.array([sample_gaussian(ue_measurement(x, rrhs), q, rng) for x in states])
+    return ms, rrhs, q
+
+
+class TestPoisonedTrialFailsAlone:
+    def _check(self, ms, poisoned, rrhs, q, error_type):
+        clean = wls_solve_batch(np.delete(ms, poisoned, axis=0), rrhs, q)
+        batch = wls_solve_batch(ms, rrhs, q)
+        assert isinstance(batch.failures[poisoned], error_type)
+        assert np.all(np.isnan(batch.x[poisoned]))
+        keep = np.arange(len(ms)) != poisoned
+        assert all(f is None for f in batch.failures[keep])
+        assert np.array_equal(batch.x[keep], clean.x, equal_nan=True)
+        assert np.array_equal(batch.cov[keep], clean.cov, equal_nan=True)
+        assert np.array_equal(batch.velocity_valid[keep], clean.velocity_valid)
+
+    def test_nan_measurement(self):
+        ms, rrhs, q = _ue_stack()
+        ms[2, 7] = np.nan
+        self._check(ms, 2, rrhs, q, NumericalError)
+
+    @pytest.mark.parametrize("n_a, receiver", [(6, 0), (6, 3), (3, 1)])
+    def test_state_straight_above_a_receiver(self, n_a, receiver):
+        ms, rrhs, q = _ue_stack(n_a=n_a)
+        x = np.array([*rrhs[receiver, :2], rrhs[receiver, 2] + 40.0, 3.0, -2.0, 0.5])
+        ms[1] = ue_measurement(x, rrhs)
+        self._check(ms, 1, rrhs, q, HybridlocError)
+
+    def test_scalar_solver_raises_the_trials_error(self):
+        ms, rrhs, q = _ue_stack()
+        ms[0, 3] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            wls_solve(ms[0], rrhs, q)
+
+    def test_singular_member_of_a_solve_stack_fails_alone(self):
+        ms, rrhs, q = _ue_stack(trials=4)
+        h, g = build_system(ms, rrhs)
+        w = np.linalg.inv(q)
+        g[1, :, 3:] = 0.0  # velocity columns vanish: singular normal matrix
+        h[2, 0] = np.nan
+        errors = np.full(4, None, dtype=object)
+        x, cov = solve_linear(h, g, w, errors)
+        assert isinstance(errors[1], SingularProblemError)
+        assert isinstance(errors[2], NumericalError)
+        assert np.all(np.isnan(x[[1, 2]])) and np.all(np.isnan(cov[[1, 2]]))
+        for t in (0, 3):
+            assert errors[t] is None
+            x_o, cov_o = oracle.solve_linear(h[t], g[t], w)
+            assert np.array_equal(x[t], x_o) and np.array_equal(cov[t], cov_o)
+
+    def test_singular_member_of_an_inverse_stack_fails_alone(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((4, 5, 5))
+        a[2, 3] = 0.0  # a zero row: exactly singular
+        errors = np.full(4, None, dtype=object)
+        inv = _invert(a, errors)
+        assert isinstance(errors[2], SingularProblemError)
+        assert np.all(np.isnan(inv[2]))
+        for t in (0, 1, 3):
+            assert errors[t] is None
+            assert np.array_equal(inv[t], np.linalg.inv(a[t]))
+
+    def test_singular_covariance_raises_singular_problem(self):
+        ms, rrhs, q = _ue_stack(trials=3)
+        q = q.copy()
+        q[0, 0] = 0.0
+        with pytest.raises(SingularProblemError):
+            wls_solve_batch(ms, rrhs, q)
+
+    def test_scatterer_nan_measurement(self):
+        sc = Scenario()
+        b_n, b_1 = DEFAULT_RRHS[3], DEFAULT_RRHS[0]
+        qs = build_qs(NoiseConfig())
+        rng = np.random.default_rng(5)
+        ms = np.array([
+            sample_gaussian(scatterer_measurement(sample_scatterer_state(sc, rng),
+                                                  sc.ue_true, b_n, b_1), qs, rng)
+            for _ in range(4)
+        ])
+        clean = scatterer_wls_solve_batch(np.delete(ms, 1, axis=0), b_n, b_1, sc.ue_true, qs)
+        ms[1, 0] = np.nan
+        batch = scatterer_wls_solve_batch(ms, b_n, b_1, sc.ue_true, qs)
+        assert isinstance(batch.failures[1], NumericalError)
+        keep = [0, 2, 3]
+        assert np.array_equal(batch.x[keep], clean.x, equal_nan=True)
+        assert np.array_equal(batch.cov[keep], clean.cov, equal_nan=True)
