@@ -19,6 +19,7 @@ import io
 import json
 import platform
 import sys
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -246,14 +247,39 @@ def cmd_select_sr(args) -> int:
     return EXIT_OK
 
 
+_SPLITS = ("train", "val", "test")
+
+
+def _split_sizes(text: str) -> tuple:
+    try:
+        sizes = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        sizes = ()
+    if len(sizes) != len(_SPLITS) or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected three positive sample counts N_TRAIN,N_VAL,N_TEST, got {text!r}"
+        )
+    return sizes
+
+
 def cmd_gen_dataset(args) -> int:
     sc = _load(args)
     rng = np.random.default_rng(sc.seed)
+    n_samples = sum(args.split) if args.split else args.samples
     if args.target == "scatterer":
-        ds = nn_mod.make_scatterer_dataset(sc, args.samples, rng)
+        ds = nn_mod.make_scatterer_dataset(sc, n_samples, rng)
     else:
-        ds = nn_mod.make_dataset(sc, args.samples, rng)
-    nn_mod.save_dataset(ds, args.out)
+        ds = nn_mod.make_dataset(sc, n_samples, rng)
+    if not args.split:
+        nn_mod.save_dataset(ds, args.out)
+        return EXIT_OK
+    # One draw, so the three files share the structured noise's dominant bias.
+    out = Path(args.out)
+    stem = out.with_suffix("") if out.suffix == ".npz" else out
+    lo = 0
+    for name, size in zip(_SPLITS, args.split):
+        nn_mod.save_dataset(ds.subset(slice(lo, lo + size)), f"{stem}-{name}.npz")
+        lo += size
     return EXIT_OK
 
 
@@ -418,6 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-dataset", help="synthesize a training dataset")
     common(p)
     p.add_argument("--samples", type=int, default=2700, help="sample count")
+    p.add_argument(
+        "--split",
+        type=_split_sizes,
+        metavar="N_TRAIN,N_VAL,N_TEST",
+        help="draw N_TRAIN+N_VAL+N_TEST samples at once (instead of --samples) "
+        "and write them to <stem>-train.npz, <stem>-val.npz and <stem>-test.npz, "
+        "<stem> being --out without .npz",
+    )
     p.add_argument(
         "--target",
         choices=("ue", "scatterer"),

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ScenarioError
-from .nn import MlpConfig, _train_stack, _weighted_solve, load_model, save_model
+from .nn import (
+    MlpConfig,
+    _no_failures,
+    _stacked,
+    _train_stack,
+    load_model,
+    residual_solve,
+    save_model,
+)
 from .ue_wls import _COND_LIMIT, build_system, solve_linear
 
 
@@ -50,53 +58,114 @@ def train_ensemble(base: MlpConfig, ens: EnsembleConfig, train_set, val_set):
     return _train_stack(configs, train_set.m, train_set.e, val_set.m, val_set.e)
 
 
-def density_measure(preds, p: int, r_a: float) -> float:
-    """Density of prediction ``p``: sum of Gaussian kernels over all members.
-
-    The self term is included, so identical predictions all score P.
-    """
-    preds = np.atleast_2d(np.asarray(preds, dtype=float))
-    d2 = np.sum((preds - preds[p]) ** 2, axis=1)
-    return float(np.sum(np.exp(-d2 / (r_a / 2.0) ** 2)))
-
-
 def _densities(preds: np.ndarray, r_a: float) -> np.ndarray:
-    diff = preds[:, None, :] - preds[None, :, :]
-    d2 = np.sum(diff**2, axis=2)
-    return np.sum(np.exp(-d2 / (r_a / 2.0) ** 2), axis=1)
+    """Density of each prediction (sum of Gaussian kernels over all of them,
+    its own included) among the predictions on the second-to-last axis."""
+    diff = preds[..., :, None, :] - preds[..., None, :, :]
+    d2 = np.sum(diff**2, axis=-1)
+    return np.sum(np.exp(-d2 / (r_a / 2.0) ** 2), axis=-1)
 
 
 def subtractive_pick(preds, r_a: float) -> np.ndarray:
     """The input prediction with the highest density; ties go to the
-    lowest index (np.argmax returns the first maximum)."""
+    lowest index (np.argmax returns the first maximum).
+
+    ``preds`` (P, d) may carry leading batch axes: each stack of P
+    predictions then gets its own pick.
+    """
     preds = np.atleast_2d(np.asarray(preds, dtype=float))
-    if preds.shape[0] == 0:
+    if preds.shape[-2] == 0:
         raise DimensionMismatchError("need at least one prediction")
-    return preds[int(np.argmax(_densities(preds, r_a)))].copy()
+    pick = np.argmax(_densities(preds, r_a), axis=-1).reshape(-1)
+    flat = preds.reshape((len(pick),) + preds.shape[-2:])
+    return flat[np.arange(len(pick)), pick].reshape(preds.shape[:-2] + preds.shape[-1:])
+
+
+def _stack_inputs(nets, ms, rrhs):
+    """(N, P, dim) member predictions, one ``predict`` per member, and the
+    systems (h, G) of stacked measurements."""
+    ms = _stacked(ms)
+    e_hats = np.stack([net.predict(ms) for net in nets], axis=1)
+    return (e_hats,) + build_system(ms, np.asarray(rrhs, dtype=float))
+
+
+def _sample_inputs(nets, m, rrhs):
+    """The member predictions (P, dim) and the system (h, G) of one sample."""
+    m = np.asarray(m, dtype=float)
+    e_hats = np.array([net.predict(m) for net in nets], dtype=float)
+    return (e_hats,) + build_system(m, np.asarray(rrhs, dtype=float))
+
+
+def _member_states(e_hats, h, g, eps):
+    """NN-WLS states (..., P, 6) of every member, solved in one stack, and
+    per system the error of its first failing member, or None (its rows
+    are then NaN).  ``e_hats`` (..., P, dim) against ``h`` (..., dim) and
+    ``g`` (..., dim, 6)."""
+    errors = np.full(e_hats.shape[:-1], None, dtype=object)
+    states, _ = residual_solve(
+        h[..., None, :], g[..., None, :, :], e_hats[..., None, :], eps, errors
+    )
+    failures = np.full(errors.shape[:-1], None, dtype=object)
+    failed = ~np.equal(errors, None)
+    if failed.any():
+        for idx in np.argwhere(failed)[::-1]:  # last to first: the first member wins
+            failures[tuple(idx[:-1])] = errors[tuple(idx)]
+        states[~np.equal(failures, None)] = np.nan
+    return states, failures
+
+
+def member_states_batch(nets, ms, rrhs, eps: float = 0.1):
+    """Per-member NN-WLS states of stacked measurements ``ms`` (N, dim).
+
+    Returns ``(states, failures)``: states (N, P, 6), and per sample the
+    error of its first failing member or None.  The systems are built
+    once for all members, and all members are solved in one stack.
+    """
+    return _member_states(*_stack_inputs(nets, ms, rrhs), eps)
 
 
 def member_states(nets, m, rrhs, eps: float = 0.1) -> np.ndarray:
     """Stack of per-member NN-WLS state estimates, one row per net.
 
     Row i equals ``nn.nn_wls_estimate(nets[i], m, rrhs, eps)``; the
-    pseudo-linear system is built once for all members.
+    pseudo-linear system is built once for all members, and the first
+    failing member's error is raised.
     """
-    m = np.asarray(m, dtype=float)
-    h, g = build_system(m, np.asarray(rrhs, dtype=float))
-    return np.array([_weighted_solve(net.predict(m), h, g, eps) for net in nets])
+    states, failure = _member_states(*_sample_inputs(nets, m, rrhs), eps)
+    if failure[()] is not None:
+        raise failure[()]
+    return states
+
+
+def _vote(states, r_a: float):
+    """Density vote among member states (..., P, 6), run separately on
+    positions and velocities."""
+    return np.concatenate(
+        [subtractive_pick(states[..., :3], r_a), subtractive_pick(states[..., 3:], r_a)],
+        axis=-1,
+    )
+
+
+def enn_a_wls_batch(nets, ms, rrhs, eps: float = 0.1, r_a: float = 0.1):
+    """ENN-A estimates of stacked measurements, as ``nn.nn_wls_batch``."""
+    states, failures = member_states_batch(nets, ms, rrhs, eps)
+    return _vote(states, r_a), failures
 
 
 def enn_a_wls(nets, m, rrhs, eps: float = 0.1, r_a: float = 0.1) -> np.ndarray:
     """Density vote, run separately on positions and velocities."""
-    states = member_states(nets, m, rrhs, eps)
-    pos = subtractive_pick(states[:, :3], r_a)
-    vel = subtractive_pick(states[:, 3:], r_a)
-    return np.concatenate([pos, vel])
+    return _vote(member_states(nets, m, rrhs, eps), r_a)
+
+
+def enn_m_wls_batch(nets, ms, rrhs, eps: float = 0.1):
+    """ENN-M estimates of stacked measurements, as ``nn.nn_wls_batch``."""
+    states, failures = member_states_batch(nets, ms, rrhs, eps)
+    return states.mean(axis=-2), failures
 
 
 def enn_m_wls(nets, m, rrhs, eps: float = 0.1) -> np.ndarray:
     """Plain mean of the member state estimates."""
-    return member_states(nets, m, rrhs, eps).mean(axis=0)
+    return member_states(nets, m, rrhs, eps).mean(axis=-2)
 
 
 def average_outer(e_hats) -> np.ndarray:
@@ -118,20 +187,51 @@ def invert_weighting(avg: np.ndarray, ridge_scale: float = 1e-4):
     return np.linalg.inv(avg + eps * np.eye(dim)), True
 
 
-def enn_b_wls(nets, m, rrhs, ridge_scale: float = 1e-4) -> np.ndarray:
-    """Single WLS solve weighted by the averaged residual outer product."""
-    m = np.asarray(m, dtype=float)
-    e_hats = [net.predict(m) for net in nets]
-    w, engaged = invert_weighting(average_outer(e_hats), ridge_scale)
+def _enn_b(e_hats, h, g, ridge_scale: float, errors=None):
+    """ENN-B states from member predictions ``e_hats`` (..., P, dim).
+
+    With fewer members P than measurement rows the averaged outer product
+    ``EᵀE/P`` has rank at most P, so its ridge ``δ = ridge_scale·trace/dim``
+    always engages, and ``(δI + EᵀE/P)⁻¹`` is applied through the P×P
+    system ``δP·I + EEᵀ`` (``nn.residual_solve``; scaling the weighting
+    by P leaves the estimate as it is).  From P = dim on,
+    :func:`invert_weighting` decides and inverts densely, and a system
+    with non-finite predictions gets a non-finite weighting.  Warns
+    (RuntimeWarning) once per call when a ridge engaged.
+    """
+    p, dim = e_hats.shape[-2:]
+    if p < dim:
+        trace = np.sum(e_hats * e_hats, axis=(-2, -1)) / p
+        delta = ridge_scale * np.maximum(trace / dim, np.finfo(float).tiny)
+        x, _ = residual_solve(h, g, e_hats, delta * p, errors)
+        engaged = True
+    else:
+        stack = e_hats.reshape(-1, p, dim)
+        w = np.full((len(stack), dim, dim), np.nan)
+        engaged = False
+        for i in np.flatnonzero(np.isfinite(stack).all(axis=(1, 2))):
+            w[i], hit = invert_weighting(average_outer(stack[i]), ridge_scale)
+            engaged |= hit
+        x, _ = solve_linear(h, g, w.reshape(e_hats.shape[:-2] + (dim, dim)), errors)
     if engaged:
         warnings.warn(
             "averaged residual weighting was singular; ridge engaged",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    h, g = build_system(m, np.asarray(rrhs, dtype=float))
-    x, _ = solve_linear(h, g, w)
     return x
+
+
+def enn_b_wls_batch(nets, ms, rrhs, ridge_scale: float = 1e-4):
+    """ENN-B estimates of stacked measurements, as ``nn.nn_wls_batch``."""
+    e_hats, h, g = _stack_inputs(nets, ms, rrhs)
+    errors = _no_failures(len(h))
+    return _enn_b(e_hats, h, g, ridge_scale, errors), errors
+
+
+def enn_b_wls(nets, m, rrhs, ridge_scale: float = 1e-4) -> np.ndarray:
+    """Single WLS solve weighted by the averaged residual outer product."""
+    return _enn_b(*_sample_inputs(nets, m, rrhs), ridge_scale)
 
 
 def save_ensemble(nets, ens: EnsembleConfig, directory) -> str:

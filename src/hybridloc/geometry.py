@@ -42,15 +42,6 @@ def los_range(u, b) -> float:
     return float(np.linalg.norm(u - b))
 
 
-def tdoa_related(u, b_n, b_1) -> float:
-    """Range difference ``||u - b_n|| - ||u - b_1||`` (meters).
-
-    Antisymmetric in the two receivers: swapping ``b_n`` and ``b_1`` flips
-    the sign.
-    """
-    return los_range(u, b_n) - los_range(u, b_1)
-
-
 def range_rate(u, udot, b) -> float:
     """Rate of change of ``||u - b||`` for a point moving with velocity ``udot``.
 
@@ -65,11 +56,6 @@ def range_rate(u, udot, b) -> float:
     if r == 0.0:
         raise DegenerateGeometryError("range rate undefined for coincident points")
     return float(udot @ diff / r)
-
-
-def fdoa_related(u, udot, b_n, b_1) -> float:
-    """Range-rate difference against the reference receiver (meters/second)."""
-    return range_rate(u, udot, b_n) - range_rate(u, udot, b_1)
 
 
 def aoa_los(u, b) -> tuple[float, float]:
@@ -200,44 +186,58 @@ def ue_measurement(x, rrhs) -> np.ndarray:
     """Noise-free hybrid measurement vector for user state ``x`` (6-vector).
 
     Layout: ``(n-1)`` TDOA/FDOA pairs for receivers 2..n against receiver 1,
-    followed by ``n`` azimuth/elevation pairs for receivers 1..n.
+    followed by ``n`` azimuth/elevation pairs for receivers 1..n.  ``x``
+    may carry leading batch axes; each vector then equals the one a single
+    state gives.
     """
     x = np.asarray(x, dtype=float)
     rrhs = np.atleast_2d(np.asarray(rrhs, dtype=float))
-    u, udot = x[:3], x[3:]
+    u, udot = x[..., :3], x[..., 3:]
     n = rrhs.shape[0]
 
-    diffs = u[None, :] - rrhs            # (n, 3)
-    r = np.linalg.norm(diffs, axis=1)
+    diffs = u[..., None, :] - rrhs            # (..., n, 3)
+    r = np.linalg.norm(diffs, axis=-1)
     if np.any(r == 0.0):
         raise DegenerateGeometryError("user position coincides with a receiver")
-    rdot = diffs @ udot / r
+    rdot = (diffs @ udot[..., None])[..., 0] / r
 
-    m = np.empty(measurement_dim(n))
-    m[0 : 2 * n - 2 : 2] = r[1:] - r[0]
-    m[1 : 2 * n - 2 : 2] = rdot[1:] - rdot[0]
-    horiz = np.hypot(diffs[:, 0], diffs[:, 1])
-    phi = np.where(horiz > 0.0, np.arctan2(diffs[:, 1], diffs[:, 0]), 0.0)
-    theta = np.arcsin(np.clip(diffs[:, 2] / r, -1.0, 1.0))
-    m[2 * n - 2 :: 2] = phi
-    m[2 * n - 1 :: 2] = theta
+    m = np.empty(x.shape[:-1] + (measurement_dim(n),))
+    m[..., 0 : 2 * n - 2 : 2] = r[..., 1:] - r[..., :1]
+    m[..., 1 : 2 * n - 2 : 2] = rdot[..., 1:] - rdot[..., :1]
+    dx, dy = diffs[..., 0], diffs[..., 1]
+    horiz = np.hypot(dx, dy)
+    phi = np.where(horiz > 0.0, np.arctan2(dy, dx), 0.0)
+    theta = np.arcsin(np.clip(diffs[..., 2] / r, -1.0, 1.0))
+    m[..., 2 * n - 2 :: 2] = phi
+    m[..., 2 * n - 1 :: 2] = theta
     return m
 
 
 def scatterer_measurement(xs, x_ue, b_n, b_1) -> np.ndarray:
     """Noise-free 4-vector ``[rs_n1, rsdot_n1, phi_s, theta_s]`` for one scatterer.
 
-    ``xs`` is the 4-vector ``[s, signed_speed]``; the scatterer velocity
-    direction is taken from the user velocity in ``x_ue``.
+    ``xs`` is the 4-vector ``[s, signed_speed]``, or a stack of them on
+    leading batch axes; the scatterer velocity direction is taken from the
+    user velocity in ``x_ue``.  Each vector equals :func:`nlos_params` for
+    its scatterer.
     """
     xs = np.asarray(xs, dtype=float)
     x_ue = np.asarray(x_ue, dtype=float)
+    b_n = np.asarray(b_n, dtype=float)
     u, udot = x_ue[:3], x_ue[3:]
     speed = np.linalg.norm(udot)
     if speed == 0.0:
         raise DegenerateGeometryError(
             "scatterer velocity direction undefined for a static user"
         )
-    n_v = udot / speed
-    sdot_vec = xs[3] * n_v
-    return np.array(nlos_params(u, udot, xs[:3], sdot_vec, b_n, b_1))
+    s = xs[..., :3]
+    sdot_vec = xs[..., 3:] * (udot / speed)
+    d1, phi_s, theta_s = look_angles(s - b_n)  # scatterer -> receiver leg
+    d2 = np.sqrt(np.vecdot(u - s, u - s))      # user -> scatterer leg
+    if np.any(d1 == 0.0) or np.any(d2 == 0.0):
+        raise DegenerateGeometryError("scatterer coincides with user or receiver")
+    rsdot = np.vecdot(udot - sdot_vec, u - s) / d2 + np.vecdot(sdot_vec, s - b_n) / d1
+    return np.stack(
+        [d1 + d2 - los_range(u, b_1), rsdot - range_rate(u, udot, b_1), phi_s, theta_s],
+        axis=-1,
+    )

@@ -47,7 +47,7 @@ from .noise import (
 from .scatterer_wls import scatterer_wls_solve_batch
 from .scenario import Scenario
 from .selection import select_los, simulate_paths
-from .ue_wls import wls_solve, wls_solve_batch
+from .ue_wls import wls_solve_batch
 
 WORKER_ENV = "HYBRIDLOC_WORKERS"
 
@@ -304,48 +304,51 @@ def run_sr_campaign(sc: Scenario) -> MetricReport:
 
 
 def estimator(pipeline: str, sc: Scenario, model=None, eps: float = 0.1, r_a: float = 0.1):
-    """The ``m -> x`` map of a learning pipeline on the scenario's receivers.
+    """The stack map of a learning pipeline on the scenario's receivers.
 
-    ``model`` is the trained net, or the list of member nets for the ENN
-    pipelines; "wls" needs none.
+    The map takes stacked measurements (N, dim) and returns ``(x,
+    failures)``: the (N, 6) estimates and, per sample, the
+    ``HybridlocError`` it raised or None, as ``WlsBatch`` does.  ``model``
+    is the trained net, or the list of member nets for the ENN pipelines;
+    "wls" needs none.
     """
     rrhs = sc.selected_rrhs()
     if pipeline == "wls":
         q = build_q(sc.n_a, sc.noise)
-        return lambda m: wls_solve(m, rrhs, q, iters=sc.wls_iters).x
+
+        def wls(ms):
+            batch = wls_solve_batch(ms, rrhs, q, iters=sc.wls_iters)
+            return batch.x, batch.failures
+
+        return wls
     if pipeline == "blackbox":
-        return lambda m: nn.blackbox_estimate(model, m)
+        return lambda ms: nn.blackbox_batch(model, ms)
     if pipeline == "nn_wls":
-        return lambda m: nn.nn_wls_estimate(model, m, rrhs, eps)
+        return lambda ms: nn.nn_wls_batch(model, ms, rrhs, eps)
     if pipeline == "nn_ls":
-        return lambda m: nn.nn_ls_estimate(model, m, rrhs)
+        return lambda ms: nn.nn_ls_batch(model, ms, rrhs)
     if pipeline == "enn_a":
-        return lambda m: ensemble.enn_a_wls(model, m, rrhs, eps, r_a)
+        return lambda ms: ensemble.enn_a_wls_batch(model, ms, rrhs, eps, r_a)
     if pipeline == "enn_b":
-        return lambda m: ensemble.enn_b_wls(model, m, rrhs)
+        return lambda ms: ensemble.enn_b_wls_batch(model, ms, rrhs)
     if pipeline == "enn_m":
-        return lambda m: ensemble.enn_m_wls(model, m, rrhs, eps)
+        return lambda ms: ensemble.enn_m_wls_batch(model, ms, rrhs, eps)
     raise ScenarioError(f"unknown pipeline {pipeline!r}")
 
 
 def evaluate(estimate, test_set) -> MetricReport:
-    """Metrics of ``estimate`` over a test set's (m, x) pairs.
+    """Metrics of the stack map ``estimate`` over a test set's (m, x) pairs.
 
-    Samples whose estimate raises a ``HybridlocError`` count in
-    ``failure_rate``; if every sample fails, ``CampaignFailedError`` carries
-    the first sample's reason.
+    The map runs once on the whole set.  Failed samples count in
+    ``failure_rate``; if every sample fails, ``CampaignFailedError``
+    carries sample 0's reason.
     """
-    estimates, truths, reasons = [], [], []
-    for m, x in zip(test_set.m, test_set.x):
-        try:
-            estimates.append(estimate(m))
-            truths.append(x)
-        except HybridlocError as exc:
-            reasons.append(str(exc))
-    if not estimates:
-        raise CampaignFailedError(f"every test sample failed; sample 0: {reasons[0]}")
-    report = compute_metrics(np.array(estimates), np.array(truths))
-    report.failure_rate = len(reasons) / len(test_set.m)
+    x, failures = estimate(test_set.m)
+    ok = np.equal(failures, None)
+    if not ok.any():
+        raise CampaignFailedError(f"every test sample failed; sample 0: {failures[0]}")
+    report = compute_metrics(x[ok], test_set.x[ok])
+    report.failure_rate = int(np.count_nonzero(~ok)) / len(test_set.m)
     report.trials = len(test_set.m)
     return report
 

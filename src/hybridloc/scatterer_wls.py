@@ -117,12 +117,6 @@ def build_scatterer_system(ms, b_n, b_1, ue):
     return h, g, t
 
 
-def scatterer_residual(ms, b_n, b_1, ue, xs) -> np.ndarray:
-    """Residual e = h - G T x for a reduced state x = [s, speed]."""
-    h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
-    return h - (g @ t) @ np.asarray(xs, dtype=float)
-
-
 def build_bs(xs, b_n, ue, errors=None) -> np.ndarray:
     """First-order map from path-measurement noise to the residual.
 

@@ -259,7 +259,17 @@ def solve_linear(h, g, w, errors=None):
     skipped or failing member.
     """
     gtw = np.swapaxes(g, -1, -2) @ w
-    normal = gtw @ g
+    return solve_normal(gtw @ g, gtw @ h[..., None], errors)
+
+
+def solve_normal(normal, rhs, errors=None):
+    """Solve the normal equations ``normal x = rhs``; returns (x, inv(normal)).
+
+    ``normal`` (..., n, n) and ``rhs`` (..., n, 1) may carry leading batch
+    axes, and ``errors`` follows :func:`solve_linear`'s rules: each member
+    is checked for non-finite entries, then for a condition number beyond
+    ``_COND_LIMIT``, then for a non-finite solution.
+    """
     live = np.isfinite(normal).all(axis=(-2, -1))
     _fail(errors, ~live, NumericalError, "normal equations contain non-finite entries")
     if errors is not None:
@@ -268,7 +278,7 @@ def solve_linear(h, g, w, errors=None):
     _fail(errors, singular, SingularProblemError, "normal equations are singular or near-singular")
     live = live & ~singular
     inv_normal = _on_live(np.linalg.inv, normal, live, normal.shape[-2:])
-    x = (inv_normal @ (gtw @ h[..., None]))[..., 0]
+    x = (inv_normal @ rhs)[..., 0]
     blown = live & ~np.isfinite(x).all(axis=-1)
     _fail(errors, blown, NumericalError, "solution contains non-finite entries")
     if blown.any():

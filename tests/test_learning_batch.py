@@ -1,0 +1,325 @@
+"""The closed-form learning estimators, the stack maps and the blocked
+dataset builders against the per-sample dense oracle."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import learning_oracle as oracle
+from hybridloc import ensemble, harness, nn
+from hybridloc.errors import HybridlocError, NumericalError, SingularProblemError
+from hybridloc.noise import NoiseConfig, build_q
+from hybridloc.scatterer_wls import build_scatterer_system
+from hybridloc.scenario import Scenario
+from hybridloc.ue_wls import _COND_LIMIT, build_system, wls_solve
+
+STRUCTURED = NoiseConfig(delta_d=3.0, delta_a=0.0175, mode="structured", ratio=0.01)
+SC = Scenario(noise=STRUCTURED)
+RRHS = SC.selected_rrhs()
+MARK = 12345.0  # a first measurement entry that poisons a PoisonNet's prediction
+
+
+class StubNet:
+    """Predicts a fixed vector; stands in for a trained model."""
+
+    def __init__(self, e_hat):
+        self.e_hat = np.asarray(e_hat, dtype=float)
+
+    def predict(self, m):
+        return self.e_hat.copy()
+
+
+class PoisonNet:
+    """A trained net whose prediction is NaN for rows starting with MARK."""
+
+    def __init__(self, net):
+        self.net = net
+
+    def predict(self, m):
+        out = np.array(self.net.predict(m), dtype=float)
+        out[np.asarray(m)[..., 0] == MARK] = np.nan
+        return out
+
+
+def _rel(actual, expected) -> float:
+    return np.linalg.norm(actual - expected) / np.linalg.norm(expected)
+
+
+def _draw(seed: int, scale_exp: float, along_label: bool):
+    """A measurement and a predicted residual ê: the true label perturbed
+    and scaled, or a random direction."""
+    rng = np.random.default_rng(seed)
+    ds = nn.make_dataset(SC, 1, rng)
+    scale = 10.0**scale_exp
+    if along_label:
+        e_hat = ds.e[0] * (1.0 + rng.normal(scale=0.3, size=22)) * scale
+    else:
+        e_hat = rng.normal(size=22) * scale
+    return ds.m[0], e_hat
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularProblemError as exc:
+        return exc
+
+
+def _assert_agree(got_fn, e_hat, h, g, eps):
+    """The closed form against the dense oracle: states within the
+    tolerance rule, or both singular, unless the dense normal matrix sits
+    within a factor 1e3 of the singularity limit, where the two roundings
+    may decide apart."""
+    normal = g.T @ oracle.residual_weight(e_hat, eps) @ g
+    got = _outcome(got_fn)
+    expected = _outcome(lambda: oracle.weighted_solve(e_hat, h, g, eps)[0])
+    cond = np.linalg.cond(normal)
+    if isinstance(got, Exception) or isinstance(expected, Exception):
+        assert type(got) is type(expected) or cond > _COND_LIMIT / 1e3
+        return
+    cond_w = 1.0 + e_hat @ e_hat / eps
+    assert _rel(got, expected) <= _tolerance(cond, cond_w)
+
+
+def _tolerance(*conds) -> float:
+    """1e-9 relative in the state norm, except on ill-conditioned draws:
+    the dense oracle's own error grows as 1e-16 times the condition number
+    of its normal matrix times that of its weighting, so beyond a product
+    of 1e6 the bound is 1e-15 times that product."""
+    return 1e-15 * max(1e6, float(np.prod(conds)))
+
+
+seeds = st.integers(0, 2**32 - 1)
+scales = st.floats(-3.0, 3.0)
+ridges = st.floats(-3.0, 1.0).map(lambda k: 10.0**k)
+
+
+class TestDatasetsMatchOracle:
+    @given(seeds, st.integers(1, 150), st.sampled_from(["gaussian", "structured"]))
+    @settings(max_examples=40, deadline=None)
+    def test_ue_dataset_bit_identical(self, seed, n, mode):
+        noise = STRUCTURED if mode == "structured" else NoiseConfig(delta_d=3.0, delta_a=0.02)
+        sc = Scenario(noise=noise, n_a=int(np.random.default_rng(seed).integers(2, 10)))
+        got = nn.make_dataset(sc, n, np.random.default_rng(seed))
+        want = oracle.make_dataset(sc, n, np.random.default_rng(seed))
+        for a, b in ((got.m, want.m), (got.e, want.e), (got.x, want.x)):
+            assert np.array_equal(a, b)
+
+    @given(seeds, st.integers(1, 150))
+    @settings(max_examples=15, deadline=None)
+    def test_pinned_bias_bit_identical(self, seed, n):
+        bias = np.random.default_rng(seed).normal(size=22)
+        got = nn.make_dataset(SC, n, np.random.default_rng(seed), dominant_bias=bias)
+        want = oracle.make_dataset(SC, n, np.random.default_rng(seed), dominant_bias=bias)
+        assert np.array_equal(got.m, want.m) and np.array_equal(got.e, want.e)
+        assert got.metadata["dominant_bias"] == bias.tolist()
+
+    @given(seeds, st.integers(1, 150), st.sampled_from(["gaussian", "structured"]),
+           st.integers(0, 17))
+    @settings(max_examples=40, deadline=None)
+    def test_scatterer_dataset_bit_identical(self, seed, n, mode, rrh):
+        noise = STRUCTURED if mode == "structured" else NoiseConfig(delta_d=3.0, delta_a=0.02)
+        sc = Scenario(noise=noise, scatterer_rrh=rrh)
+        got = nn.make_scatterer_dataset(sc, n, np.random.default_rng(seed))
+        want = oracle.make_scatterer_dataset(sc, n, np.random.default_rng(seed))
+        for a, b in ((got.m, want.m), (got.e, want.e), (got.x, want.x)):
+            assert np.array_equal(a, b)
+
+
+class TestClosedFormsMatchOracle:
+    @given(seeds, scales, st.booleans(), ridges)
+    @settings(max_examples=200, deadline=None)
+    def test_nn_wls(self, seed, scale_exp, along_label, eps):
+        m, e_hat = _draw(seed, scale_exp, along_label)
+        _assert_agree(lambda: nn.nn_wls_estimate(StubNet(e_hat), m, RRHS, eps),
+                      e_hat, *build_system(m, RRHS), eps)
+
+    @given(seeds, scales, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_nn_ls(self, seed, scale_exp, along_label):
+        m, e_hat = _draw(seed, scale_exp, along_label)
+        expected = oracle.nn_ls_estimate(StubNet(e_hat), m, RRHS)
+        got = nn.nn_ls_estimate(StubNet(e_hat), m, RRHS)
+        _, g = build_system(m, RRHS)
+        assert _rel(got, expected) <= _tolerance(np.linalg.cond(g.T @ g))
+
+    @given(seeds, st.lists(scales, min_size=1, max_size=6), ridges)
+    @settings(max_examples=60, deadline=None)
+    def test_member_rows(self, seed, scale_exps, eps):
+        rng = np.random.default_rng(seed)
+        m, base = _draw(seed, 0.0, True)
+        nets = [StubNet(base * (1.0 + rng.normal(scale=0.1, size=22)) * 10.0**k)
+                for k in scale_exps]
+        h, g = build_system(m, RRHS)
+        states = _outcome(ensemble.member_states, nets, m, RRHS, eps)
+        if isinstance(states, Exception):
+            # A member's dense normal matrix sits at the singularity limit.
+            conds = [np.linalg.cond(g.T @ oracle.residual_weight(net.e_hat, eps) @ g)
+                     for net in nets]
+            assert max(conds) > _COND_LIMIT / 1e3
+            return
+        for net, row in zip(nets, states):
+            assert np.array_equal(row, nn.nn_wls_estimate(net, m, RRHS, eps))
+            _assert_agree(lambda: row, net.e_hat, h, g, eps)
+
+    @given(seeds, st.integers(2, 8), scales, st.floats(-4.0, 0.0), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_enn_b(self, seed, p, scale_exp, spread_exp, along_label):
+        rng = np.random.default_rng(seed)
+        m, base = _draw(seed, scale_exp, along_label)
+        nets = [StubNet(base * (1.0 + rng.normal(scale=10.0**spread_exp, size=22)))
+                for _ in range(p)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = oracle.enn_b_wls(nets, m, RRHS)
+            got = ensemble.enn_b_wls(nets, m, RRHS)
+        assert _rel(got, expected) <= 1e-7
+
+    def test_enn_b_with_members_beyond_rows_keeps_dense_path(self):
+        rng = np.random.default_rng(3)
+        m, base = _draw(3, 0.0, True)
+        nets = [StubNet(base + rng.normal(size=22)) for _ in range(30)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = ensemble.enn_b_wls(nets, m, RRHS)
+            expected = oracle.enn_b_wls(nets, m, RRHS)
+        assert np.array_equal(got, expected)
+
+    @given(seeds, scales, ridges)
+    @settings(max_examples=60, deadline=None)
+    def test_scatterer(self, seed, scale_exp, eps):
+        rng = np.random.default_rng(seed)
+        ds = nn.make_scatterer_dataset(Scenario(noise=STRUCTURED), 1, rng)
+        e_hat = ds.e[0] * (1.0 + rng.normal(scale=0.3, size=4)) * 10.0**scale_exp
+        b_n, b_1 = SC.rrhs[SC.scatterer_rrh], SC.rrhs[0]
+        h, g, t = build_scatterer_system(ds.m[0], b_n, b_1, SC.ue_true)
+        _assert_agree(
+            lambda: nn.nn_wls_scatterer(StubNet(e_hat), ds.m[0], b_n, b_1, SC.ue_true, eps),
+            e_hat, h, g @ t, eps)
+
+
+@pytest.fixture(scope="module")
+def trained():
+    ds = nn.make_dataset(SC, 140, np.random.default_rng(11))
+    tr, va, te = ds.subset(slice(0, 100)), ds.subset(slice(100, 120)), ds.subset(slice(120, 140))
+    cfg = nn.MlpConfig(layer_widths=(22, 8, 22), epochs=3, seed=2)
+    return {
+        "net": nn.train(cfg, tr, va),
+        "bb": nn.train_blackbox(cfg, tr, va),
+        "nets": ensemble.train_ensemble(cfg, ensemble.EnsembleConfig(p=3), tr, va),
+        "test": te,
+    }
+
+
+PIPELINES = ["wls", "blackbox", "nn_wls", "nn_ls", "enn_a", "enn_b", "enn_m"]
+
+
+def _model(trained, pipeline):
+    return {"wls": None, "blackbox": trained["bb"], "nn_wls": trained["net"],
+            "nn_ls": trained["net"]}.get(pipeline, trained["nets"])
+
+
+def _per_sample(pipeline, model, m):
+    """The per-sample call of a pipeline: its estimate or the error raised."""
+    call = {
+        "wls": lambda: wls_solve(m, RRHS, build_q(SC.n_a, SC.noise), SC.wls_iters).x,
+        "blackbox": lambda: nn.blackbox_estimate(model, m),
+        "nn_wls": lambda: nn.nn_wls_estimate(model, m, RRHS),
+        "nn_ls": lambda: nn.nn_ls_estimate(model, m, RRHS),
+        "enn_a": lambda: ensemble.enn_a_wls(model, m, RRHS),
+        "enn_b": lambda: ensemble.enn_b_wls(model, m, RRHS),
+        "enn_m": lambda: ensemble.enn_m_wls(model, m, RRHS),
+    }[pipeline]
+    try:
+        return call()
+    except HybridlocError as exc:
+        return exc
+
+
+@pytest.fixture(autouse=True)
+def _quiet_ridge():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        yield
+
+
+class TestStackMaps:
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_rows_match_per_sample_calls(self, trained, pipeline):
+        model, te = _model(trained, pipeline), trained["test"]
+        x, failures = harness.estimator(pipeline, SC, model)(te.m)
+        assert x.shape == (len(te), 6) and failures.shape == (len(te),)
+        for m, row, failure in zip(te.m, x, failures):
+            single = _per_sample(pipeline, model, m)
+            assert failure is None and not isinstance(single, HybridlocError)
+            assert _rel(row, single) <= 1e-9
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_only_poisoned_samples_fail_alike(self, trained, pipeline):
+        model, te = _model(trained, pipeline), trained["test"]
+        if pipeline in ("blackbox", "nn_wls", "nn_ls"):
+            model = PoisonNet(model)
+        elif pipeline != "wls":
+            model = list(model[:-1]) + [PoisonNet(model[-1])]
+        ms = te.m.copy()
+        ms[3, 0] = MARK  # a non-finite prediction (WLS: an ordinary sample)
+        ms[7] = np.nan  # a non-finite measurement
+        poisoned = {7} if pipeline == "wls" else {3, 7}
+        x, failures = harness.estimator(pipeline, SC, model)(ms)
+        for i, (m, failure) in enumerate(zip(ms, failures)):
+            single = _per_sample(pipeline, model, m)
+            if i in poisoned:
+                assert isinstance(failure, NumericalError)
+                assert type(failure) is type(single) and str(failure) == str(single)
+                assert np.isnan(x[i]).all()
+            else:
+                assert failure is None and np.isfinite(x[i]).all()
+
+    def test_evaluate_counts_failed_samples(self, trained):
+        te = trained["test"]
+        ms = te.m.copy()
+        ms[[2, 5]] = np.nan
+        poisoned = nn.Dataset(ms, te.e, te.x)
+        report = harness.evaluate(harness.estimator("nn_wls", SC, trained["net"]), poisoned)
+        assert report.failure_rate == 2 / len(te) and report.trials == len(te)
+        ok = np.ones(len(te), dtype=bool)
+        ok[[2, 5]] = False
+        clean = harness.evaluate(harness.estimator("nn_wls", SC, trained["net"]),
+                                 te.subset(ok))
+        assert report.mae_position == clean.mae_position
+
+    def test_enn_b_map_warns_once_per_call(self, trained):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            harness.estimator("enn_b", SC, trained["nets"])(trained["test"].m)
+        assert [w.category for w in caught] == [RuntimeWarning]
+
+
+class TestRidgeCheck:
+    MESSAGE = "ridge parameter must be positive"
+
+    def test_nn_wls_estimate(self, trained):
+        with pytest.raises(NumericalError, match=self.MESSAGE):
+            nn.nn_wls_estimate(trained["net"], trained["test"].m[0], RRHS, eps=0.0)
+
+    def test_nn_wls_scatterer(self):
+        ds = nn.make_scatterer_dataset(Scenario(noise=STRUCTURED), 1, np.random.default_rng(1))
+        with pytest.raises(NumericalError, match=self.MESSAGE):
+            nn.nn_wls_scatterer(StubNet(ds.e[0]), ds.m[0], SC.rrhs[0], SC.rrhs[0],
+                                SC.ue_true, eps=-1.0)
+
+    @pytest.mark.parametrize("combine", [ensemble.member_states, ensemble.enn_a_wls,
+                                         ensemble.enn_m_wls])
+    def test_member_paths(self, trained, combine):
+        with pytest.raises(NumericalError, match=self.MESSAGE):
+            combine(trained["nets"], trained["test"].m[0], RRHS, 0.0)
+
+    @pytest.mark.parametrize("pipeline", ["nn_wls", "enn_a", "enn_m"])
+    def test_stack_maps_fail_every_sample(self, trained, pipeline):
+        model = _model(trained, pipeline)
+        x, failures = harness.estimator(pipeline, SC, model, eps=-0.5)(trained["test"].m)
+        assert np.isnan(x).all()
+        assert all(type(f) is NumericalError and str(f) == self.MESSAGE for f in failures)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridloc import nn
-from hybridloc.errors import DimensionMismatchError, NumericalError
+from hybridloc.errors import DimensionMismatchError, NumericalError, ScenarioError
 from hybridloc.noise import NoiseConfig
 from hybridloc.scenario import Scenario
 from hybridloc.scatterer_wls import build_scatterer_system
@@ -147,6 +147,25 @@ class TestGradients:
 
     def test_backprop_matches_finite_differences_weighted(self):
         assert self._fd_check("sigmoid", weighted=True) < 1e-4
+
+
+class TestMlpConfig:
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ScenarioError, match="batch_size"):
+            nn.MlpConfig(batch_size=batch_size)
+
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ScenarioError, match="epochs"):
+            nn.MlpConfig(epochs=-3)
+
+    def test_zero_epochs_keeps_the_initialization(self):
+        _, ds = small_dataset(n=40)
+        cfg = nn.MlpConfig(layer_widths=(22, 8, 22), epochs=0, batch_size=1, seed=3)
+        net = nn.train(cfg, ds.subset(slice(0, 30)), ds.subset(slice(30, 40)))
+        init = nn.Mlp.initialize(cfg, net.in_norm, net.out_norm)
+        assert net.best_epoch == 0 and len(net.val_curve) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights, init.weights))
 
 
 class TestTraining:

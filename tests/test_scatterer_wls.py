@@ -18,7 +18,6 @@ from hybridloc.scatterer_wls import (
     ScattererResult,
     build_bs,
     build_scatterer_system,
-    scatterer_residual,
     scatterer_wls_solve,
 )
 from hybridloc.scenario import (
@@ -37,6 +36,12 @@ XS_TRUE = DEFAULT_SCATTERER_STATE
 MS_TRUE = scatterer_measurement(XS_TRUE, UE, B_OBS, B_REF)
 QS = build_qs(NoiseConfig())
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def scatterer_residual(ms, b_n, b_1, ue, xs) -> np.ndarray:
+    """Residual e = h - G T x for a reduced state x = [s, speed]."""
+    h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
+    return h - (g @ t) @ np.asarray(xs, dtype=float)
 
 
 def fd_error_jacobian(ms0, xs, step=1e-7):
