@@ -27,20 +27,13 @@ import yaml
 from . import __version__
 from . import ensemble as ens_mod
 from . import nn as nn_mod
-from .crlb import (
-    crlb_ue,
-    crlb_ue_position,
-    position_trace,
-    velocity_trace,
-    verify_identities,
-)
+from .crlb import crlb_ue_traces, verify_identities
 from .errors import (
     EXIT_OK,
     EXIT_PARSE,
     DimensionMismatchError,
     HybridlocError,
     ScenarioError,
-    SingularProblemError,
 )
 from .harness import (
     estimator,
@@ -194,18 +187,8 @@ def cmd_crlb(args) -> int:
     for na in nas:
         sc_n = sc.replace(n_a=na)
         for rho in rhos:
-            noise = sc.noise.scaled(rho)
-            q = build_q(na, noise)
-            # Velocity is observable exactly when the joint bound exists, the
-            # rule wls_solve applies when it falls back to position only.
-            try:
-                cov = crlb_ue(sc.ue_true, sc_n.selected_rrhs(), q)
-                pos, vel = position_trace(cov), velocity_trace(cov)
-            except SingularProblemError:
-                pos = float(np.trace(
-                    crlb_ue_position(sc.ue_true, sc_n.selected_rrhs(), q)
-                ))
-                vel = None
+            q = build_q(na, sc.noise.scaled(rho))
+            pos, vel = crlb_ue_traces(sc.ue_true, sc_n.selected_rrhs(), q)
             rows.append(
                 {
                     "na": na,

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, GimbalLockError, SingularProblemError
-from .geometry import MIN_COS_ELEVATION, angle_rates, angular_vectors, aoa_los
+from .geometry import (
+    MIN_COS_ELEVATION,
+    angular_vectors,
+    look_angles,
+    look_rates,
+    velocity_direction,
+)
 from .ue_wls import _COND_LIMIT, _position_row_mask
 
 
@@ -55,14 +61,14 @@ def jacobian_ue(x, rrhs) -> np.ndarray:
     jac[0 : 2 * n - 2 : 2, :3] = grad_r[1:] - grad_r[0]
     jac[1 : 2 * n - 2 : 2, :3] = grad_rdot[1:] - grad_rdot[0]
     jac[1 : 2 * n - 2 : 2, 3:] = grad_r[1:] - grad_r[0]
-    for j in range(n):
-        phi, theta = aoa_los(u, rrhs[j])
-        cos_theta = np.cos(theta)
-        if abs(cos_theta) < MIN_COS_ELEVATION:
-            raise GimbalLockError(f"receiver {j} sees the state at zenith")
-        _, c_vec, d_vec = angular_vectors(phi, theta)
-        jac[2 * n - 2 + 2 * j, :3] = c_vec / (r[j] * cos_theta)
-        jac[2 * n - 2 + 2 * j + 1, :3] = d_vec / r[j]
+    _, phi, theta = look_angles(u - rrhs)
+    cos_theta = np.cos(theta)
+    zenith = np.flatnonzero(np.abs(cos_theta) < MIN_COS_ELEVATION)
+    if zenith.size:
+        raise GimbalLockError(f"receiver {zenith[0]} sees the state at zenith")
+    _, c_vec, d_vec = angular_vectors(phi, theta)
+    jac[2 * n - 2 :: 2, :3] = c_vec / (r * cos_theta)[:, None]
+    jac[2 * n - 1 :: 2, :3] = d_vec / r[:, None]
     return jac
 
 
@@ -98,14 +104,11 @@ def jacobian_scatterer(xs, b_n, ue) -> np.ndarray:
     ue = np.asarray(ue, dtype=float)
     s, speed = xs[:3], xs[3]
     u, udot = ue[:3], ue[3:]
-    speed_u = np.linalg.norm(udot)
-    if speed_u <= 0.0:
-        raise DegenerateGeometryError("user velocity is zero; speed direction undefined")
-    n_v = udot / speed_u
+    n_v = velocity_direction(ue)
     sdot_vec = speed * n_v
 
     leg1 = s - b_n
-    d1 = np.linalg.norm(leg1)
+    d1, phi_s, theta_s = look_angles(leg1)
     leg2 = u - s
     d2 = np.linalg.norm(leg2)
     if d1 <= 0.0 or d2 <= 0.0:
@@ -115,7 +118,6 @@ def jacobian_scatterer(xs, b_n, ue) -> np.ndarray:
     ddot1 = sdot_vec @ leg1 / d1
     ddot2 = (udot - sdot_vec) @ leg2 / d2
 
-    phi_s, theta_s = aoa_los(s, b_n)
     cos_theta = np.cos(theta_s)
     if abs(cos_theta) < MIN_COS_ELEVATION:
         raise GimbalLockError("receiver sees the scatterer at zenith")
@@ -145,6 +147,20 @@ def position_trace(cov) -> float:
 def velocity_trace(cov) -> float:
     """Trace of the velocity block (diagonal entries after the first three)."""
     return float(np.trace(cov[3:, 3:]))
+
+
+def crlb_ue_traces(x, rrhs, q):
+    """Position and velocity traces of the user bound; velocity None if unobservable.
+
+    Velocity is observable exactly when the joint bound exists, the rule
+    ``wls_solve`` applies when it falls back to position only; the
+    position trace then comes from :func:`crlb_ue_position`.
+    """
+    try:
+        cov = crlb_ue(x, rrhs, q)
+    except SingularProblemError:
+        return float(np.trace(crlb_ue_position(x, rrhs, q))), None
+    return position_trace(cov), velocity_trace(cov)
 
 
 @dataclass
@@ -179,30 +195,23 @@ def verify_identities(x, rrhs) -> IdentityReport:
     r, rdot, _, _ = _range_gradients(u, udot, rrhs)
     jac = jacobian_ue(x, rrhs)
 
-    phi1, theta1 = aoa_los(u, rrhs[0])
-    a1, c1, d1 = angular_vectors(phi1, theta1)
-    phidot1, thetadot1 = angle_rates(u, udot, rrhs[0])
+    r_ray, phi, theta = look_angles(u - rrhs[0])
+    a1, c1, d1 = angular_vectors(phi, theta)
+    phidot1, thetadot1 = look_rates(r_ray, phi, theta, udot)
 
-    max_dev_range = 0.0
-    max_dev_rate = 0.0
-    n = rrhs.shape[0]
-    for i in range(1, n):
-        row_t = jac[2 * (i - 1), :3]
-        row_f = jac[2 * (i - 1) + 1, :3]
-        r_i1 = r[i] - r[0]
-        rdot_i1 = rdot[i] - rdot[0]
+    k = 2 * rrhs.shape[0] - 2
+    rows_t, rows_f = jac[0:k:2, :3], jac[1:k:2, :3]
+    r_i, rdot_i = r[1:, None], rdot[1:, None]
+    r_i1 = r_i - r[0]
+    rdot_i1 = rdot_i - rdot[0]
 
-        lhs_a = r[i] * row_t
-        rhs_a = (rrhs[0] - rrhs[i]) - r_i1 * a1
-        scale_a = max(np.abs(rhs_a).max(), 1.0)
-        max_dev_range = max(max_dev_range, np.abs(lhs_a - rhs_a).max() / scale_a)
+    def max_relative(lhs, rhs):
+        scale = np.maximum(np.abs(rhs).max(axis=1), 1.0)
+        return float((np.abs(lhs - rhs).max(axis=1) / scale).max(initial=0.0))
 
-        lhs_b = (
-            rdot[i] * row_t
-            + r[i] * row_f
-            + r_i1 * (phidot1 * np.cos(theta1) * c1 + thetadot1 * d1)
-        )
-        rhs_b = -rdot_i1 * a1
-        scale_b = max(np.abs(rhs_b).max(), 1.0)
-        max_dev_rate = max(max_dev_rate, np.abs(lhs_b - rhs_b).max() / scale_b)
+    tangent = phidot1 * np.cos(theta) * c1 + thetadot1 * d1
+    max_dev_range = max_relative(r_i * rows_t, (rrhs[0] - rrhs[1:]) - r_i1 * a1)
+    max_dev_rate = max_relative(
+        rdot_i * rows_t + r_i * rows_f + r_i1 * tangent, -rdot_i1 * a1
+    )
     return IdentityReport(max_dev_range=max_dev_range, max_dev_rate=max_dev_rate)

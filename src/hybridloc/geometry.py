@@ -8,6 +8,9 @@ the measurement-domain quantities used by the estimators:
 * azimuth/elevation angles of arrival (radians),
 * the two-leg reflected-path counterparts for scatterers.
 
+Every function takes stacked rays or states: point-minus-receiver vectors,
+states and angles carry leading batch axes.
+
 Conventions
 -----------
 * Azimuth is the quadrant-aware ``atan2(dy, dx)`` in ``(-pi, pi]``; a purely
@@ -16,16 +19,33 @@ Conventions
 * The user state is the 6-vector ``x = [position, velocity]``; a scatterer
   state is the 4-vector ``[position, signed_speed]`` where the full velocity
   is ``signed_speed * n_v`` and ``n_v`` is the unit vector along the user's
-  velocity.
+  velocity (:func:`velocity_direction`).
 * Measurement vectors are ordered ``[r_21, rdot_21, ..., r_N1, rdot_N1,
   phi_1, theta_1, ..., phi_N, theta_N]`` with receiver 1 as the reference.
+
+Range roundings
+---------------
+A range is rounded one of two ways, and the two differ in the last bit for
+about one range in eight:
+
+* per ray, ``sqrt(d . d)`` as one dot product (:func:`look_angles`,
+  :func:`direct_paths`), the norm of a single vector.  Angles, angle rates,
+  scatterer legs and the reference receiver's direct path in
+  :func:`scatterer_measurement` use it, as do the selection simulator and
+  the estimators' angle terms.
+* summed along the last axis, ``np.linalg.norm(d, axis=-1)``: the ranges
+  of :func:`ue_measurement`, which every user campaign and dataset draws
+  from, and the range entries of ``ue_wls.build_b`` and the CRLB range
+  gradients.
+
+Changing an entry point from one to the other changes its output bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, GimbalLockError
+from .errors import DegenerateGeometryError
 
 #: Signal propagation speed in meters/second.
 SPEED_OF_LIGHT = 299792458.0
@@ -35,68 +55,17 @@ SPEED_OF_LIGHT = 299792458.0
 MIN_COS_ELEVATION = 1e-12
 
 
-def los_range(u, b) -> float:
-    """Euclidean distance between a point ``u`` and a receiver at ``b``."""
-    u = np.asarray(u, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(np.linalg.norm(u - b))
-
-
-def range_rate(u, udot, b) -> float:
-    """Rate of change of ``||u - b||`` for a point moving with velocity ``udot``.
-
-    Equals the projection of ``udot`` onto the unit vector from ``b`` to
-    ``u``, so its magnitude never exceeds ``||udot||``.
-    """
-    u = np.asarray(u, dtype=float)
-    b = np.asarray(b, dtype=float)
-    udot = np.asarray(udot, dtype=float)
-    diff = u - b
-    r = np.linalg.norm(diff)
-    if r == 0.0:
-        raise DegenerateGeometryError("range rate undefined for coincident points")
-    return float(udot @ diff / r)
-
-
-def aoa_los(u, b) -> tuple[float, float]:
-    """Azimuth and elevation of the ray from receiver ``b`` to point ``u``.
-
-    Returns ``(phi, theta)`` with ``phi`` in ``(-pi, pi]`` and ``theta`` in
-    ``[-pi/2, pi/2]``.  Reconstruction identity: ``b + ||u-b|| * a(phi,
-    theta) == u`` where ``a`` is the unit direction vector from
-    :func:`angular_vectors`.  For an exactly vertical ray the azimuth is 0 by
-    convention.
-    """
-    u = np.asarray(u, dtype=float)
-    b = np.asarray(b, dtype=float)
-    diff = u - b
-    r = np.linalg.norm(diff)
-    if r == 0.0:
-        raise DegenerateGeometryError("angles undefined for coincident points")
-    if diff[0] == 0.0 and diff[1] == 0.0:
-        phi = 0.0
-    else:
-        phi = float(np.arctan2(diff[1], diff[0]))
-    theta = float(np.arcsin(np.clip(diff[2] / r, -1.0, 1.0)))
-    return phi, theta
-
-
-def angular_vectors(phi: float, theta: float):
-    """Orthonormal direction frame attached to an arrival angle pair.
+def angular_vectors(phi, theta):
+    """Orthonormal direction frames attached to arrival angle pairs.
 
     Returns ``(a, c, d)`` where ``a`` is the unit ray direction,
     ``c = da/dphi / cos(theta)`` spans the azimuth direction and
     ``d = da/dtheta`` spans the elevation direction.  The three vectors are
-    mutually orthonormal.  Arrays of angles (of one shape) give stacked
-    frames, each vector on a last axis of length 3.
+    mutually orthonormal.  ``phi`` and ``theta`` share one shape (a scalar
+    pair gives one frame); each vector adds a last axis of length 3.
     """
     cp, sp = np.cos(phi), np.sin(phi)
     ct, st = np.cos(theta), np.sin(theta)
-    if np.ndim(cp) == 0 and np.ndim(ct) == 0:
-        a = np.array([ct * cp, ct * sp, st])
-        c = np.array([-sp, cp, 0.0])
-        d = np.array([-st * cp, -st * sp, ct])
-        return a, c, d
     a, c, d = np.zeros((3,) + np.shape(cp) + (3,))
     a[..., 0], a[..., 1], a[..., 2] = ct * cp, ct * sp, st
     c[..., 0], c[..., 1] = -sp, cp
@@ -105,12 +74,12 @@ def angular_vectors(phi: float, theta: float):
 
 
 def look_angles(diffs):
-    """Range, azimuth and elevation of stacked rays, by :func:`aoa_los`'s rules.
+    """Range, azimuth and elevation of stacked rays.
 
     ``diffs`` holds point-minus-receiver vectors on a last axis of length
-    3.  Each value is bit-identical to :func:`los_range` and
-    :func:`aoa_los` on one ray.  A zero vector gives a zero range and a NaN
-    elevation; callers reject zero ranges themselves.
+    3.  Reconstruction identity: ``r * a(phi, theta)`` is the vector
+    again, ``a`` from :func:`angular_vectors`.  A zero vector gives a zero
+    range and a NaN elevation; callers reject zero ranges themselves.
     """
     diffs = np.asarray(diffs, dtype=float)
     r = np.sqrt(np.vecdot(diffs, diffs))
@@ -121,60 +90,45 @@ def look_angles(diffs):
     return r, phi, theta
 
 
-def angle_rates(u, udot, b) -> tuple[float, float]:
-    """Time derivatives of the azimuth/elevation seen from receiver ``b``.
+def look_rates(r, phi, theta, vel):
+    """Azimuth and elevation rates of rays whose far end moves with ``vel``.
 
-    ``phidot = c^T udot / (r cos(theta))`` and ``thetadot = d^T udot / r``
-    along the straight-line trajectory ``u(t) = u + t * udot``.
+    ``phidot = c . vel / (r cos(theta))`` and ``thetadot = d . vel / r``
+    for rays of range ``r`` and angles ``phi``/``theta`` (as from
+    :func:`look_angles`), all broadcast over leading axes.  A zero range or
+    a vertical ray gives a non-finite or meaningless rate; callers reject
+    those themselves.
     """
-    u = np.asarray(u, dtype=float)
-    udot = np.asarray(udot, dtype=float)
-    b = np.asarray(b, dtype=float)
-    r = los_range(u, b)
-    if r == 0.0:
-        raise DegenerateGeometryError("angle rates undefined for coincident points")
-    phi, theta = aoa_los(u, b)
     _, c, d = angular_vectors(phi, theta)
-    ct = np.cos(theta)
-    if abs(ct) < MIN_COS_ELEVATION:
-        raise GimbalLockError("azimuth rate undefined at +/-90 degrees elevation")
-    phidot = float(c @ udot / (r * ct))
-    thetadot = float(d @ udot / r)
-    return phidot, thetadot
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.vecdot(c, vel) / (r * np.cos(theta)), np.vecdot(d, vel) / r
 
 
-def nlos_params(u, udot, s, sdot_vec, b_n, b_1, r_1=None, rdot_1=None):
-    """Reflected-path parameters for a scatterer at ``s`` moving with ``sdot_vec``.
+def direct_paths(x, rrhs):
+    """Range, range rate, azimuth and elevation of the direct paths to ``rrhs``.
 
-    The path is user -> scatterer -> receiver ``n``; delay and Doppler are
-    differenced against the reference receiver's direct path.  ``r_1`` and
-    ``rdot_1`` default to the direct-path values computed from ``u``/``udot``
-    but may be passed explicitly (e.g. recomputed from an estimated user
-    state).
-
-    Returns ``(rs_n1, rsdot_n1, phi_s, theta_s)``: the two-leg range minus
-    ``r_1``, its rate minus ``rdot_1``, and the arrival angles of the
-    scatterer seen from receiver ``n``.
+    ``x`` is the 6-D user state and ``rrhs`` one receiver position or a
+    stack of them; each returned array has ``rrhs``'s leading shape.  The
+    range is rounded per ray (see the module notes) and the rate is the
+    projection of the user velocity on the receiver-to-user direction.
     """
-    u = np.asarray(u, dtype=float)
-    udot = np.asarray(udot, dtype=float)
-    s = np.asarray(s, dtype=float)
-    sdot_vec = np.asarray(sdot_vec, dtype=float)
-    b_n = np.asarray(b_n, dtype=float)
+    x = np.asarray(x, dtype=float)
+    diffs = x[:3] - np.asarray(rrhs, dtype=float)
+    r, phi, theta = look_angles(diffs)
+    if np.any(r == 0.0):
+        raise DegenerateGeometryError("user position coincides with a receiver")
+    return r, np.vecdot(diffs, x[3:]) / r, phi, theta
 
-    d1 = los_range(s, b_n)  # scatterer -> receiver leg
-    d2 = los_range(u, s)    # user -> scatterer leg
-    if d1 == 0.0 or d2 == 0.0:
-        raise DegenerateGeometryError("scatterer coincides with user or receiver")
-    if r_1 is None:
-        r_1 = los_range(u, b_1)
-    if rdot_1 is None:
-        rdot_1 = range_rate(u, udot, b_1)
 
-    rs = d1 + d2
-    rsdot = float((udot - sdot_vec) @ (u - s) / d2 + sdot_vec @ (s - b_n) / d1)
-    phi_s, theta_s = aoa_los(s, b_n)
-    return rs - r_1, rsdot - rdot_1, phi_s, theta_s
+def velocity_direction(x_ue) -> np.ndarray:
+    """Unit vector along the user velocity: the direction a scatterer moves in."""
+    udot = np.asarray(x_ue, dtype=float)[3:]
+    speed = np.linalg.norm(udot)
+    if speed == 0.0:
+        raise DegenerateGeometryError(
+            "scatterer velocity direction undefined for a static user"
+        )
+    return udot / speed
 
 
 def measurement_dim(n_receivers: int) -> int:
@@ -188,7 +142,8 @@ def ue_measurement(x, rrhs) -> np.ndarray:
     Layout: ``(n-1)`` TDOA/FDOA pairs for receivers 2..n against receiver 1,
     followed by ``n`` azimuth/elevation pairs for receivers 1..n.  ``x``
     may carry leading batch axes; each vector then equals the one a single
-    state gives.
+    state gives.  Ranges are summed along the last axis (see the module
+    notes).
     """
     x = np.asarray(x, dtype=float)
     rrhs = np.atleast_2d(np.asarray(rrhs, dtype=float))
@@ -214,30 +169,26 @@ def ue_measurement(x, rrhs) -> np.ndarray:
 
 
 def scatterer_measurement(xs, x_ue, b_n, b_1) -> np.ndarray:
-    """Noise-free 4-vector ``[rs_n1, rsdot_n1, phi_s, theta_s]`` for one scatterer.
+    """Noise-free 4-vector ``[rs_n1, rsdot_n1, phi_s, theta_s]`` of reflected paths.
 
+    The path runs user -> scatterer -> receiver ``b_n``; its delay and
+    Doppler are differenced against the reference receiver ``b_1``'s direct
+    path, and the angles are those of the scatterer seen from ``b_n``.
     ``xs`` is the 4-vector ``[s, signed_speed]``, or a stack of them on
-    leading batch axes; the scatterer velocity direction is taken from the
-    user velocity in ``x_ue``.  Each vector equals :func:`nlos_params` for
-    its scatterer.
+    leading batch axes, which ``b_n`` may share (one receiver per
+    scatterer); the scatterer velocity direction is taken from the user
+    velocity in ``x_ue``.
     """
     xs = np.asarray(xs, dtype=float)
     x_ue = np.asarray(x_ue, dtype=float)
     b_n = np.asarray(b_n, dtype=float)
     u, udot = x_ue[:3], x_ue[3:]
-    speed = np.linalg.norm(udot)
-    if speed == 0.0:
-        raise DegenerateGeometryError(
-            "scatterer velocity direction undefined for a static user"
-        )
     s = xs[..., :3]
-    sdot_vec = xs[..., 3:] * (udot / speed)
+    sdot_vec = xs[..., 3:] * velocity_direction(x_ue)
     d1, phi_s, theta_s = look_angles(s - b_n)  # scatterer -> receiver leg
     d2 = np.sqrt(np.vecdot(u - s, u - s))      # user -> scatterer leg
     if np.any(d1 == 0.0) or np.any(d2 == 0.0):
         raise DegenerateGeometryError("scatterer coincides with user or receiver")
+    r_1, rdot_1, _, _ = direct_paths(x_ue, b_1)
     rsdot = np.vecdot(udot - sdot_vec, u - s) / d2 + np.vecdot(sdot_vec, s - b_n) / d1
-    return np.stack(
-        [d1 + d2 - los_range(u, b_1), rsdot - range_rate(u, udot, b_1), phi_s, theta_s],
-        axis=-1,
-    )
+    return np.stack([d1 + d2 - r_1, rsdot - rdot_1, phi_s, theta_s], axis=-1)

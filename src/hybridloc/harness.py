@@ -1,38 +1,27 @@
 """Seeded Monte Carlo campaigns and metric aggregation.
 
 Every trial draws its randomness from ``default_rng([scenario.seed, trial])``
-so results are reproducible and independent of execution order or worker
-count.  Campaigns tolerate per-trial solver failures: failed trials are
-excluded from the error statistics and surface as a failure rate instead.
+so results are reproducible and independent of execution order.  Campaigns
+tolerate per-trial solver failures: failed trials are excluded from the
+error statistics and surface as a failure rate instead.
 
-The WLS and scatterer campaigns solve their trials in stacked blocks.  Set
-the ``HYBRIDLOC_WORKERS`` environment variable to run the LOS-selection
-trials in a process pool; aggregation always happens in trial order.
+The WLS and scatterer campaigns solve their trials in stacked blocks.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ensemble, nn
-from .crlb import (
-    crlb_scatterer,
-    crlb_ue,
-    crlb_ue_position,
-    position_trace,
-    velocity_trace,
-)
+from .crlb import crlb_scatterer, crlb_ue_traces
 from .errors import (
     CampaignFailedError,
     DimensionMismatchError,
     HybridlocError,
     ScenarioError,
-    SingularProblemError,
 )
 from .geometry import scatterer_measurement, ue_measurement
 from .noise import (
@@ -49,8 +38,6 @@ from .scenario import Scenario
 from .selection import select_los, simulate_paths
 from .ue_wls import wls_solve_batch
 
-WORKER_ENV = "HYBRIDLOC_WORKERS"
-
 # Stream tags keep the campaign-level draws (e.g. the dataset's dominant
 # bias) out of the per-trial streams.
 _DOMINANT_STREAM = 0xD0
@@ -58,14 +45,6 @@ _DOMINANT_STREAM = 0xD0
 # Trials a campaign solves together: memory stays bounded whatever the
 # trial count.
 _BLOCK = 64
-
-
-def worker_count() -> int:
-    raw = os.environ.get(WORKER_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ScenarioError(f"{WORKER_ENV} must be an integer, got {raw!r}")
 
 
 @dataclass
@@ -146,15 +125,6 @@ def compute_metrics(estimates, truths, crlb=None, position_dim: int = 3) -> Metr
     return report
 
 
-def _map_trials(fn, args_list):
-    workers = worker_count()
-    if workers <= 1 or len(args_list) < 2 * workers:
-        return [fn(a) for a in args_list]
-    chunk = max(1, len(args_list) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list, chunksize=chunk))
-
-
 def _solve_in_blocks(sc: Scenario, draw, solve):
     """Draw every trial from its own stream and solve them ``_BLOCK`` at a time.
 
@@ -231,14 +201,9 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False):
             )
             report.rmse_velocity = velocity.rmse_velocity
             report.mae_velocity = velocity.mae_velocity
-    # Velocity is observable exactly when the joint bound exists (the rule
-    # cmd_crlb applies).
-    try:
-        crlb = crlb_ue(sc.ue_true, rrhs, q)
-        report.crlb_trace_position = position_trace(crlb)
-        report.crlb_trace_velocity = velocity_trace(crlb)
-    except SingularProblemError:
-        report.crlb_trace_position = float(np.trace(crlb_ue_position(sc.ue_true, rrhs, q)))
+    report.crlb_trace_position, report.crlb_trace_velocity = crlb_ue_traces(
+        sc.ue_true, rrhs, q
+    )
     report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
     report.trials = sc.trials
     report.runtime = time.perf_counter() - start
@@ -277,27 +242,22 @@ def run_scatterer_campaign(sc: Scenario) -> MetricReport:
     return report
 
 
-def _sr_trial(args):
-    sc, trial = args
-    rng = np.random.default_rng([sc.seed, trial])
-    paths = simulate_paths(sc, rng)
-    try:
-        result = select_los(paths, sc.rrhs, n_a=sc.n_a)
-    except HybridlocError:
-        return None
-    return result.all_selected_are_los()
-
-
 def run_sr_campaign(sc: Scenario) -> MetricReport:
     """Fraction of trials whose selected paths are all true direct paths.
 
     A trial whose selection raises counts as a miss and in ``failure_rate``.
     """
     start = time.perf_counter()
-    outcomes = _map_trials(_sr_trial, [(sc, t) for t in range(sc.trials)])
+    hits = failed = 0
+    for t in range(sc.trials):
+        paths = simulate_paths(sc, np.random.default_rng([sc.seed, t]))
+        try:
+            hits += select_los(paths, sc.rrhs, n_a=sc.n_a).all_selected_are_los()
+        except HybridlocError:
+            failed += 1
     return MetricReport(
-        success_rate=float(np.mean([bool(hit) for hit in outcomes])),
-        failure_rate=sum(hit is None for hit in outcomes) / sc.trials,
+        success_rate=hits / sc.trials,
+        failure_rate=failed / sc.trials,
         trials=sc.trials,
         runtime=time.perf_counter() - start,
     )

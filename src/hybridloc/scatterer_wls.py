@@ -21,9 +21,10 @@ from .errors import DegenerateGeometryError, DimensionMismatchError, GimbalLockE
 from .geometry import (
     MIN_COS_ELEVATION,
     angular_vectors,
+    direct_paths,
     look_angles,
-    los_range,
-    range_rate,
+    look_rates,
+    velocity_direction,
 )
 from .ue_wls import _fail, _invert, _square, solve_linear
 
@@ -58,16 +59,6 @@ class ScattererBatch:
     failures: np.ndarray
 
 
-def _unit_velocity(ue: np.ndarray) -> np.ndarray:
-    udot = ue[3:]
-    speed = np.linalg.norm(udot)
-    if speed <= 0.0:
-        raise DegenerateGeometryError(
-            "user velocity is zero; scatterer speed direction undefined"
-        )
-    return udot / speed
-
-
 def build_scatterer_system(ms, b_n, b_1, ue):
     """Assemble (h, G, T) for reflected paths.
 
@@ -85,10 +76,9 @@ def build_scatterer_system(ms, b_n, b_1, ue):
     b_1 = np.asarray(b_1, dtype=float)
     ue = np.asarray(ue, dtype=float)
     u, udot = ue[:3], ue[3:]
-    n_v = _unit_velocity(ue)
+    n_v = velocity_direction(ue)
 
-    r_1 = los_range(u, b_1)
-    rdot_1 = range_rate(u, udot, b_1)
+    r_1, rdot_1, _, _ = direct_paths(ue, b_1)
     r_s = ms[..., 0] + r_1
     rdot_s = ms[..., 1] + rdot_1
     a_s, c_s, d_s = angular_vectors(ms[..., 2], ms[..., 3])
@@ -133,7 +123,7 @@ def build_bs(xs, b_n, ue, errors=None) -> np.ndarray:
     ue = np.asarray(ue, dtype=float)
     s, speed = xs[..., :3], xs[..., 3:]
     u, udot = ue[:3], ue[3:]
-    sdot_vec = speed * _unit_velocity(ue)
+    sdot_vec = speed * velocity_direction(ue)
 
     d1, phi_s, theta_s = look_angles(s - b_n)
     d2 = np.sqrt(np.vecdot(u - s, u - s))
@@ -148,11 +138,9 @@ def build_bs(xs, b_n, ue, errors=None) -> np.ndarray:
         "azimuth rate undefined at +/-90 degrees elevation",
     )
     r_s = d1 + d2
-    _, c_s, d_s = angular_vectors(phi_s, theta_s)
+    phidot_s, thetadot_s = look_rates(d1, phi_s, theta_s, sdot_vec)
     with np.errstate(invalid="ignore", divide="ignore"):
         ddot2 = np.vecdot(udot - sdot_vec, u - s) / d2
-        phidot_s = np.vecdot(c_s, sdot_vec) / (d1 * cos_t)
-        thetadot_s = np.vecdot(d_s, sdot_vec) / d1
 
     b = np.zeros(xs.shape[:-1] + (4, 4))
     b[..., 0, 0] = 2.0 * d2

@@ -39,10 +39,8 @@ from .errors import ScenarioError
 from .geometry import (
     SPEED_OF_LIGHT,
     angular_vectors,
-    aoa_los,
-    los_range,
-    nlos_params,
-    range_rate,
+    direct_paths,
+    scatterer_measurement,
 )
 from .scenario import sample_scatterer_state
 
@@ -379,51 +377,46 @@ def simulate_paths(sc, rng) -> list:
     noise with the scenario's delay deviation; angles and rates are
     likewise perturbed.  Path energy falls with the square of total path
     length, reflections attenuated a further factor of ten.
+
+    The draws are taken receiver by receiver (detection, direct-path noise
+    if detected, scatterer, reflected-path noise); the noise-free paths of
+    all receivers are then evaluated at once.
     """
-    u, udot = sc.ue_true[:3], sc.ue_true[3:]
-    n_v = udot / np.linalg.norm(udot)
+    rrhs = np.asarray(sc.rrhs, dtype=float)
     delta_d = sc.noise.delta_d
     delta_nu = sc.noise.fdoa_factor * sc.noise.delta_d
     delta_a = sc.noise.delta_a
 
+    detected, los_noise, scatterers, nlos_noise = [], [], [], []
+    for _ in range(rrhs.shape[0]):
+        detected.append(rng.random() < sc.p_d)
+        los_noise.append(rng.standard_normal(4).tolist() if detected[-1] else None)
+        scatterers.append(sample_scatterer_state(sc, rng))
+        nlos_noise.append(rng.standard_normal(4).tolist())
+
+    los = np.stack(direct_paths(sc.ue_true, rrhs), axis=-1).tolist()
+    r_1, rdot_1 = los[0][0], los[0][1]
+    nlos = scatterer_measurement(np.array(scatterers), sc.ue_true, rrhs, rrhs[0]).tolist()
+
+    def path(phi, theta, r, rdot, noise, idx, is_los):
+        return PathMeasurement(
+            phi=phi + delta_a * noise[0],
+            theta=theta + delta_a * noise[1],
+            tau=(r + sc.clock_bias_m + delta_d * noise[2]) / SPEED_OF_LIGHT,
+            nu=rdot + delta_nu * noise[3],
+            energy=(1.0 if is_los else 0.1) * (100.0 / r) ** 2,
+            rrh_index=idx,
+            is_los=is_los,
+        )
+
     paths_by_rrh = []
-    for idx, b_n in enumerate(sc.rrhs):
+    for idx in range(rrhs.shape[0]):
         paths = []
-        if rng.random() < sc.p_d:
-            r = los_range(u, b_n)
-            rdot = range_rate(u, udot, b_n)
-            phi, theta = aoa_los(u, b_n)
-            paths.append(
-                PathMeasurement(
-                    phi=phi + delta_a * rng.standard_normal(),
-                    theta=theta + delta_a * rng.standard_normal(),
-                    tau=(r + sc.clock_bias_m + delta_d * rng.standard_normal())
-                    / SPEED_OF_LIGHT,
-                    nu=rdot + delta_nu * rng.standard_normal(),
-                    energy=(100.0 / r) ** 2,
-                    rrh_index=idx,
-                    is_los=True,
-                )
-            )
-        xs = sample_scatterer_state(sc, rng)
-        sdot_vec = xs[3] * n_v
-        rs_n1, rsdot_n1, phi_s, theta_s = nlos_params(
-            u, udot, xs[:3], sdot_vec, b_n, sc.rrhs[0]
-        )
-        r_1 = los_range(u, sc.rrhs[0])
-        rdot_1 = range_rate(u, udot, sc.rrhs[0])
-        total = rs_n1 + r_1
-        paths.append(
-            PathMeasurement(
-                phi=phi_s + delta_a * rng.standard_normal(),
-                theta=theta_s + delta_a * rng.standard_normal(),
-                tau=(total + sc.clock_bias_m + delta_d * rng.standard_normal())
-                / SPEED_OF_LIGHT,
-                nu=rsdot_n1 + rdot_1 + delta_nu * rng.standard_normal(),
-                energy=0.1 * (100.0 / total) ** 2,
-                rrh_index=idx,
-                is_los=False,
-            )
-        )
+        if detected[idx]:
+            r, rdot, phi, theta = los[idx]
+            paths.append(path(phi, theta, r, rdot, los_noise[idx], idx, True))
+        rs_n1, rsdot_n1, phi_s, theta_s = nlos[idx]
+        paths.append(path(phi_s, theta_s, rs_n1 + r_1, rsdot_n1 + rdot_1,
+                          nlos_noise[idx], idx, False))
         paths_by_rrh.append(paths)
     return paths_by_rrh

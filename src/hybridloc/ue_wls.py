@@ -40,7 +40,13 @@ from .errors import (
     NumericalError,
     SingularProblemError,
 )
-from .geometry import MIN_COS_ELEVATION, angular_vectors, look_angles, measurement_dim
+from .geometry import (
+    MIN_COS_ELEVATION,
+    angular_vectors,
+    look_angles,
+    look_rates,
+    measurement_dim,
+)
 
 # Condition number beyond which a normal or information matrix counts as
 # singular (SingularProblemError) or, for ENN-B's weighting, gets a ridge.
@@ -212,8 +218,9 @@ def build_b(x, rrhs, errors=None) -> np.ndarray:
     r = np.sqrt(np.sum(diffs * diffs, axis=-1))
     coincident = np.any(r <= 0.0, axis=-1)
     _fail(errors, coincident, DegenerateGeometryError, "state coincides with a receiver")
-    # The angles (and the reference receiver's range in its angle rates)
-    # use the per-ray norm of aoa_los, as the scalar form did.
+    # The TDOA/FDOA entries use the summed range r, the angles and the
+    # reference receiver's angle rates look_angles' per-ray range (the two
+    # roundings of the geometry module).
     r_ray, phi, theta = look_angles(diffs)
     cos_t = np.cos(theta)
     _fail(
@@ -222,11 +229,9 @@ def build_b(x, rrhs, errors=None) -> np.ndarray:
         GimbalLockError,
         "azimuth rate undefined at +/-90 degrees elevation",
     )
-    _, c_1, d_1 = angular_vectors(phi[..., 0], theta[..., 0])
+    phidot1, thetadot1 = look_rates(r_ray[..., 0], phi[..., 0], theta[..., 0], udot)
     with np.errstate(invalid="ignore", divide="ignore"):
         rdot = (diffs @ udot[..., None])[..., 0] / r
-        phidot1 = np.vecdot(c_1, udot) / (r_ray[..., 0] * cos_t[..., 0])
-        thetadot1 = np.vecdot(d_1, udot) / r_ray[..., 0]
 
     dim = measurement_dim(n)
     base = 2 * n - 2

@@ -1,0 +1,111 @@
+"""Per-receiver loop versions of the CRLB Jacobians, kept as the test oracle.
+
+These are the scalar forms of ``jacobian_ue``, ``jacobian_scatterer`` and
+``verify_identities`` in ``hybridloc.crlb``: one receiver per loop step,
+on the per-ray geometry of ``scalar_geometry``.
+"""
+
+import numpy as np
+
+from hybridloc.errors import DegenerateGeometryError, GimbalLockError
+from hybridloc.geometry import MIN_COS_ELEVATION
+from scalar_geometry import angle_rates, angular_vectors, aoa_los
+
+
+def range_gradients(u, udot, rrhs):
+    diffs = u - rrhs
+    r = np.linalg.norm(diffs, axis=1)
+    if np.any(r <= 0.0):
+        raise DegenerateGeometryError("state coincides with a receiver")
+    rdot = diffs @ udot / r
+    grad_r = diffs / r[:, None]
+    grad_rdot = udot / r[:, None] - (rdot / r**2)[:, None] * diffs
+    return r, rdot, grad_r, grad_rdot
+
+
+def jacobian_ue(x, rrhs):
+    x = np.asarray(x, dtype=float)
+    rrhs = np.asarray(rrhs, dtype=float)
+    u, udot = x[:3], x[3:]
+    n = rrhs.shape[0]
+    r, _, grad_r, grad_rdot = range_gradients(u, udot, rrhs)
+    jac = np.zeros((4 * n - 2, 6))
+    jac[0 : 2 * n - 2 : 2, :3] = grad_r[1:] - grad_r[0]
+    jac[1 : 2 * n - 2 : 2, :3] = grad_rdot[1:] - grad_rdot[0]
+    jac[1 : 2 * n - 2 : 2, 3:] = grad_r[1:] - grad_r[0]
+    for j in range(n):
+        phi, theta = aoa_los(u, rrhs[j])
+        cos_theta = np.cos(theta)
+        if abs(cos_theta) < MIN_COS_ELEVATION:
+            raise GimbalLockError(f"receiver {j} sees the state at zenith")
+        _, c_vec, d_vec = angular_vectors(phi, theta)
+        jac[2 * n - 2 + 2 * j, :3] = c_vec / (r[j] * cos_theta)
+        jac[2 * n - 2 + 2 * j + 1, :3] = d_vec / r[j]
+    return jac
+
+
+def jacobian_scatterer(xs, b_n, ue):
+    xs = np.asarray(xs, dtype=float)
+    b_n = np.asarray(b_n, dtype=float)
+    ue = np.asarray(ue, dtype=float)
+    s, speed = xs[:3], xs[3]
+    u, udot = ue[:3], ue[3:]
+    speed_u = np.linalg.norm(udot)
+    if speed_u <= 0.0:
+        raise DegenerateGeometryError("user velocity is zero")
+    n_v = udot / speed_u
+    sdot_vec = speed * n_v
+    leg1 = s - b_n
+    d1 = np.linalg.norm(leg1)
+    leg2 = u - s
+    d2 = np.linalg.norm(leg2)
+    if d1 <= 0.0 or d2 <= 0.0:
+        raise DegenerateGeometryError("scatterer coincides with receiver or user")
+    a_s = leg1 / d1
+    e2 = leg2 / d2
+    ddot1 = sdot_vec @ leg1 / d1
+    ddot2 = (udot - sdot_vec) @ leg2 / d2
+    phi_s, theta_s = aoa_los(s, b_n)
+    cos_theta = np.cos(theta_s)
+    if abs(cos_theta) < MIN_COS_ELEVATION:
+        raise GimbalLockError("receiver sees the scatterer at zenith")
+    _, c_s, d_s = angular_vectors(phi_s, theta_s)
+    jac = np.zeros((4, 4))
+    jac[0, :3] = a_s - e2
+    jac[1, :3] = (sdot_vec - ddot1 * a_s) / d1 + (-(udot - sdot_vec) + ddot2 * e2) / d2
+    jac[1, 3] = n_v @ leg1 / d1 - n_v @ leg2 / d2
+    jac[2, :3] = c_s / (d1 * cos_theta)
+    jac[3, :3] = d_s / d1
+    return jac
+
+
+def verify_identities(x, rrhs):
+    """``(max_dev_range, max_dev_rate)`` of the Jacobian/system row identities."""
+    x = np.asarray(x, dtype=float)
+    rrhs = np.asarray(rrhs, dtype=float)
+    u, udot = x[:3], x[3:]
+    r, rdot, _, _ = range_gradients(u, udot, rrhs)
+    jac = jacobian_ue(x, rrhs)
+    phi1, theta1 = aoa_los(u, rrhs[0])
+    a1, c1, d1 = angular_vectors(phi1, theta1)
+    phidot1, thetadot1 = angle_rates(u, udot, rrhs[0])
+    max_dev_range = 0.0
+    max_dev_rate = 0.0
+    for i in range(1, rrhs.shape[0]):
+        row_t = jac[2 * (i - 1), :3]
+        row_f = jac[2 * (i - 1) + 1, :3]
+        r_i1 = r[i] - r[0]
+        rdot_i1 = rdot[i] - rdot[0]
+        lhs_a = r[i] * row_t
+        rhs_a = (rrhs[0] - rrhs[i]) - r_i1 * a1
+        scale_a = max(np.abs(rhs_a).max(), 1.0)
+        max_dev_range = max(max_dev_range, np.abs(lhs_a - rhs_a).max() / scale_a)
+        lhs_b = (
+            rdot[i] * row_t
+            + r[i] * row_f
+            + r_i1 * (phidot1 * np.cos(theta1) * c1 + thetadot1 * d1)
+        )
+        rhs_b = -rdot_i1 * a1
+        scale_b = max(np.abs(rhs_b).max(), 1.0)
+        max_dev_rate = max(max_dev_rate, np.abs(lhs_b - rhs_b).max() / scale_b)
+    return float(max_dev_range), float(max_dev_rate)

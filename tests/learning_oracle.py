@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from hybridloc.errors import DegenerateGeometryError, NumericalError
-from hybridloc.geometry import measurement_dim, nlos_params
+from hybridloc.geometry import measurement_dim
 from hybridloc.nn import Dataset
 from hybridloc.noise import (
     build_q,
@@ -28,6 +28,7 @@ from hybridloc.noise import (
 from hybridloc.scatterer_wls import build_scatterer_system
 from hybridloc.scenario import sample_scatterer_state, sample_ue_state
 from hybridloc.ue_wls import _COND_LIMIT, build_system, solve_linear
+from scalar_geometry import nlos_params
 
 
 def ue_measurement(x, rrhs):

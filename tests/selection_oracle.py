@@ -12,9 +12,17 @@ way.  Pair midpoints make such ties common: a midpoint is equidistant from
 its two rays, so they may sit either side of the edge of a trimmed set or
 of a seed's six nearest rays.  ``trimmed_ray_point`` and ``refine_center`` therefore append
 the relative gap at each such decision to ``gaps`` when given a list.
+
+``simulate_paths`` is the receiver-by-receiver form of the trial
+simulator, on the per-ray geometry of ``scalar_geometry``.
 """
 
 import numpy as np
+
+from hybridloc.geometry import SPEED_OF_LIGHT
+from hybridloc.scenario import sample_scatterer_state
+from hybridloc.selection import PathMeasurement
+from scalar_geometry import aoa_los, los_range, nlos_params, range_rate
 
 
 def projectors(dirs):
@@ -147,3 +155,52 @@ def refine_center(
     if gaps is not None:
         gaps.append(relative_gap(scored, 1))
     return best_center
+
+
+def simulate_paths(sc, rng) -> list:
+    u, udot = sc.ue_true[:3], sc.ue_true[3:]
+    n_v = udot / np.linalg.norm(udot)
+    delta_d = sc.noise.delta_d
+    delta_nu = sc.noise.fdoa_factor * sc.noise.delta_d
+    delta_a = sc.noise.delta_a
+
+    paths_by_rrh = []
+    for idx, b_n in enumerate(sc.rrhs):
+        paths = []
+        if rng.random() < sc.p_d:
+            r = los_range(u, b_n)
+            rdot = range_rate(u, udot, b_n)
+            phi, theta = aoa_los(u, b_n)
+            paths.append(
+                PathMeasurement(
+                    phi=phi + delta_a * rng.standard_normal(),
+                    theta=theta + delta_a * rng.standard_normal(),
+                    tau=(r + sc.clock_bias_m + delta_d * rng.standard_normal())
+                    / SPEED_OF_LIGHT,
+                    nu=rdot + delta_nu * rng.standard_normal(),
+                    energy=(100.0 / r) ** 2,
+                    rrh_index=idx,
+                    is_los=True,
+                )
+            )
+        xs = sample_scatterer_state(sc, rng)
+        rs_n1, rsdot_n1, phi_s, theta_s = nlos_params(
+            u, udot, xs[:3], xs[3] * n_v, b_n, sc.rrhs[0]
+        )
+        r_1 = los_range(u, sc.rrhs[0])
+        rdot_1 = range_rate(u, udot, sc.rrhs[0])
+        total = rs_n1 + r_1
+        paths.append(
+            PathMeasurement(
+                phi=phi_s + delta_a * rng.standard_normal(),
+                theta=theta_s + delta_a * rng.standard_normal(),
+                tau=(total + sc.clock_bias_m + delta_d * rng.standard_normal())
+                / SPEED_OF_LIGHT,
+                nu=rsdot_n1 + rdot_1 + delta_nu * rng.standard_normal(),
+                energy=0.1 * (100.0 / total) ** 2,
+                rrh_index=idx,
+                is_los=False,
+            )
+        )
+        paths_by_rrh.append(paths)
+    return paths_by_rrh

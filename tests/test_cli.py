@@ -5,6 +5,7 @@ checked directly; every invocation uses small trial counts to stay fast.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,22 @@ class TestSelectSr:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert 0.0 <= float(row["success_rate"]) <= 1.0
         assert row["trials"] == "20"
+
+    def test_static_user_exits_numerical_without_warning(self, tmp_path, capsys):
+        scenario = write_scenario(
+            tmp_path / "s.yaml",
+            "noise: {delta_d: 0.1, delta_a: 0.0175}\nn_a: 4\np_d: 0.5\ntrials: 3\n"
+            "ue_true: [250, 450, 0, 0, 0, 0]\n",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("select-sr", "--scenario", scenario)
+        assert code == EXIT_NUMERICAL
+        assert (
+            "scatterer velocity direction undefined for a static user"
+            in capsys.readouterr().err
+        )
+        assert caught == []
 
 
 @pytest.fixture(scope="module")

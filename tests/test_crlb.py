@@ -9,18 +9,20 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
+import crlb_oracle as oracle
 from hybridloc.crlb import (
     IdentityReport,
     crlb_scatterer,
     crlb_ue,
     crlb_ue_position,
+    crlb_ue_traces,
     jacobian_scatterer,
     jacobian_ue,
     position_trace,
     velocity_trace,
     verify_identities,
 )
-from hybridloc.errors import DegenerateGeometryError, SingularProblemError
+from hybridloc.errors import DegenerateGeometryError, GimbalLockError, SingularProblemError
 from hybridloc.geometry import scatterer_measurement, ue_measurement
 from hybridloc.noise import NoiseConfig, build_q, build_qs
 from hybridloc.scenario import (
@@ -106,6 +108,11 @@ class TestJacobianUe:
         with pytest.raises(DegenerateGeometryError):
             jacobian_ue(x, RRHS6)
 
+    def test_zenith_raises_gimbal_error(self):
+        x = np.concatenate([RRHS6[3] + [0.0, 0.0, 40.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(GimbalLockError, match="receiver 3"):
+            jacobian_ue(x, RRHS6)
+
 
 class TestCrlbUe:
     def test_symmetric_positive_definite(self):
@@ -142,6 +149,17 @@ class TestCrlbUe:
     def test_trace_helpers_split_blocks(self):
         cov = crlb_ue(X_TRUE, RRHS6, build_q(6, NoiseConfig()))
         assert position_trace(cov) + velocity_trace(cov) == pytest.approx(np.trace(cov))
+
+    def test_traces_of_joint_bound_when_velocity_observable(self):
+        q = build_q(6, NoiseConfig())
+        cov = crlb_ue(X_TRUE, RRHS6, q)
+        assert crlb_ue_traces(X_TRUE, RRHS6, q) == (position_trace(cov), velocity_trace(cov))
+
+    def test_traces_fall_back_to_position_bound_below_four_receivers(self):
+        q = build_q(3, NoiseConfig())
+        pos, vel = crlb_ue_traces(X_TRUE, DEFAULT_RRHS[:3], q)
+        assert pos == float(np.trace(crlb_ue_position(X_TRUE, DEFAULT_RRHS[:3], q)))
+        assert vel is None
 
 
 class TestJacobianScatterer:
@@ -207,3 +225,41 @@ class TestRowIdentities:
 
     def test_all_eighteen_receivers(self):
         assert verify_identities(X_TRUE, DEFAULT_RRHS).max_deviation < 1e-9
+
+
+class TestStackedMatchLoops:
+    """The stacked Jacobians and identity check equal their per-receiver loops."""
+
+    @staticmethod
+    def cases(count, seed):
+        rng = default_rng(seed)
+        sc = Scenario()
+        for k in range(count):
+            n = 2 + k % 17
+            rrhs = DEFAULT_RRHS[rng.permutation(len(DEFAULT_RRHS))[:n]]
+            x = sample_ue_state(sc, rng)
+            if k % 5 == 0:
+                x[3:] = 0.0
+            yield x, rrhs
+
+    def test_jacobian_ue(self):
+        for x, rrhs in self.cases(300, seed=404):
+            assert np.array_equal(jacobian_ue(x, rrhs), oracle.jacobian_ue(x, rrhs))
+
+    def test_verify_identities(self):
+        for x, rrhs in self.cases(300, seed=505):
+            report = verify_identities(x, rrhs)
+            assert (report.max_dev_range, report.max_dev_rate) == oracle.verify_identities(
+                x, rrhs
+            )
+
+    def test_jacobian_scatterer(self):
+        sc = Scenario()
+        rng = default_rng(606)
+        for k in range(300):
+            xs = sample_scatterer_state(sc, rng)
+            ue = sample_ue_state(sc, rng)
+            b_n = DEFAULT_RRHS[k % len(DEFAULT_RRHS)]
+            assert np.array_equal(
+                jacobian_scatterer(xs, b_n, ue), oracle.jacobian_scatterer(xs, b_n, ue)
+            )

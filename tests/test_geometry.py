@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from hybridloc import geometry
 from hybridloc.errors import DegenerateGeometryError, GimbalLockError
+from hybridloc.ue_wls import build_b
+from scalar_geometry import aoa_los, los_range, nlos_params, range_rate
 
 RNG = np.random.default_rng(42)
 
@@ -21,14 +23,30 @@ U = np.array([250.0, 450.0, 0.0])
 UDOT = np.array([-10.0, 2.0, 5.0])
 
 
+def ray_range(u, b):
+    """Per-ray range ``||u - b||`` of stacked points and receivers."""
+    return geometry.look_angles(np.asarray(u, dtype=float) - np.asarray(b, dtype=float))[0]
+
+
 def tdoa_related(u, b_n, b_1) -> float:
     """Range difference ``||u - b_n|| - ||u - b_1||`` (meters)."""
-    return geometry.los_range(u, b_n) - geometry.los_range(u, b_1)
+    r = ray_range(u, np.array([b_n, b_1], dtype=float))
+    return r[0] - r[1]
 
 
 def fdoa_related(u, udot, b_n, b_1) -> float:
     """Range-rate difference against the reference receiver (meters/second)."""
-    return geometry.range_rate(u, udot, b_n) - geometry.range_rate(u, udot, b_1)
+    _, rdot, _, _ = geometry.direct_paths(np.r_[u, udot], np.array([b_n, b_1], dtype=float))
+    return rdot[0] - rdot[1]
+
+
+def rate(u, udot, b) -> float:
+    return geometry.direct_paths(np.r_[u, udot], b)[1]
+
+
+def angles(u, b):
+    _, phi, theta = geometry.look_angles(np.asarray(u, dtype=float) - np.asarray(b, dtype=float))
+    return phi, theta
 
 
 def random_state(rng):
@@ -43,14 +61,14 @@ vec3 = st.tuples(coord, coord, coord).map(np.array)
 
 class TestRanges:
     def test_coincident_points_have_zero_range(self):
-        assert geometry.los_range(B1, B1) == 0.0
+        assert ray_range(B1, B1) == 0.0
 
     def test_unit_axis(self):
-        assert geometry.los_range([1, 0, 0], [0, 0, 0]) == 1.0
+        assert ray_range([1, 0, 0], [0, 0, 0]) == 1.0
 
     def test_desk_scenario_range(self):
         # Hand-evaluated Euclidean norm, frozen.
-        assert geometry.los_range(U, B1) == pytest.approx(67.42342643384418, abs=1e-10)
+        assert ray_range(U, B1) == pytest.approx(67.42342643384418, abs=1e-10)
 
     def test_tdoa_zero_for_identical_receivers(self):
         assert tdoa_related(U, B1, B1) == 0.0
@@ -61,7 +79,7 @@ class TestRanges:
         assert tdoa_related(mid, [1, 0, 0], [-1, 0, 0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_tdoa_composes_two_ranges(self):
-        expected = geometry.los_range(U, B2) - geometry.los_range(U, B1)
+        expected = ray_range(U, B2) - ray_range(U, B1)
         assert tdoa_related(U, B2, B1) == pytest.approx(expected, abs=1e-12)
 
     @given(u=vec3, bn=vec3, b1=vec3)
@@ -74,24 +92,24 @@ class TestRanges:
 class TestRangeRates:
     def test_tangential_motion_has_zero_rate(self):
         # Velocity perpendicular to the line of sight.
-        assert geometry.range_rate([1, 0, 0], [0, 1, 0], [0, 0, 0]) == pytest.approx(0.0)
+        assert rate([1, 0, 0], [0, 1, 0], [0, 0, 0]) == pytest.approx(0.0)
 
     def test_radial_motion_rate_equals_speed(self):
-        assert geometry.range_rate([1, 0, 0], [3, 0, 0], [0, 0, 0]) == pytest.approx(3.0)
+        assert rate([1, 0, 0], [3, 0, 0], [0, 0, 0]) == pytest.approx(3.0)
 
     def test_rate_bounded_by_speed(self):
         for _ in range(50):
             u, udot = random_state(RNG)
-            assert abs(geometry.range_rate(u, udot, B1)) <= np.linalg.norm(udot) + 1e-12
+            assert abs(rate(u, udot, B1)) <= np.linalg.norm(udot) + 1e-12
 
     def test_finite_difference_oracle(self):
         delta = 1e-6
-        fd = (geometry.los_range(U + delta * UDOT, B1) - geometry.los_range(U, B1)) / delta
-        assert geometry.range_rate(U, UDOT, B1) == pytest.approx(fd, rel=1e-4)
+        fd = (ray_range(U + delta * UDOT, B1) - ray_range(U, B1)) / delta
+        assert rate(U, UDOT, B1) == pytest.approx(fd, rel=1e-4)
 
     def test_coincident_points_raise(self):
         with pytest.raises(DegenerateGeometryError):
-            geometry.range_rate(B1, UDOT, B1)
+            geometry.ue_measurement(np.r_[B1, UDOT], np.array([B2, B1]))
 
 
 class TestFdoa:
@@ -112,30 +130,29 @@ class TestFdoa:
 
 class TestAoa:
     def test_plus_x_axis(self):
-        assert geometry.aoa_los([1, 0, 0], [0, 0, 0]) == (0.0, 0.0)
+        assert angles([1, 0, 0], [0, 0, 0]) == (0.0, 0.0)
 
     def test_zenith_uses_zero_azimuth_convention(self):
-        phi, theta = geometry.aoa_los([0, 0, 5], [0, 0, 0])
+        phi, theta = angles([0, 0, 5], [0, 0, 0])
         assert phi == 0.0
         assert theta == pytest.approx(np.pi / 2)
 
     def test_diagonal_ray(self):
-        phi, theta = geometry.aoa_los([1, 1, np.sqrt(2)], [0, 0, 0])
+        phi, theta = angles([1, 1, np.sqrt(2)], [0, 0, 0])
         assert phi == pytest.approx(np.pi / 4)
         assert theta == pytest.approx(np.pi / 4)
 
     def test_reconstruction_identity(self):
         """b + range * direction(phi, theta) recovers the original point."""
-        for _ in range(100):
-            u, _ = random_state(RNG)
-            b = RNG.uniform(-100, 100, 3)
-            r = geometry.los_range(u, b)
-            a, _, _ = geometry.angular_vectors(*geometry.aoa_los(u, b))
-            np.testing.assert_allclose(b + r * a, u, rtol=1e-9, atol=1e-9)
+        u = np.array([random_state(RNG)[0] for _ in range(100)])
+        b = RNG.uniform(-100, 100, (100, 3))
+        r, phi, theta = geometry.look_angles(u - b)
+        a, _, _ = geometry.angular_vectors(phi, theta)
+        np.testing.assert_allclose(b + r[:, None] * a, u, rtol=1e-9, atol=1e-9)
 
     def test_coincident_points_raise(self):
         with pytest.raises(DegenerateGeometryError):
-            geometry.aoa_los(B1, B1)
+            geometry.direct_paths(np.r_[B1, UDOT], np.array([B2, B1]))
 
 
 class TestAngularFrame:
@@ -159,17 +176,31 @@ class TestAngularFrame:
         gram = np.stack([a, c, d]) @ np.stack([a, c, d]).T
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
 
+    def test_stacked_frames_equal_single_frames(self):
+        phi = RNG.uniform(-np.pi, np.pi, (4, 5))
+        theta = RNG.uniform(-np.pi / 2, np.pi / 2, (4, 5))
+        stacked = geometry.angular_vectors(phi, theta)
+        for i, j in np.ndindex(phi.shape):
+            single = geometry.angular_vectors(phi[i, j], theta[i, j])
+            for v_stacked, v_single in zip(stacked, single):
+                assert np.array_equal(v_stacked[i, j], v_single)
+
+
+def look_rates_at(u, udot, b):
+    r, phi, theta = geometry.look_angles(np.asarray(u, dtype=float) - b)
+    return geometry.look_rates(r, phi, theta, udot)
+
 
 class TestAngleRates:
     def test_static_user_has_zero_rates(self):
-        assert geometry.angle_rates(U, np.zeros(3), B1) == (0.0, 0.0)
+        assert look_rates_at(U, np.zeros(3), B1) == (0.0, 0.0)
 
     def test_circular_motion(self):
         # Horizontal circle of radius r around the receiver: phidot = v / r.
         r, v = 20.0, 4.0
         u = np.array([r, 0.0, 0.0])
         udot = np.array([0.0, v, 0.0])
-        phidot, thetadot = geometry.angle_rates(u, udot, np.zeros(3))
+        phidot, thetadot = look_rates_at(u, udot, np.zeros(3))
         assert phidot == pytest.approx(v / r)
         assert thetadot == pytest.approx(0.0, abs=1e-15)
 
@@ -177,28 +208,35 @@ class TestAngleRates:
         delta = 1e-6
         for _ in range(20):
             u, udot = random_state(RNG)
-            phi0, theta0 = geometry.aoa_los(u, B1)
-            phi1, theta1 = geometry.aoa_los(u + delta * udot, B1)
-            phidot, thetadot = geometry.angle_rates(u, udot, B1)
+            phi0, theta0 = angles(u, B1)
+            phi1, theta1 = angles(u + delta * udot, B1)
+            phidot, thetadot = look_rates_at(u, udot, B1)
             assert phidot == pytest.approx((phi1 - phi0) / delta, rel=1e-4, abs=1e-10)
             assert thetadot == pytest.approx((theta1 - theta0) / delta, rel=1e-4, abs=1e-10)
 
     def test_vertical_ray_raises_gimbal_error(self):
+        # The reference receiver's angle rates enter the first-order noise map.
         with pytest.raises(GimbalLockError):
-            geometry.angle_rates([0, 0, 10], UDOT, [0, 0, 0])
+            build_b(np.r_[B1 + [0.0, 0.0, 10.0], UDOT], np.array([B1, B2]))
+
+
+def reflected(u, udot, s, speed, b_n=B2, b_1=B1):
+    return geometry.scatterer_measurement(np.r_[s, speed], np.r_[u, udot], b_n, b_1)
 
 
 class TestNlosParams:
     def test_scatterer_on_direct_path_matches_tdoa(self):
         # Degenerate scatterer placed on the segment user -> receiver.
         s = U + 0.4 * (B2 - U)
-        rs_n1, _, _, _ = geometry.nlos_params(U, UDOT, s, np.zeros(3), B2, B1)
+        rs_n1 = reflected(U, UDOT, s, 0.0)[0]
         assert rs_n1 == pytest.approx(tdoa_related(U, B2, B1), abs=1e-9)
 
     def test_all_static_gives_zero_rate(self):
+        # A static user has no scatterer velocity direction, so the user
+        # moves at 1e-12 m/s: the rate vanishes with the velocities.
         s = np.array([240.0, 600.0, -19.0])
-        _, rsdot, _, _ = geometry.nlos_params(U, np.zeros(3), s, np.zeros(3), B2, B1)
-        assert rsdot == pytest.approx(0.0, abs=1e-12)
+        rsdot = reflected(U, 1e-12 * UDOT, s, 0.0)[1]
+        assert rsdot == pytest.approx(0.0, abs=1e-9)
 
     def test_rate_matches_finite_difference_of_path_length(self):
         delta = 1e-6
@@ -207,23 +245,18 @@ class TestNlosParams:
 
         def path_minus_ref(t):
             ut, stt = U + t * UDOT, s + t * sdot
-            return (
-                geometry.los_range(ut, stt)
-                + geometry.los_range(stt, B2)
-                - geometry.los_range(ut, B1)
-            )
+            return ray_range(ut, stt) + ray_range(stt, B2) - ray_range(ut, B1)
 
         fd = (path_minus_ref(delta) - path_minus_ref(0.0)) / delta
-        _, rsdot, _, _ = geometry.nlos_params(U, UDOT, s, sdot, B2, B1)
+        rsdot = reflected(U, UDOT, s, 5.0)[1]
         assert rsdot == pytest.approx(fd, rel=1e-4)
 
     def test_triangle_inequality(self):
         for _ in range(50):
             u, udot = random_state(RNG)
             s = RNG.uniform([240, 450, 0], [280, 850, 20])
-            rs_n1, _, _, _ = geometry.nlos_params(u, udot, s, np.zeros(3), B2, B1)
-            r1 = geometry.los_range(u, B1)
-            assert rs_n1 + r1 >= geometry.los_range(u, B2) - 1e-9
+            rs_n1 = reflected(u, udot, s, 0.0)[0]
+            assert rs_n1 + ray_range(u, B1) >= ray_range(u, B2) - 1e-9
 
 
 class TestMeasurementVector:
@@ -237,20 +270,39 @@ class TestMeasurementVector:
         assert m[0] == pytest.approx(tdoa_related(U, rrhs[1], rrhs[0]))
         assert m[1] == pytest.approx(fdoa_related(U, UDOT, rrhs[1], rrhs[0]))
         assert m[2] == pytest.approx(tdoa_related(U, rrhs[2], rrhs[0]))
-        phi3, theta3 = geometry.aoa_los(U, rrhs[2])
+        phi3, theta3 = angles(U, rrhs[2])
         assert m[8] == pytest.approx(phi3)
         assert m[9] == pytest.approx(theta3)
 
     def test_scatterer_vector_matches_nlos_params(self):
-        xs = np.array([240.0, 600.0, -19.0, 5.0])
-        x = np.r_[U, UDOT]
-        ms = geometry.scatterer_measurement(xs, x, B2, B1)
-        n_v = UDOT / np.linalg.norm(UDOT)
-        expected = geometry.nlos_params(U, UDOT, xs[:3], 5.0 * n_v, B2, B1)
-        np.testing.assert_allclose(ms, expected, rtol=1e-12)
+        # Bit for bit against the per-ray scalar form, one receiver per
+        # scatterer as the selection simulator stacks them.
+        rrhs = RNG.uniform([200, 350, 0], [300, 900, 40], (300, 3))
+        xs = np.c_[RNG.uniform([230, 440, -20], [290, 860, 30], (300, 3)),
+                   RNG.uniform(-10, 10, 300)]
+        for _ in range(10):
+            u, udot = random_state(RNG)
+            ms = geometry.scatterer_measurement(xs, np.r_[u, udot], rrhs, B1)
+            n_v = udot / np.linalg.norm(udot)
+            expected = [nlos_params(u, udot, x[:3], x[3] * n_v, b, B1)
+                        for x, b in zip(xs, rrhs)]
+            assert np.array_equal(ms, expected)
 
     def test_static_user_rejected_for_scatterer_vector(self):
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(DegenerateGeometryError,
+                           match="scatterer velocity direction undefined for a static user"):
             geometry.scatterer_measurement(
                 [240, 600, -19, 5.0], np.r_[U, np.zeros(3)], B2, B1
             )
+
+
+class TestStackedMatchScalar:
+    """The per-ray rounding of the stacked kernels equals the scalar norm."""
+
+    def test_look_angles_and_direct_paths(self):
+        x = np.r_[U, UDOT]
+        rrhs = RNG.uniform(-1000, 1000, (2000, 3))
+        r, rdot, phi, theta = geometry.direct_paths(x, rrhs)
+        assert np.array_equal(r, [los_range(U, b) for b in rrhs])
+        assert np.array_equal(rdot, [range_rate(U, UDOT, b) for b in rrhs])
+        assert np.array_equal(np.c_[phi, theta], [aoa_los(U, b) for b in rrhs])

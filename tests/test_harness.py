@@ -282,25 +282,3 @@ class TestNnCampaign:
         with pytest.raises(ScenarioError):
             harness.estimator("magic", Scenario())
 
-
-class TestWorkers:
-    def test_worker_count_parses_env(self, monkeypatch):
-        monkeypatch.setenv(harness.WORKER_ENV, "3")
-        assert harness.worker_count() == 3
-        monkeypatch.delenv(harness.WORKER_ENV)
-        assert harness.worker_count() == 1
-
-    def test_invalid_worker_count_rejected(self, monkeypatch):
-        monkeypatch.setenv(harness.WORKER_ENV, "lots")
-        with pytest.raises(ScenarioError):
-            harness.worker_count()
-
-    def test_results_identical_across_worker_counts(self, monkeypatch):
-        # Only LOS selection still runs its trials in the pool.
-        sc = Scenario(trials=8, seed=17, n_a=4)
-        monkeypatch.setenv(harness.WORKER_ENV, "1")
-        serial = harness.run_sr_campaign(sc)
-        monkeypatch.setenv(harness.WORKER_ENV, "2")
-        parallel = harness.run_sr_campaign(sc)
-        assert serial.success_rate == parallel.success_rate
-        assert serial.failure_rate == parallel.failure_rate

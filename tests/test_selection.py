@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import selection_oracle as oracle
 from hybridloc import selection
 from hybridloc.errors import ScenarioError
-from hybridloc.geometry import SPEED_OF_LIGHT, aoa_los, los_range
+from hybridloc.geometry import SPEED_OF_LIGHT
 from hybridloc.noise import NoiseConfig
 from hybridloc.scenario import DEFAULT_RRHS, Scenario
 from hybridloc.selection import (
@@ -18,6 +18,7 @@ from hybridloc.selection import (
     select_los,
     simulate_paths,
 )
+from scalar_geometry import aoa_los, los_range
 
 U = np.array([250.0, 450.0, 0.0])
 RRHS = np.asarray(DEFAULT_RRHS, dtype=float)
@@ -204,6 +205,17 @@ class TestSimulatePaths:
             assert direct and reflected
             assert reflected[0].tau > direct[0].tau
             assert reflected[0].energy < direct[0].energy
+
+    @pytest.mark.parametrize("p_d", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("bias", [0.0, 100.0])
+    def test_equals_receiver_loop_field_for_field(self, p_d, bias):
+        sc = Scenario(
+            noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=p_d, clock_bias_m=bias
+        )
+        for t in range(60):
+            stacked = simulate_paths(sc, np.random.default_rng([53, t]))
+            loop = oracle.simulate_paths(sc, np.random.default_rng([53, t]))
+            assert stacked == loop, (p_d, bias, t)
 
     def test_success_rate_meets_target(self):
         # Operating point: 4 selected of 18 receivers, small noise, half

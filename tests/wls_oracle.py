@@ -3,24 +3,19 @@
 These are the scalar forms of the stacked core in ``hybridloc.ue_wls`` and
 ``hybridloc.scatterer_wls``: one receiver per loop step in ``build_system``
 and ``build_b``, and one SVD condition number plus one ``inv`` per weighted
-solve.  They raise on the first failure, as one trial of the stacked
-solvers fails.  Where a weighting ``B Q B'`` is exactly singular, ``inv``
-raises a bare ``LinAlgError`` here; the stacked solvers turn that into the
-trial's ``SingularProblemError``.
+solve, on the per-ray geometry of ``scalar_geometry``.  They raise on
+the first failure, as one trial of the stacked solvers fails.  Where a
+weighting ``B Q B'`` is exactly singular, ``inv`` raises a bare
+``LinAlgError`` here; the stacked solvers turn that into the trial's
+``SingularProblemError``.
 """
 
 import numpy as np
 
 from hybridloc.errors import DegenerateGeometryError, NumericalError, SingularProblemError
-from hybridloc.geometry import (
-    angle_rates,
-    angular_vectors,
-    aoa_los,
-    los_range,
-    measurement_dim,
-    range_rate,
-)
+from hybridloc.geometry import measurement_dim
 from hybridloc.ue_wls import _COND_LIMIT, _position_row_mask
+from scalar_geometry import angle_rates, angular_vectors, aoa_los, los_range, range_rate
 
 
 def build_system(m, rrhs):
