@@ -212,18 +212,16 @@ def cmd_crlb(args) -> int:
 def cmd_select_sr(args) -> int:
     sc = _load(args)
     nas = args.na or [sc.n_a]
-    rows = []
-    for na in nas:
-        rep = run_sr_campaign(sc.replace(n_a=na))
-        rows.append(
-            {
-                "na": na,
-                "p_d": sc.p_d,
-                "clock_bias_m": sc.clock_bias_m,
-                "trials": sc.trials,
-                "success_rate": rep.success_rate,
-            }
-        )
+    rows = [
+        {
+            "na": na,
+            "p_d": sc.p_d,
+            "clock_bias_m": sc.clock_bias_m,
+            "trials": sc.trials,
+            "success_rate": rep.success_rate,
+        }
+        for na, rep in zip(nas, run_sr_campaign(sc, nas))
+    ]
     prov = _provenance("select-sr", sc, _overrides(args, ("seed", "trials", "na")))
     columns = list(rows[0].keys())
     _emit(_render(columns, rows, prov, args.format), args.out)

@@ -35,7 +35,7 @@ from .noise import (
 )
 from .scatterer_wls import scatterer_wls_solve_batch
 from .scenario import Scenario
-from .selection import select_los, simulate_paths
+from .selection import los_candidates, select_los, simulate_paths
 from .ue_wls import wls_solve_batch
 
 # Stream tags keep the campaign-level draws (e.g. the dataset's dominant
@@ -242,25 +242,46 @@ def run_scatterer_campaign(sc: Scenario) -> MetricReport:
     return report
 
 
-def run_sr_campaign(sc: Scenario) -> MetricReport:
+def run_sr_campaign(sc: Scenario, nas=None):
     """Fraction of trials whose selected paths are all true direct paths.
 
-    A trial whose selection raises counts as a miss and in ``failure_rate``.
+    ``nas`` is a grid of receiver counts; each trial is simulated and its
+    ``los_candidates`` built once, then selected at every count.  Returns
+    one report per entry of ``nas`` (``runtime`` is the whole grid's), or
+    the report at ``sc.n_a`` when ``nas`` is None.  Every count is checked
+    against the scenario before any trial runs.  A selection that raises
+    counts as a miss and in ``failure_rate``.
     """
     start = time.perf_counter()
-    hits = failed = 0
-    for t in range(sc.trials):
-        paths = simulate_paths(sc, np.random.default_rng([sc.seed, t]))
-        try:
-            hits += select_los(paths, sc.rrhs, n_a=sc.n_a).all_selected_are_los()
-        except HybridlocError:
-            failed += 1
-    return MetricReport(
-        success_rate=hits / sc.trials,
-        failure_rate=failed / sc.trials,
-        trials=sc.trials,
-        runtime=time.perf_counter() - start,
-    )
+    grid = [sc.n_a] if nas is None else [sc.replace(n_a=na).n_a for na in nas]
+    hits = np.zeros(len(grid), dtype=int)
+    failed = np.zeros(len(grid), dtype=int)
+    for lo in range(0, sc.trials, _BLOCK):
+        block = []
+        for t in range(lo, min(lo + _BLOCK, sc.trials)):
+            paths = simulate_paths(sc, np.random.default_rng([sc.seed, t]))
+            try:
+                block.append((paths, los_candidates(paths, sc.rrhs)))
+            except HybridlocError:
+                block.append((paths, None))  # each selection raises its own error
+        for j, na in enumerate(grid):
+            for paths, candidates in block:
+                try:
+                    sel = select_los(paths, sc.rrhs, n_a=na, candidates=candidates)
+                    hits[j] += sel.all_selected_are_los()
+                except HybridlocError:
+                    failed[j] += 1
+    runtime = time.perf_counter() - start
+    reports = [
+        MetricReport(
+            success_rate=int(h) / sc.trials,
+            failure_rate=int(f) / sc.trials,
+            trials=sc.trials,
+            runtime=runtime,
+        )
+        for h, f in zip(hits, failed)
+    ]
+    return reports[0] if nas is None else reports
 
 
 def estimator(pipeline: str, sc: Scenario, model=None, eps: float = 0.1, r_a: float = 0.1):

@@ -112,18 +112,32 @@ class Scenario:
         return self.rrhs[: self.n_a]
 
 
+def _uniform_into(out, box, rng):
+    """Fill ``out`` with ``rng.uniform(box[:, 0], box[:, 1])``, bit for bit.
+
+    ``lo + (hi - lo) * u`` on the next ``len(out)`` doubles is what
+    ``Generator.uniform`` computes, without its broadcasting overhead.
+    """
+    lo = box[:, 0]
+    np.multiply(box[:, 1] - lo, rng.random(len(out)), out=out)
+    out += lo
+
+
 def sample_ue_state(sc: Scenario, rng) -> np.ndarray:
     """Uniform draw of a 6-D user state from the scenario boxes."""
-    pos = rng.uniform(sc.ue_box[:, 0], sc.ue_box[:, 1])
-    vel = rng.uniform(sc.ue_velocity_box[:, 0], sc.ue_velocity_box[:, 1])
-    return np.concatenate([pos, vel])
+    x = np.empty(6)
+    _uniform_into(x[:3], sc.ue_box, rng)
+    _uniform_into(x[3:], sc.ue_velocity_box, rng)
+    return x
 
 
 def sample_scatterer_state(sc: Scenario, rng) -> np.ndarray:
     """Uniform draw of a scatterer [position, speed] from the scenario boxes."""
-    pos = rng.uniform(sc.scatterer_box[:, 0], sc.scatterer_box[:, 1])
+    xs = np.empty(4)
+    _uniform_into(xs[:3], sc.scatterer_box, rng)
     lo, hi = sc.scatterer_speed_range
-    return np.append(pos, rng.uniform(lo, hi))
+    xs[3] = lo + (hi - lo) * rng.random()
+    return xs
 
 
 def _box_to_dict(box: np.ndarray) -> dict:

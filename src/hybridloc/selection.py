@@ -27,6 +27,14 @@ matrix is ``sum(w) I - sum(w a a^T)``, so the fits of one stage share one
 batched 3x3 solve per step.  Candidates that induce the same member set
 are scored once, for the first candidate that reached it, so rounding in
 the order of summation cannot pick between them.
+
+A selection runs in two stages.  :func:`los_candidates` does everything
+that does not depend on the number of selected receivers -- the picks,
+rough fixes, clustering and the four trimmed fits -- and returns a
+:class:`LosCandidates` record.  :func:`select_los` then scores the member
+sets those fits induce at its ``n_a``, ranks the receivers and builds the
+result; given the record, it skips the first stage, so one trial is
+selected at several ``n_a`` for the cost of one first stage.
 """
 
 from __future__ import annotations
@@ -265,14 +273,12 @@ def _subset_scores(subsets, origins, dirs, ranges) -> np.ndarray:
     return np.where(ok, scores, np.inf)
 
 
-def _refine_center(fixes, origins, dirs, ranges, c_cluster, subset_size: int):
-    """Pick the ranking center whose induced selection is most consistent.
+def _trimmed_centers(fixes, origins, dirs, ranges, c_cluster):
+    """The four candidate ranking centers, in the order they are tried.
 
     Trimmed ray fits start from the cluster center and the median fix, then
     from the two best-scoring seeds among the pair midpoints and those two
-    fits.  Each fit induces a selection (its ``subset_size`` nearest fixes);
-    the first fit to reach each member set stands for it, and the fit whose
-    set scores lowest wins, the earlier one on a tie.
+    fits.
     """
     keep = max(3, origins.shape[0] // 2)
     starts = np.array([c_cluster, np.median(fixes, axis=0)])
@@ -280,10 +286,16 @@ def _refine_center(fixes, origins, dirs, ranges, c_cluster, subset_size: int):
     seeds = np.vstack([_pair_midpoints(origins, dirs), centers])
     scores = _seed_scores(seeds, origins, dirs, ranges, k=6)
     best_seeds = seeds[np.argsort(scores, kind="stable")[:2]]
-    centers = np.vstack(
-        [centers, _trimmed_ray_points(origins, dirs, best_seeds, keep)]
-    )
+    return np.vstack([centers, _trimmed_ray_points(origins, dirs, best_seeds, keep)])
 
+
+def _best_center(centers, fixes, origins, dirs, ranges, subset_size: int):
+    """The center whose induced selection is most consistent.
+
+    Each center induces a selection (its ``subset_size`` nearest fixes);
+    the first center to reach each member set stands for it, and the
+    center whose set scores lowest wins, the earlier one on a tie.
+    """
     d = np.linalg.norm(fixes[None, :, :] - centers[:, None, :], axis=2)
     subsets = np.argsort(d, axis=1, kind="stable")[:, :subset_size]
     firsts, seen = [], set()
@@ -296,20 +308,40 @@ def _refine_center(fixes, origins, dirs, ranges, c_cluster, subset_size: int):
     return centers[firsts[int(np.argmin(scores))]]
 
 
-def select_los(
-    paths_by_rrh,
-    rrhs,
-    n_a: int | None = None,
-    v_c: float = SPEED_OF_LIGHT,
-    kmeans_iters: int = 100,
-) -> SelectionResult:
-    """Select the receivers whose earliest paths look direct.
+def _refine_center(fixes, origins, dirs, ranges, c_cluster, subset_size: int):
+    """Pick the ranking center whose induced selection is most consistent."""
+    centers = _trimmed_centers(fixes, origins, dirs, ranges, c_cluster)
+    return _best_center(centers, fixes, origins, dirs, ranges, subset_size)
 
-    ``paths_by_rrh`` is a sequence (one entry per receiver) of path lists;
-    receivers with empty lists are skipped.  With ``n_a`` given, exactly
-    that many receivers are selected by ascending cluster distance; without
-    it, picks below half the maximum pick energy are discarded and the rest
-    are selected.
+
+@dataclass
+class LosCandidates:
+    """The part of a selection that does not depend on ``n_a``.
+
+    ``picks`` holds ``(receiver index, earliest path)`` per reporting
+    receiver; ``fixes``, ``origins``, ``dirs`` and ``ranges`` are their
+    ``(n, 3)`` rough fixes, receiver positions and unit ray directions and
+    ``(n,)`` measured ranges; ``c_nlos`` is the center of the reflected-
+    path cluster and ``centers`` are the four trimmed ray fits the ranking
+    center is chosen from.
+    """
+
+    picks: list
+    fixes: np.ndarray
+    origins: np.ndarray
+    dirs: np.ndarray
+    ranges: np.ndarray
+    c_nlos: np.ndarray
+    centers: np.ndarray
+
+
+def los_candidates(
+    paths_by_rrh, rrhs, v_c: float = SPEED_OF_LIGHT, kmeans_iters: int = 100
+) -> LosCandidates:
+    """Picks, rough fixes, clusters and candidate centers of one trial.
+
+    Every selection of the trial, whatever its ``n_a``, ranks its receivers
+    from this record.
     """
     rrhs = np.asarray(rrhs, dtype=float)
     picks = []
@@ -320,8 +352,6 @@ def select_los(
         picks.append((idx, pick))
     if len(picks) < 2:
         raise ScenarioError("selection needs paths from at least two receivers")
-    if n_a is not None and n_a > len(picks):
-        raise ScenarioError(f"cannot select {n_a} receivers from {len(picks)} reporting")
 
     fixes = np.array([rough_fix(pick, rrhs[idx], v_c) for idx, pick in picks])
     origins = np.array([rrhs[idx] for idx, _ in picks])
@@ -329,8 +359,38 @@ def select_los(
     ranges = np.array([v_c * pick.tau for _, pick in picks])
 
     c_cluster, c_nlos, _ = kmeans2(fixes, max_iters=kmeans_iters)
+    centers = _trimmed_centers(fixes, origins, dirs, ranges, c_cluster)
+    return LosCandidates(picks, fixes, origins, dirs, ranges, c_nlos, centers)
+
+
+def select_los(
+    paths_by_rrh,
+    rrhs,
+    n_a: int | None = None,
+    v_c: float = SPEED_OF_LIGHT,
+    kmeans_iters: int = 100,
+    candidates: LosCandidates | None = None,
+) -> SelectionResult:
+    """Select the receivers whose earliest paths look direct.
+
+    ``paths_by_rrh`` is a sequence (one entry per receiver) of path lists;
+    receivers with empty lists are skipped.  With ``n_a`` given, exactly
+    that many receivers are selected by ascending cluster distance; without
+    it, picks below half the maximum pick energy are discarded and the rest
+    are selected.  ``candidates`` is the trial's :func:`los_candidates`
+    record, built here (with ``v_c`` and ``kmeans_iters``) when not given.
+    """
+    if candidates is None:
+        candidates = los_candidates(paths_by_rrh, rrhs, v_c, kmeans_iters)
+    picks, fixes = candidates.picks, candidates.fixes
+    if n_a is not None and n_a > len(picks):
+        raise ScenarioError(f"cannot select {n_a} receivers from {len(picks)} reporting")
+
     subset_size = n_a if n_a is not None else min(6, len(picks))
-    c_los = _refine_center(fixes, origins, dirs, ranges, c_cluster, subset_size)
+    c_los = _best_center(
+        candidates.centers, fixes, candidates.origins, candidates.dirs,
+        candidates.ranges, subset_size,
+    )
     d = np.linalg.norm(fixes - c_los, axis=1)
 
     # Micrometer quantization so exactly-tied distances rank in receiver
@@ -363,7 +423,7 @@ def select_los(
         los_set=los_set,
         nlos_sets=nlos_sets,
         c_los=c_los,
-        c_nlos=c_nlos,
+        c_nlos=candidates.c_nlos,
         distances=distances,
     )
 

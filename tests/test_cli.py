@@ -181,6 +181,25 @@ class TestSelectSr:
         assert 0.0 <= float(row["success_rate"]) <= 1.0
         assert row["trials"] == "20"
 
+    def test_receiver_count_above_layout_exits_parse_before_any_output(
+        self, tmp_path, capsys
+    ):
+        scenario = write_scenario(tmp_path / "s.yaml", "trials: 5\nseed: 3\n")
+        code = run_cli("select-sr", "--scenario", scenario, "--na", "4", "19")
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert "n_a must satisfy 2 <= n_a <= number of receivers" in captured.err
+
+    def test_repeated_receiver_count_prints_equal_rows(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path / "s.yaml", "trials: 12\nseed: 3\n")
+        assert run_cli("select-sr", "--scenario", scenario, "--na", "4", "4") == EXIT_OK
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert lines[0].startswith("na,")
+        assert len(lines) == 3
+        assert lines[1] == lines[2]
+        assert lines[1].startswith("4,")
+
     def test_static_user_exits_numerical_without_warning(self, tmp_path, capsys):
         scenario = write_scenario(
             tmp_path / "s.yaml",

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridloc import harness, nn
+from hybridloc import harness, nn, selection
 from hybridloc.crlb import crlb_ue, position_trace, velocity_trace
 from hybridloc.errors import (
     DimensionMismatchError,
@@ -242,6 +242,58 @@ class TestSrCampaign:
         report = harness.run_sr_campaign(sc)
         assert report.failure_rate == 0.5
         assert report.success_rate == 0.5
+
+    def test_grid_equals_single_campaigns(self):
+        # 70 trials span two blocks of harness._BLOCK.
+        sc = Scenario(noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), trials=70, seed=5)
+        grid = harness.run_sr_campaign(sc, [4, 6])
+        for na, report in zip((4, 6), grid):
+            single = harness.run_sr_campaign(sc.replace(n_a=na))
+            assert report.success_rate == single.success_rate
+            assert report.failure_rate == single.failure_rate
+            assert report.trials == 70
+        assert grid[0].success_rate != grid[1].success_rate
+
+    def test_selects_by_n_a_within_each_block(self, monkeypatch):
+        sc = Scenario(noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), trials=70, seed=5)
+        real = harness.select_los
+        order = []
+
+        def recording(*args, **kwargs):
+            order.append(kwargs["n_a"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "select_los", recording)
+        harness.run_sr_campaign(sc, [4, 6])
+        assert order == [4] * 64 + [6] * 64 + [4] * 6 + [6] * 6
+
+    def test_raising_candidates_fail_the_trial_at_every_n_a(self, monkeypatch):
+        sc = Scenario(
+            noise=NoiseConfig(delta_d=1e-9, delta_a=1e-9), p_d=1.0, trials=8, seed=21
+        )
+        assert [r.success_rate for r in harness.run_sr_campaign(sc, [3, 5])] == [1.0, 1.0]
+        doomed = harness.simulate_paths(sc, np.random.default_rng([sc.seed, 3]))
+        real = selection.los_candidates
+
+        def raise_on_trial_3(paths, *args, **kwargs):
+            if paths == doomed:
+                raise SingularProblemError("no solvable ray fit")
+            return real(paths, *args, **kwargs)
+
+        # The campaign's own call and the one select_los makes without a record.
+        monkeypatch.setattr(harness, "los_candidates", raise_on_trial_3)
+        monkeypatch.setattr(selection, "los_candidates", raise_on_trial_3)
+        for report in harness.run_sr_campaign(sc, [3, 5]):
+            assert report.failure_rate == 1 / 8
+            assert report.success_rate == 7 / 8
+
+    def test_whole_grid_checked_before_any_trial(self, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "simulate_paths", no_trials)
+        with pytest.raises(ScenarioError, match="n_a must satisfy"):
+            harness.run_sr_campaign(Scenario(trials=3), [4, 19])
 
 
 class TestNnCampaign:

@@ -1,5 +1,7 @@
 """Scenario construction, validation, and YAML round trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from hybridloc.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestDefaults:
@@ -103,6 +107,38 @@ class TestSampling:
         a = sample_ue_state(sc, np.random.default_rng(9))
         b = sample_ue_state(sc, np.random.default_rng(9))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "sc",
+        [load_scenario(p) for p in sorted(SCENARIOS.glob("*.yaml"))]
+        + [
+            Scenario(),
+            Scenario(
+                scatterer_box=np.array([[250.0, 250.0], [-3.5, -3.5], [0.0, 0.0]]),
+                scatterer_speed_range=(4.0, 4.0),
+                ue_box=np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
+                ue_velocity_box=np.array([[-7.0, -7.0], [0.0, 0.0], [1e-3, 1e-3]]),
+            ),
+        ],
+    )
+    def test_samplers_equal_generator_uniform(self, sc):
+        def uniform_ue(rng):
+            pos = rng.uniform(sc.ue_box[:, 0], sc.ue_box[:, 1])
+            vel = rng.uniform(sc.ue_velocity_box[:, 0], sc.ue_velocity_box[:, 1])
+            return np.concatenate([pos, vel])
+
+        def uniform_scatterer(rng):
+            pos = rng.uniform(sc.scatterer_box[:, 0], sc.scatterer_box[:, 1])
+            return np.append(pos, rng.uniform(*sc.scatterer_speed_range))
+
+        for sample, uniform in (
+            (sample_ue_state, uniform_ue),
+            (sample_scatterer_state, uniform_scatterer),
+        ):
+            new, old = np.random.default_rng(17), np.random.default_rng(17)
+            for _ in range(2000):
+                assert np.array_equal(sample(sc, new), uniform(old))
+            assert new.random() == old.random()  # same number of draws taken
 
 
 class TestSerialization:

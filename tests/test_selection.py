@@ -14,6 +14,7 @@ from hybridloc.scenario import DEFAULT_RRHS, Scenario
 from hybridloc.selection import (
     PathMeasurement,
     kmeans2,
+    los_candidates,
     rough_fix,
     select_los,
     simulate_paths,
@@ -239,6 +240,62 @@ class TestSimulatePaths:
         assert rates[100.0] > 0.78
 
 
+def outcome(select):
+    """A selection's fields, or the class and message of what it raised."""
+    try:
+        sel = select()
+    except ScenarioError as exc:
+        return type(exc), str(exc)
+    return (
+        sel.selected_indices,
+        [id(p) for p in sel.los_set],
+        sel.c_los.tolist(),
+        sel.c_nlos.tolist(),
+        sel.distances,
+        {k: [id(p) for p in ps] for k, ps in sel.nlos_sets.items()},
+    )
+
+
+class TestLosCandidates:
+    @pytest.mark.parametrize("p_d", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("bias", [0.0, 100.0])
+    def test_one_record_serves_every_n_a(self, p_d, bias):
+        # One record is reused across the whole grid, so a finish that
+        # altered it would show up in the later counts.
+        sc = Scenario(
+            noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=p_d, clock_bias_m=bias
+        )
+        for t in range(15):
+            paths = simulate_paths(sc, np.random.default_rng([61, t]))
+            candidates = los_candidates(paths, sc.rrhs)
+            for n_a in (2, 3, 4, 5, 6, None):
+                alone = outcome(lambda: select_los(paths, sc.rrhs, n_a=n_a))
+                shared = outcome(
+                    lambda: select_los(paths, sc.rrhs, n_a=n_a, candidates=candidates)
+                )
+                assert shared == alone, (p_d, bias, t, n_a)
+
+    def test_energy_threshold_mode_from_candidates(self):
+        # Simulated trials often leave fewer than two receivers above the
+        # energy gate and raise; here five of six pass it.
+        paths = [[los_path(RRHS[i], i, energy=1.0)] for i in range(5)]
+        paths.append([los_path(RRHS[5], 5, energy=0.2)])
+        candidates = los_candidates(paths, RRHS[:6])
+        alone = outcome(lambda: select_los(paths, RRHS[:6]))
+        assert outcome(lambda: select_los(paths, RRHS[:6], candidates=candidates)) == alone
+        assert sorted(alone[0]) == list(range(5))
+
+    def test_n_a_above_reporting_raises_with_candidates(self):
+        paths = [[los_path(RRHS[i], i)] for i in range(3)]
+        candidates = los_candidates(paths, RRHS[:3])
+        with pytest.raises(ScenarioError, match="cannot select 4 receivers from 3"):
+            select_los(paths, RRHS[:3], n_a=4, candidates=candidates)
+
+    def test_too_few_reporting_raises(self):
+        with pytest.raises(ScenarioError, match="at least two receivers"):
+            los_candidates([[los_path(RRHS[0], 0)], []], RRHS[:2])
+
+
 # ---------------------------------------------------------------------------
 # Stacked ray kernels against the per-ray loop oracle
 
@@ -416,6 +473,38 @@ def test_selection_corpus_matches_loop_oracle(monkeypatch):
                 new = select_los(paths, sc.rrhs, n_a=n_a)
                 monkeypatch.setattr(selection, "_refine_center", loop_refine)
                 old = select_los(paths, sc.rrhs, n_a=n_a)
+                assert new.selected_indices == old.selected_indices, (bias, t, n_a)
+                assert np.linalg.norm(new.c_los - old.c_los) <= 1e-6, (bias, t, n_a)
+                compared += 1
+    assert compared == 2000
+
+
+def test_selection_corpus_matches_loop_oracle_from_candidates(monkeypatch):
+    """The same 2000 selections, each finished from its trial's shared record.
+
+    The loop oracle picks the ranking center from the record's fixes, rays
+    and cluster center; ``select_los`` must then rank the same receivers
+    from it as from the stacked pick.
+    """
+    stacked = selection._best_center
+    compared = 0
+    for bias in (0.0, 100.0):
+        sc = Scenario(
+            noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=0.5, clock_bias_m=bias
+        )
+        for t in range(500):
+            paths = simulate_paths(sc, np.random.default_rng([31, t]))
+            c = los_candidates(paths, sc.rrhs)
+            c_cluster = kmeans2(c.fixes)[0]
+            for n_a in (4, 6):
+                loop_center = oracle.refine_center(
+                    c.fixes, c.origins, c.dirs, c.ranges, c_cluster, n_a,
+                    seed_scores=selection._seed_scores,
+                )
+                monkeypatch.setattr(selection, "_best_center", stacked)
+                new = select_los(paths, sc.rrhs, n_a=n_a, candidates=c)
+                monkeypatch.setattr(selection, "_best_center", lambda *a: loop_center)
+                old = select_los(paths, sc.rrhs, n_a=n_a, candidates=c)
                 assert new.selected_indices == old.selected_indices, (bias, t, n_a)
                 assert np.linalg.norm(new.c_los - old.c_los) <= 1e-6, (bias, t, n_a)
                 compared += 1
