@@ -5,7 +5,8 @@ so results are reproducible and independent of execution order.  Campaigns
 tolerate per-trial solver failures: failed trials are excluded from the
 error statistics and surface as a failure rate instead.
 
-The WLS and scatterer campaigns solve their trials in stacked blocks.
+The WLS and scatterer campaigns solve their trials in stacked blocks, and
+the selection campaign runs its trimmed ray fits so.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .noise import (
 )
 from .scatterer_wls import scatterer_wls_solve_batch
 from .scenario import Scenario
-from .selection import los_candidates, select_los, simulate_paths
+from .selection import los_candidates_batch, select_los, simulate_paths
 from .ue_wls import wls_solve_batch
 
 # Stream tags keep the campaign-level draws (e.g. the dataset's dominant
@@ -246,7 +247,8 @@ def run_sr_campaign(sc: Scenario, nas=None):
     """Fraction of trials whose selected paths are all true direct paths.
 
     ``nas`` is a grid of receiver counts; each trial is simulated and its
-    ``los_candidates`` built once, then selected at every count.  Returns
+    ``los_candidates`` built once (the trimmed fits of ``_BLOCK`` trials at
+    a time, by ``los_candidates_batch``), then selected at every count.  Returns
     one report per entry of ``nas`` (``runtime`` is the whole grid's), or
     the report at ``sc.n_a`` when ``nas`` is None.  Every count is checked
     against the scenario before any trial runs.  A selection that raises
@@ -257,15 +259,18 @@ def run_sr_campaign(sc: Scenario, nas=None):
     hits = np.zeros(len(grid), dtype=int)
     failed = np.zeros(len(grid), dtype=int)
     for lo in range(0, sc.trials, _BLOCK):
-        block = []
-        for t in range(lo, min(lo + _BLOCK, sc.trials)):
-            paths = simulate_paths(sc, np.random.default_rng([sc.seed, t]))
-            try:
-                block.append((paths, los_candidates(paths, sc.rrhs)))
-            except HybridlocError:
-                block.append((paths, None))  # each selection raises its own error
+        block = [
+            simulate_paths(sc, np.random.default_rng([sc.seed, t]))
+            for t in range(lo, min(lo + _BLOCK, sc.trials))
+        ]
+        # A trial whose first stage failed is selected without a record, so
+        # each of its selections raises its own error.
+        entries = [
+            None if isinstance(c, HybridlocError) else c
+            for c in los_candidates_batch(block, sc.rrhs)
+        ]
         for j, na in enumerate(grid):
-            for paths, candidates in block:
+            for paths, candidates in zip(block, entries):
                 try:
                     sel = select_los(paths, sc.rrhs, n_a=na, candidates=candidates)
                     hits[j] += sel.all_selected_are_los()

@@ -35,6 +35,15 @@ rough fixes, clustering and the four trimmed fits -- and returns a
 sets those fits induce at its ``n_a``, ranks the receivers and builds the
 result; given the record, it skips the first stage, so one trial is
 selected at several ``n_a`` for the cost of one first stage.
+
+:func:`los_candidates_batch` builds the records of many trials at once.
+The fit kernels take an optional leading trial axis -- ``(T, n, 3)``
+rays, ``(T, K, 3)`` starts -- and flatten it into their stack of fits,
+so the trimmed fits of every trial with the same ray count share one
+batched solve per step.  Each fit's step and freezing are its own, and a
+stacked solve computes each system as a solo one does, so a trial gets
+the same record in a batch as alone; :func:`los_candidates` is the batch
+of one.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import HybridlocError, ScenarioError
 from .geometry import (
     SPEED_OF_LIGHT,
     angular_vectors,
@@ -219,17 +228,23 @@ def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
     """Reweighted least-squares points nearest each row's kept rays.
 
     ``kept`` is ``(K, m)`` ray indices and ``c0`` the ``(K, 3)`` starts; the
-    K fits are independent.  Each step solves the weighted normal equations
+    K fits are independent.  With a leading trial axis, origins and dirs
+    are ``(T, n, 3)``, kept ``(T, K, m)`` and c0 ``(T, K, 3)``, and the T*K
+    fits run as one stack.  Each step solves the weighted normal equations
     ``(sum(w) I - sum(w a a^T)) c = sum(w P o)`` with ``w = 1/max(miss,
-    floor)`` for all K at once.  A fit is frozen when its step is below
+    floor)`` for all fits at once.  A fit is frozen when its step is below
     1e-9 m (keeping the new point) or its solve fails (keeping the last).
     """
-    o, a = origins[kept], dirs[kept]
+    lead, m = kept.shape[:-1], kept.shape[-1]
+    if origins.ndim == 3:  # trial axis: index the trials' rays as one stack
+        kept = kept + origins.shape[1] * np.arange(origins.shape[0])[:, None, None]
+        origins, dirs = origins.reshape(-1, 3), dirs.reshape(-1, 3)
+    o, a = origins[kept].reshape(-1, m, 3), dirs[kept].reshape(-1, m, 3)
     po = _perp(o, a)
-    k, m = kept.shape
+    k = o.shape[0]
     aat = (a[..., :, None] * a[..., None, :]).reshape(k, m, 9)
     eye = np.eye(3)
-    c = np.array(c0, dtype=float)
+    c = np.array(c0, dtype=float).reshape(k, 3)
     active = np.ones(k, dtype=bool)
     for _ in range(iters):
         w = 1.0 / np.maximum(_norm(_perp(c[:, None, :] - o, a)), floor)
@@ -242,15 +257,18 @@ def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
         active = moved & ~converged
         if not active.any():
             break
-    return c
+    return c.reshape(*lead, 3)
 
 
 def _trimmed_ray_points(origins, dirs, c0, keep: int, rounds: int = 4):
-    """Alternate between keeping each start's closest rays and refitting it."""
+    """Alternate between keeping each start's closest rays and refitting it.
+
+    Takes the optional leading trial axis of :func:`_ray_points`.
+    """
     c = np.array(c0, dtype=float)
     for _ in range(rounds):
-        dray = _norm(_perp(c[:, None, :] - origins, dirs))
-        kept = np.argsort(dray, axis=1, kind="stable")[:, : max(keep, 3)]
+        dray = _norm(_perp(c[..., None, :] - origins[..., None, :, :], dirs[..., None, :, :]))
+        kept = np.argsort(dray, axis=-1, kind="stable")[..., : max(keep, 3)]
         c = _ray_points(origins, dirs, kept, c)
     return c
 
@@ -273,20 +291,33 @@ def _subset_scores(subsets, origins, dirs, ranges) -> np.ndarray:
     return np.where(ok, scores, np.inf)
 
 
+def _best_seeds(origins, dirs, ranges, centers):
+    """The two best-scoring seeds among the pair midpoints and ``centers``."""
+    seeds = np.vstack([_pair_midpoints(origins, dirs), centers])
+    scores = _seed_scores(seeds, origins, dirs, ranges, k=6)
+    return seeds[np.argsort(scores, kind="stable")[:2]]
+
+
 def _trimmed_centers(fixes, origins, dirs, ranges, c_cluster):
     """The four candidate ranking centers, in the order they are tried.
 
     Trimmed ray fits start from the cluster center and the median fix, then
     from the two best-scoring seeds among the pair midpoints and those two
-    fits.
+    fits.  Every argument may carry a leading trial axis (trials of one
+    ray count); both fit stages then run stacked over the trials, and the
+    seeds, whose midpoint count differs between trials, are picked per
+    trial.
     """
-    keep = max(3, origins.shape[0] // 2)
-    starts = np.array([c_cluster, np.median(fixes, axis=0)])
+    keep = max(3, origins.shape[-2] // 2)
+    starts = np.stack([c_cluster, np.median(fixes, axis=-2)], axis=-2)
     centers = _trimmed_ray_points(origins, dirs, starts, keep)
-    seeds = np.vstack([_pair_midpoints(origins, dirs), centers])
-    scores = _seed_scores(seeds, origins, dirs, ranges, k=6)
-    best_seeds = seeds[np.argsort(scores, kind="stable")[:2]]
-    return np.vstack([centers, _trimmed_ray_points(origins, dirs, best_seeds, keep)])
+    lead = origins.shape[:-2]
+    best_seeds = np.empty(lead + (2, 3))
+    for t in np.ndindex(lead):
+        best_seeds[t] = _best_seeds(origins[t], dirs[t], ranges[t], centers[t])
+    return np.concatenate(
+        [centers, _trimmed_ray_points(origins, dirs, best_seeds, keep)], axis=-2
+    )
 
 
 def _best_center(centers, fixes, origins, dirs, ranges, subset_size: int):
@@ -335,15 +366,11 @@ class LosCandidates:
     centers: np.ndarray
 
 
-def los_candidates(
-    paths_by_rrh, rrhs, v_c: float = SPEED_OF_LIGHT, kmeans_iters: int = 100
-) -> LosCandidates:
-    """Picks, rough fixes, clusters and candidate centers of one trial.
+def _first_stage(paths_by_rrh, rrhs, v_c, kmeans_iters):
+    """One trial's record without its centers, and its cluster center.
 
-    Every selection of the trial, whatever its ``n_a``, ranks its receivers
-    from this record.
+    The picks, rays, rough fixes and clustering of the trial.
     """
-    rrhs = np.asarray(rrhs, dtype=float)
     picks = []
     for idx, paths in enumerate(paths_by_rrh):
         if not paths:
@@ -353,14 +380,63 @@ def los_candidates(
     if len(picks) < 2:
         raise ScenarioError("selection needs paths from at least two receivers")
 
-    fixes = np.array([rough_fix(pick, rrhs[idx], v_c) for idx, pick in picks])
-    origins = np.array([rrhs[idx] for idx, _ in picks])
+    origins = rrhs[[idx for idx, _ in picks]]
     dirs = np.array([angular_vectors(pick.phi, pick.theta)[0] for _, pick in picks])
     ranges = np.array([v_c * pick.tau for _, pick in picks])
-
+    fixes = origins + ranges[:, None] * dirs  # rough_fix of every pick
     c_cluster, c_nlos, _ = kmeans2(fixes, max_iters=kmeans_iters)
-    centers = _trimmed_centers(fixes, origins, dirs, ranges, c_cluster)
-    return LosCandidates(picks, fixes, origins, dirs, ranges, c_nlos, centers)
+    return LosCandidates(picks, fixes, origins, dirs, ranges, c_nlos, None), c_cluster
+
+
+def los_candidates_batch(
+    paths_list, rrhs, v_c: float = SPEED_OF_LIGHT, kmeans_iters: int = 100
+) -> list:
+    """:func:`los_candidates` of many trials, their trimmed fits stacked.
+
+    Returns one entry per trial of ``paths_list``: its
+    :class:`LosCandidates`, or the :class:`HybridlocError` its picks or
+    clustering raised.  Picks, rays and clustering run per trial; trials
+    with equal pick counts share the two trimmed-fit stages, which give
+    each trial the centers it gets alone.
+    """
+    rrhs = np.asarray(rrhs, dtype=float)
+    entries = []
+    groups = {}  # pick count -> [(record, cluster center)]
+    for paths_by_rrh in paths_list:
+        try:
+            record, c_cluster = _first_stage(paths_by_rrh, rrhs, v_c, kmeans_iters)
+        except HybridlocError as exc:
+            entries.append(exc)
+            continue
+        entries.append(record)
+        groups.setdefault(len(record.picks), []).append((record, c_cluster))
+    for members in groups.values():
+        records = [record for record, _ in members]
+        fields = [
+            [getattr(r, name) for r in records] for name in ("fixes", "origins", "dirs", "ranges")
+        ]
+        fields.append([c_cluster for _, c_cluster in members])
+        if len(members) == 1:  # nothing to stack: the kernels' own case
+            centers = [_trimmed_centers(*(field[0] for field in fields))]
+        else:
+            centers = _trimmed_centers(*(np.array(field) for field in fields))
+        for record, c in zip(records, centers):
+            record.centers = c
+    return entries
+
+
+def los_candidates(
+    paths_by_rrh, rrhs, v_c: float = SPEED_OF_LIGHT, kmeans_iters: int = 100
+) -> LosCandidates:
+    """Picks, rough fixes, clusters and candidate centers of one trial.
+
+    Every selection of the trial, whatever its ``n_a``, ranks its receivers
+    from this record.  It is the batch of one.
+    """
+    (entry,) = los_candidates_batch([paths_by_rrh], rrhs, v_c, kmeans_iters)
+    if isinstance(entry, HybridlocError):
+        raise entry
+    return entry
 
 
 def select_los(

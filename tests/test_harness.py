@@ -9,6 +9,7 @@ from hybridloc import harness, nn, selection
 from hybridloc.crlb import crlb_ue, position_trace, velocity_trace
 from hybridloc.errors import (
     DimensionMismatchError,
+    HybridlocError,
     NumericalError,
     ScenarioError,
     SingularProblemError,
@@ -254,6 +255,22 @@ class TestSrCampaign:
             assert report.trials == 70
         assert grid[0].success_rate != grid[1].success_rate
 
+    def test_grid_equals_per_trial_selections(self):
+        # 70 trials span two blocks of harness._BLOCK, fitted in one batch
+        # each; the loop fits every trial alone.
+        sc = Scenario(noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), trials=70, seed=9)
+        grid = harness.run_sr_campaign(sc, [4, 6])
+        for na, report in zip((4, 6), grid):
+            hits = failed = 0
+            for t in range(sc.trials):
+                paths = selection.simulate_paths(sc, np.random.default_rng([sc.seed, t]))
+                try:
+                    hits += selection.select_los(paths, sc.rrhs, n_a=na).all_selected_are_los()
+                except HybridlocError:
+                    failed += 1
+            assert report.success_rate == hits / sc.trials
+            assert report.failure_rate == failed / sc.trials
+
     def test_selects_by_n_a_within_each_block(self, monkeypatch):
         sc = Scenario(noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), trials=70, seed=5)
         real = harness.select_los
@@ -273,16 +290,17 @@ class TestSrCampaign:
         )
         assert [r.success_rate for r in harness.run_sr_campaign(sc, [3, 5])] == [1.0, 1.0]
         doomed = harness.simulate_paths(sc, np.random.default_rng([sc.seed, 3]))
-        real = selection.los_candidates
+        doomed_fixes = selection.los_candidates(doomed, sc.rrhs).fixes
+        real = selection.kmeans2
 
-        def raise_on_trial_3(paths, *args, **kwargs):
-            if paths == doomed:
+        def raise_on_trial_3(points, *args, **kwargs):
+            if np.array_equal(points, doomed_fixes):
                 raise SingularProblemError("no solvable ray fit")
-            return real(paths, *args, **kwargs)
+            return real(points, *args, **kwargs)
 
-        # The campaign's own call and the one select_los makes without a record.
-        monkeypatch.setattr(harness, "los_candidates", raise_on_trial_3)
-        monkeypatch.setattr(selection, "los_candidates", raise_on_trial_3)
+        # Fails trial 3's first stage in the campaign's block and again in
+        # each select_los, which gets no record for it.
+        monkeypatch.setattr(selection, "kmeans2", raise_on_trial_3)
         for report in harness.run_sr_campaign(sc, [3, 5]):
             assert report.failure_rate == 1 / 8
             assert report.success_rate == 7 / 8

@@ -1,5 +1,7 @@
 """Direct-path selection: rough fixes, clustering, ranking, and simulation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +17,7 @@ from hybridloc.selection import (
     PathMeasurement,
     kmeans2,
     los_candidates,
+    los_candidates_batch,
     rough_fix,
     select_los,
     simulate_paths,
@@ -240,6 +243,13 @@ class TestSimulatePaths:
         assert rates[100.0] > 0.78
 
 
+def assert_same_record(new, old):
+    """Two LosCandidates records hold the same picks and equal arrays."""
+    assert [(i, id(p)) for i, p in new.picks] == [(i, id(p)) for i, p in old.picks]
+    for name in ("fixes", "origins", "dirs", "ranges", "c_nlos", "centers"):
+        assert np.array_equal(getattr(new, name), getattr(old, name)), name
+
+
 def outcome(select):
     """A selection's fields, or the class and message of what it raised."""
     try:
@@ -294,6 +304,46 @@ class TestLosCandidates:
     def test_too_few_reporting_raises(self):
         with pytest.raises(ScenarioError, match="at least two receivers"):
             los_candidates([[los_path(RRHS[0], 0)], []], RRHS[:2])
+
+    @pytest.mark.parametrize("p_d", [0.3, 1.0])
+    @pytest.mark.parametrize("bias", [0.0, 100.0])
+    def test_fixes_are_the_rough_fixes(self, p_d, bias):
+        sc = Scenario(
+            noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=p_d, clock_bias_m=bias
+        )
+        for t in range(15):
+            paths = simulate_paths(sc, np.random.default_rng([67, t]))
+            c = los_candidates(paths, sc.rrhs)
+            fixes = [rough_fix(pick, sc.rrhs[idx]) for idx, pick in c.picks]
+            assert np.array_equal(c.fixes, np.array(fixes)), (p_d, bias, t)
+
+    def test_block_isolates_its_trials(self):
+        sc = Scenario(noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=0.5)
+        normal = simulate_paths(sc, np.random.default_rng([71, 0]))
+        solo = [[] for _ in RRHS]
+        solo[4] = normal[4]
+        one_silent = simulate_paths(sc, np.random.default_rng([71, 1]))
+        one_silent[7] = []
+        pair = [paths if i in (0, 1) else [] for i, paths in enumerate(normal)]
+        # Receivers 6 and 12 share a site; one ray along +x from both makes
+        # every fit of this trial singular, so the stacked solves of its
+        # group (it and ``pair``) fall back to row by row.
+        copies = [[] for _ in RRHS]
+        for i in (6, 12):
+            copies[i] = [PathMeasurement(0.0, 0.0, 300.0 / SPEED_OF_LIGHT, 0.0, 1.0, i)]
+        block = [normal, solo, one_silent, pair, copies]
+        entries = los_candidates_batch(block, RRHS)
+        for paths, entry in zip(block, entries):
+            if paths is solo:
+                assert isinstance(entry, ScenarioError)
+                with pytest.raises(ScenarioError, match=re.escape(str(entry))):
+                    los_candidates(paths, RRHS)
+            else:
+                assert_same_record(entry, los_candidates(paths, RRHS))
+        assert [len(e.picks) for e in entries if e is not entries[1]] == [18, 17, 2, 2]
+        # The singular fits never leave their start, the common fix.
+        c = entries[4]
+        assert np.array_equal(c.centers, np.tile(c.fixes[0], (4, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +457,32 @@ class TestStackedKernelsMatchLoops:
         assume(min(gaps) > 1e-9)
         assert_close(selection._refine_center(*args), old, 1e3)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 18),
+        st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=4),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_trial_axis_matches_single_trials(self, seed, n, flags, k):
+        # T = len(flags) bundles of n rays, each with its own awkward cases.
+        bundles = [ray_bundle(seed + t, n, *f) for t, f in enumerate(flags)]
+        trials = len(bundles)
+        origins = np.array([b[0] for b in bundles])
+        dirs = np.array([b[1] for b in bundles])
+        rng = np.random.default_rng(seed)
+        m = min(n, 3 + int(rng.integers(0, 4)))
+        kept = np.array([[rng.permutation(n)[:m] for _ in range(k)] for _ in range(trials)])
+        starts = U + rng.normal(0.0, 100.0, (trials, k, 3))
+        keep = max(3, n // 2)
+        points = selection._ray_points(origins, dirs, kept, starts)
+        trimmed = selection._trimmed_ray_points(origins, dirs, starts, keep)
+        for t in range(trials):
+            one = selection._ray_points(origins[t], dirs[t], kept[t], starts[t])
+            assert np.array_equal(points[t], one)
+            one = selection._trimmed_ray_points(origins[t], dirs[t], starts[t], keep)
+            assert np.array_equal(trimmed[t], one)
+
     def test_singular_fit_keeps_last_estimate(self):
         # Three copies of one ray: every normal matrix is singular, so the
         # fit must stop at its start, as the per-ray loop does.
@@ -454,27 +530,30 @@ class TestRefineCenterDeduplication:
         assert np.array_equal(center, [55.0, 0.0, 0.0])
 
 
-def test_selection_corpus_matches_loop_oracle(monkeypatch):
-    """2000 simulated selections: same ordered receivers, same center."""
-    stacked = selection._refine_center
+def test_selection_corpus_block_matches_single_trials():
+    """1000 simulated trials fitted in blocks: the records of single trials.
 
-    def loop_refine(*args):
-        return oracle.refine_center(*args, seed_scores=selection._seed_scores)
-
+    Blocks of 64 are the harness's, blocks of 10 the size of one benchmark
+    campaign; both must give every trial the record it gets alone, and so
+    the same ordered receivers at every ``n_a``.
+    """
     compared = 0
     for bias in (0.0, 100.0):
         sc = Scenario(
             noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=0.5, clock_bias_m=bias
         )
-        for t in range(500):
-            paths = simulate_paths(sc, np.random.default_rng([31, t]))
-            for n_a in (4, 6):
-                monkeypatch.setattr(selection, "_refine_center", stacked)
-                new = select_los(paths, sc.rrhs, n_a=n_a)
-                monkeypatch.setattr(selection, "_refine_center", loop_refine)
-                old = select_los(paths, sc.rrhs, n_a=n_a)
-                assert new.selected_indices == old.selected_indices, (bias, t, n_a)
-                assert np.linalg.norm(new.c_los - old.c_los) <= 1e-6, (bias, t, n_a)
+        trials = [simulate_paths(sc, np.random.default_rng([31, t])) for t in range(500)]
+        alone = [los_candidates(paths, sc.rrhs) for paths in trials]
+        for size in (64, 10):
+            blocked = []
+            for lo in range(0, len(trials), size):
+                blocked += los_candidates_batch(trials[lo:lo + size], sc.rrhs)
+            for t, (paths, new, old) in enumerate(zip(trials, blocked, alone)):
+                assert_same_record(new, old)
+                for n_a in (4, 6):
+                    a = select_los(paths, sc.rrhs, n_a=n_a, candidates=new)
+                    b = select_los(paths, sc.rrhs, n_a=n_a, candidates=old)
+                    assert a.selected_indices == b.selected_indices, (bias, size, t, n_a)
                 compared += 1
     assert compared == 2000
 
