@@ -3,7 +3,9 @@
 Members share topology and data and differ only by weight initialization.
 ENN-A votes among the member state predictions with subtractive clustering,
 ENN-B averages the members' residual outer products into one weighting
-matrix, ENN-M is the plain mean of member predictions.
+matrix, ENN-M is the plain mean of member predictions.  Each combiner is
+a stack map over measurements (``*_batch``); the per-sample combiners are
+those stack maps run on one sample, and raise that sample's failure.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import DimensionMismatchError, ScenarioError
 from .nn import (
     MlpConfig,
     _no_failures,
+    _one,
     _stacked,
     _train_stack,
     load_model,
@@ -89,83 +92,65 @@ def _stack_inputs(nets, ms, rrhs):
     return (e_hats,) + build_system(ms, np.asarray(rrhs, dtype=float))
 
 
-def _sample_inputs(nets, m, rrhs):
-    """The member predictions (P, dim) and the system (h, G) of one sample."""
-    m = np.asarray(m, dtype=float)
-    e_hats = np.array([net.predict(m) for net in nets], dtype=float)
-    return (e_hats,) + build_system(m, np.asarray(rrhs, dtype=float))
-
-
-def _member_states(e_hats, h, g, eps):
-    """NN-WLS states (..., P, 6) of every member, solved in one stack, and
-    per system the error of its first failing member, or None (its rows
-    are then NaN).  ``e_hats`` (..., P, dim) against ``h`` (..., dim) and
-    ``g`` (..., dim, 6)."""
-    errors = np.full(e_hats.shape[:-1], None, dtype=object)
-    states, _ = residual_solve(
-        h[..., None, :], g[..., None, :, :], e_hats[..., None, :], eps, errors
-    )
-    failures = np.full(errors.shape[:-1], None, dtype=object)
-    failed = ~np.equal(errors, None)
-    if failed.any():
-        for idx in np.argwhere(failed)[::-1]:  # last to first: the first member wins
-            failures[tuple(idx[:-1])] = errors[tuple(idx)]
-        states[~np.equal(failures, None)] = np.nan
-    return states, failures
-
-
 def member_states_batch(nets, ms, rrhs, eps: float = 0.1):
     """Per-member NN-WLS states of stacked measurements ``ms`` (N, dim).
 
     Returns ``(states, failures)``: states (N, P, 6), and per sample the
-    error of its first failing member or None.  The systems are built
-    once for all members, and all members are solved in one stack.
+    error of its first failing member or None (its rows are then NaN).
+    The systems are built once for all members, and all members are
+    solved in one stack.
     """
-    return _member_states(*_stack_inputs(nets, ms, rrhs), eps)
+    e_hats, h, g = _stack_inputs(nets, ms, rrhs)
+    errors = np.full(e_hats.shape[:-1], None, dtype=object)
+    states, _ = residual_solve(
+        h[:, None, :], g[:, None, :, :], e_hats[:, :, None, :], eps, errors
+    )
+    failures = _no_failures(len(h))
+    failed = ~np.equal(errors, None)
+    if failed.any():
+        for i, j in np.argwhere(failed)[::-1]:  # last to first: the first member wins
+            failures[i] = errors[i, j]
+        states[failed.any(axis=1)] = np.nan
+    return states, failures
 
 
 def member_states(nets, m, rrhs, eps: float = 0.1) -> np.ndarray:
-    """Stack of per-member NN-WLS state estimates, one row per net.
+    """Stack of per-member NN-WLS state estimates, one row per net:
+    :func:`member_states_batch` on the one sample ``m``.
 
-    Row i equals ``nn.nn_wls_estimate(nets[i], m, rrhs, eps)``; the
-    pseudo-linear system is built once for all members, and the first
-    failing member's error is raised.
+    Row i equals ``nn.nn_wls_estimate(nets[i], m, rrhs, eps)``, and the
+    first failing member's error is raised.
     """
-    states, failure = _member_states(*_sample_inputs(nets, m, rrhs), eps)
-    if failure[()] is not None:
-        raise failure[()]
-    return states
-
-
-def _vote(states, r_a: float):
-    """Density vote among member states (..., P, 6), run separately on
-    positions and velocities."""
-    return np.concatenate(
-        [subtractive_pick(states[..., :3], r_a), subtractive_pick(states[..., 3:], r_a)],
-        axis=-1,
-    )
+    return _one(member_states_batch, nets, m, rrhs, eps)
 
 
 def enn_a_wls_batch(nets, ms, rrhs, eps: float = 0.1, r_a: float = 0.1):
-    """ENN-A estimates of stacked measurements, as ``nn.nn_wls_batch``."""
+    """ENN-A estimates of stacked measurements, as ``nn.nn_wls_batch``: a
+    density vote among the member states, run separately on positions and
+    velocities."""
     states, failures = member_states_batch(nets, ms, rrhs, eps)
-    return _vote(states, r_a), failures
+    x = np.concatenate(
+        [subtractive_pick(states[..., :3], r_a), subtractive_pick(states[..., 3:], r_a)],
+        axis=-1,
+    )
+    return x, failures
 
 
 def enn_a_wls(nets, m, rrhs, eps: float = 0.1, r_a: float = 0.1) -> np.ndarray:
-    """Density vote, run separately on positions and velocities."""
-    return _vote(member_states(nets, m, rrhs, eps), r_a)
+    """Density vote: :func:`enn_a_wls_batch` on the one sample ``m``."""
+    return _one(enn_a_wls_batch, nets, m, rrhs, eps, r_a)
 
 
 def enn_m_wls_batch(nets, ms, rrhs, eps: float = 0.1):
-    """ENN-M estimates of stacked measurements, as ``nn.nn_wls_batch``."""
+    """ENN-M estimates of stacked measurements, as ``nn.nn_wls_batch``: the
+    plain mean of the member states."""
     states, failures = member_states_batch(nets, ms, rrhs, eps)
     return states.mean(axis=-2), failures
 
 
 def enn_m_wls(nets, m, rrhs, eps: float = 0.1) -> np.ndarray:
-    """Plain mean of the member state estimates."""
-    return member_states(nets, m, rrhs, eps).mean(axis=-2)
+    """Plain mean: :func:`enn_m_wls_batch` on the one sample ``m``."""
+    return _one(enn_m_wls_batch, nets, m, rrhs, eps)
 
 
 def average_outer(e_hats) -> np.ndarray:
@@ -187,18 +172,21 @@ def invert_weighting(avg: np.ndarray, ridge_scale: float = 1e-4):
     return np.linalg.inv(avg + eps * np.eye(dim)), True
 
 
-def _enn_b(e_hats, h, g, ridge_scale: float, errors=None):
-    """ENN-B states from member predictions ``e_hats`` (..., P, dim).
+def enn_b_wls_batch(nets, ms, rrhs, ridge_scale: float = 1e-4):
+    """ENN-B estimates of stacked measurements, as ``nn.nn_wls_batch``: one
+    WLS solve per sample weighted by the averaged residual outer product.
 
     With fewer members P than measurement rows the averaged outer product
     ``EᵀE/P`` has rank at most P, so its ridge ``δ = ridge_scale·trace/dim``
     always engages, and ``(δI + EᵀE/P)⁻¹`` is applied through the P×P
     system ``δP·I + EEᵀ`` (``nn.residual_solve``; scaling the weighting
     by P leaves the estimate as it is).  From P = dim on,
-    :func:`invert_weighting` decides and inverts densely, and a system
+    :func:`invert_weighting` decides and inverts densely, and a sample
     with non-finite predictions gets a non-finite weighting.  Warns
     (RuntimeWarning) once per call when a ridge engaged.
     """
+    e_hats, h, g = _stack_inputs(nets, ms, rrhs)
+    errors = _no_failures(len(h))
     p, dim = e_hats.shape[-2:]
     if p < dim:
         trace = np.sum(e_hats * e_hats, axis=(-2, -1)) / p
@@ -206,32 +194,25 @@ def _enn_b(e_hats, h, g, ridge_scale: float, errors=None):
         x, _ = residual_solve(h, g, e_hats, delta * p, errors)
         engaged = True
     else:
-        stack = e_hats.reshape(-1, p, dim)
-        w = np.full((len(stack), dim, dim), np.nan)
+        w = np.full((len(h), dim, dim), np.nan)
         engaged = False
-        for i in np.flatnonzero(np.isfinite(stack).all(axis=(1, 2))):
-            w[i], hit = invert_weighting(average_outer(stack[i]), ridge_scale)
+        for i in np.flatnonzero(np.isfinite(e_hats).all(axis=(1, 2))):
+            w[i], hit = invert_weighting(average_outer(e_hats[i]), ridge_scale)
             engaged |= hit
-        x, _ = solve_linear(h, g, w.reshape(e_hats.shape[:-2] + (dim, dim)), errors)
+        x, _ = solve_linear(h, g, w, errors)
     if engaged:
         warnings.warn(
             "averaged residual weighting was singular; ridge engaged",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    return x
-
-
-def enn_b_wls_batch(nets, ms, rrhs, ridge_scale: float = 1e-4):
-    """ENN-B estimates of stacked measurements, as ``nn.nn_wls_batch``."""
-    e_hats, h, g = _stack_inputs(nets, ms, rrhs)
-    errors = _no_failures(len(h))
-    return _enn_b(e_hats, h, g, ridge_scale, errors), errors
+    return x, errors
 
 
 def enn_b_wls(nets, m, rrhs, ridge_scale: float = 1e-4) -> np.ndarray:
-    """Single WLS solve weighted by the averaged residual outer product."""
-    return _enn_b(*_sample_inputs(nets, m, rrhs), ridge_scale)
+    """Single WLS solve weighted by the averaged residual outer product:
+    :func:`enn_b_wls_batch` on the one sample ``m``."""
+    return _one(enn_b_wls_batch, nets, m, rrhs, ridge_scale)
 
 
 def save_ensemble(nets, ens: EnsembleConfig, directory) -> str:

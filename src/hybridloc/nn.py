@@ -6,7 +6,10 @@ localization system directly from the measurement vector.  The predicted
 residual either supplies the weighting matrix for a single weighted solve
 (NN-WLS), is subtracted before an ordinary least-squares solve (NN-LS), or
 is bypassed entirely by a network that regresses the state itself
-(black box).  Scatterer variants mirror the user-equipment ones on the
+(black box).  Each of these maps a stack of measurements at once
+(``nn_wls_batch``, ``nn_ls_batch``, ``blackbox_batch``); the per-sample
+estimators are those stack maps run on one sample, and raise that sample's
+failure.  The scatterer variant mirrors the user-equipment NN-WLS on the
 4-dimensional single-receiver system.
 
 Everything here is plain numpy: forward pass, backpropagation, and the
@@ -571,6 +574,15 @@ def _no_failures(n: int) -> np.ndarray:
     return np.full(n, None, dtype=object)
 
 
+def _one(batch, model, m, *args):
+    """Row 0 of the stack map ``batch`` run on the one sample ``m``; the
+    sample's failure is raised instead."""
+    x, failures = batch(model, np.asarray(m, dtype=float)[None], *args)
+    if failures[0] is not None:
+        raise failures[0]
+    return x[0]
+
+
 def _batch_inputs(net, ms, rrhs):
     """A stack's predictions, its systems (h, G) and an empty failure array."""
     ms = _stacked(ms)
@@ -591,12 +603,9 @@ def nn_wls_batch(net: Mlp, ms, rrhs, eps: float = 0.1):
 
 
 def nn_wls_estimate(net: Mlp, m, rrhs, eps: float = 0.1):
-    """Single weighted solve with the learned residual covariance: the
-    kernel of :func:`nn_wls_batch` on one sample, raising its failure."""
-    m = np.asarray(m, dtype=float)
-    e_hat = np.asarray(net.predict(m), dtype=float)
-    h, g = build_system(m, np.asarray(rrhs, dtype=float))
-    return residual_solve(h, g, e_hat[None], eps)[0]
+    """Single weighted solve with the learned residual covariance:
+    :func:`nn_wls_batch` on the one sample ``m``."""
+    return _one(nn_wls_batch, net, m, rrhs, eps)
 
 
 def nn_ls_batch(net: Mlp, ms, rrhs):
@@ -607,11 +616,9 @@ def nn_ls_batch(net: Mlp, ms, rrhs):
 
 
 def nn_ls_estimate(net: Mlp, m, rrhs):
-    """Ordinary least squares after subtracting the predicted residual."""
-    m = np.asarray(m, dtype=float)
-    e_hat = np.asarray(net.predict(m), dtype=float)
-    h, g = build_system(m, np.asarray(rrhs, dtype=float))
-    return residual_solve(h - e_hat, g)[0]
+    """Ordinary least squares after subtracting the predicted residual:
+    :func:`nn_ls_batch` on the one sample ``m``."""
+    return _one(nn_ls_batch, net, m, rrhs)
 
 
 _BLOWN_MESSAGE = "black-box estimate contains non-finite entries"
@@ -633,12 +640,9 @@ def blackbox_batch(net_bb: Mlp, ms):
 
 
 def blackbox_estimate(net_bb: Mlp, m):
-    """Direct state regression; no geometric model involved.  A non-finite
-    output raises ``NumericalError``, as in :func:`blackbox_batch`."""
-    x = np.asarray(net_bb.predict(np.asarray(m, dtype=float)), dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(_BLOWN_MESSAGE)
-    return x
+    """Direct state regression, no geometric model involved:
+    :func:`blackbox_batch` on the one sample ``m``."""
+    return _one(blackbox_batch, net_bb, m)
 
 
 def nn_wls_scatterer(net_s: Mlp, ms, b_n, b_1, ue, eps: float = 0.1):

@@ -339,12 +339,6 @@ def _best_center(centers, fixes, origins, dirs, ranges, subset_size: int):
     return centers[firsts[int(np.argmin(scores))]]
 
 
-def _refine_center(fixes, origins, dirs, ranges, c_cluster, subset_size: int):
-    """Pick the ranking center whose induced selection is most consistent."""
-    centers = _trimmed_centers(fixes, origins, dirs, ranges, c_cluster)
-    return _best_center(centers, fixes, origins, dirs, ranges, subset_size)
-
-
 @dataclass
 class LosCandidates:
     """The part of a selection that does not depend on ``n_a``.
@@ -416,10 +410,7 @@ def los_candidates_batch(
             [getattr(r, name) for r in records] for name in ("fixes", "origins", "dirs", "ranges")
         ]
         fields.append([c_cluster for _, c_cluster in members])
-        if len(members) == 1:  # nothing to stack: the kernels' own case
-            centers = [_trimmed_centers(*(field[0] for field in fields))]
-        else:
-            centers = _trimmed_centers(*(np.array(field) for field in fields))
+        centers = _trimmed_centers(*(np.array(field) for field in fields))
         for record, c in zip(records, centers):
             record.centers = c
     return entries

@@ -7,6 +7,7 @@ weighting (``(êêᵀ + εI)⁻¹`` for NN-WLS, the ridged member average for
 ENN-B) and solves once through ``solve_linear``; each dataset sample is
 drawn, measured and labelled alone through the noise samplers.  They
 raise on the first failure, as one sample of the stacked maps fails.
+``StubNet`` is the fake network the learning tests share.
 """
 
 import warnings
@@ -29,6 +30,19 @@ from hybridloc.scatterer_wls import build_scatterer_system
 from hybridloc.scenario import sample_scatterer_state, sample_ue_state
 from hybridloc.ue_wls import _COND_LIMIT, build_system, solve_linear
 from scalar_geometry import nlos_params
+
+
+class StubNet:
+    """Predicts a fixed vector for every sample; stands in for a trained
+    model.  As ``Mlp.predict``: one vector in, one prediction out; an
+    (N, dim) stack in, an (N, out) stack out."""
+
+    def __init__(self, e_hat):
+        self.e_hat = np.asarray(e_hat, dtype=float)
+
+    def predict(self, m):
+        lead = np.shape(m)[:-1]
+        return np.broadcast_to(self.e_hat, lead + self.e_hat.shape).copy()
 
 
 def ue_measurement(x, rrhs):

@@ -116,7 +116,8 @@ def refine_center(
     midpoints=pair_midpoints,
     gaps=None,
 ):
-    """Loop form of ``_refine_center``; ``seed_scores`` is the package's scorer.
+    """Loop form of ``_trimmed_centers`` followed by ``_best_center``;
+    ``seed_scores`` is the package's scorer.
 
     ``midpoints`` may be the package's ``_pair_midpoints``, so that both
     forms score bitwise-equal seeds.

@@ -11,14 +11,7 @@ from hybridloc.errors import ScenarioError
 from hybridloc.noise import NoiseConfig
 from hybridloc.scenario import Scenario
 from hybridloc.ue_wls import build_system, solve_linear
-
-
-class StubNet:
-    def __init__(self, e_hat):
-        self.e_hat = np.asarray(e_hat, dtype=float)
-
-    def predict(self, m):
-        return self.e_hat.copy()
+from learning_oracle import StubNet
 
 
 def density_measure(preds, p: int, r_a: float) -> float:

@@ -10,26 +10,22 @@ from hypothesis import strategies as st
 
 import learning_oracle as oracle
 from hybridloc import ensemble, harness, nn
-from hybridloc.errors import HybridlocError, NumericalError, SingularProblemError
+from hybridloc.errors import (
+    DimensionMismatchError,
+    HybridlocError,
+    NumericalError,
+    SingularProblemError,
+)
 from hybridloc.noise import NoiseConfig, build_q
 from hybridloc.scatterer_wls import build_scatterer_system
 from hybridloc.scenario import Scenario
 from hybridloc.ue_wls import _COND_LIMIT, build_system, wls_solve
+from learning_oracle import StubNet
 
 STRUCTURED = NoiseConfig(delta_d=3.0, delta_a=0.0175, mode="structured", ratio=0.01)
 SC = Scenario(noise=STRUCTURED)
 RRHS = SC.selected_rrhs()
 MARK = 12345.0  # a first measurement entry that poisons a PoisonNet's prediction
-
-
-class StubNet:
-    """Predicts a fixed vector; stands in for a trained model."""
-
-    def __init__(self, e_hat):
-        self.e_hat = np.asarray(e_hat, dtype=float)
-
-    def predict(self, m):
-        return self.e_hat.copy()
 
 
 class PoisonNet:
@@ -296,6 +292,27 @@ class TestStackMaps:
             warnings.simplefilter("always")
             harness.estimator("enn_b", SC, trained["nets"])(trained["test"].m)
         assert [w.category for w in caught] == [RuntimeWarning]
+
+
+PER_SAMPLE = {  # each per-sample estimator and the model it takes
+    nn.nn_wls_estimate: "net",
+    nn.nn_ls_estimate: "net",
+    nn.blackbox_estimate: "bb",
+    ensemble.member_states: "nets",
+    ensemble.enn_a_wls: "nets",
+    ensemble.enn_m_wls: "nets",
+    ensemble.enn_b_wls: "nets",
+}
+
+
+@pytest.mark.parametrize("estimate", PER_SAMPLE, ids=lambda f: f.__name__)
+def test_per_sample_estimator_rejects_a_stack(trained, estimate):
+    # Each per-sample estimator is its stack map on one sample, so a stack
+    # of samples is one malformed sample, not N of them.
+    model = PER_SAMPLE[estimate]
+    args = () if model == "bb" else (RRHS,)
+    with pytest.raises(DimensionMismatchError):
+        estimate(trained[model], trained["test"].m, *args)
 
 
 class TestRidgeCheck:

@@ -9,6 +9,7 @@ from hybridloc.noise import NoiseConfig
 from hybridloc.scenario import Scenario
 from hybridloc.scatterer_wls import build_scatterer_system
 from hybridloc.ue_wls import build_system, solve_linear
+from learning_oracle import StubNet
 
 
 def small_dataset(n=120, seed=5, ratio=0.01):
@@ -16,16 +17,6 @@ def small_dataset(n=120, seed=5, ratio=0.01):
         noise=NoiseConfig(delta_d=3.0, delta_a=0.0175, mode="structured", ratio=ratio)
     )
     return sc, nn.make_dataset(sc, n, np.random.default_rng(seed))
-
-
-class StubNet:
-    """Predicts a fixed vector; stands in for a trained model."""
-
-    def __init__(self, e_hat):
-        self.e_hat = np.asarray(e_hat, dtype=float)
-
-    def predict(self, m):
-        return self.e_hat.copy()
 
 
 class TestNormalizer:

@@ -455,7 +455,9 @@ class TestStackedKernelsMatchLoops:
         )
         # A decision between values equal up to rounding may go either way.
         assume(min(gaps) > 1e-9)
-        assert_close(selection._refine_center(*args), old, 1e3)
+        centers = selection._trimmed_centers(fixes, origins, dirs, ranges, c_cluster)
+        center = selection._best_center(centers, fixes, origins, dirs, ranges, size)
+        assert_close(center, old, 1e3)
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -523,9 +525,8 @@ class TestRefineCenterDeduplication:
         monkeypatch.setattr(selection, "_subset_scores", later_scores_lower)
         origins = np.zeros((6, 3))
         dirs = np.tile([1.0, 0.0, 0.0], (6, 1))
-        center = selection._refine_center(
-            fixes, origins, dirs, np.ones(6), fixes[0], subset_size=4
-        )
+        centers = selection._trimmed_centers(fixes, origins, dirs, np.ones(6), fixes[0])
+        center = selection._best_center(centers, fixes, origins, dirs, np.ones(6), subset_size=4)
         assert scored == [(0, 1, 2, 3), (4, 5, 3, 2)]
         assert np.array_equal(center, [55.0, 0.0, 0.0])
 
