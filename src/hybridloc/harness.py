@@ -6,7 +6,8 @@ tolerate per-trial solver failures: failed trials are excluded from the
 error statistics and surface as a failure rate instead.
 
 The WLS and scatterer campaigns solve their trials in stacked blocks, and
-the selection campaign runs its trimmed ray fits so.
+the selection campaign simulates its trials and builds their n_a-free
+records so.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .noise import (
 )
 from .scatterer_wls import scatterer_wls_solve_batch
 from .scenario import Scenario
-from .selection import los_candidates_batch, select_los, simulate_paths
+from .selection import los_candidates_batch, select_los, simulate_paths_batch
 from .ue_wls import wls_solve_batch
 
 # Stream tags keep the campaign-level draws (e.g. the dataset's dominant
@@ -247,8 +248,9 @@ def run_sr_campaign(sc: Scenario, nas=None):
     """Fraction of trials whose selected paths are all true direct paths.
 
     ``nas`` is a grid of receiver counts; each trial is simulated and its
-    ``los_candidates`` built once (the trimmed fits of ``_BLOCK`` trials at
-    a time, by ``los_candidates_batch``), then selected at every count.  Returns
+    ``los_candidates`` built once, ``_BLOCK`` trials at a time (by
+    ``simulate_paths_batch`` and ``los_candidates_batch``), then selected
+    at every count by its own ``select_los`` call.  Returns
     one report per entry of ``nas`` (``runtime`` is the whole grid's), or
     the report at ``sc.n_a`` when ``nas`` is None.  Every count is checked
     against the scenario before any trial runs.  A selection that raises
@@ -259,10 +261,10 @@ def run_sr_campaign(sc: Scenario, nas=None):
     hits = np.zeros(len(grid), dtype=int)
     failed = np.zeros(len(grid), dtype=int)
     for lo in range(0, sc.trials, _BLOCK):
-        block = [
-            simulate_paths(sc, np.random.default_rng([sc.seed, t]))
-            for t in range(lo, min(lo + _BLOCK, sc.trials))
+        streams = [
+            np.random.default_rng([sc.seed, t]) for t in range(lo, min(lo + _BLOCK, sc.trials))
         ]
+        block = simulate_paths_batch(sc, streams)
         # A trial whose first stage failed is selected without a record, so
         # each of its selections raises its own error.
         entries = [

@@ -243,8 +243,17 @@ class Mlp:
         return float(loss), grads_w, grads_b
 
     def predict(self, m: np.ndarray) -> np.ndarray:
-        """Physical-unit prediction for one vector or a batch."""
+        """Physical-unit prediction for one vector or a batch.
+
+        Raises ``DimensionMismatchError`` when the measurement width is not
+        the network's input width.
+        """
         m = np.asarray(m, dtype=float)
+        if m.shape[-1:] != self.config.layer_widths[:1]:
+            raise DimensionMismatchError(
+                f"measurements of shape {m.shape} do not match the network's "
+                f"input width {self.config.layer_widths[0]}"
+            )
         single = m.ndim == 1
         z = self.in_norm.transform(np.atleast_2d(m))
         out = self._forward(z)[-1]
@@ -521,13 +530,15 @@ def residual_solve(h, g, e=None, ridge=1.0, errors=None):
         W = (I − QQᵀ) / ridge + Q (ridge·I + RRᵀ)⁻¹ Qᵀ,
 
     so the normal equations need only the projection ``A⊥ = A − Q QᵀA`` of
-    ``A = [G | h]`` and the k×k system: ``[G | h]ᵀ W [G | h] = A⊥ᵀA⊥ / ridge
-    + (QᵀA)ᵀ (ridge·I + RRᵀ)⁻¹ QᵀA``.  Subtracting the projected part
-    instead, as ``(AᵀA − FᵀK⁻¹F)/ridge`` with ``F = EA`` and ``K = ridge·I +
-    EEᵀ`` (for NN-WLS ``GᵀG − ggᵀ/(ε + ‖ê‖²)``, ``g = Gᵀê``), is the same
-    identity but cancels where ``G`` leans on the rows of ``E``: against a
-    40-digit reference its states erred by up to 7e-12 relative, this
-    form's by 3e-13 and the dense inverse's by 2e-11.
+    ``A = [G | h]`` and the r×r system, r = min(k, dim): ``[G | h]ᵀ W
+    [G | h] = A⊥ᵀA⊥ / ridge + (QᵀA)ᵀ (ridge·I + RRᵀ)⁻¹ QᵀA``.  With more
+    rows than dim, ``Q`` is square and ``A⊥`` vanishes.  Subtracting the
+    projected part instead, as ``(AᵀA − FᵀK⁻¹F)/ridge`` with ``F = EA``
+    and ``K = ridge·I + EEᵀ`` (for NN-WLS ``GᵀG − ggᵀ/(ε + ‖ê‖²)``,
+    ``g = Gᵀê``), is the same identity but cancels where ``G`` leans on
+    the rows of ``E``: against a 40-digit reference its states erred by up
+    to 7e-12 relative, this form's by 3e-13 and the dense inverse's by
+    2e-11.
 
     ``h``, ``G``, ``E`` and ``ridge`` broadcast over leading batch axes, and
     ``errors`` follows :func:`ue_wls.solve_linear`'s rules; a ridge that is
@@ -554,7 +565,7 @@ def residual_solve(h, g, e=None, ridge=1.0, errors=None):
         else:
             q, r = np.linalg.qr(np.swapaxes(e, -1, -2))
             qa = np.swapaxes(q, -1, -2) @ a
-            inner = r @ np.swapaxes(r, -1, -2) + ridge * np.eye(e.shape[-2])
+            inner = r @ np.swapaxes(r, -1, -2) + ridge * np.eye(r.shape[-2])
             inner_qa = np.linalg.solve(inner, qa)  # inner >= ridge·I: never singular
         perp = a - q @ qa
         normal = (np.swapaxes(perp, -1, -2) @ perp / ridge

@@ -131,13 +131,21 @@ def sample_ue_state(sc: Scenario, rng) -> np.ndarray:
     return x
 
 
+def scatterer_states(sc: Scenario, u) -> np.ndarray:
+    """Scatterer [position, speed] states at uniform draws ``u`` (..., 4).
+
+    Each state is ``lo + (hi - lo) * u`` over the scatterer box and speed
+    range, as ``Generator.uniform`` computes it.
+    """
+    box = np.vstack([sc.scatterer_box, sc.scatterer_speed_range])
+    lo = box[:, 0]
+    return (box[:, 1] - lo) * u + lo
+
+
 def sample_scatterer_state(sc: Scenario, rng) -> np.ndarray:
-    """Uniform draw of a scatterer [position, speed] from the scenario boxes."""
-    xs = np.empty(4)
-    _uniform_into(xs[:3], sc.scatterer_box, rng)
-    lo, hi = sc.scatterer_speed_range
-    xs[3] = lo + (hi - lo) * rng.random()
-    return xs
+    """Uniform draw of a scatterer [position, speed] from the scenario boxes:
+    the state at the next four doubles of ``rng``."""
+    return scatterer_states(sc, rng.random(4))
 
 
 def _box_to_dict(box: np.ndarray) -> dict:

@@ -37,13 +37,21 @@ result; given the record, it skips the first stage, so one trial is
 selected at several ``n_a`` for the cost of one first stage.
 
 :func:`los_candidates_batch` builds the records of many trials at once.
-The fit kernels take an optional leading trial axis -- ``(T, n, 3)``
-rays, ``(T, K, 3)`` starts -- and flatten it into their stack of fits,
-so the trimmed fits of every trial with the same ray count share one
-batched solve per step.  Each fit's step and freezing are its own, and a
-stacked solve computes each system as a solo one does, so a trial gets
-the same record in a batch as alone; :func:`los_candidates` is the batch
-of one.
+Picks and clustering run per trial; the trials with the same pick count
+then form a group whose rays come from one ``angular_vectors`` call.  The
+fit kernels take an optional leading trial axis -- ``(T, n, 3)`` rays,
+``(T, K, 3)`` starts -- and flatten it into their stack of fits, so the
+trimmed fits of a group share one batched solve per step, and only the
+fits still moving are solved.  The seed pick scores every ray pair of the
+group's trials (a pair without a usable midpoint scores +inf) on
+``(T, C, n)`` planes, a fixed number of seed-ray cells at a time.  Each
+fit's step and freezing are its own, and every stacked kernel rounds each
+trial's numbers as a solo call does, so a trial gets the same record in a
+batch as alone; :func:`los_candidates` is the batch of one.
+
+:func:`simulate_paths_batch` draws a block of trials, each from its own
+stream in the order :func:`simulate_paths` (its batch of one) draws, and
+evaluates the block's paths at once.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from .geometry import (
     direct_paths,
     scatterer_measurement,
 )
-from .scenario import sample_scatterer_state
+from .scenario import scatterer_states
 
 
 @dataclass
@@ -182,24 +190,40 @@ def _solve_3x3(normal, rhs):
     return x, np.isfinite(x).all(axis=1)
 
 
-def _pair_midpoints(origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Closest-approach midpoints between all forward ray pairs, ``(M, 3)``.
+def _planes(v):
+    """The x, y and z planes of stacked 3-vectors: ``(3, ...)`` views."""
+    return np.moveaxis(v, -1, 0)
 
-    Pairs come in ``(i, j)``, ``i < j`` row-major order.
+
+def _dot3(u, v):
+    """Dot products of ``(3, ...)`` planes, summed as ``np.sum(axis=-1)`` of
+    stacked 3-vectors rounds: ``(x + y) + z``."""
+    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
+
+
+def _pair_midpoints(origins, dirs):
+    """Closest-approach midpoints of all ray pairs, and which of them count.
+
+    ``origins`` and ``dirs`` are ``(..., n, 3)``; pairs come in ``(i, j)``,
+    ``i < j`` row-major order.  Returns the ``(..., P, 3)`` midpoints and a
+    ``(..., P)`` mask that is False for pairs whose rays are near-parallel
+    or do not both point toward their midpoint; those midpoints mean
+    nothing.
     """
-    i, j = np.triu_indices(origins.shape[0], 1)
-    a, b = dirs[i], dirs[j]
-    ab = np.sum(a * b, axis=1)
+    i, j = np.triu_indices(origins.shape[-2], 1)
+    o, d = _planes(origins), _planes(dirs)
+    a, b = d[..., i], d[..., j]
+    ab = _dot3(a, b)
     den = 1.0 - ab * ab
     stable = den >= 1e-9  # near-parallel rays have no stable midpoint
-    w = origins[j] - origins[i]
-    wa, wb = np.sum(w * a, axis=1), np.sum(w * b, axis=1)
+    w = o[..., j] - o[..., i]
+    wa, wb = _dot3(w, a), _dot3(w, b)
     den = np.where(stable, den, 1.0)
     t1 = (wa - ab * wb) / den
     t2 = (ab * wa - wb) / den
-    fwd = stable & (t1 > 0.0) & (t2 > 0.0)
-    t1, t2 = t1[fwd, None], t2[fwd, None]
-    return 0.5 * (origins[i[fwd]] + t1 * a[fwd] + origins[j[fwd]] + t2 * b[fwd])
+    usable = stable & (t1 > 0.0) & (t2 > 0.0)
+    mids = 0.5 * (o[..., i] + t1 * a + o[..., j] + t2 * b)
+    return np.moveaxis(mids, 0, -1), usable
 
 
 def _seed_scores(seeds, origins, dirs, ranges, k: int) -> np.ndarray:
@@ -210,18 +234,40 @@ def _seed_scores(seeds, origins, dirs, ranges, k: int) -> np.ndarray:
     of the measured range from the candidate's distance after removing a
     shared offset fitted on the k nearest rays.  The score is the k-th
     smallest combined term, so it ignores however many rays disagree.
+
+    ``seeds`` is ``(..., C, 3)``, ``origins`` and ``dirs`` ``(..., n, 3)``
+    and ``ranges`` ``(..., n)``; the ``(..., C)`` scores are computed on
+    ``(..., C, n)`` planes, one per component.  A norm is summed ``(x² +
+    y²) + z²``, as ``np.linalg.norm`` along a length-3 axis rounds, and the
+    along-ray dot ``(x + z) + y``, as ``np.einsum`` contracts one.  The k
+    nearest rays are those a stable sort puts first.
     """
-    diff = seeds[:, None, :] - origins[None, :, :]
-    along = np.einsum("cnd,nd->cn", diff, dirs)
-    perp = np.linalg.norm(diff - along[..., None] * dirs[None], axis=2)
-    dist = np.linalg.norm(diff, axis=2)
+    s, o, a = (np.ascontiguousarray(_planes(v)) for v in (seeds, origins, dirs))
+    d = s[..., :, None] - o[..., None, :]
+    a = a[..., None, :]
+    along = (d[0] * a[0] + d[2] * a[2]) + d[1] * a[1]
+    p = d - along * a
+    p *= p
+    perp = np.sqrt((p[0] + p[1]) + p[2])
+    d *= d
+    dist = np.sqrt((d[0] + d[1]) + d[2])
     dray = np.where(along > 0.0, perp, dist)
-    offset = ranges[None, :] - dist
-    kk = min(k, dray.shape[1])
-    near = np.argsort(dray, axis=1, kind="stable")[:, :kk]
-    shared = np.median(np.take_along_axis(offset, near, axis=1), axis=1)
-    combined = dray + np.abs(offset - shared[:, None])
-    return np.sort(combined, axis=1)[:, kk - 1]
+    offset = ranges[..., None, :] - dist
+    n = dray.shape[-1]
+    kk = min(k, n)
+    ordered = np.sort(dray, axis=-1)
+    near = dray <= ordered[..., kk - 1, None]
+    # Where the kk-th nearest ray ties the next one, or NaNs hide the order,
+    # take the rays a stable sort puts first.
+    cut = ~(ordered[..., kk - 1] < ordered[..., kk]) if kk < n else np.isnan(ordered[..., -1])
+    if cut.any():
+        first = np.argsort(dray[cut], axis=-1, kind="stable")[:, :kk]
+        rows = np.zeros(first.shape[:-1] + (n,), dtype=bool)
+        np.put_along_axis(rows, first, True, axis=-1)
+        near[cut] = rows
+    shared = np.median(offset[near].reshape(dray.shape[:-1] + (kk,)), axis=-1)
+    combined = dray + np.abs(offset - shared[..., None])
+    return np.sort(combined, axis=-1)[..., kk - 1]
 
 
 def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
@@ -232,8 +278,9 @@ def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
     are ``(T, n, 3)``, kept ``(T, K, m)`` and c0 ``(T, K, 3)``, and the T*K
     fits run as one stack.  Each step solves the weighted normal equations
     ``(sum(w) I - sum(w a a^T)) c = sum(w P o)`` with ``w = 1/max(miss,
-    floor)`` for all fits at once.  A fit is frozen when its step is below
-    1e-9 m (keeping the new point) or its solve fails (keeping the last).
+    floor)`` for the live fits at once.  A fit is frozen, and leaves the
+    stack, when its step is below 1e-9 m (keeping the new point) or its
+    solve fails (keeping the last).
     """
     lead, m = kept.shape[:-1], kept.shape[-1]
     if origins.ndim == 3:  # trial axis: index the trials' rays as one stack
@@ -241,22 +288,22 @@ def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
         origins, dirs = origins.reshape(-1, 3), dirs.reshape(-1, 3)
     o, a = origins[kept].reshape(-1, m, 3), dirs[kept].reshape(-1, m, 3)
     po = _perp(o, a)
-    k = o.shape[0]
-    aat = (a[..., :, None] * a[..., None, :]).reshape(k, m, 9)
+    aat = (a[..., :, None] * a[..., None, :]).reshape(-1, m, 9)
     eye = np.eye(3)
-    c = np.array(c0, dtype=float).reshape(k, 3)
-    active = np.ones(k, dtype=bool)
+    c = np.array(c0, dtype=float).reshape(-1, 3)
+    live, c_live = np.arange(len(c)), c
     for _ in range(iters):
-        w = 1.0 / np.maximum(_norm(_perp(c[:, None, :] - o, a)), floor)
+        w = 1.0 / np.maximum(_norm(_perp(c_live[:, None, :] - o, a)), floor)
         wr = w[:, None, :]
-        normal = w.sum(axis=1)[:, None, None] * eye - (wr @ aat).reshape(k, 3, 3)
+        normal = w.sum(axis=1)[:, None, None] * eye - (wr @ aat).reshape(-1, 3, 3)
         c_new, ok = _solve_3x3(normal, (wr @ po)[:, 0])
-        moved = active & ok
-        converged = _norm(c_new - c) < 1e-9
-        np.copyto(c, c_new, where=moved[:, None])
-        active = moved & ~converged
-        if not active.any():
+        going = ok & (_norm(c_new - c_live) >= 1e-9)
+        c[live[ok]] = c_new[ok]
+        if not going.any():
             break
+        if not going.all():
+            live, o, a, po, aat = (v[going] for v in (live, o, a, po, aat))
+        c_live = c_new[going]
     return c.reshape(*lead, 3)
 
 
@@ -291,11 +338,31 @@ def _subset_scores(subsets, origins, dirs, ranges) -> np.ndarray:
     return np.where(ok, scores, np.inf)
 
 
+# Seed-ray cells (seeds x rays) scored at once by the seed pick: two trials
+# of 18 rays, which keeps its temporaries under 1 MiB whatever the block size.
+_SEED_CELLS = 6000
+
+
 def _best_seeds(origins, dirs, ranges, centers):
-    """The two best-scoring seeds among the pair midpoints and ``centers``."""
-    seeds = np.vstack([_pair_midpoints(origins, dirs), centers])
-    scores = _seed_scores(seeds, origins, dirs, ranges, k=6)
-    return seeds[np.argsort(scores, kind="stable")[:2]]
+    """Each trial's two best-scoring seeds among its pair midpoints and
+    ``centers``.
+
+    Takes ``(T, n, 3)`` rays, ``(T, n)`` ranges and ``(T, 2, 3)`` centers,
+    and scores the trials in chunks of ``_SEED_CELLS``.  Every pair is
+    scored and one without a usable midpoint scores +inf, so the stable
+    order of the usable midpoints, followed by the centers, is that of a
+    trial scored alone.
+    """
+    mids, usable = _pair_midpoints(origins, dirs)
+    seeds = np.concatenate([mids, centers], axis=-2)
+    step = max(1, _SEED_CELLS // (seeds.shape[1] * origins.shape[1]))
+    scores = np.concatenate([
+        _seed_scores(*(v[lo:lo + step] for v in (seeds, origins, dirs, ranges)), k=6)
+        for lo in range(0, len(seeds), step)
+    ])
+    scores[:, : usable.shape[1]][~usable] = np.inf
+    best = np.argsort(scores, axis=-1, kind="stable")[:, :2]
+    return np.take_along_axis(seeds, best[..., None], axis=-2)
 
 
 def _trimmed_centers(fixes, origins, dirs, ranges, c_cluster):
@@ -304,17 +371,16 @@ def _trimmed_centers(fixes, origins, dirs, ranges, c_cluster):
     Trimmed ray fits start from the cluster center and the median fix, then
     from the two best-scoring seeds among the pair midpoints and those two
     fits.  Every argument may carry a leading trial axis (trials of one
-    ray count); both fit stages then run stacked over the trials, and the
-    seeds, whose midpoint count differs between trials, are picked per
-    trial.
+    ray count); both fit stages and the seed pick then run stacked over
+    the trials.
     """
     keep = max(3, origins.shape[-2] // 2)
     starts = np.stack([c_cluster, np.median(fixes, axis=-2)], axis=-2)
     centers = _trimmed_ray_points(origins, dirs, starts, keep)
     lead = origins.shape[:-2]
-    best_seeds = np.empty(lead + (2, 3))
-    for t in np.ndindex(lead):
-        best_seeds[t] = _best_seeds(origins[t], dirs[t], ranges[t], centers[t])
+    best_seeds = _best_seeds(
+        *(np.reshape(v, (-1,) + v.shape[len(lead):]) for v in (origins, dirs, ranges, centers))
+    ).reshape(lead + (2, 3))
     return np.concatenate(
         [centers, _trimmed_ray_points(origins, dirs, best_seeds, keep)], axis=-2
     )
@@ -360,59 +426,66 @@ class LosCandidates:
     centers: np.ndarray
 
 
-def _first_stage(paths_by_rrh, rrhs, v_c, kmeans_iters):
-    """One trial's record without its centers, and its cluster center.
-
-    The picks, rays, rough fixes and clustering of the trial.
-    """
-    picks = []
-    for idx, paths in enumerate(paths_by_rrh):
-        if not paths:
-            continue
-        pick = min(paths, key=lambda p: p.tau)
-        picks.append((idx, pick))
+def _picks(paths_by_rrh) -> list:
+    """``(receiver index, earliest path)`` of every reporting receiver."""
+    picks = [
+        (idx, min(paths, key=lambda p: p.tau)) for idx, paths in enumerate(paths_by_rrh) if paths
+    ]
     if len(picks) < 2:
         raise ScenarioError("selection needs paths from at least two receivers")
-
-    origins = rrhs[[idx for idx, _ in picks]]
-    dirs = np.array([angular_vectors(pick.phi, pick.theta)[0] for _, pick in picks])
-    ranges = np.array([v_c * pick.tau for _, pick in picks])
-    fixes = origins + ranges[:, None] * dirs  # rough_fix of every pick
-    c_cluster, c_nlos, _ = kmeans2(fixes, max_iters=kmeans_iters)
-    return LosCandidates(picks, fixes, origins, dirs, ranges, c_nlos, None), c_cluster
+    return picks
 
 
 def los_candidates_batch(
     paths_list, rrhs, v_c: float = SPEED_OF_LIGHT, kmeans_iters: int = 100
 ) -> list:
-    """:func:`los_candidates` of many trials, their trimmed fits stacked.
+    """:func:`los_candidates` of many trials, stacked by pick count.
 
     Returns one entry per trial of ``paths_list``: its
     :class:`LosCandidates`, or the :class:`HybridlocError` its picks or
-    clustering raised.  Picks, rays and clustering run per trial; trials
-    with equal pick counts share the two trimmed-fit stages, which give
-    each trial the centers it gets alone.
+    clustering raised.  Picks and clustering run per trial; trials with
+    equal pick counts share one ray build and the stacked trimmed fits and
+    seed pick, which give each trial the record it gets alone.
     """
     rrhs = np.asarray(rrhs, dtype=float)
-    entries = []
-    groups = {}  # pick count -> [(record, cluster center)]
-    for paths_by_rrh in paths_list:
+    entries = [None] * len(paths_list)
+    groups = {}  # pick count -> [(trial, picks)]
+    for t, paths_by_rrh in enumerate(paths_list):
         try:
-            record, c_cluster = _first_stage(paths_by_rrh, rrhs, v_c, kmeans_iters)
+            picks = _picks(paths_by_rrh)
         except HybridlocError as exc:
-            entries.append(exc)
+            entries[t] = exc
             continue
-        entries.append(record)
-        groups.setdefault(len(record.picks), []).append((record, c_cluster))
+        groups.setdefault(len(picks), []).append((t, picks))
     for members in groups.values():
-        records = [record for record, _ in members]
-        fields = [
-            [getattr(r, name) for r in records] for name in ("fixes", "origins", "dirs", "ranges")
-        ]
-        fields.append([c_cluster for _, c_cluster in members])
-        centers = _trimmed_centers(*(np.array(field) for field in fields))
-        for record, c in zip(records, centers):
-            record.centers = c
+        rows = [[pick for _, pick in picks] for _, picks in members]
+        phi, theta, tau = (
+            np.array([[getattr(pick, name) for pick in row] for row in rows])
+            for name in ("phi", "theta", "tau")
+        )
+        origins = rrhs[[[idx for idx, _ in picks] for _, picks in members]]
+        dirs = angular_vectors(phi, theta)[0]
+        ranges = v_c * tau
+        fixes = origins + ranges[..., None] * dirs  # rough_fix of every pick
+        live, clusters = [], []
+        for g, (t, picks) in enumerate(members):
+            try:
+                c_cluster, c_nlos, _ = kmeans2(fixes[g], max_iters=kmeans_iters)
+            except HybridlocError as exc:
+                entries[t] = exc
+                continue
+            entries[t] = LosCandidates(
+                picks, fixes[g], origins[g], dirs[g], ranges[g], c_nlos, None
+            )
+            live.append(g)
+            clusters.append(c_cluster)
+        if not live:
+            continue
+        centers = _trimmed_centers(
+            fixes[live], origins[live], dirs[live], ranges[live], np.array(clusters)
+        )
+        for g, c in zip(live, centers):
+            entries[members[g][0]].centers = c
     return entries
 
 
@@ -495,55 +568,72 @@ def select_los(
     )
 
 
-def simulate_paths(sc, rng) -> list:
-    """Synthesize per-receiver path lists for one selection trial.
+def simulate_paths_batch(sc, streams) -> list:
+    """Synthesize per-receiver path lists for a block of selection trials.
 
-    Each receiver detects its direct path with probability ``sc.p_d`` and
-    always detects one reflected path from a scatterer drawn uniformly in
-    the scenario box.  Delays carry the common clock offset plus Gaussian
-    noise with the scenario's delay deviation; angles and rates are
-    likewise perturbed.  Path energy falls with the square of total path
-    length, reflections attenuated a further factor of ten.
+    Trial ``t`` draws from ``streams[t]``.  Each receiver detects its
+    direct path with probability ``sc.p_d`` and always detects one
+    reflected path from a scatterer drawn uniformly in the scenario box.
+    Delays carry the common clock offset plus Gaussian noise with the
+    scenario's delay deviation; angles and rates are likewise perturbed.
+    Path energy falls with the square of total path length, reflections
+    attenuated a further factor of ten.
 
-    The draws are taken receiver by receiver (detection, direct-path noise
-    if detected, scatterer, reflected-path noise); the noise-free paths of
-    all receivers are then evaluated at once.
+    Each trial takes its draws receiver by receiver (detection, direct-path
+    noise if detected, scatterer, reflected-path noise); the paths are then
+    evaluated at once: the noise-free direct paths, which every trial
+    shares, once, and the reflected paths and noisy fields of the whole
+    block as arrays.
     """
     rrhs = np.asarray(sc.rrhs, dtype=float)
+    n = rrhs.shape[0]
+    detected = np.zeros((len(streams), n), dtype=bool)
+    los_noise, uniforms, nlos_noise = np.zeros((3, len(streams), n, 4))
+    for t, rng in enumerate(streams):
+        for idx in range(n):
+            detected[t, idx] = rng.random() < sc.p_d
+            if detected[t, idx]:
+                rng.standard_normal(out=los_noise[t, idx])
+            rng.random(out=uniforms[t, idx])
+            rng.standard_normal(out=nlos_noise[t, idx])
+
+    r, rdot, phi, theta = direct_paths(sc.ue_true, rrhs)
+    rs_n1, rsdot_n1, phi_s, theta_s = np.moveaxis(
+        scatterer_measurement(scatterer_states(sc, uniforms), sc.ue_true, rrhs, rrhs[0]), -1, 0
+    )
+    los = _noisy_paths(sc, phi, theta, r, rdot, los_noise, 1.0)
+    nlos = _noisy_paths(sc, phi_s, theta_s, rs_n1 + r[0], rsdot_n1 + rdot[0], nlos_noise, 0.1)
+    return [
+        [
+            [PathMeasurement(*los[t][idx], idx, True), PathMeasurement(*nlos[t][idx], idx)]
+            if detected[t, idx] else [PathMeasurement(*nlos[t][idx], idx)]
+            for idx in range(n)
+        ]
+        for t in range(len(streams))
+    ]
+
+
+def _noisy_paths(sc, phi, theta, r, rdot, noise, attenuation) -> list:
+    """Nested lists of ``(phi, theta, tau, nu, energy)`` of paths of range
+    ``r`` and rate ``rdot`` under unit ``noise`` (..., 4)."""
     delta_d = sc.noise.delta_d
-    delta_nu = sc.noise.fdoa_factor * sc.noise.delta_d
-    delta_a = sc.noise.delta_a
+    fields = np.stack([
+        phi + sc.noise.delta_a * noise[..., 0],
+        theta + sc.noise.delta_a * noise[..., 1],
+        (r + sc.clock_bias_m + delta_d * noise[..., 2]) / SPEED_OF_LIGHT,
+        rdot + sc.noise.fdoa_factor * delta_d * noise[..., 3],
+        100.0 / np.broadcast_to(r, noise.shape[:-1]),
+    ], axis=-1).tolist()
+    # Python's float ``**`` (libm ``pow``), not NumPy's ``** 2`` (``x * x``):
+    # the two differ in the last bit for about one value in a thousand.
+    for row in fields:
+        for f in row:
+            f[4] = attenuation * f[4] ** 2
+    return fields
 
-    detected, los_noise, scatterers, nlos_noise = [], [], [], []
-    for _ in range(rrhs.shape[0]):
-        detected.append(rng.random() < sc.p_d)
-        los_noise.append(rng.standard_normal(4).tolist() if detected[-1] else None)
-        scatterers.append(sample_scatterer_state(sc, rng))
-        nlos_noise.append(rng.standard_normal(4).tolist())
 
-    los = np.stack(direct_paths(sc.ue_true, rrhs), axis=-1).tolist()
-    r_1, rdot_1 = los[0][0], los[0][1]
-    nlos = scatterer_measurement(np.array(scatterers), sc.ue_true, rrhs, rrhs[0]).tolist()
-
-    def path(phi, theta, r, rdot, noise, idx, is_los):
-        return PathMeasurement(
-            phi=phi + delta_a * noise[0],
-            theta=theta + delta_a * noise[1],
-            tau=(r + sc.clock_bias_m + delta_d * noise[2]) / SPEED_OF_LIGHT,
-            nu=rdot + delta_nu * noise[3],
-            energy=(1.0 if is_los else 0.1) * (100.0 / r) ** 2,
-            rrh_index=idx,
-            is_los=is_los,
-        )
-
-    paths_by_rrh = []
-    for idx in range(rrhs.shape[0]):
-        paths = []
-        if detected[idx]:
-            r, rdot, phi, theta = los[idx]
-            paths.append(path(phi, theta, r, rdot, los_noise[idx], idx, True))
-        rs_n1, rsdot_n1, phi_s, theta_s = nlos[idx]
-        paths.append(path(phi_s, theta_s, rs_n1 + r_1, rsdot_n1 + rdot_1,
-                          nlos_noise[idx], idx, False))
-        paths_by_rrh.append(paths)
+def simulate_paths(sc, rng) -> list:
+    """One selection trial's path lists, drawn from ``rng``: the block of
+    one of :func:`simulate_paths_batch`."""
+    (paths_by_rrh,) = simulate_paths_batch(sc, [rng])
     return paths_by_rrh

@@ -136,6 +136,13 @@ def residual_weight(e_hat, eps):
     return np.linalg.inv(np.outer(e_hat, e_hat) + eps * np.eye(e_hat.shape[0]))
 
 
+def rows_weighted_solve(e, h, g, ridge):
+    """The dense solve weighted by ``inv(ridge·I + EᵀE)`` for residual
+    rows ``E`` (k, dim); returns (x, inv(G'WG))."""
+    w = np.linalg.inv(ridge * np.eye(e.shape[1]) + e.T @ e)
+    return solve_linear(h, g, w)
+
+
 def weighted_solve(e_hat, h, g, eps):
     """The dense NN-WLS solve; returns (x, the normal matrix G'WG)."""
     w = residual_weight(e_hat, eps)

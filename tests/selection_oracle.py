@@ -2,16 +2,19 @@
 
 These are the scalar forms of the stacked kernels in
 ``hybridloc.selection``: one 3x3 projector ``I - a a^T`` per ray and one
-``np.linalg.solve`` per fit step.  ``refine_center`` keys its duplicate
-check on the member set, as the package does.
+``np.linalg.solve`` per fit step.  ``pick_center`` keys its duplicate
+check on the member set, as the package does.  ``seed_scores`` scores one
+trial's seeds on ``(C, n, 3)`` differences, with an ``einsum`` along-ray
+dot, norms along the length-3 axis and a stable sort for the nearest rays.
 
 Both arithmetic orders round differently, so a decision between two values
 that are equal up to rounding (a ray at the edge of a trimmed set, a
 receiver at the edge of a selection, two equal scores) may fall either
 way.  Pair midpoints make such ties common: a midpoint is equidistant from
 its two rays, so they may sit either side of the edge of a trimmed set or
-of a seed's six nearest rays.  ``trimmed_ray_point`` and ``refine_center`` therefore append
-the relative gap at each such decision to ``gaps`` when given a list.
+of a seed's six nearest rays.  ``trimmed_ray_point``, ``best_seeds``,
+``candidate_centers`` and ``pick_center`` therefore append the relative gap
+at each such decision to ``gaps`` when given a list.
 
 ``simulate_paths`` is the receiver-by-receiver form of the trial
 simulator, on the per-ray geometry of ``scalar_geometry``.
@@ -105,22 +108,36 @@ def subset_score(idx, origins, projs, ranges) -> float:
     return max(miss) + (max(offsets) - min(offsets))
 
 
-def refine_center(
-    fixes,
-    origins,
-    dirs,
-    ranges,
-    c_cluster,
-    subset_size: int,
-    seed_scores,
-    midpoints=pair_midpoints,
-    gaps=None,
-):
-    """Loop form of ``_trimmed_centers`` followed by ``_best_center``;
-    ``seed_scores`` is the package's scorer.
+def seed_scores(seeds, origins, dirs, ranges, k: int) -> np.ndarray:
+    """Loop form of ``_seed_scores`` on one trial's ``(C, 3)`` seeds."""
+    diff = seeds[:, None, :] - origins[None, :, :]
+    along = np.einsum("cnd,nd->cn", diff, dirs)
+    perp = np.linalg.norm(diff - along[..., None] * dirs[None], axis=2)
+    dist = np.linalg.norm(diff, axis=2)
+    dray = np.where(along > 0.0, perp, dist)
+    offset = ranges[None, :] - dist
+    kk = min(k, dray.shape[1])
+    near = np.argsort(dray, axis=1, kind="stable")[:, :kk]
+    shared = np.median(np.take_along_axis(offset, near, axis=1), axis=1)
+    combined = dray + np.abs(offset - shared[:, None])
+    return np.sort(combined, axis=1)[:, kk - 1]
 
-    ``midpoints`` may be the package's ``_pair_midpoints``, so that both
-    forms score bitwise-equal seeds.
+
+def best_seeds(seeds, origins, dirs, ranges, gaps=None) -> list:
+    """The two best-scoring of one trial's ``seeds``, earlier on a tie."""
+    scores = seed_scores(np.array(seeds), origins, dirs, ranges, k=6)
+    if gaps is not None:
+        gaps.append(relative_gap(scores, 2))
+    return [seeds[i] for i in np.argsort(scores, kind="stable")[:2]]
+
+
+def candidate_centers(fixes, origins, dirs, ranges, c_cluster,
+                      midpoints=pair_midpoints, gaps=None) -> list:
+    """Loop form of ``_trimmed_centers``: the four centers, which do not
+    depend on the selection size.
+
+    ``midpoints`` may be a function giving the package's midpoints, so
+    that both forms score bitwise-equal seeds.
     """
     projs = projectors(dirs)
     keep = max(3, origins.shape[0] // 2)
@@ -129,12 +146,15 @@ def refine_center(
         trimmed_ray_point(origins, projs, np.median(fixes, axis=0), keep, gaps=gaps),
     ]
     seeds = list(midpoints(origins, dirs)) + [np.array(c) for c in centers]
-    scores = seed_scores(np.array(seeds), origins, dirs, ranges, k=6)
-    for i in np.argsort(scores, kind="stable")[:2]:
-        centers.append(trimmed_ray_point(origins, projs, seeds[i], keep, gaps=gaps))
-    if gaps is not None:
-        gaps.append(relative_gap(scores, 2))
+    for seed in best_seeds(seeds, origins, dirs, ranges, gaps):
+        centers.append(trimmed_ray_point(origins, projs, seed, keep, gaps=gaps))
+    return centers
 
+
+def pick_center(centers, fixes, origins, dirs, ranges, subset_size: int, gaps=None):
+    """Loop form of ``_best_center``: the center whose induced selection of
+    ``subset_size`` fixes scores lowest, each member set scored once."""
+    projs = projectors(dirs)
     best_center = None
     best_score = np.inf
     seen = set()
@@ -156,6 +176,13 @@ def refine_center(
     if gaps is not None:
         gaps.append(relative_gap(scored, 1))
     return best_center
+
+
+def refine_center(fixes, origins, dirs, ranges, c_cluster, subset_size: int,
+                  midpoints=pair_midpoints, gaps=None):
+    """Loop form of ``_trimmed_centers`` followed by ``_best_center``."""
+    centers = candidate_centers(fixes, origins, dirs, ranges, c_cluster, midpoints, gaps)
+    return pick_center(centers, fixes, origins, dirs, ranges, subset_size, gaps)
 
 
 def simulate_paths(sc, rng) -> list:

@@ -496,3 +496,22 @@ class TestParsing:
 
         for path in sorted(root.glob("*.yaml")):
             load_scenario(path)
+
+    def test_one_parser_serves_subcommands_in_sequence(self, tmp_path):
+        # The parser is built on the first call and kept for the process;
+        # a subcommand run after another must write what it writes alone.
+        scenario = write_scenario(tmp_path / "s.yaml", FAST_SCENARIO)
+        commands = [
+            ["select-sr", "--scenario", scenario, "--trials", "3", "--na", "4", "6"],
+            ["crlb", "--scenario", scenario, "--rho", "1", "--format", "json"],
+            ["simulate", "--scenario", scenario, "--trials", "3", "--seed", "9"],
+            ["select-sr", "--scenario", scenario, "--trials", "2"],
+        ]
+        cli._parser.cache_clear()
+        for k, argv in enumerate(commands):
+            assert run_cli(*argv, "--out", str(tmp_path / f"seq{k}")) == EXIT_OK
+        assert cli._parser.cache_info().misses == 1
+        for k, argv in enumerate(commands):
+            cli._parser.cache_clear()
+            assert run_cli(*argv, "--out", str(tmp_path / f"fresh{k}")) == EXIT_OK
+            assert (tmp_path / f"seq{k}").read_bytes() == (tmp_path / f"fresh{k}").read_bytes()

@@ -289,7 +289,7 @@ class TestSrCampaign:
             noise=NoiseConfig(delta_d=1e-9, delta_a=1e-9), p_d=1.0, trials=8, seed=21
         )
         assert [r.success_rate for r in harness.run_sr_campaign(sc, [3, 5])] == [1.0, 1.0]
-        doomed = harness.simulate_paths(sc, np.random.default_rng([sc.seed, 3]))
+        doomed = selection.simulate_paths(sc, np.random.default_rng([sc.seed, 3]))
         doomed_fixes = selection.los_candidates(doomed, sc.rrhs).fixes
         real = selection.kmeans2
 
@@ -309,7 +309,7 @@ class TestSrCampaign:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(harness, "simulate_paths", no_trials)
+        monkeypatch.setattr(harness, "simulate_paths_batch", no_trials)
         with pytest.raises(ScenarioError, match="n_a must satisfy"):
             harness.run_sr_campaign(Scenario(trials=3), [4, 19])
 

@@ -16,6 +16,7 @@ from hybridloc.errors import (
     NumericalError,
     SingularProblemError,
 )
+from hybridloc.geometry import ue_measurement
 from hybridloc.noise import NoiseConfig, build_q
 from hybridloc.scatterer_wls import build_scatterer_system
 from hybridloc.scenario import Scenario
@@ -174,6 +175,21 @@ class TestClosedFormsMatchOracle:
             got = ensemble.enn_b_wls(nets, m, RRHS)
         assert _rel(got, expected) <= 1e-7
 
+    @given(seeds, st.integers(1, 3), ridges)
+    @settings(max_examples=60, deadline=None)
+    def test_residual_solve_with_more_rows_than_dim(self, seed, extra, ridge):
+        # k = dim + extra residual rows: the k×k system is dim×dim.
+        rng = np.random.default_rng(seed)
+        m, base = _draw(seed, 0.0, True)
+        h, g = build_system(m, RRHS)
+        e = base * (1.0 + rng.normal(scale=0.1, size=(g.shape[0] + extra, g.shape[0])))
+        x, cov = nn.residual_solve(h, g, e, ridge)
+        x_dense, cov_dense = oracle.rows_weighted_solve(e, h, g, ridge)
+        cond = np.linalg.cond(np.linalg.inv(cov_dense))
+        tol = _tolerance(cond, np.linalg.cond(ridge * np.eye(g.shape[0]) + e.T @ e))
+        assert _rel(x, x_dense) <= tol
+        assert _rel(cov, cov_dense) <= tol
+
     def test_enn_b_with_members_beyond_rows_keeps_dense_path(self):
         rng = np.random.default_rng(3)
         m, base = _draw(3, 0.0, True)
@@ -313,6 +329,20 @@ def test_per_sample_estimator_rejects_a_stack(trained, estimate):
     args = () if model == "bb" else (RRHS,)
     with pytest.raises(DimensionMismatchError):
         estimate(trained[model], trained["test"].m, *args)
+
+
+@pytest.mark.parametrize("estimate", PER_SAMPLE, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("receivers", [6, 5])
+def test_per_sample_estimator_rejects_a_measurement_of_the_wrong_width(
+    trained, estimate, receivers
+):
+    # 20 entries against 6 receivers, or a well-formed 18-entry measurement
+    # of 5 receivers against networks that take 22 inputs.
+    model = PER_SAMPLE[estimate]
+    m = trained["test"].m[0, :20] if receivers == 6 else ue_measurement(SC.ue_true, RRHS[:5])
+    args = () if model == "bb" else (RRHS[:receivers],)
+    with pytest.raises(DimensionMismatchError):
+        estimate(trained[model], m, *args)
 
 
 class TestRidgeCheck:

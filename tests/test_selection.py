@@ -1,6 +1,7 @@
 """Direct-path selection: rough fixes, clustering, ranking, and simulation."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hybridloc.selection import (
     rough_fix,
     select_los,
     simulate_paths,
+    simulate_paths_batch,
 )
 from scalar_geometry import aoa_los, los_range
 
@@ -221,6 +223,18 @@ class TestSimulatePaths:
             loop = oracle.simulate_paths(sc, np.random.default_rng([53, t]))
             assert stacked == loop, (p_d, bias, t)
 
+    @pytest.mark.parametrize("p_d", [0.3, 1.0])
+    @pytest.mark.parametrize("bias", [0.0, 100.0])
+    def test_block_equals_trials_alone(self, p_d, bias):
+        sc = Scenario(
+            noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=p_d, clock_bias_m=bias
+        )
+        streams = [np.random.default_rng([59, t]) for t in range(25)]
+        block = simulate_paths_batch(sc, streams)
+        assert len(block) == 25
+        for t, paths in enumerate(block):
+            assert paths == simulate_paths(sc, np.random.default_rng([59, t])), (p_d, bias, t)
+
     def test_success_rate_meets_target(self):
         # Operating point: 4 selected of 18 receivers, small noise, half
         # detection, with and without a 100 m shared clock offset.
@@ -387,12 +401,18 @@ def assert_close(new, old, scale):
     np.testing.assert_allclose(new, old, rtol=1e-9, atol=1e-9 * scale)
 
 
+def usable_midpoints(origins, dirs):
+    """The package's midpoints of the pairs that count, ``(M, 3)``."""
+    mids, usable = selection._pair_midpoints(origins, dirs)
+    return mids[usable]
+
+
 class TestStackedKernelsMatchLoops:
     @given(bundles)
     @settings(max_examples=150, deadline=None)
     def test_pair_midpoints(self, bundle):
         origins, dirs, _, _ = bundle
-        new = selection._pair_midpoints(origins, dirs)
+        new = usable_midpoints(origins, dirs)
         old = np.array(oracle.pair_midpoints(origins, dirs)).reshape(-1, 3)
         assert new.shape == old.shape
         assert_close(new, old, 1e3)
@@ -447,12 +467,7 @@ class TestStackedKernelsMatchLoops:
         size = min(subset_size, origins.shape[0])
         args = (fixes, origins, dirs, ranges, c_cluster, size)
         gaps = []
-        old = oracle.refine_center(
-            *args,
-            seed_scores=selection._seed_scores,
-            midpoints=selection._pair_midpoints,
-            gaps=gaps,
-        )
+        old = oracle.refine_center(*args, midpoints=usable_midpoints, gaps=gaps)
         # A decision between values equal up to rounding may go either way.
         assume(min(gaps) > 1e-9)
         centers = selection._trimmed_centers(fixes, origins, dirs, ranges, c_cluster)
@@ -484,6 +499,65 @@ class TestStackedKernelsMatchLoops:
             assert np.array_equal(points[t], one)
             one = selection._trimmed_ray_points(origins[t], dirs[t], starts[t], keep)
             assert np.array_equal(trimmed[t], one)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 18),
+        st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=7),
+        st.integers(1, 3000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_seed_pick_matches_trial_by_trial(self, seed, n, flags, cells):
+        # T = len(flags) bundles; the cell budget sets chunks of 1 to T
+        # trials, so T is often no multiple of the chunk.  Near-parallel
+        # and backward rays leave pairs without a usable midpoint.
+        bundles = [ray_bundle(seed + t, n, *f) for t, f in enumerate(flags)]
+        origins, dirs, ranges = (np.array([b[i] for b in bundles]) for i in range(3))
+        rng = np.random.default_rng(seed)
+        centers = U + rng.normal(0.0, 100.0, (len(bundles), 2, 3))
+        with mock.patch.object(selection, "_SEED_CELLS", cells):
+            best = selection._best_seeds(origins, dirs, ranges, centers)
+        for t in range(len(bundles)):
+            seeds = list(usable_midpoints(origins[t], dirs[t])) + list(centers[t])
+            old = oracle.best_seeds(seeds, origins[t], dirs[t], ranges[t])
+            assert np.array_equal(best[t], np.array(old))
+
+    def test_seed_pick_breaks_ties_by_seed_and_ray_order(self):
+        # Rays 1-3 copy ray 0, so every seed is equally far from four rays,
+        # for some seeds across the cut after the six nearest; each trial's
+        # two centers are copies of one point, so their scores tie as well.
+        origins, dirs, ranges, _ = ray_bundle(5, 10, False, False, False)
+        origins[1:4], dirs[1:4] = origins[0], dirs[0]
+        centers = np.array([[origins[0] + 50.0 * dirs[0]] * 2, [U, U]])
+        origins, dirs, ranges = (np.array([v, v]) for v in (origins, dirs, ranges))
+        best = selection._best_seeds(origins, dirs, ranges, centers)
+        for t in range(2):
+            seeds = list(usable_midpoints(origins[t], dirs[t])) + list(centers[t])
+            old = oracle.best_seeds(seeds, origins[t], dirs[t], ranges[t])
+            assert np.array_equal(best[t], np.array(old))
+
+    def test_frozen_fits_leave_the_stack(self, monkeypatch):
+        # Row 0's rays are three copies of one ray along +x, so its first
+        # solve is singular and it freezes; the other rows go on, without it.
+        origins, dirs, _, rng = ray_bundle(3, 8, False, False, False)
+        origins[1:3], dirs[0:3] = origins[0], [1.0, 0.0, 0.0]
+        kept = np.array([[0, 1, 2], [3, 4, 5], [4, 5, 6], [5, 6, 7]])
+        starts = U + rng.normal(0.0, 100.0, (4, 3))
+        rows = []
+        real = selection._solve_3x3
+
+        def counting(normal, rhs):
+            rows.append(len(rhs))
+            return real(normal, rhs)
+
+        monkeypatch.setattr(selection, "_solve_3x3", counting)
+        new = selection._ray_points(origins, dirs, kept, starts)
+        assert rows[0] == 4 and all(r <= 3 for r in rows[1:]) and len(rows) > 1
+        assert np.array_equal(new[0], starts[0])
+        monkeypatch.setattr(selection, "_solve_3x3", real)
+        for row in range(1, 4):
+            alone = selection._ray_points(origins, dirs, kept[row:row + 1], starts[row:row + 1])
+            assert np.array_equal(new[row], alone[0])
 
     def test_singular_fit_keeps_last_estimate(self):
         # Three copies of one ray: every normal matrix is singular, so the
@@ -562,9 +636,10 @@ def test_selection_corpus_block_matches_single_trials():
 def test_selection_corpus_matches_loop_oracle_from_candidates(monkeypatch):
     """The same 2000 selections, each finished from its trial's shared record.
 
-    The loop oracle picks the ranking center from the record's fixes, rays
-    and cluster center; ``select_los`` must then rank the same receivers
-    from it as from the stacked pick.
+    The loop oracle fits the four candidate centers once per trial from the
+    record's fixes, rays and cluster center, and picks the ranking center
+    among them at each n_a; ``select_los`` must then rank the same
+    receivers from it as from the stacked pick.
     """
     stacked = selection._best_center
     compared = 0
@@ -575,12 +650,10 @@ def test_selection_corpus_matches_loop_oracle_from_candidates(monkeypatch):
         for t in range(500):
             paths = simulate_paths(sc, np.random.default_rng([31, t]))
             c = los_candidates(paths, sc.rrhs)
-            c_cluster = kmeans2(c.fixes)[0]
+            rays = (c.fixes, c.origins, c.dirs, c.ranges)
+            centers = oracle.candidate_centers(*rays, kmeans2(c.fixes)[0])
             for n_a in (4, 6):
-                loop_center = oracle.refine_center(
-                    c.fixes, c.origins, c.dirs, c.ranges, c_cluster, n_a,
-                    seed_scores=selection._seed_scores,
-                )
+                loop_center = oracle.pick_center(centers, *rays, n_a)
                 monkeypatch.setattr(selection, "_best_center", stacked)
                 new = select_los(paths, sc.rrhs, n_a=n_a, candidates=c)
                 monkeypatch.setattr(selection, "_best_center", lambda *a: loop_center)
