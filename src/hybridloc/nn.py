@@ -249,7 +249,7 @@ class Mlp:
         the network's input width.
         """
         m = np.asarray(m, dtype=float)
-        if m.shape[-1:] != self.config.layer_widths[:1]:
+        if m.shape[-1:] != (self.config.layer_widths[0],):
             raise DimensionMismatchError(
                 f"measurements of shape {m.shape} do not match the network's "
                 f"input width {self.config.layer_widths[0]}"

@@ -253,19 +253,9 @@ def _seed_scores(seeds, origins, dirs, ranges, k: int) -> np.ndarray:
     dist = np.sqrt((d[0] + d[1]) + d[2])
     dray = np.where(along > 0.0, perp, dist)
     offset = ranges[..., None, :] - dist
-    n = dray.shape[-1]
-    kk = min(k, n)
-    ordered = np.sort(dray, axis=-1)
-    near = dray <= ordered[..., kk - 1, None]
-    # Where the kk-th nearest ray ties the next one, or NaNs hide the order,
-    # take the rays a stable sort puts first.
-    cut = ~(ordered[..., kk - 1] < ordered[..., kk]) if kk < n else np.isnan(ordered[..., -1])
-    if cut.any():
-        first = np.argsort(dray[cut], axis=-1, kind="stable")[:, :kk]
-        rows = np.zeros(first.shape[:-1] + (n,), dtype=bool)
-        np.put_along_axis(rows, first, True, axis=-1)
-        near[cut] = rows
-    shared = np.median(offset[near].reshape(dray.shape[:-1] + (kk,)), axis=-1)
+    kk = min(k, dray.shape[-1])
+    near = np.argsort(dray, axis=-1, kind="stable")[..., :kk]
+    shared = np.median(np.take_along_axis(offset, near, axis=-1), axis=-1)
     combined = dray + np.abs(offset - shared[..., None])
     return np.sort(combined, axis=-1)[..., kk - 1]
 

@@ -1,6 +1,7 @@
 """The closed-form learning estimators, the stack maps and the blocked
 dataset builders against the per-sample dense oracle."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -343,6 +344,17 @@ def test_per_sample_estimator_rejects_a_measurement_of_the_wrong_width(
     args = () if model == "bb" else (RRHS[:receivers],)
     with pytest.raises(DimensionMismatchError):
         estimate(trained[model], m, *args)
+
+
+def test_width_check_accepts_a_config_built_with_a_list(trained):
+    net = trained["net"]
+    config = dataclasses.replace(net.config, layer_widths=list(net.config.layer_widths))
+    listed = nn.Mlp(config, net.weights, net.biases, net.in_norm, net.out_norm)
+    m = trained["test"].m[:3]
+    assert np.array_equal(listed.predict(m), net.predict(m))
+    assert np.array_equal(listed.predict(m[0]), net.predict(m[0]))
+    with pytest.raises(DimensionMismatchError):
+        listed.predict(m[:, :20])
 
 
 class TestRidgeCheck:
