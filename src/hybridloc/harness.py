@@ -5,9 +5,11 @@ so results are reproducible and independent of execution order.  Campaigns
 tolerate per-trial solver failures: failed trials are excluded from the
 error statistics and surface as a failure rate instead.
 
-The WLS and scatterer campaigns solve their trials in stacked blocks, and
-the selection campaign simulates its trials and builds their n_a-free
-records so.
+The WLS and scatterer campaigns draw each trial's unit normals from its
+stream, turn a block of them into noisy measurements with one
+:func:`~hybridloc.noise.add_noise` step and solve the block stacked; the
+selection campaign simulates its trials and builds their n_a-free records
+in blocks too.
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from .errors import (
 )
 from .geometry import scatterer_measurement, ue_measurement
 from .noise import (
+    add_noise,
     build_q,
     build_qs,
-    draw_dominant_bias,
-    draw_dominant_bias_scatterer,
-    sample_gaussian,
-    sample_structured,
-    sample_structured_scatterer,
+    draw_dominant,
+    scatterer_sigma_components,
+    sigma_components,
 )
 from .scatterer_wls import scatterer_wls_solve_batch
 from .scenario import Scenario
@@ -127,19 +128,24 @@ def compute_metrics(estimates, truths, crlb=None, position_dim: int = 3) -> Metr
     return report
 
 
-def _solve_in_blocks(sc: Scenario, draw, solve):
-    """Draw every trial from its own stream and solve them ``_BLOCK`` at a time.
+def _solve_in_blocks(sc: Scenario, m_true, sd, solve):
+    """Noisy draws of ``m_true`` on the layout ``sd``, solved ``_BLOCK`` at a time.
 
-    ``draw(rng)`` returns one trial's measurement; ``solve(ms)`` a batch
-    result for a stack of them.  Returns the batches in trial order.
+    Trial ``t`` draws its unit normals from its own stream ``[seed, t]``;
+    the dominant bias, in structured mode, comes from the campaign's
+    stream.  ``solve(ms)`` returns a batch result for a stack of
+    measurements.  Returns the batches in trial order.
     """
+    dominant = draw_dominant(
+        sc.noise, sd, np.random.default_rng([sc.seed, _DOMINANT_STREAM])
+    )
     batches = []
     for lo in range(0, sc.trials, _BLOCK):
-        ms = np.array([
-            draw(np.random.default_rng([sc.seed, t]))
+        z = np.array([
+            np.random.default_rng([sc.seed, t]).standard_normal(sd.size)
             for t in range(lo, min(lo + _BLOCK, sc.trials))
         ])
-        batches.append(solve(ms))
+        batches.append(solve(add_noise(m_true, sc.noise, sd, dominant, z)))
     return batches
 
 
@@ -158,16 +164,11 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False):
     start = time.perf_counter()
     rrhs = sc.selected_rrhs()
     q = build_q(sc.n_a, sc.noise)
-    m_true = ue_measurement(sc.ue_true, rrhs)
-    if sc.noise.mode == "structured":
-        dominant = draw_dominant_bias(
-            sc.n_a, sc.noise, np.random.default_rng([sc.seed, _DOMINANT_STREAM])
-        )
-        draw = lambda rng: sample_structured(m_true, sc.noise, dominant, rng)
-    else:
-        draw = lambda rng: sample_gaussian(m_true, q, rng)
     batches = _solve_in_blocks(
-        sc, draw, lambda ms: wls_solve_batch(ms, rrhs, q, iters=sc.wls_iters)
+        sc,
+        ue_measurement(sc.ue_true, rrhs),
+        sigma_components(sc.n_a, sc.noise),
+        lambda ms: wls_solve_batch(ms, rrhs, q, iters=sc.wls_iters),
     )
     x = np.concatenate([b.x for b in batches])
     valid = np.concatenate([b.velocity_valid for b in batches])
@@ -218,16 +219,11 @@ def run_scatterer_campaign(sc: Scenario) -> MetricReport:
     b_n = sc.rrhs[sc.scatterer_rrh]
     b_1 = sc.rrhs[0]
     qs = build_qs(sc.noise)
-    ms_true = scatterer_measurement(sc.scatterer_true, sc.ue_true, b_n, b_1)
-    if sc.noise.mode == "structured":
-        dominant = draw_dominant_bias_scatterer(
-            sc.noise, np.random.default_rng([sc.seed, _DOMINANT_STREAM])
-        )
-        draw = lambda rng: sample_structured_scatterer(ms_true, sc.noise, dominant, rng)
-    else:
-        draw = lambda rng: sample_gaussian(ms_true, qs, rng)
     batches = _solve_in_blocks(
-        sc, draw, lambda ms: scatterer_wls_solve_batch(ms, b_n, b_1, sc.ue_true, qs)
+        sc,
+        scatterer_measurement(sc.scatterer_true, sc.ue_true, b_n, b_1),
+        scatterer_sigma_components(sc.noise),
+        lambda ms: scatterer_wls_solve_batch(ms, b_n, b_1, sc.ue_true, qs),
     )
     x = np.concatenate([b.x for b in batches])
     failures = np.concatenate([b.failures for b in batches])

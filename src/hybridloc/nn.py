@@ -9,8 +9,7 @@ is bypassed entirely by a network that regresses the state itself
 (black box).  Each of these maps a stack of measurements at once
 (``nn_wls_batch``, ``nn_ls_batch``, ``blackbox_batch``); the per-sample
 estimators are those stack maps run on one sample, and raise that sample's
-failure.  The scatterer variant mirrors the user-equipment NN-WLS on the
-4-dimensional single-receiver system.
+failure.
 
 Everything here is plain numpy: forward pass, backpropagation, and the
 ADAM optimizer are written out explicitly so the training path has no
@@ -26,14 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError, ScenarioError
 from .geometry import measurement_dim, scatterer_measurement, ue_measurement
-from .noise import (
-    build_q,
-    build_qs,
-    draw_dominant_bias,
-    draw_dominant_bias_scatterer,
-    scatterer_sigma_components,
-    sigma_components,
-)
+from .noise import add_noise, draw_dominant, scatterer_sigma_components, sigma_components
 from .scenario import Scenario, sample_scatterer_state, sample_ue_state
 from .scatterer_wls import build_scatterer_system
 from .ue_wls import _fail, build_system, solve_normal
@@ -415,24 +407,8 @@ def make_dataset(sc: Scenario, n_samples: int, rng, dominant_bias=None) -> Datas
     n_a = rrhs.shape[0]
     dim = measurement_dim(n_a)
     cfg = sc.noise
-    q = build_q(n_a, cfg)
-    dominant = None
-    if cfg.mode == "structured":
-        if dominant_bias is not None:
-            dominant = np.asarray(dominant_bias, dtype=float)
-            if dominant.shape != (dim,):
-                raise DimensionMismatchError(
-                    f"dominant bias must have {dim} entries, got {dominant.shape}"
-                )
-        else:
-            dominant = draw_dominant_bias(n_a, cfg, rng)
-        # sample_structured's arithmetic, on a block of drawn normals
-        fluct_sd = cfg.ratio * sigma_components(n_a, cfg)
-        noisy = lambda m_true, z: m_true + dominant + fluct_sd * z
-    else:
-        # sample_gaussian's arithmetic, on a block of drawn normals
-        chol = np.linalg.cholesky(q)
-        noisy = lambda m_true, z: m_true + (chol @ z[..., None])[..., 0]
+    sd = sigma_components(n_a, cfg)
+    dominant = draw_dominant(cfg, sd, rng, pinned=dominant_bias)
 
     m_all = np.empty((n_samples, dim))
     e_all = np.empty((n_samples, dim))
@@ -443,7 +419,7 @@ def make_dataset(sc: Scenario, n_samples: int, rng, dominant_bias=None) -> Datas
             x_all[i] = sample_ue_state(sc, rng)
             m_all[i] = rng.standard_normal(dim)  # the noise's normals, for now
         x = x_all[lo:hi]
-        m = noisy(ue_measurement(x, rrhs), m_all[lo:hi])
+        m = add_noise(ue_measurement(x, rrhs), cfg, sd, dominant, m_all[lo:hi])
         h, g = build_system(m, rrhs)
         m_all[lo:hi] = m
         e_all[lo:hi] = h - (g @ x[..., None])[..., 0]
@@ -470,16 +446,8 @@ def make_scatterer_dataset(sc: Scenario, n_samples: int, rng) -> Dataset:
     b_1 = sc.rrhs[0]
     ue = sc.ue_true
     cfg = sc.noise
-    qs = build_qs(cfg)
-    dominant = None
-    if cfg.mode == "structured":
-        dominant = draw_dominant_bias_scatterer(cfg, rng)
-        # sample_structured_scatterer's arithmetic, on drawn normals
-        fluct_sd = cfg.ratio * scatterer_sigma_components(cfg)
-        noisy = lambda ms_true, z: ms_true + dominant + fluct_sd * z
-    else:
-        chol = np.linalg.cholesky(qs)
-        noisy = lambda ms_true, z: ms_true + (chol @ z[..., None])[..., 0]
+    sd = scatterer_sigma_components(cfg)
+    dominant = draw_dominant(cfg, sd, rng)
 
     m_all = np.empty((n_samples, 4))
     e_all = np.empty((n_samples, 4))
@@ -490,7 +458,7 @@ def make_scatterer_dataset(sc: Scenario, n_samples: int, rng) -> Dataset:
             x_all[i] = sample_scatterer_state(sc, rng)
             m_all[i] = rng.standard_normal(4)
         xs = x_all[lo:hi]
-        ms = noisy(scatterer_measurement(xs, ue, b_n, b_1), m_all[lo:hi])
+        ms = add_noise(scatterer_measurement(xs, ue, b_n, b_1), cfg, sd, dominant, m_all[lo:hi])
         h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
         m_all[lo:hi] = ms
         e_all[lo:hi] = h - ((g @ t) @ xs[..., None])[..., 0]
@@ -654,15 +622,6 @@ def blackbox_estimate(net_bb: Mlp, m):
     """Direct state regression, no geometric model involved:
     :func:`blackbox_batch` on the one sample ``m``."""
     return _one(blackbox_batch, net_bb, m)
-
-
-def nn_wls_scatterer(net_s: Mlp, ms, b_n, b_1, ue, eps: float = 0.1):
-    """Scatterer state from one receiver with the learned weighting."""
-    ms = np.asarray(ms, dtype=float)
-    e_hat = np.asarray(net_s.predict(ms), dtype=float)
-    h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
-    x, _ = residual_solve(h, g @ t, e_hat[None], eps)
-    return x
 
 
 def save_model(net: Mlp, path) -> None:

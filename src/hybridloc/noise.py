@@ -10,6 +10,13 @@ Two modes are supported:
   small Gaussian "fluctuating" part whose standard deviation is ``ratio``
   times the dominant one, mimicking environment-induced errors that are
   repeatable across samples.
+
+The mode is decided here and nowhere else.  A layout is its per-component
+deviations ``sd`` (:func:`sigma_components` or
+:func:`scatterer_sigma_components`); :func:`draw_dominant` draws a
+campaign's or dataset's bias on it (None in Gaussian mode) and
+:func:`add_noise` maps a stack of unit normals to noisy measurements.
+The per-sample samplers are that step on one row.
 """
 
 from __future__ import annotations
@@ -88,6 +95,8 @@ def sample_gaussian(m_true, q, rng) -> np.ndarray:
     """One noisy measurement draw ``m_true + N(0, q)`` via the Cholesky factor."""
     m_true = np.asarray(m_true, dtype=float)
     q = np.asarray(q, dtype=float)
+    if m_true.ndim != 1:
+        raise DimensionMismatchError(f"measurement of shape {m_true.shape} is not a vector")
     if q.shape != (m_true.size, m_true.size):
         raise DimensionMismatchError(
             f"covariance {q.shape} does not match measurement size {m_true.size}"
@@ -122,17 +131,52 @@ def draw_dominant_bias(n_a: int, cfg: NoiseConfig, rng) -> np.ndarray:
     return dominant_bias_from_shape(dominant_shape(4 * n_a - 2, rng), n_a, cfg)
 
 
+def draw_dominant(cfg: NoiseConfig, sd, rng, pinned=None) -> np.ndarray | None:
+    """The dominant bias one campaign or dataset shares, on the layout ``sd``.
+
+    None in Gaussian mode, which draws nothing from ``rng``.  In structured
+    mode it is ``pinned`` when given, checked against the layout, and else
+    ``sd.size`` normals from ``rng`` scaled by ``sd``.
+    """
+    if cfg.mode == "gaussian":
+        return None
+    if pinned is None:
+        return dominant_shape(sd.size, rng) * sd
+    pinned = np.asarray(pinned, dtype=float)
+    if pinned.shape != sd.shape:
+        raise DimensionMismatchError(
+            f"dominant bias must have {sd.size} entries, got {pinned.shape}"
+        )
+    return pinned
+
+
+def add_noise(m_true, cfg: NoiseConfig, sd, dominant, z) -> np.ndarray:
+    """Noisy measurements from unit normals ``z`` (..., ``sd.size``).
+
+    ``m_true + sd*z`` without a dominant bias, else ``m_true + dominant +
+    ratio*sd*z``.  For the diagonal covariances of :func:`build_q` and
+    :func:`build_qs`, ``sd*z`` equals :func:`sample_gaussian`'s Cholesky
+    draw bit for bit.
+    """
+    if dominant is None:
+        return m_true + sd * z
+    return m_true + dominant + cfg.ratio * sd * z
+
+
 def sample_structured(m_true, cfg: NoiseConfig, dominant_bias, rng) -> np.ndarray:
     """One structured-noise draw: fixed bias plus scaled Gaussian fluctuation."""
     m_true = np.asarray(m_true, dtype=float)
     dominant_bias = np.asarray(dominant_bias, dtype=float)
-    if dominant_bias.size != m_true.size:
+    if m_true.ndim != 1 or m_true.size < 6 or (m_true.size + 2) % 4:
+        raise DimensionMismatchError(
+            f"a measurement has 4*n_a - 2 entries for n_a >= 2, got shape {m_true.shape}"
+        )
+    if dominant_bias.shape != m_true.shape:
         raise DimensionMismatchError("dominant bias length does not match measurement")
     if cfg.ratio is None:
         raise ScenarioError("structured sampling requires a ratio")
-    n_a = (m_true.size + 2) // 4
-    fluct_sd = cfg.ratio * sigma_components(n_a, cfg)
-    return m_true + dominant_bias + fluct_sd * rng.standard_normal(m_true.size)
+    sd = sigma_components((m_true.size + 2) // 4, cfg)
+    return add_noise(m_true, cfg, sd, dominant_bias, rng.standard_normal(m_true.size))
 
 
 def scatterer_sigma_components(cfg: NoiseConfig) -> np.ndarray:
@@ -142,18 +186,16 @@ def scatterer_sigma_components(cfg: NoiseConfig) -> np.ndarray:
     )
 
 
-def draw_dominant_bias_scatterer(cfg: NoiseConfig, rng) -> np.ndarray:
-    """Dominant error vector for one structured scatterer dataset."""
-    return dominant_shape(4, rng) * scatterer_sigma_components(cfg)
-
-
 def sample_structured_scatterer(ms_true, cfg: NoiseConfig, dominant_bias, rng) -> np.ndarray:
     """Structured draw on the 4-entry reflected-path layout."""
     ms_true = np.asarray(ms_true, dtype=float)
     dominant_bias = np.asarray(dominant_bias, dtype=float)
-    if dominant_bias.size != 4 or ms_true.size != 4:
-        raise DimensionMismatchError("scatterer measurements have 4 entries")
+    if dominant_bias.shape != (4,) or ms_true.shape != (4,):
+        raise DimensionMismatchError(
+            f"scatterer measurements have 4 entries, got shape {ms_true.shape} "
+            f"and bias shape {dominant_bias.shape}"
+        )
     if cfg.ratio is None:
         raise ScenarioError("structured sampling requires a ratio")
-    fluct_sd = cfg.ratio * scatterer_sigma_components(cfg)
-    return ms_true + dominant_bias + fluct_sd * rng.standard_normal(4)
+    sd = scatterer_sigma_components(cfg)
+    return add_noise(ms_true, cfg, sd, dominant_bias, rng.standard_normal(4))

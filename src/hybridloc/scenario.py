@@ -112,34 +112,24 @@ class Scenario:
         return self.rrhs[: self.n_a]
 
 
-def _uniform_into(out, box, rng):
-    """Fill ``out`` with ``rng.uniform(box[:, 0], box[:, 1])``, bit for bit.
-
-    ``lo + (hi - lo) * u`` on the next ``len(out)`` doubles is what
-    ``Generator.uniform`` computes, without its broadcasting overhead.
-    """
+def _box_map(boxes, u) -> np.ndarray:
+    """``(hi - lo) * u + lo`` over the stacked ``[low, high]`` rows of
+    ``boxes``, as ``Generator.uniform`` maps its uniform draws ``u``."""
+    box = np.vstack(boxes)
     lo = box[:, 0]
-    np.multiply(box[:, 1] - lo, rng.random(len(out)), out=out)
-    out += lo
+    return (box[:, 1] - lo) * u + lo
 
 
 def sample_ue_state(sc: Scenario, rng) -> np.ndarray:
-    """Uniform draw of a 6-D user state from the scenario boxes."""
-    x = np.empty(6)
-    _uniform_into(x[:3], sc.ue_box, rng)
-    _uniform_into(x[3:], sc.ue_velocity_box, rng)
-    return x
+    """Uniform draw of a 6-D user state from the scenario boxes: the state
+    at the next six doubles of ``rng``."""
+    return _box_map([sc.ue_box, sc.ue_velocity_box], rng.random(6))
 
 
 def scatterer_states(sc: Scenario, u) -> np.ndarray:
-    """Scatterer [position, speed] states at uniform draws ``u`` (..., 4).
-
-    Each state is ``lo + (hi - lo) * u`` over the scatterer box and speed
-    range, as ``Generator.uniform`` computes it.
-    """
-    box = np.vstack([sc.scatterer_box, sc.scatterer_speed_range])
-    lo = box[:, 0]
-    return (box[:, 1] - lo) * u + lo
+    """Scatterer [position, speed] states at uniform draws ``u`` (..., 4),
+    over the scatterer box and speed range."""
+    return _box_map([sc.scatterer_box, sc.scatterer_speed_range], u)
 
 
 def sample_scatterer_state(sc: Scenario, rng) -> np.ndarray:

@@ -426,9 +426,7 @@ def _picks(paths_by_rrh) -> list:
     return picks
 
 
-def los_candidates_batch(
-    paths_list, rrhs, v_c: float = SPEED_OF_LIGHT, kmeans_iters: int = 100
-) -> list:
+def los_candidates_batch(paths_list, rrhs) -> list:
     """:func:`los_candidates` of many trials, stacked by pick count.
 
     Returns one entry per trial of ``paths_list``: its
@@ -455,12 +453,12 @@ def los_candidates_batch(
         )
         origins = rrhs[[[idx for idx, _ in picks] for _, picks in members]]
         dirs = angular_vectors(phi, theta)[0]
-        ranges = v_c * tau
+        ranges = SPEED_OF_LIGHT * tau
         fixes = origins + ranges[..., None] * dirs  # rough_fix of every pick
         live, clusters = [], []
         for g, (t, picks) in enumerate(members):
             try:
-                c_cluster, c_nlos, _ = kmeans2(fixes[g], max_iters=kmeans_iters)
+                c_cluster, c_nlos, _ = kmeans2(fixes[g])
             except HybridlocError as exc:
                 entries[t] = exc
                 continue
@@ -479,15 +477,13 @@ def los_candidates_batch(
     return entries
 
 
-def los_candidates(
-    paths_by_rrh, rrhs, v_c: float = SPEED_OF_LIGHT, kmeans_iters: int = 100
-) -> LosCandidates:
+def los_candidates(paths_by_rrh, rrhs) -> LosCandidates:
     """Picks, rough fixes, clusters and candidate centers of one trial.
 
     Every selection of the trial, whatever its ``n_a``, ranks its receivers
     from this record.  It is the batch of one.
     """
-    (entry,) = los_candidates_batch([paths_by_rrh], rrhs, v_c, kmeans_iters)
+    (entry,) = los_candidates_batch([paths_by_rrh], rrhs)
     if isinstance(entry, HybridlocError):
         raise entry
     return entry
@@ -497,8 +493,6 @@ def select_los(
     paths_by_rrh,
     rrhs,
     n_a: int | None = None,
-    v_c: float = SPEED_OF_LIGHT,
-    kmeans_iters: int = 100,
     candidates: LosCandidates | None = None,
 ) -> SelectionResult:
     """Select the receivers whose earliest paths look direct.
@@ -508,10 +502,10 @@ def select_los(
     that many receivers are selected by ascending cluster distance; without
     it, picks below half the maximum pick energy are discarded and the rest
     are selected.  ``candidates`` is the trial's :func:`los_candidates`
-    record, built here (with ``v_c`` and ``kmeans_iters``) when not given.
+    record, built here when not given.
     """
     if candidates is None:
-        candidates = los_candidates(paths_by_rrh, rrhs, v_c, kmeans_iters)
+        candidates = los_candidates(paths_by_rrh, rrhs)
     picks, fixes = candidates.picks, candidates.fixes
     if n_a is not None and n_a > len(picks):
         raise ScenarioError(f"cannot select {n_a} receivers from {len(picks)} reporting")

@@ -20,11 +20,12 @@ from hybridloc.nn import Dataset
 from hybridloc.noise import (
     build_q,
     build_qs,
+    dominant_shape,
     draw_dominant_bias,
-    draw_dominant_bias_scatterer,
     sample_gaussian,
     sample_structured,
     sample_structured_scatterer,
+    scatterer_sigma_components,
 )
 from hybridloc.scatterer_wls import build_scatterer_system
 from hybridloc.scenario import sample_scatterer_state, sample_ue_state
@@ -111,7 +112,7 @@ def make_scatterer_dataset(sc, n_samples, rng):
     qs = build_qs(cfg)
     dominant = None
     if cfg.mode == "structured":
-        dominant = draw_dominant_bias_scatterer(cfg, rng)
+        dominant = dominant_shape(4, rng) * scatterer_sigma_components(cfg)
     m_all = np.empty((n_samples, 4))
     e_all = np.empty((n_samples, 4))
     x_all = np.empty((n_samples, 4))
@@ -163,13 +164,6 @@ def nn_ls_estimate(net, m, rrhs):
     h, g = build_system(m, np.asarray(rrhs, dtype=float))
     x, _ = solve_linear(h - e_hat, g, np.eye(h.shape[0]))
     return x
-
-
-def nn_wls_scatterer(net_s, ms, b_n, b_1, ue, eps=0.1):
-    ms = np.asarray(ms, dtype=float)
-    e_hat = net_s.predict(ms)
-    h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
-    return weighted_solve(e_hat, h, g @ t, eps)[0]
 
 
 def blackbox_estimate(net_bb, m):

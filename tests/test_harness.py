@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hybridloc import harness, nn, selection
-from hybridloc.crlb import crlb_ue, position_trace, velocity_trace
+from hybridloc.crlb import crlb_scatterer, crlb_ue, position_trace, velocity_trace
 from hybridloc.errors import (
     DimensionMismatchError,
     HybridlocError,
@@ -14,8 +14,21 @@ from hybridloc.errors import (
     ScenarioError,
     SingularProblemError,
 )
-from hybridloc.noise import NoiseConfig, build_q
+from hybridloc.geometry import scatterer_measurement, ue_measurement
+from hybridloc.noise import (
+    NoiseConfig,
+    build_q,
+    build_qs,
+    dominant_shape,
+    sample_gaussian,
+    sample_structured,
+    sample_structured_scatterer,
+    scatterer_sigma_components,
+    sigma_components,
+)
+from hybridloc.scatterer_wls import scatterer_wls_solve
 from hybridloc.scenario import Scenario, load_scenario
+from hybridloc.ue_wls import wls_solve
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -175,6 +188,71 @@ class TestScattererCampaign:
         a = harness.run_scatterer_campaign(sc)
         b = harness.run_scatterer_campaign(sc)
         assert a.rmse_position == b.rmse_position
+
+
+NOISE_MODES = [
+    NoiseConfig(delta_d=2.0, delta_a=0.0175),
+    NoiseConfig(delta_d=2.0, delta_a=0.0175, mode="structured", ratio=0.1),
+]
+
+
+def _per_trial_draw(sc, m_true, q, sd, sample):
+    """One trial's measurement drawn alone: ``sample_gaussian``, or the
+    structured ``sample`` around the campaign's bias on the layout ``sd``."""
+    if sc.noise.mode == "gaussian":
+        return lambda rng: sample_gaussian(m_true, q, rng)
+    bias_rng = np.random.default_rng([sc.seed, harness._DOMINANT_STREAM])
+    bias = dominant_shape(sd.size, bias_rng) * sd
+    return lambda rng: sample(m_true, sc.noise, bias, rng)
+
+
+class TestCampaignDraws:
+    """70 trials span two solve blocks; each trial still gets the draw and
+    the estimate it gets alone."""
+
+    @pytest.mark.parametrize("noise", NOISE_MODES, ids=["gaussian", "structured"])
+    def test_wls_rows_equal_a_per_trial_loop(self, noise):
+        sc = Scenario(noise=noise, trials=70, seed=17)
+        rrhs, q = sc.selected_rrhs(), build_q(sc.n_a, noise)
+        m_true = ue_measurement(sc.ue_true, rrhs)
+        draw = _per_trial_draw(sc, m_true, q, sigma_components(sc.n_a, noise), sample_structured)
+        expected = []
+        for t in range(sc.trials):
+            m = draw(np.random.default_rng([sc.seed, t]))
+            try:
+                x = wls_solve(m, rrhs, q, iters=sc.wls_iters).x
+            except HybridlocError as exc:
+                expected.append({"trial": t, "status": "fail", "detail": str(exc)})
+                continue
+            expected.append({
+                "trial": t,
+                "status": "ok",
+                "error_position": float(np.linalg.norm(x[:3] - sc.ue_true[:3])),
+                "error_velocity": float(np.linalg.norm(x[3:] - sc.ue_true[3:])),
+            })
+        _, rows = harness.run_wls_campaign(sc, collect_trials=True)
+        assert rows == expected
+
+    @pytest.mark.parametrize("noise", NOISE_MODES, ids=["gaussian", "structured"])
+    def test_scatterer_metrics_equal_a_per_trial_loop(self, noise):
+        sc = Scenario(noise=noise, trials=70, seed=17)
+        b_n, b_1, qs = sc.rrhs[sc.scatterer_rrh], sc.rrhs[0], build_qs(noise)
+        ms_true = scatterer_measurement(sc.scatterer_true, sc.ue_true, b_n, b_1)
+        draw = _per_trial_draw(
+            sc, ms_true, qs, scatterer_sigma_components(noise), sample_structured_scatterer
+        )
+        estimates = [
+            scatterer_wls_solve(draw(np.random.default_rng([sc.seed, t])), b_n, b_1,
+                                sc.ue_true, qs).x
+            for t in range(sc.trials)
+        ]
+        expected = harness.compute_metrics(
+            estimates, np.tile(sc.scatterer_true, (sc.trials, 1)),
+            crlb=crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qs),
+        ).to_dict()
+        got = harness.run_scatterer_campaign(sc).to_dict()
+        del expected["runtime"], got["runtime"]
+        assert got == expected
 
 
 def _every_trial_singular(solve):

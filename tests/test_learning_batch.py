@@ -19,7 +19,6 @@ from hybridloc.errors import (
 )
 from hybridloc.geometry import ue_measurement
 from hybridloc.noise import NoiseConfig, build_q
-from hybridloc.scatterer_wls import build_scatterer_system
 from hybridloc.scenario import Scenario
 from hybridloc.ue_wls import _COND_LIMIT, build_system, wls_solve
 from learning_oracle import StubNet
@@ -201,18 +200,6 @@ class TestClosedFormsMatchOracle:
             expected = oracle.enn_b_wls(nets, m, RRHS)
         assert np.array_equal(got, expected)
 
-    @given(seeds, scales, ridges)
-    @settings(max_examples=60, deadline=None)
-    def test_scatterer(self, seed, scale_exp, eps):
-        rng = np.random.default_rng(seed)
-        ds = nn.make_scatterer_dataset(Scenario(noise=STRUCTURED), 1, rng)
-        e_hat = ds.e[0] * (1.0 + rng.normal(scale=0.3, size=4)) * 10.0**scale_exp
-        b_n, b_1 = SC.rrhs[SC.scatterer_rrh], SC.rrhs[0]
-        h, g, t = build_scatterer_system(ds.m[0], b_n, b_1, SC.ue_true)
-        _assert_agree(
-            lambda: nn.nn_wls_scatterer(StubNet(e_hat), ds.m[0], b_n, b_1, SC.ue_true, eps),
-            e_hat, h, g @ t, eps)
-
 
 @pytest.fixture(scope="module")
 def trained():
@@ -363,12 +350,6 @@ class TestRidgeCheck:
     def test_nn_wls_estimate(self, trained):
         with pytest.raises(NumericalError, match=self.MESSAGE):
             nn.nn_wls_estimate(trained["net"], trained["test"].m[0], RRHS, eps=0.0)
-
-    def test_nn_wls_scatterer(self):
-        ds = nn.make_scatterer_dataset(Scenario(noise=STRUCTURED), 1, np.random.default_rng(1))
-        with pytest.raises(NumericalError, match=self.MESSAGE):
-            nn.nn_wls_scatterer(StubNet(ds.e[0]), ds.m[0], SC.rrhs[0], SC.rrhs[0],
-                                SC.ue_true, eps=-1.0)
 
     @pytest.mark.parametrize("combine", [ensemble.member_states, ensemble.enn_a_wls,
                                          ensemble.enn_m_wls])

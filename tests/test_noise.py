@@ -1,19 +1,25 @@
-"""Tests for covariance construction and the two noise samplers."""
+"""Tests for covariance construction, the noise step and the samplers."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from hybridloc.errors import DimensionMismatchError, NumericalError, ScenarioError
 from hybridloc.noise import (
     NoiseConfig,
+    add_noise,
     build_q,
     build_qs,
     dominant_bias_from_shape,
     dominant_shape,
+    draw_dominant,
     draw_dominant_bias,
     sample_gaussian,
     sample_structured,
+    sample_structured_scatterer,
+    scatterer_sigma_components,
     sigma_components,
 )
 
@@ -151,3 +157,68 @@ class TestStructuredSampler:
         cfg = NoiseConfig(mode="structured", ratio=0.1)
         with pytest.raises(DimensionMismatchError):
             sample_structured(np.zeros(22), cfg, np.zeros(6), default_rng(0))
+
+
+class TestSamplerShapes:
+    @pytest.mark.parametrize("size", [5, 20, 23])
+    def test_structured_rejects_a_length_off_the_layout(self, size):
+        cfg = NoiseConfig(mode="structured", ratio=0.1)
+        with pytest.raises(DimensionMismatchError, match=f"shape \\({size},\\)"):
+            sample_structured(np.zeros(size), cfg, np.zeros(size), default_rng(0))
+
+    def test_gaussian_rejects_a_matrix(self):
+        with pytest.raises(DimensionMismatchError, match=r"shape \(2, 3\)"):
+            sample_gaussian(np.zeros((2, 3)), np.eye(6), default_rng(0))
+
+    def test_scatterer_rejects_a_matrix(self):
+        cfg = NoiseConfig(mode="structured", ratio=0.1)
+        with pytest.raises(DimensionMismatchError, match=r"shape \(2, 2\)"):
+            sample_structured_scatterer(np.zeros((2, 2)), cfg, np.zeros(4), default_rng(0))
+
+
+class TestNoiseStep:
+    @given(
+        st.integers(2, 18),
+        st.booleans(),
+        st.floats(-2.0, 2.0).map(lambda k: 10.0**k),
+        st.floats(0.001, 1.0),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_step_matches_the_samplers_row_by_row(
+        self, n_a, scatterer, rho, ratio, rows, seed
+    ):
+        gaussian = NoiseConfig().scaled(rho)
+        structured = NoiseConfig(mode="structured", ratio=ratio).scaled(rho)
+        if scatterer:
+            sd, q, sample = scatterer_sigma_components(gaussian), build_qs(gaussian), \
+                sample_structured_scatterer
+        else:
+            sd, q, sample = sigma_components(n_a, gaussian), build_q(n_a, gaussian), \
+                sample_structured
+        rng = default_rng(seed)
+        m_true = rng.normal(scale=100.0, size=(rows, sd.size))
+        assert draw_dominant(gaussian, sd, rng) is None
+        dominant = draw_dominant(structured, sd, rng)
+        z = np.array([default_rng([seed, t]).standard_normal(sd.size) for t in range(rows)])
+        noisy = add_noise(m_true, gaussian, sd, None, z)
+        biased = add_noise(m_true, structured, sd, dominant, z)
+        for t in range(rows):
+            want = sample_gaussian(m_true[t], q, default_rng([seed, t]))
+            assert np.array_equal(noisy[t], want)
+            want = sample(m_true[t], structured, dominant, default_rng([seed, t]))
+            assert np.array_equal(biased[t], want)
+
+    def test_gaussian_mode_draws_no_bias(self):
+        rng = default_rng(4)
+        sd = sigma_components(6, NoiseConfig())
+        assert draw_dominant(NoiseConfig(), sd, rng, pinned=np.ones(3)) is None
+        assert rng.random() == default_rng(4).random()
+
+    def test_pinned_bias_is_checked_against_the_layout(self):
+        cfg = NoiseConfig(mode="structured", ratio=0.1)
+        sd = sigma_components(6, cfg)
+        assert np.array_equal(draw_dominant(cfg, sd, None, pinned=list(sd)), sd)
+        with pytest.raises(DimensionMismatchError, match="22 entries"):
+            draw_dominant(cfg, sd, None, pinned=np.zeros(18))
