@@ -23,7 +23,16 @@ from .geometry import (
 from .ue_wls import _COND_LIMIT, _position_row_mask
 
 
-def _invert_information(fisher: np.ndarray) -> np.ndarray:
+def _bound(jac: np.ndarray, q) -> np.ndarray:
+    """``inv(J' inv(Q) J)``: the bound of Jacobian ``jac`` under covariance ``q``.
+
+    A singular ``q`` or an information matrix that is not finite or not
+    invertible raises ``SingularProblemError``.
+    """
+    try:
+        fisher = jac.T @ np.linalg.solve(q, jac)
+    except np.linalg.LinAlgError as exc:
+        raise SingularProblemError("measurement covariance is singular") from exc
     if not np.all(np.isfinite(fisher)):
         raise SingularProblemError("information matrix has non-finite entries")
     if np.linalg.cond(fisher) > _COND_LIMIT:
@@ -74,9 +83,7 @@ def jacobian_ue(x, rrhs) -> np.ndarray:
 
 def crlb_ue(x, rrhs, q) -> np.ndarray:
     """6x6 covariance lower bound for the joint position/velocity estimate."""
-    jac = jacobian_ue(x, rrhs)
-    fisher = jac.T @ np.linalg.solve(q, jac)
-    return _invert_information(fisher)
+    return _bound(jacobian_ue(x, rrhs), q)
 
 
 def crlb_ue_position(x, rrhs, q) -> np.ndarray:
@@ -88,9 +95,7 @@ def crlb_ue_position(x, rrhs, q) -> np.ndarray:
     """
     rows = _position_row_mask(np.asarray(rrhs).shape[0])
     jac = jacobian_ue(x, rrhs)[np.ix_(rows, [0, 1, 2])]
-    q = np.asarray(q, dtype=float)[np.ix_(rows, rows)]
-    fisher = jac.T @ np.linalg.solve(q, jac)
-    return _invert_information(fisher)
+    return _bound(jac, np.asarray(q, dtype=float)[np.ix_(rows, rows)])
 
 
 def jacobian_scatterer(xs, b_n, ue) -> np.ndarray:
@@ -134,9 +139,7 @@ def jacobian_scatterer(xs, b_n, ue) -> np.ndarray:
 
 def crlb_scatterer(xs, b_n, ue, qs) -> np.ndarray:
     """4x4 covariance lower bound for the scatterer position/speed estimate."""
-    jac = jacobian_scatterer(xs, b_n, ue)
-    fisher = jac.T @ np.linalg.solve(qs, jac)
-    return _invert_information(fisher)
+    return _bound(jacobian_scatterer(xs, b_n, ue), qs)
 
 
 def position_trace(cov) -> float:

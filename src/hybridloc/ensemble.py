@@ -21,13 +21,16 @@ from .nn import (
     MlpConfig,
     _no_failures,
     _one,
-    _stacked,
+    _stack_inputs,
     _train_stack,
     load_model,
     residual_solve,
     save_model,
 )
-from .ue_wls import _COND_LIMIT, build_system, solve_linear
+from .ue_wls import _COND_LIMIT, solve_linear
+
+# ENN-B's ridge on the averaged outer product, relative to its mean diagonal.
+_RIDGE_SCALE = 1e-4
 
 
 @dataclass
@@ -82,14 +85,6 @@ def subtractive_pick(preds, r_a: float) -> np.ndarray:
     pick = np.argmax(_densities(preds, r_a), axis=-1).reshape(-1)
     flat = preds.reshape((len(pick),) + preds.shape[-2:])
     return flat[np.arange(len(pick)), pick].reshape(preds.shape[:-2] + preds.shape[-1:])
-
-
-def _stack_inputs(nets, ms, rrhs):
-    """(N, P, dim) member predictions, one ``predict`` per member, and the
-    systems (h, G) of stacked measurements."""
-    ms = _stacked(ms)
-    e_hats = np.stack([net.predict(ms) for net in nets], axis=1)
-    return (e_hats,) + build_system(ms, np.asarray(rrhs, dtype=float))
 
 
 def member_states_batch(nets, ms, rrhs, eps: float = 0.1):
@@ -159,25 +154,25 @@ def average_outer(e_hats) -> np.ndarray:
     return e_hats.T @ e_hats / e_hats.shape[0]
 
 
-def invert_weighting(avg: np.ndarray, ridge_scale: float = 1e-4):
+def invert_weighting(avg: np.ndarray):
     """Invert the averaged outer product, ridging only when singular.
 
     Returns (W, engaged); ``engaged`` is True when the ridge was needed,
-    scaled to the matrix (ridge_scale * trace/dim).
+    scaled to the matrix (``_RIDGE_SCALE`` * trace/dim).
     """
     dim = avg.shape[0]
     if np.linalg.cond(avg) < _COND_LIMIT:
         return np.linalg.inv(avg), False
-    eps = ridge_scale * max(np.trace(avg) / dim, np.finfo(float).tiny)
+    eps = _RIDGE_SCALE * max(np.trace(avg) / dim, np.finfo(float).tiny)
     return np.linalg.inv(avg + eps * np.eye(dim)), True
 
 
-def enn_b_wls_batch(nets, ms, rrhs, ridge_scale: float = 1e-4):
+def enn_b_wls_batch(nets, ms, rrhs):
     """ENN-B estimates of stacked measurements, as ``nn.nn_wls_batch``: one
     WLS solve per sample weighted by the averaged residual outer product.
 
     With fewer members P than measurement rows the averaged outer product
-    ``EᵀE/P`` has rank at most P, so its ridge ``δ = ridge_scale·trace/dim``
+    ``EᵀE/P`` has rank at most P, so its ridge ``δ = _RIDGE_SCALE·trace/dim``
     always engages, and ``(δI + EᵀE/P)⁻¹`` is applied through the P×P
     system ``δP·I + EEᵀ`` (``nn.residual_solve``; scaling the weighting
     by P leaves the estimate as it is).  From P = dim on,
@@ -190,14 +185,14 @@ def enn_b_wls_batch(nets, ms, rrhs, ridge_scale: float = 1e-4):
     p, dim = e_hats.shape[-2:]
     if p < dim:
         trace = np.sum(e_hats * e_hats, axis=(-2, -1)) / p
-        delta = ridge_scale * np.maximum(trace / dim, np.finfo(float).tiny)
+        delta = _RIDGE_SCALE * np.maximum(trace / dim, np.finfo(float).tiny)
         x, _ = residual_solve(h, g, e_hats, delta * p, errors)
         engaged = True
     else:
         w = np.full((len(h), dim, dim), np.nan)
         engaged = False
         for i in np.flatnonzero(np.isfinite(e_hats).all(axis=(1, 2))):
-            w[i], hit = invert_weighting(average_outer(e_hats[i]), ridge_scale)
+            w[i], hit = invert_weighting(average_outer(e_hats[i]))
             engaged |= hit
         x, _ = solve_linear(h, g, w, errors)
     if engaged:
@@ -209,10 +204,10 @@ def enn_b_wls_batch(nets, ms, rrhs, ridge_scale: float = 1e-4):
     return x, errors
 
 
-def enn_b_wls(nets, m, rrhs, ridge_scale: float = 1e-4) -> np.ndarray:
+def enn_b_wls(nets, m, rrhs) -> np.ndarray:
     """Single WLS solve weighted by the averaged residual outer product:
     :func:`enn_b_wls_batch` on the one sample ``m``."""
-    return _one(enn_b_wls_batch, nets, m, rrhs, ridge_scale)
+    return _one(enn_b_wls_batch, nets, m, rrhs)
 
 
 def save_ensemble(nets, ens: EnsembleConfig, directory) -> str:

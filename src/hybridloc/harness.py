@@ -89,11 +89,11 @@ class MetricReport:
         return self.rmse_velocity / np.sqrt(self.crlb_trace_velocity)
 
 
-def compute_metrics(estimates, truths, crlb=None, position_dim: int = 3) -> MetricReport:
+def compute_metrics(estimates, truths, crlb=None) -> MetricReport:
     """RMSE/MAE/bias over paired estimates and truths.
 
     RMSE is the root of the mean squared error NORM, MAE the mean error
-    norm, both split into position (first ``position_dim`` components) and
+    norm, both split into position (the first three components) and
     velocity (the rest).  ``crlb`` is an optional state-space covariance
     matrix whose position/velocity traces are copied into the report.
     """
@@ -106,8 +106,8 @@ def compute_metrics(estimates, truths, crlb=None, position_dim: int = 3) -> Metr
             f"estimates {estimates.shape} and truths {truths.shape} differ"
         )
     err = estimates - truths
-    pos = err[:, :position_dim]
-    vel = err[:, position_dim:]
+    pos = err[:, :3]
+    vel = err[:, 3:]
     report = MetricReport(
         rmse_position=float(np.sqrt(np.mean(np.sum(pos**2, axis=1)))),
         mae_position=float(np.mean(np.linalg.norm(pos, axis=1))),
@@ -120,11 +120,9 @@ def compute_metrics(estimates, truths, crlb=None, position_dim: int = 3) -> Metr
         report.mae_velocity = float(np.mean(np.linalg.norm(vel, axis=1)))
     if crlb is not None:
         crlb = np.asarray(crlb, dtype=float)
-        report.crlb_trace_position = float(np.trace(crlb[:position_dim, :position_dim]))
-        if crlb.shape[0] > position_dim:
-            report.crlb_trace_velocity = float(
-                np.trace(crlb[position_dim:, position_dim:])
-            )
+        report.crlb_trace_position = float(np.trace(crlb[:3, :3]))
+        if crlb.shape[0] > 3:
+            report.crlb_trace_velocity = float(np.trace(crlb[3:, 3:]))
     return report
 
 

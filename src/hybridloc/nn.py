@@ -562,11 +562,12 @@ def _one(batch, model, m, *args):
     return x[0]
 
 
-def _batch_inputs(net, ms, rrhs):
-    """A stack's predictions, its systems (h, G) and an empty failure array."""
+def _stack_inputs(nets, ms, rrhs):
+    """(N, P, dim) predictions of P nets, one ``predict`` per net, and the
+    systems (h, G) of stacked measurements."""
     ms = _stacked(ms)
-    h, g = build_system(ms, np.asarray(rrhs, dtype=float))
-    return np.asarray(net.predict(ms), dtype=float), h, g, _no_failures(len(ms))
+    e_hats = np.stack([net.predict(ms) for net in nets], axis=1)
+    return (e_hats,) + build_system(ms, np.asarray(rrhs, dtype=float))
 
 
 def nn_wls_batch(net: Mlp, ms, rrhs, eps: float = 0.1):
@@ -576,8 +577,9 @@ def nn_wls_batch(net: Mlp, ms, rrhs, eps: float = 0.1):
     ``HybridlocError`` its solve raised or None (its row of ``x`` is then
     NaN).  One ``predict`` call serves the stack.
     """
-    e_hat, h, g, errors = _batch_inputs(net, ms, rrhs)
-    x, _ = residual_solve(h, g, e_hat[:, None, :], eps, errors)
+    e_hat, h, g = _stack_inputs([net], ms, rrhs)
+    errors = _no_failures(len(h))
+    x, _ = residual_solve(h, g, e_hat, eps, errors)
     return x, errors
 
 
@@ -589,8 +591,9 @@ def nn_wls_estimate(net: Mlp, m, rrhs, eps: float = 0.1):
 
 def nn_ls_batch(net: Mlp, ms, rrhs):
     """NN-LS estimates of stacked measurements, as :func:`nn_wls_batch`."""
-    e_hat, h, g, errors = _batch_inputs(net, ms, rrhs)
-    x, _ = residual_solve(h - e_hat, g, errors=errors)
+    e_hat, h, g = _stack_inputs([net], ms, rrhs)
+    errors = _no_failures(len(h))
+    x, _ = residual_solve(h - e_hat[:, 0], g, errors=errors)
     return x, errors
 
 

@@ -21,6 +21,7 @@ The per-sample samplers are that step on one row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,9 @@ class NoiseConfig:
     ``delta_d`` is the TDOA standard deviation in meters, ``delta_a`` the
     AOA standard deviation in radians; the FDOA standard deviation is
     ``fdoa_factor * delta_d``.  In ``structured`` mode ``ratio`` scales the
-    fluctuating part relative to the dominant part.
+    fluctuating part relative to the dominant part.  Each of these, and
+    each of the three variances, must be finite and positive, so that the
+    covariance ``Q`` is invertible.
     """
 
     delta_d: float = 0.22
@@ -45,11 +48,19 @@ class NoiseConfig:
     ratio: float | None = None
 
     def __post_init__(self):
-        if self.delta_d <= 0 or self.delta_a <= 0:
-            raise ScenarioError("noise standard deviations must be positive")
+        scales = {"delta_d": self.delta_d, "delta_a": self.delta_a,
+                  "fdoa_factor": self.fdoa_factor, "ratio": self.ratio}
+        for name, value in scales.items():
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ScenarioError(f"noise {name} must be finite and positive, got {value}")
+        for sd in (self.delta_d, self.fdoa_factor * self.delta_d, self.delta_a):
+            if not 0.0 < sd * sd < math.inf:
+                raise ScenarioError(
+                    f"noise standard deviation {sd} has no finite positive variance"
+                )
         if self.mode not in ("gaussian", "structured"):
             raise ScenarioError(f"unknown noise mode {self.mode!r}")
-        if self.mode == "structured" and (self.ratio is None or self.ratio <= 0):
+        if self.mode == "structured" and self.ratio is None:
             raise ScenarioError("structured noise requires ratio > 0")
 
     def scaled(self, rho: float) -> "NoiseConfig":

@@ -26,7 +26,8 @@ from .geometry import (
     look_rates,
     velocity_direction,
 )
-from .ue_wls import _fail, _invert, _square, solve_linear
+from .ue_wls import _fail, _iterated_solve, _square
+from .ue_wls import solve_linear  # noqa: F401  perfbench's tracer expects scatterer_wls to bind it
 
 
 @dataclass
@@ -157,7 +158,8 @@ def scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs) -> ScattererBatch:
     """WLS estimates of a stack of path measurements ``ms`` (T, 4).
 
     Each trial runs as :func:`scatterer_wls_solve` would run it alone, and
-    fails alone.
+    fails alone.  This is the user's iterated solve with one iteration and
+    the covariance at the estimate.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.shape != (4, 4):
@@ -166,11 +168,10 @@ def scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs) -> ScattererBatch:
     if ms.ndim != 2:
         raise DimensionMismatchError("path measurements must be stacked as (trials, 4)")
     h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
-    gt = g @ t
     errors = np.full(len(ms), None, dtype=object)
-    xs, _ = solve_linear(h, gt, _invert(qs), errors)
-    bs = build_bs(xs, b_n, ue, errors)
-    _, cov = solve_linear(h, gt, _invert(bs @ qs @ np.swapaxes(bs, -1, -2), errors), errors)
+    xs, cov = _iterated_solve(
+        h, g @ t, qs, lambda x, e: build_bs(x, b_n, ue, e), 1, True, errors
+    )
     failed = ~np.equal(errors, None)
     xs[failed] = np.nan
     cov[failed] = np.nan

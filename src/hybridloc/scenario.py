@@ -182,22 +182,9 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
-_KNOWN_KEYS = {
-    "rrhs",
-    "ue_true",
-    "scatterer_true",
-    "scatterer_rrh",
-    "scatterer_box",
-    "ue_box",
-    "ue_velocity_box",
-    "noise",
-    "n_a",
-    "p_d",
-    "clock_bias_m",
-    "trials",
-    "seed",
-    "wls_iters",
-}
+# Top-level keys of a scenario file: the fields of Scenario, except the
+# speed range, which is read from ``scatterer_box.speed``.
+_KNOWN_KEYS = {f.name for f in dataclasses.fields(Scenario)} - {"scatterer_speed_range"}
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -39,7 +39,7 @@ selected at several ``n_a`` for the cost of one first stage.
 :func:`los_candidates_batch` builds the records of many trials at once.
 Picks and clustering run per trial; the trials with the same pick count
 then form a group whose rays come from one ``angular_vectors`` call.  The
-fit kernels take an optional leading trial axis -- ``(T, n, 3)`` rays,
+fit kernels take a leading trial axis -- ``(T, n, 3)`` rays,
 ``(T, K, 3)`` starts -- and flatten it into their stack of fits, so the
 trimmed fits of a group share one batched solve per step, and only the
 fits still moving are solved.  The seed pick scores every ray pair of the
@@ -68,6 +68,7 @@ from .geometry import (
     scatterer_measurement,
 )
 from .scenario import scatterer_states
+from .ue_wls import _square
 
 
 @dataclass
@@ -263,20 +264,19 @@ def _seed_scores(seeds, origins, dirs, ranges, k: int) -> np.ndarray:
 def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
     """Reweighted least-squares points nearest each row's kept rays.
 
-    ``kept`` is ``(K, m)`` ray indices and ``c0`` the ``(K, 3)`` starts; the
-    K fits are independent.  With a leading trial axis, origins and dirs
-    are ``(T, n, 3)``, kept ``(T, K, m)`` and c0 ``(T, K, 3)``, and the T*K
-    fits run as one stack.  Each step solves the weighted normal equations
+    Origins and dirs are ``(T, n, 3)`` rays of T trials, ``kept`` the
+    ``(T, K, m)`` ray indices of each trial's K fits and ``c0`` their
+    ``(T, K, 3)`` starts; the T*K fits are independent and run as one
+    stack.  Each step solves the weighted normal equations
     ``(sum(w) I - sum(w a a^T)) c = sum(w P o)`` with ``w = 1/max(miss,
     floor)`` for the live fits at once.  A fit is frozen, and leaves the
     stack, when its step is below 1e-9 m (keeping the new point) or its
     solve fails (keeping the last).
     """
     lead, m = kept.shape[:-1], kept.shape[-1]
-    if origins.ndim == 3:  # trial axis: index the trials' rays as one stack
-        kept = kept + origins.shape[1] * np.arange(origins.shape[0])[:, None, None]
-        origins, dirs = origins.reshape(-1, 3), dirs.reshape(-1, 3)
-    o, a = origins[kept].reshape(-1, m, 3), dirs[kept].reshape(-1, m, 3)
+    kept = kept + origins.shape[1] * np.arange(origins.shape[0])[:, None, None]
+    o = origins.reshape(-1, 3)[kept].reshape(-1, m, 3)
+    a = dirs.reshape(-1, 3)[kept].reshape(-1, m, 3)
     po = _perp(o, a)
     aat = (a[..., :, None] * a[..., None, :]).reshape(-1, m, 9)
     eye = np.eye(3)
@@ -300,7 +300,8 @@ def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
 def _trimmed_ray_points(origins, dirs, c0, keep: int, rounds: int = 4):
     """Alternate between keeping each start's closest rays and refitting it.
 
-    Takes the optional leading trial axis of :func:`_ray_points`.
+    Takes the ``(T, n, 3)`` rays and ``(T, K, 3)`` starts of
+    :func:`_ray_points`.
     """
     c = np.array(c0, dtype=float)
     for _ in range(rounds):
@@ -360,17 +361,15 @@ def _trimmed_centers(fixes, origins, dirs, ranges, c_cluster):
 
     Trimmed ray fits start from the cluster center and the median fix, then
     from the two best-scoring seeds among the pair midpoints and those two
-    fits.  Every argument may carry a leading trial axis (trials of one
-    ray count); both fit stages and the seed pick then run stacked over
-    the trials.
+    fits.  Every argument carries a leading axis of T trials of one ray
+    count (``(T, n, 3)`` rays, ``(T, n)`` ranges, ``(T, 3)`` cluster
+    centers); both fit stages and the seed pick run stacked over the
+    trials, and the result is ``(T, 4, 3)``.
     """
     keep = max(3, origins.shape[-2] // 2)
     starts = np.stack([c_cluster, np.median(fixes, axis=-2)], axis=-2)
     centers = _trimmed_ray_points(origins, dirs, starts, keep)
-    lead = origins.shape[:-2]
-    best_seeds = _best_seeds(
-        *(np.reshape(v, (-1,) + v.shape[len(lead):]) for v in (origins, dirs, ranges, centers))
-    ).reshape(lead + (2, 3))
+    best_seeds = _best_seeds(origins, dirs, ranges, centers)
     return np.concatenate(
         [centers, _trimmed_ray_points(origins, dirs, best_seeds, keep)], axis=-2
     )
@@ -601,19 +600,13 @@ def _noisy_paths(sc, phi, theta, r, rdot, noise, attenuation) -> list:
     """Nested lists of ``(phi, theta, tau, nu, energy)`` of paths of range
     ``r`` and rate ``rdot`` under unit ``noise`` (..., 4)."""
     delta_d = sc.noise.delta_d
-    fields = np.stack([
+    return np.stack([
         phi + sc.noise.delta_a * noise[..., 0],
         theta + sc.noise.delta_a * noise[..., 1],
         (r + sc.clock_bias_m + delta_d * noise[..., 2]) / SPEED_OF_LIGHT,
         rdot + sc.noise.fdoa_factor * delta_d * noise[..., 3],
-        100.0 / np.broadcast_to(r, noise.shape[:-1]),
+        attenuation * _square(100.0 / np.broadcast_to(r, noise.shape[:-1])),
     ], axis=-1).tolist()
-    # Python's float ``**`` (libm ``pow``), not NumPy's ``** 2`` (``x * x``):
-    # the two differ in the last bit for about one value in a thousand.
-    for row in fields:
-        for f in row:
-            f[4] = attenuation * f[4] ** 2
-    return fields
 
 
 def simulate_paths(sc, rng) -> list:

@@ -169,6 +169,40 @@ class TestCrlb:
         assert float(header[0].split("=", 1)[1]) < 1e-9
 
 
+class TestBadNoiseSettings:
+    # Each setting leaves the covariance singular or not finite: a zero or
+    # negative deviation, one that is not finite, or one whose square
+    # underflows.
+    @pytest.mark.parametrize("command", ["crlb", "simulate"])
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            "{fdoa_factor: 0}",
+            "{fdoa_factor: -0.1}",
+            "{delta_d: .inf}",
+            "{delta_d: .nan}",
+            "{delta_a: .inf}",
+            "{delta_d: 1.0e-170}",
+            "{delta_a: 1.0e-170}",
+            "{mode: structured, ratio: .inf}",
+            "{ratio: .nan}",
+        ],
+    )
+    def test_scenario_exits_parse(self, tmp_path, capsys, command, noise):
+        scenario = write_scenario(tmp_path / "s.yaml", f"noise: {noise}\ntrials: 2\n")
+        code = run_cli(command, "--scenario", scenario, "--out", str(tmp_path / "o.csv"))
+        assert code == EXIT_PARSE
+        assert "error: noise" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["crlb"], ["simulate", "--trials", "2"]], ids=["crlb", "simulate"]
+    )
+    def test_rho_whose_variance_underflows_exits_parse(self, tmp_path, capsys, command):
+        code = run_cli(*command, "--rho", "1e-170", "--out", str(tmp_path / "o.csv"))
+        assert code == EXIT_PARSE
+        assert "error: noise" in capsys.readouterr().err
+
+
 class TestSelectSr:
     def test_runs_and_reports_rate(self, tmp_path):
         scenario = write_scenario(

@@ -209,6 +209,21 @@ class TestCrlbScatterer:
         assert np.all(np.linalg.eigvalsh(cov) > 0)
 
 
+class TestSingularCovariance:
+    def test_every_bound_raises_singular_problem(self):
+        # A noise-free range row makes the covariance singular; the joint,
+        # position-only and scatterer bounds all keep that row.
+        q = build_q(6, NoiseConfig())
+        qs = build_qs(NoiseConfig())
+        q[0, 0] = qs[0, 0] = 0.0
+        with pytest.raises(SingularProblemError, match="covariance is singular"):
+            crlb_ue(X_TRUE, RRHS6, q)
+        with pytest.raises(SingularProblemError, match="covariance is singular"):
+            crlb_ue_position(X_TRUE, RRHS6, q)
+        with pytest.raises(SingularProblemError, match="covariance is singular"):
+            crlb_scatterer(XS_TRUE, RRHS6[0], X_TRUE, qs)
+
+
 class TestRowIdentities:
     def test_default_state(self):
         report = verify_identities(X_TRUE, RRHS6)

@@ -424,7 +424,7 @@ class TestStackedKernelsMatchLoops:
         m = min(origins.shape[0], 3 + int(rng.integers(0, 4)))
         kept = np.array([rng.permutation(origins.shape[0])[:m] for _ in range(k)])
         starts = U + rng.normal(0.0, 100.0, (k, 3))
-        new = selection._ray_points(origins, dirs, kept, starts)
+        (new,) = selection._ray_points(origins[None], dirs[None], kept[None], starts[None])
         projs = oracle.projectors(dirs)
         for row in range(k):
             old = oracle.ray_point(origins, projs, kept[row], starts[row])
@@ -436,7 +436,7 @@ class TestStackedKernelsMatchLoops:
         origins, dirs, _, rng = bundle
         keep = max(3, origins.shape[0] // 2)
         starts = U + rng.normal(0.0, 100.0, (k, 3))
-        new = selection._trimmed_ray_points(origins, dirs, starts, keep)
+        (new,) = selection._trimmed_ray_points(origins[None], dirs[None], starts[None], keep)
         projs = oracle.projectors(dirs)
         for row in range(k):
             gaps = []
@@ -470,7 +470,9 @@ class TestStackedKernelsMatchLoops:
         old = oracle.refine_center(*args, midpoints=usable_midpoints, gaps=gaps)
         # A decision between values equal up to rounding may go either way.
         assume(min(gaps) > 1e-9)
-        centers = selection._trimmed_centers(fixes, origins, dirs, ranges, c_cluster)
+        (centers,) = selection._trimmed_centers(
+            *(v[None] for v in (fixes, origins, dirs, ranges, c_cluster))
+        )
         center = selection._best_center(centers, fixes, origins, dirs, ranges, size)
         assert_close(center, old, 1e3)
 
@@ -495,10 +497,11 @@ class TestStackedKernelsMatchLoops:
         points = selection._ray_points(origins, dirs, kept, starts)
         trimmed = selection._trimmed_ray_points(origins, dirs, starts, keep)
         for t in range(trials):
-            one = selection._ray_points(origins[t], dirs[t], kept[t], starts[t])
-            assert np.array_equal(points[t], one)
-            one = selection._trimmed_ray_points(origins[t], dirs[t], starts[t], keep)
-            assert np.array_equal(trimmed[t], one)
+            one = slice(t, t + 1)
+            alone = selection._ray_points(origins[one], dirs[one], kept[one], starts[one])
+            assert np.array_equal(points[one], alone)
+            alone = selection._trimmed_ray_points(origins[one], dirs[one], starts[one], keep)
+            assert np.array_equal(trimmed[one], alone)
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -543,6 +546,7 @@ class TestStackedKernelsMatchLoops:
         origins[1:3], dirs[0:3] = origins[0], [1.0, 0.0, 0.0]
         kept = np.array([[0, 1, 2], [3, 4, 5], [4, 5, 6], [5, 6, 7]])
         starts = U + rng.normal(0.0, 100.0, (4, 3))
+        origins, dirs, kept, starts = (v[None] for v in (origins, dirs, kept, starts))
         rows = []
         real = selection._solve_3x3
 
@@ -551,12 +555,13 @@ class TestStackedKernelsMatchLoops:
             return real(normal, rhs)
 
         monkeypatch.setattr(selection, "_solve_3x3", counting)
-        new = selection._ray_points(origins, dirs, kept, starts)
+        (new,) = selection._ray_points(origins, dirs, kept, starts)
         assert rows[0] == 4 and all(r <= 3 for r in rows[1:]) and len(rows) > 1
-        assert np.array_equal(new[0], starts[0])
+        assert np.array_equal(new[0], starts[0, 0])
         monkeypatch.setattr(selection, "_solve_3x3", real)
         for row in range(1, 4):
-            alone = selection._ray_points(origins, dirs, kept[row:row + 1], starts[row:row + 1])
+            one = slice(row, row + 1)
+            (alone,) = selection._ray_points(origins, dirs, kept[:, one], starts[:, one])
             assert np.array_equal(new[row], alone[0])
 
     def test_singular_fit_keeps_last_estimate(self):
@@ -566,7 +571,7 @@ class TestStackedKernelsMatchLoops:
         dirs = np.tile([1.0, 0.0, 0.0], (3, 1))
         kept = np.array([[0, 1, 2], [0, 1, 2]])
         starts = np.array([[5.0, 1.0, 2.0], [7.0, -3.0, 0.5]])
-        new = selection._ray_points(origins, dirs, kept, starts)
+        (new,) = selection._ray_points(origins[None], dirs[None], kept[None], starts[None])
         projs = oracle.projectors(dirs)
         for row in range(2):
             assert_close(new[row], oracle.ray_point(origins, projs, kept[row], starts[row]), 1.0)
@@ -585,8 +590,8 @@ class TestRefineCenterDeduplication:
         )
         fits = iter(
             [
-                np.array([[0.0, 0, 0], [1.1, 0, 0]]),
-                np.array([[55.0, 0, 0], [58.0, 0, 0]]),
+                np.array([[[0.0, 0, 0], [1.1, 0, 0]]]),
+                np.array([[[55.0, 0, 0], [58.0, 0, 0]]]),
             ]
         )
         monkeypatch.setattr(selection, "_trimmed_ray_points", lambda *a: next(fits))
@@ -599,7 +604,9 @@ class TestRefineCenterDeduplication:
         monkeypatch.setattr(selection, "_subset_scores", later_scores_lower)
         origins = np.zeros((6, 3))
         dirs = np.tile([1.0, 0.0, 0.0], (6, 1))
-        centers = selection._trimmed_centers(fixes, origins, dirs, np.ones(6), fixes[0])
+        (centers,) = selection._trimmed_centers(
+            *(v[None] for v in (fixes, origins, dirs, np.ones(6), fixes[0]))
+        )
         center = selection._best_center(centers, fixes, origins, dirs, np.ones(6), subset_size=4)
         assert scored == [(0, 1, 2, 3), (4, 5, 3, 2)]
         assert np.array_equal(center, [55.0, 0.0, 0.0])
