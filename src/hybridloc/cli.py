@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from . import ensemble as ens_mod
@@ -42,9 +41,10 @@ from .harness import (
     run_scatterer_campaign,
     run_sr_campaign,
     run_wls_campaign,
+    trial_normals,
 )
 from .noise import build_q
-from .scenario import Scenario, load_scenario, scenario_to_dict
+from .scenario import Scenario, load_scenario, read_yaml, scenario_to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +136,19 @@ def _overrides(args, keys) -> dict:
 def cmd_simulate(args) -> int:
     sc = _load(args)
     rhos = args.rho or [1.0]
+    # Every noise scale, and the scatterer campaign, reuses the trials' normals.
+    normals = trial_normals(sc)
     rows = []
     trial_rows = []
     for rho in rhos:
         sc_r = sc.replace(noise=sc.noise.scaled(rho))
         if args.per_trial:
-            ue, trials = run_wls_campaign(sc_r, collect_trials=True)
+            ue, trials = run_wls_campaign(sc_r, collect_trials=True, normals=normals)
             for t in trials:
                 trial_rows.append({"rho": rho, **t})
         else:
-            ue = run_wls_campaign(sc_r)
-        scat = run_scatterer_campaign(sc_r)
+            ue = run_wls_campaign(sc_r, normals=normals)
+        scat = run_scatterer_campaign(sc_r, normals=normals)
         rows.append(
             {
                 "rho": rho,
@@ -269,13 +271,7 @@ def _mlp_config(args, train_set, blackbox: bool) -> nn_mod.MlpConfig:
     dim = train_set.m.shape[1]
     fields = {"layer_widths": (dim, 32, 32, dim)}
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = yaml.safe_load(fh) or {}
-        except OSError as exc:
-            raise ScenarioError(f"cannot read config file {args.config}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"cannot parse config file {args.config}: {exc}") from exc
+        data = read_yaml(args.config, "config") or {}
         if not isinstance(data, dict):
             raise ScenarioError("mlp config file must contain a mapping")
         if "layer_widths" in data:

@@ -23,16 +23,21 @@ from .geometry import (
 from .ue_wls import _COND_LIMIT, _position_row_mask
 
 
+def _information(jac: np.ndarray, q) -> np.ndarray:
+    """``J' inv(Q) J``; a singular ``q`` raises ``SingularProblemError``."""
+    try:
+        return jac.T @ np.linalg.solve(q, jac)
+    except np.linalg.LinAlgError as exc:
+        raise SingularProblemError("measurement covariance is singular") from exc
+
+
 def _bound(jac: np.ndarray, q) -> np.ndarray:
     """``inv(J' inv(Q) J)``: the bound of Jacobian ``jac`` under covariance ``q``.
 
     A singular ``q`` or an information matrix that is not finite or not
     invertible raises ``SingularProblemError``.
     """
-    try:
-        fisher = jac.T @ np.linalg.solve(q, jac)
-    except np.linalg.LinAlgError as exc:
-        raise SingularProblemError("measurement covariance is singular") from exc
+    fisher = _information(jac, q)
     if not np.all(np.isfinite(fisher)):
         raise SingularProblemError("information matrix has non-finite entries")
     if np.linalg.cond(fisher) > _COND_LIMIT:
@@ -155,13 +160,17 @@ def velocity_trace(cov) -> float:
 def crlb_ue_traces(x, rrhs, q):
     """Position and velocity traces of the user bound; velocity None if unobservable.
 
-    Velocity is observable exactly when the joint bound exists, the rule
-    ``wls_solve`` applies when it falls back to position only; the
-    position trace then comes from :func:`crlb_ue_position`.
+    Velocity is observable exactly when the joint information matrix is
+    invertible, the rule ``wls_solve`` applies when it falls back to
+    position only; the position trace then comes from
+    :func:`crlb_ue_position`.  A singular ``q`` raises
+    ``SingularProblemError``: its zero variances would otherwise pass for
+    unobservable velocity when they sit on the FDOA rows.
     """
     try:
         cov = crlb_ue(x, rrhs, q)
     except SingularProblemError:
+        _information(jacobian_ue(x, rrhs), np.asarray(q, dtype=float))
         return float(np.trace(crlb_ue_position(x, rrhs, q))), None
     return position_trace(cov), velocity_trace(cov)
 

@@ -5,15 +5,20 @@ so results are reproducible and independent of execution order.  Campaigns
 tolerate per-trial solver failures: failed trials are excluded from the
 error statistics and surface as a failure rate instead.
 
-The WLS and scatterer campaigns draw each trial's unit normals from its
-stream, turn a block of them into noisy measurements with one
-:func:`~hybridloc.noise.add_noise` step and solve the block stacked; the
-selection campaign simulates its trials and builds their n_a-free records
-in blocks too.
+The WLS and scatterer campaigns take each trial's unit normals from
+:func:`trial_normals`, which opens every trial's stream once and draws at
+the user layout's width; the scatterer layout uses the first four of them.
+A caller that runs several campaigns on one seed and trial count (the
+noise scales of ``hybridloc simulate``) draws them once and passes them to
+every campaign.  Each campaign turns a block of normals into noisy
+measurements with one :func:`~hybridloc.noise.add_noise` step and solves
+the block stacked; the selection campaign simulates its trials and builds
+their n_a-free records in blocks too.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -27,7 +32,7 @@ from .errors import (
     HybridlocError,
     ScenarioError,
 )
-from .geometry import scatterer_measurement, ue_measurement
+from .geometry import measurement_dim, scatterer_measurement, ue_measurement
 from .noise import (
     add_noise,
     build_q,
@@ -45,8 +50,8 @@ from .ue_wls import wls_solve_batch
 # bias) out of the per-trial streams.
 _DOMINANT_STREAM = 0xD0
 
-# Trials a campaign solves together: memory stays bounded whatever the
-# trial count.
+# Trials a campaign solves together: the solve's working memory stays
+# bounded whatever the trial count.
 _BLOCK = 64
 
 
@@ -126,38 +131,66 @@ def compute_metrics(estimates, truths, crlb=None) -> MetricReport:
     return report
 
 
-def _solve_in_blocks(sc: Scenario, m_true, sd, solve):
+def trial_normals(sc: Scenario, width: int | None = None) -> np.ndarray:
+    """Unit normals (trials, width): row ``t`` from trial ``t``'s stream ``[seed, t]``.
+
+    ``width`` defaults to the user layout's ``4*n_a - 2``.  A stream fills
+    its draws in sequence, so the first ``k`` columns equal a draw of width
+    ``k`` bit for bit: one draw serves the user and the scatterer campaign.
+    """
+    width = measurement_dim(sc.n_a) if width is None else width
+    return np.array([
+        np.random.default_rng([sc.seed, t]).standard_normal(width)
+        for t in range(sc.trials)
+    ])
+
+
+def _campaign_normals(sc: Scenario, width: int, normals) -> np.ndarray:
+    """The first ``width`` columns of ``normals``, drawn when None."""
+    if normals is None:
+        return trial_normals(sc, width)
+    normals = np.asarray(normals, dtype=float)
+    if normals.ndim != 2 or normals.shape[0] != sc.trials or normals.shape[1] < width:
+        raise DimensionMismatchError(
+            f"normals of shape {normals.shape} do not cover {sc.trials} trials "
+            f"of width {width}"
+        )
+    return normals[:, :width]
+
+
+def _solve_in_blocks(sc: Scenario, m_true, sd, normals, solve):
     """Noisy draws of ``m_true`` on the layout ``sd``, solved ``_BLOCK`` at a time.
 
-    Trial ``t`` draws its unit normals from its own stream ``[seed, t]``;
-    the dominant bias, in structured mode, comes from the campaign's
-    stream.  ``solve(ms)`` returns a batch result for a stack of
-    measurements.  Returns the batches in trial order.
+    The trials' unit normals are the first ``sd.size`` columns of
+    ``normals``, a :func:`trial_normals` array, drawn here when None; the
+    dominant bias, in structured mode, comes from the campaign's stream,
+    which is built only then.  ``solve(ms)`` returns a batch result for a
+    stack of measurements.  Returns the batches in trial order.
     """
+    normals = _campaign_normals(sc, sd.size, normals)
     dominant = draw_dominant(
-        sc.noise, sd, np.random.default_rng([sc.seed, _DOMINANT_STREAM])
+        sc.noise, sd,
+        functools.partial(np.random.default_rng, [sc.seed, _DOMINANT_STREAM]),
     )
-    batches = []
-    for lo in range(0, sc.trials, _BLOCK):
-        z = np.array([
-            np.random.default_rng([sc.seed, t]).standard_normal(sd.size)
-            for t in range(lo, min(lo + _BLOCK, sc.trials))
-        ])
-        batches.append(solve(add_noise(m_true, sc.noise, sd, dominant, z)))
-    return batches
+    return [
+        solve(add_noise(m_true, sc.noise, sd, dominant, normals[lo : lo + _BLOCK]))
+        for lo in range(0, sc.trials, _BLOCK)
+    ]
 
 
 def _campaign_failed(failures) -> CampaignFailedError:
     return CampaignFailedError(f"every trial failed numerically; trial 0: {failures[0]}")
 
 
-def run_wls_campaign(sc: Scenario, collect_trials: bool = False):
+def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None):
     """Monte Carlo of the iterated WLS estimator at the true user state.
 
     Position metrics cover every successful trial, velocity metrics the
     ones whose velocity is valid (not solved position-only).  The bound is
     the joint one when velocity is observable at the true state, else the
-    position bound of the TDOA and AOA rows.
+    position bound of the TDOA and AOA rows.  ``normals`` is the
+    :func:`trial_normals` array of ``sc``'s seed and trial count, drawn
+    here when None.
     """
     start = time.perf_counter()
     rrhs = sc.selected_rrhs()
@@ -166,6 +199,7 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False):
         sc,
         ue_measurement(sc.ue_true, rrhs),
         sigma_components(sc.n_a, sc.noise),
+        normals,
         lambda ms: wls_solve_batch(ms, rrhs, q, iters=sc.wls_iters),
     )
     x = np.concatenate([b.x for b in batches])
@@ -211,8 +245,13 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False):
     return (report, rows) if collect_trials else report
 
 
-def run_scatterer_campaign(sc: Scenario) -> MetricReport:
-    """Monte Carlo of the single-receiver scatterer estimator."""
+def run_scatterer_campaign(sc: Scenario, normals=None) -> MetricReport:
+    """Monte Carlo of the single-receiver scatterer estimator.
+
+    ``normals`` is a :func:`trial_normals` array of ``sc``'s seed and trial
+    count, at least four wide (its first four columns are used), drawn
+    here when None.
+    """
     start = time.perf_counter()
     b_n = sc.rrhs[sc.scatterer_rrh]
     b_1 = sc.rrhs[0]
@@ -221,6 +260,7 @@ def run_scatterer_campaign(sc: Scenario) -> MetricReport:
         sc,
         scatterer_measurement(sc.scatterer_true, sc.ue_true, b_n, b_1),
         scatterer_sigma_components(sc.noise),
+        normals,
         lambda ms: scatterer_wls_solve_batch(ms, b_n, b_1, sc.ue_true, qs),
     )
     x = np.concatenate([b.x for b in batches])

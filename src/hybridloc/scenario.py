@@ -20,6 +20,10 @@ import yaml
 from .errors import ScenarioError
 from .noise import NoiseConfig
 
+# libyaml's safe loader builds the same objects as the pure-Python one,
+# about nine times faster.
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 # Default 18-receiver deployment: two columns at x = 235.5042 / 287.5042 m,
 # rows advancing north in 100 m steps, mast heights varying on the first six.
 DEFAULT_RRHS = np.array(
@@ -230,13 +234,22 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
-def load_scenario(path) -> Scenario:
-    """Load a scenario from a YAML file; empty file means all defaults."""
+def read_yaml(path, kind: str):
+    """The YAML document in the ``kind`` file ``path`` (None when empty).
+
+    It is parsed safely, by libyaml when PyYAML was built with it.  A file
+    that cannot be read or parsed raises ``ScenarioError``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            return yaml.load(fh, Loader=_SAFE_LOADER)
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+        raise ScenarioError(f"cannot read {kind} file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ScenarioError(f"cannot parse scenario file {path}: {exc}") from exc
+        raise ScenarioError(f"cannot parse {kind} file {path}: {exc}") from exc
+
+
+def load_scenario(path) -> Scenario:
+    """Load a scenario from a YAML file; empty file means all defaults."""
+    data = read_yaml(path, "scenario")
     return scenario_from_dict(data if data is not None else {})

@@ -306,12 +306,15 @@ def _iterated_solve(h, g, q, build, iters: int, covariance_at_estimate: bool, er
     The first solve uses ``W = inv(Q)``, each further one ``W = inv(B Q
     B')`` with ``B = build(x, errors)`` at the current estimates.  The
     covariance is the last solve's, after one more solve at the final
-    estimates when ``covariance_at_estimate`` is set.
+    estimates when ``covariance_at_estimate`` is set.  Once every member
+    has failed, the NaN rows in hand are returned without further solves.
     """
     w = _invert(q)
     x = cov = None
     for it in range(iters + covariance_at_estimate):
         if it > 0:
+            if not np.equal(errors, None).any():
+                break
             b = build(x, errors)
             w = _invert(b @ q @ np.swapaxes(b, -1, -2), errors)
         x_it, cov = solve_linear(h, g, w, errors)

@@ -98,9 +98,10 @@ class TestSimulate:
         assert run_cli("simulate", "--scenario", missing) == EXIT_PARSE
         assert missing in capsys.readouterr().err
 
-    def test_invalid_yaml_rejected(self, tmp_path):
+    def test_invalid_yaml_rejected(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "bad.yaml", "trials: [unclosed")
         assert run_cli("simulate", "--scenario", scenario) == EXIT_PARSE
+        assert "cannot parse scenario file" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "bad.yaml", "velocity_box: 3")
@@ -117,6 +118,70 @@ class TestSimulate:
         )
         assert code == EXIT_NUMERICAL
         assert "every trial failed" in capsys.readouterr().err
+
+
+def _simulate_json(tmp_path, scenario, rhos, *extra):
+    """(summary rows, per-trial rows) of one JSON ``simulate`` run over ``rhos``."""
+    tag = "-".join(rhos)
+    out, per = tmp_path / f"s{tag}.json", tmp_path / f"t{tag}.json"
+    code = run_cli("simulate", "--scenario", scenario, "--rho", *rhos,
+                   "--format", "json", "--out", str(out), "--per-trial", str(per),
+                   *extra)
+    assert code == EXIT_OK
+    return (json.loads(out.read_text())["rows"], json.loads(per.read_text())["rows"])
+
+
+class TestSharedNoiseAcrossRhos:
+    """A multi-rho run draws each trial's normals once; its rows are the
+    rows of the same rhos run one at a time."""
+
+    RHOS = ("0.1", "1", "10")
+
+    def _check(self, tmp_path, scenario, *extra):
+        rows, trials = _simulate_json(tmp_path, scenario, self.RHOS, *extra)
+        one_at_a_time = [_simulate_json(tmp_path, scenario, (rho,), *extra)
+                         for rho in self.RHOS]
+        assert rows == [r for single, _ in one_at_a_time for r in single]
+        assert trials == [t for _, single in one_at_a_time for t in single]
+
+    @pytest.mark.parametrize("n_a", [3, 6, 9])
+    def test_crlb_attainment(self, tmp_path, n_a):
+        text = (SCENARIOS / "crlb-attainment.yaml").read_text(encoding="utf-8")
+        scenario = write_scenario(tmp_path / "c.yaml", text.replace("n_a: 6\n", f"n_a: {n_a}\n"))
+        assert load_scenario(scenario).n_a == n_a
+        self._check(tmp_path, scenario, "--trials", "30", "--seed", "4")
+
+    def test_structured_noise_takes_the_dominant_bias(self, tmp_path):
+        self._check(tmp_path, str(SCENARIOS / "structured-noise.yaml"), "--trials", "30")
+
+    def test_two_solve_blocks(self, tmp_path):
+        self._check(tmp_path, str(SCENARIOS / "crlb-attainment.yaml"),
+                    "--trials", "70", "--seed", "9")
+
+    def test_one_stream_per_trial(self, tmp_path, monkeypatch):
+        opened = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(*args, **kwargs):
+            opened.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        assert run_cli("simulate", "--scenario", str(SCENARIOS / "crlb-attainment.yaml"),
+                       "--rho", "0.1", "1", "--trials", "20",
+                       "--out", str(tmp_path / "s.csv")) == EXIT_OK
+        assert sorted(opened) == [([12345, t],) for t in range(20)]
+
+    def test_both_campaigns_run_per_rho(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("run_wls_campaign", "run_scatterer_campaign"):
+            def spy(sc, *args, _name=name, _fn=getattr(harness, name), **kwargs):
+                calls.append(_name)
+                return _fn(sc, *args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        assert run_cli("simulate", "--rho", "0.1", "1", "--trials", "3",
+                       "--out", str(tmp_path / "s.csv")) == EXIT_OK
+        assert calls == ["run_wls_campaign", "run_scatterer_campaign"] * 2
 
 
 class TestCrlb:
@@ -424,6 +489,17 @@ class TestPipelineRoundTrip:
         )
         assert code == EXIT_NUMERICAL
 
+
+    def test_train_malformed_config_exits_parse(self, pipeline_dir, tmp_path, capsys):
+        config = tmp_path / "bad.yaml"
+        config.write_text("layer_widths: [22, 8\n", encoding="utf-8")
+        code = run_cli(
+            "train", "--train", str(pipeline_dir["a"]["train"]),
+            "--val", str(pipeline_dir["a"]["val"]), "--config", str(config),
+            "--out", str(tmp_path / "m.npz"),
+        )
+        assert code == EXIT_PARSE
+        assert "cannot parse config file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["batch_size: 0", "batch_size: -2", "epochs: -3"])
     def test_train_rejects_bad_training_sizes(self, pipeline_dir, tmp_path, capsys, field):

@@ -223,6 +223,16 @@ class TestSingularCovariance:
         with pytest.raises(SingularProblemError, match="covariance is singular"):
             crlb_scatterer(XS_TRUE, RRHS6[0], X_TRUE, qs)
 
+    @pytest.mark.parametrize("n_a", [3, 6])
+    def test_traces_raise_on_a_singular_fdoa_variance(self, n_a):
+        # The position rows keep no FDOA entry, so a position-only bound
+        # exists; the singular covariance must still raise, not pass for
+        # unobservable velocity.
+        q = build_q(n_a, NoiseConfig())
+        q[1, 1] = 0.0
+        with pytest.raises(SingularProblemError, match="measurement covariance is singular"):
+            crlb_ue_traces(X_TRUE, DEFAULT_RRHS[:n_a], q)
+
 
 class TestRowIdentities:
     def test_default_state(self):

@@ -255,6 +255,49 @@ class TestCampaignDraws:
         assert got == expected
 
 
+class TestSharedNormals:
+    """One normals draw per trial serves every noise scale and both campaigns."""
+
+    def test_a_stream_fills_in_sequence(self):
+        # The first four normals of a 34-wide draw (n_a = 9) are the
+        # scatterer layout's four, bit for bit.
+        for seed in (0, 1, 25, 12345, 2**31 - 1):
+            for t in range(200):
+                wide = np.random.default_rng([seed, t]).standard_normal(34)
+                narrow = np.random.default_rng([seed, t]).standard_normal(4)
+                assert np.array_equal(narrow, wide[:4])
+
+    def test_trial_normals_rows_are_the_trial_streams(self):
+        sc = Scenario(n_a=4, trials=5, seed=3)
+        z = harness.trial_normals(sc)
+        assert z.shape == (5, 14)
+        for t in range(5):
+            assert np.array_equal(z[t], np.random.default_rng([3, t]).standard_normal(14))
+        assert np.array_equal(harness.trial_normals(sc, 4), z[:, :4])
+
+    @pytest.mark.parametrize("noise", NOISE_MODES, ids=["gaussian", "structured"])
+    def test_campaigns_given_normals_equal_their_own_draws(self, noise):
+        sc = Scenario(noise=noise, trials=70, seed=17)
+        z = harness.trial_normals(sc)
+        for rho in (0.1, 1.0, 10.0):
+            sc_r = sc.replace(noise=noise.scaled(rho))
+            _, own = harness.run_wls_campaign(sc_r, collect_trials=True)
+            _, given = harness.run_wls_campaign(sc_r, collect_trials=True, normals=z)
+            assert given == own
+            own = harness.run_scatterer_campaign(sc_r).to_dict()
+            given = harness.run_scatterer_campaign(sc_r, normals=z).to_dict()
+            del own["runtime"], given["runtime"]
+            assert given == own
+
+    @pytest.mark.parametrize("shape", [(5, 22), (7, 21), (6,), (6, 3)])
+    def test_normals_not_covering_the_campaign_rejected(self, shape):
+        sc = Scenario(trials=6, seed=1)
+        z = np.zeros(shape)
+        campaign = harness.run_scatterer_campaign if shape == (6, 3) else harness.run_wls_campaign
+        with pytest.raises(DimensionMismatchError, match="normals"):
+            campaign(sc, normals=z)
+
+
 def _every_trial_singular(solve):
     """A batch solver that runs ``solve`` and then fails every trial."""
 

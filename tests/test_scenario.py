@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from hybridloc.errors import ScenarioError
 from hybridloc.noise import NoiseConfig
@@ -13,6 +14,7 @@ from hybridloc.scenario import (
     DEFAULT_UE_STATE,
     Scenario,
     load_scenario,
+    read_yaml,
     sample_scatterer_state,
     sample_ue_state,
     scenario_from_dict,
@@ -199,5 +201,20 @@ class TestSerialization:
     def test_load_scenario_bad_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("n_a: [unclosed")
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="cannot parse scenario file"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.name)
+    def test_read_yaml_equals_the_pure_python_safe_loader(self, path):
+        with open(path, "r", encoding="utf-8") as fh:
+            expected = yaml.load(fh, Loader=yaml.SafeLoader)
+        assert isinstance(expected, dict)
+        assert read_yaml(path, "scenario") == expected
+
+    def test_read_yaml_names_the_kind_of_file(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("epochs: {unclosed")
+        with pytest.raises(ScenarioError, match="cannot parse config file"):
+            read_yaml(path, "config")
+        with pytest.raises(ScenarioError, match="cannot read config file"):
+            read_yaml(tmp_path / "nope.yaml", "config")

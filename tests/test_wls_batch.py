@@ -18,6 +18,7 @@ from hybridloc.scenario import (
 )
 from hybridloc.ue_wls import (
     _invert,
+    _iterated_solve,
     build_b,
     build_system,
     solve_linear,
@@ -238,3 +239,52 @@ class TestPoisonedTrialFailsAlone:
         keep = [0, 2, 3]
         assert np.array_equal(batch.x[keep], clean.x, equal_nan=True)
         assert np.array_equal(batch.cov[keep], clean.cov, equal_nan=True)
+
+
+class TestDeadStackStopsEarly:
+    """Once every member has failed, the iterated solve stops rebuilding."""
+
+    def test_no_build_after_every_first_solve_failed(self):
+        # Three receivers: every joint normal matrix is singular.
+        ms, rrhs, q = _ue_stack(n_a=3, trials=6)
+        h, g = build_system(ms, rrhs)
+        calls = []
+
+        def build(x, errors):
+            calls.append(len(x))
+            return build_b(x, rrhs, errors)
+
+        errors = np.full(len(ms), None, dtype=object)
+        x, cov = _iterated_solve(h, g, q, build, 2, True, errors)
+        assert calls == []
+        assert all(isinstance(e, SingularProblemError) for e in errors)
+        assert x.shape == (6, 6) and np.all(np.isnan(x))
+        assert cov.shape == (6, 6, 6) and np.all(np.isnan(cov))
+
+    def test_live_member_keeps_every_build(self):
+        ms, rrhs, q = _ue_stack(n_a=6, trials=3)
+        ms[0, 0] = ms[1, 0] = np.nan  # two dead members, one live
+        h, g = build_system(ms, rrhs)
+        calls = []
+
+        def build(x, errors):
+            calls.append(len(x))
+            return build_b(x, rrhs, errors)
+
+        errors = np.full(len(ms), None, dtype=object)
+        _iterated_solve(h, g, q, build, 2, True, errors)
+        assert calls == [3, 3]
+        assert errors[2] is None
+
+    @pytest.mark.parametrize("iters", [1, 2, 3])
+    def test_position_only_stack_matches_oracle(self, iters):
+        ms, rrhs, q = _ue_stack(n_a=3, trials=8, seed=11)
+        batch = wls_solve_batch(ms, rrhs, q, iters)
+        for t, m in enumerate(ms):
+            expected = _oracle(oracle.wls_solve, m, rrhs, q, iters)
+            assert _assert_trial_matches(expected, batch.failures[t])
+            x, cov, velocity_valid = expected
+            assert not velocity_valid and not batch.velocity_valid[t]
+            _assert_close(batch.x[t, :3], x[:3])
+            _assert_close(batch.cov[t, :3, :3], cov[:3, :3])
+            assert np.all(np.isnan(batch.x[t, 3:]))

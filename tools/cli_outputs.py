@@ -1,0 +1,84 @@
+"""Write the CLI outputs that a change to hybridloc must leave byte-identical.
+
+    PYTHONPATH=src python tools/cli_outputs.py OUTDIR
+
+runs, in process, on the bundled scenarios:
+
+- ``select-sr --na 4 6 --trials 40`` at seeds 1000-1039, at clock bias 0
+  and 100 m (copies of ``selection-sr.yaml``);
+- ``simulate --rho 0.1 1 10 --trials 300 --per-trial`` on every scenario;
+- ``crlb --rho 0.1 1 10 --na 3 4 6 --check-identities`` on every scenario;
+- ``gen-dataset --samples 300`` for ``--target ue`` and ``--target
+  scatterer`` on every scenario.
+
+Each command's exit code and standard error go to ``<name>.status``, so a
+command that fails is compared too.  Running this against two checkouts
+(with ``PYTHONPATH`` naming each one's ``src``) and comparing the two
+directories with ``diff -r`` checks that nothing the CLI prints moved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import yaml
+
+from hybridloc import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.yaml"))
+
+
+def _run(out: Path, name: str, argv) -> None:
+    """One ``hybridloc`` command; its status goes to ``<name>.status``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    (out / f"{name}.status").write_text(f"exit {code}\n{err.getvalue()}", encoding="utf-8")
+
+
+def _select_sr(out: Path, scratch: Path) -> None:
+    src = ROOT / "scenarios" / "selection-sr.yaml"
+    with open(src, "r", encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    for bias in (0, 100):
+        scenario = scratch / f"selection-sr-bias{bias}.yaml"
+        with open(scenario, "w", encoding="utf-8") as fh:
+            yaml.safe_dump({**data, "clock_bias_m": float(bias)}, fh, sort_keys=True)
+        for seed in range(1000, 1040):
+            name = f"select-sr-bias{bias}-seed{seed}"
+            _run(out, name, ["select-sr", "--scenario", scenario, "--na", 4, 6,
+                             "--trials", 40, "--seed", seed,
+                             "--out", out / f"{name}.csv"])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", type=Path, help="directory to write (created empty)")
+    out = parser.parse_args(argv).outdir
+    out.mkdir(parents=True, exist_ok=False)
+    with tempfile.TemporaryDirectory() as scratch:
+        _select_sr(out, Path(scratch))
+    for scenario in SCENARIOS:
+        stem = scenario.stem
+        _run(out, f"simulate-{stem}", [
+            "simulate", "--scenario", scenario, "--rho", 0.1, 1, 10, "--trials", 300,
+            "--out", out / f"simulate-{stem}.csv",
+            "--per-trial", out / f"simulate-{stem}-trials.csv"])
+        _run(out, f"crlb-{stem}", [
+            "crlb", "--scenario", scenario, "--rho", 0.1, 1, 10, "--na", 3, 4, 6,
+            "--check-identities", "--out", out / f"crlb-{stem}.csv"])
+        for target in ("ue", "scatterer"):
+            name = f"gen-dataset-{target}-{stem}"
+            _run(out, name, ["gen-dataset", "--scenario", scenario, "--samples", 300,
+                             "--target", target, "--out", out / f"{name}.npz"])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
