@@ -284,7 +284,8 @@ def run_sr_campaign(sc: Scenario, nas=None):
     ``nas`` is a grid of receiver counts; each trial is simulated and its
     ``los_candidates`` built once, ``_BLOCK`` trials at a time (by
     ``simulate_paths_batch`` and ``los_candidates_batch``), then selected
-    at every count by its own ``select_los`` call.  Returns
+    at every count by its own ``select_los`` call, which reads the count's
+    ranking center from the record's all-size table.  Returns
     one report per entry of ``nas`` (``runtime`` is the whole grid's), or
     the report at ``sc.n_a`` when ``nas`` is None.  Every count is checked
     against the scenario before any trial runs.  A selection that raises

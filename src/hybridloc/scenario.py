@@ -12,6 +12,7 @@ Receiver indices are 0-based everywhere, including scenario files.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +97,8 @@ class Scenario:
             raise ScenarioError("scatterer_true must have 4 entries (position, speed)")
         if not 0 <= self.scatterer_rrh < self.rrhs.shape[0]:
             raise ScenarioError("scatterer_rrh out of range")
+        if isinstance(self.n_a, bool) or not isinstance(self.n_a, numbers.Integral):
+            raise ScenarioError(f"n_a must be an integer, not {self.n_a!r}")
         if not 2 <= self.n_a <= self.rrhs.shape[0]:
             raise ScenarioError("n_a must satisfy 2 <= n_a <= number of receivers")
         if not 0.0 < self.p_d <= 1.0:

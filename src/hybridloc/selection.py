@@ -23,18 +23,25 @@ The fits run in two stages of two: from the cluster center and the median
 fix, then from the two best-scoring seeds among the ray-pair midpoints and
 the first two fits.  Rays are held as stacked ``(n, 3)`` origins and unit
 directions; a ray's miss is ``d - (d.a) a`` and each reweighted normal
-matrix is ``sum(w) I - sum(w a a^T)``, so the fits of one stage share one
-batched 3x3 solve per step.  Candidates that induce the same member set
-are scored once, for the first candidate that reached it, so rounding in
-the order of summation cannot pick between them.
+matrix is ``sum(w P)`` with ``P = I - a a^T``, so the fits of one stage
+share one weighted product and one batched 3x3 solve per step.  Candidates
+that induce the same member set are scored once, for the first candidate
+that reached it, so rounding in the order of summation cannot pick between
+them.
 
 A selection runs in two stages.  :func:`los_candidates` does everything
 that does not depend on the number of selected receivers -- the picks,
-rough fixes, clustering and the four trimmed fits -- and returns a
-:class:`LosCandidates` record.  :func:`select_los` then scores the member
-sets those fits induce at its ``n_a``, ranks the receivers and builds the
-result; given the record, it skips the first stage, so one trial is
-selected at several ``n_a`` for the cost of one first stage.
+rough fixes, clustering, the four trimmed fits and the finish at every
+selection size -- and returns a :class:`LosCandidates` record.  The finish
+ranks the receivers by distance from each candidate center; at each size s
+from 2 to the pick count, each center's s nearest receivers form its member
+set, and the record keeps which center's set scores best.  The member sets
+of all sizes are the prefixes of one stable order per center, so their fits
+are cumulative sums along it, and a center repeats an earlier one at size s
+when none of its s nearest ranks s or later from the earlier center.
+:func:`select_los` checks its ``n_a``, looks its winner up in the record
+and builds the result; given the record, it skips the first stage, so one
+trial is selected at several ``n_a`` for the cost of one first stage.
 
 :func:`los_candidates_batch` builds the records of many trials at once.
 Picks and clustering run per trial; the trials with the same pick count
@@ -44,10 +51,11 @@ fit kernels take a leading trial axis -- ``(T, n, 3)`` rays,
 trimmed fits of a group share one batched solve per step, and only the
 fits still moving are solved.  The seed pick scores every ray pair of the
 group's trials (a pair without a usable midpoint scores +inf) on
-``(T, C, n)`` planes, a fixed number of seed-ray cells at a time.  Each
-fit's step and freezing are its own, and every stacked kernel rounds each
-trial's numbers as a solo call does, so a trial gets the same record in a
-batch as alone; :func:`los_candidates` is the batch of one.
+``(T, C, n)`` planes, a fixed number of seed-ray cells at a time; the finish
+scores the group's distinct member sets in one stack.  Each fit's step and
+freezing are its own, and every stacked kernel rounds each trial's numbers
+as a solo call does, so a trial gets the same record in a batch as alone;
+:func:`los_candidates` is the batch of one.
 
 :func:`simulate_paths_batch` draws a block of trials, each from its own
 stream in the order :func:`simulate_paths` (its batch of one) draws, and
@@ -56,7 +64,9 @@ evaluates the block's paths at once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -135,20 +145,22 @@ def kmeans2(points, max_iters: int = 100):
     centers = np.array([pts[i], pts[j]], dtype=float)
 
     assign = np.zeros(pts.shape[0], dtype=int)
-    for _ in range(max_iters):
-        dist = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2)
+    for it in range(max_iters):
+        diff = pts[:, None, :] - centers[None, :, :]
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=2))  # as np.linalg.norm rounds
         new_assign = np.argmin(dist, axis=1)
-        for k in (0, 1):
-            if not np.any(new_assign == k):
-                # Re-seed an emptied cluster with the point farthest from
-                # the surviving center.
-                far = np.argmax(dist[:, 1 - k])
-                new_assign[far] = k
-        if np.array_equal(new_assign, assign) and _ > 0:
+        if not 0 < new_assign.sum() < len(pts):
+            for k in (0, 1):
+                if not np.any(new_assign == k):
+                    # Re-seed an emptied cluster with the point farthest
+                    # from the surviving center.
+                    far = np.argmax(dist[:, 1 - k])
+                    new_assign[far] = k
+        if it > 0 and (new_assign == assign).all():
             break
         assign = new_assign
-        for k in (0, 1):
-            centers[k] = pts[assign == k].mean(axis=0)
+        for k, members in enumerate((assign == 0, assign == 1)):
+            centers[k] = pts[members].sum(axis=0) / members.sum()  # as np.mean rounds
 
     size0 = int(np.sum(assign == 0))
     size1 = pts.shape[0] - size0
@@ -202,6 +214,14 @@ def _dot3(u, v):
     return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
 
 
+def _median(v):
+    """Medians along the last axis, rounded as ``np.median`` rounds them:
+    the middle value, or half the sum of the two middle values."""
+    lo, hi = (v.shape[-1] - 1) // 2, v.shape[-1] // 2
+    part = np.partition(v, (lo, hi), axis=-1)
+    return 0.5 * (part[..., lo] + part[..., hi])
+
+
 def _pair_midpoints(origins, dirs):
     """Closest-approach midpoints of all ray pairs, and which of them count.
 
@@ -227,7 +247,7 @@ def _pair_midpoints(origins, dirs):
     return np.moveaxis(mids, 0, -1), usable
 
 
-def _seed_scores(seeds, origins, dirs, ranges, k: int) -> np.ndarray:
+def _seed_scores(s, o, a, ranges, k: int) -> np.ndarray:
     """Scale-free consistency score of candidate centers (lower is better).
 
     Per ray: perpendicular distance to the candidate (distance to the
@@ -236,14 +256,15 @@ def _seed_scores(seeds, origins, dirs, ranges, k: int) -> np.ndarray:
     shared offset fitted on the k nearest rays.  The score is the k-th
     smallest combined term, so it ignores however many rays disagree.
 
-    ``seeds`` is ``(..., C, 3)``, ``origins`` and ``dirs`` ``(..., n, 3)``
-    and ``ranges`` ``(..., n)``; the ``(..., C)`` scores are computed on
-    ``(..., C, n)`` planes, one per component.  A norm is summed ``(x² +
-    y²) + z²``, as ``np.linalg.norm`` along a length-3 axis rounds, and the
-    along-ray dot ``(x + z) + y``, as ``np.einsum`` contracts one.  The k
-    nearest rays are those a stable sort puts first.
+    ``s`` holds the x, y and z planes ``(3, ..., C)`` of the seeds, ``o``
+    and ``a`` the ``(3, ..., n)`` planes of the ray origins and directions,
+    and ``ranges`` is ``(..., n)``; the ``(..., C)`` scores are computed on
+    ``(..., C, n)`` planes.  A norm is summed ``(x² + y²) + z²``, as
+    ``np.linalg.norm`` along a length-3 axis rounds, and the along-ray dot
+    ``(x + z) + y``, as ``np.einsum`` contracts one.  The k nearest rays are
+    those a stable sort puts first: the rays nearer than the k-th nearest
+    distance, then the earliest rays at that distance.
     """
-    s, o, a = (np.ascontiguousarray(_planes(v)) for v in (seeds, origins, dirs))
     d = s[..., :, None] - o[..., None, :]
     a = a[..., None, :]
     along = (d[0] * a[0] + d[2] * a[2]) + d[1] * a[1]
@@ -255,10 +276,12 @@ def _seed_scores(seeds, origins, dirs, ranges, k: int) -> np.ndarray:
     dray = np.where(along > 0.0, perp, dist)
     offset = ranges[..., None, :] - dist
     kk = min(k, dray.shape[-1])
-    near = np.argsort(dray, axis=-1, kind="stable")[..., :kk]
-    shared = np.median(np.take_along_axis(offset, near, axis=-1), axis=-1)
+    cut = np.partition(dray, kk - 1, axis=-1)[..., kk - 1 : kk]
+    nearer, tied = dray < cut, dray == cut
+    near = nearer | (tied & (np.cumsum(tied, axis=-1) <= kk - nearer.sum(-1, keepdims=True)))
+    shared = _median(offset[near].reshape(*near.shape[:-1], kk))
     combined = dray + np.abs(offset - shared[..., None])
-    return np.sort(combined, axis=-1)[..., kk - 1]
+    return np.partition(combined, kk - 1, axis=-1)[..., kk - 1]
 
 
 def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
@@ -268,31 +291,30 @@ def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
     ``(T, K, m)`` ray indices of each trial's K fits and ``c0`` their
     ``(T, K, 3)`` starts; the T*K fits are independent and run as one
     stack.  Each step solves the weighted normal equations
-    ``(sum(w) I - sum(w a a^T)) c = sum(w P o)`` with ``w = 1/max(miss,
-    floor)`` for the live fits at once.  A fit is frozen, and leaves the
-    stack, when its step is below 1e-9 m (keeping the new point) or its
-    solve fails (keeping the last).
+    ``sum(w P) c = sum(w P o)``, with ``P = I - a a^T`` and ``w =
+    1/max(miss, floor)``, for the live fits at once: both sums are one
+    product of ``w`` with each fit's ``[P | P o]`` table.  A fit is frozen,
+    and leaves the stack, when its step is below 1e-9 m (keeping the new
+    point) or its solve fails (keeping the last).
     """
     lead, m = kept.shape[:-1], kept.shape[-1]
     kept = kept + origins.shape[1] * np.arange(origins.shape[0])[:, None, None]
     o = origins.reshape(-1, 3)[kept].reshape(-1, m, 3)
     a = dirs.reshape(-1, 3)[kept].reshape(-1, m, 3)
-    po = _perp(o, a)
-    aat = (a[..., :, None] * a[..., None, :]).reshape(-1, m, 9)
-    eye = np.eye(3)
+    proj = np.eye(3) - a[..., :, None] * a[..., None, :]
+    table = np.concatenate([proj.reshape(-1, m, 9), _perp(o, a)], axis=-1)
     c = np.array(c0, dtype=float).reshape(-1, 3)
     live, c_live = np.arange(len(c)), c
     for _ in range(iters):
         w = 1.0 / np.maximum(_norm(_perp(c_live[:, None, :] - o, a)), floor)
-        wr = w[:, None, :]
-        normal = w.sum(axis=1)[:, None, None] * eye - (wr @ aat).reshape(-1, 3, 3)
-        c_new, ok = _solve_3x3(normal, (wr @ po)[:, 0])
+        sums = (w[:, None, :] @ table)[:, 0]
+        c_new, ok = _solve_3x3(sums[:, :9].reshape(-1, 3, 3), sums[:, 9:])
         going = ok & (_norm(c_new - c_live) >= 1e-9)
         c[live[ok]] = c_new[ok]
         if not going.any():
             break
         if not going.all():
-            live, o, a, po, aat = (v[going] for v in (live, o, a, po, aat))
+            live, o, a, table = (v[going] for v in (live, o, a, table))
         c_live = c_new[going]
     return c.reshape(*lead, 3)
 
@@ -311,22 +333,44 @@ def _trimmed_ray_points(origins, dirs, c0, keep: int, rounds: int = 4):
     return c
 
 
-def _subset_scores(subsets, origins, dirs, ranges) -> np.ndarray:
+def _subset_scores(origins, dirs, ranges, near, rows) -> np.ndarray:
     """Self-consistency of candidate selections (lower is better).
 
-    For each row of ``subsets`` (receiver indices), fits the single point
-    nearest the subset's rays, then scores the worst perpendicular miss
-    plus the spread of (measured range - distance to the point), which a
-    shared clock offset cannot inflate.  An unsolvable fit scores inf.
+    ``near`` holds ``(T, K, n)`` rankings of the receivers of T trials,
+    whose rays are the ``(T, n, 3)`` origins and unit directions and whose
+    measured ranges are ``(T, n)``; ``rows`` is ``(t, k, size)``, index
+    arrays naming N selections: the ``size`` first receivers of ranking
+    ``[t, k]``.  For each selection, fits the single point nearest its
+    rays, then scores the worst perpendicular miss plus the spread of
+    (measured range - distance to the point), which a shared clock offset
+    cannot inflate.  An unsolvable fit scores inf.
+
+    The fits' sums accumulate along each ranking, so each rounds as a sum
+    over its selection in ranking order; the dots and norms are summed
+    ``(x + z) + y``, as ``np.einsum`` contracts a length-3 axis.
     """
-    o, a = origins[subsets], dirs[subsets]
-    normal = subsets.shape[1] * np.eye(3) - np.einsum("kmi,kmj->kij", a, a)
-    point, ok = _solve_3x3(normal, _perp(o, a).sum(axis=1))
-    diff = point[:, None, :] - o
-    miss = _norm(_perp(diff, a))
-    offsets = ranges[subsets] - _norm(diff)
-    scores = miss.max(axis=1) + (offsets.max(axis=1) - offsets.min(axis=1))
-    return np.where(ok, scores, np.inf)
+    t, k, size = rows
+    lead = np.arange(len(near))[:, None, None]
+    o, a = (np.ascontiguousarray(_planes(v))[:, lead, near] for v in (origins, dirs))
+    along = (o[0] * a[0] + o[2] * a[2]) + o[1] * a[1]
+    terms = np.concatenate([(a[:, None] * a).reshape(9, *near.shape), o - along * a])
+    sums = np.cumsum(terms, axis=-1)[:, t, k, size - 1]
+    normal = size[:, None, None] * np.eye(3) - sums[:9].T.reshape(-1, 3, 3)
+    point, ok = _solve_3x3(normal, sums[9:].T)
+    o, a = o[:, t, k], a[:, t, k]
+    d = point.T[..., None] - o
+    along = (d[0] * a[0] + d[2] * a[2]) + d[1] * a[1]
+    p = d - along * a
+    p *= p
+    d *= d
+    inside = np.arange(near.shape[-1]) < size[:, None]
+    miss = np.where(inside, np.sqrt((p[0] + p[2]) + p[1]), -np.inf)
+    offsets = ranges[lead, near][t, k] - np.sqrt((d[0] + d[2]) + d[1])
+    spread = (
+        np.where(inside, offsets, -np.inf).max(axis=1)
+        - np.where(inside, offsets, np.inf).min(axis=1)
+    )
+    return np.where(ok, miss.max(axis=1) + spread, np.inf)
 
 
 # Seed-ray cells (seeds x rays) scored at once by the seed pick: two trials
@@ -346,9 +390,10 @@ def _best_seeds(origins, dirs, ranges, centers):
     """
     mids, usable = _pair_midpoints(origins, dirs)
     seeds = np.concatenate([mids, centers], axis=-2)
+    planes = [np.ascontiguousarray(_planes(v)) for v in (seeds, origins, dirs)]
     step = max(1, _SEED_CELLS // (seeds.shape[1] * origins.shape[1]))
     scores = np.concatenate([
-        _seed_scores(*(v[lo:lo + step] for v in (seeds, origins, dirs, ranges)), k=6)
+        _seed_scores(*(v[:, lo:lo + step] for v in planes), ranges[lo:lo + step], k=6)
         for lo in range(0, len(seeds), step)
     ])
     scores[:, : usable.shape[1]][~usable] = np.inf
@@ -367,7 +412,7 @@ def _trimmed_centers(fixes, origins, dirs, ranges, c_cluster):
     trials, and the result is ``(T, 4, 3)``.
     """
     keep = max(3, origins.shape[-2] // 2)
-    starts = np.stack([c_cluster, np.median(fixes, axis=-2)], axis=-2)
+    starts = np.stack([c_cluster, _median(np.moveaxis(fixes, -2, -1))], axis=-2)
     centers = _trimmed_ray_points(origins, dirs, starts, keep)
     best_seeds = _best_seeds(origins, dirs, ranges, centers)
     return np.concatenate(
@@ -375,35 +420,51 @@ def _trimmed_centers(fixes, origins, dirs, ranges, c_cluster):
     )
 
 
-def _best_center(centers, fixes, origins, dirs, ranges, subset_size: int):
-    """The center whose induced selection is most consistent.
+def _rank_receivers(centers, fixes, origins, dirs, ranges):
+    """Every center's ranking of its trial's receivers, and the winning
+    center at every selection size.
 
-    Each center induces a selection (its ``subset_size`` nearest fixes);
-    the first center to reach each member set stands for it, and the
-    center whose set scores lowest wins, the earlier one on a tie.
+    Takes ``(T, K, 3)`` centers, ``(T, n, 3)`` fixes and rays and ``(T,
+    n)`` ranges.  At size s a center induces the selection of its s nearest
+    fixes, a prefix of one stable order.  The first center to reach each
+    member set stands for it, and the center whose set scores lowest wins,
+    the earlier one on a tie.  Center k reaches center j's set when none of
+    its s nearest ranks s or later from j.  Returns the ``(T, K, n)``
+    distances and micrometer-quantized orders and the ``(T, n - 1)`` winners
+    at sizes 2 to n.
     """
-    d = np.linalg.norm(fixes[None, :, :] - centers[:, None, :], axis=2)
-    subsets = np.argsort(d, axis=1, kind="stable")[:, :subset_size]
-    firsts, seen = [], set()
-    for k, subset in enumerate(subsets):
-        key = tuple(sorted(subset.tolist()))
-        if key not in seen:
-            seen.add(key)
-            firsts.append(k)
-    scores = _subset_scores(subsets[firsts], origins, dirs, ranges)
-    return centers[firsts[int(np.argmin(scores))]]
+    n, stack = fixes.shape[-2], centers.shape[:2]
+    d = _planes(fixes)[:, :, None] - _planes(centers)[..., None]
+    d *= d
+    dist = np.sqrt((d[0] + d[1]) + d[2])  # as np.linalg.norm rounds
+    near = np.argsort(dist, axis=-1, kind="stable")
+    rank = np.argsort(near, axis=-1)
+    reach = np.maximum.accumulate(
+        np.take_along_axis(rank[:, None], near[:, :, None], axis=-1), axis=-1
+    )  # [t, k, j, i]: the worst rank from j among k's i + 1 nearest
+    repeat = (reach == np.arange(n)) & np.tri(stack[1], k=-1, dtype=bool)[..., None]
+    t, k, s = np.nonzero(~repeat.any(axis=2)[..., 1:])
+    scores = np.full((*stack, n - 1), np.inf)
+    scores[t, k, s] = _subset_scores(origins, dirs, ranges, near, (t, k, s + 2))
+    # Micrometer quantization so exactly-tied distances rank in receiver
+    # order instead of by floating-point jitter.
+    order = np.argsort(np.round(dist, 6), axis=-1, kind="stable")
+    return dist, order, np.argmin(scores, axis=1)
 
 
 @dataclass
 class LosCandidates:
-    """The part of a selection that does not depend on ``n_a``.
+    """A trial's picks, candidate centers and their rankings at every size.
 
     ``picks`` holds ``(receiver index, earliest path)`` per reporting
     receiver; ``fixes``, ``origins``, ``dirs`` and ``ranges`` are their
     ``(n, 3)`` rough fixes, receiver positions and unit ray directions and
     ``(n,)`` measured ranges; ``c_nlos`` is the center of the reflected-
     path cluster and ``centers`` are the four trimmed ray fits the ranking
-    center is chosen from.
+    center is chosen from.  ``distances`` and ``orders`` are each center's
+    ``(4, n)`` distances to the fixes and micrometer-quantized ranking, and
+    ``winners[s - 2]`` is the index of the ranking center of a selection of
+    s receivers, for s from 2 to n.
     """
 
     picks: list
@@ -412,14 +473,19 @@ class LosCandidates:
     dirs: np.ndarray
     ranges: np.ndarray
     c_nlos: np.ndarray
-    centers: np.ndarray
+    centers: np.ndarray = None
+    distances: np.ndarray = None
+    orders: np.ndarray = None
+    winners: np.ndarray = None
+
+
+_TAU = attrgetter("tau")
+_RAY = attrgetter("phi", "theta", "tau")
 
 
 def _picks(paths_by_rrh) -> list:
     """``(receiver index, earliest path)`` of every reporting receiver."""
-    picks = [
-        (idx, min(paths, key=lambda p: p.tau)) for idx, paths in enumerate(paths_by_rrh) if paths
-    ]
+    picks = [(idx, min(paths, key=_TAU)) for idx, paths in enumerate(paths_by_rrh) if paths]
     if len(picks) < 2:
         raise ScenarioError("selection needs paths from at least two receivers")
     return picks
@@ -431,8 +497,8 @@ def los_candidates_batch(paths_list, rrhs) -> list:
     Returns one entry per trial of ``paths_list``: its
     :class:`LosCandidates`, or the :class:`HybridlocError` its picks or
     clustering raised.  Picks and clustering run per trial; trials with
-    equal pick counts share one ray build and the stacked trimmed fits and
-    seed pick, which give each trial the record it gets alone.
+    equal pick counts share one ray build and the stacked trimmed fits,
+    seed pick and rankings, which give each trial the record it gets alone.
     """
     rrhs = np.asarray(rrhs, dtype=float)
     entries = [None] * len(paths_list)
@@ -445,10 +511,8 @@ def los_candidates_batch(paths_list, rrhs) -> list:
             continue
         groups.setdefault(len(picks), []).append((t, picks))
     for members in groups.values():
-        rows = [[pick for _, pick in picks] for _, picks in members]
-        phi, theta, tau = (
-            np.array([[getattr(pick, name) for pick in row] for row in rows])
-            for name in ("phi", "theta", "tau")
+        phi, theta, tau = np.moveaxis(
+            np.array([[_RAY(pick) for _, pick in picks] for _, picks in members]), -1, 0
         )
         origins = rrhs[[[idx for idx, _ in picks] for _, picks in members]]
         dirs = angular_vectors(phi, theta)[0]
@@ -461,26 +525,25 @@ def los_candidates_batch(paths_list, rrhs) -> list:
             except HybridlocError as exc:
                 entries[t] = exc
                 continue
-            entries[t] = LosCandidates(
-                picks, fixes[g], origins[g], dirs[g], ranges[g], c_nlos, None
-            )
+            entries[t] = LosCandidates(picks, fixes[g], origins[g], dirs[g], ranges[g], c_nlos)
             live.append(g)
             clusters.append(c_cluster)
         if not live:
             continue
-        centers = _trimmed_centers(
-            fixes[live], origins[live], dirs[live], ranges[live], np.array(clusters)
-        )
-        for g, c in zip(live, centers):
-            entries[members[g][0]].centers = c
+        rays = (fixes[live], origins[live], dirs[live], ranges[live])
+        centers = _trimmed_centers(*rays, np.array(clusters))
+        for g, *tables in zip(live, centers, *_rank_receivers(centers, *rays)):
+            entry = entries[members[g][0]]
+            entry.centers, entry.distances, entry.orders, entry.winners = tables
     return entries
 
 
 def los_candidates(paths_by_rrh, rrhs) -> LosCandidates:
-    """Picks, rough fixes, clusters and candidate centers of one trial.
+    """Picks, rough fixes, clusters, candidate centers and rankings of one
+    trial.
 
-    Every selection of the trial, whatever its ``n_a``, ranks its receivers
-    from this record.  It is the batch of one.
+    Every selection of the trial, whatever its ``n_a``, is read from this
+    record.  It is the batch of one.
     """
     (entry,) = los_candidates_batch([paths_by_rrh], rrhs)
     if isinstance(entry, HybridlocError):
@@ -497,30 +560,28 @@ def select_los(
     """Select the receivers whose earliest paths look direct.
 
     ``paths_by_rrh`` is a sequence (one entry per receiver) of path lists;
-    receivers with empty lists are skipped.  With ``n_a`` given, exactly
-    that many receivers are selected by ascending cluster distance; without
-    it, picks below half the maximum pick energy are discarded and the rest
-    are selected.  ``candidates`` is the trial's :func:`los_candidates`
+    receivers with empty lists are skipped.  With ``n_a`` given (an integer
+    from 2 to the number of reporting receivers), exactly that many
+    receivers are selected by ascending cluster distance; without it, picks
+    below half the maximum pick energy are discarded and the rest are
+    selected.  ``candidates`` is the trial's :func:`los_candidates`
     record, built here when not given.
     """
+    if n_a is not None and (
+        isinstance(n_a, bool) or not isinstance(n_a, numbers.Integral) or n_a < 2
+    ):
+        raise ScenarioError(f"n_a must be None or an integer >= 2, not {n_a!r}")
     if candidates is None:
         candidates = los_candidates(paths_by_rrh, rrhs)
-    picks, fixes = candidates.picks, candidates.fixes
+    picks = candidates.picks
     if n_a is not None and n_a > len(picks):
         raise ScenarioError(f"cannot select {n_a} receivers from {len(picks)} reporting")
 
     subset_size = n_a if n_a is not None else min(6, len(picks))
-    c_los = _best_center(
-        candidates.centers, fixes, candidates.origins, candidates.dirs,
-        candidates.ranges, subset_size,
-    )
-    d = np.linalg.norm(fixes - c_los, axis=1)
-
-    # Micrometer quantization so exactly-tied distances rank in receiver
-    # order instead of by floating-point jitter.
-    order = np.argsort(np.round(d, 6), kind="stable")
+    best = candidates.winners[subset_size - 2]
+    order = candidates.orders[best].tolist()
     if n_a is not None:
-        chosen = list(order[:n_a])
+        chosen = order[:n_a]
     else:
         p_max = max(pick.energy for _, pick in picks)
         chosen = [k for k in order if picks[k][1].energy >= 0.5 * p_max]
@@ -541,11 +602,11 @@ def select_los(
         if rest:
             nlos_sets[idx] = rest
 
-    distances = {picks[k][0]: float(d[k]) for k in range(len(picks))}
+    distances = dict(zip((idx for idx, _ in picks), candidates.distances[best].tolist()))
     return SelectionResult(
         los_set=los_set,
         nlos_sets=nlos_sets,
-        c_los=c_los,
+        c_los=candidates.centers[best],
         c_nlos=candidates.c_nlos,
         distances=distances,
     )

@@ -433,6 +433,10 @@ class TestSrCampaign:
         monkeypatch.setattr(harness, "simulate_paths_batch", no_trials)
         with pytest.raises(ScenarioError, match="n_a must satisfy"):
             harness.run_sr_campaign(Scenario(trials=3), [4, 19])
+        # A count that is no integer used to fail inside the first trial's
+        # selection, with numpy's TypeError.
+        with pytest.raises(ScenarioError, match="n_a must be an integer"):
+            harness.run_sr_campaign(Scenario(trials=3), [4, 4.5])
 
 
 class TestNnCampaign:

@@ -69,6 +69,14 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             Scenario(n_a=1)
 
+    @pytest.mark.parametrize("n_a", [4.5, 4.0, True, "4"])
+    def test_n_a_not_an_integer(self, n_a):
+        with pytest.raises(ScenarioError, match="n_a must be an integer"):
+            Scenario(n_a=n_a)
+
+    def test_n_a_numpy_integer_accepted(self):
+        assert Scenario(n_a=np.int64(5)).n_a == 5
+
     def test_p_d_out_of_range(self):
         with pytest.raises(ScenarioError):
             Scenario(p_d=1.5)

@@ -1,5 +1,6 @@
 """Direct-path selection: rough fixes, clustering, ranking, and simulation."""
 
+import dataclasses
 import re
 from unittest import mock
 
@@ -180,6 +181,22 @@ class TestSelectLos:
         with pytest.raises(ScenarioError):
             select_los(paths, RRHS[:3], n_a=4)
 
+    @pytest.mark.parametrize("n_a", [0, 1, -1, 1.5, 4.0, True, "4"])
+    def test_n_a_must_be_an_integer_of_at_least_two(self, n_a):
+        # 0 used to fail inside numpy, -1 to select all but one receiver
+        # and 1.5 to raise TypeError.
+        paths = [[los_path(RRHS[i], i)] for i in range(18)]
+        candidates = los_candidates(paths, RRHS)
+        for given in (None, candidates):
+            with pytest.raises(ScenarioError, match="n_a must be None or an integer >= 2"):
+                select_los(paths, RRHS, n_a=n_a, candidates=given)
+
+    def test_numpy_integer_n_a_selects_as_int(self):
+        paths = [[los_path(RRHS[i], i, energy=1.0 + 0.1 * i)] for i in range(9)]
+        for n_a in (2, 4, 9):
+            sel = select_los(paths, RRHS[:9], n_a=np.int64(n_a))
+            assert sel.selected_indices == select_los(paths, RRHS[:9], n_a=n_a).selected_indices
+
 
 class TestSimulatePaths:
     def test_path_counts_and_tags(self):
@@ -260,7 +277,8 @@ class TestSimulatePaths:
 def assert_same_record(new, old):
     """Two LosCandidates records hold the same picks and equal arrays."""
     assert [(i, id(p)) for i, p in new.picks] == [(i, id(p)) for i, p in old.picks]
-    for name in ("fixes", "origins", "dirs", "ranges", "c_nlos", "centers"):
+    names = ("fixes", "origins", "dirs", "ranges", "c_nlos", "centers", "distances", "orders")
+    for name in (*names, "winners"):
         assert np.array_equal(getattr(new, name), getattr(old, name)), name
 
 
@@ -449,10 +467,13 @@ class TestStackedKernelsMatchLoops:
     def test_subset_scores(self, bundle, k):
         origins, dirs, ranges, rng = bundle
         size = int(rng.integers(2, origins.shape[0] + 1))
-        subsets = np.array([rng.permutation(origins.shape[0])[:size] for _ in range(k)])
-        new = selection._subset_scores(subsets, origins, dirs, ranges)
+        rankings = np.array([rng.permutation(origins.shape[0]) for _ in range(k)])
+        rows = (np.zeros(k, dtype=int), np.arange(k), np.full(k, size))
+        new = selection._subset_scores(
+            *(v[None] for v in (origins, dirs, ranges, rankings)), rows
+        )
         projs = oracle.projectors(dirs)
-        for row, subset in enumerate(subsets):
+        for row, subset in enumerate(rankings[:, :size]):
             # A subset of only the near-parallel pair has no well-posed point.
             if np.linalg.cond(sum(projs[i] for i in subset)) < 1e6:
                 old = oracle.subset_score(subset, origins, projs, ranges)
@@ -470,11 +491,41 @@ class TestStackedKernelsMatchLoops:
         old = oracle.refine_center(*args, midpoints=usable_midpoints, gaps=gaps)
         # A decision between values equal up to rounding may go either way.
         assume(min(gaps) > 1e-9)
-        (centers,) = selection._trimmed_centers(
-            *(v[None] for v in (fixes, origins, dirs, ranges, c_cluster))
+        rays = tuple(v[None] for v in (fixes, origins, dirs, ranges))
+        centers = selection._trimmed_centers(*rays, c_cluster[None])
+        (winners,) = selection._rank_receivers(centers, *rays)[2]
+        assert_close(centers[0, winners[size - 2]], old, 1e3)
+
+    @given(bundles, st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_rankings_at_every_size(self, bundle, copies):
+        # Four centers near the rays' common point; ``copies[k]`` names an
+        # earlier center that center k repeats (itself when not earlier),
+        # so several centers often reach one member set.
+        origins, dirs, ranges, rng = bundle
+        n = origins.shape[0]
+        fixes = origins + ranges[:, None] * dirs
+        centers = U + rng.normal(0.0, 40.0, (4, 3))
+        for k, j in enumerate(copies):
+            centers[k] = centers[min(j, k)]
+        dist, order, winners = (
+            v[0]
+            for v in selection._rank_receivers(
+                *(v[None] for v in (centers, fixes, origins, dirs, ranges))
+            )
         )
-        center = selection._best_center(centers, fixes, origins, dirs, ranges, size)
-        assert_close(center, old, 1e3)
+        assert winners.shape == (n - 1,)
+        for k, c in enumerate(centers):
+            d = np.linalg.norm(fixes - c, axis=1)
+            assert np.array_equal(dist[k], d)
+            assert np.array_equal(order[k], np.argsort(np.round(d, 6), kind="stable"))
+        for size in range(2, n + 1):
+            gaps = []
+            old = oracle.pick_center(list(centers), fixes, origins, dirs, ranges, size, gaps)
+            # A decision between values equal up to rounding may go either
+            # way; an oracle that scored every set inf picks no center.
+            if old is not None and min(gaps) > 1e-9:
+                assert np.array_equal(centers[winners[size - 2]], old), size
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -575,7 +626,10 @@ class TestStackedKernelsMatchLoops:
         projs = oracle.projectors(dirs)
         for row in range(2):
             assert_close(new[row], oracle.ray_point(origins, projs, kept[row], starts[row]), 1.0)
-        scores = selection._subset_scores(kept, origins, dirs, np.ones(3))
+        rows = (np.zeros(2, dtype=int), np.arange(2), np.full(2, 3))
+        scores = selection._subset_scores(
+            origins[None], dirs[None], np.ones((1, 3)), kept[None], rows
+        )
         assert np.all(np.isinf(scores))
 
 
@@ -597,19 +651,18 @@ class TestRefineCenterDeduplication:
         monkeypatch.setattr(selection, "_trimmed_ray_points", lambda *a: next(fits))
         scored = []
 
-        def later_scores_lower(subsets, *rest):
-            scored.extend(tuple(s.tolist()) for s in subsets)
-            return -np.arange(len(subsets), dtype=float)
+        def later_scores_lower(origins, dirs, ranges, near, rows):
+            scored.extend(tuple(near[t, k, :size].tolist()) for t, k, size in zip(*rows))
+            return -np.arange(len(rows[0]), dtype=float)
 
         monkeypatch.setattr(selection, "_subset_scores", later_scores_lower)
         origins = np.zeros((6, 3))
         dirs = np.tile([1.0, 0.0, 0.0], (6, 1))
-        (centers,) = selection._trimmed_centers(
-            *(v[None] for v in (fixes, origins, dirs, np.ones(6), fixes[0]))
-        )
-        center = selection._best_center(centers, fixes, origins, dirs, np.ones(6), subset_size=4)
-        assert scored == [(0, 1, 2, 3), (4, 5, 3, 2)]
-        assert np.array_equal(center, [55.0, 0.0, 0.0])
+        rays = tuple(v[None] for v in (fixes, origins, dirs, np.ones(6)))
+        centers = selection._trimmed_centers(*rays, fixes[None, 0])
+        (winners,) = selection._rank_receivers(centers, *rays)[2]
+        assert [s for s in scored if len(s) == 4] == [(0, 1, 2, 3), (4, 5, 3, 2)]
+        assert np.array_equal(centers[0, winners[4 - 2]], [55.0, 0.0, 0.0])
 
 
 def test_selection_corpus_block_matches_single_trials():
@@ -640,16 +693,27 @@ def test_selection_corpus_block_matches_single_trials():
     assert compared == 2000
 
 
-def test_selection_corpus_matches_loop_oracle_from_candidates(monkeypatch):
+def with_centers(record, centers):
+    """``record`` with its candidate centers replaced by ``centers``, ranked
+    anew."""
+    new = dataclasses.replace(record, centers=np.array(centers))
+    rays = (new.fixes, new.origins, new.dirs, new.ranges)
+    tables = selection._rank_receivers(new.centers[None], *(v[None] for v in rays))
+    new.distances, new.orders, new.winners = (v[0] for v in tables)
+    return new
+
+
+def test_selection_corpus_matches_loop_oracle_from_candidates():
     """The same 2000 selections, each finished from its trial's shared record.
 
     The loop oracle fits the four candidate centers once per trial from the
     record's fixes, rays and cluster center, and picks the ranking center
     among them at each n_a; ``select_los`` must then rank the same
-    receivers from it as from the stacked pick.
+    receivers from it, given as a record's only center, as from the
+    stacked pick.  The first 100 trials per bias are also compared at every
+    other size from 2 to the pick count, all read from the same record.
     """
-    stacked = selection._best_center
-    compared = 0
+    compared = others = 0
     for bias in (0.0, 100.0):
         sc = Scenario(
             noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=0.5, clock_bias_m=bias
@@ -659,13 +723,17 @@ def test_selection_corpus_matches_loop_oracle_from_candidates(monkeypatch):
             c = los_candidates(paths, sc.rrhs)
             rays = (c.fixes, c.origins, c.dirs, c.ranges)
             centers = oracle.candidate_centers(*rays, kmeans2(c.fixes)[0])
-            for n_a in (4, 6):
+            for n_a in range(2, len(c.picks) + 1) if t < 100 else (4, 6):
                 loop_center = oracle.pick_center(centers, *rays, n_a)
-                monkeypatch.setattr(selection, "_best_center", stacked)
                 new = select_los(paths, sc.rrhs, n_a=n_a, candidates=c)
-                monkeypatch.setattr(selection, "_best_center", lambda *a: loop_center)
-                old = select_los(paths, sc.rrhs, n_a=n_a, candidates=c)
+                old = select_los(
+                    paths, sc.rrhs, n_a=n_a, candidates=with_centers(c, [loop_center])
+                )
                 assert new.selected_indices == old.selected_indices, (bias, t, n_a)
                 assert np.linalg.norm(new.c_los - old.c_los) <= 1e-6, (bias, t, n_a)
-                compared += 1
+                if n_a in (4, 6):
+                    compared += 1
+                else:
+                    others += 1
     assert compared == 2000
+    assert others == 2 * 100 * 15  # 18 picks in every trial

@@ -12,9 +12,18 @@ runs, in process, on the bundled scenarios:
   scatterer`` on every scenario.
 
 Each command's exit code and standard error go to ``<name>.status``, so a
-command that fails is compared too.  Running this against two checkouts
-(with ``PYTHONPATH`` naming each one's ``src``) and comparing the two
-directories with ``diff -r`` checks that nothing the CLI prints moved.
+command that fails is compared too.
+
+Beside them, ``select-los-bias<b>-seed<s>.txt`` holds every selection the
+``select-sr`` runs make, through the public ``simulate_paths`` and
+``select_los``: for each of the 40 trials of each seed and bias, the
+ordered receivers at n_a 4 and 6 and the ranking center to the
+millimetre (or the error a selection raised).  A ranking change that the
+success rates hide shows there.
+
+Running this against two checkouts (with ``PYTHONPATH`` naming each one's
+``src``) and comparing the two directories with ``diff -r`` checks that
+nothing the CLI prints, and no selection, moved.
 """
 
 from __future__ import annotations
@@ -26,9 +35,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from hybridloc import cli
+from hybridloc.errors import HybridlocError
+from hybridloc.scenario import load_scenario
+from hybridloc.selection import select_los, simulate_paths
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.yaml"))
@@ -57,6 +70,28 @@ def _select_sr(out: Path, scratch: Path) -> None:
                              "--out", out / f"{name}.csv"])
 
 
+def _selections(out: Path) -> None:
+    """The selections behind ``_select_sr``'s runs, trial by trial."""
+    base = load_scenario(ROOT / "scenarios" / "selection-sr.yaml")
+    for bias in (0, 100):
+        for seed in range(1000, 1040):
+            sc = base.replace(clock_bias_m=float(bias), seed=seed, trials=40)
+            lines = []
+            for t in range(sc.trials):
+                paths = simulate_paths(sc, np.random.default_rng([sc.seed, t]))
+                for na in (4, 6):
+                    try:
+                        sel = select_los(paths, sc.rrhs, n_a=na)
+                    except HybridlocError as exc:
+                        lines.append(f"{t} {na} {type(exc).__name__}: {exc}")
+                        continue
+                    c_los = " ".join(f"{v:.3f}" for v in sel.c_los)
+                    lines.append(f"{t} {na} {sel.selected_indices} {c_los}")
+            (out / f"select-los-bias{bias}-seed{seed}.txt").write_text(
+                "\n".join(lines) + "\n", encoding="utf-8"
+            )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("outdir", type=Path, help="directory to write (created empty)")
@@ -64,6 +99,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=False)
     with tempfile.TemporaryDirectory() as scratch:
         _select_sr(out, Path(scratch))
+    _selections(out)
     for scenario in SCENARIOS:
         stem = scenario.stem
         _run(out, f"simulate-{stem}", [
