@@ -82,6 +82,8 @@ class MlpConfig:
             raise ScenarioError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ScenarioError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
 
     def replace(self, **kw) -> "MlpConfig":
         return dc_replace(self, **kw)

@@ -26,7 +26,7 @@ from .geometry import (
     look_rates,
     velocity_direction,
 )
-from .ue_wls import _fail, _iterated_solve, _square
+from .ue_wls import _dense, _fail, _iterated_solve, _square
 from .ue_wls import solve_linear  # noqa: F401  perfbench's tracer expects scatterer_wls to bind it
 
 
@@ -108,12 +108,13 @@ def build_scatterer_system(ms, b_n, b_1, ue):
     return h, g, t
 
 
-def build_bs(xs, b_n, ue, errors=None) -> np.ndarray:
-    """First-order map from path-measurement noise to the residual.
+def bs_bands(xs, b_n, ue, errors=None):
+    """The entries of :func:`build_bs`'s ``Bs`` at xs, as ``(diag, low)``.
 
-    Rows follow the measurement order (delay, rate, azimuth, elevation);
-    the rate row couples into the two angle columns through the scatterer's
-    apparent angular rates seen from the receiver.
+    ``diag`` (..., 4) is Bs's diagonal and ``low`` (..., 1, 3) the rate
+    row's entries on the delay column and the two angle columns, in
+    :func:`ue_wls.b_bands`' layout: a path is one TDOA/FDOA pair followed
+    by its angle pair.
 
     ``xs`` may carry leading batch axes.  A scatterer on the receiver or
     the user, or straight above the receiver, raises; with ``errors`` (an
@@ -143,15 +144,23 @@ def build_bs(xs, b_n, ue, errors=None) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         ddot2 = np.vecdot(udot - sdot_vec, u - s) / d2
 
-    b = np.zeros(xs.shape[:-1] + (4, 4))
-    b[..., 0, 0] = 2.0 * d2
-    b[..., 1, 0] = ddot2
-    b[..., 1, 1] = d2
-    b[..., 1, 2] = -r_s * d1 * phidot_s * _square(cos_t)
-    b[..., 1, 3] = -r_s * d1 * thetadot_s
-    b[..., 2, 2] = d1 * cos_t
-    b[..., 3, 3] = d1
-    return b
+    diag = np.stack([2.0 * d2, d2, d1 * cos_t, d1], axis=-1)
+    low = np.stack(
+        [ddot2, -r_s * d1 * phidot_s * _square(cos_t), -r_s * d1 * thetadot_s], axis=-1
+    )
+    return diag, low[..., None, :]
+
+
+def build_bs(xs, b_n, ue, errors=None) -> np.ndarray:
+    """First-order map from path-measurement noise to the residual.
+
+    Rows follow the measurement order (delay, rate, azimuth, elevation);
+    the rate row couples into the two angle columns through the scatterer's
+    apparent angular rates seen from the receiver.  The solver never forms
+    this matrix: it applies ``inv(Bs)`` through :func:`bs_bands`.  ``xs``
+    and ``errors`` are as in :func:`bs_bands`.
+    """
+    return _dense(bs_bands(xs, b_n, ue, errors))
 
 
 def scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs) -> ScattererBatch:
@@ -170,7 +179,7 @@ def scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs) -> ScattererBatch:
     h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
     errors = np.full(len(ms), None, dtype=object)
     xs, cov = _iterated_solve(
-        h, g @ t, qs, lambda x, e: build_bs(x, b_n, ue, e), 1, True, errors
+        h, g @ t, qs, lambda x, e: bs_bands(x, b_n, ue, e), 1, True, errors
     )
     failed = ~np.equal(errors, None)
     xs[failed] = np.nan
@@ -182,8 +191,10 @@ def scatterer_wls_solve(ms, b_n, b_1, ue, qs) -> ScattererResult:
     """WLS estimate of [scatterer position, signed speed] and its covariance.
 
     The system is square, so the weighting cannot move the estimate: one
-    solve with ``W = inv(Qs)`` gives it, and the first-order covariance is
-    ``inv(G' W G)`` with ``W = inv(Bs Qs Bs')`` at that estimate.  This is
+    solve with ``W = inv(Qs)`` gives it.  The first-order covariance is
+    ``inv(G' inv(Bs Qs Bs') G)`` at that estimate, computed as the solve of
+    the whitened system ``(inv(Bs) h, inv(Bs) G)`` with ``W = inv(Qs)``
+    (:func:`bs_bands`, ``ue_wls._whiten``).  This is
     :func:`scatterer_wls_solve_batch` on a batch of one; its failure is
     raised.
     """

@@ -95,6 +95,9 @@ class Scenario:
             raise ScenarioError("ue_true must have 6 entries (position, velocity)")
         if self.scatterer_true.shape != (4,):
             raise ScenarioError("scatterer_true must have 4 entries (position, speed)")
+        for name in ("rrhs", "ue_true", "scatterer_true", "clock_bias_m"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ScenarioError(f"{name} must be finite")
         if not 0 <= self.scatterer_rrh < self.rrhs.shape[0]:
             raise ScenarioError("scatterer_rrh out of range")
         if isinstance(self.n_a, bool) or not isinstance(self.n_a, numbers.Integral):
@@ -105,6 +108,8 @@ class Scenario:
             raise ScenarioError("p_d must lie in (0, 1]")
         if self.trials < 1:
             raise ScenarioError("trials must be >= 1")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if self.wls_iters < 1:
             raise ScenarioError("wls_iters must be >= 1")
         for box in (self.scatterer_box, self.ue_box, self.ue_velocity_box):

@@ -70,7 +70,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import HybridlocError, ScenarioError
+from .errors import DimensionMismatchError, HybridlocError, ScenarioError
 from .geometry import (
     SPEED_OF_LIGHT,
     angular_vectors,
@@ -499,8 +499,14 @@ def los_candidates_batch(paths_list, rrhs) -> list:
     clustering raised.  Picks and clustering run per trial; trials with
     equal pick counts share one ray build and the stacked trimmed fits,
     seed pick and rankings, which give each trial the record it gets alone.
+    ``rrhs`` must be (N, 3), with one path list per receiver in every
+    trial; otherwise the call raises ``DimensionMismatchError``.
     """
     rrhs = np.asarray(rrhs, dtype=float)
+    if rrhs.ndim != 2 or rrhs.shape[1] != 3:
+        raise DimensionMismatchError(f"rrhs of shape {rrhs.shape} is not (N, 3)")
+    if any(len(paths_by_rrh) != len(rrhs) for paths_by_rrh in paths_list):
+        raise DimensionMismatchError(f"path lists do not match {len(rrhs)} receivers")
     entries = [None] * len(paths_list)
     groups = {}  # pick count -> [(trial, picks)]
     for t, paths_by_rrh in enumerate(paths_list):
@@ -565,7 +571,8 @@ def select_los(
     receivers are selected by ascending cluster distance; without it, picks
     below half the maximum pick energy are discarded and the rest are
     selected.  ``candidates`` is the trial's :func:`los_candidates`
-    record, built here when not given.
+    record, built here when not given; building it checks ``rrhs``
+    (N, 3) against the N path lists.
     """
     if n_a is not None and (
         isinstance(n_a, bool) or not isinstance(n_a, numbers.Integral) or n_a < 2

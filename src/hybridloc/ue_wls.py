@@ -17,6 +17,14 @@ from the (estimated) state.  The solver therefore iterates: solve with
 ``W = inv(B Q B')``.  Two passes suffice; the returned covariance is the
 first-order one, which coincides with the Gaussian lower bound.
 
+The re-weighted solves never form ``B Q B'``.  Every off-diagonal entry of
+``B`` sits in an FDOA row, on its TDOA partner's column and on the
+reference receiver's angle pair, so ``inv(B) v`` is a divide of the other
+rows by their pivots followed by one update of the FDOA rows
+(:func:`_whiten` on :func:`b_bands`).  Each re-weighted pass solves the
+whitened system ``(inv(B) h, inv(B) G)`` with ``W = inv(Q)``, the same
+estimator; ``inv(Q)`` is computed once per call.
+
 Below four receivers the velocity is unidentifiable; the solver then falls
 back to a position-only system (TDOA and AOA rows only) and flags the
 velocity entries as invalid (NaN).
@@ -124,24 +132,13 @@ def _on_live(fn, a, live, item_shape):
     return out
 
 
-def _invert(a, errors=None):
-    """Inverse of every live matrix of a stack; a singular one fails alone.
-
-    Without ``errors`` a singular matrix raises ``SingularProblemError``.
-    """
-    live = np.ones(a.shape[:-2], dtype=bool) if errors is None else np.equal(errors, None)
+def _invert(q):
+    """Inverse of the covariance ``q``; a singular one raises
+    ``SingularProblemError``."""
     try:
-        return _on_live(np.linalg.inv, a, live, a.shape[-2:])
+        return np.linalg.inv(q)
     except np.linalg.LinAlgError:
-        if errors is None:
-            raise SingularProblemError("weighting matrix is singular") from None
-    out = np.full(a.shape, np.nan)
-    for i in np.flatnonzero(live):
-        try:
-            out[i] = np.linalg.inv(a[i])
-        except np.linalg.LinAlgError:
-            errors[i] = SingularProblemError("weighting matrix is singular")
-    return out
+        raise SingularProblemError("weighting matrix is singular") from None
 
 
 def unpack_measurement(m, n_receivers: int):
@@ -197,14 +194,13 @@ def residual_vector(m, rrhs, x) -> np.ndarray:
     return h - g @ np.asarray(x, dtype=float)
 
 
-def build_b(x, rrhs, errors=None) -> np.ndarray:
-    """First-order map from measurement noise to the residual, at state x.
+def b_bands(x, rrhs, errors=None):
+    """The entries of :func:`build_b`'s ``B`` at state x, as ``(diag, low)``.
 
-    Layout (matching the measurement vector): one 2x2 lower-triangular block
-    per non-reference receiver on the TDOA/FDOA rows, a coupling of the FDOA
-    rows into the reference receiver's two angle columns, and a diagonal over
-    the AOA rows.  Invertible whenever ranges are positive and no receiver
-    sees the user at zenith.
+    ``diag`` (..., dim) is B's diagonal.  ``low`` (..., n - 1, 3) holds the
+    off-diagonal entries of each FDOA row: on its TDOA partner's column and
+    on the reference receiver's azimuth and elevation columns.  B has no
+    other nonzero entry.
 
     ``x`` may carry leading batch axes.  A state on a receiver, or straight
     above the reference receiver, raises; with ``errors`` (an object array
@@ -233,22 +229,73 @@ def build_b(x, rrhs, errors=None) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         rdot = (diffs @ udot[..., None])[..., 0] / r
 
-    dim = measurement_dim(n)
     base = 2 * n - 2
-    t_rows = np.arange(0, base, 2)
-    f_rows = t_rows + 1
-    a_rows = np.arange(base, dim, 2)
     r_0, r_i = r[..., :1], r[..., 1:]
     r_i1 = r_i - r_0
-    b = np.zeros(x.shape[:-1] + (dim, dim))
-    b[..., t_rows, t_rows] = 2.0 * r_i
-    b[..., f_rows, t_rows] = rdot[..., 1:]
-    b[..., f_rows, f_rows] = r_i
-    b[..., f_rows, base] = r_0 * r_i1 * phidot1[..., None] * _square(cos_t[..., :1])
-    b[..., f_rows, base + 1] = r_0 * r_i1 * thetadot1[..., None]
-    b[..., a_rows, a_rows] = r * cos_t
-    b[..., a_rows + 1, a_rows + 1] = r
+    diag = np.empty(x.shape[:-1] + (measurement_dim(n),))
+    diag[..., 0:base:2] = 2.0 * r_i
+    diag[..., 1:base:2] = r_i
+    diag[..., base::2] = r * cos_t
+    diag[..., base + 1 :: 2] = r
+    low = np.stack(
+        [
+            rdot[..., 1:],
+            r_0 * r_i1 * phidot1[..., None] * _square(cos_t[..., :1]),
+            r_0 * r_i1 * thetadot1[..., None],
+        ],
+        axis=-1,
+    )
+    return diag, low
+
+
+def _dense(bands) -> np.ndarray:
+    """The dense matrix of ``(diag, low)`` bands (:func:`b_bands`' layout)."""
+    diag, low = bands
+    dim = diag.shape[-1]
+    k = 2 * low.shape[-2]
+    b = np.zeros(diag.shape + (dim,))
+    rows = np.arange(dim)
+    b[..., rows, rows] = diag
+    f_rows = rows[1:k:2]
+    b[..., f_rows, f_rows - 1] = low[..., 0]
+    b[..., f_rows, k] = low[..., 1]
+    b[..., f_rows, k + 1] = low[..., 2]
     return b
+
+
+def build_b(x, rrhs, errors=None) -> np.ndarray:
+    """First-order map from measurement noise to the residual, at state x.
+
+    Layout (matching the measurement vector): one 2x2 lower-triangular block
+    per non-reference receiver on the TDOA/FDOA rows, a coupling of the FDOA
+    rows into the reference receiver's two angle columns, and a diagonal over
+    the AOA rows.  Invertible whenever ranges are positive and no receiver
+    sees the user at zenith.  The solver never forms this matrix: it applies
+    ``inv(B)`` through :func:`b_bands` and :func:`_whiten`.  ``x`` and
+    ``errors`` are as in :func:`b_bands`.
+    """
+    return _dense(b_bands(x, rrhs, errors))
+
+
+def _whiten(bands, v) -> np.ndarray:
+    """``inv(B) @ v`` for the ``(diag, low)`` bands of B (:func:`b_bands`).
+
+    ``v`` is (..., dim, p).  Each non-FDOA row is divided by its pivot;
+    each FDOA row then takes its partner's and the reference angle pair's
+    results off and is divided by its own pivot.  With no FDOA rows
+    (``low`` of length 0) B is diagonal.  The pivots must be finite and
+    nonzero; :func:`_iterated_solve` checks them.
+    """
+    diag, low = bands
+    k = 2 * low.shape[-2]
+    y = v / diag[..., None]
+    y[..., 1:k:2, :] = (
+        v[..., 1:k:2, :]
+        - low[..., 0:1] * y[..., 0:k:2, :]
+        - low[..., 1:2] * y[..., k : k + 1, :]
+        - low[..., 2:3] * y[..., k + 1 : k + 2, :]
+    ) / diag[..., 1:k:2, None]
+    return y
 
 
 def solve_linear(h, g, w, errors=None):
@@ -300,23 +347,33 @@ def _position_row_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _iterated_solve(h, g, q, build, iters: int, covariance_at_estimate: bool, errors):
+def _iterated_solve(h, g, q, bands, iters: int, covariance_at_estimate: bool, errors):
     """Iterated weighted solves of a stack; failures go to ``errors``.
 
-    The first solve uses ``W = inv(Q)``, each further one ``W = inv(B Q
-    B')`` with ``B = build(x, errors)`` at the current estimates.  The
-    covariance is the last solve's, after one more solve at the final
-    estimates when ``covariance_at_estimate`` is set.  Once every member
-    has failed, the NaN rows in hand are returned without further solves.
+    The first solve uses ``W = inv(Q)``.  Each further one is the solve
+    with ``W = inv(B Q B')``, made as the equal solve of the whitened
+    system ``(inv(B) h, inv(B) G)`` with ``W = inv(Q)``; ``bands(x,
+    errors)`` gives B's :func:`b_bands` at the current estimates, and a
+    member with a zero or non-finite pivot fails with
+    ``SingularProblemError``.  The covariance is the last solve's, after
+    one more solve at the final estimates when ``covariance_at_estimate``
+    is set.  Once every member has failed, the NaN rows in hand are
+    returned without further solves.
     """
     w = _invert(q)
+    system = np.concatenate([g, h[..., None]], axis=-1)
     x = cov = None
     for it in range(iters + covariance_at_estimate):
         if it > 0:
             if not np.equal(errors, None).any():
                 break
-            b = build(x, errors)
-            w = _invert(b @ q @ np.swapaxes(b, -1, -2), errors)
+            diag, low = bands(x, errors)
+            pivots_ok = (np.isfinite(diag) & (diag != 0.0)).all(axis=-1)
+            if not pivots_ok.all():
+                _fail(errors, ~pivots_ok, SingularProblemError, "weighting matrix is singular")
+                diag = np.where(pivots_ok[..., None], diag, np.nan)  # quiet NaN rows
+            white = _whiten((diag, low), system)
+            h, g = white[..., -1], white[..., :-1]
         x_it, cov = solve_linear(h, g, w, errors)
         if it < iters:
             x = x_it
@@ -341,7 +398,7 @@ def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
 
     errors = np.full(len(ms), None, dtype=object)
     x, cov = _iterated_solve(
-        h, g, q, lambda x, e: build_b(x, rrhs, e), iters, True, errors
+        h, g, q, lambda x, e: b_bands(x, rrhs, e), iters, True, errors
     )
     valid = np.equal(errors, None)
     if not valid.all():
@@ -354,17 +411,18 @@ def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
             rows = np.flatnonzero(_position_row_mask(rrhs.shape[0]))
             pos_errors = np.full(fallback.size, None, dtype=object)
 
-            def build_sub(pos, e):
-                # Restricted rows of B touch only their own columns, so the
-                # sub-block is the full first-order map for this system.
+            def pos_bands(pos, e):
+                # The restricted rows of B are its TDOA and AOA rows, which
+                # hold only their diagonal: the sub-block is diagonal.
                 full = np.concatenate([pos, np.zeros_like(pos)], axis=-1)
-                return build_b(full, rrhs, e)[:, rows[:, None], rows]
+                diag, low = b_bands(full, rrhs, e)
+                return diag[:, rows], low[:, :0]
 
             pos, cov_pos = _iterated_solve(
                 h[fallback][:, rows],
                 g[fallback][:, rows, :3],
                 q[np.ix_(rows, rows)],
-                build_sub,
+                pos_bands,
                 iters,
                 False,
                 pos_errors,
@@ -385,7 +443,9 @@ def wls_solve(m, rrhs, q, iters: int = 2) -> WlsResult:
 
     ``iters`` solves are performed (default 2), the first with ``W =
     inv(Q)`` and subsequent ones with ``W = inv(B Q B')`` rebuilt at the
-    current state.  The returned covariance is evaluated at the final state.
+    current state, each made as the solve of the whitened system ``(inv(B)
+    h, inv(B) G)`` with ``W = inv(Q)``.  The returned covariance is
+    evaluated at the final state.
     This is :func:`wls_solve_batch` on a batch of one; its failure is raised.
     """
     batch = wls_solve_batch(np.asarray(m, dtype=float)[None], rrhs, q, iters)

@@ -268,6 +268,31 @@ class TestBadNoiseSettings:
         assert "error: noise" in capsys.readouterr().err
 
 
+class TestNonFiniteScenarioOrNegativeSeed:
+    @pytest.mark.parametrize("command", ["simulate", "select-sr", "crlb"])
+    def test_negative_seed_exits_parse(self, tmp_path, capsys, command):
+        code = run_cli(command, "--seed", "-1", "--out", str(tmp_path / "o.csv"))
+        assert code == EXIT_PARSE
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "clock_bias_m: .nan",
+            "ue_true: [.nan, 450.0, 0.0, -10.0, 2.0, 5.0]",
+            "rrhs: [[235.5, 389.5, 26.0], [287.5, .nan, 32.0], [235.5, 489.5, 10.0],"
+            " [287.5, 489.5, 40.0], [235.5, 589.5, 14.0], [287.5, 589.5, 50.0]]",
+        ],
+        ids=["clock_bias", "ue_true", "rrhs"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "select-sr"])
+    def test_non_finite_scenario_exits_parse(self, tmp_path, capsys, command, body):
+        scenario = write_scenario(tmp_path / "s.yaml", f"{body}\ntrials: 4\nn_a: 4\n")
+        code = run_cli(command, "--scenario", scenario, "--out", str(tmp_path / "o.csv"))
+        assert code == EXIT_PARSE
+        assert "must be finite" in capsys.readouterr().err
+
+
 class TestSelectSr:
     def test_runs_and_reports_rate(self, tmp_path):
         scenario = write_scenario(

@@ -150,6 +150,10 @@ class TestMlpConfig:
         with pytest.raises(ScenarioError, match="epochs"):
             nn.MlpConfig(epochs=-3)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ScenarioError, match="seed"):
+            nn.MlpConfig(seed=-1)
+
     def test_zero_epochs_keeps_the_initialization(self):
         _, ds = small_dataset(n=40)
         cfg = nn.MlpConfig(layer_widths=(22, 8, 22), epochs=0, batch_size=1, seed=3)

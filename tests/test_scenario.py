@@ -87,6 +87,18 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             Scenario(scatterer_box=box)
 
+    def test_negative_seed(self):
+        with pytest.raises(ScenarioError, match="seed must be >= 0"):
+            Scenario().replace(seed=-1)
+
+    @pytest.mark.parametrize("name", ["rrhs", "ue_true", "scatterer_true", "clock_bias_m"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field(self, name, value):
+        field = np.array(getattr(Scenario(), name), dtype=float)
+        field.flat[-1] = value
+        with pytest.raises(ScenarioError, match=f"{name} must be finite"):
+            Scenario().replace(**{name: field})
+
 
 class TestSampling:
     def test_scatterer_sample_inside_box(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import selection_oracle as oracle
 from hybridloc import selection
-from hybridloc.errors import ScenarioError
+from hybridloc.errors import DimensionMismatchError, ScenarioError
 from hybridloc.geometry import SPEED_OF_LIGHT
 from hybridloc.noise import NoiseConfig
 from hybridloc.scenario import DEFAULT_RRHS, Scenario
@@ -190,6 +190,17 @@ class TestSelectLos:
         for given in (None, candidates):
             with pytest.raises(ScenarioError, match="n_a must be None or an integer >= 2"):
                 select_los(paths, RRHS, n_a=n_a, candidates=given)
+
+    @pytest.mark.parametrize("rrhs", [RRHS[:8], RRHS[:9, :2], RRHS[:9].ravel()],
+                             ids=["too_few_rows", "two_columns", "flat"])
+    def test_rrhs_must_match_the_path_lists(self, rrhs):
+        # Too few rows used to raise IndexError, two columns a broadcast
+        # ValueError.
+        paths = [[los_path(RRHS[i], i)] for i in range(9)]
+        with pytest.raises(DimensionMismatchError):
+            select_los(paths, rrhs, n_a=4)
+        with pytest.raises(DimensionMismatchError):
+            los_candidates_batch([paths, paths], rrhs)
 
     def test_numpy_integer_n_a_selects_as_int(self):
         paths = [[los_path(RRHS[i], i, energy=1.0 + 0.1 * i)] for i in range(9)]

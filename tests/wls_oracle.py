@@ -1,13 +1,14 @@
 """Per-receiver loop versions of the WLS solvers, kept as the test oracle.
 
 These are the scalar forms of the stacked core in ``hybridloc.ue_wls`` and
-``hybridloc.scatterer_wls``: one receiver per loop step in ``build_system``
-and ``build_b``, and one SVD condition number plus one ``inv`` per weighted
-solve, on the per-ray geometry of ``scalar_geometry``.  They raise on
-the first failure, as one trial of the stacked solvers fails.  Where a
-weighting ``B Q B'`` is exactly singular, ``inv`` raises a bare
-``LinAlgError`` here; the stacked solvers turn that into the trial's
-``SingularProblemError``.
+``hybridloc.scatterer_wls``: one receiver per loop step in ``build_system``,
+``build_b`` and the whitening, and one SVD condition number plus one
+``inv`` per weighted solve, on the per-ray geometry of ``scalar_geometry``.
+Each re-weighted solve is the solve of the whitened system ``(inv(B) h,
+inv(B) G)`` with ``W = inv(Q)``, which equals the solve of ``(h, G)`` with
+``W = inv(B Q B')``; ``inv(B)`` is applied row by row through B's
+sparsity, and a zero or non-finite pivot raises ``SingularProblemError``.
+They raise on the first failure, as one trial of the stacked solvers fails.
 """
 
 import numpy as np
@@ -79,6 +80,24 @@ def build_b(x, rrhs):
     return b
 
 
+def whiten(b, h, g, k):
+    """``(inv(B) h, inv(B) G)`` for a B whose only off-diagonal entries sit
+    in the FDOA rows ``1, 3, ..., k - 1``: on the row's TDOA partner's
+    column and on columns ``k`` and ``k + 1`` (the reference angle pair)."""
+    diag = np.diag(b)
+    pattern = np.diag(diag)
+    for f in range(1, k, 2):
+        pattern[f, [f - 1, k, k + 1]] = b[f, [f - 1, k, k + 1]]
+    assert np.array_equal(pattern, b, equal_nan=True), "B has entries off the pattern"
+    if not np.all(np.isfinite(diag)) or np.any(diag == 0.0):
+        raise SingularProblemError("weighting matrix is singular")
+    v = np.column_stack([g, h])
+    y = v / diag[:, None]
+    for f in range(1, k, 2):
+        y[f] = (v[f] - b[f, f - 1] * y[f - 1] - b[f, k] * y[k] - b[f, k + 1] * y[k + 1]) / b[f, f]
+    return y[:, -1], y[:, :-1]
+
+
 def solve_linear(h, g, w):
     normal = g.T @ w @ g
     if not np.all(np.isfinite(normal)):
@@ -100,11 +119,12 @@ def _solve_position_only(h, g, q, rrhs, iters):
     w = np.linalg.inv(q_p)
     pos = None
     for it in range(iters):
+        h_w, g_w = h_p, g_p
         if it > 0:
             x_full = np.concatenate([pos, np.zeros(3)])
             b_sub = build_b(x_full, rrhs)[np.ix_(rows, rows)]
-            w = np.linalg.inv(b_sub @ q_p @ b_sub.T)
-        pos, cov_pos = solve_linear(h_p, g_p, w)
+            h_w, g_w = whiten(b_sub, h_p, g_p, 0)
+        pos, cov_pos = solve_linear(h_w, g_w, w)
     x = np.concatenate([pos, np.full(3, np.nan)])
     cov = np.full((6, 6), np.nan)
     cov[:3, :3] = cov_pos
@@ -116,17 +136,16 @@ def wls_solve(m, rrhs, q, iters=2):
     rrhs = np.asarray(rrhs, dtype=float)
     q = np.asarray(q, dtype=float)
     h, g = build_system(m, rrhs)
+    k = 2 * rrhs.shape[0] - 2
+    w = np.linalg.inv(q)
     try:
-        w = np.linalg.inv(q)
         x = None
         for it in range(iters):
+            h_w, g_w = h, g
             if it > 0:
-                b = build_b(x, rrhs)
-                w = np.linalg.inv(b @ q @ b.T)
-            x, _ = solve_linear(h, g, w)
-        b = build_b(x, rrhs)
-        w = np.linalg.inv(b @ q @ b.T)
-        _, cov = solve_linear(h, g, w)
+                h_w, g_w = whiten(build_b(x, rrhs), h, g, k)
+            x, _ = solve_linear(h_w, g_w, w)
+        _, cov = solve_linear(*whiten(build_b(x, rrhs), h, g, k), w)
     except SingularProblemError:
         return _solve_position_only(h, g, q, rrhs, iters)
     return x, cov, True
@@ -204,7 +223,7 @@ def scatterer_wls_solve(ms, b_n, b_1, ue, qs):
     qs = np.asarray(qs, dtype=float)
     h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
     gt = g @ t
-    xs, _ = solve_linear(h, gt, np.linalg.inv(qs))
-    bs = build_bs(xs, b_n, ue)
-    _, cov = solve_linear(h, gt, np.linalg.inv(bs @ qs @ bs.T))
+    w = np.linalg.inv(qs)
+    xs, _ = solve_linear(h, gt, w)
+    _, cov = solve_linear(*whiten(build_bs(xs, b_n, ue), h, gt, 2), w)
     return xs, cov

@@ -22,15 +22,25 @@ millimetre (or the error a selection raised).  A ranking change that the
 success rates hide shows there.
 
 Running this against two checkouts (with ``PYTHONPATH`` naming each one's
-``src``) and comparing the two directories with ``diff -r`` checks that
-nothing the CLI prints, and no selection, moved.
+``src``) and comparing the two directories checks that nothing the CLI
+prints, and no selection, moved:
+
+    PYTHONPATH=src python tools/cli_outputs.py --compare A B --rtol 1e-9
+
+passes when both directories hold the same files, every CSV has the same
+rows and cells, each numeric cell of B is within ``R`` relative of A's and
+every other cell, and every other file, is byte-identical.  It prints the
+largest relative deviation of each file and exits 1 on a mismatch.  With
+``--rtol 0`` it is ``diff -r``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -92,10 +102,76 @@ def _selections(out: Path) -> None:
             )
 
 
+def _number(cell: str):
+    """The cell's value, or None when it is not a number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _deviation(a: str, b: str) -> float:
+    """Relative deviation of cell b from cell a: 0 when they are the same
+    text, inf when either is not a number or exactly one is NaN."""
+    if a == b:
+        return 0.0
+    x, y = _number(a), _number(b)
+    if x is None or y is None or math.isnan(x) != math.isnan(y):
+        return math.inf
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _csv_deviation(a: Path, b: Path) -> float:
+    """Largest cell deviation of CSV b from CSV a; inf when their rows or
+    cells do not line up."""
+    rows_a, rows_b = (list(csv.reader(p.open(newline="", encoding="utf-8"))) for p in (a, b))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return math.inf
+    return max((_deviation(x, y) for ra, rb in zip(rows_a, rows_b) for x, y in zip(ra, rb)),
+               default=0.0)
+
+
+def compare(a: Path, b: Path, rtol: float) -> int:
+    """Report each file's deviation between output directories a and b;
+    0 when every file agrees within ``rtol``, else 1."""
+    names_a = {p.name for p in a.iterdir()}
+    names_b = {p.name for p in b.iterdir()}
+    bad = 0
+    for name in sorted(names_a ^ names_b):
+        print(f"{name}: only in {a if name in names_a else b}")
+        bad += 1
+    for name in sorted(names_a & names_b):
+        fa, fb = a / name, b / name
+        if fa.read_bytes() == fb.read_bytes():
+            dev = 0.0
+        elif fa.suffix == ".csv":
+            dev = _csv_deviation(fa, fb)
+        else:
+            dev = math.inf
+        ok = dev <= rtol
+        bad += not ok
+        print(f"{name}: {'identical' if dev == 0.0 else f'max rel dev {dev:.3g}'}"
+              f"{'' if ok else ' FAIL'}")
+    print(f"{len(names_a | names_b)} files, {bad} over rtol {rtol:g}")
+    return 1 if bad else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("outdir", type=Path, help="directory to write (created empty)")
-    out = parser.parse_args(argv).outdir
+    parser.add_argument("outdir", type=Path, nargs="?",
+                        help="directory to write (created empty)")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                        help="compare two written directories instead")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="relative tolerance of numeric CSV cells (default 0)")
+    args = parser.parse_args(argv)
+    if (args.outdir is None) == (args.compare is None):
+        parser.error("give either OUTDIR or --compare A B")
+    if args.compare:
+        return compare(*args.compare, args.rtol)
+    out = args.outdir
     out.mkdir(parents=True, exist_ok=False)
     with tempfile.TemporaryDirectory() as scratch:
         _select_sr(out, Path(scratch))
