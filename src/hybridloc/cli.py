@@ -136,23 +136,20 @@ def _overrides(args, keys) -> dict:
 def cmd_simulate(args) -> int:
     sc = _load(args)
     rhos = args.rho or [1.0]
-    # Every noise scale, and the scatterer campaign, reuses the trials' normals.
+    # Both campaigns solve the whole grid, from one draw of the trials' normals.
     normals = trial_normals(sc)
+    ues = run_wls_campaign(sc, collect_trials=bool(args.per_trial), normals=normals, rhos=rhos)
+    scats = run_scatterer_campaign(sc, normals=normals, rhos=rhos)
     rows = []
     trial_rows = []
-    for rho in rhos:
-        sc_r = sc.replace(noise=sc.noise.scaled(rho))
+    for rho, ue, scat in zip(rhos, ues, scats):
         if args.per_trial:
-            ue, trials = run_wls_campaign(sc_r, collect_trials=True, normals=normals)
-            for t in trials:
-                trial_rows.append({"rho": rho, **t})
-        else:
-            ue = run_wls_campaign(sc_r, normals=normals)
-        scat = run_scatterer_campaign(sc_r, normals=normals)
+            ue, trials = ue
+            trial_rows.extend({"rho": rho, **t} for t in trials)
         rows.append(
             {
                 "rho": rho,
-                "trials": sc_r.trials,
+                "trials": sc.trials,
                 "rmse_position": ue.rmse_position,
                 "rmse_velocity": ue.rmse_velocity,
                 "mae_position": ue.mae_position,

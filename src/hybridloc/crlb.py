@@ -20,7 +20,7 @@ from .geometry import (
     look_rates,
     velocity_direction,
 )
-from .ue_wls import _COND_LIMIT, _position_row_mask
+from .ue_wls import _invert_normal, _position_row_mask
 
 
 def _information(jac: np.ndarray, q) -> np.ndarray:
@@ -35,16 +35,18 @@ def _bound(jac: np.ndarray, q) -> np.ndarray:
     """``inv(J' inv(Q) J)``: the bound of Jacobian ``jac`` under covariance ``q``.
 
     A singular ``q`` or an information matrix that is not finite or not
-    invertible raises ``SingularProblemError``.
+    invertible raises ``SingularProblemError``; the information matrix is
+    singular by the rule of the WLS solves (``ue_wls._invert_normal``).
     """
     fisher = _information(jac, q)
     if not np.all(np.isfinite(fisher)):
         raise SingularProblemError("information matrix has non-finite entries")
-    if np.linalg.cond(fisher) > _COND_LIMIT:
+    bound, singular = _invert_normal(fisher)
+    if singular:
         raise SingularProblemError(
             "information matrix is singular; geometry does not identify the state"
         )
-    return np.linalg.inv(fisher)
+    return bound
 
 
 def _range_gradients(u, udot, rrhs):

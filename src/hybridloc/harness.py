@@ -8,12 +8,14 @@ error statistics and surface as a failure rate instead.
 The WLS and scatterer campaigns take each trial's unit normals from
 :func:`trial_normals`, which opens every trial's stream once and draws at
 the user layout's width; the scatterer layout uses the first four of them.
-A caller that runs several campaigns on one seed and trial count (the
-noise scales of ``hybridloc simulate``) draws them once and passes them to
-every campaign.  Each campaign turns a block of normals into noisy
-measurements with one :func:`~hybridloc.noise.add_noise` step and solves
-the block stacked; the selection campaign simulates its trials and builds
-their n_a-free records in blocks too.
+A caller that runs both campaigns on one seed and trial count (``hybridloc
+simulate``) draws them once and passes them to both.  Each campaign takes
+a grid of noise scales ``rhos``: it turns a block of normals into noisy
+measurements at every scale with one :func:`~hybridloc.noise.add_noise`
+step and solves the (scales, block) stack at once, with one covariance per
+scale, and returns one report per scale.  Without ``rhos`` it is the grid
+of ``sc.noise`` alone.  The selection campaign simulates its trials and
+builds their n_a-free records in blocks too, and takes an n_a grid.
 """
 
 from __future__ import annotations
@@ -158,22 +160,31 @@ def _campaign_normals(sc: Scenario, width: int, normals) -> np.ndarray:
     return normals[:, :width]
 
 
-def _solve_in_blocks(sc: Scenario, m_true, sd, normals, solve):
-    """Noisy draws of ``m_true`` on the layout ``sd``, solved ``_BLOCK`` at a time.
+def _noise_grid(sc: Scenario, rhos) -> list:
+    """The noise configuration of each noise scale: ``sc.noise`` alone when
+    ``rhos`` is None, else ``sc.noise.scaled(rho)`` for each of ``rhos``."""
+    return [sc.noise] if rhos is None else [sc.noise.scaled(rho) for rho in rhos]
 
-    The trials' unit normals are the first ``sd.size`` columns of
+
+def _solve_in_blocks(sc: Scenario, m_true, sds, normals, solve):
+    """Noisy draws of ``m_true`` at every noise scale, solved ``_BLOCK`` trials at a time.
+
+    ``sds`` (R, width) holds the layout of each of the R noise scales.
+    The trials' unit normals are the first ``width`` columns of
     ``normals``, a :func:`trial_normals` array, drawn here when None; the
     dominant bias, in structured mode, comes from the campaign's stream,
-    which is built only then.  ``solve(ms)`` returns a batch result for a
-    stack of measurements.  Returns the batches in trial order.
+    which is built only then and serves every scale.  Each block of normals
+    is noised at every scale and ``solve(ms)`` gets the (R, block, width)
+    stack, returning a batch result.  Returns the batches in trial order.
     """
-    normals = _campaign_normals(sc, sd.size, normals)
+    sds = sds[:, None, :]
+    normals = _campaign_normals(sc, sds.shape[-1], normals)
     dominant = draw_dominant(
-        sc.noise, sd,
+        sc.noise, sds,
         functools.partial(np.random.default_rng, [sc.seed, _DOMINANT_STREAM]),
     )
     return [
-        solve(add_noise(m_true, sc.noise, sd, dominant, normals[lo : lo + _BLOCK]))
+        solve(add_noise(m_true, sc.noise, sds, dominant, normals[lo : lo + _BLOCK]))
         for lo in range(0, sc.trials, _BLOCK)
     ]
 
@@ -182,7 +193,12 @@ def _campaign_failed(failures) -> CampaignFailedError:
     return CampaignFailedError(f"every trial failed numerically; trial 0: {failures[0]}")
 
 
-def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None):
+def _joined(batches, field: str) -> np.ndarray:
+    """The ``field`` arrays of the (R, block) batches, joined along the trials."""
+    return np.concatenate([getattr(b, field) for b in batches], axis=1)
+
+
+def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None, rhos=None):
     """Monte Carlo of the iterated WLS estimator at the true user state.
 
     Position metrics cover every successful trial, velocity metrics the
@@ -191,37 +207,46 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None):
     position bound of the TDOA and AOA rows.  ``normals`` is the
     :func:`trial_normals` array of ``sc``'s seed and trial count, drawn
     here when None.
+
+    ``rhos`` is a grid of noise scales, solved as one stack per block of
+    trials: the result is then a list with one entry per scale (its
+    ``runtime`` the whole grid's), each what the campaign returns on
+    ``sc.replace(noise=sc.noise.scaled(rho))``.  Without ``rhos`` it is the
+    result at ``sc.noise``: the report, or ``(report, rows)`` with the
+    per-trial rows when ``collect_trials`` is set.  The first scale whose
+    trials all failed raises ``CampaignFailedError``.
     """
     start = time.perf_counter()
     rrhs = sc.selected_rrhs()
-    q = build_q(sc.n_a, sc.noise)
+    noises = _noise_grid(sc, rhos)
+    qs = np.stack([build_q(sc.n_a, noise) for noise in noises])
     batches = _solve_in_blocks(
         sc,
         ue_measurement(sc.ue_true, rrhs),
-        sigma_components(sc.n_a, sc.noise),
+        np.stack([sigma_components(sc.n_a, noise) for noise in noises]),
         normals,
-        lambda ms: wls_solve_batch(ms, rrhs, q, iters=sc.wls_iters),
+        lambda ms: wls_solve_batch(ms, rrhs, qs[:, None], iters=sc.wls_iters),
     )
-    x = np.concatenate([b.x for b in batches])
-    valid = np.concatenate([b.velocity_valid for b in batches])
-    failures = np.concatenate([b.failures for b in batches])
+    xs = _joined(batches, "x")
+    valids = _joined(batches, "velocity_valid")
+    failures = _joined(batches, "failures")
+    reports = [
+        _wls_report(sc, xs[r], valids[r], failures[r], rrhs, qs[r]) for r in range(len(qs))
+    ]
+    runtime = time.perf_counter() - start
+    for report in reports:
+        report.runtime = runtime
+    results = reports
+    if collect_trials:
+        results = [(rep, _trial_rows(sc, xs[r], failures[r])) for r, rep in enumerate(reports)]
+    return results[0] if rhos is None else results
+
+
+def _wls_report(sc: Scenario, x, valid, failures, rrhs, q) -> MetricReport:
+    """The report of one noise scale's WLS trials."""
     ok = np.equal(failures, None)
     if not ok.any():
         raise _campaign_failed(failures)
-
-    rows = []
-    if collect_trials:
-        for t in range(sc.trials):
-            if ok[t]:
-                rows.append({
-                    "trial": t,
-                    "status": "ok",
-                    "error_position": float(np.linalg.norm(x[t, :3] - sc.ue_true[:3])),
-                    "error_velocity": float(np.linalg.norm(x[t, 3:] - sc.ue_true[3:])),
-                })
-            else:
-                rows.append({"trial": t, "status": "fail", "detail": str(failures[t])})
-
     estimates = x[ok]
     if valid[ok].all():
         report = compute_metrics(estimates, np.tile(sc.ue_true, (len(estimates), 1)))
@@ -241,41 +266,62 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None):
     )
     report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
     report.trials = sc.trials
-    report.runtime = time.perf_counter() - start
-    return (report, rows) if collect_trials else report
+    return report
 
 
-def run_scatterer_campaign(sc: Scenario, normals=None) -> MetricReport:
+def _trial_rows(sc: Scenario, x, failures) -> list:
+    """One row per WLS trial: its errors, or its failure."""
+    rows = []
+    for t in range(sc.trials):
+        if failures[t] is None:
+            rows.append({
+                "trial": t,
+                "status": "ok",
+                "error_position": float(np.linalg.norm(x[t, :3] - sc.ue_true[:3])),
+                "error_velocity": float(np.linalg.norm(x[t, 3:] - sc.ue_true[3:])),
+            })
+        else:
+            rows.append({"trial": t, "status": "fail", "detail": str(failures[t])})
+    return rows
+
+
+def run_scatterer_campaign(sc: Scenario, normals=None, rhos=None):
     """Monte Carlo of the single-receiver scatterer estimator.
 
     ``normals`` is a :func:`trial_normals` array of ``sc``'s seed and trial
     count, at least four wide (its first four columns are used), drawn
-    here when None.
+    here when None.  ``rhos`` is a grid of noise scales, as in
+    :func:`run_wls_campaign`: with it the result is one report per scale,
+    without it the report at ``sc.noise``.
     """
     start = time.perf_counter()
     b_n = sc.rrhs[sc.scatterer_rrh]
     b_1 = sc.rrhs[0]
-    qs = build_qs(sc.noise)
+    noises = _noise_grid(sc, rhos)
+    qss = np.stack([build_qs(noise) for noise in noises])
     batches = _solve_in_blocks(
         sc,
         scatterer_measurement(sc.scatterer_true, sc.ue_true, b_n, b_1),
-        scatterer_sigma_components(sc.noise),
+        np.stack([scatterer_sigma_components(noise) for noise in noises]),
         normals,
-        lambda ms: scatterer_wls_solve_batch(ms, b_n, b_1, sc.ue_true, qs),
+        lambda ms: scatterer_wls_solve_batch(ms, b_n, b_1, sc.ue_true, qss[:, None]),
     )
-    x = np.concatenate([b.x for b in batches])
-    failures = np.concatenate([b.failures for b in batches])
-    ok = np.equal(failures, None)
-    if not ok.any():
-        raise _campaign_failed(failures)
-    estimates = x[ok]
-    truths = np.tile(sc.scatterer_true, (len(estimates), 1))
-    crlb = crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qs)
-    report = compute_metrics(estimates, truths, crlb=crlb)
-    report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
-    report.trials = sc.trials
-    report.runtime = time.perf_counter() - start
-    return report
+    reports = []
+    for x, failures, qs in zip(_joined(batches, "x"), _joined(batches, "failures"), qss):
+        ok = np.equal(failures, None)
+        if not ok.any():
+            raise _campaign_failed(failures)
+        estimates = x[ok]
+        truths = np.tile(sc.scatterer_true, (len(estimates), 1))
+        crlb = crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qs)
+        report = compute_metrics(estimates, truths, crlb=crlb)
+        report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
+        report.trials = sc.trials
+        reports.append(report)
+    runtime = time.perf_counter() - start
+    for report in reports:
+        report.runtime = runtime
+    return reports[0] if rhos is None else reports
 
 
 def run_sr_campaign(sc: Scenario, nas=None):

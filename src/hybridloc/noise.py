@@ -147,13 +147,14 @@ def draw_dominant(cfg: NoiseConfig, sd, rng, pinned=None) -> np.ndarray | None:
 
     None in Gaussian mode, which draws nothing from ``rng``.  In structured
     mode it is ``pinned`` when given, checked against the layout, and else
-    ``sd.size`` normals from ``rng`` scaled by ``sd``.  ``rng`` may also be
-    a function that builds the generator; it is called only to draw.
+    ``sd.shape[-1]`` normals from ``rng`` scaled by ``sd``; a stack of
+    layouts ``sd`` (one per noise scale) scales one draw.  ``rng`` may also
+    be a function that builds the generator; it is called only to draw.
     """
     if cfg.mode == "gaussian":
         return None
     if pinned is None:
-        return dominant_shape(sd.size, rng() if callable(rng) else rng) * sd
+        return dominant_shape(sd.shape[-1], rng() if callable(rng) else rng) * sd
     pinned = np.asarray(pinned, dtype=float)
     if pinned.shape != sd.shape:
         raise DimensionMismatchError(

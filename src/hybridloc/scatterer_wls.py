@@ -26,7 +26,7 @@ from .geometry import (
     look_rates,
     velocity_direction,
 )
-from .ue_wls import _dense, _fail, _iterated_solve, _square
+from .ue_wls import _dense, _fail, _iterated_solve, _square, _stacked_covariance
 from .ue_wls import solve_linear  # noqa: F401  perfbench's tracer expects scatterer_wls to bind it
 
 
@@ -164,20 +164,21 @@ def build_bs(xs, b_n, ue, errors=None) -> np.ndarray:
 
 
 def scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs) -> ScattererBatch:
-    """WLS estimates of a stack of path measurements ``ms`` (T, 4).
+    """WLS estimates of a stack of path measurements ``ms`` (..., T, 4).
 
-    Each trial runs as :func:`scatterer_wls_solve` would run it alone, and
-    fails alone.  This is the user's iterated solve with one iteration and
-    the covariance at the estimate.
+    ``ms`` carries one or more leading batch axes, and the covariance
+    ``qs`` is (4, 4) or a stack whose leading axes broadcast against them,
+    as in ``ue_wls.wls_solve_batch``.  Each trial runs as
+    :func:`scatterer_wls_solve` would run it alone, and fails alone.  This
+    is the user's iterated solve with one iteration and the covariance at
+    the estimate.
     """
-    qs = np.asarray(qs, dtype=float)
-    if qs.shape != (4, 4):
-        raise DimensionMismatchError("path covariance must be 4x4")
     ms = np.asarray(ms, dtype=float)
-    if ms.ndim != 2:
-        raise DimensionMismatchError("path measurements must be stacked as (trials, 4)")
+    if ms.ndim < 2:
+        raise DimensionMismatchError("path measurements must be stacked as (..., trials, 4)")
+    qs = _stacked_covariance(qs, ms.shape[:-1] + (4,), "path covariance must be 4x4")
     h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
-    errors = np.full(len(ms), None, dtype=object)
+    errors = np.full(h.shape[:-1], None, dtype=object)
     xs, cov = _iterated_solve(
         h, g @ t, qs, lambda x, e: bs_bands(x, b_n, ue, e), 1, True, errors
     )

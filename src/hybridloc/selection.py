@@ -64,13 +64,14 @@ evaluates the block's paths at once.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
 
-from .errors import DimensionMismatchError, HybridlocError, ScenarioError
+from .errors import DimensionMismatchError, HybridlocError, NumericalError, ScenarioError
 from .geometry import (
     SPEED_OF_LIGHT,
     angular_vectors,
@@ -484,10 +485,16 @@ _RAY = attrgetter("phi", "theta", "tau")
 
 
 def _picks(paths_by_rrh) -> list:
-    """``(receiver index, earliest path)`` of every reporting receiver."""
+    """``(receiver index, earliest path)`` of every reporting receiver.
+
+    A pick whose azimuth, elevation or delay is not finite raises
+    ``NumericalError``: its ray and rough fix would be undefined.
+    """
     picks = [(idx, min(paths, key=_TAU)) for idx, paths in enumerate(paths_by_rrh) if paths]
     if len(picks) < 2:
         raise ScenarioError("selection needs paths from at least two receivers")
+    if not all(math.isfinite(v) for _, pick in picks for v in _RAY(pick)):
+        raise NumericalError("a receiver's earliest path has a non-finite angle or delay")
     return picks
 
 

@@ -32,7 +32,17 @@ velocity entries as invalid (NaN).
 The core works on stacks of trials: ``build_system``, ``build_b`` and
 ``solve_linear`` accept leading batch axes, and ``wls_solve_batch`` solves
 a stack of measurements at once, each trial failing alone.  ``wls_solve``
-is its batch of one.
+is its batch of one.  The stack may carry several batch axes, such as
+(R, T, dim) for T trials at R noise scales, with a stack of covariances
+whose leading axes broadcast against them, such as (R, 1, dim, dim): each
+distinct covariance is inverted once, and each trial's products are the
+ones it gets alone.
+
+Each normal matrix is factored once (:func:`solve_normal`): the stack is
+inverted, and the condition-number test ``cond > _COND_LIMIT`` is screened
+from that inverse by the 1-norm condition number, which bounds the 2-norm
+one within a factor n either way; only the members the screen cannot
+decide take the SVD of ``np.linalg.cond``.
 """
 
 from __future__ import annotations
@@ -88,8 +98,9 @@ class WlsResult:
 class WlsBatch:
     """Solutions of a stack of estimations, one row per trial.
 
-    ``x`` (T, 6), ``cov`` (T, 6, 6) and ``velocity_valid`` (T,) follow
-    :class:`WlsResult`'s conventions.  ``failures`` (an object array) holds
+    ``x`` (..., 6), ``cov`` (..., 6, 6) and ``velocity_valid`` (...) follow
+    :class:`WlsResult`'s conventions, over the batch axes of the
+    measurements.  ``failures`` (an object array over the same axes) holds
     the ``HybridlocError`` each failed trial raised, or None; a failed
     trial's rows of ``x`` and ``cov`` are NaN.
     """
@@ -122,16 +133,6 @@ def _fail(errors, mask, exc_type, message: str) -> None:
             errors.flat[i] = exc_type(message)
 
 
-def _on_live(fn, a, live, item_shape):
-    """``fn`` over the live members of the stack ``a``, NaN for the others."""
-    if live.all():
-        return fn(a)
-    out = np.full(live.shape + item_shape, np.nan)
-    if live.any():
-        out[live] = fn(a[live])
-    return out
-
-
 def _invert(q):
     """Inverse of the covariance ``q``; a singular one raises
     ``SingularProblemError``."""
@@ -139,6 +140,24 @@ def _invert(q):
         return np.linalg.inv(q)
     except np.linalg.LinAlgError:
         raise SingularProblemError("weighting matrix is singular") from None
+
+
+def _stacked_covariance(q, shape, message: str) -> np.ndarray:
+    """``q`` as a float array that fits measurements of stack ``shape``.
+
+    ``q`` is (dim, dim) for the last entry ``dim`` of ``shape``, or a stack
+    of them whose leading axes broadcast against ``shape[:-1]``; otherwise
+    ``DimensionMismatchError(message)`` is raised.
+    """
+    q = np.asarray(q, dtype=float)
+    lead, dim = shape[:-1], shape[-1]
+    try:
+        fits = q.shape[-2:] == (dim, dim) and np.broadcast_shapes(q.shape[:-2], lead) == lead
+    except ValueError:
+        fits = False
+    if not fits:
+        raise DimensionMismatchError(message)
+    return q
 
 
 def unpack_measurement(m, n_receivers: int):
@@ -314,22 +333,69 @@ def solve_linear(h, g, w, errors=None):
     return solve_normal(gtw @ g, gtw @ h[..., None], errors)
 
 
+def _norm1(a):
+    """The 1-norm (largest absolute column sum) of each matrix of ``a``."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _invert_normal(normal):
+    """``(inv(normal), singular)`` for finite matrices ``normal`` (..., n, n).
+
+    ``singular`` flags the members whose 2-norm condition number, as
+    ``np.linalg.cond`` computes it, exceeds ``_COND_LIMIT``; their inverse
+    is NaN.  Each matrix is factored once: the stack is inverted first, and
+    ``k1 = |N|_1 |inv(N)|_1`` screens it.  The 2-norm condition number lies
+    between ``k1 / n`` and ``n k1``, so a member with ``k1`` below
+    ``_COND_LIMIT / (4n)`` is regular and one with a finite ``k1`` above
+    ``4n _COND_LIMIT`` singular; only the members in between, or with a
+    non-finite ``k1``, take the SVD of ``np.linalg.cond``.  When the
+    inversion raises (an exactly singular member), ``cond`` runs first and
+    only the regular members are inverted.
+    """
+    try:
+        inv_normal = np.linalg.inv(normal)
+    except np.linalg.LinAlgError:
+        singular = np.asarray(np.linalg.cond(normal) > _COND_LIMIT)
+        inv_normal = np.full(normal.shape, np.nan)
+        inv_normal[~singular] = np.linalg.inv(normal[~singular])
+        return inv_normal, singular
+    n = normal.shape[-1]
+    with np.errstate(over="ignore"):
+        k1 = _norm1(normal) * _norm1(inv_normal)
+    regular = k1 < _COND_LIMIT / (4 * n)
+    if regular.all():
+        return inv_normal, ~regular
+    singular = np.asarray(~regular & np.isfinite(k1) & (k1 > 4 * n * _COND_LIMIT))
+    unsure = ~regular & ~singular
+    if unsure.any():
+        singular[unsure] = np.linalg.cond(normal[unsure]) > _COND_LIMIT
+    inv_normal[singular] = np.nan
+    return inv_normal, singular
+
+
 def solve_normal(normal, rhs, errors=None):
     """Solve the normal equations ``normal x = rhs``; returns (x, inv(normal)).
 
     ``normal`` (..., n, n) and ``rhs`` (..., n, 1) may carry leading batch
     axes, and ``errors`` follows :func:`solve_linear`'s rules: each member
     is checked for non-finite entries, then for a condition number beyond
-    ``_COND_LIMIT``, then for a non-finite solution.
+    ``_COND_LIMIT``, then for a non-finite solution.  The live members are
+    inverted once, and the condition number is screened from that inverse
+    (:func:`_invert_normal`); the decision is ``np.linalg.cond``'s.
     """
     live = np.isfinite(normal).all(axis=(-2, -1))
     _fail(errors, ~live, NumericalError, "normal equations contain non-finite entries")
     if errors is not None:
         live = live & np.equal(errors, None)
-    singular = live & (_on_live(np.linalg.cond, normal, live, ()) > _COND_LIMIT)
+    if live.all():
+        inv_normal, singular = _invert_normal(normal)
+    else:
+        inv_normal = np.full(normal.shape, np.nan)
+        singular = np.zeros(live.shape, dtype=bool)
+        if live.any():
+            inv_normal[live], singular[live] = _invert_normal(normal[live])
     _fail(errors, singular, SingularProblemError, "normal equations are singular or near-singular")
     live = live & ~singular
-    inv_normal = _on_live(np.linalg.inv, normal, live, normal.shape[-2:])
     x = (inv_normal @ rhs)[..., 0]
     blown = live & ~np.isfinite(x).all(axis=-1)
     _fail(errors, blown, NumericalError, "solution contains non-finite entries")
@@ -381,57 +447,68 @@ def _iterated_solve(h, g, q, bands, iters: int, covariance_at_estimate: bool, er
 
 
 def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
-    """Iterated WLS estimates of a stack of measurements ``ms`` (T, dim).
+    """Iterated WLS estimates of a stack of measurements ``ms`` (..., T, dim).
 
+    ``ms`` carries one or more leading batch axes, for instance (R, T,
+    dim) for T trials at R noise scales.  The covariance ``q`` is (dim,
+    dim) or a stack whose leading axes broadcast against those of ``ms``,
+    such as (R, 1, dim, dim); each distinct covariance is inverted once.
     Each trial runs as :func:`wls_solve` would run it alone, and fails
     alone.  Trials whose joint normal matrix is singular are solved again
-    together on the position-only rows.
+    on the position-only rows, together with the others of their trial
+    column (the last batch axis), whose position-only results are dropped.
     """
     rrhs = np.asarray(rrhs, dtype=float)
-    q = np.asarray(q, dtype=float)
     ms = np.asarray(ms, dtype=float)
-    if ms.ndim != 2:
-        raise DimensionMismatchError("measurements must be stacked as (trials, length)")
+    if ms.ndim < 2:
+        raise DimensionMismatchError("measurements must be stacked as (..., trials, length)")
     h, g = build_system(ms, rrhs)
-    if q.shape != (h.shape[-1], h.shape[-1]):
-        raise DimensionMismatchError("covariance does not match measurement size")
+    q = _stacked_covariance(q, h.shape, "covariance does not match measurement size")
 
-    errors = np.full(len(ms), None, dtype=object)
+    errors = np.full(h.shape[:-1], None, dtype=object)
     x, cov = _iterated_solve(
         h, g, q, lambda x, e: b_bands(x, rrhs, e), iters, True, errors
     )
     valid = np.equal(errors, None)
     if not valid.all():
         # Velocity unidentifiable (fewer than four receivers in general
-        # position): solve these trials on the position-only rows.
-        fallback = np.flatnonzero(
-            [isinstance(e, SingularProblemError) for e in errors]
-        )
-        if fallback.size:
+        # position): solve these trials on the position-only rows.  Whole
+        # trial columns are solved, so that the sub-covariance keeps its
+        # leading axes and is inverted once per distinct covariance.
+        fallback = np.array(
+            [isinstance(e, SingularProblemError) for e in errors.flat], dtype=bool
+        ).reshape(errors.shape)
+        if fallback.any():
+            cols = np.flatnonzero(fallback.any(axis=tuple(range(fallback.ndim - 1))))
             rows = np.flatnonzero(_position_row_mask(rrhs.shape[0]))
-            pos_errors = np.full(fallback.size, None, dtype=object)
+            q_pos = q[..., rows[:, None], rows]
+            if q_pos.ndim > 2 and q_pos.shape[-3] > 1:
+                q_pos = q_pos[..., cols, :, :]
+            pos_errors = np.full(errors.shape[:-1] + cols.shape, None, dtype=object)
 
             def pos_bands(pos, e):
                 # The restricted rows of B are its TDOA and AOA rows, which
                 # hold only their diagonal: the sub-block is diagonal.
                 full = np.concatenate([pos, np.zeros_like(pos)], axis=-1)
                 diag, low = b_bands(full, rrhs, e)
-                return diag[:, rows], low[:, :0]
+                return diag[..., rows], low[..., :0, :]
 
             pos, cov_pos = _iterated_solve(
-                h[fallback][:, rows],
-                g[fallback][:, rows, :3],
-                q[np.ix_(rows, rows)],
+                h[..., cols, :][..., rows],
+                g[..., cols, :, :][..., rows, :3],
+                q_pos,
                 pos_bands,
                 iters,
                 False,
                 pos_errors,
             )
-            errors[fallback] = pos_errors
-            x[fallback] = np.nan
-            x[fallback, :3] = pos
-            cov[fallback] = np.nan
-            cov[fallback, :3, :3] = cov_pos
+            sub = fallback[..., cols]
+            x_pos = np.concatenate([pos, np.full(pos.shape, np.nan)], axis=-1)
+            cov_full = np.full(cov_pos.shape[:-2] + (6, 6), np.nan)
+            cov_full[..., :3, :3] = cov_pos
+            errors[..., cols] = np.where(sub, pos_errors, errors[..., cols])
+            x[..., cols, :] = np.where(sub[..., None], x_pos, x[..., cols, :])
+            cov[..., cols, :, :] = np.where(sub[..., None, None], cov_full, cov[..., cols, :, :])
         failed = ~np.equal(errors, None)
         x[failed] = np.nan
         cov[failed] = np.nan

@@ -172,16 +172,24 @@ class TestSharedNoiseAcrossRhos:
                        "--out", str(tmp_path / "s.csv")) == EXIT_OK
         assert sorted(opened) == [([12345, t],) for t in range(20)]
 
-    def test_both_campaigns_run_per_rho(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("per_trial", [False, True])
+    def test_each_campaign_runs_once_over_the_grid(self, tmp_path, monkeypatch, per_trial):
         calls = []
         for name in ("run_wls_campaign", "run_scatterer_campaign"):
             def spy(sc, *args, _name=name, _fn=getattr(harness, name), **kwargs):
-                calls.append(_name)
+                calls.append((_name, kwargs.get("rhos")))
                 return _fn(sc, *args, **kwargs)
             monkeypatch.setattr(cli, name, spy)
-        assert run_cli("simulate", "--rho", "0.1", "1", "--trials", "3",
-                       "--out", str(tmp_path / "s.csv")) == EXIT_OK
-        assert calls == ["run_wls_campaign", "run_scatterer_campaign"] * 2
+        out = tmp_path / "s.json"
+        extra = ("--per-trial", str(tmp_path / "t.json")) if per_trial else ()
+        assert run_cli("simulate", "--rho", "0.1", "1", "10", "--trials", "3",
+                       "--format", "json", "--out", str(out), *extra) == EXIT_OK
+        grid = [0.1, 1.0, 10.0]
+        assert calls == [("run_wls_campaign", grid), ("run_scatterer_campaign", grid)]
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["rho"] for row in rows] == grid
+        for row in rows:
+            assert all(row[key] is not None for key in row if key.startswith("scat_"))
 
 
 class TestCrlb:

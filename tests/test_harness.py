@@ -1,13 +1,18 @@
 """Tests for the Monte Carlo harness and metric computation."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import wls_oracle
 from hybridloc import harness, nn, selection
 from hybridloc.crlb import crlb_scatterer, crlb_ue, position_trace, velocity_trace
 from hybridloc.errors import (
+    CampaignFailedError,
     DimensionMismatchError,
     HybridlocError,
     NumericalError,
@@ -298,6 +303,80 @@ class TestSharedNormals:
             campaign(sc, normals=z)
 
 
+def _outcome(run):
+    """What ``run()`` returns, or the class and message of what it raised."""
+    try:
+        return run()
+    except HybridlocError as exc:
+        return type(exc), str(exc)
+
+
+def _fields(report):
+    """A report's fields, runtime left out, with every float as its repr."""
+    return repr(sorted((k, v) for k, v in report.to_dict().items() if k != "runtime"))
+
+
+GRID_NOISES = [
+    NoiseConfig(),
+    NoiseConfig(mode="structured", ratio=0.1),
+]
+
+
+class TestRhoGrid:
+    """A campaign over a grid of noise scales is the per-scale campaigns,
+    bit for bit: the grid's (R, block) stacks solve each trial as the
+    per-scale (block,) stacks did."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(GRID_NOISES),
+        st.sampled_from([3, 4, 6]),
+        st.integers(1, 140),
+        st.integers(0, 2**31 - 1),
+        st.lists(st.sampled_from([0.1, 0.3, 1.0, 3.0, 10.0]), min_size=1, max_size=4),
+    )
+    @example(GRID_NOISES[0], 6, 4, 25, [10.0])
+    @example(GRID_NOISES[0], 6, 1, 25, [0.1, 10.0])
+    @example(GRID_NOISES[1], 3, 70, 25, [0.1, 1.0, 10.0])
+    def test_grid_equals_per_rho_campaigns(self, noise, n_a, trials, seed, rhos):
+        sc = load_scenario(SCENARIOS / "crlb-attainment.yaml").replace(
+            noise=noise, n_a=n_a, trials=trials, seed=seed
+        )
+        z = harness.trial_normals(sc)
+        scaled = [sc.replace(noise=noise.scaled(rho)) for rho in rhos]
+
+        def ue_entries(results):
+            return [(_fields(report), repr(rows)) for report, rows in results]
+
+        grid = _outcome(lambda: ue_entries(
+            harness.run_wls_campaign(sc, collect_trials=True, normals=z, rhos=rhos)))
+        single = _outcome(lambda: ue_entries(
+            wls_oracle.run_wls_campaign_per_rho(sc_r, collect_trials=True, normals=z)
+            for sc_r in scaled))
+        assert grid == single
+        grid = _outcome(lambda: [
+            _fields(r) for r in harness.run_scatterer_campaign(sc, normals=z, rhos=rhos)])
+        single = _outcome(lambda: [
+            _fields(wls_oracle.run_scatterer_campaign_per_rho(sc_r, normals=z))
+            for sc_r in scaled])
+        assert grid == single
+
+    def test_pinned_scatterer_failure_over_the_grid(self):
+        sc = load_scenario(SCENARIOS / "crlb-attainment.yaml").replace(trials=4, seed=25)
+        reports = harness.run_scatterer_campaign(sc, rhos=[0.1, 1.0, 10.0])
+        assert [r.failure_rate for r in reports] == [0.0, 0.0, 0.25]
+        with pytest.raises(CampaignFailedError, match="every trial failed"):
+            harness.run_scatterer_campaign(sc.replace(trials=1), rhos=[0.1, 10.0])
+
+    def test_without_rhos_is_the_grid_of_sc_noise(self):
+        sc = Scenario(trials=5, seed=3)
+        (alone, rows), = harness.run_wls_campaign(sc, collect_trials=True, rhos=[1.0])
+        report, given_rows = harness.run_wls_campaign(sc, collect_trials=True)
+        assert _fields(report) == _fields(alone) and given_rows == rows
+        (alone,) = harness.run_scatterer_campaign(sc, rhos=[1.0])
+        assert _fields(harness.run_scatterer_campaign(sc)) == _fields(alone)
+
+
 def _every_trial_singular(solve):
     """A batch solver that runs ``solve`` and then fails every trial."""
 
@@ -364,6 +443,24 @@ class TestSrCampaign:
         report = harness.run_sr_campaign(sc)
         assert report.failure_rate == 0.5
         assert report.success_rate == 0.5
+
+    def test_non_finite_pick_counts_as_failed(self, monkeypatch):
+        sc = Scenario(noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), trials=8, seed=5)
+        clean = harness.run_sr_campaign(sc, [4, 6])
+        paths = selection.simulate_paths(sc, np.random.default_rng([sc.seed, 2]))
+        hits = [selection.select_los(paths, sc.rrhs, n_a=na).all_selected_are_los()
+                for na in (4, 6)]
+        real = harness.simulate_paths_batch
+
+        def nan_angles_in_trial_2(sc, streams):
+            block = real(sc, streams)
+            block[2] = [[dataclasses.replace(p, phi=np.nan) for p in ps] for ps in block[2]]
+            return block
+
+        monkeypatch.setattr(harness, "simulate_paths_batch", nan_angles_in_trial_2)
+        for before, after, hit in zip(clean, harness.run_sr_campaign(sc, [4, 6]), hits):
+            assert after.failure_rate == before.failure_rate + 1 / 8
+            assert after.success_rate == before.success_rate - hit / 8
 
     def test_grid_equals_single_campaigns(self):
         # 70 trials span two blocks of harness._BLOCK.

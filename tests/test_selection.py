@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import selection_oracle as oracle
 from hybridloc import selection
-from hybridloc.errors import DimensionMismatchError, ScenarioError
+from hybridloc.errors import DimensionMismatchError, NumericalError, ScenarioError
 from hybridloc.geometry import SPEED_OF_LIGHT
 from hybridloc.noise import NoiseConfig
 from hybridloc.scenario import DEFAULT_RRHS, Scenario
@@ -359,6 +359,28 @@ class TestLosCandidates:
             c = los_candidates(paths, sc.rrhs)
             fixes = [rough_fix(pick, sc.rrhs[idx]) for idx, pick in c.picks]
             assert np.array_equal(c.fixes, np.array(fixes)), (p_d, bias, t)
+
+    @pytest.mark.parametrize("field, value", [("phi", np.nan), ("theta", np.nan),
+                                              ("tau", np.inf), ("tau", -np.inf)])
+    def test_non_finite_pick_fails_its_trial_alone(self, field, value):
+        # A NaN angle or an infinite delay used to reach the seed pick and
+        # raise numpy's reshape ValueError for the whole block.
+        sc = Scenario(noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=0.5)
+        block = [simulate_paths(sc, np.random.default_rng([73, t])) for t in range(4)]
+        alone = [los_candidates(paths, RRHS) for paths in block]
+        poisoned = [list(paths) for paths in block[1]]
+        receiver = next(i for i, paths in enumerate(poisoned) if paths)
+        # The receiver's only path, so that it is the pick.
+        poisoned[receiver] = [dataclasses.replace(poisoned[receiver][0], **{field: value})]
+        block[1] = poisoned
+        entries = los_candidates_batch(block, RRHS)
+        assert isinstance(entries[1], NumericalError)
+        assert "non-finite" in str(entries[1])
+        for t in (0, 2, 3):
+            assert_same_record(entries[t], alone[t])
+        for n_a in (4, None):
+            with pytest.raises(NumericalError, match="non-finite"):
+                select_los(poisoned, RRHS, n_a=n_a)
 
     def test_block_isolates_its_trials(self):
         sc = Scenario(noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=0.5)

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wls_oracle as oracle
-from hybridloc.errors import HybridlocError, NumericalError, SingularProblemError
+from hybridloc.errors import (
+    DimensionMismatchError,
+    HybridlocError,
+    NumericalError,
+    SingularProblemError,
+)
 from hybridloc.geometry import scatterer_measurement, ue_measurement
 from hybridloc.noise import NoiseConfig, build_q, build_qs, sample_gaussian
 from hybridloc.scatterer_wls import bs_bands, build_bs, scatterer_wls_solve_batch
@@ -22,7 +27,9 @@ from hybridloc.ue_wls import (
     b_bands,
     build_b,
     build_system,
+    _COND_LIMIT,
     solve_linear,
+    solve_normal,
     wls_solve,
     wls_solve_batch,
 )
@@ -374,3 +381,157 @@ class TestWhitenedCovarianceAccuracy:
             exact = np.array([[float(exact[i, j]) for j in range(6)] for i in range(6)])
         sd = np.sqrt(np.diag(exact))
         assert np.max(np.abs(cov - exact) / np.outer(sd, sd)) <= 1e-10
+
+
+def _normal_member(kind: str, n: int, rng) -> np.ndarray:
+    """One normal matrix of the kind a solve can meet; "scaled" and
+    "rank_deficient" ones have columns scaled by 1e-8 to 1e8."""
+    if kind.startswith("near_limit"):
+        # 2-norm condition number within 1e-3 of the limit.  A symmetric
+        # matrix's 1-norm condition number is never below it.  The skewed
+        # one's is below it: its largest singular pair is (e_1, spread) and
+        # its smallest (spread, (e_1 - e_2) / sqrt(2)).
+        u = v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        if kind.endswith("skewed"):
+            e = np.eye(n)
+            u = np.linalg.qr(np.column_stack([e[0], rng.standard_normal((n, n - 1))]))[0]
+            q = np.linalg.qr(np.column_stack(
+                [np.ones(n), e[0] - e[1], rng.standard_normal((n, n - 2))]))[0]
+            v = np.column_stack([q[:, :1], q[:, 2:], q[:, 1:2]])
+        top = 10.0 ** rng.uniform(-4, 4)
+        s = np.geomspace(top, top / (_COND_LIMIT * (1.0 + rng.uniform(-1e-3, 1e-3))), n)
+        return (u * s) @ v.T
+    rows = {"regular": n + 3, "scaled": n + 3, "rank_deficient": n - 1}.get(kind, n)
+    a = rng.standard_normal((rows, n))
+    if kind == "zero_column":
+        a[:, rng.integers(n)] = 0.0
+    normal = a.T @ a
+    if kind in ("scaled", "rank_deficient"):
+        d = 10.0 ** rng.uniform(-8, 8, n)
+        normal = normal * np.outer(d, d)
+    if kind == "non_finite":
+        normal[rng.integers(n), rng.integers(n)] = rng.choice([np.nan, np.inf])
+    return normal
+
+
+class TestSolveNormalScreen:
+    """``solve_normal`` inverts once and screens the condition number from
+    that inverse; its decisions, solutions and inverses are those of the
+    retired form that took every member's SVD first."""
+
+    KINDS = ["regular", "regular", "scaled", "rank_deficient", "zero_column",
+             "near_limit", "near_limit_skewed", "non_finite", "failed"]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([3, 4, 6]),
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=10),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_cond_first_form(self, n, kinds, seed):
+        rng = np.random.default_rng(seed)
+        normal = np.array([_normal_member(kind, n, rng) for kind in kinds])
+        rhs = rng.standard_normal((len(kinds), n, 1)) * 10.0 ** rng.uniform(-3, 3)
+        outcomes = []
+        for solve in (solve_normal, oracle.solve_normal_cond_first):
+            errors = np.array([NumericalError("earlier") if kind == "failed" else None
+                               for kind in kinds], dtype=object)
+            x, inv = solve(normal, rhs, errors)
+            outcomes.append((x, inv, [repr(e) for e in errors]))
+        (x, inv, errors), (x_o, inv_o, errors_o) = outcomes
+        assert errors == errors_o
+        assert np.array_equal(x, x_o, equal_nan=True)
+        assert np.array_equal(inv, inv_o, equal_nan=True)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([3, 4, 6]),
+        st.sampled_from(["regular", "scaled", "rank_deficient", "zero_column", "near_limit",
+                         "near_limit_skewed"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_a_single_matrix_raises_as_the_cond_first_form(self, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        normal, rhs = _normal_member(kind, n, rng), rng.standard_normal((n, 1))
+        outcomes = [_oracle(solve, normal, rhs)
+                    for solve in (solve_normal, oracle.solve_normal_cond_first)]
+        if isinstance(outcomes[1], HybridlocError):
+            assert repr(outcomes[0]) == repr(outcomes[1])
+        else:
+            for new, old in zip(*outcomes):
+                assert np.array_equal(new, old)
+
+    def test_only_unsure_members_take_an_svd(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        kinds = ["regular"] * 5 + ["near_limit", "rank_deficient"]
+        normal = np.array([_normal_member(kind, 6, rng) for kind in kinds])
+        cond = np.linalg.cond
+        seen = []
+
+        def counting_cond(a, *args, **kwargs):
+            seen.append(len(a))
+            return cond(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        errors = np.full(len(kinds), None, dtype=object)
+        solve_normal(normal, np.ones((len(kinds), 6, 1)), errors)
+        assert seen == [1]
+        assert [type(e).__name__ for e in errors[5:]] == ["SingularProblemError"] * 2
+        assert all(e is None for e in errors[:5])
+
+
+class TestStackedCovariances:
+    """Measurements with several batch axes and a covariance per leading
+    index solve each member as its own (T,) stack does."""
+
+    @pytest.mark.parametrize("n_a", [3, 4, 6])
+    def test_one_covariance_per_noise_scale(self, n_a):
+        ms, rrhs, _ = _ue_stack(n_a=n_a, trials=7, seed=n_a)
+        rhos = (0.1, 1.0, 30.0)
+        qs = np.array([build_q(n_a, NoiseConfig().scaled(rho)) for rho in rhos])
+        grid = wls_solve_batch(np.array([ms * rho for rho in rhos]), rrhs, qs[:, None])
+        for r, rho in enumerate(rhos):
+            alone = wls_solve_batch(ms * rho, rrhs, qs[r])
+            assert np.array_equal(grid.x[r], alone.x, equal_nan=True)
+            assert np.array_equal(grid.cov[r], alone.cov, equal_nan=True)
+            assert np.array_equal(grid.velocity_valid[r], alone.velocity_valid)
+            assert [repr(e) for e in grid.failures[r]] == [repr(e) for e in alone.failures]
+
+    @pytest.mark.parametrize("n_a", [3, 6])
+    def test_one_covariance_per_trial(self, n_a):
+        # The position-only fallback picks each trial's own sub-covariance;
+        # the failed trial 2 takes no part in it.
+        ms, rrhs, q = _ue_stack(n_a=n_a, trials=5, seed=12)
+        ms[2, 0] = np.nan
+        qs = np.array([q * 4.0**t for t in range(5)])
+        batch = wls_solve_batch(ms, rrhs, qs)
+        for t in range(5):
+            alone = wls_solve_batch(ms[t : t + 1], rrhs, qs[t])
+            assert np.array_equal(batch.x[t], alone.x[0], equal_nan=True)
+            assert np.array_equal(batch.cov[t], alone.cov[0], equal_nan=True)
+            assert repr(batch.failures[t]) == repr(alone.failures[0])
+
+    def test_scatterer_covariance_per_noise_scale(self):
+        sc = Scenario()
+        b_n, b_1 = DEFAULT_RRHS[3], DEFAULT_RRHS[0]
+        rng = np.random.default_rng(6)
+        m = scatterer_measurement(sample_scatterer_state(sc, rng), sc.ue_true, b_n, b_1)
+        z = rng.standard_normal((9, 4))
+        rhos = (0.1, 3.0)
+        qss = np.array([build_qs(NoiseConfig().scaled(rho)) for rho in rhos])
+        ms = m + np.sqrt(np.diagonal(qss, axis1=-2, axis2=-1))[:, None, :] * z
+        grid = scatterer_wls_solve_batch(ms, b_n, b_1, sc.ue_true, qss[:, None])
+        for r in range(len(rhos)):
+            alone = scatterer_wls_solve_batch(ms[r], b_n, b_1, sc.ue_true, qss[r])
+            assert np.array_equal(grid.x[r], alone.x, equal_nan=True)
+            assert np.array_equal(grid.cov[r], alone.cov, equal_nan=True)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 4), (1, 1, 1)])
+    def test_covariance_that_does_not_broadcast_is_rejected(self, shape):
+        ms, rrhs, q = _ue_stack(trials=5)
+        with pytest.raises(DimensionMismatchError, match="covariance"):
+            wls_solve_batch(np.array([ms] * 3), rrhs, np.broadcast_to(q, shape + q.shape))
+        qs = build_qs(NoiseConfig())
+        with pytest.raises(DimensionMismatchError, match="covariance"):
+            scatterer_wls_solve_batch(np.zeros((3, 5, 4)), DEFAULT_RRHS[3], DEFAULT_RRHS[0],
+                                      Scenario().ue_true, np.broadcast_to(qs, shape + (4, 4)))

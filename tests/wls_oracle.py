@@ -9,13 +9,33 @@ inv(B) G)`` with ``W = inv(Q)``, which equals the solve of ``(h, G)`` with
 ``W = inv(B Q B')``; ``inv(B)`` is applied row by row through B's
 sparsity, and a zero or non-finite pivot raises ``SingularProblemError``.
 They raise on the first failure, as one trial of the stacked solvers fails.
+
+Two retired stacked forms are kept here only as oracles:
+``solve_normal_cond_first`` takes every live member's SVD condition number
+before inverting, and ``run_wls_campaign_per_rho`` and
+``run_scatterer_campaign_per_rho`` run one noise scale per call on
+``(trials, dim)`` stacks, as ``hybridloc simulate`` used to call them once
+per scale.
 """
+
+import functools
 
 import numpy as np
 
+from hybridloc import harness
+from hybridloc.crlb import crlb_scatterer, crlb_ue_traces
 from hybridloc.errors import DegenerateGeometryError, NumericalError, SingularProblemError
-from hybridloc.geometry import measurement_dim
-from hybridloc.ue_wls import _COND_LIMIT, _position_row_mask
+from hybridloc.geometry import measurement_dim, scatterer_measurement, ue_measurement
+from hybridloc.noise import (
+    add_noise,
+    build_q,
+    build_qs,
+    draw_dominant,
+    scatterer_sigma_components,
+    sigma_components,
+)
+from hybridloc.scatterer_wls import scatterer_wls_solve_batch
+from hybridloc.ue_wls import _COND_LIMIT, _fail, _position_row_mask, wls_solve_batch
 from scalar_geometry import angle_rates, angular_vectors, aoa_los, los_range, range_rate
 
 
@@ -227,3 +247,121 @@ def scatterer_wls_solve(ms, b_n, b_1, ue, qs):
     xs, _ = solve_linear(h, gt, w)
     _, cov = solve_linear(*whiten(build_bs(xs, b_n, ue), h, gt, 2), w)
     return xs, cov
+
+
+def _on_live(fn, a, live, item_shape):
+    """``fn`` over the live members of the stack ``a``, NaN for the others."""
+    if live.all():
+        return fn(a)
+    out = np.full(live.shape + item_shape, np.nan)
+    if live.any():
+        out[live] = fn(a[live])
+    return out
+
+
+def solve_normal_cond_first(normal, rhs, errors=None):
+    """``ue_wls.solve_normal`` as it was: cond of every live member, then inv."""
+    live = np.isfinite(normal).all(axis=(-2, -1))
+    _fail(errors, ~live, NumericalError, "normal equations contain non-finite entries")
+    if errors is not None:
+        live = live & np.equal(errors, None)
+    singular = live & (_on_live(np.linalg.cond, normal, live, ()) > _COND_LIMIT)
+    _fail(errors, singular, SingularProblemError, "normal equations are singular or near-singular")
+    live = live & ~singular
+    inv_normal = _on_live(np.linalg.inv, normal, live, normal.shape[-2:])
+    x = (inv_normal @ rhs)[..., 0]
+    blown = live & ~np.isfinite(x).all(axis=-1)
+    _fail(errors, blown, NumericalError, "solution contains non-finite entries")
+    if blown.any():
+        x[blown] = np.nan
+        inv_normal[blown] = np.nan
+    return x, inv_normal
+
+
+def _solve_in_blocks(sc, m_true, sd, normals, solve):
+    normals = harness._campaign_normals(sc, sd.size, normals)
+    dominant = draw_dominant(
+        sc.noise, sd,
+        functools.partial(np.random.default_rng, [sc.seed, harness._DOMINANT_STREAM]),
+    )
+    return [
+        solve(add_noise(m_true, sc.noise, sd, dominant, normals[lo : lo + harness._BLOCK]))
+        for lo in range(0, sc.trials, harness._BLOCK)
+    ]
+
+
+def run_wls_campaign_per_rho(sc, collect_trials=False, normals=None):
+    """``harness.run_wls_campaign`` of one noise scale, ``sc.noise``."""
+    rrhs = sc.selected_rrhs()
+    q = build_q(sc.n_a, sc.noise)
+    batches = _solve_in_blocks(
+        sc,
+        ue_measurement(sc.ue_true, rrhs),
+        sigma_components(sc.n_a, sc.noise),
+        normals,
+        lambda ms: wls_solve_batch(ms, rrhs, q, iters=sc.wls_iters),
+    )
+    x = np.concatenate([b.x for b in batches])
+    valid = np.concatenate([b.velocity_valid for b in batches])
+    failures = np.concatenate([b.failures for b in batches])
+    ok = np.equal(failures, None)
+    if not ok.any():
+        raise harness._campaign_failed(failures)
+    rows = []
+    if collect_trials:
+        for t in range(sc.trials):
+            if ok[t]:
+                rows.append({
+                    "trial": t,
+                    "status": "ok",
+                    "error_position": float(np.linalg.norm(x[t, :3] - sc.ue_true[:3])),
+                    "error_velocity": float(np.linalg.norm(x[t, 3:] - sc.ue_true[3:])),
+                })
+            else:
+                rows.append({"trial": t, "status": "fail", "detail": str(failures[t])})
+    estimates = x[ok]
+    if valid[ok].all():
+        report = harness.compute_metrics(estimates, np.tile(sc.ue_true, (len(estimates), 1)))
+    else:
+        report = harness.compute_metrics(
+            estimates[:, :3], np.tile(sc.ue_true[:3], (len(estimates), 1))
+        )
+        if valid.any():
+            with_velocity = x[valid]
+            velocity = harness.compute_metrics(
+                with_velocity, np.tile(sc.ue_true, (len(with_velocity), 1))
+            )
+            report.rmse_velocity = velocity.rmse_velocity
+            report.mae_velocity = velocity.mae_velocity
+    report.crlb_trace_position, report.crlb_trace_velocity = crlb_ue_traces(
+        sc.ue_true, rrhs, q
+    )
+    report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
+    report.trials = sc.trials
+    return (report, rows) if collect_trials else report
+
+
+def run_scatterer_campaign_per_rho(sc, normals=None):
+    """``harness.run_scatterer_campaign`` of one noise scale, ``sc.noise``."""
+    b_n = sc.rrhs[sc.scatterer_rrh]
+    b_1 = sc.rrhs[0]
+    qs = build_qs(sc.noise)
+    batches = _solve_in_blocks(
+        sc,
+        scatterer_measurement(sc.scatterer_true, sc.ue_true, b_n, b_1),
+        scatterer_sigma_components(sc.noise),
+        normals,
+        lambda ms: scatterer_wls_solve_batch(ms, b_n, b_1, sc.ue_true, qs),
+    )
+    x = np.concatenate([b.x for b in batches])
+    failures = np.concatenate([b.failures for b in batches])
+    ok = np.equal(failures, None)
+    if not ok.any():
+        raise harness._campaign_failed(failures)
+    estimates = x[ok]
+    truths = np.tile(sc.scatterer_true, (len(estimates), 1))
+    crlb = crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qs)
+    report = harness.compute_metrics(estimates, truths, crlb=crlb)
+    report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
+    report.trials = sc.trials
+    return report

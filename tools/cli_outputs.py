@@ -6,7 +6,12 @@ runs, in process, on the bundled scenarios:
 
 - ``select-sr --na 4 6 --trials 40`` at seeds 1000-1039, at clock bias 0
   and 100 m (copies of ``selection-sr.yaml``);
-- ``simulate --rho 0.1 1 10 --trials 300 --per-trial`` on every scenario;
+- ``simulate --rho 0.1 1 10 --trials 300 --per-trial`` on every scenario,
+  and on copies of ``crlb-attainment.yaml`` at n_a 3 (every trial solved
+  position-only) and n_a 9;
+- ``simulate --rho 10 --seed 25 --trials 4 --per-trial`` on copies of
+  ``crlb-attainment.yaml`` at n_a 3, 6 and 9, the fixed call of perfbench's
+  ``montecarlo`` workload, whose scatterer trial 0 fails;
 - ``crlb --rho 0.1 1 10 --na 3 4 6 --check-identities`` on every scenario;
 - ``gen-dataset --samples 300`` for ``--target ue`` and ``--target
   scatterer`` on every scenario.
@@ -78,6 +83,27 @@ def _select_sr(out: Path, scratch: Path) -> None:
             _run(out, name, ["select-sr", "--scenario", scenario, "--na", 4, 6,
                              "--trials", 40, "--seed", seed,
                              "--out", out / f"{name}.csv"])
+
+
+def _simulate_grids(out: Path, scratch: Path) -> None:
+    """``simulate`` grids on copies of ``crlb-attainment.yaml`` at other n_a."""
+    src = ROOT / "scenarios" / "crlb-attainment.yaml"
+    with open(src, "r", encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    for na, rhos, extra in (
+        (3, (0.1, 1, 10), ("--trials", 300)),
+        (9, (0.1, 1, 10), ("--trials", 300)),
+        (3, (10,), ("--seed", 25, "--trials", 4)),
+        (6, (10,), ("--seed", 25, "--trials", 4)),
+        (9, (10,), ("--seed", 25, "--trials", 4)),
+    ):
+        scenario = scratch / f"crlb-attainment-na{na}.yaml"
+        with open(scenario, "w", encoding="utf-8") as fh:
+            yaml.safe_dump({**data, "n_a": na}, fh, sort_keys=True)
+        name = f"simulate-crlb-attainment-na{na}-rho{'-'.join(map(str, rhos))}"
+        _run(out, name, ["simulate", "--scenario", scenario, "--rho", *rhos, *extra,
+                         "--out", out / f"{name}.csv",
+                         "--per-trial", out / f"{name}-trials.csv"])
 
 
 def _selections(out: Path) -> None:
@@ -175,6 +201,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=False)
     with tempfile.TemporaryDirectory() as scratch:
         _select_sr(out, Path(scratch))
+        _simulate_grids(out, Path(scratch))
     _selections(out)
     for scenario in SCENARIOS:
         stem = scenario.stem
