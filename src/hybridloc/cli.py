@@ -18,6 +18,7 @@ import functools
 import hashlib
 import io
 import json
+import operator
 import platform
 import sys
 from pathlib import Path
@@ -44,7 +45,7 @@ from .harness import (
     trial_normals,
 )
 from .noise import build_q
-from .scenario import Scenario, load_scenario, read_yaml, scenario_to_dict
+from .scenario import Scenario, load_scenario, numeric_fields, read_yaml, scenario_to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +272,12 @@ def _mlp_config(args, train_set, blackbox: bool) -> nn_mod.MlpConfig:
         data = read_yaml(args.config, "config") or {}
         if not isinstance(data, dict):
             raise ScenarioError("mlp config file must contain a mapping")
-        if "layer_widths" in data:
-            data["layer_widths"] = tuple(int(w) for w in data["layer_widths"])
-        # YAML 1.1 reads exponents without a sign ("1e160") as strings;
-        # coerce the numeric fields so such configs still parse.
-        for key, cast in (("lr", float), ("beta1", float), ("beta2", float),
-                          ("eps_adam", float), ("epochs", int),
-                          ("batch_size", int), ("seed", int)):
-            if key in data:
-                try:
-                    data[key] = cast(data[key])
-                except (TypeError, ValueError) as exc:
-                    raise ScenarioError(
-                        f"mlp config field {key!r} must be a number: {data[key]!r}"
-                    ) from exc
         fields.update(data)
+        fields.update(numeric_fields(data, {
+            "layer_widths": lambda widths: tuple(map(operator.index, widths)),
+            **dict.fromkeys(("lr", "beta1", "beta2", "eps_adam"), float),
+            **dict.fromkeys(("epochs", "batch_size", "seed"), operator.index),
+        }, "mlp config"))
     if getattr(args, "seed", None) is not None:
         fields["seed"] = args.seed
     try:

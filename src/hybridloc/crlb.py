@@ -100,9 +100,13 @@ def crlb_ue_position(x, rrhs, q) -> np.ndarray:
     (velocity is unidentifiable) and ``wls_solve`` falls back to these rows,
     which carry no velocity; this is the bound that fallback can attain.
     """
-    rows = _position_row_mask(np.asarray(rrhs).shape[0])
-    jac = jacobian_ue(x, rrhs)[np.ix_(rows, [0, 1, 2])]
-    return _bound(jac, np.asarray(q, dtype=float)[np.ix_(rows, rows)])
+    return _position_bound(jacobian_ue(x, rrhs), np.asarray(q, dtype=float))
+
+
+def _position_bound(jac: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The bound of the position columns of ``jac``'s TDOA and AOA rows."""
+    rows = _position_row_mask((jac.shape[0] + 2) // 4)  # jac has 4 n_a - 2 rows
+    return _bound(jac[np.ix_(rows, [0, 1, 2])], q[np.ix_(rows, rows)])
 
 
 def jacobian_scatterer(xs, b_n, ue) -> np.ndarray:
@@ -169,11 +173,13 @@ def crlb_ue_traces(x, rrhs, q):
     ``SingularProblemError``: its zero variances would otherwise pass for
     unobservable velocity when they sit on the FDOA rows.
     """
+    jac = jacobian_ue(x, rrhs)
+    q = np.asarray(q, dtype=float)
     try:
-        cov = crlb_ue(x, rrhs, q)
+        cov = _bound(jac, q)
     except SingularProblemError:
-        _information(jacobian_ue(x, rrhs), np.asarray(q, dtype=float))
-        return float(np.trace(crlb_ue_position(x, rrhs, q))), None
+        _information(jac, q)
+        return float(np.trace(_position_bound(jac, q))), None
     return position_trace(cov), velocity_trace(cov)
 
 

@@ -21,13 +21,12 @@ builds their n_a-free records in blocks too, and takes an n_a grid.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ensemble, nn
-from .crlb import crlb_scatterer, crlb_ue_traces
+from .crlb import crlb_scatterer, crlb_ue_traces, position_trace, velocity_trace
 from .errors import (
     CampaignFailedError,
     DimensionMismatchError,
@@ -70,7 +69,6 @@ class MetricReport:
     success_rate: float | None = None
     bias_per_component: np.ndarray | None = None
     std_per_component: np.ndarray | None = None
-    runtime: float = 0.0
     failure_rate: float = 0.0
     trials: int = 0
 
@@ -96,19 +94,19 @@ class MetricReport:
         return self.rmse_velocity / np.sqrt(self.crlb_trace_velocity)
 
 
-def compute_metrics(estimates, truths, crlb=None) -> MetricReport:
+def compute_metrics(estimates, truths) -> MetricReport:
     """RMSE/MAE/bias over paired estimates and truths.
 
     RMSE is the root of the mean squared error NORM, MAE the mean error
     norm, both split into position (the first three components) and
-    velocity (the rest).  ``crlb`` is an optional state-space covariance
-    matrix whose position/velocity traces are copied into the report.
+    velocity (the rest).  ``truths`` has one row per estimate, or a single
+    row that every estimate shares.
     """
     estimates = np.atleast_2d(np.asarray(estimates, dtype=float))
     truths = np.atleast_2d(np.asarray(truths, dtype=float))
     if estimates.size == 0 or truths.size == 0:
         raise DimensionMismatchError("metrics need at least one estimate")
-    if estimates.shape != truths.shape:
+    if truths.shape not in (estimates.shape, (1, estimates.shape[1])):
         raise DimensionMismatchError(
             f"estimates {estimates.shape} and truths {truths.shape} differ"
         )
@@ -125,11 +123,6 @@ def compute_metrics(estimates, truths, crlb=None) -> MetricReport:
     if vel.shape[1] and not np.any(np.isnan(vel)):
         report.rmse_velocity = float(np.sqrt(np.mean(np.sum(vel**2, axis=1))))
         report.mae_velocity = float(np.mean(np.linalg.norm(vel, axis=1)))
-    if crlb is not None:
-        crlb = np.asarray(crlb, dtype=float)
-        report.crlb_trace_position = float(np.trace(crlb[:3, :3]))
-        if crlb.shape[0] > 3:
-            report.crlb_trace_velocity = float(np.trace(crlb[3:, 3:]))
     return report
 
 
@@ -189,13 +182,21 @@ def _solve_in_blocks(sc: Scenario, m_true, sds, normals, solve):
     ]
 
 
-def _campaign_failed(failures) -> CampaignFailedError:
-    return CampaignFailedError(f"every trial failed numerically; trial 0: {failures[0]}")
-
-
 def _joined(batches, field: str) -> np.ndarray:
     """The ``field`` arrays of the (R, block) batches, joined along the trials."""
     return np.concatenate([getattr(b, field) for b in batches], axis=1)
+
+
+def _report(sc: Scenario, x, failures, truth) -> MetricReport:
+    """The metrics of the successful trials' estimates ``x`` against the
+    shared ``truth`` row; ``CampaignFailedError`` if every trial failed."""
+    ok = np.equal(failures, None)
+    if not ok.any():
+        raise CampaignFailedError(f"every trial failed numerically; trial 0: {failures[0]}")
+    report = compute_metrics(x[ok], truth)
+    report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
+    report.trials = sc.trials
+    return report
 
 
 def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None, rhos=None):
@@ -209,14 +210,13 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None, r
     here when None.
 
     ``rhos`` is a grid of noise scales, solved as one stack per block of
-    trials: the result is then a list with one entry per scale (its
-    ``runtime`` the whole grid's), each what the campaign returns on
-    ``sc.replace(noise=sc.noise.scaled(rho))``.  Without ``rhos`` it is the
-    result at ``sc.noise``: the report, or ``(report, rows)`` with the
-    per-trial rows when ``collect_trials`` is set.  The first scale whose
-    trials all failed raises ``CampaignFailedError``.
+    trials: the result is then a list with one entry per scale, each what
+    the campaign returns on ``sc.replace(noise=sc.noise.scaled(rho))``.
+    Without ``rhos`` it is the result at ``sc.noise``: the report, or
+    ``(report, rows)`` with the per-trial rows when ``collect_trials`` is
+    set.  The first scale whose trials all failed raises
+    ``CampaignFailedError``.
     """
-    start = time.perf_counter()
     rrhs = sc.selected_rrhs()
     noises = _noise_grid(sc, rhos)
     qs = np.stack([build_q(sc.n_a, noise) for noise in noises])
@@ -227,46 +227,22 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None, r
         normals,
         lambda ms: wls_solve_batch(ms, rrhs, qs[:, None], iters=sc.wls_iters),
     )
-    xs = _joined(batches, "x")
-    valids = _joined(batches, "velocity_valid")
-    failures = _joined(batches, "failures")
-    reports = [
-        _wls_report(sc, xs[r], valids[r], failures[r], rrhs, qs[r]) for r in range(len(qs))
-    ]
-    runtime = time.perf_counter() - start
-    for report in reports:
-        report.runtime = runtime
-    results = reports
-    if collect_trials:
-        results = [(rep, _trial_rows(sc, xs[r], failures[r])) for r, rep in enumerate(reports)]
-    return results[0] if rhos is None else results
-
-
-def _wls_report(sc: Scenario, x, valid, failures, rrhs, q) -> MetricReport:
-    """The report of one noise scale's WLS trials."""
-    ok = np.equal(failures, None)
-    if not ok.any():
-        raise _campaign_failed(failures)
-    estimates = x[ok]
-    if valid[ok].all():
-        report = compute_metrics(estimates, np.tile(sc.ue_true, (len(estimates), 1)))
-    else:
-        report = compute_metrics(
-            estimates[:, :3], np.tile(sc.ue_true[:3], (len(estimates), 1))
-        )
-        if valid.any():
-            with_velocity = x[valid]
-            velocity = compute_metrics(
-                with_velocity, np.tile(sc.ue_true, (len(with_velocity), 1))
-            )
+    results = []
+    fields = (_joined(batches, f) for f in ("x", "velocity_valid", "failures"))
+    for x, valid, failures, q in zip(*fields, qs):
+        # Once a successful trial has lost its velocity, the report covers
+        # position only and takes its velocity metrics from the valid trials.
+        width = 6 if valid[np.equal(failures, None)].all() else 3
+        report = _report(sc, x[:, :width], failures, sc.ue_true[:width])
+        if width == 3 and valid.any():
+            velocity = compute_metrics(x[valid], sc.ue_true)
             report.rmse_velocity = velocity.rmse_velocity
             report.mae_velocity = velocity.mae_velocity
-    report.crlb_trace_position, report.crlb_trace_velocity = crlb_ue_traces(
-        sc.ue_true, rrhs, q
-    )
-    report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
-    report.trials = sc.trials
-    return report
+        report.crlb_trace_position, report.crlb_trace_velocity = crlb_ue_traces(
+            sc.ue_true, rrhs, q
+        )
+        results.append((report, _trial_rows(sc, x, failures)) if collect_trials else report)
+    return results[0] if rhos is None else results
 
 
 def _trial_rows(sc: Scenario, x, failures) -> list:
@@ -294,7 +270,6 @@ def run_scatterer_campaign(sc: Scenario, normals=None, rhos=None):
     :func:`run_wls_campaign`: with it the result is one report per scale,
     without it the report at ``sc.noise``.
     """
-    start = time.perf_counter()
     b_n = sc.rrhs[sc.scatterer_rrh]
     b_1 = sc.rrhs[0]
     noises = _noise_grid(sc, rhos)
@@ -308,19 +283,11 @@ def run_scatterer_campaign(sc: Scenario, normals=None, rhos=None):
     )
     reports = []
     for x, failures, qs in zip(_joined(batches, "x"), _joined(batches, "failures"), qss):
-        ok = np.equal(failures, None)
-        if not ok.any():
-            raise _campaign_failed(failures)
-        estimates = x[ok]
-        truths = np.tile(sc.scatterer_true, (len(estimates), 1))
+        report = _report(sc, x, failures, sc.scatterer_true)
         crlb = crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qs)
-        report = compute_metrics(estimates, truths, crlb=crlb)
-        report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
-        report.trials = sc.trials
+        report.crlb_trace_position = position_trace(crlb)
+        report.crlb_trace_velocity = velocity_trace(crlb)
         reports.append(report)
-    runtime = time.perf_counter() - start
-    for report in reports:
-        report.runtime = runtime
     return reports[0] if rhos is None else reports
 
 
@@ -332,12 +299,11 @@ def run_sr_campaign(sc: Scenario, nas=None):
     ``simulate_paths_batch`` and ``los_candidates_batch``), then selected
     at every count by its own ``select_los`` call, which reads the count's
     ranking center from the record's all-size table.  Returns
-    one report per entry of ``nas`` (``runtime`` is the whole grid's), or
-    the report at ``sc.n_a`` when ``nas`` is None.  Every count is checked
+    one report per entry of ``nas``, or the report at ``sc.n_a`` when
+    ``nas`` is None.  Every count is checked
     against the scenario before any trial runs.  A selection that raises
     counts as a miss and in ``failure_rate``.
     """
-    start = time.perf_counter()
     grid = [sc.n_a] if nas is None else [sc.replace(n_a=na).n_a for na in nas]
     hits = np.zeros(len(grid), dtype=int)
     failed = np.zeros(len(grid), dtype=int)
@@ -359,13 +325,11 @@ def run_sr_campaign(sc: Scenario, nas=None):
                     hits[j] += sel.all_selected_are_los()
                 except HybridlocError:
                     failed[j] += 1
-    runtime = time.perf_counter() - start
     reports = [
         MetricReport(
             success_rate=int(h) / sc.trials,
             failure_rate=int(f) / sc.trials,
             trials=sc.trials,
-            runtime=runtime,
         )
         for h, f in zip(hits, failed)
     ]
@@ -434,14 +398,12 @@ def run_nn_campaign(
 
     ``datasets`` maps "train"/"val"/"test" to Dataset objects; generating
     the test set under a different noise configuration than the training
-    set gives the mismatched-noise robustness variant.  ``runtime``
-    includes training.
+    set gives the mismatched-noise robustness variant.
     """
     estimator(pipeline, sc)  # rejects an unknown pipeline before any training
     for key in ("train", "val", "test"):
         if key not in datasets:
             raise ScenarioError(f"datasets must include {key!r}")
-    start = time.perf_counter()
     tr, va, te = datasets["train"], datasets["val"], datasets["test"]
     dim = tr.m.shape[1]
     if mlp_config is None:
@@ -456,6 +418,4 @@ def run_nn_campaign(
         model = nn.train(mlp_config, tr, va)
     elif pipeline != "wls":
         model = ensemble.train_ensemble(mlp_config, ensemble_config, tr, va)
-    report = evaluate(estimator(pipeline, sc, model, eps, ensemble_config.r_a), te)
-    report.runtime = time.perf_counter() - start
-    return report
+    return evaluate(estimator(pipeline, sc, model, eps, ensemble_config.r_a), te)

@@ -4,7 +4,8 @@ A scenario bundles everything a campaign needs: receiver positions, the
 true user state, the true scatterer state (position plus signed speed along
 the user velocity direction), sampling boxes for randomized states, the
 noise configuration, and run parameters.  Scenarios load from YAML files;
-``field: default`` (or omitting the field) selects the built-in value.
+omitting a field selects its built-in value, and ``rrhs: default`` selects
+the built-in receiver layout.
 
 Receiver indices are 0-based everywhere, including scenario files.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,7 +219,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         box = data["scatterer_box"]
         kwargs["scatterer_box"] = _box_from_dict(box, "scatterer_box")
         if "speed" in box:
-            kwargs["scatterer_speed_range"] = (float(box["speed"][0]), float(box["speed"][1]))
+            pair = {"speed": lambda v: (float(v[0]), float(v[1]))}
+            kwargs["scatterer_speed_range"] = numeric_fields(box, pair, "scatterer_box")["speed"]
     if "ue_box" in data:
         kwargs["ue_box"] = _box_from_dict(data["ue_box"], "ue_box")
     if "ue_velocity_box" in data:
@@ -230,16 +233,26 @@ def scenario_from_dict(data: dict) -> Scenario:
             kwargs["noise"] = NoiseConfig(**noise)
         except TypeError as exc:
             raise ScenarioError(f"bad noise configuration: {exc}") from exc
-    for key in ("scatterer_rrh", "n_a", "trials", "seed", "wls_iters"):
-        if key in data:
-            kwargs[key] = int(data[key])
-    for key in ("p_d", "clock_bias_m"):
-        if key in data:
-            kwargs[key] = float(data[key])
+    casts = dict.fromkeys(("scatterer_rrh", "n_a", "trials", "seed", "wls_iters"), operator.index)
+    kwargs.update(numeric_fields(data, {**casts, "p_d": float, "clock_bias_m": float}, "scenario"))
     try:
         return Scenario(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
+
+
+def numeric_fields(data: dict, casts: dict, kind: str) -> dict:
+    """The fields of ``data`` named in ``casts``, each converted by its cast;
+    a value that its cast rejects raises ``ScenarioError`` naming the field of
+    the ``kind`` file.  ``operator.index`` takes integers only (not 4.7), and
+    ``float`` reads the strings YAML 1.1 makes of unsigned exponents ("1e160")."""
+    out = {}
+    for key in (k for k in casts if k in data):
+        try:
+            out[key] = casts[key](data[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"{kind} field {key!r} = {data[key]!r}: {exc}") from exc
+    return out
 
 
 def read_yaml(path, kind: str):

@@ -454,9 +454,9 @@ def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
     dim) or a stack whose leading axes broadcast against those of ``ms``,
     such as (R, 1, dim, dim); each distinct covariance is inverted once.
     Each trial runs as :func:`wls_solve` would run it alone, and fails
-    alone.  Trials whose joint normal matrix is singular are solved again
-    on the position-only rows, together with the others of their trial
-    column (the last batch axis), whose position-only results are dropped.
+    alone.  When any trial's joint normal matrix is singular, the whole
+    stack is solved again on the position-only rows, and those results
+    are kept for the trials that fell back.
     """
     rrhs = np.asarray(rrhs, dtype=float)
     ms = np.asarray(ms, dtype=float)
@@ -472,19 +472,14 @@ def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
     valid = np.equal(errors, None)
     if not valid.all():
         # Velocity unidentifiable (fewer than four receivers in general
-        # position): solve these trials on the position-only rows.  Whole
-        # trial columns are solved, so that the sub-covariance keeps its
-        # leading axes and is inverted once per distinct covariance.
+        # position): solve the whole stack on the position-only rows, so
+        # that each distinct sub-covariance is inverted once.
         fallback = np.array(
             [isinstance(e, SingularProblemError) for e in errors.flat], dtype=bool
         ).reshape(errors.shape)
         if fallback.any():
-            cols = np.flatnonzero(fallback.any(axis=tuple(range(fallback.ndim - 1))))
             rows = np.flatnonzero(_position_row_mask(rrhs.shape[0]))
-            q_pos = q[..., rows[:, None], rows]
-            if q_pos.ndim > 2 and q_pos.shape[-3] > 1:
-                q_pos = q_pos[..., cols, :, :]
-            pos_errors = np.full(errors.shape[:-1] + cols.shape, None, dtype=object)
+            pos_errors = np.full(errors.shape, None, dtype=object)
 
             def pos_bands(pos, e):
                 # The restricted rows of B are its TDOA and AOA rows, which
@@ -494,21 +489,14 @@ def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
                 return diag[..., rows], low[..., :0, :]
 
             pos, cov_pos = _iterated_solve(
-                h[..., cols, :][..., rows],
-                g[..., cols, :, :][..., rows, :3],
-                q_pos,
-                pos_bands,
-                iters,
-                False,
-                pos_errors,
+                h[..., rows], g[..., rows, :3], q[..., rows[:, None], rows],
+                pos_bands, iters, False, pos_errors,
             )
-            sub = fallback[..., cols]
-            x_pos = np.concatenate([pos, np.full(pos.shape, np.nan)], axis=-1)
-            cov_full = np.full(cov_pos.shape[:-2] + (6, 6), np.nan)
-            cov_full[..., :3, :3] = cov_pos
-            errors[..., cols] = np.where(sub, pos_errors, errors[..., cols])
-            x[..., cols, :] = np.where(sub[..., None], x_pos, x[..., cols, :])
-            cov[..., cols, :, :] = np.where(sub[..., None, None], cov_full, cov[..., cols, :, :])
+            errors[fallback] = pos_errors[fallback]
+            x[fallback] = np.nan
+            x[fallback, :3] = pos[fallback]
+            cov[fallback] = np.nan
+            cov[fallback, :3, :3] = cov_pos[fallback]
         failed = ~np.equal(errors, None)
         x[failed] = np.nan
         cov[failed] = np.nan

@@ -283,22 +283,37 @@ class TestNonFiniteScenarioOrNegativeSeed:
         assert code == EXIT_PARSE
         assert "error: seed must be >= 0" in capsys.readouterr().err
 
+    # Non-finite values, and numeric fields that hold no number or, in an
+    # integer field, no integer.  Each file fails before any campaign runs.
     @pytest.mark.parametrize(
-        "body",
+        "body, message",
         [
-            "clock_bias_m: .nan",
-            "ue_true: [.nan, 450.0, 0.0, -10.0, 2.0, 5.0]",
-            "rrhs: [[235.5, 389.5, 26.0], [287.5, .nan, 32.0], [235.5, 489.5, 10.0],"
-            " [287.5, 489.5, 40.0], [235.5, 589.5, 14.0], [287.5, 589.5, 50.0]]",
+            ("clock_bias_m: .nan", "clock_bias_m must be finite"),
+            ("ue_true: [.nan, 450.0, 0.0, -10.0, 2.0, 5.0]", "ue_true must be finite"),
+            ("rrhs: [[235.5, 389.5, 26.0], [287.5, .nan, 32.0], [235.5, 489.5, 10.0],"
+             " [287.5, 489.5, 40.0], [235.5, 589.5, 14.0], [287.5, 589.5, 50.0]]",
+             "rrhs must be finite"),
+            ("n_a: abc", "scenario field 'n_a' = 'abc'"),
+            ("trials:", "scenario field 'trials' = None"),
+            ("p_d: foo", "scenario field 'p_d' = 'foo'"),
+            ("seed: default", "scenario field 'seed' = 'default'"),
+            ("n_a: .inf", "scenario field 'n_a' = inf"),
+            ("n_a: 4.7", "scenario field 'n_a' = 4.7"),
+            ("clock_bias_m: [1]", "scenario field 'clock_bias_m' = [1]"),
+            ("scatterer_box: {x: [240, 280], y: [450, 850], z: [0, 20], speed: 5}",
+             "scatterer_box field 'speed' = 5"),
         ],
-        ids=["clock_bias", "ue_true", "rrhs"],
+        ids=["clock_bias", "ue_true", "rrhs", "n_a-text", "trials-empty", "p_d-text",
+             "seed-default", "n_a-inf", "n_a-fraction", "clock_bias-list", "speed-scalar"],
     )
-    @pytest.mark.parametrize("command", ["simulate", "select-sr"])
-    def test_non_finite_scenario_exits_parse(self, tmp_path, capsys, command, body):
-        scenario = write_scenario(tmp_path / "s.yaml", f"{body}\ntrials: 4\nn_a: 4\n")
+    @pytest.mark.parametrize("command", ["simulate", "select-sr", "crlb"])
+    def test_non_finite_scenario_exits_parse(self, tmp_path, capsys, command, body, message):
+        scenario = write_scenario(tmp_path / "s.yaml", f"{body}\n")
         code = run_cli(command, "--scenario", scenario, "--out", str(tmp_path / "o.csv"))
         assert code == EXIT_PARSE
-        assert "must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestSelectSr:
@@ -534,10 +549,13 @@ class TestPipelineRoundTrip:
         assert code == EXIT_PARSE
         assert "cannot parse config file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["batch_size: 0", "batch_size: -2", "epochs: -3"])
+    @pytest.mark.parametrize("field", [
+        "batch_size: 0", "batch_size: -2", "epochs: -3",
+        "layer_widths: abc", "layer_widths: 5", "batch_size: .inf",
+    ])
     def test_train_rejects_bad_training_sizes(self, pipeline_dir, tmp_path, capsys, field):
         config = tmp_path / "bad.yaml"
-        config.write_text(f"layer_widths: [22, 8, 22]\n{field}\n", encoding="utf-8")
+        config.write_text(f"{field}\n", encoding="utf-8")
         model = tmp_path / "m.npz"
         code = run_cli(
             "train", "--train", str(pipeline_dir["a"]["train"]),
@@ -545,7 +563,8 @@ class TestPipelineRoundTrip:
             "--out", str(model),
         )
         assert code == EXIT_PARSE
-        assert field.split(":")[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field.split(":")[0] in err and "Traceback" not in err
         assert not model.exists()
 
 

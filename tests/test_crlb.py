@@ -10,6 +10,7 @@ import pytest
 from numpy.random import default_rng
 
 import crlb_oracle as oracle
+from hybridloc import crlb as crlb_module
 from hybridloc.crlb import (
     IdentityReport,
     crlb_scatterer,
@@ -160,6 +161,18 @@ class TestCrlbUe:
         pos, vel = crlb_ue_traces(X_TRUE, DEFAULT_RRHS[:3], q)
         assert pos == float(np.trace(crlb_ue_position(X_TRUE, DEFAULT_RRHS[:3], q)))
         assert vel is None
+
+    @pytest.mark.parametrize("n_a", [3, 6])
+    def test_traces_build_one_jacobian(self, n_a, monkeypatch):
+        calls = []
+
+        def counted(x, rrhs):
+            calls.append(len(rrhs))
+            return jacobian_ue(x, rrhs)
+
+        monkeypatch.setattr(crlb_module, "jacobian_ue", counted)
+        crlb_ue_traces(X_TRUE, DEFAULT_RRHS[:n_a], build_q(n_a, NoiseConfig()))
+        assert calls == [n_a]
 
 
 class TestJacobianScatterer:

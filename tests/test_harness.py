@@ -89,11 +89,13 @@ class TestComputeMetrics:
         with pytest.raises(DimensionMismatchError):
             harness.compute_metrics(np.zeros((3, 6)), np.zeros((2, 6)))
 
-    def test_crlb_traces_split(self):
-        crlb = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        report = harness.compute_metrics(np.ones((2, 6)), np.zeros((2, 6)), crlb=crlb)
-        assert report.crlb_trace_position == pytest.approx(6.0)
-        assert report.crlb_trace_velocity == pytest.approx(15.0)
+    @pytest.mark.parametrize("width", [6, 4, 3])
+    def test_one_truth_row_equals_the_tiled_truths(self, width):
+        est = np.random.default_rng(5).normal(size=(7, width))
+        truth = np.arange(1.0, width + 1.0)
+        tiled = harness.compute_metrics(est, np.tile(truth, (7, 1)))
+        for shared in (truth, truth[None]):
+            assert repr(harness.compute_metrics(est, shared).to_dict()) == repr(tiled.to_dict())
 
     def test_scatterer_state_split(self):
         est = np.array([[1.0, 2.0, 3.0, 4.0]])
@@ -194,6 +196,17 @@ class TestScattererCampaign:
         b = harness.run_scatterer_campaign(sc)
         assert a.rmse_position == b.rmse_position
 
+    def test_crlb_traces_are_the_bound_blocks(self):
+        sc = Scenario(trials=5, seed=9)
+        rhos = [0.1, 1.0, 10.0]
+        for rho, report in zip(rhos, harness.run_scatterer_campaign(sc, rhos=rhos)):
+            bound = crlb_scatterer(
+                sc.scatterer_true, sc.rrhs[sc.scatterer_rrh], sc.ue_true,
+                build_qs(sc.noise.scaled(rho)),
+            )
+            assert report.crlb_trace_position == float(np.trace(bound[:3, :3]))
+            assert report.crlb_trace_velocity == float(np.trace(bound[3:, 3:]))
+
 
 NOISE_MODES = [
     NoiseConfig(delta_d=2.0, delta_a=0.0175),
@@ -251,13 +264,11 @@ class TestCampaignDraws:
                                 sc.ue_true, qs).x
             for t in range(sc.trials)
         ]
-        expected = harness.compute_metrics(
-            estimates, np.tile(sc.scatterer_true, (sc.trials, 1)),
-            crlb=crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qs),
-        ).to_dict()
-        got = harness.run_scatterer_campaign(sc).to_dict()
-        del expected["runtime"], got["runtime"]
-        assert got == expected
+        expected = harness.compute_metrics(estimates, np.tile(sc.scatterer_true, (sc.trials, 1)))
+        bound = crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qs)
+        expected.crlb_trace_position = position_trace(bound)
+        expected.crlb_trace_velocity = velocity_trace(bound)
+        assert harness.run_scatterer_campaign(sc).to_dict() == expected.to_dict()
 
 
 class TestSharedNormals:
@@ -291,7 +302,6 @@ class TestSharedNormals:
             assert given == own
             own = harness.run_scatterer_campaign(sc_r).to_dict()
             given = harness.run_scatterer_campaign(sc_r, normals=z).to_dict()
-            del own["runtime"], given["runtime"]
             assert given == own
 
     @pytest.mark.parametrize("shape", [(5, 22), (7, 21), (6,), (6, 3)])
@@ -312,8 +322,8 @@ def _outcome(run):
 
 
 def _fields(report):
-    """A report's fields, runtime left out, with every float as its repr."""
-    return repr(sorted((k, v) for k, v in report.to_dict().items() if k != "runtime"))
+    """A report's fields, with every float as its repr."""
+    return repr(sorted(report.to_dict().items()))
 
 
 GRID_NOISES = [

@@ -12,7 +12,7 @@ from hybridloc.errors import (
     NumericalError,
     SingularProblemError,
 )
-from hybridloc.geometry import scatterer_measurement, ue_measurement
+from hybridloc.geometry import angular_vectors, scatterer_measurement, ue_measurement
 from hybridloc.noise import NoiseConfig, build_q, build_qs, sample_gaussian
 from hybridloc.scatterer_wls import bs_bands, build_bs, scatterer_wls_solve_batch
 from hybridloc.scenario import (
@@ -480,6 +480,18 @@ class TestSolveNormalScreen:
         assert all(e is None for e in errors[:5])
 
 
+def _velocity_blind(m, rrhs):
+    """``m`` (n_a = 4) with its last TDOA entry ``r_41`` moved so that the
+    FDOA rows' velocity blocks ``(b_1 - b_i) - r_i1 a_1`` lose rank: the
+    velocity is then unidentifiable and the joint normal matrix singular."""
+    m = m.copy()
+    a_1 = angular_vectors(m[6], m[7])[0]
+    lever = (rrhs[0] - rrhs[1:3]) - m[[0, 2], None] * a_1
+    # The determinant is linear in the last row's r_41.
+    m[4] = np.linalg.det([*lever, rrhs[0] - rrhs[3]]) / np.linalg.det([*lever, a_1])
+    return m
+
+
 class TestStackedCovariances:
     """Measurements with several batch axes and a covariance per leading
     index solve each member as its own (T,) stack does."""
@@ -510,6 +522,33 @@ class TestStackedCovariances:
             assert np.array_equal(batch.x[t], alone.x[0], equal_nan=True)
             assert np.array_equal(batch.cov[t], alone.cov[0], equal_nan=True)
             assert repr(batch.failures[t]) == repr(alone.failures[0])
+
+    def _assert_members_solve_alone(self, ms, rrhs, qs, batch):
+        """Each member of ``batch`` equals its own stack of one, bit for bit."""
+        for idx in np.ndindex(ms.shape[:-1]):
+            alone = wls_solve_batch(ms[idx][None], rrhs, qs[idx[:-1]])
+            assert np.array_equal(batch.x[idx], alone.x[0], equal_nan=True)
+            assert np.array_equal(batch.cov[idx], alone.cov[0], equal_nan=True)
+            assert batch.velocity_valid[idx] == alone.velocity_valid[0]
+            assert repr(batch.failures[idx]) == repr(alone.failures[0])
+
+    def test_stack_mixing_fallback_and_joint_members(self):
+        # Trials (r, r) and (r, r + 3) of scale r lose their velocity and
+        # fall back; the others keep it.
+        rhos = (0.1, 1.0, 10.0)
+        qs = np.array([build_q(4, NoiseConfig().scaled(rho)) for rho in rhos])
+        ms = np.array([_ue_stack(n_a=4, trials=6, seed=20 + r)[0] for r in range(3)])
+        rrhs = DEFAULT_RRHS[:4]
+        for r in range(3):
+            for t in (r, r + 3):
+                ms[r, t] = _velocity_blind(ms[r, t], rrhs)
+        grid = wls_solve_batch(ms, rrhs, qs[:, None])
+        fell_back = np.equal(grid.failures, None) & ~grid.velocity_valid
+        assert fell_back[[0, 1, 2, 0, 1, 2], [0, 1, 2, 3, 4, 5]].all()
+        assert fell_back.sum() == 6 and grid.velocity_valid.sum() == 12
+        self._assert_members_solve_alone(ms, rrhs, qs, grid)
+        flat = wls_solve_batch(ms[1], rrhs, qs[1])
+        self._assert_members_solve_alone(ms[1], rrhs, qs[1], flat)
 
     def test_scatterer_covariance_per_noise_scale(self):
         sc = Scenario()

@@ -24,7 +24,12 @@ import numpy as np
 
 from hybridloc import harness
 from hybridloc.crlb import crlb_scatterer, crlb_ue_traces
-from hybridloc.errors import DegenerateGeometryError, NumericalError, SingularProblemError
+from hybridloc.errors import (
+    CampaignFailedError,
+    DegenerateGeometryError,
+    NumericalError,
+    SingularProblemError,
+)
 from hybridloc.geometry import measurement_dim, scatterer_measurement, ue_measurement
 from hybridloc.noise import (
     add_noise,
@@ -306,7 +311,7 @@ def run_wls_campaign_per_rho(sc, collect_trials=False, normals=None):
     failures = np.concatenate([b.failures for b in batches])
     ok = np.equal(failures, None)
     if not ok.any():
-        raise harness._campaign_failed(failures)
+        raise CampaignFailedError(f"every trial failed numerically; trial 0: {failures[0]}")
     rows = []
     if collect_trials:
         for t in range(sc.trials):
@@ -357,11 +362,13 @@ def run_scatterer_campaign_per_rho(sc, normals=None):
     failures = np.concatenate([b.failures for b in batches])
     ok = np.equal(failures, None)
     if not ok.any():
-        raise harness._campaign_failed(failures)
+        raise CampaignFailedError(f"every trial failed numerically; trial 0: {failures[0]}")
     estimates = x[ok]
     truths = np.tile(sc.scatterer_true, (len(estimates), 1))
     crlb = crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qs)
-    report = harness.compute_metrics(estimates, truths, crlb=crlb)
+    report = harness.compute_metrics(estimates, truths)
+    report.crlb_trace_position = float(np.trace(crlb[:3, :3]))
+    report.crlb_trace_velocity = float(np.trace(crlb[3:, 3:]))
     report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
     report.trials = sc.trials
     return report
