@@ -32,7 +32,6 @@ from .crlb import crlb_ue_traces, verify_identities
 from .errors import (
     EXIT_OK,
     EXIT_PARSE,
-    DimensionMismatchError,
     HybridlocError,
     ScenarioError,
 )
@@ -229,19 +228,32 @@ def cmd_select_sr(args) -> int:
     return EXIT_OK
 
 
+def _positive(cast):
+    """The argparse type of a number that ``cast`` reads, finite and above zero."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = 0  # rejected below
+        if not 0 < value < np.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {cast.__name__} > 0, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 _SPLITS = ("train", "val", "test")
 
 
 def _split_sizes(text: str) -> tuple:
-    try:
-        sizes = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        sizes = ()
-    if len(sizes) != len(_SPLITS) or min(sizes) < 1:
+    parts = text.split(",")
+    if len(parts) != len(_SPLITS):
         raise argparse.ArgumentTypeError(
-            f"expected three positive sample counts N_TRAIN,N_VAL,N_TEST, got {text!r}"
+            f"expected three sample counts N_TRAIN,N_VAL,N_TEST, got {text!r}"
         )
-    return sizes
+    return tuple(map(_positive(int), parts))
 
 
 def cmd_gen_dataset(args) -> int:
@@ -265,7 +277,7 @@ def cmd_gen_dataset(args) -> int:
     return EXIT_OK
 
 
-def _mlp_config(args, train_set, blackbox: bool) -> nn_mod.MlpConfig:
+def _mlp_config(args, train_set) -> nn_mod.MlpConfig:
     dim = train_set.m.shape[1]
     fields = {"layer_widths": (dim, 32, 32, dim)}
     if args.config:
@@ -281,26 +293,16 @@ def _mlp_config(args, train_set, blackbox: bool) -> nn_mod.MlpConfig:
     if getattr(args, "seed", None) is not None:
         fields["seed"] = args.seed
     try:
-        cfg = nn_mod.MlpConfig(**fields)
+        return nn_mod.MlpConfig(**fields)
     except TypeError as exc:
         raise ScenarioError(f"bad mlp config: {exc}") from exc
-    if blackbox:
-        # train_blackbox swaps in the state-width linear head itself.
-        return cfg
-    if cfg.layer_widths[-1] != dim:
-        raise DimensionMismatchError(
-            f"output width {cfg.layer_widths[-1]} does not match dataset "
-            f"dimension {dim}"
-        )
-    return cfg
 
 
 def cmd_train(args) -> int:
     tr = nn_mod.load_dataset(args.train)
     va = nn_mod.load_dataset(args.val)
-    blackbox = args.pipeline == "blackbox"
-    cfg = _mlp_config(args, tr, blackbox)
-    if blackbox:
+    cfg = _mlp_config(args, tr)
+    if args.pipeline == "blackbox":
         net = nn_mod.train_blackbox(cfg, tr, va)
     else:
         net = nn_mod.train(cfg, tr, va)
@@ -328,11 +330,6 @@ def cmd_eval(args) -> int:
         if not args.model:
             raise ScenarioError(f"pipeline {args.pipeline!r} requires --model")
         net = nn_mod.load_model(args.model)
-        if net.config.layer_widths[0] != te.m.shape[1]:
-            raise DimensionMismatchError(
-                f"model expects {net.config.layer_widths[0]}-dimensional input "
-                f"but the dataset has dimension {te.m.shape[1]}"
-            )
     report = evaluate(estimator(args.pipeline, sc, net, args.eps), te)
     rows = [_metric_row(args.pipeline, report)]
     prov = _provenance("eval", sc, _overrides(args, ("seed", "pipeline")))
@@ -345,7 +342,7 @@ def cmd_ensemble_eval(args) -> int:
     tr = nn_mod.load_dataset(args.train)
     va = nn_mod.load_dataset(args.val)
     te = nn_mod.load_dataset(args.data)
-    base = _mlp_config(args, tr, blackbox=False)
+    base = _mlp_config(args, tr)
     ens_cfg = ens_mod.EnsembleConfig(p=args.members, r_a=args.r_a)
     nets = ens_mod.train_ensemble(base, ens_cfg, tr, va)
     rows = []
@@ -410,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-dataset", help="synthesize a training dataset")
     common(p)
-    p.add_argument("--samples", type=int, default=2700, help="sample count")
+    p.add_argument("--samples", type=_positive(int), default=2700, help="sample count")
     p.add_argument(
         "--split",
         type=_split_sizes,
@@ -451,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("wls", "nn_wls", "nn_ls", "blackbox"),
         default="nn_wls",
     )
-    p.add_argument("--eps", type=float, default=0.1, help="weighting ridge")
+    p.add_argument("--eps", type=_positive(float), default=0.1, help="weighting ridge")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
@@ -462,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", required=True, help="validation dataset (.npz)")
     p.add_argument("--data", required=True, help="test dataset (.npz)")
     p.add_argument("--members", type=int, default=20, help="ensemble size")
-    p.add_argument("--r-a", type=float, default=0.1, help="density kernel radius")
-    p.add_argument("--eps", type=float, default=0.1, help="weighting ridge")
+    p.add_argument("--r-a", type=_positive(float), default=0.1, help="density kernel radius")
+    p.add_argument("--eps", type=_positive(float), default=0.1, help="weighting ridge")
     p.add_argument("--config", help="YAML file of MlpConfig overrides")
     p.set_defaults(func=cmd_ensemble_eval)
     p.set_defaults(require_out=True)

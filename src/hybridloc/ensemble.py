@@ -42,8 +42,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.p < 2:
             raise ScenarioError("ensembles need at least two members")
-        if self.r_a <= 0:
-            raise ScenarioError("clustering radius must be positive")
+        if not 0 < self.r_a < np.inf:
+            raise ScenarioError(f"clustering radius must be finite and positive, got {self.r_a}")
         if self.seeds is None:
             self.seeds = tuple(range(self.p))
         else:

@@ -187,15 +187,16 @@ def _joined(batches, field: str) -> np.ndarray:
     return np.concatenate([getattr(b, field) for b in batches], axis=1)
 
 
-def _report(sc: Scenario, x, failures, truth) -> MetricReport:
-    """The metrics of the successful trials' estimates ``x`` against the
-    shared ``truth`` row; ``CampaignFailedError`` if every trial failed."""
+def _report(x, failures, truths) -> MetricReport:
+    """The metrics of the successful trials' estimates ``x`` against ``truths``
+    (a row per trial, or one shared row); the failed share of ``failures`` is
+    ``failure_rate``, and if it is all, ``CampaignFailedError``."""
     ok = np.equal(failures, None)
     if not ok.any():
         raise CampaignFailedError(f"every trial failed numerically; trial 0: {failures[0]}")
-    report = compute_metrics(x[ok], truth)
-    report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
-    report.trials = sc.trials
+    report = compute_metrics(x[ok], truths[ok] if np.ndim(truths) == 2 else truths)
+    report.failure_rate = int(np.count_nonzero(~ok)) / len(failures)
+    report.trials = len(failures)
     return report
 
 
@@ -233,7 +234,7 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None, r
         # Once a successful trial has lost its velocity, the report covers
         # position only and takes its velocity metrics from the valid trials.
         width = 6 if valid[np.equal(failures, None)].all() else 3
-        report = _report(sc, x[:, :width], failures, sc.ue_true[:width])
+        report = _report(x[:, :width], failures, sc.ue_true[:width])
         if width == 3 and valid.any():
             velocity = compute_metrics(x[valid], sc.ue_true)
             report.rmse_velocity = velocity.rmse_velocity
@@ -283,7 +284,7 @@ def run_scatterer_campaign(sc: Scenario, normals=None, rhos=None):
     )
     reports = []
     for x, failures, qs in zip(_joined(batches, "x"), _joined(batches, "failures"), qss):
-        report = _report(sc, x, failures, sc.scatterer_true)
+        report = _report(x, failures, sc.scatterer_true)
         crlb = crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qs)
         report.crlb_trace_position = position_trace(crlb)
         report.crlb_trace_velocity = velocity_trace(crlb)
@@ -370,20 +371,9 @@ def estimator(pipeline: str, sc: Scenario, model=None, eps: float = 0.1, r_a: fl
 
 
 def evaluate(estimate, test_set) -> MetricReport:
-    """Metrics of the stack map ``estimate`` over a test set's (m, x) pairs.
-
-    The map runs once on the whole set.  Failed samples count in
-    ``failure_rate``; if every sample fails, ``CampaignFailedError``
-    carries sample 0's reason.
-    """
-    x, failures = estimate(test_set.m)
-    ok = np.equal(failures, None)
-    if not ok.any():
-        raise CampaignFailedError(f"every test sample failed; sample 0: {failures[0]}")
-    report = compute_metrics(x[ok], test_set.x[ok])
-    report.failure_rate = int(np.count_nonzero(~ok)) / len(test_set.m)
-    report.trials = len(test_set.m)
-    return report
+    """Metrics of the stack map ``estimate``, run once on a test set's
+    measurements, against its states: :func:`_report`, one trial per sample."""
+    return _report(*estimate(test_set.m), test_set.x)
 
 
 def run_nn_campaign(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError, ScenarioError
-from .geometry import measurement_dim, scatterer_measurement, ue_measurement
+from .geometry import scatterer_measurement, ue_measurement
 from .noise import add_noise, draw_dominant, scatterer_sigma_components, sigma_components
 from .scenario import Scenario, sample_scatterer_state, sample_ue_state
 from .scatterer_wls import build_scatterer_system
@@ -68,16 +68,17 @@ class MlpConfig:
             raise DimensionMismatchError("need at least input and output layers")
         if any(w < 1 for w in self.layer_widths):
             raise DimensionMismatchError("layer widths must be positive")
-        if self.output_activation not in ("sigmoid", "linear"):
-            raise NumericalError(
-                f"unknown output activation {self.output_activation!r}"
-            )
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise NumericalError(f"unknown lr schedule {self.lr_schedule!r}")
-        if self.loss_weighting not in ("normalized", "raw"):
-            raise NumericalError(
-                f"unknown loss weighting {self.loss_weighting!r}"
-            )
+        for name, allowed in (("output_activation", ("sigmoid", "linear")),
+                              ("lr_schedule", ("constant", "cosine")),
+                              ("loss_weighting", ("normalized", "raw"))):
+            if getattr(self, name) not in allowed:
+                raise ScenarioError(f"unknown {name} {getattr(self, name)!r}")
+        for name, ok in (("lr", 0.0 < self.lr < np.inf),
+                         ("eps_adam", 0.0 < self.eps_adam < np.inf),
+                         ("beta1", 0.0 <= self.beta1 < 1.0),
+                         ("beta2", 0.0 <= self.beta2 < 1.0)):
+            if not ok:
+                raise ScenarioError(f"{name} = {getattr(self, name)} is out of range")
         if self.batch_size < 1:
             raise ScenarioError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -218,11 +219,6 @@ class Mlp:
             biases.append(rng.uniform(-bound, bound, size=fan_out))
         return cls(config, weights, biases, in_norm, out_norm)
 
-    def _forward(self, z: np.ndarray):
-        """Forward pass in normalized units, caching layer activations."""
-        return _activations(self.weights, self.biases, z,
-                            self.config.output_activation == "sigmoid")
-
     def loss_and_gradients(self, z: np.ndarray, t: np.ndarray, weights=None):
         """(Optionally component-weighted) MSE and gradients on a batch.
 
@@ -239,18 +235,19 @@ class Mlp:
     def predict(self, m: np.ndarray) -> np.ndarray:
         """Physical-unit prediction for one vector or a batch.
 
-        Raises ``DimensionMismatchError`` when the measurement width is not
-        the network's input width.
+        Raises ``DimensionMismatchError`` when the measurement dimension is
+        not the network's input width.
         """
         m = np.asarray(m, dtype=float)
         if m.shape[-1:] != (self.config.layer_widths[0],):
             raise DimensionMismatchError(
-                f"measurements of shape {m.shape} do not match the network's "
-                f"input width {self.config.layer_widths[0]}"
+                f"measurement dimension {m.shape[-1] if m.ndim else 0} does not "
+                f"match the network's input width {self.config.layer_widths[0]}"
             )
         single = m.ndim == 1
         z = self.in_norm.transform(np.atleast_2d(m))
-        out = self._forward(z)[-1]
+        out = _activations(self.weights, self.biases, z,
+                           self.config.output_activation == "sigmoid")[-1]
         pred = self.out_norm.inverse(out)
         return pred[0] if single else pred
 
@@ -390,6 +387,39 @@ def train_blackbox(config: MlpConfig, train_set: Dataset, val_set: Dataset) -> M
     return _train_stack([cfg], train_set.m, train_set.x, val_set.m, val_set.x)[0]
 
 
+def _build_in_blocks(sc: Scenario, n_samples: int, rng, sample_state, state_dim: int,
+                     sd, measure, system, meta: dict, pinned=None) -> Dataset:
+    """Both builders' dataset: ``n_samples`` states ``sample_state(sc, rng)``,
+    measured by ``measure(x)`` with noise on the layout ``sd`` and labeled
+    ``h - G x`` by ``(h, G) = system(m)``; ``meta`` gains the noise settings.
+
+    The dominant bias (``pinned``, else drawn) comes first; then each sample
+    draws its state and ``len(sd)`` unit normals from ``rng``, in sample
+    order, and the rest is computed ``_BLOCK`` samples at a time.
+    """
+    cfg = sc.noise
+    dominant = draw_dominant(cfg, sd, rng, pinned=pinned)
+    dim = sd.shape[0]
+    m_all = np.empty((n_samples, dim))
+    e_all = np.empty((n_samples, dim))
+    x_all = np.empty((n_samples, state_dim))
+    for lo in range(0, n_samples, _BLOCK):
+        hi = min(lo + _BLOCK, n_samples)
+        for i in range(lo, hi):
+            x_all[i] = sample_state(sc, rng)
+            m_all[i] = rng.standard_normal(dim)  # the noise's normals, for now
+        x = x_all[lo:hi]
+        m = add_noise(measure(x), cfg, sd, dominant, m_all[lo:hi])
+        h, g = system(m)
+        m_all[lo:hi] = m
+        e_all[lo:hi] = h - (g @ x[..., None])[..., 0]
+    meta["noise"] = {"delta_d": cfg.delta_d, "delta_a": cfg.delta_a,
+                     "mode": cfg.mode, "ratio": cfg.ratio}
+    if dominant is not None:
+        meta["dominant_bias"] = dominant.tolist()
+    return Dataset(m_all, e_all, x_all, meta)
+
+
 def make_dataset(sc: Scenario, n_samples: int, rng, dominant_bias=None) -> Dataset:
     """Synthesize (measurement, equation-error, state) training samples.
 
@@ -398,42 +428,16 @@ def make_dataset(sc: Scenario, n_samples: int, rng, dominant_bias=None) -> Datas
     vector for the whole dataset, mimicking a fixed systematic offset, with
     the small fluctuation resampled per sample.  Passing ``dominant_bias``
     pins that offset instead of drawing it, which lets several datasets at
-    different noise levels share one scaled bias pattern.
-
-    Each sample draws its state and then its noise from ``rng``, in sample
-    order; the forward model, the system and the labels are computed for
-    ``_BLOCK`` samples at a time, each row as the noise samplers and
-    ``build_system`` give it for one sample.
+    different noise levels share one scaled bias pattern.  Draws and blocks
+    as :func:`_build_in_blocks` does.
     """
     rrhs = sc.selected_rrhs()
     n_a = rrhs.shape[0]
-    dim = measurement_dim(n_a)
-    cfg = sc.noise
-    sd = sigma_components(n_a, cfg)
-    dominant = draw_dominant(cfg, sd, rng, pinned=dominant_bias)
-
-    m_all = np.empty((n_samples, dim))
-    e_all = np.empty((n_samples, dim))
-    x_all = np.empty((n_samples, 6))
-    for lo in range(0, n_samples, _BLOCK):
-        hi = min(lo + _BLOCK, n_samples)
-        for i in range(lo, hi):
-            x_all[i] = sample_ue_state(sc, rng)
-            m_all[i] = rng.standard_normal(dim)  # the noise's normals, for now
-        x = x_all[lo:hi]
-        m = add_noise(ue_measurement(x, rrhs), cfg, sd, dominant, m_all[lo:hi])
-        h, g = build_system(m, rrhs)
-        m_all[lo:hi] = m
-        e_all[lo:hi] = h - (g @ x[..., None])[..., 0]
-    meta = {
-        "kind": "ue",
-        "n_a": n_a,
-        "noise": {"delta_d": cfg.delta_d, "delta_a": cfg.delta_a,
-                  "mode": cfg.mode, "ratio": cfg.ratio},
-    }
-    if dominant is not None:
-        meta["dominant_bias"] = dominant.tolist()
-    return Dataset(m_all, e_all, x_all, meta)
+    return _build_in_blocks(
+        sc, n_samples, rng, sample_ue_state, 6, sigma_components(n_a, sc.noise),
+        lambda x: ue_measurement(x, rrhs), lambda m: build_system(m, rrhs),
+        {"kind": "ue", "n_a": n_a}, pinned=dominant_bias,
+    )
 
 
 def make_scatterer_dataset(sc: Scenario, n_samples: int, rng) -> Dataset:
@@ -441,38 +445,21 @@ def make_scatterer_dataset(sc: Scenario, n_samples: int, rng) -> Dataset:
 
     The observing receiver and the differencing reference are fixed by the
     scenario; the user state is held at its true value (labels describe
-    measurement error, not user error).  Draws and blocks as in
-    :func:`make_dataset`.
+    measurement error, not user error).  Draws and blocks as
+    :func:`_build_in_blocks` does, the labels' ``G`` being the system's ``G·T``.
     """
     b_n = sc.rrhs[sc.scatterer_rrh]
     b_1 = sc.rrhs[0]
-    ue = sc.ue_true
-    cfg = sc.noise
-    sd = scatterer_sigma_components(cfg)
-    dominant = draw_dominant(cfg, sd, rng)
 
-    m_all = np.empty((n_samples, 4))
-    e_all = np.empty((n_samples, 4))
-    x_all = np.empty((n_samples, 4))
-    for lo in range(0, n_samples, _BLOCK):
-        hi = min(lo + _BLOCK, n_samples)
-        for i in range(lo, hi):
-            x_all[i] = sample_scatterer_state(sc, rng)
-            m_all[i] = rng.standard_normal(4)
-        xs = x_all[lo:hi]
-        ms = add_noise(scatterer_measurement(xs, ue, b_n, b_1), cfg, sd, dominant, m_all[lo:hi])
-        h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
-        m_all[lo:hi] = ms
-        e_all[lo:hi] = h - ((g @ t) @ xs[..., None])[..., 0]
-    meta = {
-        "kind": "scatterer",
-        "rrh": int(sc.scatterer_rrh),
-        "noise": {"delta_d": cfg.delta_d, "delta_a": cfg.delta_a,
-                  "mode": cfg.mode, "ratio": cfg.ratio},
-    }
-    if dominant is not None:
-        meta["dominant_bias"] = dominant.tolist()
-    return Dataset(m_all, e_all, x_all, meta)
+    def system(ms):
+        h, g, t = build_scatterer_system(ms, b_n, b_1, sc.ue_true)
+        return h, g @ t
+
+    return _build_in_blocks(
+        sc, n_samples, rng, sample_scatterer_state, 4, scatterer_sigma_components(sc.noise),
+        lambda xs: scatterer_measurement(xs, sc.ue_true, b_n, b_1), system,
+        {"kind": "scatterer", "rrh": int(sc.scatterer_rrh)},
+    )
 
 
 def residual_weight(e_hat: np.ndarray, eps: float) -> np.ndarray:

@@ -491,7 +491,7 @@ class TestPipelineRoundTrip:
         )
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert "every test sample failed" in err and "non-finite" in err
+        assert "every trial failed numerically; trial 0:" in err and "non-finite" in err
 
     def test_eval_blackbox_non_finite_weights_exits_numerical(
         self, pipeline_dir, tmp_path, capsys
@@ -513,7 +513,7 @@ class TestPipelineRoundTrip:
         )
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert "every test sample failed" in err and "black-box" in err
+        assert "every trial failed numerically; trial 0:" in err and "black-box" in err
         assert "non-finite" in err
 
     def test_eval_without_model_rejected(self, pipeline_dir, tmp_path):
@@ -552,6 +552,8 @@ class TestPipelineRoundTrip:
     @pytest.mark.parametrize("field", [
         "batch_size: 0", "batch_size: -2", "epochs: -3",
         "layer_widths: abc", "layer_widths: 5", "batch_size: .inf",
+        "lr: .nan", "lr: -1.0", "eps_adam: 0.0", "beta1: 2.0", "beta2: 1.0",
+        "output_activation: tanh",
     ])
     def test_train_rejects_bad_training_sizes(self, pipeline_dir, tmp_path, capsys, field):
         config = tmp_path / "bad.yaml"
@@ -566,6 +568,31 @@ class TestPipelineRoundTrip:
         err = capsys.readouterr().err
         assert field.split(":")[0] in err and "Traceback" not in err
         assert not model.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--eps", "0"), ("eval", "--eps", "-1"),
+        ("eval", "--eps", "nan"), ("eval", "--eps", "inf"),
+        ("ensemble-eval", "--r-a", "nan"), ("ensemble-eval", "--r-a", "inf"),
+        ("gen-dataset", "--samples", "-5"), ("gen-dataset", "--samples", "0"),
+        ("gen-dataset", "--target", "scatterer", "--samples", "-5"),
+        ("gen-dataset", "--target", "scatterer", "--samples", "0"),
+    ], ids=" ".join)
+    def test_bad_number_option_exits_parse(self, pipeline_dir, tmp_path, capsys, argv):
+        paths = pipeline_dir["a"]
+        data = {
+            "eval": ["--data", paths["test"], "--model", paths["model"]],
+            "ensemble-eval": ["--train", paths["train"], "--val", paths["val"],
+                              "--data", paths["test"], "--members", "2"],
+            "gen-dataset": [],
+        }[argv[0]]
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--scenario", str(pipeline_dir["scenario"]),
+                    *map(str, data), "--out", str(out))
+        assert exc.value.code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert argv[-2] in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestEnsembleEval:

@@ -195,8 +195,9 @@ class TestConfigAndManifest:
     def test_config_validation(self):
         with pytest.raises(ScenarioError):
             ensemble.EnsembleConfig(p=1)
-        with pytest.raises(ScenarioError):
-            ensemble.EnsembleConfig(r_a=0.0)
+        for r_a in (0.0, np.nan, np.inf):
+            with pytest.raises(ScenarioError):
+                ensemble.EnsembleConfig(r_a=r_a)
         with pytest.raises(ScenarioError):
             ensemble.EnsembleConfig(p=3, seeds=(1, 2))
 

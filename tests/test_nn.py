@@ -358,14 +358,23 @@ class TestConfig:
             nn.MlpConfig(layer_widths=(22, 0, 22))
 
     def test_bad_activation_rejected(self):
-        with pytest.raises(NumericalError):
+        with pytest.raises(ScenarioError):
             nn.MlpConfig(output_activation="tanh")
 
     def test_bad_schedule_and_weighting_rejected(self):
-        with pytest.raises(NumericalError):
+        with pytest.raises(ScenarioError):
             nn.MlpConfig(lr_schedule="linear-decay")
-        with pytest.raises(NumericalError):
+        with pytest.raises(ScenarioError):
             nn.MlpConfig(loss_weighting="per-sample")
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", 0.0), ("lr", -1.0), ("lr", np.nan), ("lr", np.inf),
+        ("eps_adam", 0.0), ("eps_adam", np.nan),
+        ("beta1", -0.1), ("beta1", 1.0), ("beta1", 2.0), ("beta2", 1.0), ("beta2", np.nan),
+    ])
+    def test_adam_setting_out_of_range_rejected(self, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            nn.MlpConfig(**{field: value})
 
     def test_replace_keeps_other_fields(self):
         cfg = nn.MlpConfig(seed=5, epochs=7)

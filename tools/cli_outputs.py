@@ -14,10 +14,16 @@ runs, in process, on the bundled scenarios:
   ``montecarlo`` workload, whose scatterer trial 0 fails;
 - ``crlb --rho 0.1 1 10 --na 3 4 6 --check-identities`` on every scenario;
 - ``gen-dataset --samples 300`` for ``--target ue`` and ``--target
-  scatterer`` on every scenario.
+  scatterer`` on every scenario;
+- the learning commands on ``structured-noise.yaml``: ``gen-dataset
+  --split 300,50,100``, ``train`` for ``nn_wls`` and ``blackbox`` on that
+  split, ``eval`` of ``wls``, ``nn_wls``, ``nn_ls`` (with the ``nn_wls``
+  model) and ``blackbox`` on its test set, ``ensemble-eval --members 3``,
+  and an ``eval`` of the ``nn_wls`` model on the scenario's scatterer
+  dataset, which exits 3.
 
-Each command's exit code and standard error go to ``<name>.status``, so a
-command that fails is compared too.
+Each command's exit code, standard error and warnings go to
+``<name>.status``, so a command that fails or warns is compared too.
 
 Beside them, ``select-los-bias<b>-seed<s>.txt`` holds every selection the
 ``select-sr`` runs make, through the public ``simulate_paths`` and
@@ -48,6 +54,7 @@ import io
 import math
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,11 +70,18 @@ SCENARIOS = sorted((ROOT / "scenarios").glob("*.yaml"))
 
 
 def _run(out: Path, name: str, argv) -> None:
-    """One ``hybridloc`` command; its status goes to ``<name>.status``."""
+    """One ``hybridloc`` command; its status goes to ``<name>.status``.
+
+    Each warning it raises is written there as its class and message, which
+    do not depend on the checkout's path or on the warnings shown before.
+    """
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.main([str(a) for a in argv])
-    (out / f"{name}.status").write_text(f"exit {code}\n{err.getvalue()}", encoding="utf-8")
+    caught = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    (out / f"{name}.status").write_text(f"exit {code}\n{err.getvalue()}{caught}",
+                                        encoding="utf-8")
 
 
 def _select_sr(out: Path, scratch: Path) -> None:
@@ -126,6 +140,34 @@ def _selections(out: Path) -> None:
             (out / f"select-los-bias{bias}-seed{seed}.txt").write_text(
                 "\n".join(lines) + "\n", encoding="utf-8"
             )
+
+
+def _learning(out: Path) -> None:
+    """The learning commands on ``structured-noise.yaml``; the width-mismatch
+    ``eval`` reads the scatterer dataset that ``main`` writes first."""
+    scenario = ROOT / "scenarios" / "structured-noise.yaml"
+    _run(out, "gen-dataset-split", ["gen-dataset", "--scenario", scenario,
+                                    "--split", "300,50,100", "--out", out / "learning.npz"])
+    split = {name: out / f"learning-{name}.npz" for name in ("train", "val", "test")}
+    for pipeline in ("nn_wls", "blackbox"):
+        _run(out, f"train-{pipeline}", [
+            "train", "--train", split["train"], "--val", split["val"],
+            "--pipeline", pipeline, "--out", out / f"model-{pipeline}.npz"])
+    for pipeline, model in (("wls", None), ("nn_wls", "nn_wls"), ("nn_ls", "nn_wls"),
+                            ("blackbox", "blackbox")):
+        name = f"eval-{pipeline}"
+        _run(out, name, [
+            "eval", "--scenario", scenario, "--data", split["test"], "--pipeline", pipeline,
+            *(("--model", out / f"model-{model}.npz") if model else ()),
+            "--out", out / f"{name}.csv"])
+    _run(out, "ensemble-eval", [
+        "ensemble-eval", "--scenario", scenario, "--train", split["train"],
+        "--val", split["val"], "--data", split["test"], "--members", 3,
+        "--out", out / "ensemble-eval.csv"])
+    _run(out, "eval-width-mismatch", [
+        "eval", "--scenario", scenario,
+        "--data", out / "gen-dataset-scatterer-structured-noise.npz",
+        "--model", out / "model-nn_wls.npz", "--out", out / "eval-width-mismatch.csv"])
 
 
 def _number(cell: str):
@@ -216,6 +258,7 @@ def main(argv=None) -> int:
             name = f"gen-dataset-{target}-{stem}"
             _run(out, name, ["gen-dataset", "--scenario", scenario, "--samples", 300,
                              "--target", target, "--out", out / f"{name}.npz"])
+    _learning(out)
     return 0
 
 
