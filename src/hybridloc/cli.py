@@ -7,7 +7,8 @@ library versions) and contain nothing time- or machine-dependent beyond
 that, so identical invocations produce byte-identical files.
 
 Exit codes: 0 on success, 2 for configuration/parse problems, 3 for
-dimension mismatches, 4 for numerical failures.
+dimension mismatches, 4 for numerical failures.  Errors and warnings go
+to standard error as one ``error: ...`` or ``warning: ...`` line each.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import operator
 import platform
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -186,9 +188,9 @@ def cmd_crlb(args) -> int:
     rows = []
     for na in nas:
         sc_n = sc.replace(n_a=na)
-        for rho in rhos:
-            q = build_q(na, sc.noise.scaled(rho))
-            pos, vel = crlb_ue_traces(sc.ue_true, sc_n.selected_rrhs(), q)
+        qs = np.stack([build_q(na, sc.noise.scaled(rho)) for rho in rhos])
+        traces = crlb_ue_traces(sc.ue_true, sc_n.selected_rrhs(), qs)
+        for rho, (pos, vel) in zip(rhos, traces):
             rows.append(
                 {
                     "na": na,
@@ -474,19 +476,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one ``warning: <message>`` line, naming no source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "require_out", False) and not args.out:
         parser.error(f"{args.command} requires --out")
-    try:
-        return args.func(args)
-    except HybridlocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    # The filters (``-W``, ``PYTHONWARNINGS``) still decide which warnings show.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except HybridlocError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -4,6 +4,13 @@ For a Gaussian measurement model the bound is ``inv(D' inv(Q) D)`` where
 ``D`` is the Jacobian of the noise-free measurement vector with respect to
 the unknown state.  Row order matches the measurement layout documented in
 :mod:`hybridloc.geometry`; state columns are position-then-velocity.
+
+The bounds take one covariance or a stack of them, one per noise scale
+of a grid: the Jacobian depends on the state alone, so one Jacobian, one
+stacked solve and one stacked inversion serve the whole grid.  Each
+member is decided as it would be alone, by the singular-matrix rule of
+the WLS solves (``ue_wls._invert_normal``), and a single covariance is the
+stack of one.
 """
 
 from __future__ import annotations
@@ -24,29 +31,59 @@ from .ue_wls import _invert_normal, _position_row_mask
 
 
 def _information(jac: np.ndarray, q) -> np.ndarray:
-    """``J' inv(Q) J``; a singular ``q`` raises ``SingularProblemError``."""
+    """``J' inv(Q) J`` under each covariance of ``q`` (..., d, d).
+
+    A singular member of ``q`` raises ``SingularProblemError``.
+    """
     try:
         return jac.T @ np.linalg.solve(q, jac)
     except np.linalg.LinAlgError as exc:
         raise SingularProblemError("measurement covariance is singular") from exc
 
 
-def _bound(jac: np.ndarray, q) -> np.ndarray:
-    """``inv(J' inv(Q) J)``: the bound of Jacobian ``jac`` under covariance ``q``.
+_NON_FINITE = "information matrix has non-finite entries"
+_SINGULAR = "information matrix is singular; geometry does not identify the state"
 
-    A singular ``q`` or an information matrix that is not finite or not
-    invertible raises ``SingularProblemError``; the information matrix is
-    singular by the rule of the WLS solves (``ue_wls._invert_normal``).
+
+def _bounds(jac: np.ndarray, q: np.ndarray):
+    """``(bound, failed)``: ``inv(J' inv(Q) J)`` under each covariance of the
+    stack ``q`` (R, d, d), and per member the message of why it has none.
+
+    A singular covariance raises ``SingularProblemError``.  A member whose
+    information matrix is not finite, or is singular by the rule of the WLS
+    solves (``ue_wls._invert_normal``), gets a NaN bound and its message in
+    ``failed``; the others get None.
     """
     fisher = _information(jac, q)
-    if not np.all(np.isfinite(fisher)):
-        raise SingularProblemError("information matrix has non-finite entries")
-    bound, singular = _invert_normal(fisher)
-    if singular:
-        raise SingularProblemError(
-            "information matrix is singular; geometry does not identify the state"
-        )
-    return bound
+    finite = np.isfinite(fisher).all(axis=(1, 2))
+    if finite.all():
+        bound, singular = _invert_normal(fisher)
+    else:
+        bound = np.full(fisher.shape, np.nan)
+        singular = np.zeros(len(fisher), dtype=bool)
+        if finite.any():
+            bound[finite], singular[finite] = _invert_normal(fisher[finite])
+    failed = np.full(len(fisher), None, dtype=object)
+    failed[~finite] = _NON_FINITE
+    failed[singular] = _SINGULAR
+    return bound, failed
+
+
+def _bound(jac: np.ndarray, q) -> np.ndarray:
+    """``inv(J' inv(Q) J)``: the bound of Jacobian ``jac`` under covariance
+    ``q`` (d, d), or under each covariance of a stack ``q`` (R, d, d).
+
+    A singular covariance, or an information matrix that is not finite or
+    not invertible, raises ``SingularProblemError`` (the first such member's
+    message); the information matrix is singular by the rule of the WLS
+    solves (``ue_wls._invert_normal``).
+    """
+    q = np.asarray(q, dtype=float)
+    bound, failed = _bounds(jac, q.reshape((-1,) + q.shape[-2:]))
+    for message in failed:
+        if message is not None:
+            raise SingularProblemError(message)
+    return bound.reshape(q.shape[:-2] + bound.shape[-2:])
 
 
 def _range_gradients(u, udot, rrhs):
@@ -89,7 +126,8 @@ def jacobian_ue(x, rrhs) -> np.ndarray:
 
 
 def crlb_ue(x, rrhs, q) -> np.ndarray:
-    """6x6 covariance lower bound for the joint position/velocity estimate."""
+    """6x6 covariance lower bound for the joint position/velocity estimate
+    (a stack of them for a stack of covariances ``q``)."""
     return _bound(jacobian_ue(x, rrhs), q)
 
 
@@ -99,14 +137,16 @@ def crlb_ue_position(x, rrhs, q) -> np.ndarray:
     Below four receivers the joint 6-D information matrix is singular
     (velocity is unidentifiable) and ``wls_solve`` falls back to these rows,
     which carry no velocity; this is the bound that fallback can attain.
+    A stack of covariances ``q`` gives a stack of bounds.
     """
     return _position_bound(jacobian_ue(x, rrhs), np.asarray(q, dtype=float))
 
 
 def _position_bound(jac: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The bound of the position columns of ``jac``'s TDOA and AOA rows."""
+    """The bound of the position columns of ``jac``'s TDOA and AOA rows,
+    under ``q`` (..., d, d)."""
     rows = _position_row_mask((jac.shape[0] + 2) // 4)  # jac has 4 n_a - 2 rows
-    return _bound(jac[np.ix_(rows, [0, 1, 2])], q[np.ix_(rows, rows)])
+    return _bound(jac[np.ix_(rows, [0, 1, 2])], q[..., rows, :][..., rows])
 
 
 def jacobian_scatterer(xs, b_n, ue) -> np.ndarray:
@@ -149,7 +189,11 @@ def jacobian_scatterer(xs, b_n, ue) -> np.ndarray:
 
 
 def crlb_scatterer(xs, b_n, ue, qs) -> np.ndarray:
-    """4x4 covariance lower bound for the scatterer position/speed estimate."""
+    """4x4 covariance lower bound for the scatterer position/speed estimate.
+
+    A stack of covariances ``qs`` (R, 4, 4) gives the (R, 4, 4) stack of
+    bounds, from one Jacobian.
+    """
     return _bound(jacobian_scatterer(xs, b_n, ue), qs)
 
 
@@ -172,15 +216,22 @@ def crlb_ue_traces(x, rrhs, q):
     :func:`crlb_ue_position`.  A singular ``q`` raises
     ``SingularProblemError``: its zero variances would otherwise pass for
     unobservable velocity when they sit on the FDOA rows.
+
+    ``q`` is one covariance (d, d), giving one ``(position, velocity)``
+    pair, or a stack (R, d, d), giving a list of R pairs from one Jacobian,
+    each what the call with that member alone returns.
     """
     jac = jacobian_ue(x, rrhs)
     q = np.asarray(q, dtype=float)
-    try:
-        cov = _bound(jac, q)
-    except SingularProblemError:
-        _information(jac, q)
-        return float(np.trace(_position_bound(jac, q))), None
-    return position_trace(cov), velocity_trace(cov)
+    stack = q.reshape((-1,) + q.shape[-2:])
+    cov, failed = _bounds(jac, stack)
+    traces = [(position_trace(c), velocity_trace(c)) for c in cov]
+    unobservable = np.not_equal(failed, None)
+    if unobservable.any():
+        position = _position_bound(jac, stack[unobservable])
+        for r, p in zip(np.flatnonzero(unobservable), position):
+            traces[r] = position_trace(p), None
+    return traces if q.ndim == 3 else traces[0]
 
 
 @dataclass

@@ -14,8 +14,12 @@ a grid of noise scales ``rhos``: it turns a block of normals into noisy
 measurements at every scale with one :func:`~hybridloc.noise.add_noise`
 step and solves the (scales, block) stack at once, with one covariance per
 scale, and returns one report per scale.  Without ``rhos`` it is the grid
-of ``sc.noise`` alone.  The selection campaign simulates its trials and
-builds their n_a-free records in blocks too, and takes an n_a grid.
+of ``sc.noise`` alone.  The report side takes the grid whole as well: one
+bound call on the stack of the scales' covariances gives every scale's
+bound from one Jacobian, and :func:`compute_metrics` takes each report's
+fields from a few shared sums.  The selection campaign simulates its
+trials and builds their n_a-free records in blocks too, and takes an n_a
+grid.
 """
 
 from __future__ import annotations
@@ -99,8 +103,14 @@ def compute_metrics(estimates, truths) -> MetricReport:
 
     RMSE is the root of the mean squared error NORM, MAE the mean error
     norm, both split into position (the first three components) and
-    velocity (the rest).  ``truths`` has one row per estimate, or a single
-    row that every estimate shares.
+    velocity (the rest); velocity metrics stay None when any velocity
+    error is NaN.  ``truths`` has one row per estimate, or a single row
+    that every estimate shares.
+
+    Every field comes from a few ``np.add.reduce`` sums, summed as
+    ``np.mean``, ``np.linalg.norm`` and ``ndarray.std`` sum them, so each
+    rounds as those would: the squared errors' row sums give both RMSE and
+    MAE, and the column sums both the bias and the centre of the std.
     """
     estimates = np.atleast_2d(np.asarray(estimates, dtype=float))
     truths = np.atleast_2d(np.asarray(truths, dtype=float))
@@ -111,19 +121,31 @@ def compute_metrics(estimates, truths) -> MetricReport:
             f"estimates {estimates.shape} and truths {truths.shape} differ"
         )
     err = estimates - truths
-    pos = err[:, :3]
-    vel = err[:, 3:]
+    n = err.shape[0]
+    bias = np.add.reduce(err, axis=0) / n
+    centred = err - bias
+    squares = err * err
     report = MetricReport(
-        rmse_position=float(np.sqrt(np.mean(np.sum(pos**2, axis=1)))),
-        mae_position=float(np.mean(np.linalg.norm(pos, axis=1))),
-        bias_per_component=err.mean(axis=0),
-        std_per_component=err.std(axis=0),
-        trials=estimates.shape[0],
+        bias_per_component=bias,
+        std_per_component=np.sqrt(np.add.reduce(centred * centred, axis=0) / n),
+        trials=n,
     )
-    if vel.shape[1] and not np.any(np.isnan(vel)):
-        report.rmse_velocity = float(np.sqrt(np.mean(np.sum(vel**2, axis=1))))
-        report.mae_velocity = float(np.mean(np.linalg.norm(vel, axis=1)))
+    report.rmse_position, report.mae_position = _rms_and_mean_norm(squares[:, :3], n)
+    if err.shape[1] > 3:
+        # A sum of squares is NaN exactly when one of them is: so are the
+        # velocity RMSE and MAE.
+        rmse, mae = _rms_and_mean_norm(squares[:, 3:], n)
+        if not np.isnan(rmse):
+            report.rmse_velocity, report.mae_velocity = rmse, mae
     return report
+
+
+def _rms_and_mean_norm(squares, n: int) -> tuple:
+    """The root mean and the mean of the norms whose squared entries are the
+    rows of ``squares``, over ``n`` rows."""
+    norms2 = np.add.reduce(squares, axis=1)
+    return (float(np.sqrt(np.add.reduce(norms2) / n)),
+            float(np.add.reduce(np.sqrt(norms2)) / n))
 
 
 def trial_normals(sc: Scenario, width: int | None = None) -> np.ndarray:
@@ -206,7 +228,8 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None, r
     Position metrics cover every successful trial, velocity metrics the
     ones whose velocity is valid (not solved position-only).  The bound is
     the joint one when velocity is observable at the true state, else the
-    position bound of the TDOA and AOA rows.  ``normals`` is the
+    position bound of the TDOA and AOA rows; one :func:`crlb_ue_traces`
+    call gives it at every noise scale.  ``normals`` is the
     :func:`trial_normals` array of ``sc``'s seed and trial count, drawn
     here when None.
 
@@ -228,9 +251,10 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None, r
         normals,
         lambda ms: wls_solve_batch(ms, rrhs, qs[:, None], iters=sc.wls_iters),
     )
+    traces = crlb_ue_traces(sc.ue_true, rrhs, qs)
     results = []
     fields = (_joined(batches, f) for f in ("x", "velocity_valid", "failures"))
-    for x, valid, failures, q in zip(*fields, qs):
+    for x, valid, failures, trace in zip(*fields, traces):
         # Once a successful trial has lost its velocity, the report covers
         # position only and takes its velocity metrics from the valid trials.
         width = 6 if valid[np.equal(failures, None)].all() else 3
@@ -239,9 +263,7 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None, r
             velocity = compute_metrics(x[valid], sc.ue_true)
             report.rmse_velocity = velocity.rmse_velocity
             report.mae_velocity = velocity.mae_velocity
-        report.crlb_trace_position, report.crlb_trace_velocity = crlb_ue_traces(
-            sc.ue_true, rrhs, q
-        )
+        report.crlb_trace_position, report.crlb_trace_velocity = trace
         results.append((report, _trial_rows(sc, x, failures)) if collect_trials else report)
     return results[0] if rhos is None else results
 
@@ -269,7 +291,8 @@ def run_scatterer_campaign(sc: Scenario, normals=None, rhos=None):
     count, at least four wide (its first four columns are used), drawn
     here when None.  ``rhos`` is a grid of noise scales, as in
     :func:`run_wls_campaign`: with it the result is one report per scale,
-    without it the report at ``sc.noise``.
+    without it the report at ``sc.noise``.  One :func:`crlb_scatterer`
+    call gives the bound at every scale.
     """
     b_n = sc.rrhs[sc.scatterer_rrh]
     b_1 = sc.rrhs[0]
@@ -282,10 +305,10 @@ def run_scatterer_campaign(sc: Scenario, normals=None, rhos=None):
         normals,
         lambda ms: scatterer_wls_solve_batch(ms, b_n, b_1, sc.ue_true, qss[:, None]),
     )
+    crlbs = crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qss)
     reports = []
-    for x, failures, qs in zip(_joined(batches, "x"), _joined(batches, "failures"), qss):
+    for x, failures, crlb in zip(_joined(batches, "x"), _joined(batches, "failures"), crlbs):
         report = _report(x, failures, sc.scatterer_true)
-        crlb = crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qs)
         report.crlb_trace_position = position_trace(crlb)
         report.crlb_trace_velocity = velocity_trace(crlb)
         reports.append(report)
@@ -344,9 +367,14 @@ def estimator(pipeline: str, sc: Scenario, model=None, eps: float = 0.1, r_a: fl
     failures)``: the (N, 6) estimates and, per sample, the
     ``HybridlocError`` it raised or None, as ``WlsBatch`` does.  ``model``
     is the trained net, or the list of member nets for the ENN pipelines;
-    "wls" needs none.
+    "wls" needs none.  A model whose output does not suit the pipeline
+    raises ``DimensionMismatchError``: a residual net (``nn_*``, ``enn_*``)
+    must output one entry per measurement entry, as wide as its input, and
+    a black-box net the 6-entry state.
     """
     rrhs = sc.selected_rrhs()
+    if model is not None:
+        _check_outputs(pipeline, model)
     if pipeline == "wls":
         q = build_q(sc.n_a, sc.noise)
 
@@ -368,6 +396,28 @@ def estimator(pipeline: str, sc: Scenario, model=None, eps: float = 0.1, r_a: fl
     if pipeline == "enn_m":
         return lambda ms: ensemble.enn_m_wls_batch(model, ms, rrhs, eps)
     raise ScenarioError(f"unknown pipeline {pipeline!r}")
+
+
+# Pipelines whose nets predict the measurement residual, one entry per
+# measurement entry.
+_RESIDUAL_PIPELINES = ("nn_wls", "nn_ls", "enn_a", "enn_b", "enn_m")
+
+
+def _check_outputs(pipeline: str, model) -> None:
+    """Raise ``DimensionMismatchError`` when a net of ``model`` (one net or a
+    list) has an output width that ``pipeline`` cannot use."""
+    for net in model if isinstance(model, (list, tuple)) else [model]:
+        width_in, width_out = net.config.layer_widths[0], net.config.layer_widths[-1]
+        if pipeline == "blackbox" and width_out != 6:
+            raise DimensionMismatchError(
+                f"pipeline 'blackbox' needs a model that outputs the 6-entry state; "
+                f"this model outputs {width_out} entries"
+            )
+        if pipeline in _RESIDUAL_PIPELINES and width_out != width_in:
+            raise DimensionMismatchError(
+                f"pipeline {pipeline!r} needs a residual model, whose output is as "
+                f"wide as its input; this model maps {width_in} entries to {width_out}"
+            )
 
 
 def evaluate(estimate, test_set) -> MetricReport:

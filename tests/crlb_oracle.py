@@ -3,12 +3,17 @@
 These are the scalar forms of ``jacobian_ue``, ``jacobian_scatterer`` and
 ``verify_identities`` in ``hybridloc.crlb``: one receiver per loop step,
 on the per-ray geometry of ``scalar_geometry``.
+
+``bound``, ``crlb_ue_traces`` and ``crlb_scatterer`` are the retired
+one-covariance forms of the bounds, kept as the oracle of the stacked ones:
+one solve, one information matrix and one inversion per covariance.
 """
 
 import numpy as np
 
-from hybridloc.errors import DegenerateGeometryError, GimbalLockError
+from hybridloc.errors import DegenerateGeometryError, GimbalLockError, SingularProblemError
 from hybridloc.geometry import MIN_COS_ELEVATION
+from hybridloc.ue_wls import _invert_normal, _position_row_mask
 from scalar_geometry import angle_rates, angular_vectors, aoa_los
 
 
@@ -109,3 +114,43 @@ def verify_identities(x, rrhs):
         scale_b = max(np.abs(rhs_b).max(), 1.0)
         max_dev_rate = max(max_dev_rate, np.abs(lhs_b - rhs_b).max() / scale_b)
     return float(max_dev_range), float(max_dev_rate)
+
+
+def information(jac, q):
+    """``J' inv(Q) J`` of one covariance ``q``."""
+    try:
+        return jac.T @ np.linalg.solve(q, jac)
+    except np.linalg.LinAlgError as exc:
+        raise SingularProblemError("measurement covariance is singular") from exc
+
+
+def bound(jac, q):
+    """``inv(J' inv(Q) J)`` of one covariance ``q``, or ``SingularProblemError``."""
+    fisher = information(jac, q)
+    if not np.all(np.isfinite(fisher)):
+        raise SingularProblemError("information matrix has non-finite entries")
+    inv, singular = _invert_normal(fisher)
+    if singular:
+        raise SingularProblemError(
+            "information matrix is singular; geometry does not identify the state"
+        )
+    return inv
+
+
+def crlb_ue_traces(x, rrhs, q):
+    """(position, velocity or None) traces of the user bound under one ``q``."""
+    jac = jacobian_ue(x, rrhs)
+    q = np.asarray(q, dtype=float)
+    try:
+        cov = bound(jac, q)
+    except SingularProblemError:
+        information(jac, q)
+        rows = _position_row_mask(len(rrhs))
+        position = bound(jac[np.ix_(rows, [0, 1, 2])], q[np.ix_(rows, rows)])
+        return float(np.trace(position)), None
+    return float(np.trace(cov[:3, :3])), float(np.trace(cov[3:, 3:]))
+
+
+def crlb_scatterer(xs, b_n, ue, qs):
+    """The scatterer bound under one covariance ``qs``."""
+    return bound(jacobian_scatterer(xs, b_n, ue), np.asarray(qs, dtype=float))

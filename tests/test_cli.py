@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridloc import cli, harness, nn
+from hybridloc import cli, crlb, harness, nn
 from hybridloc.errors import EXIT_DIMENSION, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE
 from hybridloc.scenario import load_scenario
 
@@ -191,6 +191,21 @@ class TestSharedNoiseAcrossRhos:
         for row in rows:
             assert all(row[key] is not None for key in row if key.startswith("scat_"))
 
+    @pytest.mark.parametrize("n_a", [3, 6])
+    @pytest.mark.parametrize("rhos", [("1",), ("0.1", "1", "10"), ("0.1", "0.3", "1", "3", "10")])
+    def test_one_jacobian_of_each_bound_per_call(self, tmp_path, monkeypatch, n_a, rhos):
+        calls = []
+        for name in ("jacobian_ue", "jacobian_scatterer"):
+            def spy(*args, _name=name, _fn=getattr(crlb, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(crlb, name, spy)
+        text = (SCENARIOS / "crlb-attainment.yaml").read_text(encoding="utf-8")
+        scenario = write_scenario(tmp_path / "c.yaml", text.replace("n_a: 6\n", f"n_a: {n_a}\n"))
+        assert run_cli("simulate", "--scenario", scenario, "--rho", *rhos, "--trials", "3",
+                       "--out", str(tmp_path / "s.csv")) == EXIT_OK
+        assert sorted(calls) == ["jacobian_scatterer", "jacobian_ue"]
+
 
 class TestCrlb:
     def test_rho_grid_monotone(self, tmp_path):
@@ -357,10 +372,11 @@ class TestSelectSr:
             warnings.simplefilter("always")
             code = run_cli("select-sr", "--scenario", scenario)
         assert code == EXIT_NUMERICAL
-        assert (
-            "scatterer velocity direction undefined for a static user"
-            in capsys.readouterr().err
-        )
+        err = capsys.readouterr().err
+        assert "scatterer velocity direction undefined for a static user" in err
+        # ``main`` prints its warnings as ``warning:`` lines instead of
+        # passing them on, so both channels must stay empty.
+        assert "warning:" not in err
         assert caught == []
 
 
@@ -405,6 +421,19 @@ def pipeline_dir(tmp_path_factory):
         return paths
 
     return {"scenario": scenario, "config": config, "a": build("a"), "b": build("b")}
+
+
+@pytest.fixture(scope="module")
+def blackbox_model(pipeline_dir):
+    """A black-box model trained on ``pipeline_dir``'s first split."""
+    paths = pipeline_dir["a"]
+    model = paths["model"].with_name("blackbox-a.npz")
+    assert run_cli(
+        "train", "--train", str(paths["train"]), "--val", str(paths["val"]),
+        "--pipeline", "blackbox", "--config", str(pipeline_dir["config"]),
+        "--out", str(model),
+    ) == EXIT_OK
+    return model
 
 
 class TestPipelineRoundTrip:
@@ -516,6 +545,37 @@ class TestPipelineRoundTrip:
         assert "every trial failed numerically; trial 0:" in err and "black-box" in err
         assert "non-finite" in err
 
+    def _eval_mismatch(self, pipeline_dir, tmp_path, capsys, model, pipeline) -> str:
+        """``eval`` of ``model`` under ``pipeline``: exit 3, no output file,
+        one ``error:`` line, which is returned."""
+        out = tmp_path / "r.csv"
+        code = run_cli(
+            "eval", "--scenario", str(pipeline_dir["scenario"]),
+            "--data", str(pipeline_dir["a"]["test"]), "--model", str(model),
+            "--pipeline", pipeline, "--out", str(out),
+        )
+        assert code == EXIT_DIMENSION
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"pipeline {pipeline!r}" in err
+        return err
+
+    @pytest.mark.parametrize("pipeline", ["nn_wls", "nn_ls"])
+    def test_eval_residual_pipeline_rejects_a_blackbox_model(
+        self, pipeline_dir, blackbox_model, tmp_path, capsys, pipeline
+    ):
+        err = self._eval_mismatch(pipeline_dir, tmp_path, capsys, blackbox_model, pipeline)
+        assert "maps 22 entries to 6" in err
+
+    def test_eval_blackbox_pipeline_rejects_a_residual_model(
+        self, pipeline_dir, tmp_path, capsys
+    ):
+        err = self._eval_mismatch(
+            pipeline_dir, tmp_path, capsys, pipeline_dir["a"]["model"], "blackbox"
+        )
+        assert "outputs 22 entries" in err
+
     def test_eval_without_model_rejected(self, pipeline_dir, tmp_path):
         assert run_cli(
             "eval", "--scenario", str(pipeline_dir["scenario"]),
@@ -596,7 +656,7 @@ class TestPipelineRoundTrip:
 
 
 class TestEnsembleEval:
-    def test_comparison_table(self, pipeline_dir, tmp_path):
+    def test_comparison_table(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "ens.csv"
         config = tmp_path / "mlp.yaml"
         config.write_text(
@@ -613,6 +673,10 @@ class TestEnsembleEval:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         names = [l.split(",")[0] for l in lines[1:]]
         assert names == ["nn_wls", "enn_a_wls", "enn_m_wls", "enn_b_wls"]
+        # Three members average a singular weighting, so ENN-B's ridge
+        # engages; its warning is one path-free line.
+        err = capsys.readouterr().err
+        assert err == "warning: averaged residual weighting was singular; ridge engaged\n"
 
 
 class TestSplitDataset:

@@ -7,6 +7,8 @@ stays valid near the wrap line.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import crlb_oracle as oracle
@@ -245,6 +247,96 @@ class TestSingularCovariance:
         q[1, 1] = 0.0
         with pytest.raises(SingularProblemError, match="measurement covariance is singular"):
             crlb_ue_traces(X_TRUE, DEFAULT_RRHS[:n_a], q)
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the class and message of what it raised."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _bits(value):
+    """A bound's outcome with every array as its bytes, for bitwise equality."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    return repr(value)
+
+
+STACK_NOISES = [NoiseConfig(), NoiseConfig(mode="structured", ratio=0.1)]
+
+
+class TestStackedCovariances:
+    """A stack of covariances gives, member by member and bit for bit, what
+    one call per covariance gives, and what the retired one-covariance
+    forms (``crlb_oracle``) gave."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 9),
+        st.lists(st.sampled_from([0.01, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0]),
+                 min_size=1, max_size=4),
+        st.sampled_from(STACK_NOISES),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_per_covariance_calls(self, n_a, rhos, noise, seed):
+        rng = default_rng(seed)
+        sc = Scenario()
+        x, xs = sample_ue_state(sc, rng), sample_scatterer_state(sc, rng)
+        rrhs = DEFAULT_RRHS[rng.permutation(len(DEFAULT_RRHS))[:n_a]]
+        qs = np.stack([build_q(n_a, noise.scaled(rho)) for rho in rhos])
+        stacked = _outcome(lambda: crlb_ue_traces(x, rrhs, qs))
+        assert _bits(stacked) == _bits(_outcome(lambda: [crlb_ue_traces(x, rrhs, q) for q in qs]))
+        assert _bits(stacked) == _bits(_outcome(
+            lambda: [oracle.crlb_ue_traces(x, rrhs, q) for q in qs]))
+        qss = np.stack([build_qs(noise.scaled(rho)) for rho in rhos])
+        stacked = _outcome(lambda: list(crlb_scatterer(xs, rrhs[0], x, qss)))
+        assert _bits(stacked) == _bits(_outcome(
+            lambda: [crlb_scatterer(xs, rrhs[0], x, q) for q in qss]))
+        assert _bits(stacked) == _bits(_outcome(
+            lambda: [oracle.crlb_scatterer(xs, rrhs[0], x, q) for q in qss]))
+
+    def test_members_decided_one_by_one(self):
+        # A 1e30 FDOA variance leaves velocity unidentified by the WLS rule,
+        # and a 1e-310 scale overflows the information matrix: each member
+        # falls back to the position bound alone, as it does when alone.
+        q = build_q(4, NoiseConfig())
+        blind = q.copy()
+        blind[1:6:2, 1:6:2] *= 1e30
+        stack = np.stack([q, blind, 2.0 * q])
+        traces = crlb_ue_traces(X_TRUE, DEFAULT_RRHS[:4], stack)
+        assert [vel is None for _, vel in traces] == [False, True, False]
+        assert traces == [oracle.crlb_ue_traces(X_TRUE, DEFAULT_RRHS[:4], m) for m in stack]
+        tiny = np.stack([q, 1e-310 * q])
+        expected = _outcome(lambda: [crlb_ue(X_TRUE, DEFAULT_RRHS[:4], m) for m in tiny])
+        assert expected == (SingularProblemError, "information matrix has non-finite entries")
+        assert _outcome(lambda: crlb_ue(X_TRUE, DEFAULT_RRHS[:4], tiny)) == expected
+
+    @pytest.mark.parametrize("singular_at", [0, 1, 2])
+    def test_one_singular_covariance_raises_its_message(self, singular_at):
+        q, qs = build_q(6, NoiseConfig()), build_qs(NoiseConfig())
+        stack, stack_s = np.stack([q, 4.0 * q, 9.0 * q]), np.stack([qs, 4.0 * qs, 9.0 * qs])
+        stack[singular_at, 0, 0] = stack_s[singular_at, 0, 0] = 0.0
+        for bound in (
+            lambda: crlb_ue_traces(X_TRUE, RRHS6, stack),
+            lambda: crlb_ue(X_TRUE, RRHS6, stack),
+            lambda: crlb_ue_position(X_TRUE, RRHS6, stack),
+            lambda: crlb_scatterer(XS_TRUE, RRHS6[0], X_TRUE, stack_s),
+        ):
+            assert _outcome(bound) == (SingularProblemError, "measurement covariance is singular")
+
+    def test_one_covariance_keeps_its_return_types(self):
+        q = build_q(6, NoiseConfig())
+        pair = crlb_ue_traces(X_TRUE, RRHS6, q)
+        assert isinstance(pair, tuple) and all(type(t) is float for t in pair)
+        assert crlb_ue_traces(X_TRUE, RRHS6, q[None]) == [pair]
+        assert crlb_ue(X_TRUE, RRHS6, q).shape == (6, 6)
+        assert crlb_ue_position(X_TRUE, RRHS6, q[None]).shape == (1, 3, 3)
+        qs = build_qs(NoiseConfig())
+        assert crlb_scatterer(XS_TRUE, RRHS6[0], X_TRUE, qs).shape == (4, 4)
 
 
 class TestRowIdentities:

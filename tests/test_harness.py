@@ -103,6 +103,26 @@ class TestComputeMetrics:
         assert report.rmse_position == pytest.approx(np.sqrt(14.0))
         assert report.rmse_velocity == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 16, 17, 64, 65, 300, 1000])
+    @pytest.mark.parametrize("width", [3, 4, 6])
+    def test_every_field_equals_the_per_metric_oracle(self, trials, width):
+        # Sizes around the 8-wide blocks of NumPy's pairwise summation,
+        # shared and per-row truths, errors from 1e-3 to 1e3 and NaN velocity.
+        rng = np.random.default_rng([trials, width])
+        est = rng.normal(size=(trials, width)) * 10.0 ** rng.integers(-3, 4, size=(trials, width))
+        per_row = rng.normal(size=(trials, width)) * 100.0
+        cases = [(est, per_row), (est, per_row[0]), (est, per_row[:1])]
+        if width > 3:
+            nan_vel = est.copy()
+            nan_vel[rng.integers(trials), 3 + rng.integers(width - 3)] = np.nan
+            cases += [(nan_vel, per_row), (nan_vel, per_row[0])]
+        for estimates, truths in cases:
+            got = harness.compute_metrics(estimates, truths).to_dict()
+            want = wls_oracle.compute_metrics(estimates, truths).to_dict()
+            assert got.keys() == want.keys()
+            for key in want:
+                assert repr(got[key]) == repr(want[key]), key
+
     def test_report_serializes_to_plain_types(self):
         report = harness.compute_metrics(np.ones((2, 6)), np.zeros((2, 6)))
         data = report.to_dict()
@@ -583,4 +603,25 @@ class TestNnCampaign:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ScenarioError):
             harness.estimator("magic", Scenario())
+
+    @staticmethod
+    def _net(*widths):
+        return nn.Mlp.initialize(
+            nn.MlpConfig(layer_widths=widths),
+            nn.Normalizer.fit(np.zeros((1, widths[0]))),
+            nn.Normalizer.fit(np.zeros((1, widths[-1]))),
+        )
+
+    def test_model_output_must_suit_the_pipeline(self):
+        sc = Scenario()
+        residual, blackbox = self._net(22, 4, 22), self._net(22, 4, 6)
+        for pipeline, model in (("nn_wls", blackbox), ("nn_ls", blackbox),
+                                ("enn_b", [residual, blackbox]), ("blackbox", residual)):
+            with pytest.raises(DimensionMismatchError, match=f"pipeline '{pipeline}'"):
+                harness.estimator(pipeline, sc, model)
+        for pipeline, model in (("nn_wls", residual), ("enn_a", [residual, residual]),
+                                ("blackbox", blackbox), ("wls", blackbox)):
+            harness.estimator(pipeline, sc, model)
+        with pytest.raises(ScenarioError, match="unknown pipeline"):
+            harness.estimator("magic", sc, blackbox)
 

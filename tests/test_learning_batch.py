@@ -30,10 +30,12 @@ MARK = 12345.0  # a first measurement entry that poisons a PoisonNet's predictio
 
 
 class PoisonNet:
-    """A trained net whose prediction is NaN for rows starting with MARK."""
+    """A trained net whose prediction is NaN for rows starting with MARK;
+    it has the net's ``config``, which ``harness.estimator`` checks."""
 
     def __init__(self, net):
         self.net = net
+        self.config = net.config
 
     def predict(self, m):
         out = np.array(self.net.predict(m), dtype=float)

@@ -10,12 +10,14 @@ inv(B) G)`` with ``W = inv(Q)``, which equals the solve of ``(h, G)`` with
 sparsity, and a zero or non-finite pivot raises ``SingularProblemError``.
 They raise on the first failure, as one trial of the stacked solvers fails.
 
-Two retired stacked forms are kept here only as oracles:
+Three retired forms are kept here only as oracles:
 ``solve_normal_cond_first`` takes every live member's SVD condition number
-before inverting, and ``run_wls_campaign_per_rho`` and
+before inverting; ``run_wls_campaign_per_rho`` and
 ``run_scatterer_campaign_per_rho`` run one noise scale per call on
 ``(trials, dim)`` stacks, as ``hybridloc simulate`` used to call them once
-per scale.
+per scale, with one bound per scale; and ``compute_metrics`` takes each
+metric from its own ``np.mean``, ``np.linalg.norm`` or ``ndarray.std``
+call.
 """
 
 import functools
@@ -23,7 +25,6 @@ import functools
 import numpy as np
 
 from hybridloc import harness
-from hybridloc.crlb import crlb_scatterer, crlb_ue_traces
 from hybridloc.errors import (
     CampaignFailedError,
     DegenerateGeometryError,
@@ -41,6 +42,7 @@ from hybridloc.noise import (
 )
 from hybridloc.scatterer_wls import scatterer_wls_solve_batch
 from hybridloc.ue_wls import _COND_LIMIT, _fail, _position_row_mask, wls_solve_batch
+from crlb_oracle import crlb_scatterer, crlb_ue_traces
 from scalar_geometry import angle_rates, angular_vectors, aoa_los, los_range, range_rate
 
 
@@ -326,14 +328,14 @@ def run_wls_campaign_per_rho(sc, collect_trials=False, normals=None):
                 rows.append({"trial": t, "status": "fail", "detail": str(failures[t])})
     estimates = x[ok]
     if valid[ok].all():
-        report = harness.compute_metrics(estimates, np.tile(sc.ue_true, (len(estimates), 1)))
+        report = compute_metrics(estimates, np.tile(sc.ue_true, (len(estimates), 1)))
     else:
-        report = harness.compute_metrics(
+        report = compute_metrics(
             estimates[:, :3], np.tile(sc.ue_true[:3], (len(estimates), 1))
         )
         if valid.any():
             with_velocity = x[valid]
-            velocity = harness.compute_metrics(
+            velocity = compute_metrics(
                 with_velocity, np.tile(sc.ue_true, (len(with_velocity), 1))
             )
             report.rmse_velocity = velocity.rmse_velocity
@@ -366,9 +368,29 @@ def run_scatterer_campaign_per_rho(sc, normals=None):
     estimates = x[ok]
     truths = np.tile(sc.scatterer_true, (len(estimates), 1))
     crlb = crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qs)
-    report = harness.compute_metrics(estimates, truths)
+    report = compute_metrics(estimates, truths)
     report.crlb_trace_position = float(np.trace(crlb[:3, :3]))
     report.crlb_trace_velocity = float(np.trace(crlb[3:, 3:]))
     report.failure_rate = int(np.count_nonzero(~ok)) / sc.trials
     report.trials = sc.trials
+    return report
+
+
+def compute_metrics(estimates, truths):
+    """``harness.compute_metrics`` with one NumPy reduction call per metric."""
+    estimates = np.atleast_2d(np.asarray(estimates, dtype=float))
+    truths = np.atleast_2d(np.asarray(truths, dtype=float))
+    err = estimates - truths
+    pos = err[:, :3]
+    vel = err[:, 3:]
+    report = harness.MetricReport(
+        rmse_position=float(np.sqrt(np.mean(np.sum(pos**2, axis=1)))),
+        mae_position=float(np.mean(np.linalg.norm(pos, axis=1))),
+        bias_per_component=err.mean(axis=0),
+        std_per_component=err.std(axis=0),
+        trials=estimates.shape[0],
+    )
+    if vel.shape[1] and not np.any(np.isnan(vel)):
+        report.rmse_velocity = float(np.sqrt(np.mean(np.sum(vel**2, axis=1))))
+        report.mae_velocity = float(np.mean(np.linalg.norm(vel, axis=1)))
     return report

@@ -12,7 +12,8 @@ runs, in process, on the bundled scenarios:
 - ``simulate --rho 10 --seed 25 --trials 4 --per-trial`` on copies of
   ``crlb-attainment.yaml`` at n_a 3, 6 and 9, the fixed call of perfbench's
   ``montecarlo`` workload, whose scatterer trial 0 fails;
-- ``crlb --rho 0.1 1 10 --na 3 4 6 --check-identities`` on every scenario;
+- ``crlb --rho 0.1 1 10 --na 2 3 4 6 9 --check-identities`` on every
+  scenario, from the smallest position-only layout to the largest one;
 - ``gen-dataset --samples 300`` for ``--target ue`` and ``--target
   scatterer`` on every scenario;
 - the learning commands on ``structured-noise.yaml``: ``gen-dataset
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
             "--out", out / f"simulate-{stem}.csv",
             "--per-trial", out / f"simulate-{stem}-trials.csv"])
         _run(out, f"crlb-{stem}", [
-            "crlb", "--scenario", scenario, "--rho", 0.1, 1, 10, "--na", 3, 4, 6,
+            "crlb", "--scenario", scenario, "--rho", 0.1, 1, 10, "--na", 2, 3, 4, 6, 9,
             "--check-identities", "--out", out / f"crlb-{stem}.csv"])
         for target in ("ue", "scatterer"):
             name = f"gen-dataset-{target}-{stem}"
