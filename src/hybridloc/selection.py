@@ -44,18 +44,20 @@ and builds the result; given the record, it skips the first stage, so one
 trial is selected at several ``n_a`` for the cost of one first stage.
 
 :func:`los_candidates_batch` builds the records of many trials at once.
-Picks and clustering run per trial; the trials with the same pick count
-then form a group whose rays come from one ``angular_vectors`` call.  The
-fit kernels take a leading trial axis -- ``(T, n, 3)`` rays,
-``(T, K, 3)`` starts -- and flatten it into their stack of fits, so the
-trimmed fits of a group share one batched solve per step, and only the
-fits still moving are solved.  The seed pick scores every ray pair of the
-group's trials (a pair without a usable midpoint scores +inf) on
-``(T, C, n)`` planes, a fixed number of seed-ray cells at a time; the finish
-scores the group's distinct member sets in one stack.  Each fit's step and
-freezing are its own, and every stacked kernel rounds each trial's numbers
-as a solo call does, so a trial gets the same record in a batch as alone;
-:func:`los_candidates` is the batch of one.
+Picks run per trial; the trials with the same pick count then form a
+group whose rays come from one ``angular_vectors`` call and whose rough
+fixes are clustered in lockstep, one two-center Lloyd run over the
+group's ``(T, n, 3)`` fixes.  The fit kernels take a leading trial axis --
+``(T, n, 3)`` rays, ``(T, K, 3)`` starts -- and flatten it into their
+stack of fits, so the trimmed fits of a group share one batched solve per
+step; a fit that stops moving stays in the stack, masked from further
+updates.  The seed pick scores every ray pair of the group's trials (a
+pair without a usable midpoint scores +inf) on ``(T, C, n)`` planes, a
+fixed number of seed-ray cells at a time; the finish scores the group's
+distinct member sets in one stack.  Each trial's clustering steps and each
+fit's steps and freezing are its own, and every stacked kernel rounds each
+trial's numbers as a solo call does, so a trial gets the same record in a
+batch as alone; :func:`los_candidates` is the batch of one.
 
 :func:`simulate_paths_batch` draws a block of trials, each from its own
 stream in the order :func:`simulate_paths` (its batch of one) draws, and
@@ -134,45 +136,58 @@ def kmeans2(points, max_iters: int = 100):
     Centers start at the two points farthest apart.  Returns
     ``(c_los, c_nlos, labels)`` where the direct-path cluster is the one
     with more members (ties break toward the tighter cluster) and
-    ``labels[i]`` is True for members of that cluster.
+    ``labels[i]`` is True for members of that cluster.  It is the stack of
+    one of :func:`_kmeans2_stack`.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
         raise ScenarioError("clustering needs at least two 3-D points")
+    c_los, c_nlos, labels = _kmeans2_stack(pts[None], max_iters)
+    return c_los[0], c_nlos[0], labels[0]
 
+
+def _kmeans2_stack(pts, max_iters: int = 100):
+    """:func:`kmeans2` of a ``(T, n, 3)`` stack of point sets, in lockstep.
+
+    Returns ``(T, 3)`` direct-path and reflected-path centers and ``(T,
+    n)`` labels.  Once a trial's assignment repeats, its step reproduces
+    its assignment and centers exactly, so the stack steps until every
+    trial has converged and each trial ends where it ends alone.  Member
+    sums add the points in order, with 0.0 for each non-member, which
+    rounds as summing the members alone does.  The emptied-cluster re-seed
+    and the size/variance tie-break run per trial, on the trials that need
+    them.
+    """
+    rows, n = np.arange(len(pts)), pts.shape[1]
     # Farthest-pair initialization (point counts here are tiny).
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    i, j = np.unravel_index(np.argmax(d2), d2.shape)
-    centers = np.array([pts[i], pts[j]], dtype=float)
+    d2 = np.sum((pts[:, :, None, :] - pts[:, None, :, :]) ** 2, axis=3)
+    i, j = np.divmod(np.argmax(d2.reshape(len(pts), -1), axis=1), n)
+    centers = np.stack([pts[rows, i], pts[rows, j]], axis=1)
 
-    assign = np.zeros(pts.shape[0], dtype=int)
+    assign = np.zeros(pts.shape[:2], dtype=int)
     for it in range(max_iters):
-        diff = pts[:, None, :] - centers[None, :, :]
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=2))  # as np.linalg.norm rounds
-        new_assign = np.argmin(dist, axis=1)
-        if not 0 < new_assign.sum() < len(pts):
-            for k in (0, 1):
-                if not np.any(new_assign == k):
-                    # Re-seed an emptied cluster with the point farthest
-                    # from the surviving center.
-                    far = np.argmax(dist[:, 1 - k])
-                    new_assign[far] = k
+        diff = pts[:, :, None, :] - centers[:, None, :, :]
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=3))  # as np.linalg.norm rounds
+        new_assign = np.argmin(dist, axis=2)
+        size1 = new_assign.sum(axis=1)
+        for t in np.flatnonzero((size1 == 0) | (size1 == n)):
+            # Re-seed the emptied cluster k with the point farthest from
+            # the surviving center.
+            k = int(size1[t] == 0)
+            new_assign[t, np.argmax(dist[t, :, 1 - k])] = k
         if it > 0 and (new_assign == assign).all():
             break
         assign = new_assign
-        for k, members in enumerate((assign == 0, assign == 1)):
-            centers[k] = pts[members].sum(axis=0) / members.sum()  # as np.mean rounds
+        members = assign[..., None] == (0, 1)
+        sums = np.where(members[..., None], pts[:, :, None, :], 0.0).sum(axis=1)
+        centers = sums / members.sum(axis=1)[..., None]  # as np.mean rounds
 
-    size0 = int(np.sum(assign == 0))
-    size1 = pts.shape[0] - size0
-    if size0 != size1:
-        los_k = 0 if size0 > size1 else 1
-    else:
-        var0 = _cluster_variance(pts[assign == 0], centers[0])
-        var1 = _cluster_variance(pts[assign == 1], centers[1])
-        los_k = 0 if var0 <= var1 else 1
-    labels = assign == los_k
-    return centers[los_k], centers[1 - los_k], labels
+    size0 = n - assign.sum(axis=1)
+    los_k = (2 * size0 < n).astype(int)
+    for t in np.flatnonzero(2 * size0 == n):
+        var0, var1 = (_cluster_variance(pts[t, assign[t] == k], centers[t, k]) for k in (0, 1))
+        los_k[t] = 0 if var0 <= var1 else 1
+    return centers[rows, los_k], centers[rows, 1 - los_k], assign == los_k[:, None]
 
 
 def _perp(diff, dirs):
@@ -248,6 +263,14 @@ def _pair_midpoints(origins, dirs):
     return np.moveaxis(mids, 0, -1), usable
 
 
+def _stable_near(dray, cut, k: int):
+    """The ``k`` entries of each row that a stable sort puts first, given
+    each row's ``k``-th smallest value ``cut``: those below the cut, then the
+    earliest at it."""
+    nearer, tied = dray < cut, dray == cut
+    return nearer | (tied & (np.cumsum(tied, axis=-1) <= k - nearer.sum(-1, keepdims=True)))
+
+
 def _seed_scores(s, o, a, ranges, k: int) -> np.ndarray:
     """Scale-free consistency score of candidate centers (lower is better).
 
@@ -263,8 +286,9 @@ def _seed_scores(s, o, a, ranges, k: int) -> np.ndarray:
     ``(..., C, n)`` planes.  A norm is summed ``(x² + y²) + z²``, as
     ``np.linalg.norm`` along a length-3 axis rounds, and the along-ray dot
     ``(x + z) + y``, as ``np.einsum`` contracts one.  The k nearest rays are
-    those a stable sort puts first: the rays nearer than the k-th nearest
-    distance, then the earliest rays at that distance.
+    those a stable sort puts first: the rays no farther than the k-th
+    nearest distance, or :func:`_stable_near` in the rows where another
+    ray ties with it.
     """
     d = s[..., :, None] - o[..., None, :]
     a = a[..., None, :]
@@ -278,8 +302,10 @@ def _seed_scores(s, o, a, ranges, k: int) -> np.ndarray:
     offset = ranges[..., None, :] - dist
     kk = min(k, dray.shape[-1])
     cut = np.partition(dray, kk - 1, axis=-1)[..., kk - 1 : kk]
-    nearer, tied = dray < cut, dray == cut
-    near = nearer | (tied & (np.cumsum(tied, axis=-1) <= kk - nearer.sum(-1, keepdims=True)))
+    near = dray <= cut
+    tied = near.sum(axis=-1) != kk
+    if tied.any():
+        near[tied] = _stable_near(dray[tied], cut[tied], kk)
     shared = _median(offset[near].reshape(*near.shape[:-1], kk))
     combined = dray + np.abs(offset - shared[..., None])
     return np.partition(combined, kk - 1, axis=-1)[..., kk - 1]
@@ -293,10 +319,11 @@ def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
     ``(T, K, 3)`` starts; the T*K fits are independent and run as one
     stack.  Each step solves the weighted normal equations
     ``sum(w P) c = sum(w P o)``, with ``P = I - a a^T`` and ``w =
-    1/max(miss, floor)``, for the live fits at once: both sums are one
-    product of ``w`` with each fit's ``[P | P o]`` table.  A fit is frozen,
-    and leaves the stack, when its step is below 1e-9 m (keeping the new
-    point) or its solve fails (keeping the last).
+    1/max(miss, floor)``, for every fit at once: both sums are one
+    product of ``w`` with each fit's ``[P | P o]`` table.  A fit is frozen
+    when its step is below 1e-9 m (keeping the new point) or its solve
+    fails (keeping the last); it stays in the stack, but its point is never
+    updated again.
     """
     lead, m = kept.shape[:-1], kept.shape[-1]
     kept = kept + origins.shape[1] * np.arange(origins.shape[0])[:, None, None]
@@ -305,18 +332,16 @@ def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
     proj = np.eye(3) - a[..., :, None] * a[..., None, :]
     table = np.concatenate([proj.reshape(-1, m, 9), _perp(o, a)], axis=-1)
     c = np.array(c0, dtype=float).reshape(-1, 3)
-    live, c_live = np.arange(len(c)), c
+    live = np.ones(len(c), dtype=bool)
     for _ in range(iters):
-        w = 1.0 / np.maximum(_norm(_perp(c_live[:, None, :] - o, a)), floor)
+        w = 1.0 / np.maximum(_norm(_perp(c[:, None, :] - o, a)), floor)
         sums = (w[:, None, :] @ table)[:, 0]
         c_new, ok = _solve_3x3(sums[:, :9].reshape(-1, 3, 3), sums[:, 9:])
-        going = ok & (_norm(c_new - c_live) >= 1e-9)
-        c[live[ok]] = c_new[ok]
-        if not going.any():
+        ok &= live
+        live = ok & (_norm(c_new - c) >= 1e-9)
+        c = np.where(ok[:, None], c_new, c)
+        if not live.any():
             break
-        if not going.all():
-            live, o, a, table = (v[going] for v in (live, o, a, table))
-        c_live = c_new[going]
     return c.reshape(*lead, 3)
 
 
@@ -502,10 +527,10 @@ def los_candidates_batch(paths_list, rrhs) -> list:
     """:func:`los_candidates` of many trials, stacked by pick count.
 
     Returns one entry per trial of ``paths_list``: its
-    :class:`LosCandidates`, or the :class:`HybridlocError` its picks or
-    clustering raised.  Picks and clustering run per trial; trials with
-    equal pick counts share one ray build and the stacked trimmed fits,
-    seed pick and rankings, which give each trial the record it gets alone.
+    :class:`LosCandidates`, or the :class:`HybridlocError` its picks
+    raised.  Picks run per trial; trials with equal pick counts share one
+    ray build and the lockstep clustering, stacked trimmed fits, seed pick
+    and rankings, which give each trial the record it gets alone.
     ``rrhs`` must be (N, 3), with one path list per receiver in every
     trial; otherwise the call raises ``DimensionMismatchError``.
     """
@@ -531,23 +556,12 @@ def los_candidates_batch(paths_list, rrhs) -> list:
         dirs = angular_vectors(phi, theta)[0]
         ranges = SPEED_OF_LIGHT * tau
         fixes = origins + ranges[..., None] * dirs  # rough_fix of every pick
-        live, clusters = [], []
-        for g, (t, picks) in enumerate(members):
-            try:
-                c_cluster, c_nlos, _ = kmeans2(fixes[g])
-            except HybridlocError as exc:
-                entries[t] = exc
-                continue
-            entries[t] = LosCandidates(picks, fixes[g], origins[g], dirs[g], ranges[g], c_nlos)
-            live.append(g)
-            clusters.append(c_cluster)
-        if not live:
-            continue
-        rays = (fixes[live], origins[live], dirs[live], ranges[live])
-        centers = _trimmed_centers(*rays, np.array(clusters))
-        for g, *tables in zip(live, centers, *_rank_receivers(centers, *rays)):
-            entry = entries[members[g][0]]
-            entry.centers, entry.distances, entry.orders, entry.winners = tables
+        c_cluster, c_nlos, _ = _kmeans2_stack(fixes)
+        rays = (fixes, origins, dirs, ranges)
+        centers = _trimmed_centers(*rays, c_cluster)
+        for (t, picks), *fields in zip(members, *rays, c_nlos, centers,
+                                       *_rank_receivers(centers, *rays)):
+            entries[t] = LosCandidates(picks, *fields)
     return entries
 
 

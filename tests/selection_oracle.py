@@ -17,7 +17,9 @@ of a seed's six nearest rays.  ``trimmed_ray_point``, ``best_seeds``,
 at each such decision to ``gaps`` when given a list.
 
 ``simulate_paths`` is the receiver-by-receiver form of the trial
-simulator, on the per-ray geometry of ``scalar_geometry``.
+simulator, on the per-ray geometry of ``scalar_geometry``, and ``kmeans2``
+the one-trial form of the lockstep two-center clustering: one Lloyd loop
+per point set, member sums over the members alone.
 """
 
 import numpy as np
@@ -26,6 +28,48 @@ from hybridloc.geometry import SPEED_OF_LIGHT
 from hybridloc.scenario import sample_scatterer_state
 from hybridloc.selection import PathMeasurement
 from scalar_geometry import aoa_los, los_range, nlos_params, range_rate
+
+
+def cluster_variance(points, center) -> float:
+    if points.shape[0] == 0:
+        return np.inf
+    return float(np.mean(np.sum((points - center) ** 2, axis=1)))
+
+
+def kmeans2(points, max_iters: int = 100):
+    """Two-center Lloyd clustering of one ``(n, 3)`` point set: ``(c_los,
+    c_nlos, labels)``, the larger cluster (the tighter on a size tie)
+    first."""
+    pts = np.asarray(points, dtype=float)
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    i, j = np.unravel_index(np.argmax(d2), d2.shape)
+    centers = np.array([pts[i], pts[j]], dtype=float)
+
+    assign = np.zeros(pts.shape[0], dtype=int)
+    for it in range(max_iters):
+        diff = pts[:, None, :] - centers[None, :, :]
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
+        new_assign = np.argmin(dist, axis=1)
+        if not 0 < new_assign.sum() < len(pts):
+            for k in (0, 1):
+                if not np.any(new_assign == k):
+                    far = np.argmax(dist[:, 1 - k])
+                    new_assign[far] = k
+        if it > 0 and (new_assign == assign).all():
+            break
+        assign = new_assign
+        for k, members in enumerate((assign == 0, assign == 1)):
+            centers[k] = pts[members].sum(axis=0) / members.sum()
+
+    size0 = int(np.sum(assign == 0))
+    size1 = pts.shape[0] - size0
+    if size0 != size1:
+        los_k = 0 if size0 > size1 else 1
+    else:
+        var0 = cluster_variance(pts[assign == 0], centers[0])
+        var1 = cluster_variance(pts[assign == 1], centers[1])
+        los_k = 0 if var0 <= var1 else 1
+    return centers[los_k], centers[1 - los_k], assign == los_k
 
 
 def projectors(dirs):

@@ -537,18 +537,16 @@ class TestSrCampaign:
             noise=NoiseConfig(delta_d=1e-9, delta_a=1e-9), p_d=1.0, trials=8, seed=21
         )
         assert [r.success_rate for r in harness.run_sr_campaign(sc, [3, 5])] == [1.0, 1.0]
-        doomed = selection.simulate_paths(sc, np.random.default_rng([sc.seed, 3]))
-        doomed_fixes = selection.los_candidates(doomed, sc.rrhs).fixes
-        real = selection.kmeans2
+        real = harness.simulate_paths_batch
 
-        def raise_on_trial_3(points, *args, **kwargs):
-            if np.array_equal(points, doomed_fixes):
-                raise SingularProblemError("no solvable ray fit")
-            return real(points, *args, **kwargs)
+        def nan_azimuth_in_trial_3(sc, streams):
+            block = real(sc, streams)
+            min(block[3][0], key=lambda p: p.tau).phi = np.nan
+            return block
 
-        # Fails trial 3's first stage in the campaign's block and again in
-        # each select_los, which gets no record for it.
-        monkeypatch.setattr(selection, "kmeans2", raise_on_trial_3)
+        # Trial 3's picks raise NumericalError in the campaign's block and
+        # again in each select_los, which gets no record for it.
+        monkeypatch.setattr(harness, "simulate_paths_batch", nan_azimuth_in_trial_3)
         for report in harness.run_sr_campaign(sc, [3, 5]):
             assert report.failure_rate == 1 / 8
             assert report.success_rate == 7 / 8

@@ -82,6 +82,44 @@ class TestRoughFix:
         assert np.allclose(delta / 100.0, ray, atol=1e-12)
 
 
+POINT_SETS = ("scatter", "duplicates", "identical", "exact blobs", "blobs", "fixes")
+
+
+def point_set(seed, n, kind):
+    """``n`` 3-D points of one kind.
+
+    "duplicates" repeats a few points; "identical" is one point n times;
+    "exact blobs" are two equal-size sets of copies of one point each, and
+    "blobs" two equal-size spreads, so both need the size tie-break (the
+    first by a variance tie); "fixes" are the rough fixes of a ray bundle
+    with a third of them slid outward, as reflections are.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "scatter":
+        return U + rng.normal(0.0, 100.0, (n, 3))
+    if kind == "duplicates":
+        few = U + rng.normal(0.0, 100.0, (max(1, n // 3), 3))
+        return few[rng.integers(0, len(few), n)]
+    if kind == "identical":
+        return np.tile(U + rng.normal(0.0, 100.0, 3), (n, 1))
+    half = np.arange(n) < n // 2
+    if kind == "exact blobs":
+        return np.where(half[:, None], U, U + rng.normal(0.0, 100.0, 3))
+    if kind == "blobs":
+        spread = np.where(half[:, None], 1.0, 3.0) * rng.normal(0.0, 1.0, (n, 3))
+        return np.where(half[:, None], U, U + 50.0) + spread
+    origins, dirs, ranges, _ = ray_bundle(seed, n, False, False, False)
+    return origins + (ranges + 150.0 * (rng.random(n) < 1 / 3))[:, None] * dirs
+
+
+def assert_lockstep_equals_loop(pts, max_iters=100):
+    c_los, c_nlos, labels = selection._kmeans2_stack(pts, max_iters)
+    for t, row in enumerate(pts):
+        old = oracle.kmeans2(row, max_iters)
+        for new, ref in zip((c_los[t], c_nlos[t], labels[t]), old):
+            assert np.array_equal(new, ref), t
+
+
 class TestKmeans2:
     def test_two_blobs_recovered(self):
         rng = np.random.default_rng(5)
@@ -109,6 +147,36 @@ class TestKmeans2:
     def test_too_few_points_raises(self):
         with pytest.raises(ScenarioError):
             kmeans2(np.zeros((1, 3)))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 18),
+        st.lists(st.sampled_from(POINT_SETS), min_size=1, max_size=12),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_lockstep_equals_loop_trial_by_trial(self, seed, n, kinds):
+        pts = np.array([point_set(seed + t, n, kind) for t, kind in enumerate(kinds)])
+        assert_lockstep_equals_loop(pts)
+
+    def test_trials_converging_at_different_steps(self):
+        # Point sets whose centers settle after one to four updates, with
+        # the exact blobs (one update); capping the steps stops the stack
+        # with some trials settled and others moving.
+        pts = np.array(
+            [point_set(seed, 12, "scatter") for seed in (0, 3, 8, 107)]
+            + [point_set(3, 12, "exact blobs")]
+        )
+        final = [oracle.kmeans2(row) for row in pts]
+        settled = [
+            next(
+                cap for cap in range(1, 101)
+                if all(np.array_equal(a, b) for a, b in zip(oracle.kmeans2(row, cap), ref))
+            )
+            for row, ref in zip(pts, final)
+        ]
+        assert settled == [1, 2, 3, 4, 1]
+        for cap in range(1, 7):
+            assert_lockstep_equals_loop(pts, cap)
 
 
 class TestSelectLos:
@@ -623,30 +691,70 @@ class TestStackedKernelsMatchLoops:
             old = oracle.best_seeds(seeds, origins[t], dirs[t], ranges[t])
             assert np.array_equal(best[t], np.array(old))
 
-    def test_frozen_fits_leave_the_stack(self, monkeypatch):
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(8, 18),
+        st.integers(7, 18),
+        st.integers(1, 4),
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_seed_pick_with_tied_cuts(self, seed, n, copies, trials):
+        # Rays 1 to copies - 1 copy ray 0 in every trial, and one center of
+        # each sits on ray 0, so seven or more rays tie at its sixth
+        # nearest distance and the stable tie rule picks the six.
+        copies = min(copies, n)
+        bundles = [ray_bundle(seed + t, n, False, False, False) for t in range(trials)]
+        origins, dirs, ranges = (np.array([b[i] for b in bundles]) for i in range(3))
+        origins[:, 1:copies], dirs[:, 1:copies] = origins[:, :1], dirs[:, :1]
+        rng = np.random.default_rng(seed)
+        centers = U + rng.normal(0.0, 100.0, (trials, 2, 3))
+        centers[:, 0] = origins[:, 0] + rng.uniform(10.0, 500.0, (trials, 1)) * dirs[:, 0]
+        with mock.patch.object(
+            selection, "_stable_near", side_effect=selection._stable_near
+        ) as tie_rule:
+            best = selection._best_seeds(origins, dirs, ranges, centers)
+        assert tie_rule.called
+        for t in range(trials):
+            seeds = list(usable_midpoints(origins[t], dirs[t])) + list(centers[t])
+            old = oracle.best_seeds(seeds, origins[t], dirs[t], ranges[t])
+            assert np.array_equal(best[t], np.array(old))
+
+    def test_frozen_fits_stay_put(self, monkeypatch):
         # Row 0's rays are three copies of one ray along +x, so its first
-        # solve is singular and it freezes; the other rows go on, without it.
+        # solve is singular and it freezes at its start.  Row 1's rays meet
+        # at one point, so its second step is below 1e-9 m and it freezes
+        # there.  Rows 2 and 3 go on moving, with the frozen rows still in
+        # the stack.
         origins, dirs, _, rng = ray_bundle(3, 8, False, False, False)
         origins[1:3], dirs[0:3] = origins[0], [1.0, 0.0, 0.0]
+        dirs[3:6] = U - origins[3:6]
+        dirs[3:6] /= np.linalg.norm(dirs[3:6], axis=1, keepdims=True)
         kept = np.array([[0, 1, 2], [3, 4, 5], [4, 5, 6], [5, 6, 7]])
         starts = U + rng.normal(0.0, 100.0, (4, 3))
         origins, dirs, kept, starts = (v[None] for v in (origins, dirs, kept, starts))
-        rows = []
+        solves = []
         real = selection._solve_3x3
 
-        def counting(normal, rhs):
-            rows.append(len(rhs))
-            return real(normal, rhs)
+        def shifted_after_two(normal, rhs):
+            # Steps 3 on move every solution 1 m, which a frozen fit must
+            # not take up.
+            x, ok = real(normal, rhs)
+            solves.append(x.copy())
+            return x + (len(solves) > 2), ok
 
-        monkeypatch.setattr(selection, "_solve_3x3", counting)
+        monkeypatch.setattr(selection, "_solve_3x3", shifted_after_two)
         (new,) = selection._ray_points(origins, dirs, kept, starts)
-        assert rows[0] == 4 and all(r <= 3 for r in rows[1:]) and len(rows) > 1
+        assert len(solves) > 2 and all(len(x) == 4 for x in solves)
         assert np.array_equal(new[0], starts[0, 0])
+        assert np.array_equal(new[1], solves[1][1])
         monkeypatch.setattr(selection, "_solve_3x3", real)
+        (unshifted,) = selection._ray_points(origins, dirs, kept, starts)
+        assert np.array_equal(unshifted[:2], new[:2])
+        assert not np.array_equal(unshifted[2:], new[2:])
         for row in range(1, 4):
             one = slice(row, row + 1)
             (alone,) = selection._ray_points(origins, dirs, kept[:, one], starts[:, one])
-            assert np.array_equal(new[row], alone[0])
+            assert np.array_equal(unshifted[row], alone[0])
 
     def test_singular_fit_keeps_last_estimate(self):
         # Three copies of one ray: every normal matrix is singular, so the

@@ -4,8 +4,10 @@
 
 runs, in process, on the bundled scenarios:
 
-- ``select-sr --na 4 6 --trials 40`` at seeds 1000-1039, at clock bias 0
-  and 100 m (copies of ``selection-sr.yaml``);
+- ``select-sr --na 4 6 --trials 40`` at seeds 1000-1039, and ``--trials
+  130`` (two full 64-trial blocks and a 2-trial tail, the campaign's block
+  size) at seeds 2000 and 2001, at clock bias 0 and 100 m (copies of
+  ``selection-sr.yaml``);
 - ``simulate --rho 0.1 1 10 --trials 300 --per-trial`` on every scenario,
   and on copies of ``crlb-attainment.yaml`` at n_a 3 (every trial solved
   position-only) and n_a 9;
@@ -27,7 +29,7 @@ Each command's exit code, standard error and warnings go to
 ``<name>.status``, so a command that fails or warns is compared too.
 
 Beside them, ``select-los-bias<b>-seed<s>.txt`` holds every selection the
-``select-sr`` runs make, through the public ``simulate_paths`` and
+40-trial ``select-sr`` runs make, through the public ``simulate_paths`` and
 ``select_los``: for each of the 40 trials of each seed and bias, the
 ordered receivers at n_a 4 and 6 and the ranking center to the
 millimetre (or the error a selection raised).  A ranking change that the
@@ -93,10 +95,11 @@ def _select_sr(out: Path, scratch: Path) -> None:
         scenario = scratch / f"selection-sr-bias{bias}.yaml"
         with open(scenario, "w", encoding="utf-8") as fh:
             yaml.safe_dump({**data, "clock_bias_m": float(bias)}, fh, sort_keys=True)
-        for seed in range(1000, 1040):
+        runs = [(seed, 40) for seed in range(1000, 1040)] + [(2000, 130), (2001, 130)]
+        for seed, trials in runs:
             name = f"select-sr-bias{bias}-seed{seed}"
             _run(out, name, ["select-sr", "--scenario", scenario, "--na", 4, 6,
-                             "--trials", 40, "--seed", seed,
+                             "--trials", trials, "--seed", seed,
                              "--out", out / f"{name}.csv"])
 
 
