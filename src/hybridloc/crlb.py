@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DegenerateGeometryError, GimbalLockError, SingularProblemError
 from .geometry import (
     MIN_COS_ELEVATION,
+    MIN_VELOCITY_RECEIVERS,
     angular_vectors,
     look_angles,
     look_rates,
@@ -89,7 +90,7 @@ def _bound(jac: np.ndarray, q) -> np.ndarray:
 def _range_gradients(u, udot, rrhs):
     """Per-receiver gradients of range and range rate w.r.t. position."""
     diffs = u - rrhs
-    r = np.linalg.norm(diffs, axis=1)
+    r = np.sqrt(np.add.reduce(diffs * diffs, axis=1))
     if np.any(r <= 0.0):
         raise DegenerateGeometryError("state coincides with a receiver")
     rdot = diffs @ udot / r
@@ -135,7 +136,7 @@ def crlb_ue_position(x, rrhs, q) -> np.ndarray:
     """3x3 position bound of the TDOA and AOA rows.
 
     Below four receivers the joint 6-D information matrix is singular
-    (velocity is unidentifiable) and ``wls_solve`` falls back to these rows,
+    (velocity is unidentifiable) and ``wls_solve`` solves on these rows,
     which carry no velocity; this is the bound that fallback can attain.
     A stack of covariances ``q`` gives a stack of bounds.
     """
@@ -166,7 +167,7 @@ def jacobian_scatterer(xs, b_n, ue) -> np.ndarray:
     leg1 = s - b_n
     d1, phi_s, theta_s = look_angles(leg1)
     leg2 = u - s
-    d2 = np.linalg.norm(leg2)
+    d2 = np.sqrt(leg2.dot(leg2))
     if d1 <= 0.0 or d2 <= 0.0:
         raise DegenerateGeometryError("scatterer coincides with receiver or user")
     a_s = leg1 / d1
@@ -213,8 +214,11 @@ def crlb_ue_traces(x, rrhs, q):
     Velocity is observable exactly when the joint information matrix is
     invertible, the rule ``wls_solve`` applies when it falls back to
     position only; the position trace then comes from
-    :func:`crlb_ue_position`.  A singular ``q`` raises
-    ``SingularProblemError``: its zero variances would otherwise pass for
+    :func:`crlb_ue_position`.  Below four receivers
+    (``MIN_VELOCITY_RECEIVERS``) the joint information matrix is singular
+    by construction, so every member takes the position bound without a
+    joint one.  A singular ``q`` raises ``SingularProblemError`` at any
+    receiver count: its zero variances would otherwise pass for
     unobservable velocity when they sit on the FDOA rows.
 
     ``q`` is one covariance (d, d), giving one ``(position, velocity)``
@@ -224,9 +228,14 @@ def crlb_ue_traces(x, rrhs, q):
     jac = jacobian_ue(x, rrhs)
     q = np.asarray(q, dtype=float)
     stack = q.reshape((-1,) + q.shape[-2:])
-    cov, failed = _bounds(jac, stack)
-    traces = [(position_trace(c), velocity_trace(c)) for c in cov]
-    unobservable = np.not_equal(failed, None)
+    if len(rrhs) < MIN_VELOCITY_RECEIVERS:
+        _information(jac, stack)  # a singular covariance raises
+        traces = [None] * len(stack)
+        unobservable = np.ones(len(stack), dtype=bool)
+    else:
+        cov, failed = _bounds(jac, stack)
+        traces = [(position_trace(c), velocity_trace(c)) for c in cov]
+        unobservable = np.not_equal(failed, None)
     if unobservable.any():
         position = _position_bound(jac, stack[unobservable])
         for r, p in zip(np.flatnonzero(unobservable), position):

@@ -33,8 +33,9 @@ about one range in eight:
   scatterer legs and the reference receiver's direct path in
   :func:`scatterer_measurement` use it, as do the selection simulator and
   the estimators' angle terms.
-* summed along the last axis, ``np.linalg.norm(d, axis=-1)``: the ranges
-  of :func:`ue_measurement`, which every user campaign and dataset draws
+* summed along the last axis, ``sqrt(add.reduce(d * d, axis=-1))``, which
+  is what ``np.linalg.norm(d, axis=-1)`` computes: the ranges of
+  :func:`ue_measurement`, which every user campaign and dataset draws
   from, and the range entries of ``ue_wls.build_b`` and the CRLB range
   gradients.
 
@@ -53,6 +54,11 @@ SPEED_OF_LIGHT = 299792458.0
 # Below this |cos(elevation)| a ray counts as vertical: its azimuth rate
 # (and the azimuth row of an angle Jacobian) is undefined.
 MIN_COS_ELEVATION = 1e-12
+
+# The user velocity enters the pseudo-linear system and the Jacobian only on
+# the n - 1 FDOA rows, so it is identifiable from this many receivers up;
+# with fewer, every joint normal or information matrix is singular.
+MIN_VELOCITY_RECEIVERS = 4
 
 
 def angular_vectors(phi, theta):
@@ -86,7 +92,7 @@ def look_angles(diffs):
     dx, dy = diffs[..., 0], diffs[..., 1]
     phi = np.where((dx == 0.0) & (dy == 0.0), 0.0, np.arctan2(dy, dx))
     with np.errstate(invalid="ignore", divide="ignore"):
-        theta = np.arcsin(np.clip(diffs[..., 2] / r, -1.0, 1.0))
+        theta = np.arcsin(np.minimum(np.maximum(diffs[..., 2] / r, -1.0), 1.0))
     return r, phi, theta
 
 
@@ -123,7 +129,7 @@ def direct_paths(x, rrhs):
 def velocity_direction(x_ue) -> np.ndarray:
     """Unit vector along the user velocity: the direction a scatterer moves in."""
     udot = np.asarray(x_ue, dtype=float)[3:]
-    speed = np.linalg.norm(udot)
+    speed = np.sqrt(udot.dot(udot))
     if speed == 0.0:
         raise DegenerateGeometryError(
             "scatterer velocity direction undefined for a static user"
@@ -151,7 +157,7 @@ def ue_measurement(x, rrhs) -> np.ndarray:
     n = rrhs.shape[0]
 
     diffs = u[..., None, :] - rrhs            # (..., n, 3)
-    r = np.linalg.norm(diffs, axis=-1)
+    r = np.sqrt(np.add.reduce(diffs * diffs, axis=-1))
     if np.any(r == 0.0):
         raise DegenerateGeometryError("user position coincides with a receiver")
     rdot = (diffs @ udot[..., None])[..., 0] / r
@@ -162,7 +168,7 @@ def ue_measurement(x, rrhs) -> np.ndarray:
     dx, dy = diffs[..., 0], diffs[..., 1]
     horiz = np.hypot(dx, dy)
     phi = np.where(horiz > 0.0, np.arctan2(dy, dx), 0.0)
-    theta = np.arcsin(np.clip(diffs[..., 2] / r, -1.0, 1.0))
+    theta = np.arcsin(np.minimum(np.maximum(diffs[..., 2] / r, -1.0), 1.0))
     m[..., 2 * n - 2 :: 2] = phi
     m[..., 2 * n - 1 :: 2] = theta
     return m
@@ -191,4 +197,9 @@ def scatterer_measurement(xs, x_ue, b_n, b_1) -> np.ndarray:
         raise DegenerateGeometryError("scatterer coincides with user or receiver")
     r_1, rdot_1, _, _ = direct_paths(x_ue, b_1)
     rsdot = np.vecdot(udot - sdot_vec, u - s) / d2 + np.vecdot(sdot_vec, s - b_n) / d1
-    return np.stack([d1 + d2 - r_1, rsdot - rdot_1, phi_s, theta_s], axis=-1)
+    m = np.empty(rsdot.shape + (4,))
+    m[..., 0] = d1 + d2 - r_1
+    m[..., 1] = rsdot - rdot_1
+    m[..., 2] = phi_s
+    m[..., 3] = theta_s
+    return m

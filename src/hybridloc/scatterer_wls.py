@@ -85,15 +85,11 @@ def build_scatterer_system(ms, b_n, b_1, ue):
     a_s, c_s, d_s = angular_vectors(ms[..., 2], ms[..., 3])
     as_bn = np.vecdot(a_s, b_n)
 
-    h = np.stack(
-        [
-            _square(r_s) + 2.0 * r_s * as_bn - u @ u + b_n @ b_n,
-            r_s * rdot_s + rdot_s * as_bn - udot @ u,
-            np.vecdot(c_s, b_n),
-            np.vecdot(d_s, b_n),
-        ],
-        axis=-1,
-    )
+    h = np.empty(ms.shape)
+    h[..., 0] = _square(r_s) + 2.0 * r_s * as_bn - u @ u + b_n @ b_n
+    h[..., 1] = r_s * rdot_s + rdot_s * as_bn - udot @ u
+    h[..., 2] = np.vecdot(c_s, b_n)
+    h[..., 3] = np.vecdot(d_s, b_n)
     g = np.zeros(ms.shape[:-1] + (4, 6))
     r_s, rdot_s = r_s[..., None], rdot_s[..., None]
     g[..., 0, :3] = 2.0 * (b_n - u + r_s * a_s)
@@ -144,11 +140,16 @@ def bs_bands(xs, b_n, ue, errors=None):
     with np.errstate(invalid="ignore", divide="ignore"):
         ddot2 = np.vecdot(udot - sdot_vec, u - s) / d2
 
-    diag = np.stack([2.0 * d2, d2, d1 * cos_t, d1], axis=-1)
-    low = np.stack(
-        [ddot2, -r_s * d1 * phidot_s * _square(cos_t), -r_s * d1 * thetadot_s], axis=-1
-    )
-    return diag, low[..., None, :]
+    diag = np.empty(r_s.shape + (4,))
+    diag[..., 0] = 2.0 * d2
+    diag[..., 1] = d2
+    diag[..., 2] = d1 * cos_t
+    diag[..., 3] = d1
+    low = np.empty(r_s.shape + (1, 3))
+    low[..., 0, 0] = ddot2
+    low[..., 0, 1] = -r_s * d1 * phidot_s * _square(cos_t)
+    low[..., 0, 2] = -r_s * d1 * thetadot_s
+    return diag, low
 
 
 def build_bs(xs, b_n, ue, errors=None) -> np.ndarray:

@@ -25,9 +25,12 @@ rows by their pivots followed by one update of the FDOA rows
 whitened system ``(inv(B) h, inv(B) G)`` with ``W = inv(Q)``, the same
 estimator; ``inv(Q)`` is computed once per call.
 
-Below four receivers the velocity is unidentifiable; the solver then falls
-back to a position-only system (TDOA and AOA rows only) and flags the
-velocity entries as invalid (NaN).
+Below four receivers (``MIN_VELOCITY_RECEIVERS``) the velocity is
+unidentifiable: it enters ``G`` only on the n - 1 FDOA rows, so every joint
+normal matrix is singular.  The solver then goes straight to a
+position-only system (TDOA and AOA rows only) and flags the velocity
+entries as invalid (NaN).  From four receivers up, a trial whose joint
+normal matrix is singular falls back to the same system.
 
 The core works on stacks of trials: ``build_system``, ``build_b`` and
 ``solve_linear`` accept leading batch axes, and ``wls_solve_batch`` solves
@@ -60,6 +63,7 @@ from .errors import (
 )
 from .geometry import (
     MIN_COS_ELEVATION,
+    MIN_VELOCITY_RECEIVERS,
     angular_vectors,
     look_angles,
     look_rates,
@@ -69,6 +73,8 @@ from .geometry import (
 # Condition number beyond which a normal or information matrix counts as
 # singular (SingularProblemError) or, for ENN-B's weighting, gets a ridge.
 _COND_LIMIT = 1e12
+
+_NON_FINITE_NORMAL = "normal equations contain non-finite entries"
 
 
 @dataclass
@@ -230,7 +236,7 @@ def b_bands(x, rrhs, errors=None):
     n = rrhs.shape[0]
     udot = x[..., 3:]
     diffs = x[..., None, :3] - rrhs
-    r = np.sqrt(np.sum(diffs * diffs, axis=-1))
+    r = np.sqrt(np.add.reduce(diffs * diffs, axis=-1))
     coincident = np.any(r <= 0.0, axis=-1)
     _fail(errors, coincident, DegenerateGeometryError, "state coincides with a receiver")
     # The TDOA/FDOA entries use the summed range r, the angles and the
@@ -256,14 +262,10 @@ def b_bands(x, rrhs, errors=None):
     diag[..., 1:base:2] = r_i
     diag[..., base::2] = r * cos_t
     diag[..., base + 1 :: 2] = r
-    low = np.stack(
-        [
-            rdot[..., 1:],
-            r_0 * r_i1 * phidot1[..., None] * _square(cos_t[..., :1]),
-            r_0 * r_i1 * thetadot1[..., None],
-        ],
-        axis=-1,
-    )
+    low = np.empty(r_i.shape + (3,))
+    low[..., 0] = rdot[..., 1:]
+    low[..., 1] = r_0 * r_i1 * phidot1[..., None] * _square(cos_t[..., :1])
+    low[..., 2] = r_0 * r_i1 * thetadot1[..., None]
     return diag, low
 
 
@@ -335,7 +337,7 @@ def solve_linear(h, g, w, errors=None):
 
 def _norm1(a):
     """The 1-norm (largest absolute column sum) of each matrix of ``a``."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
+    return np.maximum.reduce(np.add.reduce(np.abs(a), axis=-2), axis=-1)
 
 
 def _invert_normal(normal):
@@ -384,7 +386,7 @@ def solve_normal(normal, rhs, errors=None):
     (:func:`_invert_normal`); the decision is ``np.linalg.cond``'s.
     """
     live = np.isfinite(normal).all(axis=(-2, -1))
-    _fail(errors, ~live, NumericalError, "normal equations contain non-finite entries")
+    _fail(errors, ~live, NumericalError, _NON_FINITE_NORMAL)
     if errors is not None:
         live = live & np.equal(errors, None)
     if live.all():
@@ -454,9 +456,17 @@ def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
     dim) or a stack whose leading axes broadcast against those of ``ms``,
     such as (R, 1, dim, dim); each distinct covariance is inverted once.
     Each trial runs as :func:`wls_solve` would run it alone, and fails
-    alone.  When any trial's joint normal matrix is singular, the whole
-    stack is solved again on the position-only rows, and those results
-    are kept for the trials that fell back.
+    alone.
+
+    From four receivers up (``MIN_VELOCITY_RECEIVERS``), the stack is
+    solved jointly; when any trial's joint normal matrix is singular, the
+    whole stack is solved again on the position-only rows, and those
+    results are kept for the trials that fell back.  Below four receivers
+    every joint normal matrix is singular, so the joint solve is skipped
+    and every trial is solved on the position-only rows.  The joint
+    attempt's two other outcomes stay: a singular ``q`` raises
+    ``SingularProblemError``, and a trial whose joint normal matrix is not
+    finite fails with ``NumericalError``.
     """
     rrhs = np.asarray(rrhs, dtype=float)
     ms = np.asarray(ms, dtype=float)
@@ -466,40 +476,49 @@ def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
     q = _stacked_covariance(q, h.shape, "covariance does not match measurement size")
 
     errors = np.full(h.shape[:-1], None, dtype=object)
-    x, cov = _iterated_solve(
-        h, g, q, lambda x, e: b_bands(x, rrhs, e), iters, True, errors
-    )
-    valid = np.equal(errors, None)
-    if not valid.all():
-        # Velocity unidentifiable (fewer than four receivers in general
-        # position): solve the whole stack on the position-only rows, so
-        # that each distinct sub-covariance is inverted once.
+    if rrhs.shape[0] < MIN_VELOCITY_RECEIVERS:
+        gtw = np.swapaxes(g, -1, -2) @ _invert(q)
+        _fail(errors, ~np.isfinite(gtw @ g).all(axis=(-2, -1)), NumericalError,
+              _NON_FINITE_NORMAL)
+        valid = np.zeros(errors.shape, dtype=bool)
+        fallback = np.equal(errors, None)
+        x = np.full(errors.shape + (6,), np.nan)
+        cov = np.full(x.shape + (6,), np.nan)
+    else:
+        x, cov = _iterated_solve(
+            h, g, q, lambda x, e: b_bands(x, rrhs, e), iters, True, errors
+        )
+        valid = np.equal(errors, None)
+        if valid.all():
+            return WlsBatch(x=x, cov=cov, velocity_valid=valid, failures=errors)
         fallback = np.array(
             [isinstance(e, SingularProblemError) for e in errors.flat], dtype=bool
         ).reshape(errors.shape)
-        if fallback.any():
-            rows = np.flatnonzero(_position_row_mask(rrhs.shape[0]))
-            pos_errors = np.full(errors.shape, None, dtype=object)
+    if fallback.any():
+        # The whole stack is solved on the position-only rows, so that each
+        # distinct sub-covariance is inverted once.
+        rows = np.flatnonzero(_position_row_mask(rrhs.shape[0]))
+        pos_errors = np.full(errors.shape, None, dtype=object)
 
-            def pos_bands(pos, e):
-                # The restricted rows of B are its TDOA and AOA rows, which
-                # hold only their diagonal: the sub-block is diagonal.
-                full = np.concatenate([pos, np.zeros_like(pos)], axis=-1)
-                diag, low = b_bands(full, rrhs, e)
-                return diag[..., rows], low[..., :0, :]
+        def pos_bands(pos, e):
+            # The restricted rows of B are its TDOA and AOA rows, which hold
+            # only their diagonal: the sub-block is diagonal.
+            full = np.concatenate([pos, np.zeros_like(pos)], axis=-1)
+            diag, low = b_bands(full, rrhs, e)
+            return diag[..., rows], low[..., :0, :]
 
-            pos, cov_pos = _iterated_solve(
-                h[..., rows], g[..., rows, :3], q[..., rows[:, None], rows],
-                pos_bands, iters, False, pos_errors,
-            )
-            errors[fallback] = pos_errors[fallback]
-            x[fallback] = np.nan
-            x[fallback, :3] = pos[fallback]
-            cov[fallback] = np.nan
-            cov[fallback, :3, :3] = cov_pos[fallback]
-        failed = ~np.equal(errors, None)
-        x[failed] = np.nan
-        cov[failed] = np.nan
+        pos, cov_pos = _iterated_solve(
+            h[..., rows], g[..., rows, :3], q[..., rows[:, None], rows],
+            pos_bands, iters, False, pos_errors,
+        )
+        errors[fallback] = pos_errors[fallback]
+        x[fallback] = np.nan
+        x[fallback, :3] = pos[fallback]
+        cov[fallback] = np.nan
+        cov[fallback, :3, :3] = cov_pos[fallback]
+    failed = ~np.equal(errors, None)
+    x[failed] = np.nan
+    cov[failed] = np.nan
     return WlsBatch(x=x, cov=cov, velocity_valid=valid, failures=errors)
 
 

@@ -7,10 +7,14 @@ on the per-ray geometry of ``scalar_geometry``.
 ``bound``, ``crlb_ue_traces`` and ``crlb_scatterer`` are the retired
 one-covariance forms of the bounds, kept as the oracle of the stacked ones:
 one solve, one information matrix and one inversion per covariance.
+``crlb_ue_traces_joint_first`` is the retired stacked form, which takes the
+joint bound at every receiver count and reaches the position bound below
+four receivers only through a singular joint information matrix.
 """
 
 import numpy as np
 
+from hybridloc import crlb as stacked
 from hybridloc.errors import DegenerateGeometryError, GimbalLockError, SingularProblemError
 from hybridloc.geometry import MIN_COS_ELEVATION
 from hybridloc.ue_wls import _invert_normal, _position_row_mask
@@ -149,6 +153,22 @@ def crlb_ue_traces(x, rrhs, q):
         position = bound(jac[np.ix_(rows, [0, 1, 2])], q[np.ix_(rows, rows)])
         return float(np.trace(position)), None
     return float(np.trace(cov[:3, :3])), float(np.trace(cov[3:, 3:]))
+
+
+def crlb_ue_traces_joint_first(x, rrhs, q):
+    """``crlb.crlb_ue_traces`` as it was: the joint bound of every member
+    first, then the position bound of the members whose joint one failed."""
+    jac = stacked.jacobian_ue(x, rrhs)
+    q = np.asarray(q, dtype=float)
+    stack = q.reshape((-1,) + q.shape[-2:])
+    cov, failed = stacked._bounds(jac, stack)
+    traces = [(stacked.position_trace(c), stacked.velocity_trace(c)) for c in cov]
+    unobservable = np.not_equal(failed, None)
+    if unobservable.any():
+        position = stacked._position_bound(jac, stack[unobservable])
+        for r, p in zip(np.flatnonzero(unobservable), position):
+            traces[r] = stacked.position_trace(p), None
+    return traces if q.ndim == 3 else traces[0]
 
 
 def crlb_scatterer(xs, b_n, ue, qs):

@@ -393,3 +393,36 @@ class TestStackedMatchLoops:
             assert np.array_equal(
                 jacobian_scatterer(xs, b_n, ue), oracle.jacobian_scatterer(xs, b_n, ue)
             )
+
+
+class TestBelowFourReceivers:
+    """Below four receivers ``crlb_ue_traces`` takes the position bound
+    without a joint one; its outcome is the retired joint-first form's
+    (``crlb_oracle.crlb_ue_traces_joint_first``), bit for bit."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.lists(st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]), min_size=1, max_size=4),
+        st.booleans(),
+        st.lists(st.sampled_from([np.nan, np.inf, 1e200, 1e-200]), max_size=2),
+        st.booleans(),
+        st.sampled_from(STACK_NOISES),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_joint_first_form(self, n_a, rhos, stacked, fdoa_variances,
+                                          zero_fdoa_variance, noise, seed):
+        rng = default_rng(seed)
+        x = sample_ue_state(Scenario(), rng)
+        rrhs = DEFAULT_RRHS[rng.permutation(len(DEFAULT_RRHS))[:n_a]]
+        qs = np.stack([build_q(n_a, noise.scaled(rho)) for rho in rhos])
+        for variance in fdoa_variances + [0.0] * zero_fdoa_variance:
+            f = 2 * int(rng.integers(n_a - 1)) + 1
+            qs[rng.integers(len(qs)) if stacked else 0, f, f] = variance
+        q = qs if stacked else qs[0]
+        with np.errstate(all="ignore"):
+            new = _outcome(lambda: crlb_ue_traces(x, rrhs, q))
+            old = _outcome(lambda: oracle.crlb_ue_traces_joint_first(x, rrhs, q))
+        assert _bits(new) == _bits(old)
+        if zero_fdoa_variance:
+            assert new == (SingularProblemError, "measurement covariance is singular")

@@ -12,6 +12,7 @@ from hybridloc.errors import (
     NumericalError,
     SingularProblemError,
 )
+from hybridloc.crlb import crlb_ue_traces, jacobian_ue
 from hybridloc.geometry import angular_vectors, scatterer_measurement, ue_measurement
 from hybridloc.noise import NoiseConfig, build_q, build_qs, sample_gaussian
 from hybridloc.scatterer_wls import bs_bands, build_bs, scatterer_wls_solve_batch
@@ -22,6 +23,7 @@ from hybridloc.scenario import (
     sample_ue_state,
 )
 from hybridloc.ue_wls import (
+    _invert_normal,
     _iterated_solve,
     _whiten,
     b_bands,
@@ -574,3 +576,150 @@ class TestStackedCovariances:
         with pytest.raises(DimensionMismatchError, match="covariance"):
             scatterer_wls_solve_batch(np.zeros((3, 5, 4)), DEFAULT_RRHS[3], DEFAULT_RRHS[0],
                                       Scenario().ue_true, np.broadcast_to(qs, shape + (4, 4)))
+
+
+POISONS = [np.nan, np.inf, -np.inf, 1e200, -1e200]
+
+
+def _below_four_stack(n_a, lead, trials, rng):
+    """Noisy measurements ``lead + (trials, dim)`` at ``n_a`` random receivers,
+    and one covariance per leading index, ``lead + (dim, dim)``."""
+    rrhs = DEFAULT_RRHS[rng.permutation(len(DEFAULT_RRHS))[:n_a]]
+    rhos = 10.0 ** rng.uniform(-1, 1, lead)
+    qs = np.array([build_q(n_a, NoiseConfig().scaled(rho)) for rho in rhos.flat])
+    qs = qs.reshape(lead + qs.shape[-2:])
+    kinds = ["random", "random", "random", "near_zenith", "zenith"]
+    ms = np.array([
+        sample_gaussian(ue_measurement(_ue_state(rng.choice(kinds), rrhs, rng), rrhs),
+                        qs[idx], rng)
+        for idx in np.ndindex(lead) for _ in range(trials)
+    ]).reshape(lead + (trials, -1))
+    return ms, rrhs, qs
+
+
+def _poison(ms, qs, where, value, rng):
+    """Put ``value`` into one FDOA-only entry (``where`` "m_fdoa" or
+    "q_fdoa"), or into one other measurement entry ("m_other")."""
+    k = ms.shape[-1] // 2 - 1  # 2 n_a - 2 TDOA/FDOA entries
+    if where == "q_fdoa":
+        idx = tuple(int(rng.integers(s)) for s in qs.shape[:-2])
+        f = 2 * int(rng.integers(k // 2)) + 1
+        qs[idx + (f, f)] = value
+        return
+    idx = tuple(int(rng.integers(s)) for s in ms.shape[:-1])
+    if where == "m_fdoa":
+        ms[idx + (2 * int(rng.integers(k // 2)) + 1,)] = value
+    else:
+        others = np.setdiff1d(np.arange(ms.shape[-1]), np.arange(1, k, 2))
+        ms[idx + (int(rng.choice(others)),)] = value
+
+
+def _batch_outcome(ms, rrhs, q, iters, solve):
+    """Every bit of a stacked solve's result, or the repr of what it raised."""
+    try:
+        b = solve(ms, rrhs, q, iters)
+    except HybridlocError as exc:
+        return repr(exc)
+    return (b.x.shape, b.x.tobytes(), b.cov.shape, b.cov.tobytes(),
+            b.velocity_valid.ravel().tolist(), [repr(e) for e in b.failures.flat])
+
+
+class TestBelowFourReceivers:
+    """Below four receivers ``wls_solve_batch`` skips the joint solve; each
+    outcome is the retired joint-first form's, bit for bit, failure classes
+    and messages included."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.sampled_from([(), (1,), (3,)]),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.lists(st.tuples(st.sampled_from(["m_fdoa", "m_fdoa", "q_fdoa", "m_other"]),
+                           st.sampled_from(POISONS)), max_size=3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_joint_first_form(self, n_a, lead, trials, iters, poisons,
+                                          zero_fdoa_variance, seed):
+        rng = np.random.default_rng(seed)
+        ms, rrhs, qs = _below_four_stack(n_a, lead, trials, rng)
+        for where, value in poisons:
+            _poison(ms, qs, where, value, rng)
+        if zero_fdoa_variance:
+            _poison(ms, qs, "q_fdoa", 0.0, rng)
+        q = qs[..., None, :, :] if lead else qs
+        with np.errstate(all="ignore"):
+            new, old = (_batch_outcome(ms, rrhs, q, iters, solve)
+                        for solve in (wls_solve_batch, oracle.wls_solve_batch_joint_first))
+        assert new == old
+        if zero_fdoa_variance:
+            assert new == repr(SingularProblemError("weighting matrix is singular"))
+        elif isinstance(new, tuple):
+            assert not any(new[4])
+
+    @pytest.mark.parametrize("n_a", [2, 3])
+    @pytest.mark.parametrize("value", POISONS)
+    def test_non_finite_joint_normal_fails_the_trial(self, n_a, value):
+        # The poisoned FDOA entry leaves the position-only rows clean, yet
+        # the trial fails as its joint attempt did.
+        ms, rrhs, q = _ue_stack(n_a=n_a, trials=4, seed=30)
+        clean = wls_solve_batch(ms, rrhs, q)
+        ms[2, 1] = value
+        with np.errstate(all="ignore"):
+            batch = wls_solve_batch(ms, rrhs, q)
+            assert (_batch_outcome(ms, rrhs, q, 2, wls_solve_batch)
+                    == _batch_outcome(ms, rrhs, q, 2, oracle.wls_solve_batch_joint_first))
+        assert repr(batch.failures[2]) == repr(
+            NumericalError("normal equations contain non-finite entries"))
+        assert np.all(np.isnan(batch.x[2])) and np.all(np.isnan(batch.cov[2]))
+        keep = [0, 1, 3]
+        assert all(e is None for e in batch.failures[keep])
+        assert np.array_equal(batch.x[keep], clean.x[keep], equal_nan=True)
+        assert not batch.velocity_valid.any()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_every_joint_matrix_is_singular(self, n_a, trials, seed):
+        # The premise of the shortcut: at random finite geometries the joint
+        # normal and information matrices are singular by the rule of
+        # ``_invert_normal``, so the joint attempt never keeps a trial.
+        rng = np.random.default_rng(seed)
+        ms, rrhs, qs = _below_four_stack(n_a, (1,), trials, rng)
+        h, g = build_system(ms[0], rrhs)
+        gtw = np.swapaxes(g, -1, -2) @ np.linalg.inv(qs[0])
+        assert _invert_normal(gtw @ g)[1].all()
+        x = sample_ue_state(Scenario(), rng)
+        jac = jacobian_ue(x, rrhs)
+        assert _invert_normal(jac.T @ np.linalg.solve(qs[0], jac)[None])[1].all()
+
+    @pytest.mark.parametrize("n_a", [2, 3])
+    def test_no_joint_inverse_and_no_svd(self, n_a, monkeypatch):
+        ms, rrhs, q = _ue_stack(n_a=n_a, trials=6, seed=4)
+        qs = np.array([q * rho for rho in (0.01, 1.0, 100.0)])
+        inv, cond = np.linalg.inv, np.linalg.cond
+        inverted, conds = [], []
+
+        def counting_inv(a, *args, **kwargs):
+            inverted.append(np.array(a))
+            return inv(a, *args, **kwargs)
+
+        def counting_cond(a, *args, **kwargs):
+            conds.append(np.shape(a))
+            return cond(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        flat = wls_solve_batch(ms, rrhs, q)
+        grid = wls_solve_batch(np.array([ms] * 3), rrhs, qs[:, None])
+        traces = crlb_ue_traces(Scenario().ue_true, rrhs, qs)
+        assert conds == []
+        assert inverted
+        # At n_a 2 the covariance itself is 6 x 6; no other 6 x 6 matrix is
+        # inverted.
+        six = [a for a in inverted if a.shape[-2:] == (6, 6)]
+        assert all(np.array_equal(a, q) or np.array_equal(a, qs[:, None]) for a in six)
+        assert len(six) == (2 if n_a == 2 else 0)
+        assert all(f is None for f in flat.failures) and not flat.velocity_valid.any()
+        assert all(f is None for f in grid.failures.flat) and not grid.velocity_valid.any()
+        assert all(v is None for _, v in traces)

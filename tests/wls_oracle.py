@@ -10,9 +10,12 @@ inv(B) G)`` with ``W = inv(Q)``, which equals the solve of ``(h, G)`` with
 sparsity, and a zero or non-finite pivot raises ``SingularProblemError``.
 They raise on the first failure, as one trial of the stacked solvers fails.
 
-Three retired forms are kept here only as oracles:
+Four retired forms are kept here only as oracles:
 ``solve_normal_cond_first`` takes every live member's SVD condition number
-before inverting; ``run_wls_campaign_per_rho`` and
+before inverting; ``wls_solve_batch_joint_first`` attempts the joint solve
+at every receiver count, and so reaches the position-only rows below four
+receivers only through a singular joint normal matrix;
+``run_wls_campaign_per_rho`` and
 ``run_scatterer_campaign_per_rho`` run one noise scale per call on
 ``(trials, dim)`` stacks, as ``hybridloc simulate`` used to call them once
 per scale, with one bound per scale; and ``compute_metrics`` takes each
@@ -25,6 +28,7 @@ import functools
 import numpy as np
 
 from hybridloc import harness
+from hybridloc import ue_wls as stacked
 from hybridloc.errors import (
     CampaignFailedError,
     DegenerateGeometryError,
@@ -283,6 +287,47 @@ def solve_normal_cond_first(normal, rhs, errors=None):
         x[blown] = np.nan
         inv_normal[blown] = np.nan
     return x, inv_normal
+
+
+def wls_solve_batch_joint_first(ms, rrhs, q, iters=2):
+    """``ue_wls.wls_solve_batch`` as it was: the joint solve first at every
+    receiver count, then the position-only rows for the trials whose joint
+    normal matrix was singular."""
+    rrhs = np.asarray(rrhs, dtype=float)
+    ms = np.asarray(ms, dtype=float)
+    h, g = stacked.build_system(ms, rrhs)
+    q = stacked._stacked_covariance(q, h.shape, "covariance does not match measurement size")
+    errors = np.full(h.shape[:-1], None, dtype=object)
+    x, cov = stacked._iterated_solve(
+        h, g, q, lambda x, e: stacked.b_bands(x, rrhs, e), iters, True, errors
+    )
+    valid = np.equal(errors, None)
+    if not valid.all():
+        fallback = np.array(
+            [isinstance(e, SingularProblemError) for e in errors.flat], dtype=bool
+        ).reshape(errors.shape)
+        if fallback.any():
+            rows = np.flatnonzero(_position_row_mask(rrhs.shape[0]))
+            pos_errors = np.full(errors.shape, None, dtype=object)
+
+            def pos_bands(pos, e):
+                full = np.concatenate([pos, np.zeros_like(pos)], axis=-1)
+                diag, low = stacked.b_bands(full, rrhs, e)
+                return diag[..., rows], low[..., :0, :]
+
+            pos, cov_pos = stacked._iterated_solve(
+                h[..., rows], g[..., rows, :3], q[..., rows[:, None], rows],
+                pos_bands, iters, False, pos_errors,
+            )
+            errors[fallback] = pos_errors[fallback]
+            x[fallback] = np.nan
+            x[fallback, :3] = pos[fallback]
+            cov[fallback] = np.nan
+            cov[fallback, :3, :3] = cov_pos[fallback]
+        failed = ~np.equal(errors, None)
+        x[failed] = np.nan
+        cov[failed] = np.nan
+    return stacked.WlsBatch(x=x, cov=cov, velocity_valid=valid, failures=errors)
 
 
 def _solve_in_blocks(sc, m_true, sd, normals, solve):

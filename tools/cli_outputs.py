@@ -9,8 +9,9 @@ runs, in process, on the bundled scenarios:
   size) at seeds 2000 and 2001, at clock bias 0 and 100 m (copies of
   ``selection-sr.yaml``);
 - ``simulate --rho 0.1 1 10 --trials 300 --per-trial`` on every scenario,
-  and on copies of ``crlb-attainment.yaml`` at n_a 3 (every trial solved
-  position-only) and n_a 9;
+  and on copies of ``crlb-attainment.yaml`` at n_a 2 and 3 (the two
+  layouts below four receivers, where every trial is solved position-only
+  and the bound is the position-only one) and n_a 9;
 - ``simulate --rho 10 --seed 25 --trials 4 --per-trial`` on copies of
   ``crlb-attainment.yaml`` at n_a 3, 6 and 9, the fixed call of perfbench's
   ``montecarlo`` workload, whose scatterer trial 0 fails;
@@ -109,6 +110,7 @@ def _simulate_grids(out: Path, scratch: Path) -> None:
     with open(src, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
     for na, rhos, extra in (
+        (2, (0.1, 1, 10), ("--trials", 300)),
         (3, (0.1, 1, 10), ("--trials", 300)),
         (9, (0.1, 1, 10), ("--trials", 300)),
         (3, (10,), ("--seed", 25, "--trials", 4)),
