@@ -52,18 +52,12 @@ def _bounds(jac: np.ndarray, q: np.ndarray):
 
     A singular covariance raises ``SingularProblemError``.  A member whose
     information matrix is not finite, or is singular by the rule of the WLS
-    solves (``ue_wls._invert_normal``), gets a NaN bound and its message in
-    ``failed``; the others get None.
+    solves (one ``ue_wls._invert_normal`` call on the finite ones), gets a
+    NaN bound and its message in ``failed``; the others get None.
     """
     fisher = _information(jac, q)
     finite = np.isfinite(fisher).all(axis=(1, 2))
-    if finite.all():
-        bound, singular = _invert_normal(fisher)
-    else:
-        bound = np.full(fisher.shape, np.nan)
-        singular = np.zeros(len(fisher), dtype=bool)
-        if finite.any():
-            bound[finite], singular[finite] = _invert_normal(fisher[finite])
+    bound, singular = _invert_normal(fisher, finite)
     failed = np.full(len(fisher), None, dtype=object)
     failed[~finite] = _NON_FINITE
     failed[singular] = _SINGULAR

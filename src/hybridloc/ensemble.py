@@ -27,7 +27,7 @@ from .nn import (
     residual_solve,
     save_model,
 )
-from .ue_wls import _COND_LIMIT, solve_linear
+from .ue_wls import _invert_normal, solve_linear
 
 # ENN-B's ridge on the averaged outer product, relative to its mean diagonal.
 _RIDGE_SCALE = 1e-4
@@ -149,22 +149,26 @@ def enn_m_wls(nets, m, rrhs, eps: float = 0.1) -> np.ndarray:
 
 
 def average_outer(e_hats) -> np.ndarray:
-    """P⁻¹ Σ ê êᵀ over member residual predictions."""
+    """P⁻¹ Σ ê êᵀ over member residual predictions ``e_hats`` (..., P, dim)."""
     e_hats = np.atleast_2d(np.asarray(e_hats, dtype=float))
-    return e_hats.T @ e_hats / e_hats.shape[0]
+    return np.swapaxes(e_hats, -1, -2) @ e_hats / e_hats.shape[-2]
 
 
 def invert_weighting(avg: np.ndarray):
-    """Invert the averaged outer product, ridging only when singular.
+    """Invert averaged outer products ``avg`` (..., dim, dim), ridging only
+    the singular ones (by ``ue_wls._invert_normal``'s rule).
 
-    Returns (W, engaged); ``engaged`` is True when the ridge was needed,
-    scaled to the matrix (``_RIDGE_SCALE`` * trace/dim).
+    Returns (W, engaged); ``engaged`` flags the members that needed the
+    ridge, scaled to the matrix (``_RIDGE_SCALE`` * trace/dim), and is a
+    bool for one matrix.  A non-finite member gets a NaN ``W``, no ridge.
     """
-    dim = avg.shape[0]
-    if np.linalg.cond(avg) < _COND_LIMIT:
-        return np.linalg.inv(avg), False
-    eps = _RIDGE_SCALE * max(np.trace(avg) / dim, np.finfo(float).tiny)
-    return np.linalg.inv(avg + eps * np.eye(dim)), True
+    w, engaged = _invert_normal(avg)
+    if engaged.any():
+        ridged, dim = avg[engaged], avg.shape[-1]
+        trace = np.trace(ridged, axis1=-2, axis2=-1)
+        eps = _RIDGE_SCALE * np.maximum(trace / dim, np.finfo(float).tiny)
+        w[engaged] = np.linalg.inv(ridged + eps[:, None, None] * np.eye(dim))
+    return w, engaged if avg.ndim > 2 else bool(engaged)
 
 
 def enn_b_wls_batch(nets, ms, rrhs):
@@ -175,10 +179,11 @@ def enn_b_wls_batch(nets, ms, rrhs):
     ``EᵀE/P`` has rank at most P, so its ridge ``δ = _RIDGE_SCALE·trace/dim``
     always engages, and ``(δI + EᵀE/P)⁻¹`` is applied through the P×P
     system ``δP·I + EEᵀ`` (``nn.residual_solve``; scaling the weighting
-    by P leaves the estimate as it is).  From P = dim on,
-    :func:`invert_weighting` decides and inverts densely, and a sample
-    with non-finite predictions gets a non-finite weighting.  Warns
-    (RuntimeWarning) once per call when a ridge engaged.
+    by P leaves the estimate as it is).  From P = dim on, every sample's
+    average is inverted and decided in one :func:`invert_weighting` call,
+    and a sample whose average is not finite gets a NaN weighting and
+    fails with ``NumericalError``.  Warns (RuntimeWarning) once per call
+    when a ridge engaged.
     """
     e_hats, h, g = _stack_inputs(nets, ms, rrhs)
     errors = _no_failures(len(h))
@@ -189,13 +194,9 @@ def enn_b_wls_batch(nets, ms, rrhs):
         x, _ = residual_solve(h, g, e_hats, delta * p, errors)
         engaged = True
     else:
-        w = np.full((len(h), dim, dim), np.nan)
-        engaged = False
-        for i in np.flatnonzero(np.isfinite(e_hats).all(axis=(1, 2))):
-            w[i], hit = invert_weighting(average_outer(e_hats[i]))
-            engaged |= hit
+        w, engaged = invert_weighting(average_outer(e_hats))
         x, _ = solve_linear(h, g, w, errors)
-    if engaged:
+    if np.any(engaged):
         warnings.warn(
             "averaged residual weighting was singular; ridge engaged",
             RuntimeWarning,

@@ -81,7 +81,7 @@ from .geometry import (
     scatterer_measurement,
 )
 from .scenario import scatterer_states
-from .ue_wls import _square
+from .ue_wls import _exactly_singular, _square
 
 
 @dataclass
@@ -204,18 +204,15 @@ def _solve_3x3(normal, rhs):
     """Solve a ``(K, 3, 3)`` stack of systems; returns ``(x, ok)``.
 
     Rows whose system is singular or whose solution is not finite are
-    flagged in ``ok`` and must not be used.  A singular member makes the
-    batched LAPACK call raise, so that step is then solved row by row.
+    flagged in ``ok`` and must not be used.  When an exactly zero pivot
+    makes the batched solve raise, the other members are solved again.
     """
     try:
         x = np.linalg.solve(normal, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         x = np.full(rhs.shape, np.nan)
-        for k in range(rhs.shape[0]):
-            try:
-                x[k] = np.linalg.solve(normal[k], rhs[k])
-            except np.linalg.LinAlgError:
-                pass
+        live = ~_exactly_singular(normal)
+        x[live] = np.linalg.solve(normal[live], rhs[live, :, None])[..., 0]
     return x, np.isfinite(x).all(axis=1)
 
 

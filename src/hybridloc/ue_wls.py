@@ -41,11 +41,12 @@ whose leading axes broadcast against them, such as (R, 1, dim, dim): each
 distinct covariance is inverted once, and each trial's products are the
 ones it gets alone.
 
-Each normal matrix is factored once (:func:`solve_normal`): the stack is
-inverted, and the condition-number test ``cond > _COND_LIMIT`` is screened
-from that inverse by the 1-norm condition number, which bounds the 2-norm
-one within a factor n either way; only the members the screen cannot
-decide take the SVD of ``np.linalg.cond``.
+Each normal matrix is factored once (:func:`_invert_normal`, which also
+decides the bounds of :mod:`hybridloc.crlb` and ENN-B's weighting): the
+stack is inverted, and ``cond > _COND_LIMIT`` is screened from that
+inverse by the 1-norm condition number, which bounds the 2-norm one within
+a factor n either way; only the members the screen cannot decide take the
+SVD of ``np.linalg.cond``.
 """
 
 from __future__ import annotations
@@ -340,10 +341,17 @@ def _norm1(a):
     return np.maximum.reduce(np.add.reduce(np.abs(a), axis=-2), axis=-1)
 
 
-def _invert_normal(normal):
-    """``(inv(normal), singular)`` for finite matrices ``normal`` (..., n, n).
+def _exactly_singular(a):
+    """Flags the members of ``a`` (..., n, n) that make ``np.linalg.inv`` or
+    ``solve`` raise: an exactly zero pivot of the same LU factorization."""
+    return np.linalg.slogdet(a)[0] == 0
 
-    ``singular`` flags the members whose 2-norm condition number, as
+
+def _invert_normal(normal, live=None):
+    """``(inv(normal), singular)`` for the ``live`` members of ``normal``
+    (..., n, n), by default the finite ones; the others get a NaN inverse.
+
+    ``singular`` flags the live members whose 2-norm condition number, as
     ``np.linalg.cond`` computes it, exceeds ``_COND_LIMIT``; their inverse
     is NaN.  Each matrix is factored once: the stack is inverted first, and
     ``k1 = |N|_1 |inv(N)|_1`` screens it.  The 2-norm condition number lies
@@ -351,16 +359,23 @@ def _invert_normal(normal):
     ``_COND_LIMIT / (4n)`` is regular and one with a finite ``k1`` above
     ``4n _COND_LIMIT`` singular; only the members in between, or with a
     non-finite ``k1``, take the SVD of ``np.linalg.cond``.  When the
-    inversion raises (an exactly singular member), ``cond`` runs first and
-    only the regular members are inverted.
+    inversion raises, the members with an exactly zero LU pivot are
+    singular and the others are decided as one stack.
     """
+    if live is None:
+        live = np.isfinite(normal).all(axis=(-2, -1))
+    if not live.all():
+        inv_normal = np.full(normal.shape, np.nan)
+        singular = np.zeros(live.shape, dtype=bool)
+        if live.any():
+            inv_normal[live], singular[live] = _invert_normal(normal[live], live[live])
+        return inv_normal, singular
     try:
         inv_normal = np.linalg.inv(normal)
     except np.linalg.LinAlgError:
-        singular = np.asarray(np.linalg.cond(normal) > _COND_LIMIT)
-        inv_normal = np.full(normal.shape, np.nan)
-        inv_normal[~singular] = np.linalg.inv(normal[~singular])
-        return inv_normal, singular
+        exact = _exactly_singular(normal)  # some member: its zero pivot made inv raise
+        inv_normal, singular = _invert_normal(normal, ~exact)
+        return inv_normal, singular | exact
     n = normal.shape[-1]
     with np.errstate(over="ignore"):
         k1 = _norm1(normal) * _norm1(inv_normal)
@@ -381,21 +396,14 @@ def solve_normal(normal, rhs, errors=None):
     ``normal`` (..., n, n) and ``rhs`` (..., n, 1) may carry leading batch
     axes, and ``errors`` follows :func:`solve_linear`'s rules: each member
     is checked for non-finite entries, then for a condition number beyond
-    ``_COND_LIMIT``, then for a non-finite solution.  The live members are
-    inverted once, and the condition number is screened from that inverse
-    (:func:`_invert_normal`); the decision is ``np.linalg.cond``'s.
+    ``_COND_LIMIT`` (:func:`_invert_normal`, which inverts the live members
+    once), then for a non-finite solution.
     """
     live = np.isfinite(normal).all(axis=(-2, -1))
     _fail(errors, ~live, NumericalError, _NON_FINITE_NORMAL)
     if errors is not None:
         live = live & np.equal(errors, None)
-    if live.all():
-        inv_normal, singular = _invert_normal(normal)
-    else:
-        inv_normal = np.full(normal.shape, np.nan)
-        singular = np.zeros(live.shape, dtype=bool)
-        if live.any():
-            inv_normal[live], singular[live] = _invert_normal(normal[live])
+    inv_normal, singular = _invert_normal(normal, live)
     _fail(errors, singular, SingularProblemError, "normal equations are singular or near-singular")
     live = live & ~singular
     x = (inv_normal @ rhs)[..., 0]

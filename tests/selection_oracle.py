@@ -16,6 +16,9 @@ of a seed's six nearest rays.  ``trimmed_ray_point``, ``best_seeds``,
 ``candidate_centers`` and ``pick_center`` therefore append the relative gap
 at each such decision to ``gaps`` when given a list.
 
+``solve_3x3`` is the retired form of ``selection._solve_3x3``: when the
+batched solve raises, every row is solved again alone.
+
 ``simulate_paths`` is the receiver-by-receiver form of the trial
 simulator, on the per-ray geometry of ``scalar_geometry``, and ``kmeans2``
 the one-trial form of the lockstep two-center clustering: one Lloyd loop
@@ -114,6 +117,21 @@ def ray_point(origins, projs, idx, c0, iters: int = 8, floor: float = 1.0):
             return c_new
         c = c_new
     return c
+
+
+def solve_3x3(normal, rhs):
+    """``selection._solve_3x3`` as it was: a raising batched solve retried
+    row by row, a singular row left NaN."""
+    try:
+        x = np.linalg.solve(normal, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(rhs.shape, np.nan)
+        for k in range(rhs.shape[0]):
+            try:
+                x[k] = np.linalg.solve(normal[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+    return x, np.isfinite(x).all(axis=1)
 
 
 def relative_gap(values, rank: int) -> float:

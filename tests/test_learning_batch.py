@@ -365,3 +365,96 @@ class TestRidgeCheck:
         x, failures = harness.estimator(pipeline, SC, model, eps=-0.5)(trained["test"].m)
         assert np.isnan(x).all()
         assert all(type(f) is NumericalError and str(f) == self.MESSAGE for f in failures)
+
+
+class RowNet:
+    """Predicts a stored vector for each stored measurement row, so that
+    the members of a stack map disagree differently on every sample."""
+
+    def __init__(self, ms, preds):
+        self.rows = {m.tobytes(): e for m, e in zip(ms, preds)}
+
+    def predict(self, m):
+        m = np.asarray(m, dtype=float)
+        rows = [self.rows[r.tobytes()] for r in m.reshape(-1, m.shape[-1])]
+        return np.array(rows).reshape(m.shape[:-1] + (-1,))
+
+
+def _dense_stack(kinds, p, seed):
+    """Measurements (N, 22) and member predictions (N, P, 22), one sample
+    per kind: "regular" (a full-rank average), "ranked" (rank below 22,
+    ridged), "zero_column" (an exactly singular average, ridged) or
+    "non_finite" (a NaN or inf prediction)."""
+    rng = np.random.default_rng(seed)
+    ms = nn.make_dataset(SC, len(kinds), rng).m
+    preds = np.empty((len(kinds), p, 22))
+    for e, kind in zip(preds, kinds):
+        rank = int(rng.integers(1, 22)) if kind == "ranked" else 22
+        e[:] = rng.normal(size=(p, rank)) @ rng.normal(size=(rank, 22))
+        e *= 10.0 ** rng.uniform(-2, 2)
+        if kind == "zero_column":
+            e[:, rng.integers(22)] = 0.0
+        elif kind == "non_finite":
+            e[rng.integers(p), rng.integers(22)] = rng.choice([np.nan, np.inf, -np.inf])
+    return ms, preds
+
+
+class TestDenseEnnB:
+    """From P = dim members on, ENN-B decides and inverts every sample's
+    averaged weighting in one stack; each sample gets what the per-sample
+    dense oracle gives it, bit for bit."""
+
+    KINDS = ["regular", "regular", "ranked", "zero_column", "non_finite"]
+
+    @given(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6), st.integers(22, 30),
+           seeds)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_matches_the_per_sample_oracle(self, kinds, p, seed):
+        ms, preds = _dense_stack(kinds, p, seed)
+        nets = [RowNet(ms, preds[:, k]) for k in range(p)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x, failures = ensemble.enn_b_wls_batch(nets, ms, RRHS)
+        avg = ensemble.average_outer(preds)
+        w, engaged = ensemble.invert_weighting(avg)
+        ridged = False
+        for i, kind in enumerate(kinds):
+            assert np.array_equal(avg[i], preds[i].T @ preds[i] / p, equal_nan=True)
+            if kind == "non_finite":
+                assert type(failures[i]) is NumericalError and np.isnan(x[i]).all()
+                assert np.isnan(w[i]).all() and not engaged[i]
+                continue
+            w_o, engaged_o = oracle.invert_weighting(avg[i])
+            assert np.array_equal(w[i], w_o) and engaged[i] == engaged_o
+            assert ensemble.invert_weighting(avg[i])[1] is engaged_o
+            ridged |= engaged_o
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = _outcome(oracle.enn_b_wls, nets, ms[i], RRHS)
+            if isinstance(expected, Exception):
+                assert repr(failures[i]) == repr(expected) and np.isnan(x[i]).all()
+            else:
+                assert failures[i] is None and np.array_equal(x[i], expected)
+        ridge = [w for w in caught if "ridge engaged" in str(w.message)]
+        assert len(ridge) == ridged
+
+    @pytest.mark.parametrize("signs", ["equal", "mixed"])
+    def test_overflowing_predictions_fail_quietly(self, capfd, signs):
+        # Predictions of +-1e200 overflow the averaged outer product to inf
+        # (equal signs) or to inf and NaN (mixed signs).  Its sample fails
+        # on its non-finite weighting, without a ridge and without an SVD
+        # of those entries, which prints LAPACK's DLASCL complaint on inf
+        # and raises LinAlgError on NaN.
+        ms, preds = _dense_stack(["regular", "regular"], 22, 5)
+        preds[1] = (np.sign(preds[1]) if signs == "mixed" else 1.0) * 1e200
+        nets = [RowNet(ms, preds[:, k]) for k in range(22)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x, failures = ensemble.enn_b_wls_batch(nets, ms, RRHS)
+        assert failures[0] is None
+        assert np.array_equal(x[0], oracle.enn_b_wls(nets, ms[0], RRHS))
+        assert type(failures[1]) is NumericalError and np.isnan(x[1]).all()
+        messages = [str(w.message) for w in caught]
+        assert not any("ridge engaged" in m for m in messages)
+        assert any("overflow encountered in matmul" in m for m in messages)
+        assert "DLASCL" not in capfd.readouterr().err

@@ -773,6 +773,34 @@ class TestStackedKernelsMatchLoops:
         )
         assert np.all(np.isinf(scores))
 
+    @given(
+        st.lists(st.sampled_from(["regular", "regular", "rank_two", "zero_row",
+                                  "repeated_row", "near_singular"]),
+                 min_size=1, max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_solve_3x3_matches_the_row_by_row_retry(self, kinds, seed):
+        # From none to all rows exactly singular: the stacked re-solve of
+        # the rows without a zero pivot gives the retired loop's rows bit
+        # for bit.
+        rng = np.random.default_rng(seed)
+        normal = rng.normal(size=(len(kinds), 3, 3)) * 10.0 ** rng.uniform(-3, 3)
+        for row, kind in zip(normal, kinds):
+            if kind == "rank_two":
+                row[:] = row @ np.diag([1.0, 1.0, 0.0]) @ row.T
+            elif kind == "zero_row":
+                row[rng.integers(3)] = 0.0
+            elif kind == "repeated_row":
+                row[2] = row[0]
+            elif kind == "near_singular":
+                row[2] = row[0] + 1e-15 * row[1]
+        rhs = rng.normal(size=(len(kinds), 3))
+        x, ok = selection._solve_3x3(normal, rhs)
+        x_o, ok_o = oracle.solve_3x3(normal, rhs)
+        assert np.array_equal(x, x_o, equal_nan=True)
+        assert np.array_equal(ok, ok_o)
+
 
 class TestRefineCenterDeduplication:
     def test_first_center_reaching_a_member_set_wins(self, monkeypatch):

@@ -481,6 +481,37 @@ class TestSolveNormalScreen:
         assert [type(e).__name__ for e in errors[5:]] == ["SingularProblemError"] * 2
         assert all(e is None for e in errors[:5])
 
+    def test_an_exactly_singular_member_takes_no_svd(self, monkeypatch):
+        # Member 7's row and column 2 are zero: its LU pivot is exactly
+        # zero, so the stacked inv raises.  It is flagged from that pivot,
+        # and the other 39 members are inverted and screened as one stack.
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((40, 9, 6))
+        normal = np.swapaxes(a, 1, 2) @ a
+        normal[7, 2, :] = normal[7, :, 2] = 0.0
+        rhs = rng.standard_normal((40, 6, 1))
+        cond = np.linalg.cond
+        seen = []
+
+        def counting_cond(m, *args, **kwargs):
+            seen.extend(np.reshape(m, (-1, 6, 6)))
+            return cond(m, *args, **kwargs)
+
+        outcomes = []
+        for solve in (solve_normal, oracle.solve_normal_cond_first):
+            errors = np.full(40, None, dtype=object)
+            with monkeypatch.context() as patch:
+                if solve is solve_normal:
+                    patch.setattr(np.linalg, "cond", counting_cond)
+                x, inv = solve(normal, rhs, errors)
+            outcomes.append((x, inv, [repr(e) for e in errors]))
+        assert not any(np.array_equal(m, normal[7]) for m in seen)
+        (x, inv, errors), (x_o, inv_o, errors_o) = outcomes
+        assert errors == errors_o
+        assert [i for i, e in enumerate(errors) if e != "None"] == [7]
+        assert np.array_equal(x, x_o, equal_nan=True)
+        assert np.array_equal(inv, inv_o, equal_nan=True)
+
 
 def _velocity_blind(m, rrhs):
     """``m`` (n_a = 4) with its last TDOA entry ``r_41`` moved so that the
