@@ -25,10 +25,12 @@ from .geometry import (
     MIN_VELOCITY_RECEIVERS,
     angular_vectors,
     look_angles,
-    look_rates,
+    scatterer_legs,
+    ue_measurement,
+    user_rays,
     velocity_direction,
 )
-from .ue_wls import _invert_normal, _position_row_mask
+from .ue_wls import _invert_normal, _position_row_mask, build_b, build_system
 
 
 def _information(jac: np.ndarray, q) -> np.ndarray:
@@ -81,35 +83,31 @@ def _bound(jac: np.ndarray, q) -> np.ndarray:
     return bound.reshape(q.shape[:-2] + bound.shape[-2:])
 
 
-def _range_gradients(u, udot, rrhs):
-    """Per-receiver gradients of range and range rate w.r.t. position."""
-    diffs = u - rrhs
-    r = np.sqrt(np.add.reduce(diffs * diffs, axis=1))
-    if np.any(r <= 0.0):
-        raise DegenerateGeometryError("state coincides with a receiver")
-    rdot = diffs @ udot / r
-    grad_r = diffs / r[:, None]
-    grad_rdot = udot / r[:, None] - (rdot / r**2)[:, None] * diffs
-    return r, rdot, grad_r, grad_rdot
-
-
 def jacobian_ue(x, rrhs) -> np.ndarray:
     """Jacobian of the hybrid measurement vector w.r.t. the 6-D state.
 
     TDOA rows and AOA rows have zero velocity blocks; each FDOA row's
     velocity block equals the corresponding TDOA row's position block.
+    Ranges and rates are :func:`geometry.user_rays`', the ones the
+    measurement vector and the WLS error map ``ue_wls.build_b`` read.  A
+    state on a receiver raises ``DegenerateGeometryError``, and one that a
+    receiver sees at zenith ``GimbalLockError``.
     """
     x = np.asarray(x, dtype=float)
     rrhs = np.asarray(rrhs, dtype=float)
-    u, udot = x[:3], x[3:]
+    udot = x[3:]
     n = rrhs.shape[0]
-    r, _, grad_r, grad_rdot = _range_gradients(u, udot, rrhs)
+    diffs, r, rdot = user_rays(x, rrhs)
+    if np.any(r <= 0.0):
+        raise DegenerateGeometryError("state coincides with a receiver")
+    grad_r = diffs / r[:, None]
+    grad_rdot = udot / r[:, None] - (rdot / r**2)[:, None] * diffs
 
     jac = np.zeros((4 * n - 2, 6))
     jac[0 : 2 * n - 2 : 2, :3] = grad_r[1:] - grad_r[0]
     jac[1 : 2 * n - 2 : 2, :3] = grad_rdot[1:] - grad_rdot[0]
     jac[1 : 2 * n - 2 : 2, 3:] = grad_r[1:] - grad_r[0]
-    _, phi, theta = look_angles(u - rrhs)
+    _, phi, theta = look_angles(diffs)
     cos_theta = np.cos(theta)
     zenith = np.flatnonzero(np.abs(cos_theta) < MIN_COS_ELEVATION)
     if zenith.size:
@@ -149,21 +147,20 @@ def jacobian_scatterer(xs, b_n, ue) -> np.ndarray:
 
     The user state ``ue`` is treated as known; the scatterer velocity is
     ``speed * n_v`` with ``n_v`` the unit vector along the user velocity.
+    The legs are :func:`geometry.scatterer_legs`', the ones the path
+    measurement and the scatterer solver's ``bs_bands`` read.  A static
+    user, or a scatterer on the receiver or the user, raises
+    ``DegenerateGeometryError``; one the receiver sees at zenith
+    ``GimbalLockError``.
     """
     xs = np.asarray(xs, dtype=float)
     b_n = np.asarray(b_n, dtype=float)
     ue = np.asarray(ue, dtype=float)
-    s, speed = xs[:3], xs[3]
-    u, udot = ue[:3], ue[3:]
-    n_v = velocity_direction(ue)
-    sdot_vec = speed * n_v
-
-    leg1 = s - b_n
-    d1, phi_s, theta_s = look_angles(leg1)
-    leg2 = u - s
-    d2 = np.sqrt(leg2.dot(leg2))
+    udot = ue[3:]
+    sdot_vec, leg1, d1, phi_s, theta_s, leg2, d2 = scatterer_legs(xs, ue, b_n)
     if d1 <= 0.0 or d2 <= 0.0:
         raise DegenerateGeometryError("scatterer coincides with receiver or user")
+    n_v = velocity_direction(ue)
     a_s = leg1 / d1
     e2 = leg2 / d2
     ddot1 = sdot_vec @ leg1 / d1
@@ -239,7 +236,9 @@ def crlb_ue_traces(x, rrhs, q):
 
 @dataclass
 class IdentityReport:
-    """Largest relative deviations of the two Jacobian/system row identities."""
+    """Largest relative deviations of ``B J = G``, row by row, from
+    :func:`verify_identities`: over the TDOA and AOA rows
+    (``max_dev_range``) and over the FDOA rows (``max_dev_rate``)."""
 
     max_dev_range: float
     max_dev_rate: float
@@ -250,42 +249,26 @@ class IdentityReport:
 
 
 def verify_identities(x, rrhs) -> IdentityReport:
-    """Check the row identities tying the pseudo-linear system to the Jacobian.
+    """Check ``B J = G`` on the WLS solver's own matrices at the true state.
 
-    For every non-reference receiver ``i``, with ``a1, c1, d1`` the angular
-    frame at the reference receiver:
-
-    * range rows:  r_i * d(r_i1)/du  ==  (b_1 - b_i)' - r_i1 * a1'
-    * rate rows:   rdot_i * d(r_i1)/du + r_i * d(rdot_i1)/du
-                   + r_i1 * (phidot_1 * cos(theta_1) * c1' + thetadot_1 * d1')
-                   ==  -rdot_i1 * a1'
-
-    These identities are why the iterated WLS covariance coincides with the
-    covariance lower bound.  Deviations are relative to the row magnitude.
+    ``B`` is the solver's first-order error map (``ue_wls.build_b``), ``G``
+    its system matrix built from the noise-free measurement
+    (``ue_wls.build_system`` of ``geometry.ue_measurement``) and ``J`` the
+    measurement Jacobian (:func:`jacobian_ue`).  ``B`` is the derivative of
+    the residual ``h(m) - G(m) x`` in ``m``, which vanishes at ``m(x)``, so
+    ``B J = G``; that is why ``inv(G' inv(B Q B') G)``, the iterated WLS
+    covariance, coincides with the bound ``inv(J' inv(Q) J)``.  Each row's deviation is relative to
+    the largest entry of its row of ``G`` (at least 1).  The failures are
+    :func:`jacobian_ue`'s.
     """
     x = np.asarray(x, dtype=float)
     rrhs = np.asarray(rrhs, dtype=float)
-    u, udot = x[:3], x[3:]
-    r, rdot, _, _ = _range_gradients(u, udot, rrhs)
     jac = jacobian_ue(x, rrhs)
-
-    r_ray, phi, theta = look_angles(u - rrhs[0])
-    a1, c1, d1 = angular_vectors(phi, theta)
-    phidot1, thetadot1 = look_rates(r_ray, phi, theta, udot)
-
-    k = 2 * rrhs.shape[0] - 2
-    rows_t, rows_f = jac[0:k:2, :3], jac[1:k:2, :3]
-    r_i, rdot_i = r[1:, None], rdot[1:, None]
-    r_i1 = r_i - r[0]
-    rdot_i1 = rdot_i - rdot[0]
-
-    def max_relative(lhs, rhs):
-        scale = np.maximum(np.abs(rhs).max(axis=1), 1.0)
-        return float((np.abs(lhs - rhs).max(axis=1) / scale).max(initial=0.0))
-
-    tangent = phidot1 * np.cos(theta) * c1 + thetadot1 * d1
-    max_dev_range = max_relative(r_i * rows_t, (rrhs[0] - rrhs[1:]) - r_i1 * a1)
-    max_dev_rate = max_relative(
-        rdot_i * rows_t + r_i * rows_f + r_i1 * tangent, -rdot_i1 * a1
+    _, g = build_system(ue_measurement(x, rrhs), rrhs)
+    scale = np.maximum(np.abs(g).max(axis=1), 1.0)
+    dev = np.abs(build_b(x, rrhs) @ jac - g).max(axis=1) / scale
+    rows = _position_row_mask(rrhs.shape[0])
+    return IdentityReport(
+        max_dev_range=float(dev[rows].max(initial=0.0)),
+        max_dev_rate=float(dev[~rows].max(initial=0.0)),
     )
-    return IdentityReport(max_dev_range=max_dev_range, max_dev_rate=max_dev_rate)

@@ -10,7 +10,6 @@ those stack maps run on one sample, and raise that sample's failure.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -23,9 +22,7 @@ from .nn import (
     _one,
     _stack_inputs,
     _train_stack,
-    load_model,
     residual_solve,
-    save_model,
 )
 from .ue_wls import _invert_normal, solve_linear
 
@@ -209,39 +206,3 @@ def enn_b_wls(nets, m, rrhs) -> np.ndarray:
     """Single WLS solve weighted by the averaged residual outer product:
     :func:`enn_b_wls_batch` on the one sample ``m``."""
     return _one(enn_b_wls_batch, nets, m, rrhs)
-
-
-def save_ensemble(nets, ens: EnsembleConfig, directory) -> str:
-    """Write member models plus a manifest; returns the manifest path."""
-    from pathlib import Path
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    members = []
-    for k, net in enumerate(nets):
-        name = f"member_{k:03d}.npz"
-        save_model(net, directory / name)
-        members.append(name)
-    manifest = {
-        "format_version": 1,
-        "p": ens.p,
-        "r_a": ens.r_a,
-        "seeds": list(ens.seeds),
-        "members": members,
-    }
-    path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    return str(path)
-
-
-def load_ensemble(manifest_path):
-    """Read a manifest back into (nets, EnsembleConfig)."""
-    from pathlib import Path
-
-    manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    ens = EnsembleConfig(
-        p=manifest["p"], r_a=manifest["r_a"], seeds=manifest["seeds"]
-    )
-    nets = [load_model(manifest_path.parent / name) for name in manifest["members"]]
-    return nets, ens

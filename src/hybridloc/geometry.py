@@ -28,16 +28,15 @@ Range roundings
 A range is rounded one of two ways, and the two differ in the last bit for
 about one range in eight:
 
-* per ray, ``sqrt(d . d)`` as one dot product (:func:`look_angles`,
-  :func:`direct_paths`), the norm of a single vector.  Angles, angle rates,
-  scatterer legs and the reference receiver's direct path in
-  :func:`scatterer_measurement` use it, as do the selection simulator and
-  the estimators' angle terms.
+* per ray, ``sqrt(d . d)`` as one dot product: the norm of a single
+  vector, as :func:`look_angles` and :func:`scatterer_legs` round it.
+  Angles, angle rates, both scatterer legs and :func:`direct_paths` (the
+  selection simulator's rays, the scatterer paths' reference receiver) use
+  it.
 * summed along the last axis, ``sqrt(add.reduce(d * d, axis=-1))``, which
-  is what ``np.linalg.norm(d, axis=-1)`` computes: the ranges of
-  :func:`ue_measurement`, which every user campaign and dataset draws
-  from, and the range entries of ``ue_wls.build_b`` and the CRLB range
-  gradients.
+  is what ``np.linalg.norm(d, axis=-1)`` computes: the user's ranges and
+  range rates from :func:`user_rays`, which the measurement vector, the
+  WLS error map and the CRLB Jacobian all read.
 
 Changing an entry point from one to the other changes its output bits.
 """
@@ -137,6 +136,43 @@ def velocity_direction(x_ue) -> np.ndarray:
     return udot / speed
 
 
+def user_rays(x, rrhs):
+    """``(diffs, r, rdot)``: the receiver-to-user vectors of user states ``x``
+    (a float array (..., 6)) seen from receivers ``rrhs`` (n, 3), their
+    ranges and their range rates, over the states' leading axes and then
+    the receivers.
+
+    Ranges are summed along the last axis (see the module notes).  A state
+    on a receiver gives a zero range and a non-finite rate there; callers
+    reject zero ranges themselves.
+    """
+    diffs = x[..., None, :3] - rrhs
+    r = np.sqrt(np.add.reduce(diffs * diffs, axis=-1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rdot = (diffs @ x[..., 3:, None])[..., 0] / r
+    return diffs, r, rdot
+
+
+def scatterer_legs(xs, x_ue, b_n):
+    """The two legs of reflected paths user -> scatterer -> receiver ``b_n``.
+
+    Returns ``(sdot, leg1, d1, phi, theta, leg2, d2)``: the scatterer
+    velocity ``speed * n_v`` (``n_v`` from :func:`velocity_direction`,
+    which raises for a static user), the receiver-to-scatterer leg with
+    its range and arrival angles (:func:`look_angles`), and the
+    scatterer-to-user leg with its range, both ranges per ray.  ``xs`` is
+    a float 4-vector ``[s, signed_speed]`` or a stack of them, which
+    ``b_n`` may share, and ``x_ue`` the float user state.  A zero leg gives
+    a zero range; callers reject it themselves.
+    """
+    s = xs[..., :3]
+    sdot = xs[..., 3:] * velocity_direction(x_ue)
+    leg1 = s - b_n
+    d1, phi, theta = look_angles(leg1)
+    leg2 = x_ue[:3] - s
+    return sdot, leg1, d1, phi, theta, leg2, np.sqrt(np.vecdot(leg2, leg2))
+
+
 def measurement_dim(n_receivers: int) -> int:
     """Length of the hybrid measurement vector for ``n_receivers`` receivers."""
     return 4 * n_receivers - 2
@@ -153,14 +189,10 @@ def ue_measurement(x, rrhs) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     rrhs = np.atleast_2d(np.asarray(rrhs, dtype=float))
-    u, udot = x[..., :3], x[..., 3:]
     n = rrhs.shape[0]
-
-    diffs = u[..., None, :] - rrhs            # (..., n, 3)
-    r = np.sqrt(np.add.reduce(diffs * diffs, axis=-1))
+    diffs, r, rdot = user_rays(x, rrhs)
     if np.any(r == 0.0):
         raise DegenerateGeometryError("user position coincides with a receiver")
-    rdot = (diffs @ udot[..., None])[..., 0] / r
 
     m = np.empty(x.shape[:-1] + (measurement_dim(n),))
     m[..., 0 : 2 * n - 2 : 2] = r[..., 1:] - r[..., :1]
@@ -188,15 +220,11 @@ def scatterer_measurement(xs, x_ue, b_n, b_1) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     x_ue = np.asarray(x_ue, dtype=float)
     b_n = np.asarray(b_n, dtype=float)
-    u, udot = x_ue[:3], x_ue[3:]
-    s = xs[..., :3]
-    sdot_vec = xs[..., 3:] * velocity_direction(x_ue)
-    d1, phi_s, theta_s = look_angles(s - b_n)  # scatterer -> receiver leg
-    d2 = np.sqrt(np.vecdot(u - s, u - s))      # user -> scatterer leg
+    sdot_vec, leg1, d1, phi_s, theta_s, leg2, d2 = scatterer_legs(xs, x_ue, b_n)
     if np.any(d1 == 0.0) or np.any(d2 == 0.0):
         raise DegenerateGeometryError("scatterer coincides with user or receiver")
     r_1, rdot_1, _, _ = direct_paths(x_ue, b_1)
-    rsdot = np.vecdot(udot - sdot_vec, u - s) / d2 + np.vecdot(sdot_vec, s - b_n) / d1
+    rsdot = np.vecdot(x_ue[3:] - sdot_vec, leg2) / d2 + np.vecdot(sdot_vec, leg1) / d1
     m = np.empty(rsdot.shape + (4,))
     m[..., 0] = d1 + d2 - r_1
     m[..., 1] = rsdot - rdot_1

@@ -19,6 +19,7 @@ external dependencies and stays deterministic for a given seed.
 from __future__ import annotations
 
 import json
+from copy import deepcopy
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -365,9 +366,10 @@ def _train_stack(configs, m_tr, y_tr, m_va, y_va) -> list:
 
     curve = np.array(curve)
     best_w, best_b = _layer_views(best, widths)
+    # Each member owns a copy of the normalizers fitted above.
     return [
         Mlp(cfg, [w[i].copy() for w in best_w], [b[i].copy() for b in best_b],
-            Normalizer.fit(m_tr), Normalizer.fit(y_tr),
+            deepcopy(in_norm), deepcopy(out_norm),
             val_curve=curve[:, i].copy(), best_epoch=best_epoch[i])
         for i, cfg in enumerate(configs)
     ]

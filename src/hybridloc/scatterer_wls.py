@@ -22,8 +22,8 @@ from .geometry import (
     MIN_COS_ELEVATION,
     angular_vectors,
     direct_paths,
-    look_angles,
     look_rates,
+    scatterer_legs,
     velocity_direction,
 )
 from .ue_wls import _dense, _fail, _iterated_solve, _square, _stacked_covariance
@@ -119,12 +119,7 @@ def bs_bands(xs, b_n, ue, errors=None):
     xs = np.asarray(xs, dtype=float)
     b_n = np.asarray(b_n, dtype=float)
     ue = np.asarray(ue, dtype=float)
-    s, speed = xs[..., :3], xs[..., 3:]
-    u, udot = ue[:3], ue[3:]
-    sdot_vec = speed * velocity_direction(ue)
-
-    d1, phi_s, theta_s = look_angles(s - b_n)
-    d2 = np.sqrt(np.vecdot(u - s, u - s))
+    sdot_vec, _, d1, phi_s, theta_s, leg2, d2 = scatterer_legs(xs, ue, b_n)
     coincident = (d1 <= 0.0) | (d2 <= 0.0)
     _fail(errors, coincident, DegenerateGeometryError,
           "scatterer coincides with receiver or user")
@@ -138,7 +133,7 @@ def bs_bands(xs, b_n, ue, errors=None):
     r_s = d1 + d2
     phidot_s, thetadot_s = look_rates(d1, phi_s, theta_s, sdot_vec)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ddot2 = np.vecdot(udot - sdot_vec, u - s) / d2
+        ddot2 = np.vecdot(ue[3:] - sdot_vec, leg2) / d2
 
     diag = np.empty(r_s.shape + (4,))
     diag[..., 0] = 2.0 * d2

@@ -496,10 +496,10 @@ class LosCandidates:
     dirs: np.ndarray
     ranges: np.ndarray
     c_nlos: np.ndarray
-    centers: np.ndarray = None
-    distances: np.ndarray = None
-    orders: np.ndarray = None
-    winners: np.ndarray = None
+    centers: np.ndarray
+    distances: np.ndarray
+    orders: np.ndarray
+    winners: np.ndarray
 
 
 _TAU = attrgetter("tau")

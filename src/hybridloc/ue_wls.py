@@ -69,6 +69,7 @@ from .geometry import (
     look_angles,
     look_rates,
     measurement_dim,
+    user_rays,
 )
 
 # Condition number beyond which a normal or information matrix counts as
@@ -235,9 +236,7 @@ def b_bands(x, rrhs, errors=None):
     x = np.asarray(x, dtype=float)
     rrhs = np.asarray(rrhs, dtype=float)
     n = rrhs.shape[0]
-    udot = x[..., 3:]
-    diffs = x[..., None, :3] - rrhs
-    r = np.sqrt(np.add.reduce(diffs * diffs, axis=-1))
+    diffs, r, rdot = user_rays(x, rrhs)
     coincident = np.any(r <= 0.0, axis=-1)
     _fail(errors, coincident, DegenerateGeometryError, "state coincides with a receiver")
     # The TDOA/FDOA entries use the summed range r, the angles and the
@@ -251,9 +250,7 @@ def b_bands(x, rrhs, errors=None):
         GimbalLockError,
         "azimuth rate undefined at +/-90 degrees elevation",
     )
-    phidot1, thetadot1 = look_rates(r_ray[..., 0], phi[..., 0], theta[..., 0], udot)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rdot = (diffs @ udot[..., None])[..., 0] / r
+    phidot1, thetadot1 = look_rates(r_ray[..., 0], phi[..., 0], theta[..., 0], x[..., 3:])
 
     base = 2 * n - 2
     r_0, r_i = r[..., :1], r[..., 1:]

@@ -1,8 +1,10 @@
 """Per-receiver loop versions of the CRLB Jacobians, kept as the test oracle.
 
-These are the scalar forms of ``jacobian_ue``, ``jacobian_scatterer`` and
-``verify_identities`` in ``hybridloc.crlb``: one receiver per loop step,
-on the per-ray geometry of ``scalar_geometry``.
+These are the scalar forms of ``jacobian_ue`` and ``jacobian_scatterer``
+in ``hybridloc.crlb``: one receiver per loop step, on the per-ray geometry
+of ``scalar_geometry``.  ``range_gradients`` is the retired
+``_range_gradients``, whose ranges and rates ``geometry.user_rays`` now
+derives.
 
 ``bound``, ``crlb_ue_traces`` and ``crlb_scatterer`` are the retired
 one-covariance forms of the bounds, kept as the oracle of the stacked ones:
@@ -18,7 +20,7 @@ from hybridloc import crlb as stacked
 from hybridloc.errors import DegenerateGeometryError, GimbalLockError, SingularProblemError
 from hybridloc.geometry import MIN_COS_ELEVATION
 from hybridloc.ue_wls import _invert_normal, _position_row_mask
-from scalar_geometry import angle_rates, angular_vectors, aoa_los
+from scalar_geometry import angular_vectors, aoa_los
 
 
 def range_gradients(u, udot, rrhs):
@@ -86,38 +88,6 @@ def jacobian_scatterer(xs, b_n, ue):
     jac[2, :3] = c_s / (d1 * cos_theta)
     jac[3, :3] = d_s / d1
     return jac
-
-
-def verify_identities(x, rrhs):
-    """``(max_dev_range, max_dev_rate)`` of the Jacobian/system row identities."""
-    x = np.asarray(x, dtype=float)
-    rrhs = np.asarray(rrhs, dtype=float)
-    u, udot = x[:3], x[3:]
-    r, rdot, _, _ = range_gradients(u, udot, rrhs)
-    jac = jacobian_ue(x, rrhs)
-    phi1, theta1 = aoa_los(u, rrhs[0])
-    a1, c1, d1 = angular_vectors(phi1, theta1)
-    phidot1, thetadot1 = angle_rates(u, udot, rrhs[0])
-    max_dev_range = 0.0
-    max_dev_rate = 0.0
-    for i in range(1, rrhs.shape[0]):
-        row_t = jac[2 * (i - 1), :3]
-        row_f = jac[2 * (i - 1) + 1, :3]
-        r_i1 = r[i] - r[0]
-        rdot_i1 = rdot[i] - rdot[0]
-        lhs_a = r[i] * row_t
-        rhs_a = (rrhs[0] - rrhs[i]) - r_i1 * a1
-        scale_a = max(np.abs(rhs_a).max(), 1.0)
-        max_dev_range = max(max_dev_range, np.abs(lhs_a - rhs_a).max() / scale_a)
-        lhs_b = (
-            rdot[i] * row_t
-            + r[i] * row_f
-            + r_i1 * (phidot1 * np.cos(theta1) * c1 + thetadot1 * d1)
-        )
-        rhs_b = -rdot_i1 * a1
-        scale_b = max(np.abs(rhs_b).max(), 1.0)
-        max_dev_rate = max(max_dev_rate, np.abs(lhs_b - rhs_b).max() / scale_b)
-    return float(max_dev_range), float(max_dev_rate)
 
 
 def information(jac, q):

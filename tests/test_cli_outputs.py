@@ -57,3 +57,29 @@ def test_numeric_cell_within_rtol_passes_and_reports_its_deviation(tmp_path, cap
 def test_any_other_difference_fails(tmp_path, capsys, changes):
     assert cli_outputs.compare(*_dirs(tmp_path, changes), 1.0) == 1
     assert "1 over rtol" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "changes, rtol, shown",
+    [
+        ({"simulate.csv": CSV.replace("seed=7", "seed=8")}, 0.0,
+         ["  line 1 A: # seed=7", "  line 1 B: # seed=8"]),
+        ({"simulate.csv": CSV.replace("0.1,1,fail", "0.1,1,ok").replace("953", "954")}, 1e-9,
+         ["  line 4 A: 0.1,1,fail,nan", "  line 4 B: 0.1,1,ok,nan"]),
+        ({"simulate.csv": CSV + "0.1,2,ok,1.0\n"}, 0.0,
+         ["  line 5 A: <no line>", "  line 5 B: 0.1,2,ok,1.0"]),
+        ({"simulate.status": "exit 4\n"}, 0.0, ["  line 1 A: exit 0", "  line 1 B: exit 4"]),
+    ],
+    ids=["provenance", "past_rows_within_rtol", "extra_row", "status"],
+)
+def test_a_failing_file_shows_its_first_differing_line(tmp_path, capsys, changes, rtol, shown):
+    assert cli_outputs.compare(*_dirs(tmp_path, changes), rtol) == 1
+    out = capsys.readouterr().out.splitlines()
+    failing = next(i for i, line in enumerate(out) if line.endswith("FAIL"))
+    assert out[failing + 1 : failing + 3] == shown
+
+
+def test_a_passing_file_shows_no_line(tmp_path, capsys):
+    a, b = _dirs(tmp_path, {"simulate.csv": CSV.replace("0.1057971953", "0.1057971954")})
+    assert cli_outputs.compare(a, b, 1e-9) == 0
+    assert "line" not in capsys.readouterr().out

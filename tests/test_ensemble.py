@@ -205,19 +205,6 @@ class TestConfigAndManifest:
         cfg = ensemble.EnsembleConfig(p=4)
         assert cfg.seeds == (0, 1, 2, 3)
 
-    def test_manifest_round_trip(self, tmp_path):
-        sc, _ = measurement_fixture()
-        ds = nn.make_dataset(sc, 60, np.random.default_rng(8))
-        tr, va = ds.subset(slice(0, 40)), ds.subset(slice(40, 60))
-        base = nn.MlpConfig(layer_widths=(22, 8, 8, 22), epochs=2)
-        cfg = ensemble.EnsembleConfig(p=2, r_a=0.25, seeds=(5, 9))
-        nets = ensemble.train_ensemble(base, cfg, tr, va)
-        path = ensemble.save_ensemble(nets, cfg, tmp_path / "ens")
-        loaded, cfg_l = ensemble.load_ensemble(path)
-        assert cfg_l.p == 2 and cfg_l.r_a == 0.25 and cfg_l.seeds == (5, 9)
-        for a, b in zip(nets, loaded):
-            assert np.allclose(a.predict(ds.m[0]), b.predict(ds.m[0]))
-
     def test_train_ensemble_members_differ_by_seed(self):
         sc, _ = measurement_fixture()
         ds = nn.make_dataset(sc, 60, np.random.default_rng(8))

@@ -47,8 +47,9 @@ prints, and no selection, moved:
 passes when both directories hold the same files, every CSV has the same
 rows and cells, each numeric cell of B is within ``R`` relative of A's and
 every other cell, and every other file, is byte-identical.  It prints the
-largest relative deviation of each file and exits 1 on a mismatch.  With
-``--rtol 0`` it is ``diff -r``.
+largest relative deviation of each file, and for each file over the
+tolerance its first line that differs, from both sides; it exits 1 on a
+mismatch.  With ``--rtol 0`` it is ``diff -r``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import math
 import sys
 import tempfile
@@ -208,6 +210,33 @@ def _csv_deviation(a: Path, b: Path) -> float:
                default=0.0)
 
 
+def _first_difference(a: Path, b: Path, rtol: float):
+    """``(line number, A's line, B's line)`` of the first line that differs
+    between files a and b, beyond ``rtol`` in a CSV row whose cells line
+    up; a side past its last line reads None."""
+    lines_a, lines_b = (p.read_text(encoding="utf-8", errors="replace").splitlines()
+                        for p in (a, b))
+    for number, (x, y) in enumerate(itertools.zip_longest(lines_a, lines_b), start=1):
+        if x == y:
+            continue
+        if a.suffix == ".csv" and x is not None and y is not None:
+            cells_a, cells_b = next(csv.reader([x])), next(csv.reader([y]))
+            if len(cells_a) == len(cells_b) and all(
+                    _deviation(u, v) <= rtol for u, v in zip(cells_a, cells_b)):
+                continue
+        return number, x, y
+    return None
+
+
+def _shown(line) -> str:
+    """A compared line as printed: None as ``<no line>``, a line that is not
+    printable text as its ``repr``, either cut at 160 characters."""
+    if line is None:
+        return "<no line>"
+    text = line if line.isprintable() else repr(line)
+    return text if len(text) <= 160 else text[:157] + "..."
+
+
 def compare(a: Path, b: Path, rtol: float) -> int:
     """Report each file's deviation between output directories a and b;
     0 when every file agrees within ``rtol``, else 1."""
@@ -229,6 +258,10 @@ def compare(a: Path, b: Path, rtol: float) -> int:
         bad += not ok
         print(f"{name}: {'identical' if dev == 0.0 else f'max rel dev {dev:.3g}'}"
               f"{'' if ok else ' FAIL'}")
+        first = None if ok else _first_difference(fa, fb, rtol)
+        if first is not None:
+            number, x, y = first
+            print(f"  line {number} A: {_shown(x)}\n  line {number} B: {_shown(y)}")
     print(f"{len(names_a | names_b)} files, {bad} over rtol {rtol:g}")
     return 1 if bad else 0
 
