@@ -28,7 +28,6 @@ from .geometry import (
     scatterer_legs,
     ue_measurement,
     user_rays,
-    velocity_direction,
 )
 from .ue_wls import _invert_normal, _position_row_mask, build_b, build_system
 
@@ -157,10 +156,9 @@ def jacobian_scatterer(xs, b_n, ue) -> np.ndarray:
     b_n = np.asarray(b_n, dtype=float)
     ue = np.asarray(ue, dtype=float)
     udot = ue[3:]
-    sdot_vec, leg1, d1, phi_s, theta_s, leg2, d2 = scatterer_legs(xs, ue, b_n)
+    n_v, sdot_vec, leg1, d1, phi_s, theta_s, leg2, d2 = scatterer_legs(xs, ue, b_n)
     if d1 <= 0.0 or d2 <= 0.0:
         raise DegenerateGeometryError("scatterer coincides with receiver or user")
-    n_v = velocity_direction(ue)
     a_s = leg1 / d1
     e2 = leg2 / d2
     ddot1 = sdot_vec @ leg1 / d1

@@ -156,21 +156,23 @@ def user_rays(x, rrhs):
 def scatterer_legs(xs, x_ue, b_n):
     """The two legs of reflected paths user -> scatterer -> receiver ``b_n``.
 
-    Returns ``(sdot, leg1, d1, phi, theta, leg2, d2)``: the scatterer
-    velocity ``speed * n_v`` (``n_v`` from :func:`velocity_direction`,
-    which raises for a static user), the receiver-to-scatterer leg with
-    its range and arrival angles (:func:`look_angles`), and the
-    scatterer-to-user leg with its range, both ranges per ray.  ``xs`` is
-    a float 4-vector ``[s, signed_speed]`` or a stack of them, which
-    ``b_n`` may share, and ``x_ue`` the float user state.  A zero leg gives
-    a zero range; callers reject it themselves.
+    Returns ``(n_v, sdot, leg1, d1, phi, theta, leg2, d2)``: the unit
+    vector ``n_v`` along the user velocity (:func:`velocity_direction`,
+    which raises for a static user), the scatterer velocity ``speed *
+    n_v``, the receiver-to-scatterer leg with its range and arrival angles
+    (:func:`look_angles`), and the scatterer-to-user leg with its range,
+    both ranges per ray.  ``xs`` is a float 4-vector ``[s, signed_speed]``
+    or a stack of them, which ``b_n`` may share, and ``x_ue`` the float
+    user state.  A zero leg gives a zero range; callers reject it
+    themselves.
     """
     s = xs[..., :3]
-    sdot = xs[..., 3:] * velocity_direction(x_ue)
+    n_v = velocity_direction(x_ue)
+    sdot = xs[..., 3:] * n_v
     leg1 = s - b_n
     d1, phi, theta = look_angles(leg1)
     leg2 = x_ue[:3] - s
-    return sdot, leg1, d1, phi, theta, leg2, np.sqrt(np.vecdot(leg2, leg2))
+    return n_v, sdot, leg1, d1, phi, theta, leg2, np.sqrt(np.vecdot(leg2, leg2))
 
 
 def measurement_dim(n_receivers: int) -> int:
@@ -220,7 +222,7 @@ def scatterer_measurement(xs, x_ue, b_n, b_1) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     x_ue = np.asarray(x_ue, dtype=float)
     b_n = np.asarray(b_n, dtype=float)
-    sdot_vec, leg1, d1, phi_s, theta_s, leg2, d2 = scatterer_legs(xs, x_ue, b_n)
+    _, sdot_vec, leg1, d1, phi_s, theta_s, leg2, d2 = scatterer_legs(xs, x_ue, b_n)
     if np.any(d1 == 0.0) or np.any(d2 == 0.0):
         raise DegenerateGeometryError("scatterer coincides with user or receiver")
     r_1, rdot_1, _, _ = direct_paths(x_ue, b_1)

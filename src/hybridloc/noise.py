@@ -22,7 +22,7 @@ The per-sample samplers are that step on one row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -119,7 +119,7 @@ def bs_bands(xs, b_n, ue, errors=None):
     xs = np.asarray(xs, dtype=float)
     b_n = np.asarray(b_n, dtype=float)
     ue = np.asarray(ue, dtype=float)
-    sdot_vec, _, d1, phi_s, theta_s, leg2, d2 = scatterer_legs(xs, ue, b_n)
+    _, sdot_vec, _, d1, phi_s, theta_s, leg2, d2 = scatterer_legs(xs, ue, b_n)
     coincident = (d1 <= 0.0) | (d2 <= 0.0)
     _fail(errors, coincident, DegenerateGeometryError,
           "scatterer coincides with receiver or user")

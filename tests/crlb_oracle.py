@@ -1,25 +1,26 @@
-"""Per-receiver loop versions of the CRLB Jacobians, kept as the test oracle.
+"""Retired forms of the CRLB Jacobians and bounds, kept as the test oracle;
+one form per kernel.
 
-These are the scalar forms of ``jacobian_ue`` and ``jacobian_scatterer``
-in ``hybridloc.crlb``: one receiver per loop step, on the per-ray geometry
-of ``scalar_geometry``.  ``range_gradients`` is the retired
+``jacobian_ue`` is the per-receiver loop form of ``crlb.jacobian_ue``:
+one receiver per loop step, on the per-ray geometry of
+``scalar_geometry``.  ``range_gradients`` is the retired
 ``_range_gradients``, whose ranges and rates ``geometry.user_rays`` now
-derives.
+derives.  The scatterer Jacobian's one retired form is
+``ray_oracle.jacobian_scatterer``.
 
 ``bound``, ``crlb_ue_traces`` and ``crlb_scatterer`` are the retired
-one-covariance forms of the bounds, kept as the oracle of the stacked ones:
-one solve, one information matrix and one inversion per covariance.
-``crlb_ue_traces_joint_first`` is the retired stacked form, which takes the
-joint bound at every receiver count and reaches the position bound below
-four receivers only through a singular joint information matrix.
+one-covariance forms of the bounds: one solve, one information matrix and
+one inversion per covariance.  Taken member by member over a stack of
+covariances they are the oracle of every stacked bound, also of the user
+bound below four receivers, which the package takes without a joint bound.
 """
 
 import numpy as np
 
-from hybridloc import crlb as stacked
 from hybridloc.errors import DegenerateGeometryError, GimbalLockError, SingularProblemError
 from hybridloc.geometry import MIN_COS_ELEVATION
 from hybridloc.ue_wls import _invert_normal, _position_row_mask
+from ray_oracle import jacobian_scatterer
 from scalar_geometry import angular_vectors, aoa_los
 
 
@@ -52,41 +53,6 @@ def jacobian_ue(x, rrhs):
         _, c_vec, d_vec = angular_vectors(phi, theta)
         jac[2 * n - 2 + 2 * j, :3] = c_vec / (r[j] * cos_theta)
         jac[2 * n - 2 + 2 * j + 1, :3] = d_vec / r[j]
-    return jac
-
-
-def jacobian_scatterer(xs, b_n, ue):
-    xs = np.asarray(xs, dtype=float)
-    b_n = np.asarray(b_n, dtype=float)
-    ue = np.asarray(ue, dtype=float)
-    s, speed = xs[:3], xs[3]
-    u, udot = ue[:3], ue[3:]
-    speed_u = np.linalg.norm(udot)
-    if speed_u <= 0.0:
-        raise DegenerateGeometryError("user velocity is zero")
-    n_v = udot / speed_u
-    sdot_vec = speed * n_v
-    leg1 = s - b_n
-    d1 = np.linalg.norm(leg1)
-    leg2 = u - s
-    d2 = np.linalg.norm(leg2)
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise DegenerateGeometryError("scatterer coincides with receiver or user")
-    a_s = leg1 / d1
-    e2 = leg2 / d2
-    ddot1 = sdot_vec @ leg1 / d1
-    ddot2 = (udot - sdot_vec) @ leg2 / d2
-    phi_s, theta_s = aoa_los(s, b_n)
-    cos_theta = np.cos(theta_s)
-    if abs(cos_theta) < MIN_COS_ELEVATION:
-        raise GimbalLockError("receiver sees the scatterer at zenith")
-    _, c_s, d_s = angular_vectors(phi_s, theta_s)
-    jac = np.zeros((4, 4))
-    jac[0, :3] = a_s - e2
-    jac[1, :3] = (sdot_vec - ddot1 * a_s) / d1 + (-(udot - sdot_vec) + ddot2 * e2) / d2
-    jac[1, 3] = n_v @ leg1 / d1 - n_v @ leg2 / d2
-    jac[2, :3] = c_s / (d1 * cos_theta)
-    jac[3, :3] = d_s / d1
     return jac
 
 
@@ -123,22 +89,6 @@ def crlb_ue_traces(x, rrhs, q):
         position = bound(jac[np.ix_(rows, [0, 1, 2])], q[np.ix_(rows, rows)])
         return float(np.trace(position)), None
     return float(np.trace(cov[:3, :3])), float(np.trace(cov[3:, 3:]))
-
-
-def crlb_ue_traces_joint_first(x, rrhs, q):
-    """``crlb.crlb_ue_traces`` as it was: the joint bound of every member
-    first, then the position bound of the members whose joint one failed."""
-    jac = stacked.jacobian_ue(x, rrhs)
-    q = np.asarray(q, dtype=float)
-    stack = q.reshape((-1,) + q.shape[-2:])
-    cov, failed = stacked._bounds(jac, stack)
-    traces = [(stacked.position_trace(c), stacked.velocity_trace(c)) for c in cov]
-    unobservable = np.not_equal(failed, None)
-    if unobservable.any():
-        position = stacked._position_bound(jac, stack[unobservable])
-        for r, p in zip(np.flatnonzero(unobservable), position):
-            traces[r] = stacked.position_trace(p), None
-    return traces if q.ndim == 3 else traces[0]
 
 
 def crlb_scatterer(xs, b_n, ue, qs):

@@ -7,14 +7,15 @@ weighting (``(êêᵀ + εI)⁻¹`` for NN-WLS, the ridged member average for
 ENN-B) and solves once through ``solve_linear``; each dataset sample is
 drawn, measured and labelled alone through the noise samplers.  They
 raise on the first failure, as one sample of the stacked maps fails.
-``StubNet`` is the fake network the learning tests share.
+The forward models are ``ray_oracle``'s, the one retired form kept of
+each.  ``StubNet`` is the fake network the learning tests share.
 """
 
 import warnings
 
 import numpy as np
 
-from hybridloc.errors import DegenerateGeometryError, NumericalError
+from hybridloc.errors import NumericalError
 from hybridloc.geometry import measurement_dim
 from hybridloc.nn import Dataset
 from hybridloc.noise import (
@@ -30,7 +31,7 @@ from hybridloc.noise import (
 from hybridloc.scatterer_wls import build_scatterer_system
 from hybridloc.scenario import sample_scatterer_state, sample_ue_state
 from hybridloc.ue_wls import _COND_LIMIT, build_system, solve_linear
-from scalar_geometry import nlos_params
+from ray_oracle import scatterer_measurement, ue_measurement
 
 
 class StubNet:
@@ -44,35 +45,6 @@ class StubNet:
     def predict(self, m):
         lead = np.shape(m)[:-1]
         return np.broadcast_to(self.e_hat, lead + self.e_hat.shape).copy()
-
-
-def ue_measurement(x, rrhs):
-    x = np.asarray(x, dtype=float)
-    rrhs = np.atleast_2d(np.asarray(rrhs, dtype=float))
-    u, udot = x[:3], x[3:]
-    n = rrhs.shape[0]
-    diffs = u[None, :] - rrhs
-    r = np.linalg.norm(diffs, axis=1)
-    if np.any(r == 0.0):
-        raise DegenerateGeometryError("user position coincides with a receiver")
-    rdot = diffs @ udot / r
-    m = np.empty(measurement_dim(n))
-    m[0 : 2 * n - 2 : 2] = r[1:] - r[0]
-    m[1 : 2 * n - 2 : 2] = rdot[1:] - rdot[0]
-    horiz = np.hypot(diffs[:, 0], diffs[:, 1])
-    m[2 * n - 2 :: 2] = np.where(horiz > 0.0, np.arctan2(diffs[:, 1], diffs[:, 0]), 0.0)
-    m[2 * n - 1 :: 2] = np.arcsin(np.clip(diffs[:, 2] / r, -1.0, 1.0))
-    return m
-
-
-def scatterer_measurement(xs, x_ue, b_n, b_1):
-    xs = np.asarray(xs, dtype=float)
-    x_ue = np.asarray(x_ue, dtype=float)
-    u, udot = x_ue[:3], x_ue[3:]
-    speed = np.linalg.norm(udot)
-    if speed == 0.0:
-        raise DegenerateGeometryError("scatterer velocity direction undefined for a static user")
-    return np.array(nlos_params(u, udot, xs[:3], xs[3] * (udot / speed), b_n, b_1))
 
 
 def make_dataset(sc, n_samples, rng, dominant_bias=None):

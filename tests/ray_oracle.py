@@ -1,12 +1,16 @@
 """Retired forms of the kernels that now read ``geometry.user_rays`` and
-``geometry.scatterer_legs``, kept as the test oracle.
+``geometry.scatterer_legs``, kept as the test oracle; one form per kernel.
 
 Each derives its own ranges, rates and legs, as the stacked code did
 before the ray geometry had one derivation: ``ue_measurement``,
 ``b_bands`` (whose ``build_b`` is the solver's error map),
 ``scatterer_measurement``, ``bs_bands`` and ``jacobian_scatterer``.  The
+learning oracle's dataset builders measure through them, and
+``crlb_oracle.crlb_scatterer`` bounds through ``jacobian_scatterer``.  The
 user Jacobian's retired ``_range_gradients`` path is
-``crlb_oracle.jacobian_ue``.
+``crlb_oracle.jacobian_ue``.  The error maps keep a second, dense form in
+``wls_oracle.build_b`` and ``build_bs``, which the banded ones here match
+only to rounding.
 """
 
 import numpy as np

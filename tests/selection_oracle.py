@@ -1,8 +1,11 @@
-"""Per-ray loop versions of the selection kernels, kept as the test oracle.
+"""Loop versions of the selection kernels, kept as the test oracle; one
+retired form per kernel.
 
-These are the scalar forms of the stacked kernels in
-``hybridloc.selection``: one 3x3 projector ``I - a a^T`` per ray and one
-``np.linalg.solve`` per fit step.  ``pick_center`` keys its duplicate
+These are the per-trial forms of the stacked kernels in
+``hybridloc.selection``: one 3x3 projector ``I - a a^T`` per ray, one fit
+at a time (its sums over the kept rays taken as one reduction) and one
+``np.linalg.solve`` per fit step.  They share no code with the stacked
+kernels.  ``pick_center`` keys its duplicate
 check on the member set, as the package does.  ``seed_scores`` scores one
 trial's seeds on ``(C, n, 3)`` differences, with an ``einsum`` along-ray
 dot, norms along the length-3 axis and a stable sort for the nearest rays.
@@ -76,7 +79,13 @@ def kmeans2(points, max_iters: int = 100):
 
 
 def projectors(dirs):
-    return [np.eye(3) - np.outer(a, a) for a in dirs]
+    """The ``(n, 3, 3)`` stack of one projector ``I - a a^T`` per ray."""
+    return np.eye(3) - dirs[:, :, None] * dirs[:, None, :]
+
+
+def ray_misses(origins, projs, c):
+    """Distance from ``c`` to each of the lines, ``(n,)``."""
+    return np.linalg.norm((projs @ (c - origins)[:, :, None])[:, :, 0], axis=1)
 
 
 def pair_midpoints(origins, dirs) -> list:
@@ -99,14 +108,18 @@ def pair_midpoints(origins, dirs) -> list:
 
 
 def ray_point(origins, projs, idx, c0, iters: int = 8, floor: float = 1.0):
+    """One fit over the rays ``idx``: each step solves the normal equations
+    of the rays weighted by the inverse of their misses (at least
+    ``floor``), and stops on a singular or non-finite solve or a step
+    below 1e-9."""
     c = np.array(c0, dtype=float)
+    idx = np.asarray(idx)
+    origins, projs = origins[idx], projs[idx]
+    through = (projs @ origins[:, :, None])[:, :, 0]
     for _ in range(iters):
-        normal = np.zeros((3, 3))
-        rhs = np.zeros(3)
-        for i in idx:
-            w = 1.0 / max(float(np.linalg.norm(projs[i] @ (c - origins[i]))), floor)
-            normal += w * projs[i]
-            rhs += w * (projs[i] @ origins[i])
+        w = 1.0 / np.maximum(ray_misses(origins, projs, c), floor)
+        normal = np.einsum("k,kij->ij", w, projs)
+        rhs = w @ through
         try:
             c_new = np.linalg.solve(normal, rhs)
         except np.linalg.LinAlgError:
@@ -145,7 +158,7 @@ def relative_gap(values, rank: int) -> float:
 def trimmed_ray_point(origins, projs, c0, keep: int, rounds: int = 4, gaps=None):
     c = np.asarray(c0, dtype=float)
     for _ in range(rounds):
-        dray = np.array([np.linalg.norm(p @ (c - o)) for o, p in zip(origins, projs)])
+        dray = ray_misses(origins, projs, c)
         kept = np.argsort(dray, kind="stable")[: max(keep, 3)]
         if gaps is not None:
             gaps.append(relative_gap(dray, max(keep, 3)))

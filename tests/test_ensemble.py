@@ -1,7 +1,6 @@
 """Tests for the ensemble combiners (density vote, averaged weighting, mean)."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hybridloc import ensemble, nn
 from hybridloc.errors import ScenarioError
 from hybridloc.noise import NoiseConfig
 from hybridloc.scenario import Scenario
-from hybridloc.ue_wls import build_system, solve_linear
 from learning_oracle import StubNet
 
 
@@ -191,7 +189,7 @@ class TestOutlierRobustness:
         assert mean_shift > 10.0 * max(vote_shift, 1e-12)
 
 
-class TestConfigAndManifest:
+class TestEnsembleConfig:
     def test_config_validation(self):
         with pytest.raises(ScenarioError):
             ensemble.EnsembleConfig(p=1)

@@ -357,7 +357,7 @@ class TestRhoGrid:
     bit for bit: the grid's (R, block) stacks solve each trial as the
     per-scale (block,) stacks did."""
 
-    @settings(derandomize=True, max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         st.sampled_from(GRID_NOISES),
         st.sampled_from([3, 4, 6]),

@@ -98,7 +98,7 @@ ridges = st.floats(-3.0, 1.0).map(lambda k: 10.0**k)
 
 class TestDatasetsMatchOracle:
     @given(seeds, st.integers(1, 150), st.sampled_from(["gaussian", "structured"]))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_ue_dataset_bit_identical(self, seed, n, mode):
         noise = STRUCTURED if mode == "structured" else NoiseConfig(delta_d=3.0, delta_a=0.02)
         sc = Scenario(noise=noise, n_a=int(np.random.default_rng(seed).integers(2, 10)))
@@ -108,7 +108,7 @@ class TestDatasetsMatchOracle:
             assert np.array_equal(a, b)
 
     @given(seeds, st.integers(1, 150))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_pinned_bias_bit_identical(self, seed, n):
         bias = np.random.default_rng(seed).normal(size=22)
         got = nn.make_dataset(SC, n, np.random.default_rng(seed), dominant_bias=bias)
@@ -118,7 +118,7 @@ class TestDatasetsMatchOracle:
 
     @given(seeds, st.integers(1, 150), st.sampled_from(["gaussian", "structured"]),
            st.integers(0, 17))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_scatterer_dataset_bit_identical(self, seed, n, mode, rrh):
         noise = STRUCTURED if mode == "structured" else NoiseConfig(delta_d=3.0, delta_a=0.02)
         sc = Scenario(noise=noise, scatterer_rrh=rrh)
@@ -130,14 +130,14 @@ class TestDatasetsMatchOracle:
 
 class TestClosedFormsMatchOracle:
     @given(seeds, scales, st.booleans(), ridges)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_nn_wls(self, seed, scale_exp, along_label, eps):
         m, e_hat = _draw(seed, scale_exp, along_label)
         _assert_agree(lambda: nn.nn_wls_estimate(StubNet(e_hat), m, RRHS, eps),
                       e_hat, *build_system(m, RRHS), eps)
 
     @given(seeds, scales, st.booleans())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_nn_ls(self, seed, scale_exp, along_label):
         m, e_hat = _draw(seed, scale_exp, along_label)
         expected = oracle.nn_ls_estimate(StubNet(e_hat), m, RRHS)
@@ -146,7 +146,7 @@ class TestClosedFormsMatchOracle:
         assert _rel(got, expected) <= _tolerance(np.linalg.cond(g.T @ g))
 
     @given(seeds, st.lists(scales, min_size=1, max_size=6), ridges)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_member_rows(self, seed, scale_exps, eps):
         rng = np.random.default_rng(seed)
         m, base = _draw(seed, 0.0, True)
@@ -165,7 +165,7 @@ class TestClosedFormsMatchOracle:
             _assert_agree(lambda: row, net.e_hat, h, g, eps)
 
     @given(seeds, st.integers(2, 8), scales, st.floats(-4.0, 0.0), st.booleans())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_enn_b(self, seed, p, scale_exp, spread_exp, along_label):
         rng = np.random.default_rng(seed)
         m, base = _draw(seed, scale_exp, along_label)
@@ -178,7 +178,7 @@ class TestClosedFormsMatchOracle:
         assert _rel(got, expected) <= 1e-7
 
     @given(seeds, st.integers(1, 3), ridges)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_residual_solve_with_more_rows_than_dim(self, seed, extra, ridge):
         # k = dim + extra residual rows: the k×k system is dim×dim.
         rng = np.random.default_rng(seed)
@@ -408,7 +408,7 @@ class TestDenseEnnB:
 
     @given(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6), st.integers(22, 30),
            seeds)
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_matches_the_per_sample_oracle(self, kinds, p, seed):
         ms, preds = _dense_stack(kinds, p, seed)
         nets = [RowNet(ms, preds[:, k]) for k in range(p)]

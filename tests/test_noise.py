@@ -185,7 +185,7 @@ class TestNoiseStep:
         st.integers(1, 5),
         st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_stacked_step_matches_the_samplers_row_by_row(
         self, n_a, scatterer, rho, ratio, rows, seed
     ):

@@ -153,7 +153,7 @@ class TestKmeans2:
         st.integers(2, 18),
         st.lists(st.sampled_from(POINT_SETS), min_size=1, max_size=12),
     )
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_lockstep_equals_loop_trial_by_trial(self, seed, n, kinds):
         pts = np.array([point_set(seed + t, n, kind) for t, kind in enumerate(kinds)])
         assert_lockstep_equals_loop(pts)
@@ -528,7 +528,7 @@ def usable_midpoints(origins, dirs):
 
 class TestStackedKernelsMatchLoops:
     @given(bundles)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_pair_midpoints(self, bundle):
         origins, dirs, _, _ = bundle
         new = usable_midpoints(origins, dirs)
@@ -537,7 +537,7 @@ class TestStackedKernelsMatchLoops:
         assert_close(new, old, 1e3)
 
     @given(bundles, st.integers(1, 4))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_ray_points(self, bundle, k):
         origins, dirs, _, rng = bundle
         m = min(origins.shape[0], 3 + int(rng.integers(0, 4)))
@@ -550,7 +550,7 @@ class TestStackedKernelsMatchLoops:
             assert_close(new[row], old, 1e3)
 
     @given(bundles, st.integers(1, 4))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_trimmed_ray_points(self, bundle, k):
         origins, dirs, _, rng = bundle
         keep = max(3, origins.shape[0] // 2)
@@ -564,7 +564,7 @@ class TestStackedKernelsMatchLoops:
                 assert_close(new[row], old, 1e3)
 
     @given(bundles, st.integers(1, 4))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_subset_scores(self, bundle, k):
         origins, dirs, ranges, rng = bundle
         size = int(rng.integers(2, origins.shape[0] + 1))
@@ -581,7 +581,7 @@ class TestStackedKernelsMatchLoops:
                 assert_close(new[row], old, 1e3)
 
     @given(bundles, st.integers(2, 6))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_refine_center(self, bundle, subset_size):
         origins, dirs, ranges, _ = bundle
         fixes = origins + ranges[:, None] * dirs
@@ -598,7 +598,7 @@ class TestStackedKernelsMatchLoops:
         assert_close(centers[0, winners[size - 2]], old, 1e3)
 
     @given(bundles, st.lists(st.integers(0, 3), min_size=4, max_size=4))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_rankings_at_every_size(self, bundle, copies):
         # Four centers near the rays' common point; ``copies[k]`` names an
         # earlier center that center k repeats (itself when not earlier),
@@ -634,7 +634,7 @@ class TestStackedKernelsMatchLoops:
         st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=4),
         st.integers(1, 4),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_trial_axis_matches_single_trials(self, seed, n, flags, k):
         # T = len(flags) bundles of n rays, each with its own awkward cases.
         bundles = [ray_bundle(seed + t, n, *f) for t, f in enumerate(flags)]
@@ -661,7 +661,7 @@ class TestStackedKernelsMatchLoops:
         st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=7),
         st.integers(1, 3000),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_seed_pick_matches_trial_by_trial(self, seed, n, flags, cells):
         # T = len(flags) bundles; the cell budget sets chunks of 1 to T
         # trials, so T is often no multiple of the chunk.  Near-parallel
@@ -697,7 +697,7 @@ class TestStackedKernelsMatchLoops:
         st.integers(7, 18),
         st.integers(1, 4),
     )
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_seed_pick_with_tied_cuts(self, seed, n, copies, trials):
         # Rays 1 to copies - 1 copy ray 0 in every trial, and one center of
         # each sits on ray 0, so seven or more rays tie at its sixth
@@ -779,7 +779,7 @@ class TestStackedKernelsMatchLoops:
                  min_size=1, max_size=12),
         st.integers(0, 2**32 - 1),
     )
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_solve_3x3_matches_the_row_by_row_retry(self, kinds, seed):
         # From none to all rows exactly singular: the stacked re-solve of
         # the rows without a zero pivot gives the retired loop's rows bit
@@ -834,7 +834,22 @@ class TestRefineCenterDeduplication:
         assert np.array_equal(centers[0, winners[4 - 2]], [55.0, 0.0, 0.0])
 
 
-def test_selection_corpus_block_matches_single_trials():
+@pytest.fixture(scope="module")
+def corpus():
+    """``(bias, scenario, trials, records)`` per clock bias: 500 simulated
+    trials (streams ``[31, t]``) and the record ``los_candidates`` gives
+    each alone."""
+    out = []
+    for bias in (0.0, 100.0):
+        sc = Scenario(
+            noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=0.5, clock_bias_m=bias
+        )
+        trials = [simulate_paths(sc, np.random.default_rng([31, t])) for t in range(500)]
+        out.append((bias, sc, trials, [los_candidates(paths, sc.rrhs) for paths in trials]))
+    return out
+
+
+def test_selection_corpus_block_matches_single_trials(corpus):
     """1000 simulated trials fitted in blocks: the records of single trials.
 
     Blocks of 64 are the harness's, blocks of 10 the size of one benchmark
@@ -842,12 +857,7 @@ def test_selection_corpus_block_matches_single_trials():
     the same ordered receivers at every ``n_a``.
     """
     compared = 0
-    for bias in (0.0, 100.0):
-        sc = Scenario(
-            noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=0.5, clock_bias_m=bias
-        )
-        trials = [simulate_paths(sc, np.random.default_rng([31, t])) for t in range(500)]
-        alone = [los_candidates(paths, sc.rrhs) for paths in trials]
+    for bias, sc, trials, alone in corpus:
         for size in (64, 10):
             blocked = []
             for lo in range(0, len(trials), size):
@@ -872,7 +882,7 @@ def with_centers(record, centers):
     return new
 
 
-def test_selection_corpus_matches_loop_oracle_from_candidates():
+def test_selection_corpus_matches_loop_oracle_from_candidates(corpus):
     """The same 2000 selections, each finished from its trial's shared record.
 
     The loop oracle fits the four candidate centers once per trial from the
@@ -883,13 +893,8 @@ def test_selection_corpus_matches_loop_oracle_from_candidates():
     other size from 2 to the pick count, all read from the same record.
     """
     compared = others = 0
-    for bias in (0.0, 100.0):
-        sc = Scenario(
-            noise=NoiseConfig(delta_d=0.1, delta_a=0.0175), p_d=0.5, clock_bias_m=bias
-        )
-        for t in range(500):
-            paths = simulate_paths(sc, np.random.default_rng([31, t]))
-            c = los_candidates(paths, sc.rrhs)
+    for bias, sc, trials, records in corpus:
+        for t, (paths, c) in enumerate(zip(trials, records)):
             rays = (c.fixes, c.origins, c.dirs, c.ranges)
             centers = oracle.candidate_centers(*rays, kmeans2(c.fixes)[0])
             for n_a in range(2, len(c.picks) + 1) if t < 100 else (4, 6):

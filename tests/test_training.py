@@ -91,7 +91,7 @@ def test_best_snapshot_before_last_epoch_matches_oracle():
     assert len({net.best_epoch for net in nets}) > 1
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     hidden=st.lists(st.integers(1, 12), min_size=0, max_size=2),
     n_in=st.integers(1, 6),

@@ -80,7 +80,7 @@ class TestUeBatchMatchesOracle:
                  min_size=1, max_size=6),
         st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_every_trial_matches(self, n_a, rho, iters, kinds, seed):
         rng = np.random.default_rng(seed)
         rrhs = DEFAULT_RRHS[:n_a]
@@ -101,7 +101,7 @@ class TestUeBatchMatchesOracle:
             _assert_close(batch.cov[t], cov)
 
     @given(st.integers(2, 9), st.integers(1, 4), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_system_and_b_match_on_stacks(self, n_a, size, seed):
         rng = np.random.default_rng(seed)
         rrhs = DEFAULT_RRHS[:n_a]
@@ -130,7 +130,7 @@ class TestScattererBatchMatchesOracle:
         st.lists(st.sampled_from(["random", "random", "zenith"]), min_size=1, max_size=6),
         st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_every_trial_matches(self, rho, obs, kinds, seed):
         rng = np.random.default_rng(seed)
         sc = Scenario()
@@ -328,7 +328,7 @@ class TestWhitening:
         st.lists(st.sampled_from(["random", "near_zenith"]), min_size=1, max_size=4),
         st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_b_times_whitened_v_is_v(self, n_a, kinds, seed):
         rng = np.random.default_rng(seed)
         rrhs = DEFAULT_RRHS[:n_a]
@@ -340,7 +340,7 @@ class TestWhitening:
         self._assert_inverts(build_b(x[ok], rrhs), (diag[ok], low[ok]), rng)
 
     @given(st.integers(0, DEFAULT_RRHS.shape[0] - 1), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_bs_times_whitened_v_is_v(self, obs, seed):
         rng = np.random.default_rng(seed)
         ue = sample_ue_state(Scenario(), rng)
@@ -367,7 +367,7 @@ class TestWhitenedCovarianceAccuracy:
     """
 
     @given(st.integers(4, 9), st.sampled_from([0.1, 1.0, 10.0]), st.integers(0, 2**32 - 1))
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12)
     def test_matches_the_dense_form_in_40_digits(self, n_a, rho, seed):
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(seed)
@@ -424,7 +424,7 @@ class TestSolveNormalScreen:
     KINDS = ["regular", "regular", "scaled", "rank_deficient", "zero_column",
              "near_limit", "near_limit_skewed", "non_finite", "failed"]
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         st.sampled_from([3, 4, 6]),
         st.lists(st.sampled_from(KINDS), min_size=1, max_size=10),
@@ -445,7 +445,7 @@ class TestSolveNormalScreen:
         assert np.array_equal(x, x_o, equal_nan=True)
         assert np.array_equal(inv, inv_o, equal_nan=True)
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         st.sampled_from([3, 4, 6]),
         st.sampled_from(["regular", "scaled", "rank_deficient", "zero_column", "near_limit",
@@ -660,7 +660,7 @@ class TestBelowFourReceivers:
     outcome is the retired joint-first form's, bit for bit, failure classes
     and messages included."""
 
-    @settings(derandomize=True, max_examples=250, deadline=None)
+    @settings(max_examples=250)
     @given(
         st.sampled_from([2, 3]),
         st.sampled_from([(), (1,), (3,)]),
@@ -709,7 +709,7 @@ class TestBelowFourReceivers:
         assert np.array_equal(batch.x[keep], clean.x[keep], equal_nan=True)
         assert not batch.velocity_valid.any()
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.sampled_from([2, 3]), st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_every_joint_matrix_is_singular(self, n_a, trials, seed):
         # The premise of the shortcut: at random finite geometries the joint

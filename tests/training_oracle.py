@@ -1,8 +1,9 @@
 """Per-network training loop with per-array ADAM, kept as the test oracle.
 
-These are the plain forms of the lockstep trainer in ``hybridloc.nn``:
-forward and backward passes on one network's 2-D weights, one ADAM update
-per parameter array, and ensemble members trained one after another.  The
+These are the plain forms of the lockstep trainer in ``hybridloc.nn``,
+its one retired form: forward and backward passes on one network's 2-D
+weights, one ADAM update per parameter array, and ensemble members
+trained one after another.  The
 package's ``Mlp.initialize`` and ``Normalizer`` supply the starting point,
 so both trainers begin from the same draw; nothing else of the package's
 training code is used.  Besides the trained network, ``train_on`` returns

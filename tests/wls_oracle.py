@@ -21,6 +21,13 @@ receivers only through a singular joint normal matrix;
 per scale, with one bound per scale; and ``compute_metrics`` takes each
 metric from its own ``np.mean``, ``np.linalg.norm`` or ``ndarray.std``
 call.
+
+Each kernel keeps one retired form, except two pairs where no single form
+is bitwise on every case the tests run: the loop ``wls_solve``, compared
+within a tolerance on random trials, beside ``wls_solve_batch_joint_first``,
+compared bit for bit below four receivers; and the dense ``build_b`` and
+``build_bs`` here, compared within a tolerance, beside the banded
+``ray_oracle.b_bands`` and ``bs_bands``, compared bit for bit.
 """
 
 import functools
