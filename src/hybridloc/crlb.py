@@ -25,11 +25,14 @@ from .geometry import (
     MIN_VELOCITY_RECEIVERS,
     angular_vectors,
     look_angles,
+    measurement_dim,
+    position_rows,
+    row_blocks,
     scatterer_legs,
     ue_measurement,
     user_rays,
 )
-from .ue_wls import _invert_normal, _position_row_mask, build_b, build_system
+from .ue_wls import _invert_normal, build_b, build_system
 
 
 def _information(jac: np.ndarray, q) -> np.ndarray:
@@ -102,18 +105,19 @@ def jacobian_ue(x, rrhs) -> np.ndarray:
     grad_r = diffs / r[:, None]
     grad_rdot = udot / r[:, None] - (rdot / r**2)[:, None] * diffs
 
-    jac = np.zeros((4 * n - 2, 6))
-    jac[0 : 2 * n - 2 : 2, :3] = grad_r[1:] - grad_r[0]
-    jac[1 : 2 * n - 2 : 2, :3] = grad_rdot[1:] - grad_rdot[0]
-    jac[1 : 2 * n - 2 : 2, 3:] = grad_r[1:] - grad_r[0]
+    tdoa, fdoa, azimuth, elevation = row_blocks(n - 1)
+    jac = np.zeros((measurement_dim(n), 6))
+    jac[tdoa, :3] = grad_r[1:] - grad_r[0]
+    jac[fdoa, :3] = grad_rdot[1:] - grad_rdot[0]
+    jac[fdoa, 3:] = grad_r[1:] - grad_r[0]
     _, phi, theta = look_angles(diffs)
     cos_theta = np.cos(theta)
     zenith = np.flatnonzero(np.abs(cos_theta) < MIN_COS_ELEVATION)
     if zenith.size:
         raise GimbalLockError(f"receiver {zenith[0]} sees the state at zenith")
     _, c_vec, d_vec = angular_vectors(phi, theta)
-    jac[2 * n - 2 :: 2, :3] = c_vec / (r * cos_theta)[:, None]
-    jac[2 * n - 1 :: 2, :3] = d_vec / r[:, None]
+    jac[azimuth, :3] = c_vec / (r * cos_theta)[:, None]
+    jac[elevation, :3] = d_vec / r[:, None]
     return jac
 
 
@@ -131,13 +135,13 @@ def crlb_ue_position(x, rrhs, q) -> np.ndarray:
     which carry no velocity; this is the bound that fallback can attain.
     A stack of covariances ``q`` gives a stack of bounds.
     """
-    return _position_bound(jacobian_ue(x, rrhs), np.asarray(q, dtype=float))
+    return _position_bound(jacobian_ue(x, rrhs), np.asarray(q, dtype=float), len(rrhs))
 
 
-def _position_bound(jac: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The bound of the position columns of ``jac``'s TDOA and AOA rows,
-    under ``q`` (..., d, d)."""
-    rows = _position_row_mask((jac.shape[0] + 2) // 4)  # jac has 4 n_a - 2 rows
+def _position_bound(jac: np.ndarray, q: np.ndarray, n_receivers: int) -> np.ndarray:
+    """The bound of the position columns of ``jac``'s TDOA and AOA rows
+    (``geometry.position_rows``), under ``q`` (..., d, d)."""
+    rows = position_rows(n_receivers)
     return _bound(jac[np.ix_(rows, [0, 1, 2])], q[..., rows, :][..., rows])
 
 
@@ -226,7 +230,7 @@ def crlb_ue_traces(x, rrhs, q):
         traces = [(position_trace(c), velocity_trace(c)) for c in cov]
         unobservable = np.not_equal(failed, None)
     if unobservable.any():
-        position = _position_bound(jac, stack[unobservable])
+        position = _position_bound(jac, stack[unobservable], len(rrhs))
         for r, p in zip(np.flatnonzero(unobservable), position):
             traces[r] = position_trace(p), None
     return traces if q.ndim == 3 else traces[0]
@@ -265,7 +269,7 @@ def verify_identities(x, rrhs) -> IdentityReport:
     _, g = build_system(ue_measurement(x, rrhs), rrhs)
     scale = np.maximum(np.abs(g).max(axis=1), 1.0)
     dev = np.abs(build_b(x, rrhs) @ jac - g).max(axis=1) / scale
-    rows = _position_row_mask(rrhs.shape[0])
+    rows = position_rows(rrhs.shape[0])
     return IdentityReport(
         max_dev_range=float(dev[rows].max(initial=0.0)),
         max_dev_rate=float(dev[~rows].max(initial=0.0)),

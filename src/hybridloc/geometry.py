@@ -21,7 +21,9 @@ Conventions
   is ``signed_speed * n_v`` and ``n_v`` is the unit vector along the user's
   velocity (:func:`velocity_direction`).
 * Measurement vectors are ordered ``[r_21, rdot_21, ..., r_N1, rdot_N1,
-  phi_1, theta_1, ..., phi_N, theta_N]`` with receiver 1 as the reference.
+  phi_1, theta_1, ..., phi_N, theta_N]`` with receiver 1 as the reference
+  (a reflected path: one pair, then its angles); only :func:`row_blocks`
+  and :func:`position_rows` spell that order out for the other modules.
 
 Range roundings
 ---------------
@@ -180,6 +182,22 @@ def measurement_dim(n_receivers: int) -> int:
     return 4 * n_receivers - 2
 
 
+def row_blocks(pairs: int):
+    """``(tdoa, fdoa, azimuth, elevation)``: the row slices of each kind in
+    a measurement vector of ``pairs`` TDOA/FDOA pairs (``n - 1`` for the
+    user seen by ``n`` receivers, one for a reflected path).  The four
+    slices partition the rows."""
+    k = 2 * pairs
+    return slice(0, k, 2), slice(1, k, 2), slice(k, None, 2), slice(k + 1, None, 2)
+
+
+def position_rows(n_receivers: int) -> np.ndarray:
+    """Mask of the user rows that carry no velocity: all but the FDOA rows."""
+    rows = np.ones(measurement_dim(n_receivers), dtype=bool)
+    rows[row_blocks(n_receivers - 1)[1]] = False
+    return rows
+
+
 def ue_measurement(x, rrhs) -> np.ndarray:
     """Noise-free hybrid measurement vector for user state ``x`` (6-vector).
 
@@ -196,15 +214,14 @@ def ue_measurement(x, rrhs) -> np.ndarray:
     if np.any(r == 0.0):
         raise DegenerateGeometryError("user position coincides with a receiver")
 
+    tdoa, fdoa, azimuth, elevation = row_blocks(n - 1)
     m = np.empty(x.shape[:-1] + (measurement_dim(n),))
-    m[..., 0 : 2 * n - 2 : 2] = r[..., 1:] - r[..., :1]
-    m[..., 1 : 2 * n - 2 : 2] = rdot[..., 1:] - rdot[..., :1]
+    m[..., tdoa] = r[..., 1:] - r[..., :1]
+    m[..., fdoa] = rdot[..., 1:] - rdot[..., :1]
     dx, dy = diffs[..., 0], diffs[..., 1]
     horiz = np.hypot(dx, dy)
-    phi = np.where(horiz > 0.0, np.arctan2(dy, dx), 0.0)
-    theta = np.arcsin(np.minimum(np.maximum(diffs[..., 2] / r, -1.0), 1.0))
-    m[..., 2 * n - 2 :: 2] = phi
-    m[..., 2 * n - 1 :: 2] = theta
+    m[..., azimuth] = np.where(horiz > 0.0, np.arctan2(dy, dx), 0.0)
+    m[..., elevation] = np.arcsin(np.minimum(np.maximum(diffs[..., 2] / r, -1.0), 1.0))
     return m
 
 

@@ -448,18 +448,14 @@ def make_scatterer_dataset(sc: Scenario, n_samples: int, rng) -> Dataset:
     The observing receiver and the differencing reference are fixed by the
     scenario; the user state is held at its true value (labels describe
     measurement error, not user error).  Draws and blocks as
-    :func:`_build_in_blocks` does, the labels' ``G`` being the system's ``G·T``.
+    :func:`_build_in_blocks` does, on :func:`build_scatterer_system`'s ``(h, G·T)``.
     """
     b_n = sc.rrhs[sc.scatterer_rrh]
     b_1 = sc.rrhs[0]
-
-    def system(ms):
-        h, g, t = build_scatterer_system(ms, b_n, b_1, sc.ue_true)
-        return h, g @ t
-
     return _build_in_blocks(
         sc, n_samples, rng, sample_scatterer_state, 4, scatterer_sigma_components(sc.noise),
-        lambda xs: scatterer_measurement(xs, sc.ue_true, b_n, b_1), system,
+        lambda xs: scatterer_measurement(xs, sc.ue_true, b_n, b_1),
+        lambda ms: build_scatterer_system(ms, b_n, b_1, sc.ue_true),
         {"kind": "scatterer", "rrh": int(sc.scatterer_rrh)},
     )
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError, ScenarioError
+from .geometry import measurement_dim, row_blocks
 
 
 @dataclass
@@ -78,10 +79,11 @@ def sigma_components(n_a: int, cfg: NoiseConfig) -> np.ndarray:
     """Per-component standard deviations in measurement-vector order."""
     if n_a < 2:
         raise ScenarioError("at least two receivers are required")
-    sd = np.empty(4 * n_a - 2)
-    sd[0 : 2 * n_a - 2 : 2] = cfg.delta_d
-    sd[1 : 2 * n_a - 2 : 2] = cfg.fdoa_factor * cfg.delta_d
-    sd[2 * n_a - 2 :] = cfg.delta_a
+    tdoa, fdoa, azimuth, _ = row_blocks(n_a - 1)
+    sd = np.empty(measurement_dim(n_a))
+    sd[tdoa] = cfg.delta_d
+    sd[fdoa] = cfg.fdoa_factor * cfg.delta_d
+    sd[azimuth.start :] = cfg.delta_a
     return sd
 
 
@@ -91,15 +93,8 @@ def build_q(n_a: int, cfg: NoiseConfig) -> np.ndarray:
 
 
 def build_qs(cfg: NoiseConfig) -> np.ndarray:
-    """4x4 covariance for a single scatterer measurement vector."""
-    return np.diag(
-        [
-            cfg.delta_d**2,
-            (cfg.fdoa_factor * cfg.delta_d) ** 2,
-            cfg.delta_a**2,
-            cfg.delta_a**2,
-        ]
-    )
+    """4x4 covariance of one path measurement, squared by ``pow`` as Python floats are."""
+    return np.diag(np.float_power(scatterer_sigma_components(cfg), 2))
 
 
 def sample_gaussian(m_true, q, rng) -> np.ndarray:
@@ -139,7 +134,7 @@ def dominant_bias_from_shape(shape: np.ndarray, n_a: int, cfg: NoiseConfig) -> n
 
 def draw_dominant_bias(n_a: int, cfg: NoiseConfig, rng) -> np.ndarray:
     """Dominant (fixed) error vector for one structured-noise dataset."""
-    return dominant_bias_from_shape(dominant_shape(4 * n_a - 2, rng), n_a, cfg)
+    return dominant_bias_from_shape(dominant_shape(measurement_dim(n_a), rng), n_a, cfg)
 
 
 def draw_dominant(cfg: NoiseConfig, sd, rng, pinned=None) -> np.ndarray | None:

@@ -61,14 +61,14 @@ class ScattererBatch:
 
 
 def build_scatterer_system(ms, b_n, b_1, ue):
-    """Assemble (h, G, T) for reflected paths.
+    """Assemble the square pair (h, G·T) for reflected paths.
 
     ``ms`` is the 4-entry path measurement, or a stack of them on leading
-    batch axes (``h`` and ``G`` then carry the same axes); ``b_n`` the
+    batch axes (``h`` and ``G·T`` then carry the same axes); ``b_n`` the
     observing receiver; ``b_1`` the reference receiver (whose direct-path
     range/rate, recomputed from the user state ``ue``, undoes the
-    differencing); ``T`` maps the reduced state [s, speed] to [s, speed *
-    n_v].
+    differencing).  ``G`` acts on [s, sdot] and ``T`` maps the reduced
+    state [s, speed] to it, ``sdot = speed * n_v``.
     """
     ms = np.asarray(ms, dtype=float)
     if ms.shape[-1:] != (4,):
@@ -98,19 +98,17 @@ def build_scatterer_system(ms, b_n, b_1, ue):
     g[..., 2, :3] = c_s
     g[..., 3, :3] = d_s
 
-    t = np.zeros((6, 4))
-    t[:3, :3] = np.eye(3)
+    t = np.eye(6, 4)
     t[3:, 3] = n_v
-    return h, g, t
+    return h, g @ t
 
 
 def bs_bands(xs, b_n, ue, errors=None):
     """The entries of :func:`build_bs`'s ``Bs`` at xs, as ``(diag, low)``.
 
     ``diag`` (..., 4) is Bs's diagonal and ``low`` (..., 1, 3) the rate
-    row's entries on the delay column and the two angle columns, in
-    :func:`ue_wls.b_bands`' layout: a path is one TDOA/FDOA pair followed
-    by its angle pair.
+    row's entries on the delay column and the two angle columns, in the
+    one-pair layout of :func:`ue_wls.b_bands` (``geometry.row_blocks(1)``).
 
     ``xs`` may carry leading batch axes.  A scatterer on the receiver or
     the user, or straight above the receiver, raises; with ``errors`` (an
@@ -167,16 +165,16 @@ def scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs) -> ScattererBatch:
     as in ``ue_wls.wls_solve_batch``.  Each trial runs as
     :func:`scatterer_wls_solve` would run it alone, and fails alone.  This
     is the user's iterated solve with one iteration and the covariance at
-    the estimate.
+    the estimate, on :func:`build_scatterer_system`'s pair ``(h, G·T)``.
     """
     ms = np.asarray(ms, dtype=float)
     if ms.ndim < 2:
         raise DimensionMismatchError("path measurements must be stacked as (..., trials, 4)")
     qs = _stacked_covariance(qs, ms.shape[:-1] + (4,), "path covariance must be 4x4")
-    h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
+    h, gt = build_scatterer_system(ms, b_n, b_1, ue)
     errors = np.full(h.shape[:-1], None, dtype=object)
     xs, cov = _iterated_solve(
-        h, g @ t, qs, lambda x, e: bs_bands(x, b_n, ue, e), 1, True, errors
+        h, gt, qs, lambda x, e: bs_bands(x, b_n, ue, e), 1, True, errors
     )
     failed = ~np.equal(errors, None)
     xs[failed] = np.nan

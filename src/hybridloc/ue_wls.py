@@ -69,6 +69,8 @@ from .geometry import (
     look_angles,
     look_rates,
     measurement_dim,
+    position_rows,
+    row_blocks,
     user_rays,
 )
 
@@ -84,14 +86,13 @@ class WlsResult:
     """Solution of one weighted least-squares estimation.
 
     ``x`` is the 6-D state estimate (velocity entries NaN when
-    ``velocity_valid`` is False); ``cov`` the first-order covariance with
-    the same NaN convention; ``iterations`` the number of solves performed.
+    ``velocity_valid`` is False) and ``cov`` the first-order covariance
+    with the same NaN convention.
     """
 
     x: np.ndarray
     cov: np.ndarray
     velocity_valid: bool
-    iterations: int
 
     @property
     def position(self) -> np.ndarray:
@@ -179,8 +180,7 @@ def unpack_measurement(m, n_receivers: int):
             f"measurement length {m.shape[-1] if m.ndim else m.size} does not "
             f"match {n_receivers} receivers"
         )
-    k = 2 * n_receivers - 2
-    return m[..., 0:k:2], m[..., 1:k:2], m[..., k::2], m[..., k + 1 :: 2]
+    return tuple(m[..., rows] for rows in row_blocks(n_receivers - 1))
 
 
 def build_system(m, rrhs):
@@ -198,20 +198,20 @@ def build_system(m, rrhs):
     # Row i of lever is (b_1 - b_i) - r_i1 a_1, shared by the TDOA and FDOA rows.
     lever = (b_1 - b_n) - r_n1[..., None] * a_1
 
-    k = 2 * n - 2
+    tdoa, fdoa, azimuth, elevation = row_blocks(n - 1)
     h = np.empty(r_n1.shape[:-1] + (measurement_dim(n),))
     g = np.zeros(h.shape + (6,))
-    h[..., 0:k:2] = (
+    h[..., tdoa] = (
         _square(r_n1) - 2.0 * r_n1 * a1_b1 - np.vecdot(b_n, b_n) + b_1 @ b_1
     )
-    g[..., 0:k:2, :3] = 2.0 * lever
-    h[..., 1:k:2] = rdot_n1 * r_n1 - rdot_n1 * a1_b1
-    g[..., 1:k:2, :3] = -rdot_n1[..., None] * a_1
-    g[..., 1:k:2, 3:] = lever
-    h[..., k::2] = np.vecdot(c, rrhs)
-    g[..., k::2, :3] = c
-    h[..., k + 1 :: 2] = np.vecdot(d, rrhs)
-    g[..., k + 1 :: 2, :3] = d
+    g[..., tdoa, :3] = 2.0 * lever
+    h[..., fdoa] = rdot_n1 * r_n1 - rdot_n1 * a1_b1
+    g[..., fdoa, :3] = -rdot_n1[..., None] * a_1
+    g[..., fdoa, 3:] = lever
+    h[..., azimuth] = np.vecdot(c, rrhs)
+    g[..., azimuth, :3] = c
+    h[..., elevation] = np.vecdot(d, rrhs)
+    g[..., elevation, :3] = d
     return h, g
 
 
@@ -252,14 +252,14 @@ def b_bands(x, rrhs, errors=None):
     )
     phidot1, thetadot1 = look_rates(r_ray[..., 0], phi[..., 0], theta[..., 0], x[..., 3:])
 
-    base = 2 * n - 2
+    tdoa, fdoa, azimuth, elevation = row_blocks(n - 1)
     r_0, r_i = r[..., :1], r[..., 1:]
     r_i1 = r_i - r_0
     diag = np.empty(x.shape[:-1] + (measurement_dim(n),))
-    diag[..., 0:base:2] = 2.0 * r_i
-    diag[..., 1:base:2] = r_i
-    diag[..., base::2] = r * cos_t
-    diag[..., base + 1 :: 2] = r
+    diag[..., tdoa] = 2.0 * r_i
+    diag[..., fdoa] = r_i
+    diag[..., azimuth] = r * cos_t
+    diag[..., elevation] = r
     low = np.empty(r_i.shape + (3,))
     low[..., 0] = rdot[..., 1:]
     low[..., 1] = r_0 * r_i1 * phidot1[..., None] * _square(cos_t[..., :1])
@@ -271,27 +271,24 @@ def _dense(bands) -> np.ndarray:
     """The dense matrix of ``(diag, low)`` bands (:func:`b_bands`' layout)."""
     diag, low = bands
     dim = diag.shape[-1]
-    k = 2 * low.shape[-2]
+    tdoa, fdoa, azimuth, elevation = row_blocks(low.shape[-2])
     b = np.zeros(diag.shape + (dim,))
     rows = np.arange(dim)
     b[..., rows, rows] = diag
-    f_rows = rows[1:k:2]
-    b[..., f_rows, f_rows - 1] = low[..., 0]
-    b[..., f_rows, k] = low[..., 1]
-    b[..., f_rows, k + 1] = low[..., 2]
+    b[..., rows[fdoa], rows[tdoa]] = low[..., 0]
+    b[..., rows[fdoa], azimuth.start] = low[..., 1]
+    b[..., rows[fdoa], elevation.start] = low[..., 2]
     return b
 
 
 def build_b(x, rrhs, errors=None) -> np.ndarray:
-    """First-order map from measurement noise to the residual, at state x.
+    """First-order map from measurement noise to the residual, at state x:
+    the dense matrix of :func:`b_bands`, which places its entries.
 
-    Layout (matching the measurement vector): one 2x2 lower-triangular block
-    per non-reference receiver on the TDOA/FDOA rows, a coupling of the FDOA
-    rows into the reference receiver's two angle columns, and a diagonal over
-    the AOA rows.  Invertible whenever ranges are positive and no receiver
-    sees the user at zenith.  The solver never forms this matrix: it applies
-    ``inv(B)`` through :func:`b_bands` and :func:`_whiten`.  ``x`` and
-    ``errors`` are as in :func:`b_bands`.
+    Invertible whenever ranges are positive and no receiver sees the user
+    at zenith.  The solver never forms this matrix: it applies ``inv(B)``
+    through :func:`b_bands` and :func:`_whiten`.  ``x`` and ``errors`` are
+    as in :func:`b_bands`.
     """
     return _dense(b_bands(x, rrhs, errors))
 
@@ -301,19 +298,20 @@ def _whiten(bands, v) -> np.ndarray:
 
     ``v`` is (..., dim, p).  Each non-FDOA row is divided by its pivot;
     each FDOA row then takes its partner's and the reference angle pair's
-    results off and is divided by its own pivot.  With no FDOA rows
+    results off and is divided by its own pivot (rows as
+    :func:`geometry.row_blocks` of ``low``'s pairs).  With no FDOA rows
     (``low`` of length 0) B is diagonal.  The pivots must be finite and
     nonzero; :func:`_iterated_solve` checks them.
     """
     diag, low = bands
-    k = 2 * low.shape[-2]
+    tdoa, fdoa, azimuth, elevation = row_blocks(low.shape[-2])
     y = v / diag[..., None]
-    y[..., 1:k:2, :] = (
-        v[..., 1:k:2, :]
-        - low[..., 0:1] * y[..., 0:k:2, :]
-        - low[..., 1:2] * y[..., k : k + 1, :]
-        - low[..., 2:3] * y[..., k + 1 : k + 2, :]
-    ) / diag[..., 1:k:2, None]
+    y[..., fdoa, :] = (
+        v[..., fdoa, :]
+        - low[..., 0:1] * y[..., tdoa, :]
+        - low[..., 1:2] * y[..., azimuth.start, None, :]
+        - low[..., 2:3] * y[..., elevation.start, None, :]
+    ) / diag[..., fdoa, None]
     return y
 
 
@@ -412,14 +410,6 @@ def solve_normal(normal, rhs, errors=None):
     return x, inv_normal
 
 
-def _position_row_mask(n: int) -> np.ndarray:
-    """Rows carrying no velocity information: TDOA rows plus all AOA rows."""
-    mask = np.zeros(measurement_dim(n), dtype=bool)
-    mask[0 : 2 * n - 2 : 2] = True
-    mask[2 * n - 2 :] = True
-    return mask
-
-
 def _iterated_solve(h, g, q, bands, iters: int, covariance_at_estimate: bool, errors):
     """Iterated weighted solves of a stack; failures go to ``errors``.
 
@@ -502,7 +492,7 @@ def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
     if fallback.any():
         # The whole stack is solved on the position-only rows, so that each
         # distinct sub-covariance is inverted once.
-        rows = np.flatnonzero(_position_row_mask(rrhs.shape[0]))
+        rows = np.flatnonzero(position_rows(rrhs.shape[0]))
         pos_errors = np.full(errors.shape, None, dtype=object)
 
         def pos_bands(pos, e):
@@ -530,12 +520,12 @@ def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
 def wls_solve(m, rrhs, q, iters: int = 2) -> WlsResult:
     """Iterated WLS estimate of the 6-D user state.
 
-    ``iters`` solves are performed (default 2), the first with ``W =
+    ``iters`` solves give the estimate (default 2), the first with ``W =
     inv(Q)`` and subsequent ones with ``W = inv(B Q B')`` rebuilt at the
     current state, each made as the solve of the whitened system ``(inv(B)
-    h, inv(B) G)`` with ``W = inv(Q)``.  The returned covariance is
-    evaluated at the final state.
-    This is :func:`wls_solve_batch` on a batch of one; its failure is raised.
+    h, inv(B) G)`` with ``W = inv(Q)``; one more at the final state gives
+    the covariance.  This is :func:`wls_solve_batch` on a batch of one,
+    position-only fallback included; its failure is raised.
     """
     batch = wls_solve_batch(np.asarray(m, dtype=float)[None], rrhs, q, iters)
     if batch.failures[0] is not None:
@@ -544,5 +534,4 @@ def wls_solve(m, rrhs, q, iters: int = 2) -> WlsResult:
         x=batch.x[0],
         cov=batch.cov[0],
         velocity_valid=bool(batch.velocity_valid[0]),
-        iterations=iters,
     )

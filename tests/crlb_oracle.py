@@ -6,7 +6,9 @@ one receiver per loop step, on the per-ray geometry of
 ``scalar_geometry``.  ``range_gradients`` is the retired
 ``_range_gradients``, whose ranges and rates ``geometry.user_rays`` now
 derives.  The scatterer Jacobian's one retired form is
-``ray_oracle.jacobian_scatterer``.
+``ray_oracle.jacobian_scatterer``.  ``position_rows`` spells out the
+velocity-free rows for this oracle and ``wls_oracle``, so neither reads
+the package's layout.
 
 ``bound``, ``crlb_ue_traces`` and ``crlb_scatterer`` are the retired
 one-covariance forms of the bounds: one solve, one information matrix and
@@ -19,9 +21,18 @@ import numpy as np
 
 from hybridloc.errors import DegenerateGeometryError, GimbalLockError, SingularProblemError
 from hybridloc.geometry import MIN_COS_ELEVATION
-from hybridloc.ue_wls import _invert_normal, _position_row_mask
+from hybridloc.ue_wls import _invert_normal
 from ray_oracle import jacobian_scatterer
 from scalar_geometry import angular_vectors, aoa_los
+
+
+def position_rows(n):
+    """The rows of ``n`` receivers' measurement vector without velocity:
+    the TDOA rows and every angle row, spelled out for the oracle."""
+    mask = np.zeros(4 * n - 2, dtype=bool)
+    mask[0 : 2 * n - 2 : 2] = True
+    mask[2 * n - 2 :] = True
+    return mask
 
 
 def range_gradients(u, udot, rrhs):
@@ -85,7 +96,7 @@ def crlb_ue_traces(x, rrhs, q):
         cov = bound(jac, q)
     except SingularProblemError:
         information(jac, q)
-        rows = _position_row_mask(len(rrhs))
+        rows = position_rows(len(rrhs))
         position = bound(jac[np.ix_(rows, [0, 1, 2])], q[np.ix_(rows, rows)])
         return float(np.trace(position)), None
     return float(np.trace(cov[:3, :3])), float(np.trace(cov[3:, 3:]))

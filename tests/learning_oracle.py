@@ -95,9 +95,9 @@ def make_scatterer_dataset(sc, n_samples, rng):
             ms = sample_structured_scatterer(ms_true, cfg, dominant, rng)
         else:
             ms = sample_gaussian(ms_true, qs, rng)
-        h, g, t = build_scatterer_system(ms, b_n, b_1, ue)
+        h, gt = build_scatterer_system(ms, b_n, b_1, ue)
         m_all[i] = ms
-        e_all[i] = h - (g @ t) @ xs
+        e_all[i] = h - gt @ xs
         x_all[i] = xs
     return Dataset(m_all, e_all, x_all)
 

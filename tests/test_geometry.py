@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hybridloc import geometry
 from hybridloc.errors import DegenerateGeometryError, GimbalLockError
 from hybridloc.ue_wls import build_b
+from crlb_oracle import position_rows
 from scalar_geometry import aoa_los, los_range, nlos_params, range_rate
 
 RNG = np.random.default_rng(42)
@@ -273,6 +274,20 @@ class TestMeasurementVector:
         phi3, theta3 = angles(U, rrhs[2])
         assert m[8] == pytest.approx(phi3)
         assert m[9] == pytest.approx(theta3)
+
+    def test_row_blocks_partition_the_layouts(self):
+        layouts = [(1, 4, (np.s_[0:2:2], np.s_[1:2:2], np.s_[2::2], np.s_[3::2]))]  # a path
+        for n in range(2, 19):  # the user seen by n receivers
+            layouts.append((n - 1, 4 * n - 2, (np.s_[0 : 2 * n - 2 : 2], np.s_[1 : 2 * n - 2 : 2],
+                                               np.s_[2 * n - 2 :: 2], np.s_[2 * n - 1 :: 2])))
+        for pairs, dim, literal in layouts:
+            rows = np.arange(dim)
+            blocks = geometry.row_blocks(pairs)
+            for block, expected in zip(blocks, literal, strict=True):
+                assert np.array_equal(rows[block], rows[expected])
+            assert np.array_equal(np.sort(np.concatenate([rows[b] for b in blocks])), rows)
+        for n in range(2, 19):
+            assert np.array_equal(geometry.position_rows(n), position_rows(n))
 
     def test_scatterer_vector_matches_nlos_params(self):
         # Bit for bit against the per-ray scalar form, one receiver per

@@ -279,8 +279,8 @@ class TestEstimators:
         ds = nn.make_scatterer_dataset(sc, 6, np.random.default_rng(9))
         b_n = sc.rrhs[sc.scatterer_rrh]
         b_1 = sc.rrhs[0]
-        h, g, t = build_scatterer_system(ds.m[3], b_n, b_1, sc.ue_true)
-        assert np.allclose(ds.e[3], h - (g @ t) @ ds.x[3], atol=1e-9)
+        h, gt = build_scatterer_system(ds.m[3], b_n, b_1, sc.ue_true)
+        assert np.allclose(ds.e[3], h - gt @ ds.x[3], atol=1e-9)
 
 
 class TestPersistence:

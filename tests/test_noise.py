@@ -87,6 +87,19 @@ class TestBuildQ:
         np.testing.assert_allclose(np.diag(qs), [4.0, 0.04, 0.25, 0.25])
         assert np.count_nonzero(qs - np.diag(np.diag(qs))) == 0
 
+    def test_scatterer_covariance_squares_as_python_floats(self):
+        # The literal form build_qs replaced squares each deviation with a
+        # Python float's ``**``; NumPy's ``array ** 2`` differs from it in
+        # the last bit on 58 of these configs.
+        rng = default_rng(0)
+        for _ in range(20000):
+            cfg = NoiseConfig(delta_d=10.0 ** rng.uniform(-150, 150),
+                              delta_a=10.0 ** rng.uniform(-150, 150),
+                              fdoa_factor=10.0 ** rng.uniform(-3, 3))
+            literal = np.diag([cfg.delta_d**2, (cfg.fdoa_factor * cfg.delta_d) ** 2,
+                               cfg.delta_a**2, cfg.delta_a**2])
+            assert build_qs(cfg).tobytes() == literal.tobytes()
+
 
 class TestGaussianSampler:
     def test_sample_statistics(self):

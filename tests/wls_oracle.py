@@ -52,8 +52,8 @@ from hybridloc.noise import (
     sigma_components,
 )
 from hybridloc.scatterer_wls import scatterer_wls_solve_batch
-from hybridloc.ue_wls import _COND_LIMIT, _fail, _position_row_mask, wls_solve_batch
-from crlb_oracle import crlb_scatterer, crlb_ue_traces
+from hybridloc.ue_wls import _COND_LIMIT, _fail, wls_solve_batch
+from crlb_oracle import crlb_scatterer, crlb_ue_traces, position_rows
 from scalar_geometry import angle_rates, angular_vectors, aoa_los, los_range, range_rate
 
 
@@ -150,7 +150,7 @@ def solve_linear(h, g, w):
 
 
 def _solve_position_only(h, g, q, rrhs, iters):
-    rows = _position_row_mask(rrhs.shape[0])
+    rows = position_rows(rrhs.shape[0])
     h_p = h[rows]
     g_p = g[np.ix_(rows, [0, 1, 2])]
     q_p = q[np.ix_(rows, rows)]
@@ -314,7 +314,7 @@ def wls_solve_batch_joint_first(ms, rrhs, q, iters=2):
             [isinstance(e, SingularProblemError) for e in errors.flat], dtype=bool
         ).reshape(errors.shape)
         if fallback.any():
-            rows = np.flatnonzero(_position_row_mask(rrhs.shape[0]))
+            rows = np.flatnonzero(position_rows(rrhs.shape[0]))
             pos_errors = np.full(errors.shape, None, dtype=object)
 
             def pos_bands(pos, e):
