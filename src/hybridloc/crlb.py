@@ -150,23 +150,21 @@ def jacobian_scatterer(xs, b_n, ue) -> np.ndarray:
 
     The user state ``ue`` is treated as known; the scatterer velocity is
     ``speed * n_v`` with ``n_v`` the unit vector along the user velocity.
-    The legs are :func:`geometry.scatterer_legs`', the ones the path
-    measurement and the scatterer solver's ``bs_bands`` read.  A static
-    user, or a scatterer on the receiver or the user, raises
-    ``DegenerateGeometryError``; one the receiver sees at zenith
+    The legs and their rates are :func:`geometry.scatterer_legs`', the
+    ones the path measurement and the scatterer solver's ``bs_bands``
+    read.  A static user, or a scatterer on the receiver or the user,
+    raises ``DegenerateGeometryError``; one the receiver sees at zenith
     ``GimbalLockError``.
     """
     xs = np.asarray(xs, dtype=float)
     b_n = np.asarray(b_n, dtype=float)
     ue = np.asarray(ue, dtype=float)
     udot = ue[3:]
-    n_v, sdot_vec, leg1, d1, phi_s, theta_s, leg2, d2 = scatterer_legs(xs, ue, b_n)
+    n_v, sdot_vec, leg1, d1, phi_s, theta_s, leg2, d2, ddot1, ddot2 = scatterer_legs(xs, ue, b_n)
     if d1 <= 0.0 or d2 <= 0.0:
         raise DegenerateGeometryError("scatterer coincides with receiver or user")
     a_s = leg1 / d1
     e2 = leg2 / d2
-    ddot1 = sdot_vec @ leg1 / d1
-    ddot2 = (udot - sdot_vec) @ leg2 / d2
 
     cos_theta = np.cos(theta_s)
     if abs(cos_theta) < MIN_COS_ELEVATION:

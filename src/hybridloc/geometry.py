@@ -32,9 +32,9 @@ about one range in eight:
 
 * per ray, ``sqrt(d . d)`` as one dot product: the norm of a single
   vector, as :func:`look_angles` and :func:`scatterer_legs` round it.
-  Angles, angle rates, both scatterer legs and :func:`direct_paths` (the
-  selection simulator's rays, the scatterer paths' reference receiver) use
-  it.
+  Angles, angle rates, both scatterer legs and their range rates (which
+  divide by these leg ranges) and :func:`direct_paths` (the selection
+  simulator's rays, the scatterer paths' reference receiver) use it.
 * summed along the last axis, ``sqrt(add.reduce(d * d, axis=-1))``, which
   is what ``np.linalg.norm(d, axis=-1)`` computes: the user's ranges and
   range rates from :func:`user_rays`, which the measurement vector, the
@@ -158,15 +158,16 @@ def user_rays(x, rrhs):
 def scatterer_legs(xs, x_ue, b_n):
     """The two legs of reflected paths user -> scatterer -> receiver ``b_n``.
 
-    Returns ``(n_v, sdot, leg1, d1, phi, theta, leg2, d2)``: the unit
-    vector ``n_v`` along the user velocity (:func:`velocity_direction`,
-    which raises for a static user), the scatterer velocity ``speed *
-    n_v``, the receiver-to-scatterer leg with its range and arrival angles
-    (:func:`look_angles`), and the scatterer-to-user leg with its range,
-    both ranges per ray.  ``xs`` is a float 4-vector ``[s, signed_speed]``
-    or a stack of them, which ``b_n`` may share, and ``x_ue`` the float
-    user state.  A zero leg gives a zero range; callers reject it
-    themselves.
+    Returns ``(n_v, sdot, leg1, d1, phi, theta, leg2, d2, ddot1, ddot2)``:
+    the unit vector ``n_v`` along the user velocity (:func:`velocity_direction`
+    raises for a static user), the scatterer velocity ``speed * n_v``, the
+    receiver-to-scatterer leg with its range and arrival angles
+    (:func:`look_angles`), the scatterer-to-user leg with its range, and
+    the legs' range rates ``sdot . leg1 / d1`` and ``(udot - sdot) . leg2
+    / d2``, all ranges per ray.  ``xs`` is a float 4-vector ``[s,
+    signed_speed]`` or a stack of them, which ``b_n`` may share, and
+    ``x_ue`` the float user state.  A zero leg gives a zero range and a
+    non-finite rate; callers reject it themselves.
     """
     s = xs[..., :3]
     n_v = velocity_direction(x_ue)
@@ -174,7 +175,11 @@ def scatterer_legs(xs, x_ue, b_n):
     leg1 = s - b_n
     d1, phi, theta = look_angles(leg1)
     leg2 = x_ue[:3] - s
-    return n_v, sdot, leg1, d1, phi, theta, leg2, np.sqrt(np.vecdot(leg2, leg2))
+    d2 = np.sqrt(np.vecdot(leg2, leg2))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ddot1 = np.vecdot(sdot, leg1) / d1
+        ddot2 = np.vecdot(x_ue[3:] - sdot, leg2) / d2
+    return n_v, sdot, leg1, d1, phi, theta, leg2, d2, ddot1, ddot2
 
 
 def measurement_dim(n_receivers: int) -> int:
@@ -239,11 +244,11 @@ def scatterer_measurement(xs, x_ue, b_n, b_1) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     x_ue = np.asarray(x_ue, dtype=float)
     b_n = np.asarray(b_n, dtype=float)
-    _, sdot_vec, leg1, d1, phi_s, theta_s, leg2, d2 = scatterer_legs(xs, x_ue, b_n)
+    _, _, _, d1, phi_s, theta_s, _, d2, ddot1, ddot2 = scatterer_legs(xs, x_ue, b_n)
     if np.any(d1 == 0.0) or np.any(d2 == 0.0):
         raise DegenerateGeometryError("scatterer coincides with user or receiver")
     r_1, rdot_1, _, _ = direct_paths(x_ue, b_1)
-    rsdot = np.vecdot(x_ue[3:] - sdot_vec, leg2) / d2 + np.vecdot(sdot_vec, leg1) / d1
+    rsdot = ddot2 + ddot1
     m = np.empty(rsdot.shape + (4,))
     m[..., 0] = d1 + d2 - r_1
     m[..., 1] = rsdot - rdot_1

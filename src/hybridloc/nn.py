@@ -326,43 +326,45 @@ def _train_stack(configs, m_tr, y_tr, m_va, y_va) -> list:
         sq = (_activations(weights, biases, z_va, sigmoid)[-1] - t_va) ** 2
         return [float(np.mean(s)) for s in sq]
 
-    curve = [val_losses()]
-    best_loss = list(curve[0])
-    best_epoch = [0] * len(configs)
-    best = params.copy()
-    n = z_tr.shape[0]
-    for epoch in range(config.epochs):
-        if config.lr_schedule == "cosine":
-            floor = 1e-2 * config.lr
-            lr = floor + 0.5 * (config.lr - floor) * (
-                1.0 + np.cos(np.pi * epoch / config.epochs)
-            )
-        order = np.stack([rng.permutation(n) for rng in rngs])
-        for start in range(0, n, config.batch_size):
-            idx = order[:, start:start + config.batch_size]
-            acts = _activations(weights, biases, z_tr[idx], sigmoid)
-            loss = _backprop(weights, acts, t_tr[idx], loss_weights, sigmoid,
-                             grads_w, grads_b)
-            finite = np.isfinite(loss)
-            if not finite.all():
-                raise NumericalError(
-                    f"training diverged at epoch {epoch}: "
-                    f"loss={loss[np.argmin(finite)]}"
+    # An overflow ends in the non-finite loss's NumericalError, without warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = [val_losses()]
+        best_loss = list(curve[0])
+        best_epoch = [0] * len(configs)
+        best = params.copy()
+        n = z_tr.shape[0]
+        for epoch in range(config.epochs):
+            if config.lr_schedule == "cosine":
+                floor = 1e-2 * config.lr
+                lr = floor + 0.5 * (config.lr - floor) * (
+                    1.0 + np.cos(np.pi * epoch / config.epochs)
                 )
-            step += 1
-            mom *= config.beta1
-            mom += (1.0 - config.beta1) * grads
-            vel *= config.beta2
-            vel += (1.0 - config.beta2) * grads * grads
-            params -= lr * (mom / (1.0 - config.beta1**step)) / (
-                np.sqrt(vel / (1.0 - config.beta2**step)) + config.eps_adam
-            )
-        curve.append(val_losses())
-        for i, current in enumerate(curve[-1]):
-            if current < best_loss[i]:
-                best_loss[i] = current
-                best_epoch[i] = epoch + 1
-                best[i] = params[i]
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            for start in range(0, n, config.batch_size):
+                idx = order[:, start:start + config.batch_size]
+                acts = _activations(weights, biases, z_tr[idx], sigmoid)
+                loss = _backprop(weights, acts, t_tr[idx], loss_weights, sigmoid,
+                                 grads_w, grads_b)
+                finite = np.isfinite(loss)
+                if not finite.all():
+                    raise NumericalError(
+                        f"training diverged at epoch {epoch}: "
+                        f"loss={loss[np.argmin(finite)]}"
+                    )
+                step += 1
+                mom *= config.beta1
+                mom += (1.0 - config.beta1) * grads
+                vel *= config.beta2
+                vel += (1.0 - config.beta2) * grads * grads
+                params -= lr * (mom / (1.0 - config.beta1**step)) / (
+                    np.sqrt(vel / (1.0 - config.beta2**step)) + config.eps_adam
+                )
+            curve.append(val_losses())
+            for i, current in enumerate(curve[-1]):
+                if current < best_loss[i]:
+                    best_loss[i] = current
+                    best_epoch[i] = epoch + 1
+                    best[i] = params[i]
 
     curve = np.array(curve)
     best_w, best_b = _layer_views(best, widths)

@@ -107,8 +107,8 @@ def bs_bands(xs, b_n, ue, errors=None):
     """The entries of :func:`build_bs`'s ``Bs`` at xs, as ``(diag, low)``.
 
     ``diag`` (..., 4) is Bs's diagonal and ``low`` (..., 1, 3) the rate
-    row's entries on the delay column and the two angle columns, in the
-    one-pair layout of :func:`ue_wls.b_bands` (``geometry.row_blocks(1)``).
+    row's entries on the delay column (``geometry.scatterer_legs``'
+    ``ddot2``) and the two angle columns: :func:`ue_wls.b_bands`' layout.
 
     ``xs`` may carry leading batch axes.  A scatterer on the receiver or
     the user, or straight above the receiver, raises; with ``errors`` (an
@@ -117,7 +117,7 @@ def bs_bands(xs, b_n, ue, errors=None):
     xs = np.asarray(xs, dtype=float)
     b_n = np.asarray(b_n, dtype=float)
     ue = np.asarray(ue, dtype=float)
-    _, sdot_vec, _, d1, phi_s, theta_s, leg2, d2 = scatterer_legs(xs, ue, b_n)
+    _, sdot_vec, _, d1, phi_s, theta_s, _, d2, _, ddot2 = scatterer_legs(xs, ue, b_n)
     coincident = (d1 <= 0.0) | (d2 <= 0.0)
     _fail(errors, coincident, DegenerateGeometryError,
           "scatterer coincides with receiver or user")
@@ -130,8 +130,6 @@ def bs_bands(xs, b_n, ue, errors=None):
     )
     r_s = d1 + d2
     phidot_s, thetadot_s = look_rates(d1, phi_s, theta_s, sdot_vec)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ddot2 = np.vecdot(ue[3:] - sdot_vec, leg2) / d2
 
     diag = np.empty(r_s.shape + (4,))
     diag[..., 0] = 2.0 * d2

@@ -221,27 +221,15 @@ def residual_vector(m, rrhs, x) -> np.ndarray:
     return h - g @ np.asarray(x, dtype=float)
 
 
-def b_bands(x, rrhs, errors=None):
-    """The entries of :func:`build_b`'s ``B`` at state x, as ``(diag, low)``.
-
-    ``diag`` (..., dim) is B's diagonal.  ``low`` (..., n - 1, 3) holds the
-    off-diagonal entries of each FDOA row: on its TDOA partner's column and
-    on the reference receiver's azimuth and elevation columns.  B has no
-    other nonzero entry.
-
-    ``x`` may carry leading batch axes.  A state on a receiver, or straight
-    above the reference receiver, raises; with ``errors`` (an object array
-    over the batch axes) it is recorded there instead.
-    """
-    x = np.asarray(x, dtype=float)
-    rrhs = np.asarray(rrhs, dtype=float)
+def _b_diagonal(x, rrhs, errors):
+    """``(diag, r, rdot, r_ray, phi, theta, cos_t)``: B's diagonal at float
+    states x and receivers rrhs, and the rays it reads; fails as b_bands."""
     n = rrhs.shape[0]
     diffs, r, rdot = user_rays(x, rrhs)
     coincident = np.any(r <= 0.0, axis=-1)
     _fail(errors, coincident, DegenerateGeometryError, "state coincides with a receiver")
-    # The TDOA/FDOA entries use the summed range r, the angles and the
-    # reference receiver's angle rates look_angles' per-ray range (the two
-    # roundings of the geometry module).
+    # TDOA/FDOA entries use the summed range r; the angles and the reference
+    # angle rates use look_angles' per-ray range (geometry's two roundings).
     r_ray, phi, theta = look_angles(diffs)
     cos_t = np.cos(theta)
     _fail(
@@ -250,17 +238,34 @@ def b_bands(x, rrhs, errors=None):
         GimbalLockError,
         "azimuth rate undefined at +/-90 degrees elevation",
     )
-    phidot1, thetadot1 = look_rates(r_ray[..., 0], phi[..., 0], theta[..., 0], x[..., 3:])
-
     tdoa, fdoa, azimuth, elevation = row_blocks(n - 1)
-    r_0, r_i = r[..., :1], r[..., 1:]
-    r_i1 = r_i - r_0
     diag = np.empty(x.shape[:-1] + (measurement_dim(n),))
-    diag[..., tdoa] = 2.0 * r_i
-    diag[..., fdoa] = r_i
+    diag[..., tdoa] = 2.0 * r[..., 1:]
+    diag[..., fdoa] = r[..., 1:]
     diag[..., azimuth] = r * cos_t
     diag[..., elevation] = r
-    low = np.empty(r_i.shape + (3,))
+    return diag, r, rdot, r_ray, phi, theta, cos_t
+
+
+def b_bands(x, rrhs, errors=None):
+    """The entries of :func:`build_b`'s ``B`` at state x, as ``(diag, low)``.
+
+    ``diag`` (..., dim) is B's diagonal (:func:`_b_diagonal`, all that the
+    position-only solve reads).  ``low`` (..., n - 1, 3) holds B's only
+    other nonzero entries, in the FDOA rows: on each one's TDOA partner's
+    column and on the reference receiver's azimuth and elevation columns.
+
+    ``x`` may carry leading batch axes.  A state on a receiver, or straight
+    above the reference receiver, raises; with ``errors`` (an object array
+    over the batch axes) it is recorded there instead.
+    """
+    x = np.asarray(x, dtype=float)
+    rrhs = np.asarray(rrhs, dtype=float)
+    diag, r, rdot, r_ray, phi, theta, cos_t = _b_diagonal(x, rrhs, errors)
+    phidot1, thetadot1 = look_rates(r_ray[..., 0], phi[..., 0], theta[..., 0], x[..., 3:])
+    r_0 = r[..., :1]
+    r_i1 = r[..., 1:] - r_0
+    low = np.empty(r_i1.shape + (3,))
     low[..., 0] = rdot[..., 1:]
     low[..., 1] = r_0 * r_i1 * phidot1[..., None] * _square(cos_t[..., :1])
     low[..., 2] = r_0 * r_i1 * thetadot1[..., None]
@@ -499,8 +504,8 @@ def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
             # The restricted rows of B are its TDOA and AOA rows, which hold
             # only their diagonal: the sub-block is diagonal.
             full = np.concatenate([pos, np.zeros_like(pos)], axis=-1)
-            diag, low = b_bands(full, rrhs, e)
-            return diag[..., rows], low[..., :0, :]
+            diag = _b_diagonal(full, rrhs, e)[0]
+            return diag[..., rows], np.empty(pos.shape[:-1] + (0, 3))
 
         pos, cov_pos = _iterated_solve(
             h[..., rows], g[..., rows, :3], q[..., rows[:, None], rows],

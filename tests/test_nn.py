@@ -1,5 +1,7 @@
 """Tests for the residual-learning networks and the estimators on top."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -209,7 +211,9 @@ class TestTraining:
             epochs=50,
             seed=1,
         )
-        with pytest.raises(NumericalError):
+        # Only the error reports the divergence: no overflow warning precedes it.
+        with warnings.catch_warnings(), pytest.raises(NumericalError):
+            warnings.simplefilter("error", RuntimeWarning)
             nn.train(cfg, tr, va)
 
     def test_width_mismatch_rejected(self):

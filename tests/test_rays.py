@@ -29,7 +29,7 @@ from hybridloc.scenario import (
     sample_scatterer_state,
     sample_ue_state,
 )
-from hybridloc.ue_wls import b_bands
+from hybridloc.ue_wls import _b_diagonal, b_bands
 
 KINDS = ["random", "random", "near_zenith", "zenith", "coincident"]
 SHAPES = ["single", "T", "RT"]
@@ -178,11 +178,59 @@ def test_scatterer_legs_reconstruct_the_path():
     rng = np.random.default_rng(12)
     sc = Scenario()
     ue = sample_ue_state(sc, rng)
-    xs = np.array([sample_scatterer_state(sc, rng) for _ in range(4)])
+    xs = np.array([sample_scatterer_state(sc, rng) for _ in range(64)])
     b_n = DEFAULT_RRHS[2]
-    n_v, sdot, leg1, d1, phi, theta, leg2, d2 = scatterer_legs(xs, ue, b_n)
+    n_v, sdot, leg1, d1, phi, theta, leg2, d2, ddot1, ddot2 = scatterer_legs(xs, ue, b_n)
     assert np.allclose(n_v, ue[3:] / np.linalg.norm(ue[3:]))
     assert np.array_equal(sdot, xs[:, 3:] * n_v)
     assert np.allclose(b_n + leg1, xs[:, :3]) and np.allclose(xs[:, :3] + leg2, ue[:3])
     assert np.allclose(d1[:, None] * angular_vectors(phi, theta)[0], leg1)
     assert np.allclose(d2, np.linalg.norm(leg2, axis=-1))
+    # The rates are bit for bit the retired forms' expressions: the stacked
+    # ones of the path measurement and bs_bands, and the Jacobian's 1-D @.
+    s, udot = xs[:, :3], ue[3:]
+    assert np.array_equal(ddot1, np.vecdot(sdot, s - b_n) / d1)
+    assert np.array_equal(ddot2, np.vecdot(udot - sdot, ue[:3] - s) / d2)
+    for i in range(len(xs)):
+        assert ddot1[i] == sdot[i] @ leg1[i] / d1[i]
+        assert ddot2[i] == (udot - sdot[i]) @ leg2[i] / d2[i]
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(2, 9),
+    st.sampled_from(SHAPES),
+    st.lists(st.sampled_from(KINDS), min_size=1, max_size=8),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_b_diagonal_is_the_diagonal_of_b_bands(n_a, shape, kinds, static, seed):
+    """The position-only solve's diagonal is ``b_bands``' own and its retired
+    form's, and fails the same way: a state on a receiver or straight above
+    the reference one gets the same error class and message, raised or
+    recorded."""
+    rng = np.random.default_rng(seed)
+    rrhs = DEFAULT_RRHS[rng.permutation(len(DEFAULT_RRHS))[:n_a]]
+    states = _user_states(kinds, rrhs, static, rng)
+    on_receiver, above_reference = states[0].copy(), states[0].copy()
+    on_receiver[:3] = rrhs[-1]
+    above_reference[:3] = rrhs[0] + [0.0, 0.0, 50.0]
+
+    def diagonal(x, e=None):
+        return _b_diagonal(x, rrhs, e)[0]
+
+    for x in (_stack(shape, states), on_receiver, above_reference,
+              np.array(states + [on_receiver, above_reference])):
+        for bands in (b_bands, oracle.b_bands):
+            _assert_same(_outcome(diagonal, x), _outcome(lambda x: bands(x, rrhs)[0], x))
+            recorded = []
+            for fn in (diagonal, lambda x, e: bands(x, rrhs, e)[0]):
+                errors = np.full(x.shape[:-1], None, dtype=object)
+                recorded.append((fn(x, errors), [repr(e) for e in errors.flat]))
+            (new, new_errors), (old, old_errors) = recorded
+            assert new_errors == old_errors
+            _assert_same(new, old)
+    assert _outcome(diagonal, on_receiver) == (
+        "DegenerateGeometryError('state coincides with a receiver')")
+    assert _outcome(diagonal, above_reference) == (
+        "GimbalLockError('azimuth rate undefined at +/-90 degrees elevation')")

@@ -4,6 +4,8 @@ Both trainers do the same arithmetic in the same order, so every weight,
 bias and validation loss must match bit for bit.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,7 +134,11 @@ def test_diverging_stack_raises_numerical_error():
     tr, va = split(40)
     cfg = nn.MlpConfig(layer_widths=(22, 16, 16, 22), output_activation="linear",
                        lr=1e160, epochs=50)
-    with pytest.raises(NumericalError, match="training diverged at epoch"):
+    # Only the error reports the divergence: no overflow warning precedes it.
+    with warnings.catch_warnings(), pytest.raises(
+        NumericalError, match="training diverged at epoch"
+    ):
+        warnings.simplefilter("error", RuntimeWarning)
         ensemble.train_ensemble(cfg, ensemble.EnsembleConfig(p=3), tr, va)
 
 
