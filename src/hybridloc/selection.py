@@ -21,13 +21,18 @@ measured ranges agree with that point up to a single common offset.
 
 The fits run in two stages of two: from the cluster center and the median
 fix, then from the two best-scoring seeds among the ray-pair midpoints and
-the first two fits.  Rays are held as stacked ``(n, 3)`` origins and unit
-directions; a ray's miss is ``d - (d.a) a`` and each reweighted normal
-matrix is ``sum(w P)`` with ``P = I - a a^T``, so the fits of one stage
-share one weighted product and one batched 3x3 solve per step.  Candidates
-that induce the same member set are scored once, for the first candidate
-that reached it, so rounding in the order of summation cannot pick between
-them.
+the first two fits.  A ray's miss is ``|d - (d.a) a|`` and each reweighted
+normal matrix is ``sum(w P)`` with ``P = I - a a^T``, so the fits of one
+stage share one weighted product and one batched 3x3 solve per step.  The
+fit and seed kernels hold rays, seeds and fits as contiguous x, y and z
+planes, ``(3, ...)`` arrays, and run each step on buffers allocated once
+per call and overwritten in place (``out=``, in-place operators,
+``np.copyto(..., where=)``); each dot and norm is summed in the fixed
+order its kernel's docstring names.  Each ray's ``[P | P o]`` row is built
+once per call into a ray table, from which every round of the trimmed
+fits gathers its kept rays.  Candidates that induce the same member set
+are scored once, for the first candidate that reached it, so rounding in
+the order of summation cannot pick between them.
 
 A selection runs in two stages.  :func:`los_candidates` does everything
 that does not depend on the number of selected receivers -- the picks,
@@ -190,16 +195,6 @@ def _kmeans2_stack(pts, max_iters: int = 100):
     return centers[rows, los_k], centers[rows, 1 - los_k], assign == los_k[:, None]
 
 
-def _perp(diff, dirs):
-    """Parts of ``diff`` perpendicular to ``dirs``: ``d - (d.a) a``, broadcast."""
-    return diff - np.einsum("...i,...i->...", diff, dirs)[..., None] * dirs
-
-
-def _norm(v):
-    """Euclidean norms along the last axis."""
-    return np.sqrt(np.einsum("...i,...i->...", v, v))
-
-
 def _solve_3x3(normal, rhs):
     """Solve a ``(K, 3, 3)`` stack of systems; returns ``(x, ok)``.
 
@@ -218,7 +213,7 @@ def _solve_3x3(normal, rhs):
 
 def _planes(v):
     """The x, y and z planes of stacked 3-vectors: ``(3, ...)`` views."""
-    return np.moveaxis(v, -1, 0)
+    return v.transpose(-1, *range(v.ndim - 1))
 
 
 def _dot3(u, v):
@@ -280,23 +275,33 @@ def _seed_scores(s, o, a, ranges, k: int) -> np.ndarray:
     ``s`` holds the x, y and z planes ``(3, ..., C)`` of the seeds, ``o``
     and ``a`` the ``(3, ..., n)`` planes of the ray origins and directions,
     and ``ranges`` is ``(..., n)``; the ``(..., C)`` scores are computed on
-    ``(..., C, n)`` planes.  A norm is summed ``(x² + y²) + z²``, as
-    ``np.linalg.norm`` along a length-3 axis rounds, and the along-ray dot
-    ``(x + z) + y``, as ``np.einsum`` contracts one.  The k nearest rays are
-    those a stable sort puts first: the rays no farther than the k-th
-    nearest distance, or :func:`_stable_near` in the rows where another
-    ray ties with it.
+    ``(..., C, n)`` planes, in place: two ``(3, ..., C, n)`` buffers and
+    three ``(..., C, n)`` ones hold the elementwise steps.  A norm is summed
+    ``(x² + y²) + z²``, as ``np.linalg.norm`` along a length-3 axis rounds,
+    and the along-ray dot ``(x + z) + y``, as ``np.einsum`` contracts one.
+    The k nearest rays are those a stable sort puts first: the rays no
+    farther than the k-th nearest distance, or :func:`_stable_near` in the
+    rows where another ray ties with it.
     """
     d = s[..., :, None] - o[..., None, :]
     a = a[..., None, :]
-    along = (d[0] * a[0] + d[2] * a[2]) + d[1] * a[1]
-    p = d - along * a
+    p = d * a
+    along = p[0] + p[2]
+    along += p[1]
+    np.multiply(a, along, out=p)
+    np.subtract(d, p, out=p)
     p *= p
-    perp = np.sqrt((p[0] + p[1]) + p[2])
+    dray = p[0] + p[1]
+    dray += p[2]
+    np.sqrt(dray, out=dray)
     d *= d
-    dist = np.sqrt((d[0] + d[1]) + d[2])
-    dray = np.where(along > 0.0, perp, dist)
-    offset = ranges[..., None, :] - dist
+    dist = d[0] + d[1]
+    dist += d[2]
+    np.sqrt(dist, out=dist)
+    # The perpendicular distance where the candidate is ahead of the ray,
+    # else the distance to its receiver; a NaN along counts as behind.
+    np.copyto(dray, dist, where=np.logical_not(np.greater(along, 0.0)))
+    offset = np.subtract(ranges[..., None, :], dist, out=dist)
     kk = min(k, dray.shape[-1])
     cut = np.partition(dray, kk - 1, axis=-1)[..., kk - 1 : kk]
     near = dray <= cut
@@ -304,8 +309,96 @@ def _seed_scores(s, o, a, ranges, k: int) -> np.ndarray:
     if tied.any():
         near[tied] = _stable_near(dray[tied], cut[tied], kk)
     shared = _median(offset[near].reshape(*near.shape[:-1], kk))
-    combined = dray + np.abs(offset - shared[..., None])
-    return np.partition(combined, kk - 1, axis=-1)[..., kk - 1]
+    combined = np.subtract(offset, shared[..., None], out=offset)
+    np.abs(combined, out=combined)
+    combined += dray
+    combined.partition(kk - 1, axis=-1)
+    return combined[..., kk - 1]
+
+
+def _misses(c, o, a, d, p, out):
+    """Distances from points to the lines of rays, written to ``out``.
+
+    ``c`` holds the ``(3, ...)`` planes of the points and ``o`` and ``a``
+    those of the ray origins and unit directions, which broadcast against
+    ``c[..., None]``; ``d`` and ``p`` are scratch planes of the broadcast
+    shape.  A miss is ``|d - (d.a) a|`` with ``d = c - o``; the dot and the
+    squared norm are summed ``(x + z) + y``, as ``np.einsum`` contracts a
+    length-3 axis.
+    """
+    np.subtract(c[..., None], o, out=d)
+    np.multiply(d, a, out=p)
+    along = np.add(p[0], p[2], out=out)
+    along += p[1]
+    np.multiply(a, along, out=p)
+    np.subtract(d, p, out=p)
+    p *= p
+    miss = np.add(p[0], p[2], out=out)
+    miss += p[1]
+    return np.sqrt(miss, out=miss)
+
+
+def _ray_table(origins, dirs):
+    """Every ray's ``[P | P o]`` row and its origin and direction planes.
+
+    Takes ``(T, n, 3)`` rays and returns the ``(T, n, 12)`` rows -- the
+    projector ``P = I - a a^T`` flattened, then ``P o``, its dot summed
+    ``(x + z) + y`` -- and the ``(6, T, n)`` planes of the origins and
+    directions.  A fit's normal equations are the weighted sums of its
+    rays' rows, so the table is built once per call and gathered per fit.
+    """
+    planes = np.concatenate([_planes(origins), _planes(dirs)])
+    o, a = planes[:3], planes[3:]
+    po = o * a
+    along = po[0] + po[2]
+    along += po[1]
+    np.multiply(a, along, out=po)
+    np.subtract(o, po, out=po)
+    proj = np.eye(3) - dirs[..., :, None] * dirs[..., None, :]
+    rows = np.concatenate([proj.reshape(*dirs.shape[:-1], 9), np.moveaxis(po, 0, -1)], axis=-1)
+    return rows, planes
+
+
+def _fit_rays(table, kept, c, miss=None, iters: int = 8, floor: float = 1.0):
+    """Run reweighted least-squares fits from ``c``, in place.
+
+    ``table`` is :func:`_ray_table` of T trials, ``kept`` the ``(T, K,
+    m)`` ray indices of each trial's K fits and ``c`` the contiguous ``(3,
+    T*K)`` planes of their starts, which end as the fits.  ``miss``, when
+    given, holds the ``(T*K, m)`` misses of the kept rays from the starts
+    and is overwritten.  A step weighs every ray by ``w = 1/max(miss,
+    floor)`` and solves ``sum(w P) c = sum(w P o)``: one product of each
+    fit's ``w`` with its gathered rows and one batched 3x3 solve, on planes
+    and buffers allocated once per call.  A fit is frozen when its step is
+    below 1e-9 m (keeping the new point) or its solve fails (keeping the
+    last); it stays in the stack, but its point is never updated again.
+    """
+    rows, planes = table
+    m = kept.shape[-1]
+    flat = kept + planes.shape[-1] * np.arange(len(kept))[:, None, None]
+    rows = np.take(rows.reshape(-1, 12), flat, axis=0).reshape(-1, m, 12)
+    o, a = np.take(planes.reshape(6, -1), flat, axis=1).reshape(2, 3, -1, m)
+    d, p = np.empty((2, *o.shape))
+    w = np.empty(o.shape[1:]) if miss is None else miss
+    sums = np.empty((len(rows), 1, 12))
+    step = np.empty_like(c)
+    live = np.ones(c.shape[1], dtype=bool)
+    for it in range(iters):
+        if it or miss is None:
+            _misses(c, o, a, d, p, out=w)
+        np.maximum(w, floor, out=w)
+        np.divide(1.0, w, out=w)
+        np.matmul(w[:, None, :], rows, out=sums)
+        c_new, ok = _solve_3x3(sums[:, 0, :9].reshape(-1, 3, 3), sums[:, 0, 9:])
+        ok &= live
+        np.subtract(c_new.T, c, out=step)
+        step *= step
+        moved = np.add(step[0], step[2], out=step[0])
+        moved += step[1]
+        live = ok & (np.sqrt(moved, out=moved) >= 1e-9)
+        np.copyto(c, c_new.T, where=ok)
+        if not live.any():
+            break
 
 
 def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
@@ -314,46 +407,35 @@ def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
     Origins and dirs are ``(T, n, 3)`` rays of T trials, ``kept`` the
     ``(T, K, m)`` ray indices of each trial's K fits and ``c0`` their
     ``(T, K, 3)`` starts; the T*K fits are independent and run as one
-    stack.  Each step solves the weighted normal equations
-    ``sum(w P) c = sum(w P o)``, with ``P = I - a a^T`` and ``w =
-    1/max(miss, floor)``, for every fit at once: both sums are one
-    product of ``w`` with each fit's ``[P | P o]`` table.  A fit is frozen
-    when its step is below 1e-9 m (keeping the new point) or its solve
-    fails (keeping the last); it stays in the stack, but its point is never
-    updated again.
+    stack, :func:`_fit_rays`, from a ray table built for the call.
     """
-    lead, m = kept.shape[:-1], kept.shape[-1]
-    kept = kept + origins.shape[1] * np.arange(origins.shape[0])[:, None, None]
-    o = origins.reshape(-1, 3)[kept].reshape(-1, m, 3)
-    a = dirs.reshape(-1, 3)[kept].reshape(-1, m, 3)
-    proj = np.eye(3) - a[..., :, None] * a[..., None, :]
-    table = np.concatenate([proj.reshape(-1, m, 9), _perp(o, a)], axis=-1)
-    c = np.array(c0, dtype=float).reshape(-1, 3)
-    live = np.ones(len(c), dtype=bool)
-    for _ in range(iters):
-        w = 1.0 / np.maximum(_norm(_perp(c[:, None, :] - o, a)), floor)
-        sums = (w[:, None, :] @ table)[:, 0]
-        c_new, ok = _solve_3x3(sums[:, :9].reshape(-1, 3, 3), sums[:, 9:])
-        ok &= live
-        live = ok & (_norm(c_new - c) >= 1e-9)
-        c = np.where(ok[:, None], c_new, c)
-        if not live.any():
-            break
-    return c.reshape(*lead, 3)
+    c = np.ascontiguousarray(_planes(np.array(c0, dtype=float)))
+    _fit_rays(_ray_table(origins, dirs), kept, c.reshape(3, -1), iters=iters, floor=floor)
+    return np.moveaxis(c, 0, -1).copy()
 
 
 def _trimmed_ray_points(origins, dirs, c0, keep: int, rounds: int = 4):
     """Alternate between keeping each start's closest rays and refitting it.
 
     Takes the ``(T, n, 3)`` rays and ``(T, K, 3)`` starts of
-    :func:`_ray_points`.
+    :func:`_ray_points`.  The ray table is built once; each round measures
+    every start's misses on ``(3, T, K, n)`` buffers, keeps the nearest
+    rays by a stable sort, and steps the fits from the kept rays' misses,
+    which are those of their first step.
     """
-    c = np.array(c0, dtype=float)
+    table = _ray_table(origins, dirs)
+    o, a = table[1][:3, :, None], table[1][3:, :, None]
+    c = np.ascontiguousarray(_planes(np.array(c0, dtype=float)))
+    fits = c.reshape(3, -1)
+    d, p = np.empty((2, *c.shape, origins.shape[-2]))
+    dray = np.empty(d.shape[1:])
+    # Where each fit's misses start in the flattened (T, K, n) misses.
+    firsts = dray.shape[-1] * np.arange(fits.shape[1]).reshape(*c.shape[1:], 1)
     for _ in range(rounds):
-        dray = _norm(_perp(c[..., None, :] - origins[..., None, :, :], dirs[..., None, :, :]))
+        _misses(c, o, a, d, p, out=dray)
         kept = np.argsort(dray, axis=-1, kind="stable")[..., : max(keep, 3)]
-        c = _ray_points(origins, dirs, kept, c)
-    return c
+        _fit_rays(table, kept, fits, np.take(dray, kept + firsts).reshape(fits.shape[1], -1))
+    return np.moveaxis(c, 0, -1).copy()
 
 
 def _subset_scores(origins, dirs, ranges, near, rows) -> np.ndarray:

@@ -1,11 +1,10 @@
-"""Loop versions of the selection kernels, kept as the test oracle; one
-retired form per kernel.
+"""Retired forms of the selection kernels, kept as the test oracle.
 
-These are the per-trial forms of the stacked kernels in
+Most are loop forms, the per-trial forms of the stacked kernels in
 ``hybridloc.selection``: one 3x3 projector ``I - a a^T`` per ray, one fit
 at a time (its sums over the kept rays taken as one reduction) and one
-``np.linalg.solve`` per fit step.  They share no code with the stacked
-kernels.  ``pick_center`` keys its duplicate
+``np.linalg.solve`` per fit step.  The loop forms share no code with the
+package's kernels.  ``pick_center`` keys its duplicate
 check on the member set, as the package does.  ``seed_scores`` scores one
 trial's seeds on ``(C, n, 3)`` differences, with an ``einsum`` along-ray
 dot, norms along the length-3 axis and a stable sort for the nearest rays.
@@ -26,13 +25,26 @@ batched solve raises, every row is solved again alone.
 simulator, on the per-ray geometry of ``scalar_geometry``, and ``kmeans2``
 the one-trial form of the lockstep two-center clustering: one Lloyd loop
 per point set, member sums over the members alone.
+
+``stacked_ray_points``, ``stacked_trimmed_ray_points`` and
+``stacked_seed_scores`` are the retired stacked forms of ``_ray_points``,
+``_trimmed_ray_points`` and ``_seed_scores``: fresh temporaries at every
+step, the fits' ``[P | P o]`` table rebuilt from the gathered rays at
+every call, and the fits' along-ray dots and norms taken by
+``np.einsum``.  The package's kernels must equal them bit for bit.  They
+call the package's ``_solve_3x3``, ``_median`` and ``_stable_near``, which
+the comparisons of ``_solve_3x3`` and of the seed pick with the loop forms
+pin bit for bit.  These three kernels keep two retired forms
+each: the loop forms stay because ``candidate_centers`` and
+``refine_center`` need a per-trial control flow of their own, and the loop
+forms match the stacked ones only up to rounding.
 """
 
 import numpy as np
 
 from hybridloc.geometry import SPEED_OF_LIGHT
 from hybridloc.scenario import sample_scatterer_state
-from hybridloc.selection import PathMeasurement
+from hybridloc.selection import PathMeasurement, _median, _solve_3x3, _stable_near
 from scalar_geometry import aoa_los, los_range, nlos_params, range_rate
 
 
@@ -145,6 +157,75 @@ def solve_3x3(normal, rhs):
             except np.linalg.LinAlgError:
                 pass
     return x, np.isfinite(x).all(axis=1)
+
+
+def _perp(diff, dirs):
+    """Parts of ``diff`` perpendicular to ``dirs``: ``d - (d.a) a``, broadcast."""
+    return diff - np.einsum("...i,...i->...", diff, dirs)[..., None] * dirs
+
+
+def _norm(v):
+    """Euclidean norms along the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+
+def stacked_ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
+    """``selection._ray_points`` as it was: ``(T, n, 3)`` rays, ``(T, K, m)``
+    kept rays and ``(T, K, 3)`` starts, the T*K fits stepped as one stack
+    on fresh temporaries, frozen by mask."""
+    lead, m = kept.shape[:-1], kept.shape[-1]
+    kept = kept + origins.shape[1] * np.arange(origins.shape[0])[:, None, None]
+    o = origins.reshape(-1, 3)[kept].reshape(-1, m, 3)
+    a = dirs.reshape(-1, 3)[kept].reshape(-1, m, 3)
+    proj = np.eye(3) - a[..., :, None] * a[..., None, :]
+    table = np.concatenate([proj.reshape(-1, m, 9), _perp(o, a)], axis=-1)
+    c = np.array(c0, dtype=float).reshape(-1, 3)
+    live = np.ones(len(c), dtype=bool)
+    for _ in range(iters):
+        w = 1.0 / np.maximum(_norm(_perp(c[:, None, :] - o, a)), floor)
+        sums = (w[:, None, :] @ table)[:, 0]
+        c_new, ok = _solve_3x3(sums[:, :9].reshape(-1, 3, 3), sums[:, 9:])
+        ok &= live
+        live = ok & (_norm(c_new - c) >= 1e-9)
+        c = np.where(ok[:, None], c_new, c)
+        if not live.any():
+            break
+    return c.reshape(*lead, 3)
+
+
+def stacked_trimmed_ray_points(origins, dirs, c0, keep: int, rounds: int = 4):
+    """``selection._trimmed_ray_points`` as it was: each round's misses on
+    ``(T, K, n, 3)`` differences, then ``stacked_ray_points`` of the kept rays."""
+    c = np.array(c0, dtype=float)
+    for _ in range(rounds):
+        dray = _norm(_perp(c[..., None, :] - origins[..., None, :, :], dirs[..., None, :, :]))
+        kept = np.argsort(dray, axis=-1, kind="stable")[..., : max(keep, 3)]
+        c = stacked_ray_points(origins, dirs, kept, c)
+    return c
+
+
+def stacked_seed_scores(s, o, a, ranges, k: int) -> np.ndarray:
+    """``selection._seed_scores`` as it was: ``(3, ..., C)`` seed planes
+    against ``(3, ..., n)`` ray planes, on fresh ``(..., C, n)`` planes."""
+    d = s[..., :, None] - o[..., None, :]
+    a = a[..., None, :]
+    along = (d[0] * a[0] + d[2] * a[2]) + d[1] * a[1]
+    p = d - along * a
+    p *= p
+    perp = np.sqrt((p[0] + p[1]) + p[2])
+    d *= d
+    dist = np.sqrt((d[0] + d[1]) + d[2])
+    dray = np.where(along > 0.0, perp, dist)
+    offset = ranges[..., None, :] - dist
+    kk = min(k, dray.shape[-1])
+    cut = np.partition(dray, kk - 1, axis=-1)[..., kk - 1 : kk]
+    near = dray <= cut
+    tied = near.sum(axis=-1) != kk
+    if tied.any():
+        near[tied] = _stable_near(dray[tied], cut[tied], kk)
+    shared = _median(offset[near].reshape(*near.shape[:-1], kk))
+    combined = dray + np.abs(offset - shared[..., None])
+    return np.partition(combined, kk - 1, axis=-1)[..., kk - 1]
 
 
 def relative_gap(values, rank: int) -> float:

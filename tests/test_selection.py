@@ -483,12 +483,13 @@ class TestLosCandidates:
 # Stacked ray kernels against the per-ray loop oracle
 
 
-def ray_bundle(seed, n, near_parallel, behind, coincident):
+def ray_bundle(seed, n, near_parallel, behind, coincident, copies=0):
     """Receivers around the default array, rays aimed near a common point.
 
     The flags add the awkward cases a selection meets: a near-parallel
     pair, rays pointing away from the common point, and two receivers at
-    one site (as rows 6 and 12 of ``DEFAULT_RRHS``).
+    one site (as rows 6 and 12 of ``DEFAULT_RRHS``).  Rays 1 to ``copies``
+    - 1 are copies of ray 0, so distances to them tie.
     """
     rng = np.random.default_rng(seed)
     origins = RRHS[rng.integers(0, len(RRHS), n)] + rng.normal(0.0, 30.0, (n, 3))
@@ -502,6 +503,7 @@ def ray_bundle(seed, n, near_parallel, behind, coincident):
     if coincident:
         origins[n // 2] = origins[0]
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    origins[1:copies], dirs[1:copies] = origins[0], dirs[0]
     ranges = np.linalg.norm(target - origins, axis=1) + rng.normal(0.0, 5.0, n)
     return origins, dirs, ranges, rng
 
@@ -513,6 +515,23 @@ bundles = st.builds(
     near_parallel=st.booleans(),
     behind=st.booleans(),
     coincident=st.booleans(),
+)
+
+
+def ray_stack(seed, n, flags, copies):
+    """T = len(flags) bundles of n rays, each with its own awkward cases and
+    ``copies`` copies of ray 0: ``(T, n, 3)`` origins and dirs, ``(T, n)``
+    ranges and a generator."""
+    stack = [ray_bundle(seed + t, n, *f, copies) for t, f in enumerate(flags)]
+    return (*(np.array([b[i] for b in stack]) for i in range(3)), np.random.default_rng(seed))
+
+
+ray_stacks = st.builds(
+    ray_stack,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 18),
+    flags=st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=4),
+    copies=st.integers(0, 8),
 )
 
 
@@ -749,6 +768,7 @@ class TestStackedKernelsMatchLoops:
         assert np.array_equal(new[1], solves[1][1])
         monkeypatch.setattr(selection, "_solve_3x3", real)
         (unshifted,) = selection._ray_points(origins, dirs, kept, starts)
+        assert np.array_equal(unshifted, oracle.stacked_ray_points(origins, dirs, kept, starts)[0])
         assert np.array_equal(unshifted[:2], new[:2])
         assert not np.array_equal(unshifted[2:], new[2:])
         for row in range(1, 4):
@@ -763,7 +783,9 @@ class TestStackedKernelsMatchLoops:
         dirs = np.tile([1.0, 0.0, 0.0], (3, 1))
         kept = np.array([[0, 1, 2], [0, 1, 2]])
         starts = np.array([[5.0, 1.0, 2.0], [7.0, -3.0, 0.5]])
-        (new,) = selection._ray_points(origins[None], dirs[None], kept[None], starts[None])
+        rays = (origins[None], dirs[None], kept[None], starts[None])
+        (new,) = selection._ray_points(*rays)
+        assert np.array_equal(new, oracle.stacked_ray_points(*rays)[0])
         projs = oracle.projectors(dirs)
         for row in range(2):
             assert_close(new[row], oracle.ray_point(origins, projs, kept[row], starts[row]), 1.0)
@@ -800,6 +822,74 @@ class TestStackedKernelsMatchLoops:
         x_o, ok_o = oracle.solve_3x3(normal, rhs)
         assert np.array_equal(x, x_o, equal_nan=True)
         assert np.array_equal(ok, ok_o)
+
+
+class TestKernelsMatchRetiredForms:
+    """The fit and seed kernels against their retired stacked forms, bit for
+    bit, on stacks of trials with near-parallel, backward, coincident and
+    copied rays."""
+
+    @given(ray_stacks, st.integers(1, 4))
+    @settings(max_examples=150)
+    def test_ray_points(self, stack, k):
+        # Fit 0 of every trial keeps rays 0 to m - 1, so its normal matrix
+        # is singular when they are all copies of ray 0.
+        origins, dirs, _, rng = stack
+        trials, n = origins.shape[:2]
+        m = min(n, 3 + int(rng.integers(0, 4)))
+        kept = np.array([[rng.permutation(n)[:m] for _ in range(k)] for _ in range(trials)])
+        kept[:, 0] = np.arange(m)
+        starts = U + rng.normal(0.0, 100.0, (trials, k, 3))
+        new = selection._ray_points(origins, dirs, kept, starts)
+        assert np.array_equal(new, oracle.stacked_ray_points(origins, dirs, kept, starts))
+
+    @given(ray_stacks, st.integers(1, 4))
+    @settings(max_examples=150)
+    def test_trimmed_ray_points(self, stack, k):
+        # Start 0 sits on ray 0, whose copies then tie at the smallest miss.
+        origins, dirs, _, rng = stack
+        keep = max(3, origins.shape[1] // 2)
+        starts = U + rng.normal(0.0, 100.0, (len(origins), k, 3))
+        starts[:, 0] = origins[:, 0] + rng.uniform(10.0, 500.0, (len(origins), 1)) * dirs[:, 0]
+        new = selection._trimmed_ray_points(origins, dirs, starts, keep)
+        assert np.array_equal(new, oracle.stacked_trimmed_ray_points(origins, dirs, starts, keep))
+
+    @given(ray_stacks)
+    @settings(max_examples=100)
+    def test_seed_scores(self, stack):
+        # Every pair midpoint, usable or not, and two centers, one on ray 0,
+        # whose sixth nearest distance ties when ray 0 has six copies.
+        origins, dirs, ranges, rng = stack
+        mids, _ = selection._pair_midpoints(origins, dirs)
+        centers = U + rng.normal(0.0, 100.0, (len(origins), 2, 3))
+        centers[:, 0] = origins[:, 0] + rng.uniform(10.0, 500.0, (len(origins), 1)) * dirs[:, 0]
+        seeds = np.concatenate([mids, centers], axis=1)
+        planes = [np.ascontiguousarray(np.moveaxis(v, -1, 0)) for v in (seeds, origins, dirs)]
+        new = selection._seed_scores(*planes, ranges, k=6)
+        assert np.array_equal(new, oracle.stacked_seed_scores(*planes, ranges, k=6))
+
+
+def test_rounding_facts_the_plane_kernels_rely_on():
+    """The kernels on planes round as their retired forms because of three
+    NumPy facts; a NumPy that breaks one fails here, by name."""
+    rng = np.random.default_rng(29)
+    u, v = rng.normal(size=(2, 10, 2, 18, 3)) * 10.0 ** rng.uniform(-8, 8, (2, 10, 2, 18, 3))
+    # np.einsum contracts a length-3 axis (x + z) + y, also against a
+    # broadcast operand, as the retired fits' misses took it.
+    for w in (v, v[:, :1]):
+        x, y, z = np.moveaxis(u * w, -1, 0)
+        assert np.array_equal(np.einsum("...i,...i->...", u, w), (x + z) + y)
+    # np.where(cond, a, b) is np.copyto(a, b, where=~cond), NaN included.
+    along, perp, dist = rng.normal(size=(3, 500))
+    along[::7], along[::11], perp[::13], dist[::17] = np.nan, 0.0, np.nan, np.nan
+    picked = perp.copy()
+    np.copyto(picked, dist, where=np.logical_not(np.greater(along, 0.0)))
+    assert np.array_equal(picked, np.where(along > 0.0, perp, dist), equal_nan=True)
+    # Addition commutes bit for bit: dray + |o - s| is |o - s| + dray.
+    a, b = rng.normal(size=(2, 500)) * 10.0 ** rng.uniform(-300, 300, (2, 500))
+    a[::19], b[::23] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(a + b, b + a, equal_nan=True)
 
 
 class TestRefineCenterDeduplication:
