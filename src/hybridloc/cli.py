@@ -38,11 +38,15 @@ from .errors import (
     ScenarioError,
 )
 from .harness import (
+    PIPELINES,
     estimator,
     evaluate,
+    mlp_widths,
+    pipelines,
     run_scatterer_campaign,
     run_sr_campaign,
     run_wls_campaign,
+    train_model,
     trial_normals,
 )
 from .noise import build_q
@@ -61,24 +65,6 @@ def _fmt(value):
             return ""
         return format(value, ".10g")
     return str(value)
-
-
-def _provenance(command: str, sc: Scenario, overrides: dict) -> dict:
-    config = {
-        "command": command,
-        "scenario": scenario_to_dict(sc),
-        "overrides": overrides,
-    }
-    digest = hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    return {
-        "config_sha256": digest,
-        "seed": sc.seed,
-        "hybridloc_version": __version__,
-        "numpy_version": np.__version__,
-        "python_version": platform.python_version(),
-    }
 
 
 def _render(columns, rows, provenance, fmt: str) -> str:
@@ -102,15 +88,36 @@ def _render(columns, rows, provenance, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path is None:
+def _write(args, sc: Scenario, rows, columns=None, out=None, **notes) -> None:
+    """Write ``rows`` (columns: the first row's keys by default) to ``out``,
+    default ``--out``, else stdout, under the provenance header: the hash of
+    ``args.command``, ``sc`` and the given ``hashed`` options, then ``notes``."""
+    config = {
+        "command": args.command,
+        "scenario": scenario_to_dict(sc),
+        "overrides": {k: getattr(args, k) for k in args.hashed if getattr(args, k) is not None},
+    }
+    digest = hashlib.sha256(
+        json.dumps(config, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+    prov = {
+        "config_sha256": digest,
+        "seed": sc.seed,
+        "hybridloc_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        **notes,
+    }
+    text = _render(columns or list(rows[0].keys()), rows, prov, args.format)
+    out = args.out if out is None else out
+    if out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ScenarioError(f"cannot write output file {out_path}: {exc}") from exc
+        raise ScenarioError(f"cannot write output file {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +132,6 @@ def _load(args) -> Scenario:
     if getattr(args, "trials", None) is not None:
         changes["trials"] = args.trials
     return sc.replace(**changes) if changes else sc
-
-
-def _overrides(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +171,11 @@ def cmd_simulate(args) -> int:
                 "scat_failure_rate": scat.failure_rate,
             }
         )
-    columns = list(rows[0].keys())
-    prov = _provenance("simulate", sc, _overrides(args, ("seed", "trials", "rho")))
-    _emit(_render(columns, rows, prov, args.format), args.out)
+    _write(args, sc, rows)
     if args.per_trial:
         trial_columns = ["rho", "trial", "status", "error_position",
                          "error_velocity", "detail"]
-        _emit(
-            _render(trial_columns, trial_rows, prov, args.format),
-            args.per_trial,
-        )
+        _write(args, sc, trial_rows, trial_columns, args.per_trial)
     return EXIT_OK
 
 
@@ -202,12 +200,11 @@ def cmd_crlb(args) -> int:
                     "velocity_observable": vel is not None,
                 }
             )
-    prov = _provenance("crlb", sc, _overrides(args, ("seed", "rho", "na")))
+    notes = {}
     if args.check_identities:
         report = verify_identities(sc.ue_true, sc.selected_rrhs())
-        prov["identity_max_deviation"] = format(report.max_deviation, ".6e")
-    columns = list(rows[0].keys())
-    _emit(_render(columns, rows, prov, args.format), args.out)
+        notes["identity_max_deviation"] = format(report.max_deviation, ".6e")
+    _write(args, sc, rows, **notes)
     return EXIT_OK
 
 
@@ -224,9 +221,7 @@ def cmd_select_sr(args) -> int:
         }
         for na, rep in zip(nas, run_sr_campaign(sc, nas))
     ]
-    prov = _provenance("select-sr", sc, _overrides(args, ("seed", "trials", "na")))
-    columns = list(rows[0].keys())
-    _emit(_render(columns, rows, prov, args.format), args.out)
+    _write(args, sc, rows)
     return EXIT_OK
 
 
@@ -280,8 +275,7 @@ def cmd_gen_dataset(args) -> int:
 
 
 def _mlp_config(args, train_set) -> nn_mod.MlpConfig:
-    dim = train_set.m.shape[1]
-    fields = {"layer_widths": (dim, 32, 32, dim)}
+    fields = {"layer_widths": mlp_widths(train_set)}
     if args.config:
         data = read_yaml(args.config, "config") or {}
         if not isinstance(data, dict):
@@ -303,11 +297,7 @@ def _mlp_config(args, train_set) -> nn_mod.MlpConfig:
 def cmd_train(args) -> int:
     tr = nn_mod.load_dataset(args.train)
     va = nn_mod.load_dataset(args.val)
-    cfg = _mlp_config(args, tr)
-    if args.pipeline == "blackbox":
-        net = nn_mod.train_blackbox(cfg, tr, va)
-    else:
-        net = nn_mod.train(cfg, tr, va)
+    net = train_model(PIPELINES[args.pipeline], _mlp_config(args, tr), tr, va)
     nn_mod.save_model(net, args.out)
     return EXIT_OK
 
@@ -328,14 +318,13 @@ def cmd_eval(args) -> int:
     sc = _load(args)
     te = nn_mod.load_dataset(args.data)
     net = None
-    if args.pipeline != "wls":
+    if PIPELINES[args.pipeline] is not None:
         if not args.model:
             raise ScenarioError(f"pipeline {args.pipeline!r} requires --model")
         net = nn_mod.load_model(args.model)
-    report = evaluate(estimator(args.pipeline, sc, net, args.eps), te)
-    rows = [_metric_row(args.pipeline, report)]
-    prov = _provenance("eval", sc, _overrides(args, ("seed", "pipeline")))
-    _emit(_render(list(rows[0].keys()), rows, prov, args.format), args.out)
+    eps = {} if args.eps is None else {"eps": args.eps}  # unless given, the estimator's default
+    report = evaluate(estimator(args.pipeline, sc, net, **eps), te)
+    _write(args, sc, [_metric_row(args.pipeline, report)])
     return EXIT_OK
 
 
@@ -346,20 +335,14 @@ def cmd_ensemble_eval(args) -> int:
     te = nn_mod.load_dataset(args.data)
     base = _mlp_config(args, tr)
     ens_cfg = ens_mod.EnsembleConfig(p=args.members, r_a=args.r_a)
-    nets = ens_mod.train_ensemble(base, ens_cfg, tr, va)
-    rows = []
-    for label, pipeline, model in (
-        ("nn_wls", "nn_wls", nets[0]),
-        ("enn_a_wls", "enn_a", nets),
-        ("enn_m_wls", "enn_m", nets),
-        ("enn_b_wls", "enn_b", nets),
-    ):
-        estimate = estimator(pipeline, sc, model, args.eps, ens_cfg.r_a)
-        rows.append(_metric_row(label, evaluate(estimate, te)))
-    prov = _provenance(
-        "ensemble-eval", sc, _overrides(args, ("seed", "members", "r_a"))
-    )
-    _emit(_render(list(rows[0].keys()), rows, prov, args.format), args.out)
+    nets = train_model("ensemble", base, tr, va, ens_cfg)
+    eps = {} if args.eps is None else {"eps": args.eps}  # unless given, the estimator's default
+    # NN-WLS on the first member, then each ensemble pipeline on them all.
+    rows = [_metric_row("nn_wls", evaluate(estimator("nn_wls", sc, nets[0], **eps), te))]
+    for pipeline in pipelines("ensemble"):
+        estimate = estimator(pipeline, sc, nets, r_a=ens_cfg.r_a, **eps)
+        rows.append(_metric_row(f"{pipeline}_wls", evaluate(estimate, te)))
+    _write(args, sc, rows)
     return EXIT_OK
 
 
@@ -388,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="override the trial count")
     p.add_argument("--rho", type=float, nargs="+", help="noise scale grid")
     p.add_argument("--per-trial", help="also write a per-trial table to this path")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, hashed=("seed", "trials", "rho"))
 
     p = sub.add_parser("crlb", help="lower-bound traces over noise/receiver grids")
     common(p)
@@ -399,13 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="verify the closed-form row identities and report the deviation",
     )
-    p.set_defaults(func=cmd_crlb)
+    p.set_defaults(func=cmd_crlb, hashed=("seed", "rho", "na"))
 
     p = sub.add_parser("select-sr", help="LOS selection success rate")
     common(p)
     p.add_argument("--trials", type=int, help="override the trial count")
     p.add_argument("--na", type=int, nargs="+", help="receiver-count grid")
-    p.set_defaults(func=cmd_select_sr)
+    p.set_defaults(func=cmd_select_sr, hashed=("seed", "trials", "na"))
 
     p = sub.add_parser("gen-dataset", help="synthesize a training dataset")
     common(p)
@@ -433,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", required=True, help="validation dataset (.npz)")
     p.add_argument(
         "--pipeline",
-        choices=("nn_wls", "nn_ls", "blackbox"),
+        choices=pipelines("residual", "state"),
         default="nn_wls",
         help="estimator the network is trained for",
     )
@@ -447,11 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="trained model (.npz)")
     p.add_argument(
         "--pipeline",
-        choices=("wls", "nn_wls", "nn_ls", "blackbox"),
+        choices=pipelines(None, "residual", "state"),
         default="nn_wls",
     )
-    p.add_argument("--eps", type=_positive(float), default=0.1, help="weighting ridge")
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--eps", type=_positive(float), help="weighting ridge")
+    p.set_defaults(func=cmd_eval, hashed=("seed", "pipeline", "eps"))
 
     p = sub.add_parser(
         "ensemble-eval", help="train an ensemble and compare combination rules"
@@ -462,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="test dataset (.npz)")
     p.add_argument("--members", type=int, default=20, help="ensemble size")
     p.add_argument("--r-a", type=_positive(float), default=0.1, help="density kernel radius")
-    p.add_argument("--eps", type=_positive(float), default=0.1, help="weighting ridge")
+    p.add_argument("--eps", type=_positive(float), help="weighting ridge")
     p.add_argument("--config", help="YAML file of MlpConfig overrides")
-    p.set_defaults(func=cmd_ensemble_eval)
+    p.set_defaults(func=cmd_ensemble_eval, hashed=("seed", "members", "r_a", "eps"))
     p.set_defaults(require_out=True)
 
     return parser

@@ -360,18 +360,34 @@ def run_sr_campaign(sc: Scenario, nas=None):
     return reports[0] if nas is None else reports
 
 
+# The learning pipelines, in the order the CLI offers and reports them, and
+# the model each runs on: none, a "residual" net (one output per measurement
+# entry), a "state" net (the 6-entry state) or an "ensemble" of residual nets.
+PIPELINES = {
+    "wls": None,
+    **dict.fromkeys(("nn_wls", "nn_ls"), "residual"),
+    "blackbox": "state",
+    **dict.fromkeys(("enn_a", "enn_m", "enn_b"), "ensemble"),
+}
+
+
+def pipelines(*kinds) -> list:
+    """The names of the pipelines that run on a model of one of ``kinds``, in order."""
+    return [name for name, kind in PIPELINES.items() if kind in kinds]
+
+
 def estimator(pipeline: str, sc: Scenario, model=None, eps: float = 0.1, r_a: float = 0.1):
     """The stack map of a learning pipeline on the scenario's receivers.
 
     The map takes stacked measurements (N, dim) and returns ``(x,
     failures)``: the (N, 6) estimates and, per sample, the
     ``HybridlocError`` it raised or None, as ``WlsBatch`` does.  ``model``
-    is the trained net, or the list of member nets for the ENN pipelines;
-    "wls" needs none.  A model whose output does not suit the pipeline
-    raises ``DimensionMismatchError``: a residual net (``nn_*``, ``enn_*``)
-    must output one entry per measurement entry, as wide as its input, and
-    a black-box net the 6-entry state.
+    is the pipeline's model in :data:`PIPELINES`, the list of member nets
+    for an ensemble.  A net whose output width does not suit that model
+    raises ``DimensionMismatchError``.
     """
+    if pipeline not in PIPELINES:
+        raise ScenarioError(f"unknown pipeline {pipeline!r}")
     rrhs = sc.selected_rrhs()
     if model is not None:
         _check_outputs(pipeline, model)
@@ -383,41 +399,50 @@ def estimator(pipeline: str, sc: Scenario, model=None, eps: float = 0.1, r_a: fl
             return batch.x, batch.failures
 
         return wls
-    if pipeline == "blackbox":
-        return lambda ms: nn.blackbox_batch(model, ms)
-    if pipeline == "nn_wls":
-        return lambda ms: nn.nn_wls_batch(model, ms, rrhs, eps)
-    if pipeline == "nn_ls":
-        return lambda ms: nn.nn_ls_batch(model, ms, rrhs)
-    if pipeline == "enn_a":
-        return lambda ms: ensemble.enn_a_wls_batch(model, ms, rrhs, eps, r_a)
-    if pipeline == "enn_b":
-        return lambda ms: ensemble.enn_b_wls_batch(model, ms, rrhs)
-    if pipeline == "enn_m":
-        return lambda ms: ensemble.enn_m_wls_batch(model, ms, rrhs, eps)
-    raise ScenarioError(f"unknown pipeline {pipeline!r}")
-
-
-# Pipelines whose nets predict the measurement residual, one entry per
-# measurement entry.
-_RESIDUAL_PIPELINES = ("nn_wls", "nn_ls", "enn_a", "enn_b", "enn_m")
+    return {
+        "nn_wls": lambda ms: nn.nn_wls_batch(model, ms, rrhs, eps),
+        "nn_ls": lambda ms: nn.nn_ls_batch(model, ms, rrhs),
+        "blackbox": lambda ms: nn.blackbox_batch(model, ms),
+        "enn_a": lambda ms: ensemble.enn_a_wls_batch(model, ms, rrhs, eps, r_a),
+        "enn_m": lambda ms: ensemble.enn_m_wls_batch(model, ms, rrhs, eps),
+        "enn_b": lambda ms: ensemble.enn_b_wls_batch(model, ms, rrhs),
+    }[pipeline]
 
 
 def _check_outputs(pipeline: str, model) -> None:
     """Raise ``DimensionMismatchError`` when a net of ``model`` (one net or a
     list) has an output width that ``pipeline`` cannot use."""
+    kind = PIPELINES[pipeline]
     for net in model if isinstance(model, (list, tuple)) else [model]:
         width_in, width_out = net.config.layer_widths[0], net.config.layer_widths[-1]
-        if pipeline == "blackbox" and width_out != 6:
+        if kind == "state" and width_out != 6:
             raise DimensionMismatchError(
-                f"pipeline 'blackbox' needs a model that outputs the 6-entry state; "
+                f"pipeline {pipeline!r} needs a model that outputs the 6-entry state; "
                 f"this model outputs {width_out} entries"
             )
-        if pipeline in _RESIDUAL_PIPELINES and width_out != width_in:
+        if kind in ("residual", "ensemble") and width_out != width_in:
             raise DimensionMismatchError(
                 f"pipeline {pipeline!r} needs a residual model, whose output is as "
                 f"wide as its input; this model maps {width_in} entries to {width_out}"
             )
+
+
+def mlp_widths(train_set) -> tuple:
+    """The default topology: two hidden layers of 32, ends as wide as the measurements."""
+    dim = train_set.m.shape[1]
+    return (dim, 32, 32, dim)
+
+
+def train_model(kind, mlp_config, train_set, val_set, ensemble_config=None):
+    """Train a model of the ``kind`` that :data:`PIPELINES` names: None
+    trains nothing, and an ensemble has ``ensemble_config``'s members."""
+    if kind == "residual":
+        return nn.train(mlp_config, train_set, val_set)
+    if kind == "state":
+        return nn.train_blackbox(mlp_config, train_set, val_set)
+    if kind == "ensemble":
+        return ensemble.train_ensemble(mlp_config, ensemble_config, train_set, val_set)
+    return None
 
 
 def evaluate(estimate, test_set) -> MetricReport:
@@ -445,17 +470,9 @@ def run_nn_campaign(
         if key not in datasets:
             raise ScenarioError(f"datasets must include {key!r}")
     tr, va, te = datasets["train"], datasets["val"], datasets["test"]
-    dim = tr.m.shape[1]
     if mlp_config is None:
-        mlp_config = nn.MlpConfig(layer_widths=(dim, 32, 32, dim), seed=sc.seed)
+        mlp_config = nn.MlpConfig(layer_widths=mlp_widths(tr), seed=sc.seed)
     if ensemble_config is None:
         ensemble_config = ensemble.EnsembleConfig()
-
-    model = None
-    if pipeline == "blackbox":
-        model = nn.train_blackbox(mlp_config, tr, va)
-    elif pipeline in ("nn_wls", "nn_ls"):
-        model = nn.train(mlp_config, tr, va)
-    elif pipeline != "wls":
-        model = ensemble.train_ensemble(mlp_config, ensemble_config, tr, va)
+    model = train_model(PIPELINES[pipeline], mlp_config, tr, va, ensemble_config)
     return evaluate(estimator(pipeline, sc, model, eps, ensemble_config.r_a), te)

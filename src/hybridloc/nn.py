@@ -18,7 +18,9 @@ external dependencies and stays deterministic for a given seed.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import zipfile
 from copy import deepcopy
 from dataclasses import dataclass, field, replace as dc_replace
 
@@ -642,11 +644,24 @@ def save_model(net: Mlp, path) -> None:
     np.savez(path, **payload)
 
 
+@contextlib.contextmanager
+def _archive(path, kind: str):
+    """The ``kind`` ("model" or "dataset") .npz archive at ``path``, open for
+    the ``with`` block that reads it.  A file that is not such an archive,
+    or lacks or mangles an entry the block reads (pickled data included), is
+    a ``ScenarioError`` naming it; an unknown version is a ``NumericalError``."""
+    try:
+        with np.lib.npyio.NpzFile(path) as data:
+            version = int(data["format_version"])
+            if version != _MODEL_FORMAT_VERSION:
+                raise NumericalError(f"unsupported {kind} format {version}")
+            yield data
+    except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ScenarioError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
 def load_model(path) -> Mlp:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != _MODEL_FORMAT_VERSION:
-            raise NumericalError(f"unsupported model format {version}")
+    with _archive(path, "model") as data:
         widths = tuple(int(w) for w in data["layer_widths"])
         config = MlpConfig(
             layer_widths=widths,
@@ -677,10 +692,7 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != _MODEL_FORMAT_VERSION:
-            raise NumericalError(f"unsupported dataset format {version}")
+    with _archive(path, "dataset") as data:
         return Dataset(
             data["m"], data["e"], data["x"], json.loads(str(data["metadata"]))
         )

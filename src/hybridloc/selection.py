@@ -401,24 +401,11 @@ def _fit_rays(table, kept, c, miss=None, iters: int = 8, floor: float = 1.0):
             break
 
 
-def _ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
-    """Reweighted least-squares points nearest each row's kept rays.
-
-    Origins and dirs are ``(T, n, 3)`` rays of T trials, ``kept`` the
-    ``(T, K, m)`` ray indices of each trial's K fits and ``c0`` their
-    ``(T, K, 3)`` starts; the T*K fits are independent and run as one
-    stack, :func:`_fit_rays`, from a ray table built for the call.
-    """
-    c = np.ascontiguousarray(_planes(np.array(c0, dtype=float)))
-    _fit_rays(_ray_table(origins, dirs), kept, c.reshape(3, -1), iters=iters, floor=floor)
-    return np.moveaxis(c, 0, -1).copy()
-
-
 def _trimmed_ray_points(origins, dirs, c0, keep: int, rounds: int = 4):
     """Alternate between keeping each start's closest rays and refitting it.
 
-    Takes the ``(T, n, 3)`` rays and ``(T, K, 3)`` starts of
-    :func:`_ray_points`.  The ray table is built once; each round measures
+    Takes the ``(T, n, 3)`` rays of T trials and the ``(T, K, 3)`` starts of
+    each trial's K fits.  The ray table is built once; each round measures
     every start's misses on ``(3, T, K, n)`` buffers, keeps the nearest
     rays by a stable sort, and steps the fits from the kept rays' misses,
     which are those of their first step.

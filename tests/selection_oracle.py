@@ -27,7 +27,8 @@ the one-trial form of the lockstep two-center clustering: one Lloyd loop
 per point set, member sums over the members alone.
 
 ``stacked_ray_points``, ``stacked_trimmed_ray_points`` and
-``stacked_seed_scores`` are the retired stacked forms of ``_ray_points``,
+``stacked_seed_scores`` are the retired stacked forms of the ray fits
+(``test_selection.ray_points``, over ``_fit_rays``),
 ``_trimmed_ray_points`` and ``_seed_scores``: fresh temporaries at every
 step, the fits' ``[P | P o]`` table rebuilt from the gathered rays at
 every call, and the fits' along-ray dots and norms taken by
@@ -170,7 +171,7 @@ def _norm(v):
 
 
 def stacked_ray_points(origins, dirs, kept, c0, iters: int = 8, floor: float = 1.0):
-    """``selection._ray_points`` as it was: ``(T, n, 3)`` rays, ``(T, K, m)``
+    """The ray fits as they were: ``(T, n, 3)`` rays, ``(T, K, m)``
     kept rays and ``(T, K, 3)`` starts, the T*K fits stepped as one stack
     on fresh temporaries, frozen by mask."""
     lead, m = kept.shape[:-1], kept.shape[-1]

@@ -583,6 +583,64 @@ class TestPipelineRoundTrip:
             "--out", str(tmp_path / "r.csv"),
         ) == EXIT_PARSE
 
+    # The config_sha256 of these runs on pipeline_dir's scenario without
+    # --eps, as they were written before --eps entered the hash.
+    DEFAULT_HASHES = {
+        "eval": "6b76698505ead5cb199a3c137b16fd840c8a6cd83b3f4b71a0b74102371d4323",
+        "ensemble-eval": "e58868c0078e0f2c7060c8c8a3a87536c667dcb5a32fed0b03824a143c94b1fe",
+    }
+
+    @pytest.mark.parametrize("command", ["eval", "ensemble-eval"])
+    def test_eps_enters_the_hash_only_when_given(self, pipeline_dir, tmp_path, command):
+        paths = pipeline_dir["a"]
+        inputs = {
+            "eval": ["--model", paths["model"]],
+            "ensemble-eval": ["--train", paths["train"], "--val", paths["val"],
+                              "--members", "2", "--config", pipeline_dir["config"]],
+        }[command]
+        tables = {}
+        for eps in (None, "0.1", "5"):
+            out = tmp_path / f"{eps}.csv"
+            argv = [command, "--scenario", pipeline_dir["scenario"], "--data", paths["test"],
+                    *inputs, *(("--eps", eps) if eps else ()), "--out", out]
+            assert run_cli(*map(str, argv)) == EXIT_OK
+            tables[eps] = out.read_text().splitlines()
+        assert tables[None][0] == f"# config_sha256={self.DEFAULT_HASHES[command]}"
+        assert len({lines[0] for lines in tables.values()}) == 3
+        # Without --eps the estimators run at the default 0.1.
+        rows = {eps: [l for l in lines if not l.startswith("#")] for eps, lines in tables.items()}
+        assert rows[None] == rows["0.1"] != rows["5"]
+
+    @pytest.mark.parametrize("option, kind", [
+        ("--model", "dataset"), ("--data", "text"), ("--data", "truncated"),
+        ("--data", "pickled"),
+    ])
+    def test_eval_of_an_unreadable_file_exits_parse(
+        self, pipeline_dir, tmp_path, capsys, option, kind
+    ):
+        paths = pipeline_dir["a"]
+        bad = tmp_path / f"{kind}.npz"
+        if kind == "dataset":
+            bad = paths["test"]  # a dataset has no model entries
+        elif kind == "text":
+            bad.write_text("not an archive\n", encoding="utf-8")
+        elif kind == "truncated":
+            data = paths["test"].read_bytes()
+            bad.write_bytes(data[: len(data) // 2])
+        else:
+            np.savez(bad, format_version=np.array(1), m=np.array([{}], dtype=object))
+        files = {"--data": paths["test"], "--model": paths["model"], option: bad}
+        out = tmp_path / "r.csv"
+        code = run_cli(
+            "eval", "--scenario", str(pipeline_dir["scenario"]),
+            *(str(a) for pair in files.items() for a in pair), "--out", str(out),
+        )
+        assert code == EXIT_PARSE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+        assert str(bad) in err and "Traceback" not in err
+
     def test_train_divergence_maps_to_numerical_exit(self, pipeline_dir, tmp_path):
         config = tmp_path / "diverge.yaml"
         config.write_text(
@@ -735,6 +793,19 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate")
         assert exc.value.code == EXIT_PARSE
+
+    @pytest.mark.parametrize("command, choices", [
+        ("train", "'nn_wls', 'nn_ls', 'blackbox'"),
+        ("eval", "'wls', 'nn_wls', 'nn_ls', 'blackbox'"),
+    ])
+    def test_pipeline_choices_keep_their_order(self, capsys, command, choices):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--pipeline", "magic")
+        assert exc.value.code == EXIT_PARSE
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"hybridloc {command}: error: argument --pipeline: invalid choice: "
+            f"'magic' (choose from {choices})"
+        )
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -545,6 +545,15 @@ def usable_midpoints(origins, dirs):
     return mids[usable]
 
 
+def ray_points(origins, dirs, kept, c0):
+    """The package's fits from ``(T, K, 3)`` starts ``c0``: ``_fit_rays`` of
+    the ``(T, K, m)`` ray indices ``kept``, on the ray table of ``(T, n, 3)``
+    rays, from the starts' own misses; ``(T, K, 3)`` points."""
+    c = np.ascontiguousarray(selection._planes(np.array(c0, dtype=float)))
+    selection._fit_rays(selection._ray_table(origins, dirs), kept, c.reshape(3, -1))
+    return np.moveaxis(c, 0, -1).copy()
+
+
 class TestStackedKernelsMatchLoops:
     @given(bundles)
     @settings(max_examples=150)
@@ -562,7 +571,7 @@ class TestStackedKernelsMatchLoops:
         m = min(origins.shape[0], 3 + int(rng.integers(0, 4)))
         kept = np.array([rng.permutation(origins.shape[0])[:m] for _ in range(k)])
         starts = U + rng.normal(0.0, 100.0, (k, 3))
-        (new,) = selection._ray_points(origins[None], dirs[None], kept[None], starts[None])
+        (new,) = ray_points(origins[None], dirs[None], kept[None], starts[None])
         projs = oracle.projectors(dirs)
         for row in range(k):
             old = oracle.ray_point(origins, projs, kept[row], starts[row])
@@ -665,11 +674,11 @@ class TestStackedKernelsMatchLoops:
         kept = np.array([[rng.permutation(n)[:m] for _ in range(k)] for _ in range(trials)])
         starts = U + rng.normal(0.0, 100.0, (trials, k, 3))
         keep = max(3, n // 2)
-        points = selection._ray_points(origins, dirs, kept, starts)
+        points = ray_points(origins, dirs, kept, starts)
         trimmed = selection._trimmed_ray_points(origins, dirs, starts, keep)
         for t in range(trials):
             one = slice(t, t + 1)
-            alone = selection._ray_points(origins[one], dirs[one], kept[one], starts[one])
+            alone = ray_points(origins[one], dirs[one], kept[one], starts[one])
             assert np.array_equal(points[one], alone)
             alone = selection._trimmed_ray_points(origins[one], dirs[one], starts[one], keep)
             assert np.array_equal(trimmed[one], alone)
@@ -762,18 +771,18 @@ class TestStackedKernelsMatchLoops:
             return x + (len(solves) > 2), ok
 
         monkeypatch.setattr(selection, "_solve_3x3", shifted_after_two)
-        (new,) = selection._ray_points(origins, dirs, kept, starts)
+        (new,) = ray_points(origins, dirs, kept, starts)
         assert len(solves) > 2 and all(len(x) == 4 for x in solves)
         assert np.array_equal(new[0], starts[0, 0])
         assert np.array_equal(new[1], solves[1][1])
         monkeypatch.setattr(selection, "_solve_3x3", real)
-        (unshifted,) = selection._ray_points(origins, dirs, kept, starts)
+        (unshifted,) = ray_points(origins, dirs, kept, starts)
         assert np.array_equal(unshifted, oracle.stacked_ray_points(origins, dirs, kept, starts)[0])
         assert np.array_equal(unshifted[:2], new[:2])
         assert not np.array_equal(unshifted[2:], new[2:])
         for row in range(1, 4):
             one = slice(row, row + 1)
-            (alone,) = selection._ray_points(origins, dirs, kept[:, one], starts[:, one])
+            (alone,) = ray_points(origins, dirs, kept[:, one], starts[:, one])
             assert np.array_equal(unshifted[row], alone[0])
 
     def test_singular_fit_keeps_last_estimate(self):
@@ -784,7 +793,7 @@ class TestStackedKernelsMatchLoops:
         kept = np.array([[0, 1, 2], [0, 1, 2]])
         starts = np.array([[5.0, 1.0, 2.0], [7.0, -3.0, 0.5]])
         rays = (origins[None], dirs[None], kept[None], starts[None])
-        (new,) = selection._ray_points(*rays)
+        (new,) = ray_points(*rays)
         assert np.array_equal(new, oracle.stacked_ray_points(*rays)[0])
         projs = oracle.projectors(dirs)
         for row in range(2):
@@ -840,7 +849,7 @@ class TestKernelsMatchRetiredForms:
         kept = np.array([[rng.permutation(n)[:m] for _ in range(k)] for _ in range(trials)])
         kept[:, 0] = np.arange(m)
         starts = U + rng.normal(0.0, 100.0, (trials, k, 3))
-        new = selection._ray_points(origins, dirs, kept, starts)
+        new = ray_points(origins, dirs, kept, starts)
         assert np.array_equal(new, oracle.stacked_ray_points(origins, dirs, kept, starts))
 
     @given(ray_stacks, st.integers(1, 4))

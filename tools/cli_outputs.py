@@ -20,13 +20,14 @@ runs, in process, on the bundled scenarios:
 - ``gen-dataset --samples 300`` for ``--target ue`` and ``--target
   scatterer`` on every scenario;
 - the learning commands on ``structured-noise.yaml``: ``gen-dataset
-  --split 300,50,100``, ``train`` for ``nn_wls`` and ``blackbox`` on that
-  split, ``eval`` of ``wls``, ``nn_wls``, ``nn_ls`` (with the ``nn_wls``
-  model) and ``blackbox`` on its test set, ``ensemble-eval --members 3``
-  and ``--members 22`` (P = dim = 22 members: ENN-B inverts its averaged
-  weighting densely and ridges the samples where it is singular), and an
-  ``eval`` of the ``nn_wls`` model on the scenario's scatterer dataset,
-  which exits 3.
+  --split 300,50,100``, ``train`` for ``nn_wls``, ``nn_ls`` and
+  ``blackbox`` on that split, ``eval`` of ``wls``, ``nn_wls``, ``nn_ls``
+  (with the ``nn_wls`` model) and ``blackbox`` on its test set,
+  ``ensemble-eval --members 3`` and ``--members 22`` (P = dim = 22
+  members: ENN-B inverts its averaged weighting densely and ridges the
+  samples where it is singular), and two ``eval`` runs that exit 3: the
+  ``nn_wls`` model on the scenario's scatterer dataset, and ``--pipeline
+  nn_wls`` of the ``blackbox`` model.
 
 Each command's exit code, standard error and warnings go to
 ``<name>.status``, so a command that fails or warns is compared too.
@@ -152,12 +153,13 @@ def _selections(out: Path) -> None:
 
 def _learning(out: Path) -> None:
     """The learning commands on ``structured-noise.yaml``; the width-mismatch
-    ``eval`` reads the scatterer dataset that ``main`` writes first."""
+    ``eval`` reads the scatterer dataset that ``main`` writes first, and the
+    model-mismatch ``eval`` gives ``nn_wls`` the black-box model."""
     scenario = ROOT / "scenarios" / "structured-noise.yaml"
     _run(out, "gen-dataset-split", ["gen-dataset", "--scenario", scenario,
                                     "--split", "300,50,100", "--out", out / "learning.npz"])
     split = {name: out / f"learning-{name}.npz" for name in ("train", "val", "test")}
-    for pipeline in ("nn_wls", "blackbox"):
+    for pipeline in ("nn_wls", "nn_ls", "blackbox"):
         _run(out, f"train-{pipeline}", [
             "train", "--train", split["train"], "--val", split["val"],
             "--pipeline", pipeline, "--out", out / f"model-{pipeline}.npz"])
@@ -177,6 +179,9 @@ def _learning(out: Path) -> None:
         "eval", "--scenario", scenario,
         "--data", out / "gen-dataset-scatterer-structured-noise.npz",
         "--model", out / "model-nn_wls.npz", "--out", out / "eval-width-mismatch.csv"])
+    _run(out, "eval-model-mismatch", [
+        "eval", "--scenario", scenario, "--data", split["test"], "--pipeline", "nn_wls",
+        "--model", out / "model-blackbox.npz", "--out", out / "eval-model-mismatch.csv"])
 
 
 def _number(cell: str):
