@@ -358,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None):
+    def common(p):
         p.add_argument("--scenario", help="YAML scenario file (defaults built in)")
-        p.add_argument("--out", default=out_default, help="output path (default stdout)")
+        p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument(
             "--format", choices=("csv", "json"), default="csv", help="output format"

@@ -4,8 +4,11 @@ Members share topology and data and differ only by weight initialization.
 ENN-A votes among the member state predictions with subtractive clustering,
 ENN-B averages the members' residual outer products into one weighting
 matrix, ENN-M is the plain mean of member predictions.  Each combiner is
-a stack map over measurements (``*_batch``); the per-sample combiners are
-those stack maps run on one sample, and raise that sample's failure.
+a stack map over measurements (``*_batch``) that returns the WLS solver's
+``WlsBatch``, without a covariance; the per-sample combiners are those
+stack maps run on one sample, and raise that sample's failure.  The
+members' own states (``member_states_batch``) are an intermediate (N, P,
+6) stack, returned with the failures as a pair.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .nn import (
     _train_stack,
     residual_solve,
 )
-from .ue_wls import _invert_normal, solve_linear
+from .ue_wls import WlsBatch, _invert_normal, solve_linear
 
 # ENN-B's ridge on the averaged outer product, relative to its mean diagonal.
 _RIDGE_SCALE = 1e-4
@@ -113,10 +116,13 @@ def member_states(nets, m, rrhs, eps: float = 0.1) -> np.ndarray:
     Row i equals ``nn.nn_wls_estimate(nets[i], m, rrhs, eps)``, and the
     first failing member's error is raised.
     """
-    return _one(member_states_batch, nets, m, rrhs, eps)
+    states, failures = member_states_batch(nets, np.asarray(m, dtype=float)[None], rrhs, eps)
+    if failures[0] is not None:
+        raise failures[0]
+    return states[0]
 
 
-def enn_a_wls_batch(nets, ms, rrhs, eps: float = 0.1, r_a: float = 0.1):
+def enn_a_wls_batch(nets, ms, rrhs, eps: float = 0.1, r_a: float = 0.1) -> WlsBatch:
     """ENN-A estimates of stacked measurements, as ``nn.nn_wls_batch``: a
     density vote among the member states, run separately on positions and
     velocities."""
@@ -125,7 +131,7 @@ def enn_a_wls_batch(nets, ms, rrhs, eps: float = 0.1, r_a: float = 0.1):
         [subtractive_pick(states[..., :3], r_a), subtractive_pick(states[..., 3:], r_a)],
         axis=-1,
     )
-    return x, failures
+    return WlsBatch(x=x, failures=failures)
 
 
 def enn_a_wls(nets, m, rrhs, eps: float = 0.1, r_a: float = 0.1) -> np.ndarray:
@@ -133,11 +139,11 @@ def enn_a_wls(nets, m, rrhs, eps: float = 0.1, r_a: float = 0.1) -> np.ndarray:
     return _one(enn_a_wls_batch, nets, m, rrhs, eps, r_a)
 
 
-def enn_m_wls_batch(nets, ms, rrhs, eps: float = 0.1):
+def enn_m_wls_batch(nets, ms, rrhs, eps: float = 0.1) -> WlsBatch:
     """ENN-M estimates of stacked measurements, as ``nn.nn_wls_batch``: the
     plain mean of the member states."""
     states, failures = member_states_batch(nets, ms, rrhs, eps)
-    return states.mean(axis=-2), failures
+    return WlsBatch(x=states.mean(axis=-2), failures=failures)
 
 
 def enn_m_wls(nets, m, rrhs, eps: float = 0.1) -> np.ndarray:
@@ -168,7 +174,7 @@ def invert_weighting(avg: np.ndarray):
     return w, engaged if avg.ndim > 2 else bool(engaged)
 
 
-def enn_b_wls_batch(nets, ms, rrhs):
+def enn_b_wls_batch(nets, ms, rrhs) -> WlsBatch:
     """ENN-B estimates of stacked measurements, as ``nn.nn_wls_batch``: one
     WLS solve per sample weighted by the averaged residual outer product.
 
@@ -199,7 +205,7 @@ def enn_b_wls_batch(nets, ms, rrhs):
             RuntimeWarning,
             stacklevel=2,
         )
-    return x, errors
+    return WlsBatch(x=x, failures=errors)
 
 
 def enn_b_wls(nets, m, rrhs) -> np.ndarray:

@@ -19,7 +19,8 @@ bound call on the stack of the scales' covariances gives every scale's
 bound from one Jacobian, and :func:`compute_metrics` takes each report's
 fields from a few shared sums.  The selection campaign simulates its
 trials and builds their n_a-free records in blocks too, and takes an n_a
-grid.
+grid.  Both campaigns and every learning pipeline's map (:func:`estimator`)
+return a ``WlsBatch``, and :func:`_report` alone decides which trials count.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .noise import (
 from .scatterer_wls import scatterer_wls_solve_batch
 from .scenario import Scenario
 from .selection import los_candidates_batch, select_los, simulate_paths_batch
-from .ue_wls import wls_solve_batch
+from .ue_wls import WlsBatch, wls_solve_batch
 
 # Stream tags keep the campaign-level draws (e.g. the dataset's dominant
 # bias) out of the per-trial streams.
@@ -204,19 +205,36 @@ def _solve_in_blocks(sc: Scenario, m_true, sds, normals, solve):
     ]
 
 
-def _joined(batches, field: str) -> np.ndarray:
-    """The ``field`` arrays of the (R, block) batches, joined along the trials."""
-    return np.concatenate([getattr(b, field) for b in batches], axis=1)
+def _per_scale(batches) -> list:
+    """The (R, block) batches joined along the trials: one batch per noise scale."""
+    fields = (np.concatenate([getattr(b, f) for b in batches], axis=1)
+              for f in ("x", "failures", "velocity_valid"))
+    return [WlsBatch(x=x, failures=f, velocity_valid=v) for x, f, v in zip(*fields)]
 
 
-def _report(x, failures, truths) -> MetricReport:
-    """The metrics of the successful trials' estimates ``x`` against ``truths``
-    (a row per trial, or one shared row); the failed share of ``failures`` is
-    ``failure_rate``, and if it is all, ``CampaignFailedError``."""
+def _report(batch, truths) -> MetricReport:
+    """The metrics of ``batch``'s estimates against ``truths`` (a row per
+    trial, or one shared row); the failed share is ``failure_rate``, and if
+    it is all, ``CampaignFailedError``.  Position is scored over every
+    success and velocity over ``batch.velocity_valid``: once a success has
+    lost its velocity, the metrics (and bias) cover position only and the
+    velocity RMSE and MAE come from the valid trials."""
+    x, failures, valid = batch.x, batch.failures, batch.velocity_valid
     ok = np.equal(failures, None)
     if not ok.any():
         raise CampaignFailedError(f"every trial failed numerically; trial 0: {failures[0]}")
-    report = compute_metrics(x[ok], truths[ok] if np.ndim(truths) == 2 else truths)
+
+    def truth(rows):
+        return truths[rows] if np.ndim(truths) == 2 else truths
+
+    if valid[ok].all():
+        report = compute_metrics(x[ok], truth(ok))
+    else:
+        report = compute_metrics(x[ok, :3], truth(ok)[..., :3])
+        if valid.any():
+            velocity = compute_metrics(x[valid], truth(valid))
+            report.rmse_velocity = velocity.rmse_velocity
+            report.mae_velocity = velocity.mae_velocity
     report.failure_rate = int(np.count_nonzero(~ok)) / len(failures)
     report.trials = len(failures)
     return report
@@ -253,18 +271,11 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None, r
     )
     traces = crlb_ue_traces(sc.ue_true, rrhs, qs)
     results = []
-    fields = (_joined(batches, f) for f in ("x", "velocity_valid", "failures"))
-    for x, valid, failures, trace in zip(*fields, traces):
-        # Once a successful trial has lost its velocity, the report covers
-        # position only and takes its velocity metrics from the valid trials.
-        width = 6 if valid[np.equal(failures, None)].all() else 3
-        report = _report(x[:, :width], failures, sc.ue_true[:width])
-        if width == 3 and valid.any():
-            velocity = compute_metrics(x[valid], sc.ue_true)
-            report.rmse_velocity = velocity.rmse_velocity
-            report.mae_velocity = velocity.mae_velocity
+    for batch, trace in zip(_per_scale(batches), traces):
+        report = _report(batch, sc.ue_true)
         report.crlb_trace_position, report.crlb_trace_velocity = trace
-        results.append((report, _trial_rows(sc, x, failures)) if collect_trials else report)
+        results.append((report, _trial_rows(sc, batch.x, batch.failures))
+                       if collect_trials else report)
     return results[0] if rhos is None else results
 
 
@@ -307,8 +318,8 @@ def run_scatterer_campaign(sc: Scenario, normals=None, rhos=None):
     )
     crlbs = crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qss)
     reports = []
-    for x, failures, crlb in zip(_joined(batches, "x"), _joined(batches, "failures"), crlbs):
-        report = _report(x, failures, sc.scatterer_true)
+    for batch, crlb in zip(_per_scale(batches), crlbs):
+        report = _report(batch, sc.scatterer_true)
         report.crlb_trace_position = position_trace(crlb)
         report.crlb_trace_velocity = velocity_trace(crlb)
         reports.append(report)
@@ -379,12 +390,11 @@ def pipelines(*kinds) -> list:
 def estimator(pipeline: str, sc: Scenario, model=None, eps: float = 0.1, r_a: float = 0.1):
     """The stack map of a learning pipeline on the scenario's receivers.
 
-    The map takes stacked measurements (N, dim) and returns ``(x,
-    failures)``: the (N, 6) estimates and, per sample, the
-    ``HybridlocError`` it raised or None, as ``WlsBatch`` does.  ``model``
-    is the pipeline's model in :data:`PIPELINES`, the list of member nets
-    for an ensemble.  A net whose output width does not suit that model
-    raises ``DimensionMismatchError``.
+    The map takes stacked measurements (N, dim) and returns a ``WlsBatch``
+    of (N, 6) estimates; only ``wls`` has a covariance.  ``model`` is the
+    pipeline's model in :data:`PIPELINES`, the list of member nets for an
+    ensemble; one of another shape, or a net whose output width does not
+    suit it, raises ``DimensionMismatchError``.
     """
     if pipeline not in PIPELINES:
         raise ScenarioError(f"unknown pipeline {pipeline!r}")
@@ -393,12 +403,7 @@ def estimator(pipeline: str, sc: Scenario, model=None, eps: float = 0.1, r_a: fl
         _check_outputs(pipeline, model)
     if pipeline == "wls":
         q = build_q(sc.n_a, sc.noise)
-
-        def wls(ms):
-            batch = wls_solve_batch(ms, rrhs, q, iters=sc.wls_iters)
-            return batch.x, batch.failures
-
-        return wls
+        return lambda ms: wls_solve_batch(ms, rrhs, q, iters=sc.wls_iters)
     return {
         "nn_wls": lambda ms: nn.nn_wls_batch(model, ms, rrhs, eps),
         "nn_ls": lambda ms: nn.nn_ls_batch(model, ms, rrhs),
@@ -410,10 +415,17 @@ def estimator(pipeline: str, sc: Scenario, model=None, eps: float = 0.1, r_a: fl
 
 
 def _check_outputs(pipeline: str, model) -> None:
-    """Raise ``DimensionMismatchError`` when a net of ``model`` (one net or a
-    list) has an output width that ``pipeline`` cannot use."""
+    """Raise ``DimensionMismatchError`` when ``model`` is not the one net or
+    the list of nets that ``pipeline`` runs on, or a net of it has an output
+    width that ``pipeline`` cannot use.  ``wls`` takes any model and ignores it."""
     kind = PIPELINES[pipeline]
-    for net in model if isinstance(model, (list, tuple)) else [model]:
+    if kind is None:
+        return
+    listed = isinstance(model, (list, tuple))
+    if listed != (kind == "ensemble"):
+        needs = "one net, not a list" if listed else "a list of member nets"
+        raise DimensionMismatchError(f"pipeline {pipeline!r} needs {needs}")
+    for net in model if listed else [model]:
         width_in, width_out = net.config.layer_widths[0], net.config.layer_widths[-1]
         if kind == "state" and width_out != 6:
             raise DimensionMismatchError(
@@ -448,22 +460,16 @@ def train_model(kind, mlp_config, train_set, val_set, ensemble_config=None):
 def evaluate(estimate, test_set) -> MetricReport:
     """Metrics of the stack map ``estimate``, run once on a test set's
     measurements, against its states: :func:`_report`, one trial per sample."""
-    return _report(*estimate(test_set.m), test_set.x)
+    return _report(estimate(test_set.m), test_set.x)
 
 
-def run_nn_campaign(
-    sc: Scenario,
-    pipeline: str,
-    datasets: dict,
-    mlp_config=None,
-    ensemble_config=None,
-    eps: float = 0.1,
-) -> MetricReport:
+def run_nn_campaign(sc: Scenario, pipeline: str, datasets: dict, mlp_config=None) -> MetricReport:
     """MAE of a learning pipeline on a held-out test set.
 
     ``datasets`` maps "train"/"val"/"test" to Dataset objects; generating
     the test set under a different noise configuration than the training
-    set gives the mismatched-noise robustness variant.
+    set gives the mismatched-noise robustness variant.  Ensembles and
+    estimators take their default settings.
     """
     estimator(pipeline, sc)  # rejects an unknown pipeline before any training
     for key in ("train", "val", "test"):
@@ -472,7 +478,5 @@ def run_nn_campaign(
     tr, va, te = datasets["train"], datasets["val"], datasets["test"]
     if mlp_config is None:
         mlp_config = nn.MlpConfig(layer_widths=mlp_widths(tr), seed=sc.seed)
-    if ensemble_config is None:
-        ensemble_config = ensemble.EnsembleConfig()
-    model = train_model(PIPELINES[pipeline], mlp_config, tr, va, ensemble_config)
-    return evaluate(estimator(pipeline, sc, model, eps, ensemble_config.r_a), te)
+    model = train_model(PIPELINES[pipeline], mlp_config, tr, va, ensemble.EnsembleConfig())
+    return evaluate(estimator(pipeline, sc, model), te)

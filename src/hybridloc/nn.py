@@ -7,9 +7,9 @@ residual either supplies the weighting matrix for a single weighted solve
 (NN-WLS), is subtracted before an ordinary least-squares solve (NN-LS), or
 is bypassed entirely by a network that regresses the state itself
 (black box).  Each of these maps a stack of measurements at once
-(``nn_wls_batch``, ``nn_ls_batch``, ``blackbox_batch``); the per-sample
-estimators are those stack maps run on one sample, and raise that sample's
-failure.
+(``nn_wls_batch``, ``nn_ls_batch``, ``blackbox_batch``) to the WLS
+solver's ``WlsBatch``, without a covariance; the per-sample estimators
+are those stack maps run on one sample, and raise that sample's failure.
 
 Everything here is plain numpy: forward pass, backpropagation, and the
 ADAM optimizer are written out explicitly so the training path has no
@@ -31,7 +31,7 @@ from .geometry import scatterer_measurement, ue_measurement
 from .noise import add_noise, draw_dominant, scatterer_sigma_components, sigma_components
 from .scenario import Scenario, sample_scatterer_state, sample_ue_state
 from .scatterer_wls import build_scatterer_system
-from .ue_wls import _fail, build_system, solve_normal
+from .ue_wls import WlsBatch, _fail, build_system, solve_normal
 from .ue_wls import solve_linear  # noqa: F401  perfbench's tracer expects nn to bind it
 
 _MODEL_FORMAT_VERSION = 1
@@ -547,10 +547,7 @@ def _no_failures(n: int) -> np.ndarray:
 def _one(batch, model, m, *args):
     """Row 0 of the stack map ``batch`` run on the one sample ``m``; the
     sample's failure is raised instead."""
-    x, failures = batch(model, np.asarray(m, dtype=float)[None], *args)
-    if failures[0] is not None:
-        raise failures[0]
-    return x[0]
+    return batch(model, np.asarray(m, dtype=float)[None], *args).first().x
 
 
 def _stack_inputs(nets, ms, rrhs):
@@ -561,17 +558,17 @@ def _stack_inputs(nets, ms, rrhs):
     return (e_hats,) + build_system(ms, np.asarray(rrhs, dtype=float))
 
 
-def nn_wls_batch(net: Mlp, ms, rrhs, eps: float = 0.1):
+def nn_wls_batch(net: Mlp, ms, rrhs, eps: float = 0.1) -> WlsBatch:
     """NN-WLS estimates of stacked measurements ``ms`` (N, dim).
 
-    Returns ``(x, failures)``: the (N, 6) states and, per sample, the
-    ``HybridlocError`` its solve raised or None (its row of ``x`` is then
-    NaN).  One ``predict`` call serves the stack.
+    Returns the (N, 6) states and, per sample, the ``HybridlocError`` its
+    solve raised or None, as a ``WlsBatch`` without a covariance.  One
+    ``predict`` call serves the stack.
     """
     e_hat, h, g = _stack_inputs([net], ms, rrhs)
     errors = _no_failures(len(h))
     x, _ = residual_solve(h, g, e_hat, eps, errors)
-    return x, errors
+    return WlsBatch(x=x, failures=errors)
 
 
 def nn_wls_estimate(net: Mlp, m, rrhs, eps: float = 0.1):
@@ -580,12 +577,12 @@ def nn_wls_estimate(net: Mlp, m, rrhs, eps: float = 0.1):
     return _one(nn_wls_batch, net, m, rrhs, eps)
 
 
-def nn_ls_batch(net: Mlp, ms, rrhs):
+def nn_ls_batch(net: Mlp, ms, rrhs) -> WlsBatch:
     """NN-LS estimates of stacked measurements, as :func:`nn_wls_batch`."""
     e_hat, h, g = _stack_inputs([net], ms, rrhs)
     errors = _no_failures(len(h))
     x, _ = residual_solve(h - e_hat[:, 0], g, errors=errors)
-    return x, errors
+    return WlsBatch(x=x, failures=errors)
 
 
 def nn_ls_estimate(net: Mlp, m, rrhs):
@@ -594,10 +591,7 @@ def nn_ls_estimate(net: Mlp, m, rrhs):
     return _one(nn_ls_batch, net, m, rrhs)
 
 
-_BLOWN_MESSAGE = "black-box estimate contains non-finite entries"
-
-
-def blackbox_batch(net_bb: Mlp, ms):
+def blackbox_batch(net_bb: Mlp, ms) -> WlsBatch:
     """Black-box estimates of stacked measurements, as :func:`nn_wls_batch`.
 
     A sample whose output is non-finite (e.g. from non-finite weights)
@@ -606,10 +600,9 @@ def blackbox_batch(net_bb: Mlp, ms):
     ms = _stacked(ms)
     x = np.array(net_bb.predict(ms), dtype=float)
     errors = _no_failures(len(ms))
-    blown = ~np.isfinite(x).all(axis=1)
-    _fail(errors, blown, NumericalError, _BLOWN_MESSAGE)
-    x[blown] = np.nan
-    return x, errors
+    _fail(errors, ~np.isfinite(x).all(axis=1), NumericalError,
+          "black-box estimate contains non-finite entries")
+    return WlsBatch(x=x, failures=errors)
 
 
 def blackbox_estimate(net_bb: Mlp, m):

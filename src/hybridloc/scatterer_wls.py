@@ -8,7 +8,8 @@ the pseudo-linear system is square; the weighting matrix therefore affects
 only the reported covariance, not the estimate itself.
 
 ``scatterer_wls_solve_batch`` solves a stack of paths at once, each trial
-failing alone; ``scatterer_wls_solve`` is its batch of one.
+failing alone, and returns the user solver's ``WlsBatch`` with 4-entry
+states; ``scatterer_wls_solve`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .geometry import (
     scatterer_legs,
     velocity_direction,
 )
-from .ue_wls import _dense, _fail, _iterated_solve, _square, _stacked_covariance
+from .ue_wls import WlsBatch, _dense, _fail, _iterated_solve, _square, _stacked_covariance
 from .ue_wls import solve_linear  # noqa: F401  perfbench's tracer expects scatterer_wls to bind it
 
 
@@ -44,20 +45,6 @@ class ScattererResult:
     @property
     def speed(self) -> float:
         return float(self.x[3])
-
-
-@dataclass
-class ScattererBatch:
-    """Estimates of a stack of paths, one row per trial.
-
-    ``x`` (T, 4) and ``cov`` (T, 4, 4) as in :class:`ScattererResult`;
-    ``failures`` (an object array) holds the ``HybridlocError`` each failed
-    trial raised, or None, and a failed trial's rows are NaN.
-    """
-
-    x: np.ndarray
-    cov: np.ndarray
-    failures: np.ndarray
 
 
 def build_scatterer_system(ms, b_n, b_1, ue):
@@ -155,7 +142,7 @@ def build_bs(xs, b_n, ue, errors=None) -> np.ndarray:
     return _dense(bs_bands(xs, b_n, ue, errors))
 
 
-def scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs) -> ScattererBatch:
+def scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs) -> WlsBatch:
     """WLS estimates of a stack of path measurements ``ms`` (..., T, 4).
 
     ``ms`` carries one or more leading batch axes, and the covariance
@@ -163,7 +150,9 @@ def scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs) -> ScattererBatch:
     as in ``ue_wls.wls_solve_batch``.  Each trial runs as
     :func:`scatterer_wls_solve` would run it alone, and fails alone.  This
     is the user's iterated solve with one iteration and the covariance at
-    the estimate, on :func:`build_scatterer_system`'s pair ``(h, G·T)``.
+    the estimate, on :func:`build_scatterer_system`'s pair ``(h, G·T)``:
+    ``x`` (..., 4) and ``cov`` (..., 4, 4) as in :class:`ScattererResult`,
+    and ``velocity_valid`` the successful trials.
     """
     ms = np.asarray(ms, dtype=float)
     if ms.ndim < 2:
@@ -174,10 +163,7 @@ def scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs) -> ScattererBatch:
     xs, cov = _iterated_solve(
         h, gt, qs, lambda x, e: bs_bands(x, b_n, ue, e), 1, True, errors
     )
-    failed = ~np.equal(errors, None)
-    xs[failed] = np.nan
-    cov[failed] = np.nan
-    return ScattererBatch(x=xs, cov=cov, failures=errors)
+    return WlsBatch(x=xs, failures=errors, cov=cov)
 
 
 def scatterer_wls_solve(ms, b_n, b_1, ue, qs) -> ScattererResult:
@@ -192,6 +178,5 @@ def scatterer_wls_solve(ms, b_n, b_1, ue, qs) -> ScattererResult:
     raised.
     """
     batch = scatterer_wls_solve_batch(np.asarray(ms, dtype=float)[None], b_n, b_1, ue, qs)
-    if batch.failures[0] is not None:
-        raise batch.failures[0]
-    return ScattererResult(x=batch.x[0], cov=batch.cov[0])
+    first = batch.first()
+    return ScattererResult(x=first.x, cov=first.cov)

@@ -123,10 +123,10 @@ class SelectionResult:
         return all(p.is_los for p in self.los_set)
 
 
-def rough_fix(p: PathMeasurement, b_n, v_c: float = SPEED_OF_LIGHT) -> np.ndarray:
+def rough_fix(p: PathMeasurement, b_n) -> np.ndarray:
     """Position reached by walking the measured ray for the measured delay."""
     a, _, _ = angular_vectors(p.phi, p.theta)
-    return np.asarray(b_n, dtype=float) + v_c * p.tau * a
+    return np.asarray(b_n, dtype=float) + SPEED_OF_LIGHT * p.tau * a
 
 
 def _cluster_variance(points: np.ndarray, center: np.ndarray) -> float:

@@ -87,7 +87,7 @@ class WlsResult:
 
     ``x`` is the 6-D state estimate (velocity entries NaN when
     ``velocity_valid`` is False) and ``cov`` the first-order covariance
-    with the same NaN convention.
+    with the same NaN convention (None when :class:`WlsBatch` has none).
     """
 
     x: np.ndarray
@@ -105,19 +105,36 @@ class WlsResult:
 
 @dataclass
 class WlsBatch:
-    """Solutions of a stack of estimations, one row per trial.
+    """Estimates of a stack of trials, the result of every stack estimator.
 
-    ``x`` (..., 6), ``cov`` (..., 6, 6) and ``velocity_valid`` (...) follow
-    :class:`WlsResult`'s conventions, over the batch axes of the
-    measurements.  ``failures`` (an object array over the same axes) holds
-    the ``HybridlocError`` each failed trial raised, or None; a failed
-    trial's rows of ``x`` and ``cov`` are NaN.
+    ``x`` (..., d) holds the states over the measurements' batch axes (d =
+    6 for the user, 4 for a scatterer) and ``failures`` the
+    ``HybridlocError`` each failed trial raised, or None; a failed trial's
+    rows of ``x`` and ``cov`` are made NaN here.  ``cov`` (..., d, d) is
+    the first-order covariance, None for the learned estimators, and
+    ``velocity_valid`` defaults to the successful trials.
     """
 
     x: np.ndarray
-    cov: np.ndarray
-    velocity_valid: np.ndarray
     failures: np.ndarray
+    cov: np.ndarray | None = None
+    velocity_valid: np.ndarray | None = None
+
+    def __post_init__(self):
+        ok = np.equal(self.failures, None)
+        if not ok.all():
+            self.x[~ok] = np.nan
+            if self.cov is not None:
+                self.cov[~ok] = np.nan
+        if self.velocity_valid is None:
+            self.velocity_valid = ok
+
+    def first(self) -> WlsResult:
+        """Row 0 as a :class:`WlsResult`; its failure is raised instead."""
+        if self.failures[0] is not None:
+            raise self.failures[0]
+        cov = None if self.cov is None else self.cov[0]
+        return WlsResult(x=self.x[0], cov=cov, velocity_valid=bool(self.velocity_valid[0]))
 
 
 def _square(a):
@@ -490,7 +507,7 @@ def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
         )
         valid = np.equal(errors, None)
         if valid.all():
-            return WlsBatch(x=x, cov=cov, velocity_valid=valid, failures=errors)
+            return WlsBatch(x=x, failures=errors, cov=cov)
         fallback = np.array(
             [isinstance(e, SingularProblemError) for e in errors.flat], dtype=bool
         ).reshape(errors.shape)
@@ -516,10 +533,7 @@ def wls_solve_batch(ms, rrhs, q, iters: int = 2) -> WlsBatch:
         x[fallback, :3] = pos[fallback]
         cov[fallback] = np.nan
         cov[fallback, :3, :3] = cov_pos[fallback]
-    failed = ~np.equal(errors, None)
-    x[failed] = np.nan
-    cov[failed] = np.nan
-    return WlsBatch(x=x, cov=cov, velocity_valid=valid, failures=errors)
+    return WlsBatch(x=x, failures=errors, cov=cov, velocity_valid=valid)
 
 
 def wls_solve(m, rrhs, q, iters: int = 2) -> WlsResult:
@@ -532,11 +546,4 @@ def wls_solve(m, rrhs, q, iters: int = 2) -> WlsResult:
     the covariance.  This is :func:`wls_solve_batch` on a batch of one,
     position-only fallback included; its failure is raised.
     """
-    batch = wls_solve_batch(np.asarray(m, dtype=float)[None], rrhs, q, iters)
-    if batch.failures[0] is not None:
-        raise batch.failures[0]
-    return WlsResult(
-        x=batch.x[0],
-        cov=batch.cov[0],
-        velocity_valid=bool(batch.velocity_valid[0]),
-    )
+    return wls_solve_batch(np.asarray(m, dtype=float)[None], rrhs, q, iters).first()

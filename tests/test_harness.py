@@ -33,7 +33,7 @@ from hybridloc.noise import (
 )
 from hybridloc.scatterer_wls import scatterer_wls_solve
 from hybridloc.scenario import Scenario, load_scenario
-from hybridloc.ue_wls import wls_solve
+from hybridloc.ue_wls import WlsBatch, wls_solve
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -199,6 +199,69 @@ class TestVelocityMetricsWithFallbacks:
         bound = crlb_ue(sc.ue_true, sc.selected_rrhs(), build_q(4, sc.noise))
         assert report.crlb_trace_position == position_trace(bound)
         assert report.crlb_trace_velocity == velocity_trace(bound)
+
+
+class TestReport:
+    """``_report`` alone decides which trials of a batch count; on a batch
+    with a position-only row and a failed row it equals the formulas the
+    WLS campaign applied itself: position metrics over the successes (a
+    3-entry bias), velocity RMSE and MAE over the valid rows."""
+
+    @staticmethod
+    def _batch():
+        x = np.random.default_rng(4).normal(size=(6, 6))
+        x[1, 3:] = np.nan  # solved position-only
+        failures = np.full(6, None, dtype=object)
+        failures[3] = SingularProblemError("singular")
+        valid = np.ones(6, dtype=bool)
+        valid[[1, 3]] = False
+        return WlsBatch(x=x, failures=failures, velocity_valid=valid)
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_mixed_velocity_equals_the_campaign_formulas(self, per_row):
+        batch = self._batch()
+        truths = np.random.default_rng(5).normal(size=(6, 6) if per_row else 6)
+        report = harness._report(batch, truths)
+
+        ok = np.equal(batch.failures, None)
+        valid = batch.velocity_valid
+
+        def rows(mask):
+            return truths[mask] if per_row else truths
+
+        expected = harness.compute_metrics(batch.x[:, :3][ok], rows(ok)[..., :3])
+        velocity = harness.compute_metrics(batch.x[valid], rows(valid))
+        expected.rmse_velocity = velocity.rmse_velocity
+        expected.mae_velocity = velocity.mae_velocity
+        expected.failure_rate = 1 / 6
+        expected.trials = 6
+        assert report.to_dict() == expected.to_dict()
+        assert len(report.bias_per_component) == 3
+        assert report.rmse_velocity is not None
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_every_success_valid_scores_the_whole_state(self, per_row):
+        batch = self._batch()
+        batch.velocity_valid = np.equal(batch.failures, None)
+        batch.x[1, 3:] = 0.5
+        truths = np.random.default_rng(5).normal(size=(6, 6) if per_row else 6)
+        ok = batch.velocity_valid
+        expected = harness.compute_metrics(batch.x[ok], truths[ok] if per_row else truths)
+        expected.failure_rate = 1 / 6
+        expected.trials = 6
+        assert harness._report(batch, truths).to_dict() == expected.to_dict()
+
+    def test_no_valid_velocity_reports_position_only(self):
+        batch = self._batch()
+        batch.velocity_valid[:] = False
+        report = harness._report(batch, np.zeros(6))
+        assert len(report.bias_per_component) == 3
+        assert report.rmse_velocity is None and report.mae_velocity is None
+
+    def test_every_trial_failed_raises(self):
+        failures = np.array([SingularProblemError("first"), NumericalError("second")])
+        with pytest.raises(CampaignFailedError, match="trial 0: first"):
+            harness._report(WlsBatch(x=np.zeros((2, 6)), failures=failures), np.zeros(6))
 
 
 class TestScattererCampaign:
@@ -609,6 +672,21 @@ class TestNnCampaign:
             nn.Normalizer.fit(np.zeros((1, widths[0]))),
             nn.Normalizer.fit(np.zeros((1, widths[-1]))),
         )
+
+    @pytest.mark.filterwarnings("ignore:averaged residual weighting:RuntimeWarning")
+    @pytest.mark.parametrize("listed", [False, True], ids=["one_net", "list"])
+    @pytest.mark.parametrize("pipeline", list(harness.PIPELINES))
+    def test_model_must_be_one_net_or_a_list_as_the_pipeline_takes(self, pipeline, listed):
+        sc = Scenario()
+        kind = harness.PIPELINES[pipeline]
+        net = self._net(22, 4, 6 if kind == "state" else 22)
+        model = [net, net] if listed else net
+        if kind is not None and listed != (kind == "ensemble"):
+            with pytest.raises(DimensionMismatchError, match=f"pipeline '{pipeline}' needs"):
+                harness.estimator(pipeline, sc, model)
+            return
+        ms = ue_measurement(sc.ue_true, sc.selected_rrhs())[None]
+        assert type(harness.estimator(pipeline, sc, model)(ms)) is WlsBatch
 
     def test_model_output_must_suit_the_pipeline(self):
         sc = Scenario()

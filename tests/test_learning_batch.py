@@ -20,7 +20,7 @@ from hybridloc.errors import (
 from hybridloc.geometry import ue_measurement
 from hybridloc.noise import NoiseConfig, build_q
 from hybridloc.scenario import Scenario
-from hybridloc.ue_wls import _COND_LIMIT, build_system, wls_solve
+from hybridloc.ue_wls import _COND_LIMIT, WlsBatch, build_system, wls_solve
 from learning_oracle import StubNet
 
 STRUCTURED = NoiseConfig(delta_d=3.0, delta_a=0.0175, mode="structured", ratio=0.01)
@@ -252,7 +252,8 @@ class TestStackMaps:
     @pytest.mark.parametrize("pipeline", PIPELINES)
     def test_rows_match_per_sample_calls(self, trained, pipeline):
         model, te = _model(trained, pipeline), trained["test"]
-        x, failures = harness.estimator(pipeline, SC, model)(te.m)
+        batch = harness.estimator(pipeline, SC, model)(te.m)
+        x, failures = batch.x, batch.failures
         assert x.shape == (len(te), 6) and failures.shape == (len(te),)
         for m, row, failure in zip(te.m, x, failures):
             single = _per_sample(pipeline, model, m)
@@ -270,7 +271,8 @@ class TestStackMaps:
         ms[3, 0] = MARK  # a non-finite prediction (WLS: an ordinary sample)
         ms[7] = np.nan  # a non-finite measurement
         poisoned = {7} if pipeline == "wls" else {3, 7}
-        x, failures = harness.estimator(pipeline, SC, model)(ms)
+        batch = harness.estimator(pipeline, SC, model)(ms)
+        x, failures = batch.x, batch.failures
         for i, (m, failure) in enumerate(zip(ms, failures)):
             single = _per_sample(pipeline, model, m)
             if i in poisoned:
@@ -298,6 +300,53 @@ class TestStackMaps:
             warnings.simplefilter("always")
             harness.estimator("enn_b", SC, trained["nets"])(trained["test"].m)
         assert [w.category for w in caught] == [RuntimeWarning]
+
+
+class InfStub(StubNet):
+    """A ``StubNet`` with the ``config`` that ``harness.estimator`` checks,
+    whose prediction is +inf on rows that start with MARK."""
+
+    def __init__(self, e_hat):
+        super().__init__(e_hat)
+        self.config = nn.MlpConfig(layer_widths=(22, self.e_hat.size))
+
+    def predict(self, m):
+        out = super().predict(m)
+        out[np.asarray(m)[..., 0] == MARK] = np.inf
+        return out
+
+
+class TestOneResultType:
+    """Every pipeline's stack map returns a ``WlsBatch`` whose failed rows
+    are NaN and whose ``velocity_valid`` is the success mask."""
+
+    @given(st.sampled_from(PIPELINES),
+           st.lists(st.sampled_from(["ok", "mark", "nan"]), min_size=1, max_size=6), seeds)
+    @settings(max_examples=60)
+    def test_every_map_returns_a_wls_batch(self, pipeline, kinds, seed):
+        rng = np.random.default_rng(seed)
+        ds = nn.make_dataset(SC, len(kinds), rng)
+        ms = ds.m.copy()
+        kinds = np.array(kinds)
+        ms[kinds == "mark", 0] = MARK  # a +inf prediction (WLS: an ordinary sample)
+        ms[kinds == "nan"] = np.nan  # a non-finite measurement
+        labels = ds.e.mean(axis=0)
+        model = {
+            "wls": None,
+            "blackbox": InfStub(ds.x.mean(axis=0)),
+            "nn_wls": InfStub(labels),
+            "nn_ls": InfStub(labels),
+        }.get(pipeline, [InfStub(labels * (1.0 + 0.1 * k)) for k in range(3)])
+        batch = harness.estimator(pipeline, SC, model)(ms)
+        assert type(batch) is WlsBatch
+        ok = np.equal(batch.failures, None)
+        assert np.array_equal(batch.velocity_valid, ok)
+        assert np.isnan(batch.x[~ok]).all() and np.isfinite(batch.x[ok]).all()
+        assert (batch.cov is None) == (pipeline != "wls")
+        failed = kinds == "nan" if pipeline == "wls" else kinds != "ok"
+        if pipeline == "blackbox":
+            failed = kinds == "mark"  # a constant net ignores the measurement
+        assert np.array_equal(~ok, failed)
 
 
 PER_SAMPLE = {  # each per-sample estimator and the model it takes
@@ -362,9 +411,9 @@ class TestRidgeCheck:
     @pytest.mark.parametrize("pipeline", ["nn_wls", "enn_a", "enn_m"])
     def test_stack_maps_fail_every_sample(self, trained, pipeline):
         model = _model(trained, pipeline)
-        x, failures = harness.estimator(pipeline, SC, model, eps=-0.5)(trained["test"].m)
-        assert np.isnan(x).all()
-        assert all(type(f) is NumericalError and str(f) == self.MESSAGE for f in failures)
+        batch = harness.estimator(pipeline, SC, model, eps=-0.5)(trained["test"].m)
+        assert np.isnan(batch.x).all()
+        assert all(type(f) is NumericalError and str(f) == self.MESSAGE for f in batch.failures)
 
 
 class RowNet:
@@ -414,7 +463,8 @@ class TestDenseEnnB:
         nets = [RowNet(ms, preds[:, k]) for k in range(p)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            x, failures = ensemble.enn_b_wls_batch(nets, ms, RRHS)
+            batch = ensemble.enn_b_wls_batch(nets, ms, RRHS)
+        x, failures = batch.x, batch.failures
         avg = ensemble.average_outer(preds)
         w, engaged = ensemble.invert_weighting(avg)
         ridged = False
@@ -450,7 +500,8 @@ class TestDenseEnnB:
         nets = [RowNet(ms, preds[:, k]) for k in range(22)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            x, failures = ensemble.enn_b_wls_batch(nets, ms, RRHS)
+            batch = ensemble.enn_b_wls_batch(nets, ms, RRHS)
+        x, failures = batch.x, batch.failures
         assert failures[0] is None
         assert np.array_equal(x[0], oracle.enn_b_wls(nets, ms[0], RRHS))
         assert type(failures[1]) is NumericalError and np.isnan(x[1]).all()

@@ -23,6 +23,8 @@ from hybridloc.scenario import (
     sample_ue_state,
 )
 from hybridloc.ue_wls import (
+    WlsBatch,
+    WlsResult,
     _invert_normal,
     _iterated_solve,
     _whiten,
@@ -123,7 +125,7 @@ class TestUeBatchMatchesOracle:
                 _assert_close(cov[t], expected[1])
 
 
-class TestScattererBatchMatchesOracle:
+class TestScattererStackMatchesOracle:
     @given(
         st.sampled_from([0.1, 0.3, 1.0, 3.0, 10.0, 30.0]),
         st.integers(0, DEFAULT_RRHS.shape[0] - 1),
@@ -152,6 +154,60 @@ class TestScattererBatchMatchesOracle:
                 continue
             _assert_close(batch.x[t], expected[0])
             _assert_close(batch.cov[t], expected[1])
+
+
+class TestOneResultType:
+    """``WlsBatch``, the result of every stack estimator: a failed trial's
+    rows are NaN, and ``velocity_valid`` defaults to the successes."""
+
+    FAILURES = np.array([None, NumericalError("bad"), None], dtype=object)
+
+    def test_failed_rows_are_nan(self):
+        x, cov = np.arange(12.0).reshape(3, 4), np.ones((3, 4, 4))
+        batch = WlsBatch(x=x.copy(), failures=self.FAILURES.copy(), cov=cov.copy())
+        assert np.isnan(batch.x[1]).all() and np.isnan(batch.cov[1]).all()
+        assert np.array_equal(batch.x[[0, 2]], x[[0, 2]])
+        assert np.array_equal(batch.cov[[0, 2]], cov[[0, 2]])
+        assert batch.velocity_valid.tolist() == [True, False, True]
+        assert WlsBatch(x=x.copy(), failures=self.FAILURES.copy()).cov is None
+
+    def test_a_given_velocity_mask_is_kept(self):
+        valid = np.array([False, False, True])
+        batch = WlsBatch(x=np.ones((3, 6)), failures=self.FAILURES.copy(), velocity_valid=valid)
+        assert batch.velocity_valid is valid
+
+    def test_first_takes_row_zero_or_raises_its_failure(self):
+        x, cov = np.arange(12.0).reshape(2, 6), np.ones((2, 6, 6))
+        first = WlsBatch(x=x, failures=self.FAILURES[:2].copy(), cov=cov).first()
+        assert type(first) is WlsResult and first.velocity_valid is True
+        assert np.array_equal(first.x, x[0]) and np.array_equal(first.cov, cov[0])
+        assert WlsBatch(x=x, failures=self.FAILURES[:1].copy()).first().cov is None
+        with pytest.raises(NumericalError, match="bad"):
+            WlsBatch(x=x, failures=self.FAILURES[1:].copy()).first()
+
+    @given(
+        st.lists(st.sampled_from(["random", "zenith", "nan"]), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30)
+    def test_scatterer_stack_is_a_wls_batch(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        sc = Scenario()
+        b_n, b_1 = DEFAULT_RRHS[3], DEFAULT_RRHS[0]
+        qs = build_qs(NoiseConfig())
+        ms = []
+        for kind in kinds:
+            xs = sample_scatterer_state(sc, rng)
+            if kind == "zenith":
+                xs[:3] = [b_n[0], b_n[1], b_n[2] + rng.uniform(5.0, 80.0)]
+            m = sample_gaussian(scatterer_measurement(xs, sc.ue_true, b_n, b_1), qs, rng)
+            ms.append(np.full(4, np.nan) if kind == "nan" else m)
+        batch = scatterer_wls_solve_batch(np.array(ms), b_n, b_1, sc.ue_true, qs)
+        assert type(batch) is WlsBatch
+        ok = np.equal(batch.failures, None)
+        assert np.array_equal(batch.velocity_valid, ok)
+        assert np.isnan(batch.x[~ok]).all() and np.isnan(batch.cov[~ok]).all()
+        assert np.isfinite(batch.x[ok]).all()
 
 
 def _ue_stack(n_a=6, trials=5, seed=3):

@@ -331,6 +331,7 @@ def wls_solve_batch_joint_first(ms, rrhs, q, iters=2):
             x[fallback, :3] = pos[fallback]
             cov[fallback] = np.nan
             cov[fallback, :3, :3] = cov_pos[fallback]
+        # The oracle NaNs its own failed rows, apart from WlsBatch's rule.
         failed = ~np.equal(errors, None)
         x[failed] = np.nan
         cov[failed] = np.nan

@@ -15,6 +15,10 @@ runs, in process, on the bundled scenarios:
 - ``simulate --rho 10 --seed 25 --trials 4 --per-trial`` on copies of
   ``crlb-attainment.yaml`` at n_a 3, 6 and 9, the fixed call of perfbench's
   ``montecarlo`` workload, whose scatterer trial 0 fails;
+- ``simulate --rho 30 --trials 200 --per-trial`` on a copy of
+  ``crlb-attainment.yaml`` at n_a 4, where one trial falls back to a
+  position-only solve: its report scores position over every success and
+  velocity over the trials that kept it;
 - ``crlb --rho 0.1 1 10 --na 2 3 4 6 9 --check-identities`` on every
   scenario, from the smallest position-only layout to the largest one;
 - ``gen-dataset --samples 300`` for ``--target ue`` and ``--target
@@ -119,6 +123,7 @@ def _simulate_grids(out: Path, scratch: Path) -> None:
         (3, (10,), ("--seed", 25, "--trials", 4)),
         (6, (10,), ("--seed", 25, "--trials", 4)),
         (9, (10,), ("--seed", 25, "--trials", 4)),
+        (4, (30,), ("--trials", 200)),
     ):
         scenario = scratch / f"crlb-attainment-na{na}.yaml"
         with open(scenario, "w", encoding="utf-8") as fh:
