@@ -5,22 +5,26 @@ so results are reproducible and independent of execution order.  Campaigns
 tolerate per-trial solver failures: failed trials are excluded from the
 error statistics and surface as a failure rate instead.
 
-The WLS and scatterer campaigns take each trial's unit normals from
-:func:`trial_normals`, which opens every trial's stream once and draws at
-the user layout's width; the scatterer layout uses the first four of them.
-A caller that runs both campaigns on one seed and trial count (``hybridloc
-simulate``) draws them once and passes them to both.  Each campaign takes
-a grid of noise scales ``rhos``: it turns a block of normals into noisy
-measurements at every scale with one :func:`~hybridloc.noise.add_noise`
-step and solves the (scales, block) stack at once, with one covariance per
-scale, and returns one report per scale.  Without ``rhos`` it is the grid
-of ``sc.noise`` alone.  The report side takes the grid whole as well: one
-bound call on the stack of the scales' covariances gives every scale's
-bound from one Jacobian, and :func:`compute_metrics` takes each report's
-fields from a few shared sums.  The selection campaign simulates its
-trials and builds their n_a-free records in blocks too, and takes an n_a
-grid.  Both campaigns and every learning pipeline's map (:func:`estimator`)
-return a ``WlsBatch``, and :func:`_report` alone decides which trials count.
+The WLS and scatterer campaigns are one driver, :func:`_campaign`, given
+each problem's measurement, noise layout, covariance, stacked solver and
+bound.  They take each trial's unit normals from :func:`trial_normals`,
+which opens every trial's stream once and draws at the user layout's
+width; the scatterer layout uses the first four of them.  A caller that
+runs both campaigns on one seed and trial count (``hybridloc simulate``)
+draws them once and passes them to both.  Each campaign takes a grid of
+noise scales ``rhos``: it turns a block of normals into noisy measurements
+at every scale with one :func:`~hybridloc.noise.add_noise` step and solves
+the (scales, block) stack at once, with one covariance per scale, and
+returns one report per scale.  Without ``rhos`` it is the grid of
+``sc.noise`` alone.  The report side takes the grid whole as well: the
+blocks are joined once, one bound call on the stack of the scales'
+covariances gives every scale's bound from one Jacobian, and
+:func:`compute_metrics` takes each report's fields from a few shared sums.
+The selection campaign simulates its trials and builds their n_a-free
+records in blocks too, and takes an n_a grid.  Both campaigns, and
+:func:`evaluate` of every learning pipeline's map (:func:`estimator`),
+score a ``WlsBatch``'s fields with :func:`_report`, which alone decides
+which trials count.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .noise import (
 from .scatterer_wls import scatterer_wls_solve_batch
 from .scenario import Scenario
 from .selection import los_candidates_batch, select_los, simulate_paths_batch
-from .ue_wls import WlsBatch, wls_solve_batch
+from .ue_wls import wls_solve_batch
 
 # Stream tags keep the campaign-level draws (e.g. the dataset's dominant
 # bias) out of the per-trial streams.
@@ -176,50 +180,54 @@ def _campaign_normals(sc: Scenario, width: int, normals) -> np.ndarray:
     return normals[:, :width]
 
 
-def _noise_grid(sc: Scenario, rhos) -> list:
-    """The noise configuration of each noise scale: ``sc.noise`` alone when
-    ``rhos`` is None, else ``sc.noise.scaled(rho)`` for each of ``rhos``."""
-    return [sc.noise] if rhos is None else [sc.noise.scaled(rho) for rho in rhos]
+def _campaign(sc: Scenario, truth, m_true, layout, cov, solve, traces, normals, rhos,
+              collect_trials: bool = False):
+    """Noisy draws of ``m_true`` at every noise scale, solved and reported.
 
-
-def _solve_in_blocks(sc: Scenario, m_true, sds, normals, solve):
-    """Noisy draws of ``m_true`` at every noise scale, solved ``_BLOCK`` trials at a time.
-
-    ``sds`` (R, width) holds the layout of each of the R noise scales.
-    The trials' unit normals are the first ``width`` columns of
-    ``normals``, a :func:`trial_normals` array, drawn here when None; the
-    dominant bias, in structured mode, comes from the campaign's stream,
-    which is built only then and serves every scale.  Each block of normals
-    is noised at every scale and ``solve(ms)`` gets the (R, block, width)
-    stack, returning a batch result.  Returns the batches in trial order.
+    The grid is ``sc.noise`` alone when ``rhos`` is None, else
+    ``sc.noise.scaled(rho)`` for each of ``rhos``.  ``layout(noise)`` gives
+    a scale's standard deviations and ``cov(noise)`` its covariance.  The
+    trials' unit normals are the first columns of ``normals``, a
+    :func:`trial_normals` array, drawn here when None; the dominant bias,
+    in structured mode, comes from the campaign's stream, which is built
+    only then and serves every scale.  Each ``_BLOCK`` of normals is noised
+    at every scale and ``solve(ms, qs)`` gets the (R, block, width) stack
+    with the (R, 1, d, d) covariances, returning a ``WlsBatch``.  The blocks'
+    fields are joined once; each scale is then reported against ``truth``
+    with its ``(position, velocity)`` pair from ``traces(qs)``, one bound
+    call for the grid.  Returns what :func:`run_wls_campaign` documents.
     """
-    sds = sds[:, None, :]
+    noises = [sc.noise] if rhos is None else [sc.noise.scaled(rho) for rho in rhos]
+    qs = np.stack([cov(noise) for noise in noises])
+    sds = np.stack([layout(noise) for noise in noises])[:, None, :]
     normals = _campaign_normals(sc, sds.shape[-1], normals)
     dominant = draw_dominant(
         sc.noise, sds,
         functools.partial(np.random.default_rng, [sc.seed, _DOMINANT_STREAM]),
     )
-    return [
-        solve(add_noise(m_true, sc.noise, sds, dominant, normals[lo : lo + _BLOCK]))
+    batches = [
+        solve(add_noise(m_true, sc.noise, sds, dominant, normals[lo : lo + _BLOCK]), qs[:, None])
         for lo in range(0, sc.trials, _BLOCK)
     ]
+    x, failures, valid = (np.concatenate([getattr(b, f) for b in batches], axis=1)
+                          for f in ("x", "failures", "velocity_valid"))
+    results = []
+    for r, trace in enumerate(traces(qs)):
+        report = _report(x[r], failures[r], valid[r], truth)
+        report.crlb_trace_position, report.crlb_trace_velocity = trace
+        results.append((report, _trial_rows(truth, x[r], failures[r]))
+                       if collect_trials else report)
+    return results[0] if rhos is None else results
 
 
-def _per_scale(batches) -> list:
-    """The (R, block) batches joined along the trials: one batch per noise scale."""
-    fields = (np.concatenate([getattr(b, f) for b in batches], axis=1)
-              for f in ("x", "failures", "velocity_valid"))
-    return [WlsBatch(x=x, failures=f, velocity_valid=v) for x, f, v in zip(*fields)]
-
-
-def _report(batch, truths) -> MetricReport:
-    """The metrics of ``batch``'s estimates against ``truths`` (a row per
-    trial, or one shared row); the failed share is ``failure_rate``, and if
-    it is all, ``CampaignFailedError``.  Position is scored over every
-    success and velocity over ``batch.velocity_valid``: once a success has
-    lost its velocity, the metrics (and bias) cover position only and the
-    velocity RMSE and MAE come from the valid trials."""
-    x, failures, valid = batch.x, batch.failures, batch.velocity_valid
+def _report(x, failures, valid, truths) -> MetricReport:
+    """The metrics of a ``WlsBatch``'s fields ``x``, ``failures`` and
+    ``valid`` (its ``velocity_valid``) against ``truths`` (a row per trial,
+    or one shared row); the failed share is ``failure_rate``, and if it is
+    all, ``CampaignFailedError``.  Position is scored over every success
+    and velocity over ``valid``: once a success has lost its velocity, the
+    metrics (and bias) cover position only and the velocity RMSE and MAE
+    come from the valid trials."""
     ok = np.equal(failures, None)
     if not ok.any():
         raise CampaignFailedError(f"every trial failed numerically; trial 0: {failures[0]}")
@@ -238,6 +246,22 @@ def _report(batch, truths) -> MetricReport:
     report.failure_rate = int(np.count_nonzero(~ok)) / len(failures)
     report.trials = len(failures)
     return report
+
+
+def _trial_rows(truth, x, failures) -> list:
+    """One row per trial: its errors against ``truth``, or its failure."""
+    rows = []
+    for t, failure in enumerate(failures):
+        if failure is None:
+            rows.append({
+                "trial": t,
+                "status": "ok",
+                "error_position": float(np.linalg.norm(x[t, :3] - truth[:3])),
+                "error_velocity": float(np.linalg.norm(x[t, 3:] - truth[3:])),
+            })
+        else:
+            rows.append({"trial": t, "status": "fail", "detail": str(failure)})
+    return rows
 
 
 def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None, rhos=None):
@@ -260,39 +284,13 @@ def run_wls_campaign(sc: Scenario, collect_trials: bool = False, normals=None, r
     ``CampaignFailedError``.
     """
     rrhs = sc.selected_rrhs()
-    noises = _noise_grid(sc, rhos)
-    qs = np.stack([build_q(sc.n_a, noise) for noise in noises])
-    batches = _solve_in_blocks(
-        sc,
-        ue_measurement(sc.ue_true, rrhs),
-        np.stack([sigma_components(sc.n_a, noise) for noise in noises]),
-        normals,
-        lambda ms: wls_solve_batch(ms, rrhs, qs[:, None], iters=sc.wls_iters),
+    return _campaign(
+        sc, sc.ue_true, ue_measurement(sc.ue_true, rrhs),
+        functools.partial(sigma_components, sc.n_a), functools.partial(build_q, sc.n_a),
+        lambda ms, qs: wls_solve_batch(ms, rrhs, qs, iters=sc.wls_iters),
+        lambda qs: crlb_ue_traces(sc.ue_true, rrhs, qs),
+        normals, rhos, collect_trials,
     )
-    traces = crlb_ue_traces(sc.ue_true, rrhs, qs)
-    results = []
-    for batch, trace in zip(_per_scale(batches), traces):
-        report = _report(batch, sc.ue_true)
-        report.crlb_trace_position, report.crlb_trace_velocity = trace
-        results.append((report, _trial_rows(sc, batch.x, batch.failures))
-                       if collect_trials else report)
-    return results[0] if rhos is None else results
-
-
-def _trial_rows(sc: Scenario, x, failures) -> list:
-    """One row per WLS trial: its errors, or its failure."""
-    rows = []
-    for t in range(sc.trials):
-        if failures[t] is None:
-            rows.append({
-                "trial": t,
-                "status": "ok",
-                "error_position": float(np.linalg.norm(x[t, :3] - sc.ue_true[:3])),
-                "error_velocity": float(np.linalg.norm(x[t, 3:] - sc.ue_true[3:])),
-            })
-        else:
-            rows.append({"trial": t, "status": "fail", "detail": str(failures[t])})
-    return rows
 
 
 def run_scatterer_campaign(sc: Scenario, normals=None, rhos=None):
@@ -307,23 +305,14 @@ def run_scatterer_campaign(sc: Scenario, normals=None, rhos=None):
     """
     b_n = sc.rrhs[sc.scatterer_rrh]
     b_1 = sc.rrhs[0]
-    noises = _noise_grid(sc, rhos)
-    qss = np.stack([build_qs(noise) for noise in noises])
-    batches = _solve_in_blocks(
-        sc,
-        scatterer_measurement(sc.scatterer_true, sc.ue_true, b_n, b_1),
-        np.stack([scatterer_sigma_components(noise) for noise in noises]),
-        normals,
-        lambda ms: scatterer_wls_solve_batch(ms, b_n, b_1, sc.ue_true, qss[:, None]),
+    return _campaign(
+        sc, sc.scatterer_true, scatterer_measurement(sc.scatterer_true, sc.ue_true, b_n, b_1),
+        scatterer_sigma_components, build_qs,
+        lambda ms, qs: scatterer_wls_solve_batch(ms, b_n, b_1, sc.ue_true, qs),
+        lambda qs: [(position_trace(c), velocity_trace(c))
+                    for c in crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qs)],
+        normals, rhos,
     )
-    crlbs = crlb_scatterer(sc.scatterer_true, b_n, sc.ue_true, qss)
-    reports = []
-    for batch, crlb in zip(_per_scale(batches), crlbs):
-        report = _report(batch, sc.scatterer_true)
-        report.crlb_trace_position = position_trace(crlb)
-        report.crlb_trace_velocity = velocity_trace(crlb)
-        reports.append(report)
-    return reports[0] if rhos is None else reports
 
 
 def run_sr_campaign(sc: Scenario, nas=None):
@@ -460,7 +449,8 @@ def train_model(kind, mlp_config, train_set, val_set, ensemble_config=None):
 def evaluate(estimate, test_set) -> MetricReport:
     """Metrics of the stack map ``estimate``, run once on a test set's
     measurements, against its states: :func:`_report`, one trial per sample."""
-    return _report(estimate(test_set.m), test_set.x)
+    batch = estimate(test_set.m)
+    return _report(batch.x, batch.failures, batch.velocity_valid, test_set.x)
 
 
 def run_nn_campaign(sc: Scenario, pipeline: str, datasets: dict, mlp_config=None) -> MetricReport:

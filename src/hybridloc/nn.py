@@ -641,13 +641,15 @@ def save_model(net: Mlp, path) -> None:
 def _archive(path, kind: str):
     """The ``kind`` ("model" or "dataset") .npz archive at ``path``, open for
     the ``with`` block that reads it.  A file that is not such an archive,
-    or lacks or mangles an entry the block reads (pickled data included), is
-    a ``ScenarioError`` naming it; an unknown version is a ``NumericalError``."""
+    or lacks or mangles an entry the block reads (pickled data included), or
+    has an unknown format version, is a ``ScenarioError`` naming it."""
     try:
         with np.lib.npyio.NpzFile(path) as data:
             version = int(data["format_version"])
             if version != _MODEL_FORMAT_VERSION:
-                raise NumericalError(f"unsupported {kind} format {version}")
+                raise ScenarioError(
+                    f"cannot read {kind} file {path}: unsupported format version {version}"
+                )
             yield data
     except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ScenarioError(f"cannot read {kind} file {path}: {exc}") from exc

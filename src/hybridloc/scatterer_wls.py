@@ -9,12 +9,12 @@ only the reported covariance, not the estimate itself.
 
 ``scatterer_wls_solve_batch`` solves a stack of paths at once, each trial
 failing alone, and returns the user solver's ``WlsBatch`` with 4-entry
-states; ``scatterer_wls_solve`` is its batch of one.
+states; ``scatterer_wls_solve`` is its batch of one and returns the user
+solver's ``WlsResult``, so both estimators share one result type per
+stack and one per sample.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,24 +27,16 @@ from .geometry import (
     scatterer_legs,
     velocity_direction,
 )
-from .ue_wls import WlsBatch, _dense, _fail, _iterated_solve, _square, _stacked_covariance
+from .ue_wls import (
+    WlsBatch,
+    WlsResult,
+    _dense,
+    _fail,
+    _iterated_solve,
+    _square,
+    _stacked_covariance,
+)
 from .ue_wls import solve_linear  # noqa: F401  perfbench's tracer expects scatterer_wls to bind it
-
-
-@dataclass
-class ScattererResult:
-    """Estimated scatterer state: x = [position (3), signed speed]."""
-
-    x: np.ndarray
-    cov: np.ndarray
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.x[:3]
-
-    @property
-    def speed(self) -> float:
-        return float(self.x[3])
 
 
 def build_scatterer_system(ms, b_n, b_1, ue):
@@ -151,8 +143,8 @@ def scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs) -> WlsBatch:
     :func:`scatterer_wls_solve` would run it alone, and fails alone.  This
     is the user's iterated solve with one iteration and the covariance at
     the estimate, on :func:`build_scatterer_system`'s pair ``(h, G·T)``:
-    ``x`` (..., 4) and ``cov`` (..., 4, 4) as in :class:`ScattererResult`,
-    and ``velocity_valid`` the successful trials.
+    ``x`` (..., 4) holds [position, signed speed], ``cov`` (..., 4, 4) its
+    covariance, and ``velocity_valid`` the successful trials.
     """
     ms = np.asarray(ms, dtype=float)
     if ms.ndim < 2:
@@ -166,7 +158,7 @@ def scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs) -> WlsBatch:
     return WlsBatch(x=xs, failures=errors, cov=cov)
 
 
-def scatterer_wls_solve(ms, b_n, b_1, ue, qs) -> ScattererResult:
+def scatterer_wls_solve(ms, b_n, b_1, ue, qs) -> WlsResult:
     """WLS estimate of [scatterer position, signed speed] and its covariance.
 
     The system is square, so the weighting cannot move the estimate: one
@@ -174,9 +166,9 @@ def scatterer_wls_solve(ms, b_n, b_1, ue, qs) -> ScattererResult:
     ``inv(G' inv(Bs Qs Bs') G)`` at that estimate, computed as the solve of
     the whitened system ``(inv(Bs) h, inv(Bs) G)`` with ``W = inv(Qs)``
     (:func:`bs_bands`, ``ue_wls._whiten``).  This is
-    :func:`scatterer_wls_solve_batch` on a batch of one; its failure is
-    raised.
+    :func:`scatterer_wls_solve_batch` on a batch of one, returned as the
+    user solver's ``WlsResult``: a 4-entry ``x`` whose ``velocity`` is the
+    signed speed; its failure is raised.
     """
-    batch = scatterer_wls_solve_batch(np.asarray(ms, dtype=float)[None], b_n, b_1, ue, qs)
-    first = batch.first()
-    return ScattererResult(x=first.x, cov=first.cov)
+    ms = np.asarray(ms, dtype=float)[None]
+    return scatterer_wls_solve_batch(ms, b_n, b_1, ue, qs).first()

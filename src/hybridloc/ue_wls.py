@@ -85,9 +85,11 @@ _NON_FINITE_NORMAL = "normal equations contain non-finite entries"
 class WlsResult:
     """Solution of one weighted least-squares estimation.
 
-    ``x`` is the 6-D state estimate (velocity entries NaN when
-    ``velocity_valid`` is False) and ``cov`` the first-order covariance
-    with the same NaN convention (None when :class:`WlsBatch` has none).
+    ``x`` is the state estimate: 6 entries for the user (velocity entries
+    NaN when ``velocity_valid`` is False), 4 for a scatterer (position and
+    signed speed, so ``velocity`` holds the speed).  ``cov`` is the
+    first-order covariance with the same NaN convention (None when
+    :class:`WlsBatch` has none).
     """
 
     x: np.ndarray

@@ -613,7 +613,7 @@ class TestPipelineRoundTrip:
 
     @pytest.mark.parametrize("option, kind", [
         ("--model", "dataset"), ("--data", "text"), ("--data", "truncated"),
-        ("--data", "pickled"),
+        ("--data", "pickled"), ("--model", "future"),
     ])
     def test_eval_of_an_unreadable_file_exits_parse(
         self, pipeline_dir, tmp_path, capsys, option, kind
@@ -627,6 +627,11 @@ class TestPipelineRoundTrip:
         elif kind == "truncated":
             data = paths["test"].read_bytes()
             bad.write_bytes(data[: len(data) // 2])
+        elif kind == "future":
+            with np.load(paths["model"]) as data:
+                payload = {k: data[k] for k in data.files}
+            payload["format_version"] = np.array(99)
+            np.savez(bad, **payload)
         else:
             np.savez(bad, format_version=np.array(1), m=np.array([{}], dtype=object))
         files = {"--data": paths["test"], "--model": paths["model"], option: bad}

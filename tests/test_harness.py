@@ -217,11 +217,15 @@ class TestReport:
         valid[[1, 3]] = False
         return WlsBatch(x=x, failures=failures, velocity_valid=valid)
 
+    @staticmethod
+    def _report(batch, truths):
+        return harness._report(batch.x, batch.failures, batch.velocity_valid, truths)
+
     @pytest.mark.parametrize("per_row", [False, True])
     def test_mixed_velocity_equals_the_campaign_formulas(self, per_row):
         batch = self._batch()
         truths = np.random.default_rng(5).normal(size=(6, 6) if per_row else 6)
-        report = harness._report(batch, truths)
+        report = self._report(batch, truths)
 
         ok = np.equal(batch.failures, None)
         valid = batch.velocity_valid
@@ -249,19 +253,19 @@ class TestReport:
         expected = harness.compute_metrics(batch.x[ok], truths[ok] if per_row else truths)
         expected.failure_rate = 1 / 6
         expected.trials = 6
-        assert harness._report(batch, truths).to_dict() == expected.to_dict()
+        assert self._report(batch, truths).to_dict() == expected.to_dict()
 
     def test_no_valid_velocity_reports_position_only(self):
         batch = self._batch()
         batch.velocity_valid[:] = False
-        report = harness._report(batch, np.zeros(6))
+        report = self._report(batch, np.zeros(6))
         assert len(report.bias_per_component) == 3
         assert report.rmse_velocity is None and report.mae_velocity is None
 
     def test_every_trial_failed_raises(self):
         failures = np.array([SingularProblemError("first"), NumericalError("second")])
         with pytest.raises(CampaignFailedError, match="trial 0: first"):
-            harness._report(WlsBatch(x=np.zeros((2, 6)), failures=failures), np.zeros(6))
+            self._report(WlsBatch(x=np.zeros((2, 6)), failures=failures), np.zeros(6))
 
 
 class TestScattererCampaign:
@@ -498,6 +502,71 @@ class TestEveryTrialFailed:
         )
         with pytest.raises(NumericalError, match=r"every trial failed.*singular \(0\)"):
             harness.run_scatterer_campaign(Scenario(trials=3, seed=1))
+
+
+class TestLaterBlockFailure:
+    """One trial of a later block fails at one noise scale: the joined
+    blocks put its failure in that scale's report and its per-trial row,
+    at its own index, and leave the other trials and the other scale alone."""
+
+    FAILED = 66  # one of trials 64-69, block 1 of a 70-trial campaign
+    RHOS = [0.3, 3.0]
+
+    def _failing_at_scale_1(self, monkeypatch, solver):
+        """Patch ``harness.<solver>`` to fail trial FAILED at scale 1 only;
+        returns the list the solver's own (R, block) estimates go into."""
+        solve = getattr(harness, solver)
+        estimates = []
+
+        def solve_and_fail(*args, **kwargs):
+            batch = solve(*args, **kwargs)
+            estimates.append(batch.x.copy())
+            lo = harness._BLOCK * (len(estimates) - 1)
+            if lo <= self.FAILED < lo + batch.x.shape[1]:
+                failures = batch.failures.copy()
+                valid = batch.velocity_valid.copy()
+                failures[1, self.FAILED - lo] = SingularProblemError(f"trial {self.FAILED}")
+                valid[1, self.FAILED - lo] = False
+                return WlsBatch(x=batch.x, failures=failures, cov=batch.cov,
+                                velocity_valid=valid)
+            return batch
+
+        monkeypatch.setattr(harness, solver, solve_and_fail)
+        return estimates
+
+    @pytest.mark.parametrize("campaign, solver, truth", [
+        ("run_wls_campaign", "wls_solve_batch", "ue_true"),
+        ("run_scatterer_campaign", "scatterer_wls_solve_batch", "scatterer_true"),
+    ])
+    def test_failure_lands_in_its_scale_and_row(self, monkeypatch, campaign, solver, truth):
+        sc = Scenario(trials=70, seed=8)
+        run = getattr(harness, campaign)
+        kwargs = {"collect_trials": True} if campaign == "run_wls_campaign" else {}
+        clean = run(sc, rhos=self.RHOS, **kwargs)
+        estimates = self._failing_at_scale_1(monkeypatch, solver)
+        failed = run(sc, rhos=self.RHOS, **kwargs)
+        assert len(estimates) == 2
+        if kwargs:
+            (clean_0, _), (clean_1, clean_rows) = clean
+            (report_0, _), (report_1, rows) = failed
+            assert rows[self.FAILED] == {
+                "trial": self.FAILED, "status": "fail", "detail": f"trial {self.FAILED}"}
+            others = [r for r in rows if r["trial"] != self.FAILED]
+            assert others == [r for r in clean_rows if r["trial"] != self.FAILED]
+        else:
+            clean_0, clean_1 = clean
+            report_0, report_1 = failed
+        assert _fields(report_0) == _fields(clean_0)
+        assert clean_1.failure_rate == 0.0 and report_1.failure_rate == 1 / 70
+
+        x = np.concatenate(estimates, axis=1)[1]
+        expected = harness.compute_metrics(np.delete(x, self.FAILED, axis=0),
+                                           getattr(sc, truth))
+        expected.crlb_trace_position = clean_1.crlb_trace_position
+        expected.crlb_trace_velocity = clean_1.crlb_trace_velocity
+        expected.failure_rate = 1 / 70
+        expected.trials = 70
+        assert _fields(report_1) == _fields(expected)
 
 
 class TestSrCampaign:

@@ -1,9 +1,15 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every definition is used.
 
 An AST check over ``src/hybridloc``, ``tests`` and ``tools``: a name bound
 by ``import`` or ``from ... import`` must be read somewhere in its module.
 An import line marked ``# noqa: F401`` is a deliberate re-export and is
 skipped, as are ``__future__`` imports.
+
+A second AST check: every module-level ``def`` or ``class`` in
+``src/hybridloc`` must be named somewhere besides its own definition, in
+``src``, ``tests``, ``tools`` or ``perfbench``: read as a name or an
+attribute, imported, or given as the attribute string of perfbench's
+``Point(owner, "attr", ...)`` trace points.
 """
 
 import ast
@@ -55,3 +61,69 @@ def test_the_check_sees_an_unused_name_and_honours_noqa():
         "print(np.pi, pi)\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "osp"), (8, "tau")]
+
+
+PACKAGE = sorted((ROOT / "src/hybridloc").glob("*.py"))
+REFERENCING = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def named(source: str) -> set:
+    """The names ``source`` reads, imports or traces through ``Point``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "Point" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            names.add(node.args[1].value)
+    return names
+
+
+def dead_definitions(defining: dict, referencing: list) -> list:
+    """``(module, name)`` of each module-level ``def`` or ``class`` of the
+    sources ``defining`` maps by module that neither they nor the sources
+    ``referencing`` name."""
+    used = set().union(*map(named, [*defining.values(), *referencing]))
+    return sorted(
+        (module, node.name)
+        for module, source in defining.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+    )
+
+
+def test_every_package_definition_is_named():
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    referencing = [p.read_text() for p in REFERENCING if p not in PACKAGE]
+    assert dead_definitions(defining, referencing) == []
+
+
+def test_the_dead_definition_check_sees_an_unnamed_def():
+    defining = {"mod": (
+        "def called():\n"
+        "    pass\n"
+        "def orphan():\n"
+        "    return called()\n"
+        "class Traced:\n"
+        "    def method(self):\n"
+        "        pass\n"
+        "class Unused:\n"
+        "    pass\n"
+        "def imported():\n"
+        "    pass\n"
+        "def via_attribute():\n"
+        "    pass\n"
+        "unrelated = 'orphan'\n"
+    )}
+    referencing = [
+        "from mod import imported\n",
+        "import mod\nmod.via_attribute()\n",
+        "Point(mod, 'Traced', 'mod.Traced')\n",
+        "Unused = 1\n",
+    ]
+    assert dead_definitions(defining, referencing) == [("mod", "Unused"), ("mod", "orphan")]

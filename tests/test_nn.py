@@ -350,8 +350,9 @@ class TestPersistence:
             payload = {k: data[k] for k in data.files}
         payload["format_version"] = np.array(99)
         np.savez(path, **payload)
-        with pytest.raises(NumericalError):
+        with pytest.raises(ScenarioError) as exc:
             nn.load_model(path)
+        assert str(path) in str(exc.value) and "version 99" in str(exc.value)
 
 
 class TestConfig:

@@ -16,7 +16,6 @@ from hybridloc.errors import (
 from hybridloc.geometry import scatterer_measurement
 from hybridloc.noise import NoiseConfig, build_qs, sample_gaussian
 from hybridloc.scatterer_wls import (
-    ScattererResult,
     build_bs,
     build_scatterer_system,
     scatterer_wls_solve,
@@ -29,6 +28,7 @@ from hybridloc.scenario import (
     load_scenario,
     sample_scatterer_state,
 )
+from hybridloc.ue_wls import WlsResult
 
 B_OBS = DEFAULT_RRHS[0]
 B_REF = DEFAULT_RRHS[0]
@@ -139,15 +139,18 @@ class TestBuildBs:
 class TestSolver:
     def test_zero_noise_exact_recovery(self):
         result = scatterer_wls_solve(MS_TRUE, B_OBS, B_REF, UE, QS)
-        assert isinstance(result, ScattererResult)
+        assert isinstance(result, WlsResult)
+        assert result.x.shape == (4,) and result.cov.shape == (4, 4)
+        assert result.velocity_valid is True
+        assert result.velocity.tolist() == [result.x[3]]
         np.testing.assert_allclose(result.position, XS_TRUE[:3], atol=1e-6)
-        assert result.speed == pytest.approx(XS_TRUE[3], abs=1e-6)
+        assert result.x[3] == pytest.approx(XS_TRUE[3], abs=1e-6)
 
     def test_negative_speed_recovered(self):
         xs = np.array([260.0, 700.0, 10.0, -4.0])
         ms = scatterer_measurement(xs, UE, B_OBS, B_REF)
         result = scatterer_wls_solve(ms, B_OBS, B_REF, UE, QS)
-        assert result.speed == pytest.approx(-4.0, abs=1e-6)
+        assert result.x[3] == pytest.approx(-4.0, abs=1e-6)
 
     def test_estimate_solves_square_system(self):
         # The system is square, so the estimate is its exact solution
